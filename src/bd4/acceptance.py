@@ -29,7 +29,7 @@ from .definability import (
     is_definable_criterion, verify_definition, DEFINITIONS,
 )
 from .kernel import (
-    RULES, Derivation, DerivationStep, check_derivation, is_proof, _parts,
+    RULES, Derivation, DerivationStep, check_derivation, is_proof,
 )
 from .matrixlab import (
     ALL_LAWS, BD_MATRIX, LAW_ARITY, SUBSETS, check_all_laws,
@@ -37,7 +37,7 @@ from .matrixlab import (
     uniqueness_search,
 )
 from .proofio import print_sequent
-from .search import SearchBudget, decide_prop, prove_prop
+from .search import SearchBudget, prove_prop
 from .semantics import (
     PropSpace, consequence_fo, consequence_prop, enumerate_structures,
     evaluate, evaluate_prop,
@@ -579,82 +579,27 @@ class _PropValidity:
         return None if i is None else self.space.grid[i]
 
 
-def _principal_maker(rule):
-    """How to draw the rule's principal formula and extra fields."""
-    def pick(pool):
-        return lambda rng: (rng.choice(pool), {})
+def _sample_instance(name, rng, ctx_pool):
+    """One random instance: (premises, conclusion, final step).
 
-    def binary(conn, pool):
-        return lambda rng: (conn(rng.choice(pool), rng.choice(pool)), {})
-
-    def notbinary(conn, pool):
-        return lambda rng: (
-            Not(conn(rng.choice(pool), rng.choice(pool))), {})
-
-    prop = _PROP_POOL
-    table = {
-        "Id": pick(_PROP_LITERALS),
-        "Cut": pick(prop),
-        "F-L": lambda rng: (None, {}),
-        "notF-R": lambda rng: (None, {}),
-        "and-L": binary(And, prop), "and-R": binary(And, prop),
-        "or-L": binary(Or, prop), "or-R": binary(Or, prop),
-        "imp-L": binary(Imp, prop), "imp-R": binary(Imp, prop),
-        "notnot-L": lambda rng: (Not(Not(rng.choice(prop))), {}),
-        "notnot-R": lambda rng: (Not(Not(rng.choice(prop))), {}),
-        "notand-L": notbinary(And, prop), "notand-R": notbinary(And, prop),
-        "notor-L": notbinary(Or, prop), "notor-R": notbinary(Or, prop),
-        "notimp-L": notbinary(Imp, prop), "notimp-R": notbinary(Imp, prop),
-        "not-L": lambda rng: (Not(rng.choice(prop)), {}),
-        "not-R": lambda rng: (Not(rng.choice(prop)), {}),
-        "forall-L": lambda rng: (Forall("x", rng.choice(_FO_BODIES)),
-                                 {"t": rng.choice(_TERMS)}),
-        "forall-R": lambda rng: (Forall("x", rng.choice(_FO_BODIES)),
-                                 {"y": "y"}),
-        "exists-L": lambda rng: (Exists("x", rng.choice(_FO_BODIES)),
-                                 {"y": "y"}),
-        "exists-R": lambda rng: (Exists("x", rng.choice(_FO_BODIES)),
-                                 {"t": rng.choice(_TERMS)}),
-        "notforall-L": lambda rng: (Not(Forall("x", rng.choice(_FO_BODIES))),
-                                    {"y": "y"}),
-        "notforall-R": lambda rng: (Not(Forall("x", rng.choice(_FO_BODIES))),
-                                    {"t": rng.choice(_TERMS)}),
-        "notexists-L": lambda rng: (Not(Exists("x", rng.choice(_FO_BODIES))),
-                                    {"t": rng.choice(_TERMS)}),
-        "notexists-R": lambda rng: (Not(Exists("x", rng.choice(_FO_BODIES))),
-                                    {"y": "y"}),
-        "eq-Refl": lambda rng: (None, {"t": rng.choice(_TERMS)}),
-        "eq-Repl": lambda rng: (rng.choice(_EQ_X_LITERALS),
-                                {"x": "x", "t": rng.choice(_TERMS),
-                                 "t2": rng.choice(_TERMS)}),
-        "Den-L": lambda rng: (None, {"t": rng.choice(_TERMS),
-                                     "t2": rng.choice(_TERMS)}),
-        "Den-R": lambda rng: (None, {"t": rng.choice(_TERMS),
-                                     "t2": rng.choice(_TERMS)}),
-    }
-    return table[rule]
-
-
-def _sample_instance(rule, rng, ctx_pool):
-    """One random instance: (premises, conclusion, final step)."""
+    The pattern's formula letters are drawn left to right from the
+    rule's pool, then t and t2 from the terms; the kernel's table builds
+    the premises and the conclusion.
+    """
+    rule = RULES[name]
     gamma = frozenset(rng.sample(ctx_pool, rng.randint(0, 2)))
     delta = frozenset(rng.sample(ctx_pool, rng.randint(0, 2)))
-    principal, fields = _principal_maker(rule)(rng)
-    if rule == "Cut":
-        premises = (Sequent(gamma, delta | {principal}),
-                    Sequent(gamma | {principal}, delta))
-        step = DerivationStep("Cut", Sequent(gamma, delta), premises=(0, 1),
-                              principal=principal)
-        return premises, step.sequent, step
-    probe = DerivationStep(rule, Sequent(frozenset(), frozenset()),
-                           principal=principal, **fields)
-    ca, cs, padds, _ = _parts(probe)
-    conclusion = Sequent(gamma | set(ca), delta | set(cs))
-    premises = tuple(
-        Sequent(gamma | set(pa), delta | set(ps)) for pa, ps in padds)
-    step = DerivationStep(rule, conclusion,
-                          premises=tuple(range(len(premises))),
-                          principal=principal, **fields)
+    pool = (_EQ_X_LITERALS if name == "eq-Repl"
+            else _PROP_LITERALS if rule.literal
+            else _FO_BODIES if name in _QUANT_RULES else _PROP_POOL)
+    values = {"x": "x", **{n: rng.choice(pool) for n in rule.slots}}
+    fields = {f: rng.choice(_TERMS) for f in ("t", "t2") if f in rule.needs}
+    fields.update((f, f) for f in ("x", "y") if f in rule.needs)
+    probe = DerivationStep(name, Sequent(),
+                           principal=rule.principal_of(values), **fields)
+    premises, conclusion = rule.instance(rule.bind(probe), gamma, delta)
+    step = DerivationStep(name, conclusion, tuple(range(len(premises))),
+                          probe.principal, **fields)
     return premises, conclusion, step
 
 
@@ -806,7 +751,7 @@ def _criterion_11(config: SuiteConfig):
     def probe(gamma, delta):
         stats["checked"] += 1
         s = Sequent.of(gamma, delta)
-        holds, witness = decide_prop(s)
+        holds, witness = consequence_prop(s.ant, s.suc)
         result = prove_prop(s, budget)
         if holds:
             if not result.proved:

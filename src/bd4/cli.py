@@ -325,7 +325,8 @@ def _cmd_prove(args) -> int:
                           mode=args.packs)
     result = prove_prop(s, budget)
     if result.status == "exhausted":
-        raise UsageError("search budget exhausted; raise --depth/--max-nodes")
+        flag = "--depth" if result.bound == "depth" else "--max-nodes"
+        raise UsageError("search budget exhausted; raise %s" % flag)
     if result.proved:
         text = print_derivation(result.proof)
         if args.emit:

@@ -4,8 +4,17 @@ A derivation is a numbered list of steps.  Each step names its rule,
 cites earlier steps as premises, carries the instantiation data the rule
 needs (principal formula, substituted term, eigenvariable), and states
 its conclusion sequent.  The checker recomputes what the rule permits
-from that data and compares; it never infers instantiations by pattern
-matching, so failures point at exactly one field.
+from that data and compares; it never infers instantiations, so
+failures point at exactly one field.
+
+The calculus is written once, as data: ``RULES`` gives each of the 32
+rules its pack, the step fields it needs, the pattern of its principal,
+the formulas its conclusion and each premise add, and its side
+conditions.  Patterns and additions are formulas over schematic
+letters; the principal binds A, B and the bound variable, the step
+gives t, t2 and y.  The checker reads a rule forwards, proof search
+reads it backwards (``Rule.backward``), and the soundness sampler
+builds instances with ``Rule.instance``.
 
 Sequent sides are sets.  A rule's conclusion is its context plus the
 formulas the rule introduces, and because sets absorb duplicates the
@@ -19,7 +28,9 @@ weakening rule exists.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .syntax import (
@@ -80,205 +91,180 @@ class Violation:
 
 PACKS = ("notLR", "den")
 
-# rule name -> (pack or None, premise count, required instantiation fields)
-RULES = {
-    "Id": (None, 0, ("principal",)),
-    "Cut": (None, 2, ("principal",)),
-    "F-L": (None, 0, ()),
-    "notF-R": (None, 0, ()),
-    "and-L": (None, 1, ("principal",)),
-    "and-R": (None, 2, ("principal",)),
-    "or-L": (None, 2, ("principal",)),
-    "or-R": (None, 1, ("principal",)),
-    "imp-L": (None, 2, ("principal",)),
-    "imp-R": (None, 1, ("principal",)),
-    "forall-L": (None, 1, ("principal", "t")),
-    "forall-R": (None, 1, ("principal", "y")),
-    "exists-L": (None, 1, ("principal", "y")),
-    "exists-R": (None, 1, ("principal", "t")),
-    "notnot-L": (None, 1, ("principal",)),
-    "notnot-R": (None, 1, ("principal",)),
-    "notand-L": (None, 2, ("principal",)),
-    "notand-R": (None, 1, ("principal",)),
-    "notor-L": (None, 1, ("principal",)),
-    "notor-R": (None, 2, ("principal",)),
-    "notimp-L": (None, 1, ("principal",)),
-    "notimp-R": (None, 2, ("principal",)),
-    "notforall-L": (None, 1, ("principal", "y")),
-    "notforall-R": (None, 1, ("principal", "t")),
-    "notexists-L": (None, 1, ("principal", "t")),
-    "notexists-R": (None, 1, ("principal", "y")),
-    "eq-Refl": (None, 1, ("t",)),
-    "eq-Repl": (None, 1, ("principal", "x", "t", "t2")),
-    "not-L": ("notLR", 1, ("principal",)),
-    "not-R": ("notLR", 1, ("principal",)),
-    "Den-L": ("den", 1, ("t", "t2")),
-    "Den-R": ("den", 2, ("t", "t2")),
-}
 
-BASE_RULES = tuple(r for r, (p, _, _) in RULES.items() if p is None)
-PACK_RULES = tuple(r for r, (p, _, _) in RULES.items() if p is not None)
+# ---------------------------------------------------------------------------
+# the rule table
 
 
-class _Shape(Exception):
-    """Principal formula does not have the form the rule introduces."""
+@dataclass(frozen=True)
+class _Letter:
+    """A schematic letter: A or B (formulas), x (the variable a quantifier
+    binds or eq-Repl replaces), or a step field (principal, t, t2, y).
+    With ``term`` set it stands for A[x := term]."""
+
+    name: str
+    term: str | None = None
 
 
-def _parts(step: DerivationStep):
-    """The rule's introduced formulas and per-premise additions.
+A, B, X = _Letter("A"), _Letter("B"), _Letter("x")
+P, T, T2, Y = _Letter("principal"), _Letter("t"), _Letter("t2"), _Letter("y")
+A_t, A_t2, A_y = _Letter("A", "t"), _Letter("A", "t2"), _Letter("A", "y")
 
-    Returns (ca, cs, padds, eigen) where ca/cs are the formulas the
-    conclusion adds on each side, padds lists (ant-additions,
-    suc-additions) per premise, and eigen is (y, x, body) for the four
-    rules with a freshness side condition.  Raises _Shape when the
-    principal formula has the wrong top form.
-    """
-    p = step.principal
-    r = step.rule
-    if r == "Id":
-        return (p,), (p,), (), None
-    if r == "F-L":
-        return (Falsity(),), (), (), None
-    if r == "notF-R":
-        return (), (Not(Falsity()),), (), None
-    if r == "and-L":
-        match p:
-            case And(a1, a2):
-                return (p,), (), (((a1, a2), ()),), None
-        raise _Shape
-    if r == "and-R":
-        match p:
-            case And(a1, a2):
-                return (), (p,), (((), (a1,)), ((), (a2,))), None
-        raise _Shape
-    if r == "or-L":
-        match p:
-            case Or(a1, a2):
-                return (p,), (), (((a1,), ()), ((a2,), ())), None
-        raise _Shape
-    if r == "or-R":
-        match p:
-            case Or(a1, a2):
-                return (), (p,), (((), (a1, a2)),), None
-        raise _Shape
-    if r == "imp-L":
-        match p:
-            case Imp(a1, a2):
-                return (p,), (), (((), (a1,)), ((a2,), ())), None
-        raise _Shape
-    if r == "imp-R":
-        match p:
-            case Imp(a1, a2):
-                return (), (p,), (((a1,), (a2,)),), None
-        raise _Shape
-    if r == "forall-L":
-        match p:
-            case Forall(x, a):
-                return (p,), (), (((substitute(a, x, step.t),), ()),), None
-        raise _Shape
-    if r == "forall-R":
-        match p:
-            case Forall(x, a):
-                inst = substitute(a, x, Var(step.y))
-                return (), (p,), (((), (inst,)),), (step.y, x, a)
-        raise _Shape
-    if r == "exists-L":
-        match p:
-            case Exists(x, a):
-                inst = substitute(a, x, Var(step.y))
-                return (p,), (), (((inst,), ()),), (step.y, x, a)
-        raise _Shape
-    if r == "exists-R":
-        match p:
-            case Exists(x, a):
-                return (), (p,), (((), (substitute(a, x, step.t),)),), None
-        raise _Shape
-    if r == "notnot-L":
-        match p:
-            case Not(Not(a)):
-                return (p,), (), (((a,), ()),), None
-        raise _Shape
-    if r == "notnot-R":
-        match p:
-            case Not(Not(a)):
-                return (), (p,), (((), (a,)),), None
-        raise _Shape
-    if r == "notand-L":
-        match p:
-            case Not(And(a1, a2)):
-                return (p,), (), (((Not(a1),), ()), ((Not(a2),), ())), None
-        raise _Shape
-    if r == "notand-R":
-        match p:
-            case Not(And(a1, a2)):
-                return (), (p,), (((), (Not(a1), Not(a2))),), None
-        raise _Shape
-    if r == "notor-L":
-        match p:
-            case Not(Or(a1, a2)):
-                return (p,), (), (((Not(a1), Not(a2)), ()),), None
-        raise _Shape
-    if r == "notor-R":
-        match p:
-            case Not(Or(a1, a2)):
-                return (), (p,), (((), (Not(a1),)), ((), (Not(a2),))), None
-        raise _Shape
-    if r == "notimp-L":
-        match p:
-            case Not(Imp(a1, a2)):
-                return (p,), (), (((a1, Not(a2)), ()),), None
-        raise _Shape
-    if r == "notimp-R":
-        match p:
-            case Not(Imp(a1, a2)):
-                return (), (p,), (((), (a1,)), ((), (Not(a2),))), None
-        raise _Shape
-    if r == "notforall-L":
-        match p:
-            case Not(Forall(x, a)):
-                inst = Not(substitute(a, x, Var(step.y)))
-                return (p,), (), (((inst,), ()),), (step.y, x, a)
-        raise _Shape
-    if r == "notforall-R":
-        match p:
-            case Not(Forall(x, a)):
-                return (), (p,), (((), (Not(substitute(a, x, step.t)),)),), None
-        raise _Shape
-    if r == "notexists-L":
-        match p:
-            case Not(Exists(x, a)):
-                return (p,), (), (((Not(substitute(a, x, step.t)),), ()),), None
-        raise _Shape
-    if r == "notexists-R":
-        match p:
-            case Not(Exists(x, a)):
-                inst = Not(substitute(a, x, Var(step.y)))
-                return (), (p,), (((), (inst,)),), (step.y, x, a)
-        raise _Shape
-    if r == "eq-Refl":
-        return (), (), (((Eq(step.t, step.t),), ()),), None
-    if r == "eq-Repl":
-        new = substitute(p, step.x, step.t2)
-        old = substitute(p, step.x, step.t)
-        return (Eq(step.t, step.t2), new), (), (((old,), ()),), None
-    if r == "not-L":
-        match p:
-            case Not(a):
-                return (p,), (), (((), (a,)),), None
-        raise _Shape
-    if r == "not-R":
-        match p:
-            case Not(a):
-                return (), (p,), (((a,), ()),), None
-        raise _Shape
-    if r == "Den-L":
-        den = Or(Eq(step.t, step.t2), Not(Eq(step.t, step.t2)))
-        return (den,), (), (((Eq(step.t, step.t), Eq(step.t2, step.t2)), ()),), None
-    if r == "Den-R":
-        den = Or(Eq(step.t, step.t2), Not(Eq(step.t, step.t2)))
-        return (), (den,), (((), (Eq(step.t, step.t),)),
-                            ((), (Eq(step.t2, step.t2),))), None
-    raise ValueError("no parts for rule %s" % r)
+
+def _match(pattern, a, env) -> bool:
+    """Bind the letters of a pattern (each occurs once) to parts of a."""
+    if isinstance(pattern, _Letter):
+        env[pattern.name] = a
+        return True
+    if type(a) is not type(pattern):
+        return False
+    for f in pattern.__match_args__:
+        if not _match(getattr(pattern, f), getattr(a, f), env):
+            return False
+    return True
+
+
+def _compile(template):
+    """The function from letter bindings to what the template stands for."""
+    if not isinstance(template, _Letter):
+        cls = type(template)
+        parts = [_compile(getattr(template, f)) for f in cls.__match_args__]
+        return lambda env: cls(*[part(env) for part in parts])
+    name, term = template.name, template.term
+    if term is None:
+        return operator.itemgetter(name)
+    return lambda env: substitute(env[name], env["x"], env[term])
+
+
+def head(a):
+    """Dispatch key of a formula or pattern: its constructor, and under
+    a negation the negated formula's constructor as well."""
+    return (Not, type(a.body)) if isinstance(a, Not) else type(a)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One rule of the calculus: ``conclusion`` and each of ``premises``
+    are the (antecedent, succedent) formulas added to the context."""
+
+    name: str
+    pattern: object
+    conclusion: tuple
+    premises: tuple = ()
+    needs: tuple = ("principal",)
+    pack: str | None = None
+    literal: bool = False
+    eigen: bool = False
+
+    @functools.cached_property
+    def side(self):
+        """'ant' or 'suc' when the conclusion adds just the principal."""
+        return {_L(P): "ant", _R(P): "suc"}.get(self.conclusion)
+
+    @functools.cached_property
+    def slots(self):
+        """The formula letters of the pattern, left to right."""
+        env = {}  # matched against itself, the pattern binds in order
+        if self.pattern is not None:
+            _match(self.pattern, self.pattern, env)
+        return tuple(n for n in env if n in ("A", "B"))
+
+    @functools.cached_property
+    def principal_of(self):
+        """The function from letter values to the pattern filled in."""
+        return _compile(self.pattern) if self.pattern else lambda values: None
+
+    def bind(self, step):
+        """The step's letter bindings; None when its principal does not
+        have the pattern."""
+        env = {"principal": step.principal, "t": step.t, "t2": step.t2,
+               "x": step.x, "y": None if step.y is None else Var(step.y)}
+        if self.pattern is None or _match(self.pattern, step.principal, env):
+            return env
+        return None
+
+    @functools.cached_property
+    def _fills(self):
+        return [(tuple(map(_compile, ant)), tuple(map(_compile, suc)))
+                for ant, suc in (self.conclusion,) + self.premises]
+
+    def filled(self, env):
+        """The additions of the conclusion, then of each premise."""
+        return [(tuple([f(env) for f in ant]), tuple([f(env) for f in suc]))
+                for ant, suc in self._fills]
+
+    def instance(self, env, gamma=frozenset(), delta=frozenset()):
+        """(premises, conclusion) over the context gamma => delta."""
+        (ca, cs), *padds = self.filled(env)
+        return (tuple(Sequent(gamma.union(pa), delta.union(ps))
+                      for pa, ps in padds),
+                Sequent(gamma.union(ca), delta.union(cs)))
+
+    def backward(self, s: Sequent, a):
+        """The premises above s when this rule introduces a, which each
+        premise drops; None when a does not have the pattern."""
+        env = {"principal": a}
+        if not _match(self.pattern, a, env):
+            return None
+        if self.side == "ant":
+            return self.instance(env, s.ant - {a}, s.suc)[0]
+        return self.instance(env, s.ant, s.suc - {a})[0]
+
+
+def _L(*formulas):
+    return formulas, ()
+
+
+def _R(*formulas):
+    return (), formulas
+
+
+_DEN = Or(Eq(T, T2), Not(Eq(T, T2)))
+_TERM, _EIGEN = ("principal", "t"), ("principal", "y")
+
+RULES = {r.name: r for r in (
+    # name, principal pattern, conclusion adds, premises add, conditions
+    Rule("Id", A, ((P,), (P,)), literal=True),
+    Rule("Cut", A, ((), ()), (_R(A), _L(A))),
+    Rule("F-L", None, _L(Falsity()), needs=()),
+    Rule("notF-R", None, _R(Not(Falsity())), needs=()),
+    Rule("and-L", And(A, B), _L(P), (_L(A, B),)),
+    Rule("and-R", And(A, B), _R(P), (_R(A), _R(B))),
+    Rule("or-L", Or(A, B), _L(P), (_L(A), _L(B))),
+    Rule("or-R", Or(A, B), _R(P), (_R(A, B),)),
+    Rule("imp-L", Imp(A, B), _L(P), (_R(A), _L(B))),
+    Rule("imp-R", Imp(A, B), _R(P), (((A,), (B,)),)),
+    Rule("forall-L", Forall(X, A), _L(P), (_L(A_t),), _TERM),
+    Rule("forall-R", Forall(X, A), _R(P), (_R(A_y),), _EIGEN, eigen=True),
+    Rule("exists-L", Exists(X, A), _L(P), (_L(A_y),), _EIGEN, eigen=True),
+    Rule("exists-R", Exists(X, A), _R(P), (_R(A_t),), _TERM),
+    Rule("notnot-L", Not(Not(A)), _L(P), (_L(A),)),
+    Rule("notnot-R", Not(Not(A)), _R(P), (_R(A),)),
+    Rule("notand-L", Not(And(A, B)), _L(P), (_L(Not(A)), _L(Not(B)))),
+    Rule("notand-R", Not(And(A, B)), _R(P), (_R(Not(A), Not(B)),)),
+    Rule("notor-L", Not(Or(A, B)), _L(P), (_L(Not(A), Not(B)),)),
+    Rule("notor-R", Not(Or(A, B)), _R(P), (_R(Not(A)), _R(Not(B)))),
+    Rule("notimp-L", Not(Imp(A, B)), _L(P), (_L(A, Not(B)),)),
+    Rule("notimp-R", Not(Imp(A, B)), _R(P), (_R(A), _R(Not(B)))),
+    Rule("notforall-L", Not(Forall(X, A)), _L(P), (_L(Not(A_y)),), _EIGEN,
+         eigen=True),
+    Rule("notforall-R", Not(Forall(X, A)), _R(P), (_R(Not(A_t)),), _TERM),
+    Rule("notexists-L", Not(Exists(X, A)), _L(P), (_L(Not(A_t)),), _TERM),
+    Rule("notexists-R", Not(Exists(X, A)), _R(P), (_R(Not(A_y)),), _EIGEN,
+         eigen=True),
+    Rule("eq-Refl", None, ((), ()), (_L(Eq(T, T)),), ("t",)),
+    Rule("eq-Repl", A, _L(Eq(T, T2), A_t2), (_L(A_t),),
+         ("principal", "x", "t", "t2"), literal=True),
+    Rule("not-L", Not(A), _L(P), (_R(A),), pack="notLR"),
+    Rule("not-R", Not(A), _R(P), (_L(A),), pack="notLR"),
+    Rule("Den-L", None, _L(_DEN), (_L(Eq(T, T), Eq(T2, T2)),), ("t", "t2"),
+         pack="den"),
+    Rule("Den-R", None, _R(_DEN), (_R(Eq(T, T)), _R(Eq(T2, T2))),
+         ("t", "t2"), pack="den"),
+)}
+
+BASE_RULES = tuple(r for r, row in RULES.items() if row.pack is None)
+PACK_RULES = tuple(r for r, row in RULES.items() if row.pack is not None)
 
 
 def _subsets(items):
@@ -319,39 +305,35 @@ def check_step(d: Derivation, i: int) -> Violation | None:
         if step.sequent not in d.hypotheses:
             return Violation(i, Code.HYPOTHESIS_NOT_DECLARED, str(step.sequent))
         return None
-    spec = RULES.get(step.rule)
-    if spec is None:
+    rule = RULES.get(step.rule)
+    if rule is None:
         return Violation(i, Code.UNKNOWN_RULE, step.rule)
-    pack, n_prem, needs = spec
-    if pack is not None and pack not in d.packs:
+    if rule.pack is not None and rule.pack not in d.packs:
         return Violation(i, Code.PACK_DISABLED,
-                         "%s needs pack %s" % (step.rule, pack))
-    if len(step.premises) != n_prem:
+                         "%s needs pack %s" % (step.rule, rule.pack))
+    if len(step.premises) != len(rule.premises):
         return Violation(i, Code.BAD_PREMISE_INDEX,
                          "%s takes %d premises, got %d"
-                         % (step.rule, n_prem, len(step.premises)))
+                         % (step.rule, len(rule.premises), len(step.premises)))
     if any(not isinstance(j, int) or not 0 <= j < i for j in step.premises):
         return Violation(i, Code.BAD_PREMISE_INDEX,
                          "premise indices must point at earlier steps")
-    for field in needs:
+    for field in rule.needs:
         if getattr(step, field) is None:
             return Violation(i, Code.MISSING_FIELD,
                              "%s requires %s" % (step.rule, field))
-
-    if step.rule == "Id" and not is_literal(step.principal):
-        return Violation(i, Code.LITERAL_REQUIRED, str(step.principal))
-    if step.rule == "eq-Repl" and not is_literal(step.principal):
+    if rule.literal and not is_literal(step.principal):
         return Violation(i, Code.LITERAL_REQUIRED, str(step.principal))
 
     prem = [d.steps[j].sequent for j in step.premises]
     if step.rule == "Cut":
         return _check_cut(i, step, prem)
 
-    try:
-        ca, cs, padds, eigen = _parts(step)
-    except _Shape:
+    env = rule.bind(step)
+    if env is None:
         return Violation(i, Code.PRINCIPAL_SHAPE,
                          "%s cannot introduce %s" % (step.rule, step.principal))
+    (ca, cs), *padds = rule.filled(env)
 
     concl = step.sequent
     for a in ca:
@@ -363,11 +345,10 @@ def check_step(d: Derivation, i: int) -> Violation | None:
             return Violation(i, Code.CONCLUSION_MISMATCH,
                              "%s missing on the right" % a)
 
-    if eigen is not None:
-        yv, xv, body = eigen
-        if yv != xv and yv in free_vars(body):
-            return Violation(i, Code.EIGENVARIABLE,
-                             "%s is free in the quantified formula" % yv)
+    y = step.y
+    if rule.eigen and y != env["x"] and y in free_vars(env["A"]):
+        return Violation(i, Code.EIGENVARIABLE,
+                         "%s is free in the quantified formula" % y)
 
     base_ant = concl.ant - frozenset(ca)
     base_suc = concl.suc - frozenset(cs)
@@ -376,25 +357,18 @@ def check_step(d: Derivation, i: int) -> Violation | None:
         for keep_s in _subsets(cs):
             gamma = base_ant | keep_a
             delta = base_suc | keep_s
-            ok = all(
-                prem[k] == Sequent(gamma | frozenset(pa), delta | frozenset(ps))
-                for k, (pa, ps) in enumerate(padds)
-            )
-            if not ok:
+            if any(p != Sequent(gamma.union(pa), delta.union(ps))
+                   for p, (pa, ps) in zip(prem, padds)):
                 continue
-            if eigen is not None:
-                yv = eigen[0]
-                if any(yv in free_vars(g) for g in gamma) or any(
-                    yv in free_vars(s) for s in delta
-                ):
-                    eigen_blocked = True
-                    continue
+            if rule.eigen and any(y in free_vars(f) for f in gamma | delta):
+                eigen_blocked = True
+                continue
             return None
     if eigen_blocked:
         return Violation(i, Code.EIGENVARIABLE,
-                         "%s is free in the conclusion context" % eigen[0])
+                         "%s is free in the conclusion context" % y)
     pa, ps = padds[0] if padds else ((), ())
-    want = Sequent(base_ant | frozenset(pa), base_suc | frozenset(ps))
+    want = Sequent(base_ant.union(pa), base_suc.union(ps))
     return Violation(i, Code.PREMISE_MISMATCH,
                      "expected first premise like %s, got %s"
                      % (want, prem[0] if prem else "none"))

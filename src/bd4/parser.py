@@ -15,6 +15,12 @@ and 't1 != t2' for ~(t1 = t2); both parse to the unsugared tree.
 Identifiers are resolved against the signature; an identifier that is
 declared nowhere is a variable when it occurs inside a term position and
 an error elsewhere.
+
+Trees higher than ``MAX_DEPTH`` (left-associative chains count) and
+deeper nesting of brackets and prefix operators are a ParseError, which
+keeps every recursive consumer of formulas (printing, hashing,
+evaluation, substitution, search, the kernel) inside Python's default
+recursion limit.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ from .syntax import (
     Sequent, Signature, Var,
 )
 from .values import EXTRA_CONNECTIVES
+
+
+MAX_DEPTH = 100
 
 
 class ParseError(Exception):
@@ -57,11 +66,25 @@ def _tokenize(text: str):
     return out
 
 
+def _height(e) -> int:
+    """Height of a formula or term tree, found without recursion."""
+    height, todo = 0, [(e, 0)]
+    while todo:
+        e, d = todo.pop()
+        height = max(height, d)
+        for kid in (getattr(e, f) for f in e.__match_args__):
+            for k in kid if isinstance(kid, tuple) else (kid,):
+                if not isinstance(k, str):
+                    todo.append((k, d + 1))
+    return height
+
+
 class _Parser:
     def __init__(self, text: str, sig: Signature):
         self.tokens = _tokenize(text)
         self.sig = sig
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -79,13 +102,31 @@ class _Parser:
     def at(self, value: str) -> bool:
         return self.peek()[1] == value
 
+    def nested(self, parse, pos: int):
+        """Parse one level further in, refusing to pass MAX_DEPTH."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError("nested deeper than %d levels" % MAX_DEPTH, pos)
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
+
+    def finish(self, out):
+        """``out`` once the input is used up and not nested too deep."""
+        kind, val, pos = self.peek()
+        if kind != "eof":
+            raise ParseError("trailing input %r" % val, pos)
+        # each level of a tree takes a token, so only long input can be high
+        if len(self.tokens) > MAX_DEPTH and _height(out) > MAX_DEPTH:
+            raise ParseError("nested deeper than %d levels" % MAX_DEPTH, 0)
+        return out
+
     # -- formulas ----------------------------------------------------------
 
     def formula(self):
         left = self.disj()
         if self.at("->"):
-            self.next()
-            return Imp(left, self.formula())
+            return Imp(left, self.nested(self.formula, self.next()[2]))
         return left
 
     def disj(self):
@@ -106,14 +147,14 @@ class _Parser:
         kind, val, pos = self.peek()
         if val == "~":
             self.next()
-            return Not(self.unary())
+            return Not(self.nested(self.unary, pos))
         if kind == "ident" and val in ("forall", "exists"):
             self.next()
             k2, var, p2 = self.next()
             if k2 != "ident" or var in ("forall", "exists"):
                 raise ParseError("expected a variable after %s" % val, p2)
             self.expect(".")
-            body = self.formula()
+            body = self.nested(self.formula, pos)
             return Forall(var, body) if val == "forall" else Exists(var, body)
         if kind == "ident" and val in EXTRA_CONNECTIVES:
             arity = EXTRA_CONNECTIVES[val][0]
@@ -122,13 +163,13 @@ class _Parser:
             self.next()
             if arity == 0:
                 return ExtApp(val, ())
-            return ExtApp(val, (self.unary(),))
+            return ExtApp(val, (self.nested(self.unary, pos),))
         return self.atom()
 
     def atom(self):
         kind, val, pos = self.next()
         if val == "(":
-            out = self.formula()
+            out = self.nested(self.formula, pos)
             self.expect(")")
             return out
         if val == "F":
@@ -176,10 +217,10 @@ class _Parser:
 
     def term_args(self, name: str, arity: int, pos: int) -> tuple:
         self.expect("(")
-        args = [self.term()]
+        args = [self.nested(self.term, pos)]
         while self.at(","):
             self.next()
-            args.append(self.term())
+            args.append(self.nested(self.term, pos))
         self.expect(")")
         if len(args) != arity:
             raise ParseError(
@@ -190,20 +231,12 @@ class _Parser:
 
 def parse_formula(text: str, sig: Signature):
     p = _Parser(text, sig)
-    out = p.formula()
-    kind, val, pos = p.peek()
-    if kind != "eof":
-        raise ParseError("trailing input %r" % val, pos)
-    return out
+    return p.finish(p.formula())
 
 
 def parse_term(text: str, sig: Signature):
     p = _Parser(text, sig)
-    out = p.term()
-    kind, val, pos = p.peek()
-    if kind != "eof":
-        raise ParseError("trailing input %r" % val, pos)
-    return out
+    return p.finish(p.term())
 
 
 def split_top(text: str, sep: str) -> list[str]:

@@ -5,25 +5,25 @@ oracle settles whether the sequent holds, and only the positive case
 goes to backward search, so countermodels always come from the oracle
 and never from a failed bounded search.
 
-All base decompositions used here are invertible on the matrix (the
-premise set holds exactly when the conclusion does, pointwise per
-valuation), which makes the base search complete without Cut: decompose
-until only literals remain, close by Id / F-L / notF-R, and a stuck
-literal-only sequent is genuinely invalid.  The not-L / not-R pack
-rules are applied only at stuck literal-only sequents, as backtracking
-choice points; each application consumes one negated literal, so that
-phase terminates too.
+The search reads the kernel's rule table backwards.  The base rules
+that need only a principal are the decompositions; each formula finds
+its one rule by the side and head constructor of the formula.  All of
+them are invertible on the matrix (the premise set holds exactly when
+the conclusion does, pointwise per valuation), which makes the base
+search complete without Cut: decompose until only literals remain,
+close by Id / F-L / notF-R, and a stuck literal-only sequent is
+genuinely invalid.  The not-L / not-R pack rules are applied only at
+stuck literal-only sequents, as backtracking choice points; each
+application consumes one negated literal, so that phase terminates too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .kernel import Derivation, DerivationStep, check_derivation
+from .kernel import RULES, Derivation, DerivationStep, head
 from .semantics import consequence_prop
-from .syntax import (
-    And, Falsity, Imp, Not, Or, Sequent, formula_key, is_literal,
-)
+from .syntax import Falsity, Not, Sequent, formula_key, is_literal
 from .values import ALL_VALUES, CL_VALUES, K3_VALUES, LP_VALUES
 
 MODES = ("base", "lp", "k3", "cl")
@@ -55,19 +55,15 @@ class SearchResult:
     status: str  # proved | refuted | exhausted
     proof: Derivation | None = None
     countermodel: dict | None = None
+    bound: str | None = None  # depth | nodes: the bound that ran out
 
     @property
     def proved(self) -> bool:
         return self.status == "proved"
 
 
-def decide_prop(s: Sequent, allowed=ALL_VALUES):
-    """Exact propositional decision with a countervaluation on failure."""
-    return consequence_prop(s.ant, s.suc, allowed)
-
-
 class _Exhausted(Exception):
-    pass
+    """A search bound ran out; the argument names it."""
 
 
 @dataclass
@@ -79,80 +75,45 @@ class _Node:
 
 
 def _closure(s: Sequent) -> _Node | None:
-    for a in s.ant:
-        if isinstance(a, Falsity):
-            return _Node("F-L", s)
-    nf = Not(Falsity())
-    if nf in s.suc:
+    if Falsity() in s.ant:
+        return _Node("F-L", s)
+    if Not(Falsity()) in s.suc:
         return _Node("notF-R", s)
-    for a in s.ant:
-        if a in s.suc and is_literal(a):
-            return _Node("Id", s, principal=a)
+    shared = [a for a in s.ant if a in s.suc and is_literal(a)]
+    if shared:
+        return _Node("Id", s, principal=min(shared, key=formula_key))
     return None
 
 
-def _decompositions(s: Sequent):
-    """Backward reading of the base rules: (rule, principal, premises)."""
-    for a in sorted(s.ant, key=formula_key):
-        rest = s.ant - {a}
-        match a:
-            case And(x, y):
-                yield "and-L", a, (Sequent(rest | {x, y}, s.suc),)
-            case Or(x, y):
-                yield "or-L", a, (Sequent(rest | {x}, s.suc),
-                                  Sequent(rest | {y}, s.suc))
-            case Imp(x, y):
-                yield "imp-L", a, (Sequent(rest, s.suc | {x}),
-                                   Sequent(rest | {y}, s.suc))
-            case Not(Not(x)):
-                yield "notnot-L", a, (Sequent(rest | {x}, s.suc),)
-            case Not(And(x, y)):
-                yield "notand-L", a, (Sequent(rest | {Not(x)}, s.suc),
-                                      Sequent(rest | {Not(y)}, s.suc))
-            case Not(Or(x, y)):
-                yield "notor-L", a, (Sequent(rest | {Not(x), Not(y)}, s.suc),)
-            case Not(Imp(x, y)):
-                yield "notimp-L", a, (Sequent(rest | {x, Not(y)}, s.suc),)
-    for a in sorted(s.suc, key=formula_key):
-        rest = s.suc - {a}
-        match a:
-            case And(x, y):
-                yield "and-R", a, (Sequent(s.ant, rest | {x}),
-                                   Sequent(s.ant, rest | {y}))
-            case Or(x, y):
-                yield "or-R", a, (Sequent(s.ant, rest | {x, y}),)
-            case Imp(x, y):
-                yield "imp-R", a, (Sequent(s.ant | {x}, rest | {y}),)
-            case Not(Not(x)):
-                yield "notnot-R", a, (Sequent(s.ant, rest | {x}),)
-            case Not(And(x, y)):
-                yield "notand-R", a, (Sequent(s.ant, rest | {Not(x), Not(y)}),)
-            case Not(Or(x, y)):
-                yield "notor-R", a, (Sequent(s.ant, rest | {Not(x)}),
-                                     Sequent(s.ant, rest | {Not(y)}))
-            case Not(Imp(x, y)):
-                yield "notimp-R", a, (Sequent(s.ant, rest | {x}),
-                                      Sequent(s.ant, rest | {Not(y)}))
+# base rules that also need a term or an eigenvariable are first-order
+_DECOMPOSE = {(r.side, head(r.pattern)): r for r in RULES.values()
+              if r.pack is None and r.side and r.needs == ("principal",)}
 
 
-def _pack_moves(s: Sequent, pack_rules):
-    """Choice points at a stuck literal-only sequent."""
-    if "not-L" in pack_rules:
-        for a in sorted(s.ant, key=formula_key):
-            match a:
-                case Not(x):
-                    yield "not-L", a, (Sequent(s.ant - {a}, s.suc | {x}),)
-    if "not-R" in pack_rules:
-        for a in sorted(s.suc, key=formula_key):
-            match a:
-                case Not(x):
-                    yield "not-R", a, (Sequent(s.ant | {x}, s.suc - {a}),)
+def _first_move(s: Sequent):
+    """The first decomposition in canonical order: (rule, principal)."""
+    for side, formulas in (("ant", s.ant), ("suc", s.suc)):
+        for a in sorted(formulas, key=formula_key):
+            rule = _DECOMPOSE.get((side, head(a)))
+            if rule is not None:
+                return rule, a
+    return None
+
+
+def _choices(s: Sequent, pack_rules):
+    """Choice points at a stuck literal-only sequent: (rule, principal,
+    premise) in rule order, then canonical order."""
+    for rule in pack_rules:
+        for a in sorted(getattr(s, rule.side), key=formula_key):
+            premises = rule.backward(s, a)
+            if premises is not None:
+                yield rule, a, premises[0]
 
 
 class _Searcher:
     def __init__(self, budget: SearchBudget):
         self.budget = budget
-        self.pack_rules = _MODE_PACK_RULES[budget.mode]
+        self.pack_rules = [RULES[r] for r in _MODE_PACK_RULES[budget.mode]]
         self.nodes = 0
         self.memo: dict = {}
 
@@ -160,33 +121,31 @@ class _Searcher:
         if s in self.memo:
             return self.memo[s]
         if depth > self.budget.max_depth:
-            raise _Exhausted
+            raise _Exhausted("depth")
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
-            raise _Exhausted
+            raise _Exhausted("nodes")
 
         node = _closure(s)
-        if node is None:
-            moves = list(_decompositions(s))
-            if moves:
-                # all decompositions are invertible, so commit to the first
-                rule, principal, premises = moves[0]
-                kids = []
-                for p in premises:
-                    kid = self.solve(p, depth + 1)
-                    if kid is None:
-                        node = None
-                        break
-                    kids.append(kid)
-                else:
-                    node = _Node(rule, s, tuple(kids), principal)
+        move = _first_move(s) if node is None else None
+        if move is not None:
+            # all decompositions are invertible, so commit to the first
+            rule, principal = move
+            kids = []
+            for p in rule.backward(s, principal):
+                kid = self.solve(p, depth + 1)
+                if kid is None:
+                    break
+                kids.append(kid)
             else:
-                # stuck on literals: pack rules are genuine choice points
-                for rule, principal, premises in _pack_moves(s, self.pack_rules):
-                    kid = self.solve(premises[0], depth + 1)
-                    if kid is not None:
-                        node = _Node(rule, s, (kid,), principal)
-                        break
+                node = _Node(rule.name, s, tuple(kids), principal)
+        elif node is None:
+            # stuck on literals: pack rules are genuine choice points
+            for rule, principal, premise in _choices(s, self.pack_rules):
+                kid = self.solve(premise, depth + 1)
+                if kid is not None:
+                    node = _Node(rule.name, s, (kid,), principal)
+                    break
         self.memo[s] = node
         return node
 
@@ -201,8 +160,9 @@ def _linearize(root: _Node) -> Derivation:
         if got is not None:
             return got
         prem = tuple(emit(k) for k in node.children)
-        if node.rule in ("not-L", "not-R"):
-            used_packs.add("notLR")
+        pack = RULES[node.rule].pack
+        if pack is not None:
+            used_packs.add(pack)
         steps.append(DerivationStep(
             node.rule, node.sequent, premises=prem, principal=node.principal,
         ))
@@ -222,14 +182,15 @@ def prove_prop(s: Sequent, budget: SearchBudget = SearchBudget()) -> SearchResul
     positive side the backward search builds a derivation; its packs
     field names the notLR pack exactly when a pack rule was used.
     """
-    holds, witness = decide_prop(s, _MODE_VALUES[budget.mode])
+    holds, witness = consequence_prop(s.ant, s.suc,
+                                      _MODE_VALUES[budget.mode])
     if not holds:
         return SearchResult("refuted", countermodel=witness)
     searcher = _Searcher(budget)
     try:
         root = searcher.solve(s, 0)
-    except _Exhausted:
-        return SearchResult("exhausted")
+    except _Exhausted as exc:
+        return SearchResult("exhausted", bound=exc.args[0])
     if root is None:
         # the oracle said valid but the search failed; with invertible
         # decompositions this cannot happen, so surface it loudly

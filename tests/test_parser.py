@@ -2,12 +2,17 @@
 
 import pytest
 
-from bd4.parser import ParseError, parse_formula, parse_formula_list, \
-    parse_sequent, parse_term
+from bd4.kernel import check_derivation
+from bd4.parser import MAX_DEPTH, ParseError, parse_formula, \
+    parse_formula_list, parse_sequent, parse_term
+from bd4.search import SearchBudget, prove_prop
+from bd4.semantics import consequence_prop, evaluate_prop
 from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, Var, print_formula, prop_signature,
+    Sequent, Signature, Var, free_vars, print_formula, prop_signature,
+    substitute,
 )
+from bd4.values import B
 
 SIG = Signature(
     functions=(("c", 0), ("d", 0), ("f", 1), ("g", 2)),
@@ -100,3 +105,40 @@ def test_errors_name_position():
     for bad in ["p &", "(p", "forall. p", "P(c", "h(c)", "p q"]:
         with pytest.raises(ParseError):
             parse_formula(bad, SIG)
+
+
+# formulas exactly at the depth bound, each with one a level deeper
+AT_BOUND = {
+    "negations": ("~" * MAX_DEPTH + "p", "~" * (MAX_DEPTH + 1) + "p"),
+    "brackets": ("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH,
+                 "(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1)),
+    "chain": (" | ".join(["p & q"] * MAX_DEPTH),
+              " | ".join(["p & q"] * (MAX_DEPTH + 1))),
+    "arrows": ("p -> " * MAX_DEPTH + "p", "p -> " * (MAX_DEPTH + 1) + "p"),
+    "terms": ("P(" + "f(" * (MAX_DEPTH - 1) + "c" + ")" * MAX_DEPTH,
+              "P(" + "f(" * MAX_DEPTH + "c" + ")" * (MAX_DEPTH + 1)),
+    "quantifiers": ("forall x. " * (MAX_DEPTH - 1) + "P(x)",
+                    "forall x. " * MAX_DEPTH + "P(x)"),
+}
+
+
+@pytest.mark.parametrize("name", list(AT_BOUND))
+def test_one_level_past_the_depth_bound_is_refused(name):
+    with pytest.raises(ParseError, match="nested deeper than %d" % MAX_DEPTH):
+        parse_formula(AT_BOUND[name][1], SIG)
+
+
+@pytest.mark.parametrize("name", list(AT_BOUND))
+def test_a_formula_at_the_depth_bound_is_safe_everywhere(name):
+    a = parse_formula(AT_BOUND[name][0], SIG)
+    assert parse_formula(print_formula(a), SIG) == a
+    assert hash(a) == hash(parse_formula(AT_BOUND[name][0], SIG))
+    free_vars(a)
+    substitute(a, "x", Var("y"))
+    if name in ("terms", "quantifiers"):
+        return
+    assert evaluate_prop(a, {"p": B, "q": B}) == B
+    assert consequence_prop([a], [a])[0]
+    for mode in ("base", "cl"):
+        res = prove_prop(Sequent.of([a], [a]), SearchBudget(mode=mode))
+        assert res.proved and check_derivation(res.proof)[0]

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from bd4.kernel import check_derivation, derives
-from bd4.search import MODES, SearchBudget, decide_prop, prove_prop
-from bd4.semantics import evaluate_prop
-from bd4.syntax import And, Falsity, Imp, Not, Or, Prop, Sequent
+from bd4.parser import parse_sequent
+from bd4.proofio import print_derivation
+from bd4.search import MODES, SearchBudget, prove_prop
+from bd4.semantics import consequence_prop, evaluate_prop
+from bd4.syntax import And, Falsity, Imp, Not, Or, Prop, Sequent, prop_signature
 from bd4.values import ALL_VALUES, CL_VALUES, K3_VALUES, LP_VALUES, N, designated
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
@@ -103,8 +105,16 @@ def test_exhausted_budget_reports_exhausted():
     for _ in range(6):
         big = And(Or(big, q), Imp(r, big))
     res = prove_prop(Sequent.of([big], [big]), SearchBudget(max_nodes=2))
-    assert res.status == "exhausted"
+    assert res.status == "exhausted" and res.bound == "nodes"
     assert res.proof is None and res.countermodel is None
+
+
+def test_exhausted_depth_names_the_depth_bound():
+    res = prove_prop(Sequent.of([And(p, And(q, r))], [r]),
+                     SearchBudget(max_depth=1))
+    assert res.status == "exhausted" and res.bound == "depth"
+    assert prove_prop(Sequent.of([And(p, And(q, r))], [r]),
+                      SearchBudget(max_depth=2)).proved
 
 
 def test_budget_validation():
@@ -133,7 +143,7 @@ def test_search_matches_oracle_across_modes():
         s = Sequent.of(gamma, delta)
         for mode in MODES:
             res = prove_prop(s, SearchBudget(mode=mode))
-            holds, _ = decide_prop(s, MODE_VALUES[mode])
+            holds, _ = consequence_prop(s.ant, s.suc, MODE_VALUES[mode])
             assert res.status in ("proved", "refuted")
             assert res.proved == holds
             if res.proved:
@@ -149,8 +159,125 @@ def test_exhaustive_two_atom_shallow_agreement():
                                       Imp(p, q), Imp(Not(q), Not(p))]
     for left, right in itertools.product(pool, repeat=2):
         for mode in MODES:
-            res = prove_prop(Sequent.of([left], [right]),
-                             SearchBudget(mode=mode))
-            holds, _ = decide_prop(Sequent.of([left], [right]),
-                                   MODE_VALUES[mode])
+            s = Sequent.of([left], [right])
+            res = prove_prop(s, SearchBudget(mode=mode))
+            holds, _ = consequence_prop(s.ant, s.suc, MODE_VALUES[mode])
             assert res.proved == holds
+
+
+# One sequent per base decomposition (each is the last step's rule) and
+# one per pack mode; the derivations are pinned byte for byte.
+PINNED = {
+    ("p & q => p", "base"): """\
+packs: base
+0: Id principal="p" |- p; q => p
+1: and-L premises=[0] principal="p & q" |- p & q => p
+""",
+    ("p; q => p & q", "base"): """\
+packs: base
+0: Id principal="p" |- p; q => p
+1: Id principal="q" |- p; q => q
+2: and-R premises=[0, 1] principal="p & q" |- p; q => p & q
+""",
+    ("p | q => p; q", "base"): """\
+packs: base
+0: Id principal="p" |- p => p; q
+1: Id principal="q" |- q => p; q
+2: or-L premises=[0, 1] principal="p | q" |- p | q => p; q
+""",
+    ("p => p | q", "base"): """\
+packs: base
+0: Id principal="p" |- p => p; q
+1: or-R premises=[0] principal="p | q" |- p => p | q
+""",
+    ("p; p -> q => q", "base"): """\
+packs: base
+0: Id principal="p" |- p => p; q
+1: Id principal="q" |- p; q => q
+2: imp-L premises=[0, 1] principal="p -> q" |- p; p -> q => q
+""",
+    ("=> p -> p", "base"): """\
+packs: base
+0: Id principal="p" |- p => p
+1: imp-R premises=[0] principal="p -> p" |-  => p -> p
+""",
+    ("~~p => p", "base"): """\
+packs: base
+0: Id principal="p" |- p => p
+1: notnot-L premises=[0] principal="~~p" |- ~~p => p
+""",
+    ("p => ~~p", "base"): """\
+packs: base
+0: Id principal="p" |- p => p
+1: notnot-R premises=[0] principal="~~p" |- p => ~~p
+""",
+    ("~(p & q) => ~p; ~q", "base"): """\
+packs: base
+0: Id principal="~p" |- ~p => ~p; ~q
+1: Id principal="~q" |- ~q => ~p; ~q
+2: notand-L premises=[0, 1] principal="~(p & q)" |- ~(p & q) => ~p; ~q
+""",
+    ("~p => ~(p & q)", "base"): """\
+packs: base
+0: Id principal="~p" |- ~p => ~p; ~q
+1: notand-R premises=[0] principal="~(p & q)" |- ~p => ~(p & q)
+""",
+    ("~(p | q) => ~p", "base"): """\
+packs: base
+0: Id principal="~p" |- ~p; ~q => ~p
+1: notor-L premises=[0] principal="~(p | q)" |- ~(p | q) => ~p
+""",
+    ("~p; ~q => ~(p | q)", "base"): """\
+packs: base
+0: Id principal="~p" |- ~p; ~q => ~p
+1: Id principal="~q" |- ~p; ~q => ~q
+2: notor-R premises=[0, 1] principal="~(p | q)" |- ~p; ~q => ~(p | q)
+""",
+    ("~(p -> q) => p", "base"): """\
+packs: base
+0: Id principal="p" |- p; ~q => p
+1: notimp-L premises=[0] principal="~(p -> q)" |- ~(p -> q) => p
+""",
+    ("p; ~q => ~(p -> q)", "base"): """\
+packs: base
+0: Id principal="p" |- p; ~q => p
+1: Id principal="~q" |- p; ~q => ~q
+2: notimp-R premises=[0, 1] principal="~(p -> q)" |- p; ~q => ~(p -> q)
+""",
+    ("=> p | ~p", "lp"): """\
+packs: notLR
+0: Id principal="p" |- p => p
+1: not-R premises=[0] principal="~p" |-  => p; ~p
+2: or-R premises=[1] principal="p | ~p" |-  => p | ~p
+""",
+    ("p & ~p => q", "k3"): """\
+packs: notLR
+0: Id principal="p" |- p => p; q
+1: not-L premises=[0] principal="~p" |- p; ~p => q
+2: and-L premises=[1] principal="p & ~p" |- p & ~p => q
+""",
+    ("~q; p -> q => ~p", "cl"): """\
+packs: notLR
+0: Id principal="p" |- p => p; q
+1: not-R premises=[0] principal="~p" |-  => p; q; ~p
+2: not-L premises=[1] principal="~q" |- ~q => p; ~p
+3: Id principal="q" |- q => q; ~p
+4: not-L premises=[3] principal="~q" |- q; ~q => ~p
+5: imp-L premises=[2, 4] principal="p -> q" |- p -> q; ~q => ~p
+""",
+}
+
+
+@pytest.mark.parametrize("text,mode", list(PINNED))
+def test_printed_derivation_is_pinned(text, mode):
+    s = parse_sequent(text, prop_signature("p", "q"))
+    res = prove_prop(s, SearchBudget(mode=mode))
+    assert print_derivation(res.proof) == PINNED[text, mode]
+
+
+def test_pins_cover_every_decomposition_and_pack_mode():
+    last = {text.splitlines()[-1].split()[1] for text in PINNED.values()}
+    assert last >= {"and-L", "and-R", "or-L", "or-R", "imp-L", "imp-R",
+                    "notnot-L", "notnot-R", "notand-L", "notand-R",
+                    "notor-L", "notor-R", "notimp-L", "notimp-R"}
+    assert {mode for _, mode in PINNED} == set(MODES)
