@@ -196,9 +196,9 @@ class Rule:
     def instance(self, env, gamma=frozenset(), delta=frozenset()):
         """(premises, conclusion) over the context gamma => delta."""
         (ca, cs), *padds = self.filled(env)
-        return (tuple(Sequent(gamma.union(pa), delta.union(ps))
+        return (tuple(Sequent(gamma | set(pa), delta | set(ps))
                       for pa, ps in padds),
-                Sequent(gamma.union(ca), delta.union(cs)))
+                Sequent(gamma | set(ca), delta | set(cs)))
 
     def backward(self, s: Sequent, a):
         """The premises above s when this rule introduces a, which each
