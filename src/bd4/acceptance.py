@@ -39,8 +39,8 @@ from .matrixlab import (
 from .proofio import print_sequent
 from .search import SearchBudget, prove_prop
 from .semantics import (
-    PropSpace, consequence_fo, consequence_prop, enumerate_structures,
-    evaluate, evaluate_prop,
+    PropSpace, consequence_fo, consequence_prop, counter_bits,
+    enumerate_structures, evaluate, evaluate_prop,
 )
 from .simulation import EXTENSION_MODES, translation_sets, verify_simulation
 from .syntax import (
@@ -325,6 +325,32 @@ def _distinct_reps(pool, space: PropSpace):
     return reps
 
 
+def _prop_universe(space: PropSpace, config, tag: str, details: dict):
+    """The bounded universe of criteria 6 and 11 over p, q.
+
+    First every pair of sides holding at most one truth-table
+    representative of depth 2, then every pair of sides holding at most
+    two of depth 1, then random pairs of sides of up to two depth-2
+    representatives.  Yields (gamma, delta, rng), rng None outside the
+    random part, after recording the universe's sizes in ``details``.
+    """
+    reps2 = _distinct_reps(_formula_pool(("p", "q"), 2), space)
+    reps1 = _distinct_reps(_formula_pool(("p", "q"), 1), space)
+    singles = [()] + [(a,) for a in reps2]
+    small = ([()] + [(a,) for a in reps1]
+             + list(itertools.combinations(reps1, 2)))
+    details.update(reps_depth2=len(reps2), reps_depth1=len(reps1),
+                   single_pairs=len(singles) ** 2, pair_sides=len(small))
+    for sides in (singles, small):
+        for gamma in sides:
+            for delta in sides:
+                yield gamma, delta, None
+    rng = random.Random("%d:%s" % (config.seed, tag))
+    for _ in range(config.random_instances):
+        yield (tuple(rng.sample(reps2, rng.randint(0, 2))),
+               tuple(rng.sample(reps2, rng.randint(0, 2))), rng)
+
+
 # ---------------------------------------------------------------------------
 # criterion 6: the LP/K3/CL simulation biconditionals
 
@@ -332,10 +358,7 @@ def _criterion_6(config: SuiteConfig):
     if config.random_instances < 10_000:
         return "skipped", {}, "bound"
     space = PropSpace(("p", "q"))
-    reps2 = _distinct_reps(_formula_pool(("p", "q"), 2), space)
-    reps1 = _distinct_reps(_formula_pool(("p", "q"), 1), space)
-    details = {"reps_depth2": len(reps2), "reps_depth1": len(reps1)}
-
+    details = {}
     checked = 0
     crosschecked = 0
     failures = []
@@ -358,26 +381,11 @@ def _criterion_6(config: SuiteConfig):
             if full.ok != (restricted == bd):
                 failures.append((mode, gamma, delta, "crosscheck"))
 
-    sides = [()] + [(a,) for a in reps2]
-    for gamma in sides:
-        for delta in sides:
-            for mode in EXTENSION_MODES:
-                probe(gamma, delta, mode)
-    details["single_pairs"] = len(sides) * len(sides)
-
-    small = [()] + [(a,) for a in reps1] + [
-        pair for pair in itertools.combinations(reps1, 2)]
-    for gamma in small:
-        for delta in small:
-            for mode in EXTENSION_MODES:
-                probe(gamma, delta, mode)
-    details["pair_sides"] = len(small)
-
-    rng = random.Random("%d:simulation" % config.seed)
-    for _ in range(config.random_instances):
-        gamma = tuple(rng.sample(reps2, rng.randint(0, 2)))
-        delta = tuple(rng.sample(reps2, rng.randint(0, 2)))
-        probe(gamma, delta, rng.choice(EXTENSION_MODES))
+    for gamma, delta, rng in _prop_universe(space, config, "simulation",
+                                            details):
+        for mode in (EXTENSION_MODES if rng is None
+                     else (rng.choice(EXTENSION_MODES),)):
+            probe(gamma, delta, mode)
     details["random_instances"] = config.random_instances
     details["checked"] = checked
     details["crosschecked"] = crosschecked
@@ -544,12 +552,8 @@ class FOSpace:
         return out
 
     def counter_mask(self, s: Sequent) -> int:
-        g = ~0
-        for a in s.ant:
-            g &= self.mask(a)
-        for a in s.suc:
-            g &= ~self.mask(a)
-        return g & ((1 << len(self.columns)) - 1)
+        bits = counter_bits(map(self.mask, s.ant), map(self.mask, s.suc))
+        return bits & ((1 << len(self.columns)) - 1)
 
     def valid(self, s: Sequent) -> bool:
         return self.counter_mask(s) == 0
@@ -559,24 +563,6 @@ class FOSpace:
         if cm == 0:
             return None
         return self.columns[cm.bit_length() - 1]
-
-
-class _PropValidity:
-    """Same interface as FOSpace, over a valuation grid and mode."""
-
-    def __init__(self, space: PropSpace, mode: str):
-        self.space = space
-        self.mode = mode
-
-    def valid(self, s: Sequent) -> bool:
-        return self.space.holds([self.space.mask(a) for a in s.ant],
-                                [self.space.mask(a) for a in s.suc],
-                                self.mode) is None
-
-    def countermodel(self, s: Sequent):
-        i = self.space.holds([self.space.mask(a) for a in s.ant],
-                             [self.space.mask(a) for a in s.suc], self.mode)
-        return None if i is None else self.space.grid[i]
 
 
 def _sample_instance(name, rng, ctx_pool):
@@ -614,8 +600,8 @@ def _kernel_accepts(premises, step, pack) -> None:
         raise RuntimeError("sampler/kernel mismatch on %s: %s" % (step.rule, v))
 
 
-def _soundness_run(rule, judge, rng, instances, ctx_pool, pack=None,
-                   repair_judge=None):
+def _soundness_run(rule, valid, rng, instances, ctx_pool, pack=None,
+                   repair_valid=None):
     """Premises-valid-implies-conclusion-valid over random instances.
 
     Sampling retries a few times toward instances whose premises are
@@ -630,27 +616,27 @@ def _soundness_run(rule, judge, rng, instances, ctx_pool, pack=None,
     for _ in range(instances):
         for _attempt in range(4):
             premises, conclusion, step = _sample_instance(rule, rng, ctx_pool)
-            if all(judge.valid(s) for s in premises):
+            if all(valid(s) for s in premises):
                 break
         _kernel_accepts(premises, step, pack)
-        if not all(judge.valid(s) for s in premises):
+        if not all(valid(s) for s in premises):
             continue
         nonvacuous += 1
-        if not judge.valid(conclusion):
+        if not valid(conclusion):
             violations += 1
             if example is None:
                 example = conclusion
-            if repair_judge is not None and not all(
-                    repair_judge.valid(s) for s in premises):
+            if repair_valid is not None and not all(
+                    repair_valid(s) for s in premises):
                 continue
-            if repair_judge is not None and not repair_judge.valid(conclusion):
+            if repair_valid is not None and not repair_valid(conclusion):
                 repair_violations += 1
     return {
         "instances": instances,
         "nonvacuous": nonvacuous,
         "violations": violations,
         "example": None if example is None else print_sequent(example),
-        "repair_violations": repair_violations if repair_judge else None,
+        "repair_violations": repair_violations if repair_valid else None,
     }
 
 
@@ -687,35 +673,31 @@ def _criterion_10(config: SuiteConfig):
     runs = []
     for rule in RULES:
         if rule in _QUANT_RULES:
-            runs.append((rule, "fo", fo, _FO_POOL, None, None))
+            runs.append((rule, "fo", fo.valid, _FO_POOL, None, None))
         elif rule == "eq-Refl":
-            runs.append((rule, "eq", eq, _EQ_POOL, None, None))
+            runs.append((rule, "eq", eq.valid, _EQ_POOL, None, None))
         elif rule == "eq-Repl":
-            runs.append((rule, "eq", eq, _EQ_POOL, None, eq_repair))
+            runs.append((rule, "eq", eq.valid, _EQ_POOL, None,
+                         eq_repair.valid))
         elif rule == "Den-L":
-            runs.append((rule, "partial", den, _EQ_POOL, "den", None))
+            runs.append((rule, "partial", den.valid, _EQ_POOL, "den", None))
         elif rule == "Den-R":
-            runs.append((rule, "partial", den, _EQ_POOL, "den", den_repair))
-        elif rule == "not-L":
-            runs.append((rule, "k3", _PropValidity(space3, "k3"),
-                         _PROP_POOL, "notLR", None))
-            runs.append((rule, "cl", _PropValidity(space3, "cl"),
-                         _PROP_POOL, "notLR", None))
-        elif rule == "not-R":
-            runs.append((rule, "lp", _PropValidity(space3, "lp"),
-                         _PROP_POOL, "notLR", None))
-            runs.append((rule, "cl", _PropValidity(space3, "cl"),
-                         _PROP_POOL, "notLR", None))
+            runs.append((rule, "partial", den.valid, _EQ_POOL, "den",
+                         den_repair.valid))
+        elif rule in ("not-L", "not-R"):
+            for mode in ("k3" if rule == "not-L" else "lp", "cl"):
+                runs.append((rule, mode,
+                             functools.partial(space3.valid, mode=mode),
+                             _PROP_POOL, "notLR", None))
         else:
-            runs.append((rule, "bd", _PropValidity(space3, "bd"),
-                         _PROP_POOL, None, None))
+            runs.append((rule, "bd", space3.valid, _PROP_POOL, None, None))
 
     details = {"rules": len(RULES), "runs": len(runs),
                "instances_per_run": n}
     violated = []
-    for rule, tag, judge, pool, pack, repair in runs:
+    for rule, tag, valid, pool, pack, repair in runs:
         rng = random.Random("%d:%s:%s" % (config.seed, rule, tag))
-        row = _soundness_run(rule, judge, rng, n, pool, pack, repair)
+        row = _soundness_run(rule, valid, rng, n, pool, pack, repair)
         key = "%s_%s" % (rule.replace("-", "_"), tag)
         details[key + "_nonvacuous"] = row["nonvacuous"]
         if row["violations"]:
@@ -739,11 +721,8 @@ def _criterion_10(config: SuiteConfig):
 def _criterion_11(config: SuiteConfig):
     if config.random_instances < 10_000 or config.max_nodes < 100_000:
         return "skipped", {}, "bound"
-    space = PropSpace(("p", "q"))
-    reps2 = _distinct_reps(_formula_pool(("p", "q"), 2), space)
-    reps1 = _distinct_reps(_formula_pool(("p", "q"), 1), space)
     budget = SearchBudget(max_nodes=config.max_nodes)
-    details = {"reps_depth2": len(reps2), "reps_depth1": len(reps1)}
+    details = {}
 
     stats = {"checked": 0, "proved": 0, "refuted": 0}
     failures = []
@@ -774,23 +753,9 @@ def _criterion_11(config: SuiteConfig):
             if bad:
                 failures.append((s, "countermodel does not check"))
 
-    singles = [()] + [(a,) for a in reps2]
-    for gamma in singles:
-        for delta in singles:
-            probe(gamma, delta)
-    details["single_pairs"] = len(singles) ** 2
-
-    small = [()] + [(a,) for a in reps1] + [
-        pair for pair in itertools.combinations(reps1, 2)]
-    for gamma in small:
-        for delta in small:
-            probe(gamma, delta)
-    details["pair_sides"] = len(small)
-
-    rng = random.Random("%d:completeness" % config.seed)
-    for _ in range(config.random_instances):
-        probe(tuple(rng.sample(reps2, rng.randint(0, 2))),
-              tuple(rng.sample(reps2, rng.randint(0, 2))))
+    for gamma, delta, _ in _prop_universe(PropSpace(("p", "q")), config,
+                                          "completeness", details):
+        probe(gamma, delta)
     details.update(stats)
     details["disagreements"] = len(failures)
     if failures:
@@ -818,9 +783,9 @@ def _criterion_12(config: SuiteConfig):
     den = _fo_space("den")
     den_repair = _fo_space("den-repair")
     n = config.rule_instances
-    for rule, repair in (("Den-L", None), ("Den-R", den_repair)):
+    for rule, repair in (("Den-L", None), ("Den-R", den_repair.valid)):
         rng = random.Random("%d:partial:%s" % (config.seed, rule))
-        row = _soundness_run(rule, den, rng, n, _EQ_POOL, "den", repair)
+        row = _soundness_run(rule, den.valid, rng, n, _EQ_POOL, "den", repair)
         key = rule.replace("-", "_")
         details[key + "_nonvacuous"] = row["nonvacuous"]
         details[key + "_violations"] = row["violations"]

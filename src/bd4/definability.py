@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .semantics import evaluate_prop
+from .semantics import truth_table
 from .syntax import (
     And, ExtApp, Falsity, Formula, Imp, Not, Or, Prop, print_formula,
     prop_atoms,
@@ -118,10 +118,7 @@ def truth_function_of(a: Formula, order=None) -> TruthFunction:
             raise DefinabilityError(
                 "formula mentions %s outside the argument order"
                 % ", ".join(sorted(missing)))
-    table = []
-    for args in product(VALUES, repeat=len(order)):
-        table.append(evaluate_prop(a, dict(zip(order, args))))
-    return TruthFunction(len(order), tuple(table))
+    return TruthFunction(len(order), truth_table(a, order))
 
 
 _PRESERVED = (frozenset({T, F, B}), frozenset({T, F, N}))

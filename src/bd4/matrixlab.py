@@ -14,13 +14,15 @@ the subset).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .syntax import And, Falsity, Imp, Not, Or, Prop
+from .semantics import counter_bits, onehot, scan_valuations
+from .syntax import And, Falsity, Imp, Not, Or
 from .values import (
-    ALL_VALUES, B, CL_VALUES, DESIGNATED, F, N, NON_DESIGNATED, T, TruthValue,
-    VALUES, designated, imp, inf, join, meet, neg, sup,
+    B, CL_VALUES, DESIGNATED, F, NON_DESIGNATED, T, TruthValue, VALUES,
+    designated, imp, inf, join, meet, neg, sup,
 )
 
 #: all nonempty subsets of the value space, ordered by bitmask
@@ -97,6 +99,34 @@ BD_MATRIX = Matrix4(
 # regularity and classical closure
 
 
+_BINARY_CONDITIONS = {
+    "conj": lambda a1, a2: designated(a1) and designated(a2),
+    "disj": lambda a1, a2: designated(a1) or designated(a2),
+    "impl": lambda a1, a2: (not designated(a1)) or designated(a2),
+}
+
+# each table family and the Matrix4 field holding it
+_TABLES = {"neg": "neg", "conj": "conj", "disj": "disj", "impl": "impl",
+           "forall": "forall_q", "exists": "exists_q"}
+
+
+def _cells(family: str) -> list:
+    """Each cell of a table family as (index, whether regularity wants
+    it designated, whether classical closure keeps it in {t, f})."""
+    if family == "neg":
+        return [(a, a in (F, B), a in CL_VALUES) for a in VALUES]
+    if family in _BINARY_CONDITIONS:
+        cond = _BINARY_CONDITIONS[family]
+        return [(a1 * 4 + a2, cond(a1, a2),
+                 a1 in CL_VALUES and a2 in CL_VALUES)
+                for a1 in VALUES for a2 in VALUES]
+    if family in ("forall", "exists"):
+        return [(i, s <= DESIGNATED if family == "forall"
+                 else bool(s & DESIGNATED), s <= CL_VALUES)
+                for i, s in enumerate(SUBSETS)]
+    raise ValueError("unknown table family: %r" % (family,))
+
+
 def is_regular(m: Matrix4) -> bool:
     """Designation of every compound is fixed by designation of the parts.
 
@@ -105,46 +135,17 @@ def is_regular(m: Matrix4) -> bool:
     condition, and the quantifiers mirror conjunction/disjunction over
     their value sets.  The falsity constant carries no condition here.
     """
-    for a in VALUES:
-        if designated(m.neg[a]) != (a in (F, B)):
-            return False
-    for a1 in VALUES:
-        for a2 in VALUES:
-            if designated(m.conj_of(a1, a2)) != (designated(a1) and designated(a2)):
-                return False
-            if designated(m.disj_of(a1, a2)) != (designated(a1) or designated(a2)):
-                return False
-            if designated(m.impl_of(a1, a2)) != ((not designated(a1)) or designated(a2)):
-                return False
-    for s in SUBSETS:
-        if designated(m.forall_of(s)) != (s <= DESIGNATED):
-            return False
-        if designated(m.exists_of(s)) != bool(s & DESIGNATED):
-            return False
-    return True
+    return all(designated(getattr(m, field)[i]) == want
+               for family, field in _TABLES.items()
+               for i, want, _ in _cells(family))
 
 
 def is_classically_closed(m: Matrix4) -> bool:
     """All operations map classical material back into {t, f}."""
-    if m.falsum not in CL_VALUES:
-        return False
-    for a in (T, F):
-        if m.neg[a] not in CL_VALUES:
-            return False
-    for a1 in (T, F):
-        for a2 in (T, F):
-            if m.conj_of(a1, a2) not in CL_VALUES:
-                return False
-            if m.disj_of(a1, a2) not in CL_VALUES:
-                return False
-            if m.impl_of(a1, a2) not in CL_VALUES:
-                return False
-    for s in (frozenset((T,)), frozenset((F,)), frozenset((T, F))):
-        if m.forall_of(s) not in CL_VALUES:
-            return False
-        if m.exists_of(s) not in CL_VALUES:
-            return False
-    return True
+    return m.falsum in CL_VALUES and all(
+        getattr(m, field)[i] in CL_VALUES
+        for family, field in _TABLES.items()
+        for i, _, classical in _cells(family) if classical)
 
 
 # ---------------------------------------------------------------------------
@@ -176,49 +177,64 @@ LAW_TEXT = {
 ALL_LAWS = tuple(range(1, 16))
 
 
-def _prop_law_sides(m: Matrix4, law: int, vals):
-    tt = m.truth
-    ff = m.falsum
-    if law == 1:
-        (a,) = vals
-        return m.conj_of(a, ff), ff
-    if law == 2:
-        (a,) = vals
-        return m.disj_of(a, tt), tt
-    if law == 3:
-        (a,) = vals
-        return m.conj_of(a, tt), a
-    if law == 4:
-        (a,) = vals
-        return m.disj_of(a, ff), a
-    if law == 5:
-        (a,) = vals
-        return m.conj_of(a, a), a
-    if law == 6:
-        (a,) = vals
-        return m.disj_of(a, a), a
-    if law == 7:
-        a1, a2 = vals
-        return m.conj_of(a1, a2), m.conj_of(a2, a1)
-    if law == 8:
-        a1, a2 = vals
-        return m.disj_of(a1, a2), m.disj_of(a2, a1)
-    if law == 9:
-        a1, a2 = vals
-        return m.neg[m.conj_of(a1, a2)], m.disj_of(m.neg[a1], m.neg[a2])
-    if law == 10:
-        a1, a2 = vals
-        return m.neg[m.disj_of(a1, a2)], m.conj_of(m.neg[a1], m.neg[a2])
-    if law == 11:
-        (a,) = vals
-        return m.neg[m.neg[a]], a
-    if law == 12:
-        a1, a2 = vals
-        return m.impl_of(m.conj_of(a1, m.impl_of(a1, ff)), a2), tt
-    if law == 13:
-        a1, a2 = vals
-        return m.impl_of(m.disj_of(a1, m.impl_of(a1, ff)), a2), a2
-    raise ValueError("no such propositional law: %r" % (law,))
+# (lhs, rhs) of each propositional law at one instance (a, b), read
+# straight off the raw tables; the truth constant is nu[ff]
+_SIDES = {
+    1: lambda nu, ff, cj, dj, im, a, b: (cj[a * 4 + ff], ff),
+    2: lambda nu, ff, cj, dj, im, a, b: (dj[a * 4 + nu[ff]], nu[ff]),
+    3: lambda nu, ff, cj, dj, im, a, b: (cj[a * 4 + nu[ff]], a),
+    4: lambda nu, ff, cj, dj, im, a, b: (dj[a * 4 + ff], a),
+    5: lambda nu, ff, cj, dj, im, a, b: (cj[a * 5], a),
+    6: lambda nu, ff, cj, dj, im, a, b: (dj[a * 5], a),
+    7: lambda nu, ff, cj, dj, im, a, b: (cj[a * 4 + b], cj[b * 4 + a]),
+    8: lambda nu, ff, cj, dj, im, a, b: (dj[a * 4 + b], dj[b * 4 + a]),
+    9: lambda nu, ff, cj, dj, im, a, b: (nu[cj[a * 4 + b]],
+                                         dj[nu[a] * 4 + nu[b]]),
+    10: lambda nu, ff, cj, dj, im, a, b: (nu[dj[a * 4 + b]],
+                                          cj[nu[a] * 4 + nu[b]]),
+    11: lambda nu, ff, cj, dj, im, a, b: (nu[nu[a]], a),
+    12: lambda nu, ff, cj, dj, im, a, b: (
+        im[cj[a * 4 + im[a * 4 + ff]] * 4 + b], nu[ff]),
+    13: lambda nu, ff, cj, dj, im, a, b: (
+        im[dj[a * 4 + im[a * 4 + ff]] * 4 + b], b),
+}
+
+# the instances of a law by its arity, in check_law's order
+_INSTANCES = {
+    1: tuple((a, None) for a in VALUES),
+    2: tuple(itertools.product(VALUES, repeat=2)),
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _image_cells(op: tuple) -> tuple:
+    """Instances (V, a2) of laws 14 and 15 for a binary table, as index
+    triples: V's index, a2, and the index of {op(v, a2) : v in V}."""
+    return tuple(
+        (i, a2, subset_index(op[v * 4 + a2] for v in s))
+        for i, s in enumerate(SUBSETS) for a2 in VALUES
+    )
+
+
+def _law_witness(law, nu, ff, cj, dj, im, al, ex):
+    """The first instance of a law the raw tables break, or None.
+
+    Only the tables the law mentions are read, so the others may be
+    None.  Law 14 reads conjunction and the universal table, law 15
+    disjunction and the existential one.
+    """
+    if law in (14, 15):
+        op, q = (cj, al) if law == 14 else (dj, ex)
+        for i, a2, image in _image_cells(op):
+            if q[image] is not op[q[i] * 4 + a2]:
+                return {"V": SUBSETS[i], "A2": a2}
+        return None
+    sides = _SIDES[law]
+    for a, b in _INSTANCES[LAW_ARITY[law]]:
+        lhs, rhs = sides(nu, ff, cj, dj, im, a, b)
+        if lhs is not rhs:
+            return {"A": a} if b is None else {"A1": a, "A2": b}
+    return None
 
 
 def check_law(m: Matrix4, law: int):
@@ -230,25 +246,9 @@ def check_law(m: Matrix4, law: int):
     does not occur in, which covers all instances over all structures.
     Returns (True, None) or (False, witness).
     """
-    if law in (14, 15):
-        for s in SUBSETS:
-            for a2 in VALUES:
-                if law == 14:
-                    lhs = m.forall_of(frozenset(m.conj_of(v, a2) for v in s))
-                    rhs = m.conj_of(m.forall_of(s), a2)
-                else:
-                    lhs = m.exists_of(frozenset(m.disj_of(v, a2) for v in s))
-                    rhs = m.disj_of(m.exists_of(s), a2)
-                if lhs is not rhs:
-                    return False, {"V": s, "A2": a2}
-        return True, None
-    arity = LAW_ARITY[law]
-    for vals in itertools.product(VALUES, repeat=arity):
-        lhs, rhs = _prop_law_sides(m, law, vals)
-        if lhs is not rhs:
-            names = ("A",) if arity == 1 else ("A1", "A2")
-            return False, dict(zip(names, vals))
-    return True, None
+    witness = _law_witness(law, m.neg, m.falsum, m.conj, m.disj, m.impl,
+                           m.forall_q, m.exists_q)
+    return witness is None, witness
 
 
 def check_all_laws(m: Matrix4, laws=ALL_LAWS):
@@ -259,12 +259,6 @@ def check_all_laws(m: Matrix4, laws=ALL_LAWS):
 # candidate enumeration
 
 _FAMILIES = ("neg", "conj", "disj", "impl", "forall", "exists", "falsum")
-
-_BINARY_CONDITIONS = {
-    "conj": lambda a1, a2: designated(a1) and designated(a2),
-    "disj": lambda a1, a2: designated(a1) or designated(a2),
-    "impl": lambda a1, a2: (not designated(a1)) or designated(a2),
-}
 
 
 def _cell_pool(want_designated: bool, classical: bool):
@@ -282,28 +276,9 @@ def enumerate_candidates(family: str):
     """
     if family == "falsum":
         return [T, F]
-    if family == "neg":
-        cells = [
-            _cell_pool(a in (F, B), a in CL_VALUES) for a in VALUES
-        ]
-        return [tuple(c) for c in itertools.product(*cells)]
-    if family in _BINARY_CONDITIONS:
-        cond = _BINARY_CONDITIONS[family]
-        cells = [
-            _cell_pool(cond(a1, a2), a1 in CL_VALUES and a2 in CL_VALUES)
-            for a1 in VALUES for a2 in VALUES
-        ]
-        return [tuple(c) for c in itertools.product(*cells)]
-    if family in ("forall", "exists"):
-        cells = []
-        for s in SUBSETS:
-            if family == "forall":
-                want = s <= DESIGNATED
-            else:
-                want = bool(s & DESIGNATED)
-            cells.append(_cell_pool(want, s <= CL_VALUES))
-        return [tuple(c) for c in itertools.product(*cells)]
-    raise ValueError("unknown table family: %r" % (family,))
+    cells = [_cell_pool(want, classical)
+             for _, want, classical in _cells(family)]
+    return [tuple(c) for c in itertools.product(*cells)]
 
 
 def candidate_counts() -> dict:
@@ -314,18 +289,18 @@ def candidate_counts() -> dict:
 # staged uniqueness search
 
 
-def _law_holds_tables(law, nu, ff, cj, dj, im, al, ex) -> bool:
-    """Law check on raw tables, with only the tables the law needs."""
-    m = Matrix4(
-        neg=nu or BD_MATRIX.neg,
-        conj=cj or BD_MATRIX.conj,
-        disj=dj or BD_MATRIX.disj,
-        impl=im or BD_MATRIX.impl,
-        forall_q=al or BD_MATRIX.forall_q,
-        exists_q=ex or BD_MATRIX.exists_q,
-        falsum=ff if ff is not None else BD_MATRIX.falsum,
-    )
-    return check_law(m, law)[0]
+# the places of a context, in the order _law_witness takes the tables
+_CONTEXT = ("neg", "falsum", "conj", "disj", "impl", "forall", "exists")
+
+
+def _passing(pools, family: str, laws, context: tuple) -> list:
+    """The family's candidate tables that satisfy every law when put in
+    their place in the context."""
+    slot = _CONTEXT.index(family)
+    before, after = context[:slot], context[slot + 1:]
+    return [x for x in pools[family]
+            if all(_law_witness(law, *before, x, *after) is None
+                   for law in laws)]
 
 
 @dataclass
@@ -360,47 +335,30 @@ def uniqueness_search(dropped=(), cap: int = 1000) -> UniquenessReport:
     Survivors are materialized only when the count fits under ``cap``.
     """
     active = frozenset(ALL_LAWS) - frozenset(dropped)
-    counts = candidate_counts()
-    stages = []
+    pools = {family: enumerate_candidates(family) for family in _FAMILIES}
+    counts = {family: len(pool) for family, pool in pools.items()}
 
-    negs = enumerate_candidates("neg")
-    if 11 in active:
-        negs = [nu for nu in negs if _law_holds_tables(11, nu, None, None, None, None, None, None)]
+    def laws(*ids):
+        return tuple(law for law in ids if law in active)
+
+    stages = []
+    negs = _passing(pools, "neg", laws(11), (None,) * 7)
     stages.append(("negation tables after law 11", len(negs)))
 
-    conj_all = enumerate_candidates("conj")
-    disj_all = enumerate_candidates("disj")
-    impl_all = enumerate_candidates("impl")
-    forall_all = enumerate_candidates("forall")
-    exists_all = enumerate_candidates("exists")
-
-    conj_laws = tuple(l for l in (1, 3, 5, 7) if l in active)
-    disj_laws = tuple(l for l in (2, 4, 6, 8) if l in active)
-    joint_laws = tuple(l for l in (9, 10) if l in active)
-    impl_laws = tuple(l for l in (12, 13) if l in active)
-
+    # law 14 reads only conjunction, law 15 only disjunction
     forall_cache: dict = {}
     exists_cache: dict = {}
-    impl_cache: dict = {}
-
     total = 0
     contexts = []
     for nu in negs:
-        for ff in enumerate_candidates("falsum"):
-            conj_pool = [
-                cj for cj in conj_all
-                if all(_law_holds_tables(l, nu, ff, cj, None, None, None, None)
-                       for l in conj_laws)
-            ]
-            disj_pool = [
-                dj for dj in disj_all
-                if all(_law_holds_tables(l, nu, ff, None, dj, None, None, None)
-                       for l in disj_laws)
-            ]
+        for ff in pools["falsum"]:
+            context = (nu, ff) + (None,) * 5
+            conj_pool = _passing(pools, "conj", laws(1, 3, 5, 7), context)
+            disj_pool = _passing(pools, "disj", laws(2, 4, 6, 8), context)
             pairs = [
                 (cj, dj) for cj in conj_pool for dj in disj_pool
-                if all(_law_holds_tables(l, nu, ff, cj, dj, None, None, None)
-                       for l in joint_laws)
+                if all(_law_witness(law, nu, ff, cj, dj, None, None, None)
+                       is None for law in laws(9, 10))
             ]
             stages.append((
                 "context neg=%s falsum=%s: conj %d, disj %d, joint pairs %d"
@@ -409,51 +367,29 @@ def uniqueness_search(dropped=(), cap: int = 1000) -> UniquenessReport:
                 len(pairs),
             ))
             for cj, dj in pairs:
-                key = (nu, ff, cj, dj)
-                impl_pool = impl_cache.get(key)
-                if impl_pool is None:
-                    impl_pool = [
-                        im for im in impl_all
-                        if all(_law_holds_tables(l, nu, ff, cj, dj, im, None, None)
-                               for l in impl_laws)
-                    ]
-                    impl_cache[key] = impl_pool
-                if 14 in active:
-                    forall_pool = forall_cache.get(cj)
-                    if forall_pool is None:
-                        forall_pool = [
-                            al for al in forall_all
-                            if _law_holds_tables(14, nu, ff, cj, dj, None, al, None)
-                        ]
-                        forall_cache[cj] = forall_pool
-                else:
-                    forall_pool = forall_all
-                if 15 in active:
-                    exists_pool = exists_cache.get(dj)
-                    if exists_pool is None:
-                        exists_pool = [
-                            ex for ex in exists_all
-                            if _law_holds_tables(15, nu, ff, cj, dj, None, None, ex)
-                        ]
-                        exists_cache[dj] = exists_pool
-                else:
-                    exists_pool = exists_all
+                context = (nu, ff, cj, dj, None, None, None)
+                impl_pool = _passing(pools, "impl", laws(12, 13), context)
+                if cj not in forall_cache:
+                    forall_cache[cj] = _passing(pools, "forall", laws(14),
+                                                context)
+                if dj not in exists_cache:
+                    exists_cache[dj] = _passing(pools, "exists", laws(15),
+                                                context)
+                forall_pool, exists_pool = forall_cache[cj], exists_cache[dj]
                 n = len(impl_pool) * len(forall_pool) * len(exists_pool)
                 total += n
                 if n:
-                    contexts.append((nu, ff, cj, dj, impl_pool, forall_pool, exists_pool))
+                    contexts.append((nu, ff, cj, dj, impl_pool, forall_pool,
+                                     exists_pool))
 
     survivors = None
     if total <= cap:
-        survivors = []
-        for nu, ff, cj, dj, impl_pool, forall_pool, exists_pool in contexts:
-            for im in impl_pool:
-                for al in forall_pool:
-                    for ex in exists_pool:
-                        survivors.append(Matrix4(
-                            neg=nu, conj=cj, disj=dj, impl=im,
-                            forall_q=al, exists_q=ex, falsum=ff,
-                        ))
+        survivors = [
+            Matrix4(neg=nu, conj=cj, disj=dj, impl=im, forall_q=al,
+                    exists_q=ex, falsum=ff)
+            for nu, ff, cj, dj, *pools in contexts
+            for im, al, ex in itertools.product(*pools)
+        ]
     return UniquenessReport(
         dropped=frozenset(dropped), candidate_counts=counts, stages=stages,
         survivor_count=total, survivors=survivors,
@@ -461,59 +397,51 @@ def uniqueness_search(dropped=(), cap: int = 1000) -> UniquenessReport:
 
 
 # ---------------------------------------------------------------------------
-# evaluation inside an arbitrary candidate matrix
+# consequence inside an arbitrary candidate matrix
 
 
-def evaluate_prop_in(m: Matrix4, a, valuation: dict) -> TruthValue:
-    """Propositional evaluation with the given tables instead of the
-    standard ones.  Used to exhibit behavioral differences between
-    law-satisfying matrices."""
-    match a:
-        case Prop(name):
-            return valuation[name]
-        case Falsity():
-            return m.falsum
-        case Not(b):
-            return m.neg[evaluate_prop_in(m, b, valuation)]
-        case And(l, r):
-            return m.conj_of(evaluate_prop_in(m, l, valuation),
-                             evaluate_prop_in(m, r, valuation))
-        case Or(l, r):
-            return m.disj_of(evaluate_prop_in(m, l, valuation),
-                             evaluate_prop_in(m, r, valuation))
-        case Imp(l, r):
-            return m.impl_of(evaluate_prop_in(m, l, valuation),
-                             evaluate_prop_in(m, r, valuation))
-    raise ValueError("unsupported formula for table evaluation: %s" % (a,))
+def _values_in(m: Matrix4, code, env: dict, full: int) -> list:
+    """One-hot value masks (t, b, n, f order) of each compiled formula
+    over one block of valuations, computed with the matrix's tables."""
+    stack = []
+    for op in code:
+        if op.__class__ is str:
+            stack.append(onehot(*env[op], full))
+        elif op is Falsity:
+            stack.append(tuple(full if v is m.falsum else 0 for v in VALUES))
+        elif op is Not:
+            a, out = stack.pop(), [0, 0, 0, 0]
+            for v, w in zip(VALUES, m.neg):
+                out[w] |= a[v]
+            stack.append(out)
+        elif op is And or op is Or or op is Imp:
+            a, b, out = stack.pop(), stack.pop(), [0, 0, 0, 0]
+            table = m.conj if op is And else m.disj if op is Or else m.impl
+            for i, w in enumerate(table):
+                out[w] |= a[i >> 2] & b[i & 3]
+            stack.append(out)
+        else:
+            raise ValueError("unsupported formula for table evaluation: %s"
+                             % (op,))
+    return stack
 
 
-def consequence_prop_in(m: Matrix4, gamma, delta, atoms=None):
-    """Propositional consequence computed over the given matrix."""
+def consequence_in(m: Matrix4, gamma, delta):
+    """Propositional consequence computed with the matrix's tables.
+
+    Used to exhibit behavioral differences between law-satisfying
+    matrices.  Returns (True, None) or (False, the first
+    countervaluation in ``valuations`` order).
+    """
     gamma, delta = list(gamma), list(delta)
-    if atoms is None:
-        names = set()
-        for a in gamma + delta:
-            for name in _prop_names(a):
-                names.add(name)
-        atoms = tuple(sorted(names))
-    for combo in itertools.product(VALUES, repeat=len(atoms)):
-        v = dict(zip(atoms, combo))
-        if all(designated(evaluate_prop_in(m, g, v)) for g in gamma) and not any(
-            designated(evaluate_prop_in(m, d, v)) for d in delta
-        ):
-            return False, v
-    return True, None
+    n = len(gamma)
 
+    def counter(code, env, grid):
+        ts = [v[T] | v[B] for v in _values_in(m, code, env, grid.full)]
+        return counter_bits(ts[:n], ts[n:])
 
-def _prop_names(a):
-    match a:
-        case Prop(name):
-            yield name
-        case Not(b):
-            yield from _prop_names(b)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            yield from _prop_names(l)
-            yield from _prop_names(r)
+    witness = scan_valuations(gamma + delta, counter)
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------

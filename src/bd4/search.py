@@ -1,9 +1,10 @@
 """Backward proof search for the propositional fragment.
 
-The search decides first and searches second: an exhaustive truth-table
-oracle settles whether the sequent holds, and only the positive case
-goes to backward search, so countermodels always come from the oracle
-and never from a failed bounded search.
+The search decides first and searches second: ``consequence_prop``,
+which evaluates the sequent over all valuations at once on the bit-pair
+engine, settles whether it holds, and only the positive case goes to
+backward search, so countermodels always come from that oracle and
+never from a failed bounded search.
 
 The search reads the kernel's rule table backwards.  The base rules
 that need only a principal are the decompositions; each formula finds
@@ -111,13 +112,30 @@ def _choices(s: Sequent, pack_rules):
 
 
 class _Searcher:
+    """Depth-first search with a memo.  Each sequent is one generator
+    frame on an explicit stack, so proof depth is not bounded by
+    Python's recursion limit."""
+
     def __init__(self, budget: SearchBudget):
         self.budget = budget
         self.pack_rules = [RULES[r] for r in _MODE_PACK_RULES[budget.mode]]
         self.nodes = 0
         self.memo: dict = {}
 
-    def solve(self, s: Sequent, depth: int) -> _Node | None:
+    def solve(self, s: Sequent) -> _Node | None:
+        stack, result = [self._solve(s, 0)], None
+        while stack:
+            try:
+                stack.append(self._solve(*stack[-1].send(result)))
+                result = None
+            except StopIteration as done:
+                stack.pop()
+                result = done.value
+        return result
+
+    def _solve(self, s: Sequent, depth: int):
+        """Yields (premise, depth) for each subgoal and is sent back its
+        node or None; returns the node of ``s`` or None."""
         if s in self.memo:
             return self.memo[s]
         if depth > self.budget.max_depth:
@@ -133,7 +151,7 @@ class _Searcher:
             rule, principal = move
             kids = []
             for p in rule.backward(s, principal):
-                kid = self.solve(p, depth + 1)
+                kid = yield p, depth + 1
                 if kid is None:
                     break
                 kids.append(kid)
@@ -142,7 +160,7 @@ class _Searcher:
         elif node is None:
             # stuck on literals: pack rules are genuine choice points
             for rule, principal, premise in _choices(s, self.pack_rules):
-                kid = self.solve(premise, depth + 1)
+                kid = yield premise, depth + 1
                 if kid is not None:
                     node = _Node(rule.name, s, (kid,), principal)
                     break
@@ -151,26 +169,30 @@ class _Searcher:
 
 
 def _linearize(root: _Node) -> Derivation:
+    """Steps in post-order, premises in order, each node once."""
     steps = []
     index_of: dict = {}
     used_packs = set()
-
-    def emit(node: _Node) -> int:
-        got = index_of.get(id(node))
-        if got is not None:
-            return got
-        prem = tuple(emit(k) for k in node.children)
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in index_of:
+            stack.pop()
+            continue
+        todo = [k for k in node.children if id(k) not in index_of]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
         pack = RULES[node.rule].pack
         if pack is not None:
             used_packs.add(pack)
         steps.append(DerivationStep(
-            node.rule, node.sequent, premises=prem, principal=node.principal,
+            node.rule, node.sequent,
+            premises=tuple(index_of[id(k)] for k in node.children),
+            principal=node.principal,
         ))
-        idx = len(steps) - 1
-        index_of[id(node)] = idx
-        return idx
-
-    emit(root)
+        index_of[id(node)] = len(steps) - 1
     return Derivation(tuple(steps), packs=frozenset(used_packs))
 
 
@@ -188,7 +210,7 @@ def prove_prop(s: Sequent, budget: SearchBudget = SearchBudget()) -> SearchResul
         return SearchResult("refuted", countermodel=witness)
     searcher = _Searcher(budget)
     try:
-        root = searcher.solve(s, 0)
+        root = searcher.solve(s)
     except _Exhausted as exc:
         return SearchResult("exhausted", bound=exc.args[0])
     if root is None:

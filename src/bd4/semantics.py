@@ -1,20 +1,26 @@
 """Evaluation and brute-force consequence for the four-valued logic.
 
-Two evaluation paths exist on purpose: a propositional fast path over
-valuations (dicts from proposition symbols to values) and the general
-path over finite structures with assignments.  Their agreement on
-degenerate structures is part of the test suite.
+Propositional consequence, equivalence, truth tables and PropSpace run
+on one bit-pair engine: a formula becomes a (told-true, told-false)
+pair of ints over all valuations of its atoms at once, the connectives
+become bitwise operations, and the lowest set bit of a mask is the
+first valuation in ``valuations`` order.  ``evaluate_prop``, one
+valuation at a time, is kept as the reference the engine is tested
+against.  First-order formulas are evaluated over finite structures
+with assignments; that path agrees with the propositional one on
+degenerate structures, which the test suite checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 
 from .syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Signature, Var, free_vars, is_propositional, prop_atoms, subformulas,
+    Sequent, Signature, Var, free_vars, subformulas,
 )
 from .values import (
     ALL_VALUES, B, CL_VALUES, DESIGNATED, EXTRA_CONNECTIVES, F, K3_VALUES,
@@ -68,15 +74,6 @@ def _check_allowed(allowed: frozenset):
         )
 
 
-def _atoms_of(formulas) -> tuple:
-    names = set()
-    for a in formulas:
-        if not is_propositional(a):
-            raise SemanticsError("not propositional: %s" % (a,))
-        names |= prop_atoms(a)
-    return tuple(sorted(names))
-
-
 def valuations(atoms, allowed=ALL_VALUES):
     """All valuations of the given atoms into the allowed set, in a fixed
     deterministic order (t, b, n, f per coordinate)."""
@@ -90,31 +87,198 @@ def valuations(atoms, allowed=ALL_VALUES):
     return generate()
 
 
+# ---------------------------------------------------------------------------
+# the bit-pair engine
+
+# Over a block of valuations a formula's values are a pair of ints
+# (t, f): bit i of t (of f) is set when the i-th valuation makes the
+# formula told-true (told-false), after Belnap 1977 and Dunn 1976.  So t,
+# b, n, f are (1, 0), (1, 1), (0, 0), (0, 1), and t is the designation
+# mask.  Bits follow ``valuations`` order, so the lowest set bit of a
+# mask is the first valuation it marks.  A block holds the 4^6
+# valuations of the last six atoms, the atoms before them fixed, which
+# bounds memory and keeps the early exit of a scan.
+_BLOCK_ATOMS = 6
+_BY_BITS = (N, F, T, B)  # the value with bits (t, f), at index 2t + f
+
+
+def onehot(t: int, f: int, full: int) -> tuple:
+    """Per value, in t, b, n, f order, the positions holding it."""
+    return (t & ~f, t & f, full ^ (t | f), f & ~t)
+
+
+def _pair(v: TruthValue, full: int) -> tuple:
+    return (full if v in DESIGNATED else 0, full if v in (B, F) else 0)
+
+
+class _Grid:
+    """The 4^k valuations of k atoms as bit positions."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.full = (1 << 4 ** k) - 1
+        self.pairs = []
+        for j in range(k):
+            run = 4 ** (k - 1 - j)  # positions per digit of atom j
+            ones = (1 << run) - 1
+            repeat = self.full // ((1 << 4 * run) - 1)
+            self.pairs.append(((ones | ones << run) * repeat,
+                               (ones << run | ones << 3 * run) * repeat))
+        self._modes = {}
+
+    def mode(self, allowed: frozenset) -> int:
+        """The positions whose valuation uses only allowed values."""
+        if allowed not in self._modes:
+            out = self.full
+            for t, f in self.pairs:
+                out &= sum(onehot(t, f, self.full)[v] for v in allowed)
+            self._modes[allowed] = out
+        return self._modes[allowed]
+
+    def valuation_at(self, i: int) -> tuple:
+        return tuple(VALUES[i >> 2 * (self.k - 1 - j) & 3]
+                     for j in range(self.k))
+
+    def values(self, t: int, f: int) -> tuple:
+        return tuple(_BY_BITS[(t >> i & 1) << 1 | f >> i & 1]
+                     for i in range(self.full.bit_length()))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(k: int) -> _Grid:
+    return _Grid(k)
+
+
+def _compile(formulas, atoms=None) -> tuple:
+    """Postfix code for the formulas, and their atoms, in one walk.
+
+    The code is each formula's subformulas in reverse preorder, so a
+    connective finds its left operand on top of the stack.  An item is
+    an atom's name, one of the classes Not, And, Or, Imp and Falsity, or
+    an ExtApp node.  The atoms come sorted, or as given when every one
+    occurring is among them.
+    """
+    code, names = [], set()
+    for a in formulas:
+        for x in reversed(list(subformulas(a))):
+            if x.__class__ is Prop:
+                names.add(x.name)
+                code.append(x.name)
+            elif x.__class__ in (Not, And, Or, Imp, Falsity):
+                code.append(x.__class__)
+            elif x.__class__ is ExtApp:
+                code.append(x)
+            else:
+                raise SemanticsError("not propositional: %s" % (a,))
+    if atoms is None:
+        return code, tuple(sorted(names))
+    if not names <= set(atoms):
+        raise SemanticsError("no value for proposition %s"
+                             % min(names - set(atoms)))
+    return code, tuple(atoms)
+
+
+def _run(code, env: dict, full: int) -> list:
+    """The (t, f) pair of each compiled formula, given the atoms' pairs."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op in code:
+        if op.__class__ is str:
+            push(env[op])
+        elif op is Not:
+            t, f = pop()
+            push((f, t))
+        elif op is Falsity:
+            push((0, full))
+        elif op.__class__ is ExtApp:
+            arity, table = EXTRA_CONNECTIVES[op.conn]
+            if arity == 0:
+                push(_pair(table, full))
+            else:
+                hot = onehot(*pop(), full)
+                push((sum(hot[v] for v in VALUES if table[v] in (T, B)),
+                      sum(hot[v] for v in VALUES if table[v] in (B, F))))
+        else:
+            t1, f1 = pop()
+            t2, f2 = pop()
+            if op is And:
+                push((t1 & t2, f1 | f2))
+            elif op is Or:
+                push((t1 | t2, f1 & f2))
+            else:
+                push(((full ^ t1) | t2, t1 & f2))
+    return stack
+
+
+def scan_valuations(formulas, marked, allowed=ALL_VALUES):
+    """The first valuation into ``allowed``, in ``valuations`` order,
+    that ``marked`` picks, or None.
+
+    The formulas are compiled once.  Per block, ``marked(code, env,
+    grid)`` gets them with the pair of each atom over the block and
+    returns the mask of picks; the atoms before the last six are fixed
+    per block, their values taken in ``valuations`` order.
+    """
+    code, atoms = _compile(formulas)
+    low = min(len(atoms), _BLOCK_ATOMS)
+    grid = _grid(low)
+    env = dict(zip(atoms[len(atoms) - low:], grid.pairs))
+    vals = tuple(v for v in VALUES if v in allowed)
+    for fixed in itertools.product(vals, repeat=len(atoms) - low):
+        env.update(zip(atoms, (_pair(v, grid.full) for v in fixed)))
+        bits = marked(code, env, grid) & grid.mode(allowed)
+        if bits:
+            rest = grid.valuation_at((bits & -bits).bit_length() - 1)
+            return dict(zip(atoms, fixed + rest))
+    return None
+
+
+def counter_bits(gamma_masks, delta_masks) -> int:
+    """Positions in every gamma mask and in no delta mask."""
+    bits = -1
+    for m in gamma_masks:
+        bits &= m
+    for m in delta_masks:
+        bits &= ~m
+    return bits
+
+
 def consequence_prop(gamma, delta, allowed=ALL_VALUES):
-    """Brute-force propositional consequence.
+    """Propositional consequence over every valuation into ``allowed``.
 
     Returns (True, None) when every valuation into ``allowed`` that
     designates all of gamma designates some member of delta, else
-    (False, countervaluation).
+    (False, the first countervaluation in ``valuations`` order).
     """
     _check_allowed(allowed)
     gamma, delta = list(gamma), list(delta)
-    atoms = _atoms_of(gamma + delta)
-    for v in valuations(atoms, allowed):
-        if all(designated(evaluate_prop(g, v)) for g in gamma) and not any(
-            designated(evaluate_prop(d, v)) for d in delta
-        ):
-            return False, v
-    return True, None
+
+    def counter(code, env, grid):
+        ts = [t for t, _ in _run(code, env, grid.full)]
+        return counter_bits(ts[:len(gamma)], ts[len(gamma):])
+
+    witness = scan_valuations(gamma + delta, counter, allowed)
+    return witness is None, witness
 
 
 def equivalent_prop(a, b):
     """Identical truth value under every valuation of the shared atoms."""
-    atoms = _atoms_of([a, b])
-    for v in valuations(atoms):
-        if evaluate_prop(a, v) is not evaluate_prop(b, v):
-            return False, v
-    return True, None
+
+    def differ(code, env, grid):
+        (t1, f1), (t2, f2) = _run(code, env, grid.full)
+        return (t1 ^ t2) | (f1 ^ f2)
+
+    witness = scan_valuations([a, b], differ)
+    return witness is None, witness
+
+
+def truth_table(a, atoms) -> tuple:
+    """The values of a formula over ``valuations(atoms)``, in order; the
+    table is as large as one grid over all the atoms, so no blocks."""
+    code, atoms = _compile([a], atoms)
+    grid = _grid(len(atoms))
+    env = dict(zip(atoms, grid.pairs))
+    return grid.values(*_run(code, env, grid.full)[0])
 
 
 def synonymous_prop(a, b) -> bool:
@@ -130,63 +294,50 @@ def synonymous_prop(a, b) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# value vectors: the shared fast path for bulk propositional work
-
-# A vector is the tuple of values a formula takes over ``valuations(atoms)``
-# in their fixed order; the mask packs designation into bits, bit i set
-# iff the i-th valuation designates the formula.
-
-
 class PropSpace:
-    """Precomputed valuation grid over a fixed atom tuple."""
+    """Bulk propositional work over a fixed tuple of at most six atoms:
+    formulas become cached bit pairs over ``valuations(atoms)``, and
+    consequence is checked in the modes bd, lp, k3 and cl."""
+
+    MODES = {"bd": ALL_VALUES, "lp": LP_VALUES, "k3": K3_VALUES,
+             "cl": CL_VALUES}
 
     def __init__(self, atoms: tuple):
         self.atoms = tuple(atoms)
-        self.grid = tuple(
-            dict(v) for v in valuations(self.atoms, ALL_VALUES)
-        )
-        self.size = len(self.grid)
-        self._vectors: dict = {}
-        # indices of valuations that stay inside each restricted mode
-        self.mode_indices = {}
-        for name, allowed in (
-            ("bd", ALL_VALUES), ("lp", LP_VALUES), ("k3", K3_VALUES),
-            ("cl", CL_VALUES),
-        ):
-            self.mode_indices[name] = tuple(
-                i for i, v in enumerate(self.grid)
-                if all(val in allowed for val in v.values())
-            )
+        if len(self.atoms) > _BLOCK_ATOMS:
+            raise SemanticsError("a PropSpace holds at most %d atoms"
+                                 % _BLOCK_ATOMS)
+        self._grid = _grid(len(self.atoms))
+        self._env = dict(zip(self.atoms, self._grid.pairs))
+        self._pairs: dict = {}
 
     def vector(self, a) -> tuple:
-        out = self._vectors.get(a)
+        """The formula's (t, f) pair; equal pairs mean equal tables."""
+        out = self._pairs.get(a)  # one lookup: formula hashes are deep
         if out is None:
-            out = tuple(evaluate_prop(a, v) for v in self.grid)
-            self._vectors[a] = out
+            code, _ = _compile([a], self.atoms)
+            out = self._pairs[a] = _run(code, self._env, self._grid.full)[0]
         return out
 
     def mask(self, a) -> int:
-        m = 0
-        for i, val in enumerate(self.vector(a)):
-            if designated(val):
-                m |= 1 << i
-        return m
+        """Bit i set iff the i-th valuation designates the formula."""
+        return self.vector(a)[0]
 
     def holds(self, gamma_masks, delta_masks, mode="bd") -> int | None:
         """Consequence over the mode's valuations; None when it holds,
         else the index of the first countervaluation."""
-        g = ~0
-        for m in gamma_masks:
-            g &= m
-        d = 0
-        for m in delta_masks:
-            d |= m
-        for i in self.mode_indices[mode]:
-            bit = 1 << i
-            if g & bit and not d & bit:
-                return i
-        return None
+        bits = counter_bits(gamma_masks, delta_masks)
+        bits &= self._grid.mode(self.MODES[mode])
+        return (bits & -bits).bit_length() - 1 if bits else None
+
+    def countermodel(self, s: Sequent, mode="bd") -> dict | None:
+        i = self.holds([self.mask(a) for a in s.ant],
+                       [self.mask(a) for a in s.suc], mode)
+        return (None if i is None
+                else dict(zip(self.atoms, self._grid.valuation_at(i))))
+
+    def valid(self, s: Sequent, mode="bd") -> bool:
+        return self.countermodel(s, mode) is None
 
 
 # ---------------------------------------------------------------------------

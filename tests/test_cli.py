@@ -2,6 +2,7 @@
 the hash seed, and exit code 2 with a one-line error on bad input."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -73,3 +74,34 @@ def test_exhausted_search_names_the_bound_that_ran_out(flag):
     out = bd4("prove", "p & q & r => p", flag, "1")
     assert out.returncode == 2
     assert out.stderr == "error: search budget exhausted; raise %s\n" % flag
+
+
+def _balanced(atoms):
+    if len(atoms) == 1:
+        return atoms[0]
+    half = len(atoms) // 2
+    return "(%s & %s)" % (_balanced(atoms[:half]), _balanced(atoms[half:]))
+
+
+def _deep_proof_sequent():
+    """Ten bracket-nested 100-atom conjunctions over p, q, r: the proof
+    is a chain of about 800 steps, past Python's recursion limit."""
+    rng = random.Random(0)
+    return "; ".join(_balanced([rng.choice("pqr") for _ in range(100)])
+                     for _ in range(10)) + " => p | q"
+
+
+def test_a_proof_deeper_than_the_recursion_limit_is_printed():
+    out = bd4("prove", "--depth", "100000", _deep_proof_sequent())
+    assert out.returncode == 0, out.stderr[-500:]
+    assert out.stderr == ""
+    assert out.stdout.startswith("proved (")
+    steps = int(out.stdout.split("(")[1].split()[0])
+    assert steps > 800
+    assert out.stdout.count("\n") == steps + 2
+
+
+def test_the_deep_proof_at_the_default_depth_exhausts_the_budget():
+    out = bd4("prove", _deep_proof_sequent())
+    assert out.returncode == 2
+    assert out.stderr == "error: search budget exhausted; raise --depth\n"

@@ -7,13 +7,18 @@ fifteen-law filter, differing from the reference matrix only in the
 implication table (9 admissible b-rows times 9 admissible n-rows).
 """
 
+import random
+
+import pytest
+
 from bd4.matrixlab import (
     ALL_LAWS, BD_MATRIX, CLASSICAL_LAWS, LAW_TEXT, Matrix4, SUBSETS,
     candidate_counts, check_all_laws, check_classical_laws, check_law,
-    consequence_prop_in, enumerate_candidates, is_classically_closed,
+    consequence_in, enumerate_candidates, is_classically_closed,
     is_regular, uniqueness_search,
 )
-from bd4.syntax import Imp, Not, Or, Prop
+from bd4.semantics import consequence_prop, valuations
+from bd4.syntax import And, Falsity, Imp, Not, Or, Prop, prop_atoms
 from bd4.values import B, F, N, T, VALUES, designated, imp, inf, sup
 
 p, q = Prop("p"), Prop("q")
@@ -111,8 +116,8 @@ def test_deviant_survivor_differs_as_a_logic():
     assert DEVIANT in rep.survivors
 
     gamma, delta = [Not(Imp(p, q))], [p]
-    assert consequence_prop_in(BD_MATRIX, gamma, delta)[0]
-    holds, wit = consequence_prop_in(DEVIANT, gamma, delta)
+    assert consequence_in(BD_MATRIX, gamma, delta)[0]
+    holds, wit = consequence_in(DEVIANT, gamma, delta)
     assert not holds
     assert wit == {"p": N, "q": T}
 
@@ -142,5 +147,48 @@ def test_consequence_in_matrix_matches_reference_semantics():
         ([Imp(p, q), p], [q]),
     ]
     for gamma, delta in cases:
-        assert consequence_prop_in(BD_MATRIX, gamma, delta)[0] == \
+        assert consequence_in(BD_MATRIX, gamma, delta)[0] == \
             consequence_prop(gamma, delta)[0]
+
+
+def _value_in(m, a, v):
+    """Per-valuation evaluation with the matrix's tables: the reference."""
+    match a:
+        case Prop(name):
+            return v[name]
+        case Falsity():
+            return m.falsum
+        case Not(b):
+            return m.neg[_value_in(m, b, v)]
+        case And(l, r):
+            return m.conj_of(_value_in(m, l, v), _value_in(m, r, v))
+        case Or(l, r):
+            return m.disj_of(_value_in(m, l, v), _value_in(m, r, v))
+        case Imp(l, r):
+            return m.impl_of(_value_in(m, l, v), _value_in(m, r, v))
+
+
+def _random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return Falsity() if rng.random() < 0.1 else Prop(rng.choice("pqr"))
+    kind = rng.choice((Not, And, Or, Imp))
+    if kind is Not:
+        return Not(_random_formula(rng, depth - 1))
+    return kind(_random_formula(rng, depth - 1),
+                _random_formula(rng, depth - 1))
+
+
+@pytest.mark.parametrize("m", [BD_MATRIX, DEVIANT], ids=["bd", "deviant"])
+def test_consequence_in_matrix_matches_per_valuation_evaluation(m):
+    rng = random.Random(11)
+    for _ in range(400):
+        gamma = [_random_formula(rng, 3) for _ in range(rng.randrange(3))]
+        delta = [_random_formula(rng, 3) for _ in range(rng.randrange(3))]
+        atoms = sorted(set().union(*map(prop_atoms, gamma + delta)))
+        want = next((v for v in valuations(atoms)
+                     if all(designated(_value_in(m, a, v)) for a in gamma)
+                     and not any(designated(_value_in(m, a, v))
+                                 for a in delta)), None)
+        assert consequence_in(m, gamma, delta) == (want is None, want)
+        if m is BD_MATRIX:
+            assert consequence_prop(gamma, delta) == (want is None, want)

@@ -1,18 +1,22 @@
 """Evaluation and consequence, propositional and first-order."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bd4.definability import truth_function_of
 from bd4.semantics import (
     EnumerationCapExceeded, PropSpace, SemanticsError, Structure,
     consequence_fo, consequence_prop, count_structures, enumerate_structures,
     equivalent_prop, evaluate, evaluate_prop, normality_probe,
-    synonymous_prop, valuations,
+    synonymous_prop, truth_table, valuations,
 )
 from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, Var, prop_signature,
+    Sequent, Signature, Var, prop_atoms, prop_signature,
 )
 from bd4.values import (
     ALL_VALUES, B, CL_VALUES, F, K3_VALUES, LP_VALUES, N, T, VALUES,
@@ -108,6 +112,144 @@ def test_prop_space_agrees_with_consequence():
             direct, _ = consequence_prop(gamma, delta, allowed)
             via_space = space.holds(gm, dm, mode) is None
             assert direct == via_space, (gamma, delta, mode)
+
+
+# ---------------------------------------------------------------------------
+# the bit-pair engine against per-valuation evaluation
+
+MODES = {"bd": ALL_VALUES, "lp": LP_VALUES, "k3": K3_VALUES,
+         "cl": CL_VALUES}
+UNARY = ("Des", "Norm", "Cons", "Det", "Confl")
+
+
+def formulas(atoms=("p", "q", "r")):
+    leaves = st.sampled_from(
+        [Prop(x) for x in atoms]
+        + [Falsity(), ExtApp("Both"), ExtApp("Neither")])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(And, sub, sub),
+        st.builds(Or, sub, sub), st.builds(Imp, sub, sub),
+        st.builds(lambda c, a: ExtApp(c, (a,)), st.sampled_from(UNARY),
+                  sub)), max_leaves=8)
+
+
+SIDES = st.lists(formulas(), max_size=3)
+DIFFERENTIAL = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def reference_consequence(gamma, delta, allowed=ALL_VALUES, atoms=None):
+    """(index in the unrestricted order, valuation) of the first
+    countervaluation into ``allowed``, by evaluating each valuation."""
+    if atoms is None:
+        atoms = tuple(sorted(set().union(*map(prop_atoms, gamma + delta))))
+    for i, v in enumerate(valuations(atoms)):
+        if (set(v.values()) <= allowed
+                and all(designated(evaluate_prop(a, v)) for a in gamma)
+                and not any(designated(evaluate_prop(a, v)) for a in delta)):
+            return i, v
+    return None, None
+
+
+@DIFFERENTIAL
+@given(SIDES, SIDES)
+def test_consequence_matches_per_valuation_evaluation(gamma, delta):
+    for allowed in MODES.values():
+        _, want = reference_consequence(gamma, delta, allowed)
+        holds, witness = consequence_prop(gamma, delta, allowed)
+        assert (holds, witness) == (want is None, want)
+        if witness is not None:
+            assert list(witness) == list(want)
+
+
+@DIFFERENTIAL
+@given(formulas(), formulas())
+def test_equivalence_witness_matches_per_valuation_evaluation(a, b):
+    atoms = tuple(sorted(prop_atoms(a) | prop_atoms(b)))
+    want = next((v for v in valuations(atoms)
+                 if evaluate_prop(a, v) is not evaluate_prop(b, v)), None)
+    assert equivalent_prop(a, b) == (want is None, want)
+
+
+@DIFFERENTIAL
+@given(SIDES, SIDES, st.permutations(("p", "q", "r")))
+def test_prop_space_matches_per_valuation_evaluation(gamma, delta, atoms):
+    space = PropSpace(tuple(atoms))
+    for mode, allowed in MODES.items():
+        want_index, want = reference_consequence(gamma, delta, allowed,
+                                                 tuple(atoms))
+        got = space.holds([space.mask(a) for a in gamma],
+                          [space.mask(a) for a in delta], mode)
+        assert got == want_index
+        s = Sequent.of(gamma, delta)
+        assert space.countermodel(s, mode) == want
+        assert space.valid(s, mode) == (want is None)
+
+
+@DIFFERENTIAL
+@given(formulas(("p", "q")), st.sampled_from(
+    [("p", "q"), ("q", "p"), ("p", "q", "r"), ("r", "q", "p")]))
+def test_truth_tables_match_per_valuation_evaluation(a, order):
+    want = tuple(evaluate_prop(a, dict(zip(order, args)))
+                 for args in itertools.product(VALUES, repeat=len(order)))
+    assert truth_table(a, order) == want
+    assert truth_function_of(a, order).table == want
+
+
+def test_truth_tables_of_the_extra_connectives():
+    for name in UNARY:
+        a = ExtApp(name, (p,))
+        want = tuple(evaluate_prop(a, {"p": v}) for v in VALUES)
+        assert truth_function_of(a).table == want
+    for name, value in (("Both", B), ("Neither", N)):
+        assert truth_function_of(ExtApp(name)).table == (value,)
+        assert truth_table(ExtApp(name), ("p",)) == (value,) * 4
+
+
+def test_blocks_keep_the_first_countervaluation():
+    """Seven atoms take 4 blocks; the first countervaluation of these
+    sits in later blocks, and the valid one scans them all."""
+    atoms = [Prop("a%d" % i) for i in range(7)]
+    big = atoms[0]
+    for a in atoms[1:]:
+        big = Or(big, a)
+    cases = [
+        ([atoms[0]], [Not(atoms[0])]),                  # first block
+        ([Not(atoms[0])], [atoms[1]]),                  # a0 = b
+        ([Imp(atoms[0], Falsity())], [atoms[6]]),       # a0 = n
+        ([big], [And(atoms[0], atoms[3])]),
+        ([big], [big]),                                 # valid
+    ]
+    for gamma, delta in cases:
+        for allowed in MODES.values():
+            _, want = reference_consequence(gamma, delta, allowed)
+            assert consequence_prop(gamma, delta, allowed) == (
+                want is None, want)
+
+
+def test_many_atoms_are_scanned_in_bounded_memory():
+    """A 12-atom sequent refuted by its first valuation: one block of
+    4^6 valuations is evaluated, where all 4^12 at once would need
+    tens of megabytes."""
+    atoms = [Prop("a%02d" % i) for i in range(12)]
+    gamma, delta = atoms, [Not(atoms[0])]
+    tracemalloc.start()
+    try:
+        got = consequence_prop(gamma, delta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _, want = reference_consequence(gamma, delta)
+    assert got == (False, want)
+    assert peak < 1 << 20
+
+
+def test_non_propositional_input_is_refused():
+    with pytest.raises(SemanticsError):
+        consequence_prop([Pred("P", (Fun("c"),))], [p])
+    with pytest.raises(SemanticsError):
+        PropSpace(("p",)).mask(q)
+    with pytest.raises(SemanticsError):
+        truth_table(And(p, q), ("p",))
 
 
 SIG = Signature(
