@@ -39,8 +39,7 @@ from .matrixlab import (
 from .proofio import print_sequent
 from .search import SearchBudget, prove_prop
 from .semantics import (
-    PropSpace, consequence_fo, consequence_prop, counter_bits,
-    enumerate_structures, evaluate, evaluate_prop,
+    FOSpace, PropSpace, consequence_fo, consequence_prop, evaluate_prop,
 )
 from .simulation import EXTENSION_MODES, translation_sets, verify_simulation
 from .syntax import (
@@ -518,51 +517,6 @@ _EQ_X_LITERALS = (_P(_x), Not(_P(_x)), Eq(_x, _c), Eq(_d, _x),
                   Not(Eq(_x, _c)))
 
 _TERMS = (_c, _d)
-
-
-class FOSpace:
-    """Validity oracle over every structure in a finite class.
-
-    Columns are (structure, assignment) pairs; each formula gets a
-    designation bitmask over the columns, and a sequent is valid on the
-    class exactly when no column designates the whole antecedent while
-    designating nothing in the succedent.
-    """
-
-    def __init__(self, sig, sizes, mode="total", need_eq=True,
-                 eq_distinct=None, variables=()):
-        self.columns = []
-        for size in sizes:
-            for m in enumerate_structures(sig, size, mode,
-                                          need_eq=need_eq,
-                                          eq_distinct=eq_distinct):
-                for combo in itertools.product(m.domain,
-                                               repeat=len(variables)):
-                    self.columns.append((m, dict(zip(variables, combo))))
-        self._masks = {}
-
-    def mask(self, a) -> int:
-        out = self._masks.get(a)
-        if out is None:
-            out = 0
-            for i, (m, alpha) in enumerate(self.columns):
-                if designated(evaluate(a, m, dict(alpha))):
-                    out |= 1 << i
-            self._masks[a] = out
-        return out
-
-    def counter_mask(self, s: Sequent) -> int:
-        bits = counter_bits(map(self.mask, s.ant), map(self.mask, s.suc))
-        return bits & ((1 << len(self.columns)) - 1)
-
-    def valid(self, s: Sequent) -> bool:
-        return self.counter_mask(s) == 0
-
-    def countermodel(self, s: Sequent):
-        cm = self.counter_mask(s)
-        if cm == 0:
-            return None
-        return self.columns[cm.bit_length() - 1]
 
 
 def _sample_instance(name, rng, ctx_pool):

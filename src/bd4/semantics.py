@@ -1,26 +1,39 @@
 """Evaluation and brute-force consequence for the four-valued logic.
 
-Propositional consequence, equivalence, truth tables and PropSpace run
-on one bit-pair engine: a formula becomes a (told-true, told-false)
-pair of ints over all valuations of its atoms at once, the connectives
-become bitwise operations, and the lowest set bit of a mask is the
-first valuation in ``valuations`` order.  ``evaluate_prop``, one
-valuation at a time, is kept as the reference the engine is tested
-against.  First-order formulas are evaluated over finite structures
-with assignments; that path agrees with the propositional one on
-degenerate structures, which the test suite checks.
+Both consequence relations run on one bit-pair engine.  A formula
+becomes a (told-true, told-false) pair of ints over many valuations or
+structures at once, the connectives become bitwise operations, and the
+lowest set bit of a mask marks the first valuation or structure in
+enumeration order.
+
+Propositionally the bits are the valuations of the atoms, in
+``valuations`` order: ``consequence_prop``, ``equivalent_prop``,
+``truth_table`` and ``PropSpace`` run on it.  First-order, the bits are
+the (structure, assignment) columns of one domain size, in
+``enumerate_structures`` order with the assignments innermost: ground
+atoms, equality cells and constants are digits of the column index, a
+term becomes one selector mask per element, and a quantifier is
+grounded into the And (forall) or Or (exists) of its instances, since
+the quantifiers are the infimum and supremum of the truth order.
+``consequence_fo`` scans those columns in blocks and ``FOSpace`` keeps
+a formula's mask over a whole class.
+
+``evaluate_prop`` (one valuation) and ``evaluate`` over
+``enumerate_structures`` (one structure) are kept as the references the
+engine is tested against.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
 from .syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, Var, free_vars, subformulas,
+    Sequent, Signature, Var,
 )
 from .values import (
     ALL_VALUES, B, CL_VALUES, DESIGNATED, EXTRA_CONNECTIVES, F, K3_VALUES,
@@ -111,6 +124,15 @@ def _pair(v: TruthValue, full: int) -> tuple:
     return (full if v in DESIGNATED else 0, full if v in (B, F) else 0)
 
 
+def _digit_masks(radix: int, step: int, full: int) -> list:
+    """Per value of a digit that holds each of its ``radix`` values for
+    ``step`` positions in turn, the positions where it holds that value;
+    ``full`` spans a whole number of the digit's periods."""
+    ones = (1 << step) - 1
+    repeat = full // ((1 << radix * step) - 1)
+    return [(ones << v * step) * repeat for v in range(radix)]
+
+
 class _Grid:
     """The 4^k valuations of k atoms as bit positions."""
 
@@ -119,11 +141,8 @@ class _Grid:
         self.full = (1 << 4 ** k) - 1
         self.pairs = []
         for j in range(k):
-            run = 4 ** (k - 1 - j)  # positions per digit of atom j
-            ones = (1 << run) - 1
-            repeat = self.full // ((1 << 4 * run) - 1)
-            self.pairs.append(((ones | ones << run) * repeat,
-                               (ones << run | ones << 3 * run) * repeat))
+            hot = _digit_masks(4, 4 ** (k - 1 - j), self.full)
+            self.pairs.append((hot[0] | hot[1], hot[1] | hot[3]))
         self._modes = {}
 
     def mode(self, allowed: frozenset) -> int:
@@ -149,27 +168,88 @@ def _grid(k: int) -> _Grid:
     return _Grid(k)
 
 
-def _compile(formulas, atoms=None) -> tuple:
-    """Postfix code for the formulas, and their atoms, in one walk.
+def _arity(name: str, arity, args) -> tuple:
+    if arity is None:
+        raise SemanticsError("symbol not in signature")
+    if arity != len(args):
+        raise SemanticsError("%s takes %d arguments" % (name, arity))
+    return name, arity
 
-    The code is each formula's subformulas in reverse preorder, so a
-    connective finds its left operand on top of the stack.  An item is
-    an atom's name, one of the classes Not, And, Or, Imp and Falsity, or
-    an ExtApp node.  The atoms come sorted, or as given when every one
-    occurring is among them.
+
+def _compile(formulas, sig: Signature | None = None) -> tuple:
+    """Postfix code for the formulas, and the symbols they use, in one walk.
+
+    A connective follows its operands, the left one on top of the
+    stack.  An item is a proposition's name, one of the classes Not,
+    And, Or, Imp and Falsity, an ExtApp node, a Pred or Eq atom as
+    written, or for a quantifier the tuple (Forall or Exists, variable,
+    code of the body).  Returns the code, the functions and predicates
+    that occur as (name, arity) pairs (a proposition has arity 0),
+    whether equality occurs, and the free variables, sorted.  Without a
+    signature the formulas must be propositional.
     """
-    code, names = [], set()
+    code, funcs, preds, free = [], set(), set(), set()
+    has_eq = False
     for a in formulas:
-        for x in reversed(list(subformulas(a))):
-            if x.__class__ is Prop:
-                names.add(x.name)
-                code.append(x.name)
-            elif x.__class__ in (Not, And, Or, Imp, Falsity):
-                code.append(x.__class__)
-            elif x.__class__ is ExtApp:
+        stack = [(a, frozenset())]
+        while stack:
+            x, bound = stack.pop()
+            cls = x.__class__
+            if bound is None:  # an operator whose operands are done
+                if cls is tuple:
+                    q, var, start = x
+                    x = (q, var, code[start:])
+                    del code[start:]
                 code.append(x)
-            else:
+            elif cls is Prop:
+                preds.add((x.name, 0))
+                code.append(x.name)
+            elif cls is Not:
+                stack += ((Not, None), (x.body, bound))
+            elif cls is And or cls is Or or cls is Imp:
+                stack += ((cls, None), (x.left, bound), (x.right, bound))
+            elif cls is Falsity:
+                code.append(Falsity)
+            elif cls is ExtApp:
+                if x.args:
+                    stack += ((x, None), (x.args[0], bound))
+                else:
+                    code.append(x)
+            elif sig is None:
                 raise SemanticsError("not propositional: %s" % (a,))
+            elif cls is Pred or cls is Eq:
+                if cls is Pred:
+                    preds.add(_arity(x.name, sig.predicate_arity(x.name),
+                                     x.args))
+                    terms = list(x.args)
+                else:
+                    has_eq = True
+                    terms = [x.left, x.right]
+                while terms:
+                    t = terms.pop()
+                    if t.__class__ is Var:
+                        if t.name not in bound:
+                            free.add(t.name)
+                    elif t.__class__ is Fun:
+                        funcs.add(_arity(t.name, sig.function_arity(t.name),
+                                         t.args))
+                        terms.extend(t.args)
+                    else:
+                        raise SemanticsError("not a term: %r" % (t,))
+                code.append(x)
+            elif cls is Forall or cls is Exists:
+                stack += (((cls, x.var, len(code)), None),
+                          (x.body, bound | {x.var}))
+            else:
+                raise SemanticsError("not a formula: %r" % (x,))
+    return code, funcs, preds, has_eq, tuple(sorted(free))
+
+
+def _compile_prop(formulas, atoms=None) -> tuple:
+    """Code for propositional formulas, and their atoms: sorted, or as
+    given when every one occurring is among them."""
+    code, _, preds, _, _ = _compile(formulas)
+    names = {name for name, _ in preds}
     if atoms is None:
         return code, tuple(sorted(names))
     if not names <= set(atoms):
@@ -179,7 +259,9 @@ def _compile(formulas, atoms=None) -> tuple:
 
 
 def _run(code, env: dict, full: int) -> list:
-    """The (t, f) pair of each compiled formula, given the atoms' pairs."""
+    """The (t, f) pair of each compiled formula, given the pairs of its
+    atoms: proposition names, and the ground Pred and Eq atoms of the
+    first-order sweep."""
     stack = []
     push, pop = stack.append, stack.pop
     for op in code:
@@ -198,7 +280,7 @@ def _run(code, env: dict, full: int) -> list:
                 hot = onehot(*pop(), full)
                 push((sum(hot[v] for v in VALUES if table[v] in (T, B)),
                       sum(hot[v] for v in VALUES if table[v] in (B, F))))
-        else:
+        elif op is And or op is Or or op is Imp:
             t1, f1 = pop()
             t2, f2 = pop()
             if op is And:
@@ -207,7 +289,14 @@ def _run(code, env: dict, full: int) -> list:
                 push((t1 | t2, f1 & f2))
             else:
                 push(((full ^ t1) | t2, t1 & f2))
+        else:
+            push(env[op])
     return stack
+
+
+# A scan that has passed this many valuations without an answer gives
+# up: past it each further atom multiplies the time by four.
+_SCAN_CAP = 4 ** 13
 
 
 def scan_valuations(formulas, marked, allowed=ALL_VALUES):
@@ -217,19 +306,27 @@ def scan_valuations(formulas, marked, allowed=ALL_VALUES):
     The formulas are compiled once.  Per block, ``marked(code, env,
     grid)`` gets them with the pair of each atom over the block and
     returns the mask of picks; the atoms before the last six are fixed
-    per block, their values taken in ``valuations`` order.
+    per block, their values taken in ``valuations`` order.  Raises
+    EnumerationCapExceeded once the blocks scanned without a pick hold
+    more than ``_SCAN_CAP`` valuations.
     """
-    code, atoms = _compile(formulas)
+    code, atoms = _compile_prop(formulas)
     low = min(len(atoms), _BLOCK_ATOMS)
     grid = _grid(low)
     env = dict(zip(atoms[len(atoms) - low:], grid.pairs))
     vals = tuple(v for v in VALUES if v in allowed)
+    scanned = 0
     for fixed in itertools.product(vals, repeat=len(atoms) - low):
         env.update(zip(atoms, (_pair(v, grid.full) for v in fixed)))
         bits = marked(code, env, grid) & grid.mode(allowed)
         if bits:
             rest = grid.valuation_at((bits & -bits).bit_length() - 1)
             return dict(zip(atoms, fixed + rest))
+        scanned += grid.full.bit_length()
+        if scanned > _SCAN_CAP:
+            raise EnumerationCapExceeded(
+                "no answer after %d valuations of %d atoms (cap %d)"
+                % (scanned, len(atoms), _SCAN_CAP))
     return None
 
 
@@ -275,7 +372,7 @@ def equivalent_prop(a, b):
 def truth_table(a, atoms) -> tuple:
     """The values of a formula over ``valuations(atoms)``, in order; the
     table is as large as one grid over all the atoms, so no blocks."""
-    code, atoms = _compile([a], atoms)
+    code, atoms = _compile_prop([a], atoms)
     grid = _grid(len(atoms))
     env = dict(zip(atoms, grid.pairs))
     return grid.values(*_run(code, env, grid.full)[0])
@@ -315,7 +412,7 @@ class PropSpace:
         """The formula's (t, f) pair; equal pairs mean equal tables."""
         out = self._pairs.get(a)  # one lookup: formula hashes are deep
         if out is None:
-            code, _ = _compile([a], self.atoms)
+            code, _ = _compile_prop([a], self.atoms)
             out = self._pairs[a] = _run(code, self._env, self._grid.full)[0]
         return out
 
@@ -473,32 +570,6 @@ def _eval(a, m: Structure, alpha: dict) -> TruthValue:
 # structure enumeration and bounded first-order consequence
 
 
-def _occurring_symbols(formulas, sig: Signature):
-    funcs, preds, has_eq = set(), set(), False
-    for a in formulas:
-        for s in subformulas(a):
-            match s:
-                case Prop(name):
-                    preds.add((name, 0))
-                case Pred(name, _):
-                    preds.add((name, sig.predicate_arity(name)))
-                case Eq(_, _):
-                    has_eq = True
-        for s in subformulas(a):
-            terms = []
-            match s:
-                case Pred(_, targs):
-                    terms = list(targs)
-                case Eq(l, r):
-                    terms = [l, r]
-            while terms:
-                t = terms.pop()
-                if isinstance(t, Fun):
-                    funcs.add((t.name, sig.function_arity(t.name)))
-                    terms.extend(t.args)
-    return funcs, preds, has_eq
-
-
 def count_structures(sig: Signature, size: int, mode: str = "total",
                      allowed=ALL_VALUES, need_eq: bool = True,
                      eq_distinct=None) -> int:
@@ -607,6 +678,224 @@ def enumerate_structures(sig: Signature, size: int, mode: str = "total",
                         )
 
 
+# ---------------------------------------------------------------------------
+# the grounded sweep
+
+# The columns of one domain size are its (structure, assignment) pairs
+# in ``enumerate_structures`` order, with the assignments of the free
+# variables innermost.  Column i is the number i in a mixed radix whose
+# digits are, most significant first: the constants, the function cells
+# key by key, the propositions, the predicate cells, the equality cells
+# (the diagonal over the designated values, then the distinct pairs)
+# and the free variables.  A digit's value masks are periodic and are
+# built as a _Grid's are.  A term is one selector mask per element, an
+# atom is the OR over element tuples of the selectors' AND with the
+# cell's (t, f) pair (in partial mode an equality cell at the bottom is
+# n, the pair (0, 0)), and a quantifier is grounded: its body is copied
+# once per element, the copies joined by And for forall (the infimum)
+# and by Or for exists (the supremum).  This is MACE-style grounding
+# (McCune's Mace4; Claessen and Sorensson 2003).  A scan takes blocks of
+# at most _BLOCK_COLUMNS columns, the outer digits fixed per block, in
+# column order, which bounds memory and keeps the early exit.
+_BLOCK_COLUMNS = 1 << 16
+
+
+def _ground(code, domain, binding: dict) -> list:
+    """The code with every quantifier expanded over the domain: the body
+    once per element, its variable bound to the element's name, the
+    copies joined by And for forall and by Or for exists."""
+    out = []
+    for op in code:
+        cls = op.__class__
+        if cls is tuple:
+            q, var, body = op
+            for i, d in enumerate(domain):
+                out += _ground(body, domain, {**binding, var: d})
+                if i:
+                    out.append(And if q is Forall else Or)
+        elif binding and cls is Pred:
+            out.append(Pred(op.name, tuple(_ground_term(t, binding)
+                                           for t in op.args)))
+        elif binding and cls is Eq:
+            out.append(Eq(_ground_term(op.left, binding),
+                          _ground_term(op.right, binding)))
+        else:
+            out.append(op)
+    return out
+
+
+def _ground_term(t, binding: dict):
+    if t.__class__ is Var:
+        return binding.get(t.name, t)
+    if t.args:
+        return Fun(t.name, tuple(_ground_term(u, binding) for u in t.args))
+    return t
+
+
+class _Sweep:
+    """The (structure, assignment) columns of one domain size as digits.
+
+    The arguments are ``enumerate_structures``' and the variables to
+    assign.  A block is at most ``block`` consecutive columns, the
+    whole size with None.  ``fill`` puts the pairs of ground atoms over
+    a block into an env for ``_run``; ``decode`` builds one column.
+    """
+
+    def __init__(self, sig: Signature, size: int, mode, allowed, need_eq,
+                 eq_distinct, variables, block=None):
+        if mode == "partial":
+            if allowed is not ALL_VALUES:
+                raise SemanticsError(
+                    "partial mode does not combine with restrictions")
+            self.domain = ("u",) + tuple("d%d" % i for i in range(1, size))
+            self.bottom = "u"
+        else:
+            self.domain = tuple("d%d" % i for i in range(1, size + 1))
+            self.bottom = None
+        self.need_eq = need_eq
+        real = [d for d in self.domain if d != self.bottom]
+        vals = tuple(v for v in VALUES if v in allowed)
+        self.roles, self.values, self.where = [], [], {}
+
+        def digit(role, values):
+            self.where[role] = len(self.roles)
+            self.roles.append(role)
+            self.values.append(values)
+
+        for kind, symbols, values in (("fun", sig.functions, self.domain),
+                                      ("pred", sig.predicates, vals)):
+            # the constants and propositions first, as in the enumeration
+            for name, a in sorted(symbols, key=lambda s: s[1] > 0):
+                for key in itertools.product(self.domain, repeat=a):
+                    digit((kind, name, key), values)
+        if need_eq:
+            for d in real:
+                digit(("eq", d, d), tuple(v for v in (T, B) if v in allowed))
+            dist = vals if eq_distinct is None else tuple(eq_distinct)
+            for d1, d2 in itertools.product(real, repeat=2):
+                if d1 != d2:
+                    digit(("eq", d1, d2), dist)
+        for x in variables:
+            digit(("var", x), self.domain)
+
+        radices = [len(v) for v in self.values]
+        self.columns = math.prod(radices)
+        self._steps = [1] * len(radices)  # columns per step of a digit
+        split, inner = len(radices), 1
+        while split and (block is None or inner * radices[split - 1] <= block):
+            split -= 1
+            self._steps[split] = inner
+            inner *= radices[split]
+        self.outer = radices[:split]
+        self.full = (1 << inner) - 1
+        self._hot = {}
+
+    def blocks(self):
+        """The outer digits' values of each block, in column order."""
+        if not self.columns:
+            return ()
+        return itertools.product(*map(range, self.outer))
+
+    def _masks(self, j: int, outer) -> list:
+        """Per value of digit j, the block positions holding it."""
+        if j < len(outer):
+            v = outer[j]
+            return [self.full if w == v else 0
+                    for w in range(len(self.values[j]))]
+        out = self._hot.get(j)
+        if out is None:
+            out = self._hot[j] = _digit_masks(len(self.values[j]),
+                                              self._steps[j], self.full)
+        return out
+
+    def fill(self, env: dict, code, outer) -> None:
+        """Put into ``env`` the (t, f) pair over the block given by the
+        outer digits' values of each atom of ``code`` it lacks."""
+        full, domain, where = self.full, self.domain, self.where
+        cells, selectors = {}, {}
+
+        def cell(role) -> tuple:
+            out = cells.get(role)
+            if out is None:
+                j = where[role]
+                hot = tuple(zip(self._masks(j, outer), self.values[j]))
+                out = cells[role] = (
+                    sum(m for m, v in hot if v is T or v is B),
+                    sum(m for m, v in hot if v is B or v is F))
+            return out
+
+        def eq_cell(key) -> tuple:
+            if self.bottom in key:
+                return (0, 0)
+            if self.need_eq:
+                return cell(("eq",) + key)
+            return (full, 0) if key[0] == key[1] else (0, full)
+
+        def apply(terms, table, width: int) -> list:
+            """The OR over element tuples of the AND of the terms'
+            selectors with the tuple's ``width`` masks in ``table``."""
+            out = [0] * width
+            hot = [[(domain[i], m) for i, m in enumerate(selector(t)) if m]
+                   for t in terms]
+            for combo in itertools.product(*hot):
+                both = full
+                for _, m in combo:
+                    both &= m
+                if both:
+                    key = tuple(e for e, _ in combo)
+                    for k, m in enumerate(table(key)):
+                        out[k] |= both & m
+            return out
+
+        def selector(t) -> list:
+            """Per element, the positions where the term denotes it."""
+            out = selectors.get(t)
+            if out is None:
+                if t.__class__ is str:
+                    out = [full if d == t else 0 for d in domain]
+                elif t.__class__ is Var:
+                    out = self._masks(where[("var", t.name)], outer)
+                else:
+                    out = apply(t.args, lambda key: self._masks(
+                        where[("fun", t.name, key)], outer), len(domain))
+                selectors[t] = out
+            return out
+
+        for op in code:
+            cls = op.__class__
+            if (cls is str or cls is Pred or cls is Eq) and op not in env:
+                if cls is str:
+                    env[op] = cell(("pred", op, ()))
+                elif cls is Pred:
+                    env[op] = tuple(apply(op.args, lambda key: cell(
+                        ("pred", op.name, key)), 2))
+                else:
+                    env[op] = tuple(apply((op.left, op.right), eq_cell, 2))
+
+    def decode(self, outer, i: int) -> tuple:
+        """The (structure, assignment) of column i of the block given by
+        the outer digits' values."""
+        digits = []
+        for values in reversed(self.values[len(outer):]):
+            i, v = divmod(i, len(values))
+            digits.append(v)
+        digits = list(outer) + digits[::-1]
+        consts, funcs, props, preds, eq, alpha = {}, {}, {}, {}, {}, {}
+        for role, values, v in zip(self.roles, self.values, digits):
+            kind, x = role[0], values[v]
+            if kind == "eq":
+                eq[role[1:]] = x
+            elif kind == "var":
+                alpha[role[1]] = x
+            elif role[2]:
+                table = funcs if kind == "fun" else preds
+                table.setdefault(role[1], {})[role[2]] = x
+            else:
+                (consts if kind == "fun" else props)[role[1]] = x
+        return (Structure(self.domain, consts, funcs, props, preds, eq,
+                          self.bottom), alpha)
+
+
 @dataclass
 class FOResult:
     holds: bool
@@ -624,23 +913,28 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
 
     A True result means no countermodel up to the bound, not a decision.
     Only symbols that occur in the formulas are interpreted, which keeps
-    the sweep small without changing the answer.
+    the sweep small without changing the answer.  Each domain size is
+    one grounded sweep over its (structure, assignment) columns, scanned
+    block by block; the countermodel is the first column, in
+    ``enumerate_structures`` order with the assignments innermost, that
+    designates all of gamma and nothing in delta, and it is the only
+    Structure built.  Raises SemanticsError when the bound admits no
+    structure, and EnumerationCapExceeded, before any sweep, when the
+    structures up to the bound number more than ``cap``.
     """
     gamma, delta = list(gamma), list(delta)
-    funcs, preds, has_eq = _occurring_symbols(gamma + delta, sig)
-    for name, a in funcs | preds:
-        if a is None:
-            raise SemanticsError("symbol not in signature")
+    code, funcs, preds, has_eq, fv = _compile(gamma + delta, sig)
     small = Signature(
         functions=tuple(sorted(funcs)), predicates=tuple(sorted(preds)),
         extras=sig.extras,
     )
-    fv = set()
-    for a in gamma + delta:
-        fv |= free_vars(a)
-    fv = tuple(sorted(fv))
+    least = 2 if mode == "partial" else 1
+    if max_domain < least:
+        raise SemanticsError(
+            "domain bound %d admits no structure; the least %sdomain size "
+            "is %d" % (max_domain, "partial " if least == 2 else "", least))
 
-    sizes = range(2 if mode == "partial" else 1, max_domain + 1)
+    sizes = range(least, max_domain + 1)
     total = 0
     for size in sizes:
         total += count_structures(small, size, mode, allowed, has_eq, eq_distinct)
@@ -650,14 +944,93 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
         )
 
     for size in sizes:
-        for m in enumerate_structures(small, size, mode, allowed, has_eq, eq_distinct):
-            for combo in itertools.product(m.domain, repeat=len(fv)):
-                alpha = dict(zip(fv, combo))
-                if all(designated(_eval(g, m, dict(alpha))) for g in gamma) and not any(
-                    designated(_eval(d, m, dict(alpha))) for d in delta
-                ):
-                    return FOResult(False, m, alpha)
+        sweep = _Sweep(small, size, mode, allowed, has_eq, eq_distinct, fv,
+                       _BLOCK_COLUMNS)
+        ground = _ground(code, sweep.domain, {})
+        for outer in sweep.blocks():
+            env = {}
+            sweep.fill(env, ground, outer)
+            ts = [t for t, _ in _run(ground, env, sweep.full)]
+            bits = counter_bits(ts[:len(gamma)], ts[len(gamma):]) & sweep.full
+            if bits:
+                return FOResult(False, *sweep.decode(
+                    outer, (bits & -bits).bit_length() - 1))
     return FOResult(True)
+
+
+class FOSpace:
+    """Validity oracle over every column of a finite class: each
+    structure ``enumerate_structures`` gives for a size in ``sizes``,
+    with each assignment of ``variables``.
+
+    A formula's designation mask over the columns is the told-true mask
+    of its grounded sweep, size after size, and a sequent is valid on
+    the class exactly when no column designates the whole antecedent
+    while designating nothing in the succedent.  ``columns`` is the
+    sequence of (structure, assignment) pairs, decoded on access.
+    """
+
+    def __init__(self, sig, sizes, mode="total", need_eq=True,
+                 eq_distinct=None, variables=()):
+        self.sig = sig
+        self.variables = tuple(variables)
+        self._sweeps = tuple(
+            _Sweep(sig, size, mode, ALL_VALUES, need_eq, eq_distinct,
+                   self.variables) for size in sizes)
+        self._envs = tuple({} for _ in self._sweeps)  # atom pairs per size
+        self.columns = _Columns(self._sweeps)
+        self._masks = {}
+
+    def mask(self, a) -> int:
+        """Bit i set iff column i designates the formula."""
+        out = self._masks.get(a)
+        if out is None:
+            code, _, preds, _, fv = _compile([a], self.sig)
+            if missing := preds - set(self.sig.predicates):
+                raise SemanticsError("no interpretation for proposition %s"
+                                     % min(missing)[0])
+            if unbound := set(fv) - set(self.variables):
+                raise SemanticsError("unbound variable %s" % min(unbound))
+            out = shift = 0
+            for sweep, env in zip(self._sweeps, self._envs):
+                if sweep.columns:
+                    ground = _ground(code, sweep.domain, {})
+                    sweep.fill(env, ground, ())
+                    out |= _run(ground, env, sweep.full)[0][0] << shift
+                shift += sweep.columns
+            self._masks[a] = out
+        return out
+
+    def counter_mask(self, s: Sequent) -> int:
+        bits = counter_bits(map(self.mask, s.ant), map(self.mask, s.suc))
+        return bits & ((1 << len(self.columns)) - 1)
+
+    def valid(self, s: Sequent) -> bool:
+        return self.counter_mask(s) == 0
+
+    def countermodel(self, s: Sequent):
+        """The first counter column's (structure, assignment), or None."""
+        cm = self.counter_mask(s)
+        return self.columns[(cm & -cm).bit_length() - 1] if cm else None
+
+
+class _Columns:
+    """The columns of consecutive sweeps, decoded on access."""
+
+    def __init__(self, sweeps):
+        self._sweeps = sweeps
+
+    def __len__(self) -> int:
+        return sum(s.columns for s in self._sweeps)
+
+    def __getitem__(self, i: int) -> tuple:
+        if i < 0:
+            i += len(self)
+        for s in self._sweeps:
+            if 0 <= i < s.columns:
+                return s.decode((), i)
+            i -= s.columns
+        raise IndexError("column index out of range")
 
 
 # ---------------------------------------------------------------------------

@@ -351,19 +351,22 @@ def substitute(a: Formula, x: str, t: Term) -> Formula:
 
 
 def subformulas(a: Formula):
-    """All subformulas, the formula itself included."""
-    yield a
-    match a:
-        case Not(b):
-            yield from subformulas(b)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            yield from subformulas(l)
-            yield from subformulas(r)
-        case Forall(_, b) | Exists(_, b):
-            yield from subformulas(b)
-        case ExtApp(_, args):
-            for u in args:
-                yield from subformulas(u)
+    """All subformulas, the formula itself included, in preorder.
+
+    The walk keeps its own stack, so a deep formula costs one generator
+    frame, not one per level."""
+    stack = [a]
+    while stack:
+        a = stack.pop()
+        yield a
+        cls = a.__class__
+        if cls is Not or cls is Forall or cls is Exists:
+            stack.append(a.body)
+        elif cls is And or cls is Or or cls is Imp:
+            stack.append(a.right)
+            stack.append(a.left)
+        elif cls is ExtApp:
+            stack.extend(reversed(a.args))
 
 
 def is_atomic(a: Formula) -> bool:

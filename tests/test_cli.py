@@ -105,3 +105,89 @@ def test_the_deep_proof_at_the_default_depth_exhausts_the_budget():
     out = bd4("prove", _deep_proof_sequent())
     assert out.returncode == 2
     assert out.stderr == "error: search budget exhausted; raise --depth\n"
+
+
+FO_SIG_TEXT = """\
+const c
+const d
+func f/1
+pred P/1
+pred Q/2
+prop q
+"""
+
+FREE_VARIABLE = """\
+entails: no
+domain d1 d2
+const c = d1
+const d = d2
+func f d1 -> d1
+func f d2 -> d1
+pred P d1 = T
+pred P d2 = N
+eq d1 d1 = T
+eq d1 d2 = N
+eq d2 d1 = T
+eq d2 d2 = T
+assignment: x=d2
+"""
+
+PARTIAL = """\
+domain u d1
+bottom u
+const c = u
+pred P d1 = T
+pred P u = N
+eq d1 d1 = T
+eq d1 u = N
+eq u d1 = N
+eq u u = N
+assignment: y=u
+"""
+
+FO_PINS = {
+    "total": (("entails", "--max-domain", "2", "c = d -> F, P(f(x))",
+               "P(x)"), 1, FREE_VARIABLE, "entails=false\n"),
+    "partial": (("countermodel", "--partial", "--max-domain", "3",
+                 "exists x. (x = c -> F)", "P(y) | P(c)"),
+                0, PARTIAL, "countermodel=true\n"),
+    "valid": (("entails", "forall x. P(x)", "P(f(c))"), 0,
+              "entails: yes (no countermodel up to domain 3)\n",
+              "entails=true\n"),
+}
+
+
+@pytest.fixture
+def fo_sig(tmp_path):
+    path = tmp_path / "fo.sig"
+    path.write_text(FO_SIG_TEXT)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", list(FO_PINS))
+def test_first_order_output_is_pinned(name, fo_sig):
+    (verb, *args), code, human, lines = FO_PINS[name]
+    out = bd4(verb, "--sig", fo_sig, *args)
+    assert (out.returncode, out.stdout, out.stderr) == (code, human, "")
+    out = bd4("--format", "lines", verb, "--sig", fo_sig, *args)
+    assert (out.returncode, out.stdout, out.stderr) == (code, lines, "")
+
+
+@pytest.mark.parametrize("args", [("--max-domain", "0"),
+                                  ("--max-domain", "-3"),
+                                  ("--partial", "--max-domain", "1")])
+def test_a_domain_bound_that_admits_no_structure_is_an_error(args, fo_sig):
+    out = bd4("entails", "--sig", fo_sig, *args, "P(c)", "~P(c)")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: domain bound ")
+    assert out.stderr.count("\n") == 1
+
+
+def test_a_valid_sequent_past_the_scan_bound_is_an_error():
+    atoms = ["a%02d" % i for i in range(14)]
+    out = bd4("entails", " & ".join(atoms), atoms[0])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: no answer after ")
+    assert out.stderr.count("\n") == 1

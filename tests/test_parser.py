@@ -10,7 +10,7 @@ from bd4.semantics import consequence_prop, evaluate_prop
 from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
     Sequent, Signature, Var, free_vars, print_formula, prop_signature,
-    substitute,
+    subformulas, substitute,
 )
 from bd4.values import B
 
@@ -142,3 +142,28 @@ def test_a_formula_at_the_depth_bound_is_safe_everywhere(name):
     for mode in ("base", "cl"):
         res = prove_prop(Sequent.of([a], [a]), SearchBudget(mode=mode))
         assert res.proved and check_derivation(res.proof)[0]
+
+
+def _recursive_subformulas(a):
+    """The preorder walk written recursively, as the reference."""
+    yield a
+    match a:
+        case Not(b) | Forall(_, b) | Exists(_, b):
+            yield from _recursive_subformulas(b)
+        case And(l, r) | Or(l, r) | Imp(l, r):
+            yield from _recursive_subformulas(l)
+            yield from _recursive_subformulas(r)
+        case ExtApp(_, args):
+            for u in args:
+                yield from _recursive_subformulas(u)
+
+
+MIXED = "exists x. Des (P(x) -> ~Both & (q | p)) | Q(x, c)"
+
+
+@pytest.mark.parametrize("text", [AT_BOUND[name][0] for name in AT_BOUND]
+                         + [MIXED])
+def test_subformulas_walks_in_preorder(text):
+    a = parse_formula(text, SIG)
+    assert ([id(x) for x in subformulas(a)]
+            == [id(x) for x in _recursive_subformulas(a)])

@@ -7,16 +7,20 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bd4 import acceptance, semantics
+from bd4.acceptance import _EQ_POOL, _EQ_SIG, _FO_POOL, _FO_SIG
 from bd4.definability import truth_function_of
+from bd4.proofio import print_structure
 from bd4.semantics import (
-    EnumerationCapExceeded, PropSpace, SemanticsError, Structure,
-    consequence_fo, consequence_prop, count_structures, enumerate_structures,
-    equivalent_prop, evaluate, evaluate_prop, normality_probe,
-    synonymous_prop, truth_table, valuations,
+    EnumerationCapExceeded, FOResult, FOSpace, PropSpace, SemanticsError,
+    Structure, consequence_fo, consequence_prop, count_structures,
+    enumerate_structures, equivalent_prop, evaluate, evaluate_prop,
+    normality_probe, synonymous_prop, truth_table, valuations,
 )
 from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, Var, prop_atoms, prop_signature,
+    Sequent, Signature, Var, free_vars, prop_atoms, prop_signature,
+    subformulas,
 )
 from bd4.values import (
     ALL_VALUES, B, CL_VALUES, F, K3_VALUES, LP_VALUES, N, T, VALUES,
@@ -375,3 +379,304 @@ def test_normality_probe_clean():
     report = normality_probe(seed=0, samples=60)
     assert report["failures"] == []
     assert report["checked"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the grounded first-order sweep against per-structure evaluation
+
+RICH_SIG = Signature(
+    functions=(("c", 0), ("d", 0), ("f", 1), ("g", 2)),
+    predicates=(("P", 1), ("Q", 2), ("q", 0)),
+    extras=frozenset(UNARY + ("Both", "Neither")),
+)
+
+
+def reference_fo(gamma, delta, sig, max_domain=3, mode="total", cap=10**7,
+                 allowed=ALL_VALUES, eq_distinct=None):
+    """consequence_fo the slow way: every structure that
+    ``enumerate_structures`` gives over the symbols that occur, under
+    every assignment of the free variables, through ``evaluate``."""
+    funcs, preds, has_eq, fv = set(), set(), False, set()
+    for a in gamma + delta:
+        fv |= free_vars(a)
+        for s in subformulas(a):
+            terms = []
+            if isinstance(s, Prop):
+                preds.add((s.name, 0))
+            elif isinstance(s, Pred):
+                preds.add((s.name, sig.predicate_arity(s.name)))
+                terms = list(s.args)
+            elif isinstance(s, Eq):
+                has_eq = True
+                terms = [s.left, s.right]
+            while terms:
+                t = terms.pop()
+                if isinstance(t, Fun):
+                    funcs.add((t.name, sig.function_arity(t.name)))
+                    terms.extend(t.args)
+    if any(a is None for _, a in funcs | preds):
+        raise SemanticsError("symbol not in signature")
+    small = Signature(functions=tuple(sorted(funcs)),
+                      predicates=tuple(sorted(preds)))
+    fv = tuple(sorted(fv))
+    least = 2 if mode == "partial" else 1
+    if max_domain < least:
+        raise SemanticsError(
+            "domain bound %d admits no structure; the least %sdomain size "
+            "is %d" % (max_domain, "partial " if least == 2 else "", least))
+    sizes = range(least, max_domain + 1)
+    total = sum(count_structures(small, k, mode, allowed, has_eq,
+                                 eq_distinct) for k in sizes)
+    if total > cap:
+        raise EnumerationCapExceeded(
+            "would enumerate %d structures (cap %d)" % (total, cap))
+    for k in sizes:
+        for m in enumerate_structures(small, k, mode, allowed, has_eq,
+                                      eq_distinct):
+            for combo in itertools.product(m.domain, repeat=len(fv)):
+                alpha = dict(zip(fv, combo))
+                if (all(designated(evaluate(a, m, alpha)) for a in gamma)
+                        and not any(designated(evaluate(a, m, alpha))
+                                    for a in delta)):
+                    return FOResult(False, m, alpha)
+    return FOResult(True)
+
+
+def random_term(rng, voc, depth):
+    if depth and rng.random() < 0.3:
+        fs = [f for f in ("f", "g") if f in voc]
+        if fs:
+            name = rng.choice(fs)
+            arity = RICH_SIG.function_arity(name)
+            return Fun(name, tuple(random_term(rng, voc, depth - 1)
+                                   for _ in range(arity)))
+    if rng.random() < 0.5:
+        return Var(rng.choice("xyz"))
+    return Fun(rng.choice([c for c in ("c", "d") if c in voc] or ["c"]))
+
+
+def random_fo(rng, voc, depth):
+    """A formula over the symbols in ``voc``: variables are drawn from x,
+    y, z whatever the quantifiers around them, so some stay free and
+    some quantifiers shadow others."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.choice([k for k in ("P", "Q", "q", "=", "F", "0")
+                           if k in voc or k in "F0"])
+        if kind == "q":
+            return Prop("q")
+        if kind == "=":
+            return Eq(random_term(rng, voc, 1), random_term(rng, voc, 1))
+        if kind == "F":
+            return Falsity()
+        if kind == "0":
+            return ExtApp(rng.choice(("Both", "Neither")))
+        arity = RICH_SIG.predicate_arity(kind)
+        return Pred(kind, tuple(random_term(rng, voc, 1)
+                                for _ in range(arity)))
+    kind = rng.choice(("not", "and", "or", "imp", "all", "ex", "ext"))
+    if kind == "not":
+        return Not(random_fo(rng, voc, depth - 1))
+    if kind == "ext":
+        return ExtApp(rng.choice(UNARY), (random_fo(rng, voc, depth - 1),))
+    if kind in ("all", "ex"):
+        return (Forall if kind == "all" else Exists)(
+            rng.choice("xyz"), random_fo(rng, voc, depth - 1))
+    cls = {"and": And, "or": Or, "imp": Imp}[kind]
+    return cls(random_fo(rng, voc, depth - 1), random_fo(rng, voc, depth - 1))
+
+
+def random_fo_query(rng):
+    voc = {s for s in ("c", "d", "f", "g", "P", "Q", "q", "=")
+           if rng.random() < 0.5} | {rng.choice("PQ")}
+    sides = [[random_fo(rng, voc, rng.randint(0, 3))
+              for _ in range(rng.randint(0, 2))] for _ in range(2)]
+    mode = rng.choice(("total", "total", "partial"))
+    least = 2 if mode == "partial" else 1
+    bound = rng.randint(least, 3) if rng.random() < 0.95 else least - 1
+    kw = {"mode": mode, "max_domain": bound, "cap": 3000,
+          "eq_distinct": rng.choice((None, None, (N, F), frozenset({F})))}
+    if mode == "total":
+        kw["allowed"] = rng.choice(list(MODES.values()))
+    elif rng.random() < 0.05:
+        kw["allowed"] = K3_VALUES    # refused in partial mode
+    return sides[0], sides[1], kw
+
+
+def outcome(fn, *args, **kw):
+    """What a consequence call returns or raises, comparable across
+    implementations: the printed countermodel and its assignment."""
+    try:
+        res = fn(*args, **kw)
+    except SemanticsError as exc:
+        return type(exc), str(exc)
+    if res.holds:
+        return True, None, None
+    return (False, print_structure(res.structure), res.assignment,
+            res.structure)
+
+
+@pytest.mark.parametrize("block", [None, 1, 6])
+def test_consequence_fo_matches_per_structure_evaluation(block, monkeypatch):
+    """Verdict, first countermodel and assignment, or the error; with
+    blocks of the default size, and of one and six columns so that
+    block boundaries fall inside every kind of digit."""
+    if block is not None:
+        monkeypatch.setattr(semantics, "_BLOCK_COLUMNS", block)
+    rng = random.Random(4)
+    seen = set()
+    for _ in range(200):
+        gamma, delta, kw = random_fo_query(rng)
+        want = outcome(reference_fo, gamma, delta, RICH_SIG, **kw)
+        got = outcome(consequence_fo, gamma, delta, RICH_SIG, **kw)
+        assert got == want, (gamma, delta, kw)
+        if want[0] is False:
+            assert list(got[2]) == list(want[2])
+        seen.add(want[0] if isinstance(want[0], bool) else want[0].__name__)
+    assert seen == {True, False, "EnumerationCapExceeded", "SemanticsError"}
+
+
+def test_consequence_fo_errors_match_the_reference():
+    c, x = Fun("c"), Var("x")
+    cases = [
+        ([Pred("R", (c,))], [], {}),                   # unknown predicate
+        ([Pred("P", (Fun("h", (c,)),))], [], {}),      # unknown function
+        ([Pred("Q", (c, c))], [], {"cap": 10}),
+        ([Pred("P", (x,))], [], {"mode": "partial", "allowed": LP_VALUES}),
+    ]
+    for gamma, delta, kw in cases:
+        want = outcome(reference_fo, gamma, delta, RICH_SIG, **kw)
+        assert want[0] in (SemanticsError, EnumerationCapExceeded)
+        assert outcome(consequence_fo, gamma, delta, RICH_SIG, **kw) == want
+
+
+@pytest.mark.parametrize("mode,bound", [("total", 0), ("total", -3),
+                                        ("partial", 1)])
+def test_a_domain_bound_that_admits_no_structure_is_refused(mode, bound):
+    c = Fun("c")
+    with pytest.raises(SemanticsError, match="admits no structure"):
+        consequence_fo([Pred("P", (c,))], [Not(Pred("P", (c,)))],
+                       RICH_SIG, max_domain=bound, mode=mode)
+
+
+def test_the_first_countermodel_is_found_in_bounded_memory():
+    """Ten propositions give 4^10 columns at domain size 1, and the
+    first is a countermodel: one block of 2^16 columns is evaluated,
+    where all of them at once would need megabytes per mask."""
+    sig = Signature(predicates=tuple(("q%d" % i, 0) for i in range(10)))
+    gamma = [Prop("q%d" % i) for i in range(10)]
+    delta = [Not(gamma[0])]
+    assert count_structures(sig, 1, need_eq=False) >= 10**6
+    tracemalloc.start()
+    try:
+        got = consequence_fo(gamma, delta, sig, max_domain=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    first = Structure(("d1",), props={a.name: T for a in gamma})
+    assert (got.holds, got.structure, got.assignment) == (False, first, {})
+    assert all(evaluate(a, first) is T for a in gamma)
+    assert evaluate(delta[0], first) is F
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("kind", ["fo", "eq", "eq-repair", "den",
+                                  "den-repair"])
+def test_fo_space_masks_match_per_column_evaluation(kind):
+    """Every column of the small classes, every 7th of the large ones,
+    decoded and evaluated against ``enumerate_structures``."""
+    args = {"fo": (_FO_SIG, (1, 2), "total", False, None, ("y",)),
+            "eq": (_EQ_SIG, (1, 2), "total", True, None, ()),
+            "eq-repair": (_EQ_SIG, (1, 2), "total", True, (N, F), ()),
+            "den": (_EQ_SIG, (2, 3), "partial", True, None, ()),
+            "den-repair": (_EQ_SIG, (2, 3), "partial", True, (F,), ())}
+    sig, sizes, mode, need_eq, eq_distinct, variables = args[kind]
+    c, d, x, y = Fun("c"), Fun("d"), Var("x"), Var("y")
+    pool = list(_FO_POOL if kind == "fo" else _EQ_POOL) + [
+        Exists("x", And(Eq(x, c), Not(Pred("P", (x,))))),
+        Forall("x", Forall("y", Imp(Eq(x, y), Imp(Pred("P", (x,)),
+                                                  Pred("P", (y,)))))),
+        Or(Eq(c, d), ExtApp("Neither")),
+    ]
+    if kind == "fo":
+        pool += [Pred("P", (y,)), And(Eq(y, c), Prop("q")),
+                 Exists("x", Or(Pred("P", (x,)), Not(Pred("P", (y,)))))]
+    space = acceptance._fo_space(kind)
+    masks = [space.mask(a) for a in pool]
+    stride = 1 if len(space.columns) < 5000 else 7
+    i = 0
+    for k in sizes:
+        for m in enumerate_structures(sig, k, mode, need_eq=need_eq,
+                                      eq_distinct=eq_distinct):
+            for combo in itertools.product(m.domain, repeat=len(variables)):
+                if i % stride == 0:
+                    alpha = dict(zip(variables, combo))
+                    assert space.columns[i] == (m, alpha)
+                    for a, mask in zip(pool, masks):
+                        assert (mask >> i & 1) == designated(
+                            evaluate(a, m, alpha)), (a, i)
+                i += 1
+    assert len(space.columns) == i
+    assert all(mask >> i == 0 for mask in masks)
+
+
+def test_fo_space_countermodel_is_the_first_one():
+    """Over the symbols a sequent uses, FOSpace and consequence_fo sweep
+    the same columns and name the same first countermodel."""
+    c, d, x = Fun("c"), Fun("d"), Var("x")
+    sig = Signature(functions=(("c", 0), ("d", 0)), predicates=(("P", 1),))
+    cases = [([Eq(c, d), Pred("P", (c,))], [Eq(d, c)]),
+             ([Pred("P", (c,)), Eq(d, d)], [Forall("x", Pred("P", (x,)))]),
+             ([Exists("x", Not(Pred("P", (x,))))], [Not(Pred("P", (d,))),
+                                                  Eq(c, d)])]
+    for mode, sizes in (("total", (1, 2)), ("partial", (2, 3))):
+        space = FOSpace(sig, sizes, mode=mode)
+        for gamma, delta in cases:
+            res = consequence_fo(gamma, delta, sig, max_domain=sizes[-1],
+                                 mode=mode)
+            got = space.countermodel(Sequent.of(gamma, delta))
+            assert not res.holds
+            assert got == (res.structure, res.assignment)
+            cm = space.counter_mask(Sequent.of(gamma, delta))
+            assert cm.bit_count() > 1
+            assert space.columns[cm.bit_length() - 1] != got
+
+
+def test_fo_space_refuses_unbound_variables_and_unknown_symbols():
+    space = FOSpace(_EQ_SIG, (1,))
+    for a in (Pred("P", (Var("x"),)), Prop("q"), Pred("R", (Fun("c"),))):
+        with pytest.raises(SemanticsError):
+            space.mask(a)
+
+
+# ---------------------------------------------------------------------------
+# the propositional scan's bound
+
+def test_a_scan_past_its_bound_is_refused():
+    atoms = [Prop("a%02d" % i) for i in range(14)]
+    big = atoms[0]
+    for a in atoms[1:]:
+        big = And(big, a)
+    with pytest.raises(EnumerationCapExceeded, match="no answer after"):
+        consequence_prop([big], [atoms[0]])
+
+
+def test_a_scan_past_its_bound_still_answers_early():
+    """Twenty atoms refuted in the first block: the bound is checked per
+    block, so the countervaluation comes back."""
+    atoms = [Prop("a%02d" % i) for i in range(20)]
+    holds, witness = consequence_prop(atoms, [Not(atoms[0])])
+    assert not holds and witness == {a.name: T for a in atoms}
+
+
+def test_formulas_at_the_parser_depth_bound_are_swept():
+    from bd4.parser import MAX_DEPTH, parse_formula
+    sig = Signature(functions=(("c", 0), ("f", 1)), predicates=(("P", 1),))
+    quantifiers = parse_formula("forall x. " * (MAX_DEPTH - 1) + "P(x)", sig)
+    terms = parse_formula("P(" + "f(" * (MAX_DEPTH - 1) + "c"
+                          + ")" * MAX_DEPTH, sig)
+    pc = Pred("P", (Fun("c"),))
+    assert consequence_fo([quantifiers], [pc], sig, max_domain=1).holds
+    assert consequence_fo([terms], [terms], sig, max_domain=2).holds
+    res = consequence_fo([terms], [pc], sig, max_domain=2)
+    assert not res.holds
+    assert designated(evaluate(terms, res.structure))
