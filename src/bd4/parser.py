@@ -18,9 +18,9 @@ an error elsewhere.
 
 Trees higher than ``MAX_DEPTH`` (left-associative chains count) and
 deeper nesting of brackets and prefix operators are a ParseError, which
-keeps every recursive consumer of formulas (printing, hashing,
-evaluation, substitution, search, the kernel) inside Python's default
-recursion limit.
+keeps every recursive consumer of formulas (printing, evaluation,
+substitution, search, the kernel) inside Python's default recursion
+limit.
 """
 
 from __future__ import annotations

@@ -186,7 +186,8 @@ def _compile(formulas, sig: Signature | None = None) -> tuple:
     code of the body).  Returns the code, the functions and predicates
     that occur as (name, arity) pairs (a proposition has arity 0),
     whether equality occurs, and the free variables, sorted.  Without a
-    signature the formulas must be propositional.
+    signature the formulas must be propositional; with one, every symbol
+    must be declared in it with its arity.
     """
     code, funcs, preds, free = [], set(), set(), set()
     has_eq = False
@@ -202,7 +203,8 @@ def _compile(formulas, sig: Signature | None = None) -> tuple:
                     del code[start:]
                 code.append(x)
             elif cls is Prop:
-                preds.add((x.name, 0))
+                preds.add((x.name, 0) if sig is None else _arity(
+                    x.name, sig.predicate_arity(x.name), ()))
                 code.append(x.name)
             elif cls is Not:
                 stack += ((Not, None), (x.body, bound))
@@ -294,8 +296,9 @@ def _run(code, env: dict, full: int) -> list:
     return stack
 
 
-# A scan that has passed this many valuations without an answer gives
-# up: past it each further atom multiplies the time by four.
+# A scan that has passed this many valuations, or first-order columns,
+# without an answer gives up: past it each further atom multiplies the
+# time by four, and each further free variable by the domain size.
 _SCAN_CAP = 4 ** 13
 
 
@@ -410,7 +413,7 @@ class PropSpace:
 
     def vector(self, a) -> tuple:
         """The formula's (t, f) pair; equal pairs mean equal tables."""
-        out = self._pairs.get(a)  # one lookup: formula hashes are deep
+        out = self._pairs.get(a)
         if out is None:
             code, _ = _compile_prop([a], self.atoms)
             out = self._pairs[a] = _run(code, self._env, self._grid.full)[0]
@@ -920,7 +923,9 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     designates all of gamma and nothing in delta, and it is the only
     Structure built.  Raises SemanticsError when the bound admits no
     structure, and EnumerationCapExceeded, before any sweep, when the
-    structures up to the bound number more than ``cap``.
+    structures up to the bound number more than ``cap``, and during the
+    sweep once the blocks scanned without a countermodel hold more than
+    ``_SCAN_CAP`` (structure, assignment) columns.
     """
     gamma, delta = list(gamma), list(delta)
     code, funcs, preds, has_eq, fv = _compile(gamma + delta, sig)
@@ -943,6 +948,7 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
             "would enumerate %d structures (cap %d)" % (total, cap)
         )
 
+    scanned = 0
     for size in sizes:
         sweep = _Sweep(small, size, mode, allowed, has_eq, eq_distinct, fv,
                        _BLOCK_COLUMNS)
@@ -955,6 +961,11 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
             if bits:
                 return FOResult(False, *sweep.decode(
                     outer, (bits & -bits).bit_length() - 1))
+            scanned += sweep.full.bit_length()
+            if scanned > _SCAN_CAP:
+                raise EnumerationCapExceeded(
+                    "no answer after %d columns of %d free variables (cap %d)"
+                    % (scanned, len(fv), _SCAN_CAP))
     return FOResult(True)
 
 
@@ -985,10 +996,7 @@ class FOSpace:
         """Bit i set iff column i designates the formula."""
         out = self._masks.get(a)
         if out is None:
-            code, _, preds, _, fv = _compile([a], self.sig)
-            if missing := preds - set(self.sig.predicates):
-                raise SemanticsError("no interpretation for proposition %s"
-                                     % min(missing)[0])
+            code, _, _, _, fv = _compile([a], self.sig)
             if unbound := set(fv) - set(self.variables):
                 raise SemanticsError("unbound variable %s" % min(unbound))
             out = shift = 0

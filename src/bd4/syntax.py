@@ -1,17 +1,29 @@
 """Terms, formulas, signatures, free variables, substitution, printing.
 
-Formulas are immutable trees.  The concrete syntax written by
-``print_term``/``print_formula`` is the canonical one: it contains no
-sugar (t1 != t2 and T are accepted by the parser but printed as
-~(t1 = t2) and ~F), and parsing the printed form gives back the same
-tree.  The canonical total order on formulas is the lexicographic order
-of the printed form, which is what sequent sides are sorted by.
+Terms and formulas are immutable, hash-consed trees (Conchon and
+Filliatre 2006, "Type-safe modular hash-consing"): building a node looks
+up its class and field values, defaults filled in, in one module table,
+so two equal trees are always the same object, however they were built.
+Equality and hashing are therefore object identity, O(1) and never a
+walk of the tree.  The table holds weak references, so a node lives
+only as long as something else refers to it.  Copying or pickling a
+node builds it again through the table and so gives back the same
+object.
+
+The concrete syntax written by ``print_term``/``print_formula`` is the
+canonical one: it contains no sugar (t1 != t2 and T are accepted by the
+parser but printed as ~(t1 = t2) and ~F), and parsing the printed form
+gives back the same tree.  A node computes its printed form once and
+keeps it.  The canonical total order on formulas is the lexicographic
+order of the printed form, which is what sequent sides are sorted by.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import MISSING, dataclass, fields
 
 from .values import EXTRA_CONNECTIVES
 
@@ -83,10 +95,75 @@ def prop_signature(*names: str, extras=()) -> Signature:
 
 
 # ---------------------------------------------------------------------------
+# hash-consing
+
+# (class, *field values) -> weak reference to the one node with them
+_NODES: dict = {}
+
+
+class _Entry(weakref.ref):
+    """A table entry: a weak reference that knows its key (as
+    ``weakref.KeyedRef``, without its constructor written in Python)."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Entry) -> None:
+    """Drop a dead node's entry, unless a new node has taken its key."""
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+def _node(cls):
+    """Make ``cls`` a frozen dataclass whose instances are hash-consed:
+    identity equality and hashing, one node per distinct field values,
+    the printed form computed once."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    init, text = cls.__init__, cls.__str__
+    names = tuple(f.name for f in fields(cls))
+    defaults = tuple(f.default for f in fields(cls)
+                     if f.default is not MISSING)
+    signature = inspect.signature(init)
+
+    def __new__(c, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            if not kwargs and len(names) - len(defaults) <= len(args):
+                args += defaults[len(args) - len(names):]
+            else:
+                bound = signature.bind(None, *args, **kwargs)
+                bound.apply_defaults()
+                args = tuple(bound.arguments.values())[1:]
+        key = (c, *args)
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(c)
+        init(node, *args)  # ExtApp checks itself here
+        ref = _NODES[key] = _Entry(node, _forget)
+        ref.key = key
+        return node
+
+    def __str__(self) -> str:
+        if self._text is None:
+            object.__setattr__(self, "_text", text(self))
+        return self._text
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, n) for n in names)
+
+    del cls.__init__  # object's, a no-op: __new__ built the node
+    cls.__new__, cls.__str__, cls.__reduce__ = __new__, __str__, __reduce__
+    cls._text = None  # the printed form, once computed
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # terms
 
 
-@dataclass(frozen=True)
+@_node
 class Var:
     name: str
 
@@ -94,7 +171,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class Fun:
     """Function application; constants are Fun(name, ())."""
 
@@ -114,13 +191,13 @@ Term = Var | Fun
 # formulas
 
 
-@dataclass(frozen=True)
+@_node
 class Falsity:
     def __str__(self) -> str:
         return "F"
 
 
-@dataclass(frozen=True)
+@_node
 class Prop:
     name: str
 
@@ -128,7 +205,7 @@ class Prop:
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class Pred:
     name: str
     args: tuple
@@ -137,7 +214,7 @@ class Pred:
         return "%s(%s)" % (self.name, ", ".join(str(a) for a in self.args))
 
 
-@dataclass(frozen=True)
+@_node
 class Eq:
     left: Term
     right: Term
@@ -146,7 +223,7 @@ class Eq:
         return "%s = %s" % (self.left, self.right)
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     body: "Formula"
 
@@ -154,7 +231,7 @@ class Not:
         return "~" + _wrap(self.body, 4)
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: "Formula"
     right: "Formula"
@@ -163,7 +240,7 @@ class And:
         return "%s & %s" % (_wrap(self.left, 3), _wrap(self.right, 4))
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "Formula"
     right: "Formula"
@@ -172,7 +249,7 @@ class Or:
         return "%s | %s" % (_wrap(self.left, 2), _wrap(self.right, 3))
 
 
-@dataclass(frozen=True)
+@_node
 class Imp:
     left: "Formula"
     right: "Formula"
@@ -182,7 +259,7 @@ class Imp:
         return "%s -> %s" % (_wrap(self.left, 2), _wrap(self.right, 1))
 
 
-@dataclass(frozen=True)
+@_node
 class Forall:
     var: str
     body: "Formula"
@@ -191,7 +268,7 @@ class Forall:
         return "forall %s. %s" % (self.var, self.body)
 
 
-@dataclass(frozen=True)
+@_node
 class Exists:
     var: str
     body: "Formula"
@@ -200,7 +277,7 @@ class Exists:
         return "exists %s. %s" % (self.var, self.body)
 
 
-@dataclass(frozen=True)
+@_node
 class ExtApp:
     """Application of an optional extra connective (Des p, Both, ...)."""
 

@@ -191,3 +191,12 @@ def test_a_valid_sequent_past_the_scan_bound_is_an_error():
     assert out.stdout == ""
     assert out.stderr.startswith("error: no answer after ")
     assert out.stderr.count("\n") == 1
+
+
+def test_a_first_order_sweep_past_the_column_bound_is_an_error(fo_sig):
+    atoms = ["P(x%d)" % i for i in range(14)]
+    out = bd4("entails", "--sig", fo_sig, " & ".join(atoms), atoms[0])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: no answer after ")
+    assert out.stderr.count("\n") == 1

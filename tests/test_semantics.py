@@ -402,7 +402,7 @@ def reference_fo(gamma, delta, sig, max_domain=3, mode="total", cap=10**7,
         for s in subformulas(a):
             terms = []
             if isinstance(s, Prop):
-                preds.add((s.name, 0))
+                preds.add((s.name, sig.predicate_arity(s.name)))
             elif isinstance(s, Pred):
                 preds.add((s.name, sig.predicate_arity(s.name)))
                 terms = list(s.args)
@@ -541,6 +541,7 @@ def test_consequence_fo_errors_match_the_reference():
         ([Pred("R", (c,))], [], {}),                   # unknown predicate
         ([Pred("P", (Fun("h", (c,)),))], [], {}),      # unknown function
         ([Pred("Q", (c, c))], [], {"cap": 10}),
+        ([], [Prop("zz")], {}),                         # unknown proposition
         ([Pred("P", (x,))], [], {"mode": "partial", "allowed": LP_VALUES}),
     ]
     for gamma, delta, kw in cases:
@@ -666,6 +667,50 @@ def test_a_scan_past_its_bound_still_answers_early():
     atoms = [Prop("a%02d" % i) for i in range(20)]
     holds, witness = consequence_prop(atoms, [Not(atoms[0])])
     assert not holds and witness == {a.name: T for a in atoms}
+
+
+def _conjunction(formulas):
+    out = formulas[0]
+    for a in formulas[1:]:
+        out = And(out, a)
+    return out
+
+
+def test_a_first_order_sweep_past_the_column_bound_is_refused():
+    """84 structures pass the structure cap, but fourteen free variables
+    make 3.1 * 10^8 columns at domain size 3."""
+    sig = Signature(predicates=(("P", 1),))
+    atoms = [Pred("P", (Var("x%d" % i),)) for i in range(14)]
+    assert sum(count_structures(sig, k, need_eq=False)
+               for k in (1, 2, 3)) == 84
+    with pytest.raises(EnumerationCapExceeded, match="no answer after"):
+        consequence_fo([_conjunction(atoms)], [atoms[0]], sig, max_domain=3)
+
+
+def test_a_first_order_sweep_past_the_column_bound_still_answers_early():
+    """The column bound is checked per block, so a countermodel in the
+    first block comes back, and so does one past the last block the
+    bound lets through."""
+    sig = Signature(predicates=(("P", 1),))
+    atoms = [Pred("P", (Var("x%d" % i),)) for i in range(14)]
+    res = consequence_fo([_conjunction(atoms)], [Not(atoms[0])], sig,
+                         max_domain=3)
+    assert not res.holds and res.assignment == {
+        "x%d" % i: "d1" for i in range(14)}
+    res = consequence_fo([_conjunction(atoms)], [atoms[0]], sig,
+                         max_domain=2)
+    assert res.holds
+
+
+def test_undeclared_propositions_are_refused_given_a_signature():
+    sig = Signature(predicates=(("P", 1),))
+    for a in (Prop("zz"), Prop("P")):
+        with pytest.raises(SemanticsError):
+            consequence_fo([a], [], sig, max_domain=1)
+    with pytest.raises(SemanticsError, match="symbol not in signature"):
+        consequence_fo([Prop("zz")], [], sig, max_domain=1)
+    with pytest.raises(SemanticsError, match="P takes 1 arguments"):
+        consequence_fo([], [Prop("P")], sig, max_domain=1)
 
 
 def test_formulas_at_the_parser_depth_bound_are_swept():

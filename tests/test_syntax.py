@@ -1,7 +1,15 @@
-"""Formula construction, printing, free variables, substitution."""
+"""Formula construction, printing, free variables, substitution, and
+the hash-consed node table."""
+
+import copy
+import gc
+import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bd4 import syntax
+from bd4.parser import MAX_DEPTH, parse_formula
 from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
     Sequent, Signature, SyntaxBuildError, TRUTH, Var, atomic_subformulas,
@@ -121,3 +129,127 @@ def test_extapp_guards():
         ExtApp("NoSuchConn", (p,))
     with pytest.raises(SyntaxBuildError):
         ExtApp("Des", ())
+
+
+# ---------------------------------------------------------------------------
+# hash-consing
+
+SIG = Signature(
+    functions=(("c", 0), ("d", 0), ("f", 1), ("g", 2)),
+    predicates=(("P", 1), ("Q", 2), ("p", 0), ("q", 0)),
+    extras=frozenset({"Des", "Both"}),
+)
+
+
+def test_equal_trees_are_one_object():
+    def build():
+        return Forall("x", Imp(And(P(Var("x")), Not(Prop("q"))),
+                               Eq(Fun("f", (Var("x"),)), Fun("c", ()))))
+    a = build()
+    assert build() is a
+    assert parse_formula("forall x. P(x) & ~q -> f(x) = c", SIG) is a
+    assert Fun("c") is Fun("c", ()) is Fun(name="c") is Fun(args=(), name="c")
+    assert ExtApp("Both") is ExtApp("Both", ())
+    assert Pred("P", args=(c,)) is P(c)
+    assert Falsity() is Falsity() and TRUTH is Not(Falsity())
+    assert Prop("p") is not Prop("q") and Var("p") is not Prop("p")
+
+
+def test_equality_and_hashing_are_identity():
+    for cls in (Var, Fun, Falsity, Prop, Pred, Eq, Not, And, Or, Imp,
+                Forall, Exists, ExtApp):
+        assert cls.__eq__ is object.__eq__
+        assert cls.__hash__ is object.__hash__
+    a = And(p, Not(q))
+    assert hash(a) == hash(And(p, Not(q))) == object.__hash__(a)
+    assert a != And(q, Not(p))
+
+
+def test_the_printed_form_is_computed_once():
+    a = Imp(Or(p, q), Not(And(p, q)))
+    assert str(a) is str(a) is formula_key(a)
+    assert str(a) == "p | q -> ~(p & q)"
+
+
+_TERM = st.recursive(
+    st.sampled_from([x, y, c, Fun("d")]),
+    lambda ts: st.one_of(st.builds(lambda t: Fun("f", (t,)), ts),
+                         st.builds(lambda t, u: Fun("g", (t, u)), ts, ts)),
+    max_leaves=4)
+
+_ATOM = st.one_of(
+    st.sampled_from([p, q, Falsity(), ExtApp("Both")]),
+    st.builds(P, _TERM),
+    st.builds(lambda t, u: Pred("Q", (t, u)), _TERM, _TERM),
+    st.builds(Eq, _TERM, _TERM))
+
+_FORMULA = st.recursive(_ATOM, lambda fs: st.one_of(
+    st.builds(Not, fs), st.builds(lambda a: ExtApp("Des", (a,)), fs),
+    st.builds(And, fs, fs), st.builds(Or, fs, fs), st.builds(Imp, fs, fs),
+    st.builds(Forall, st.sampled_from("xy"), fs),
+    st.builds(Exists, st.sampled_from("xy"), fs)), max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_FORMULA)
+def test_parsing_the_printed_form_gives_back_the_same_object(a):
+    assert parse_formula(print_formula(a), SIG) is a
+
+
+@pytest.mark.parametrize("a", [
+    Forall("x", Imp(P(x), Exists("y", Eq(Fun("f", (x,)), y)))),
+    ExtApp("Des", (Or(p, ExtApp("Both")),)), Fun("g", (c, x)), Falsity(),
+])
+def test_copies_and_pickles_are_the_same_object(a):
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert copy.deepcopy([a, (a,)])[1][0] is a
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, protocol)) is a
+
+
+def test_a_bad_extra_connective_leaves_no_entry():
+    body = Prop("bad_extapp_probe")
+    before = len(syntax._NODES)
+    for conn, args in (("NoSuchConn", (body,)), ("Des", ()),
+                       ("Both", (body,))):
+        with pytest.raises(SyntaxBuildError):
+            ExtApp(conn, args)
+    assert len(syntax._NODES) == before
+    assert (ExtApp, "Des", ()) not in syntax._NODES
+
+
+def test_unreferenced_nodes_leave_the_table():
+    gc.collect()
+    before = len(syntax._NODES)
+    a = Forall("gc_x", And(Pred("gc_P", (Var("gc_x"),)),
+                           Not(Prop("gc_q"))))
+    str(a)
+    assert len(syntax._NODES) == before + 6
+    del a
+    gc.collect()
+    assert len(syntax._NODES) == before
+    # a new node under a dead node's key gets an entry of its own
+    assert Prop("gc_q") is Prop("gc_q")
+
+
+def test_a_long_chain_is_built_and_released_without_recursion():
+    before = len(syntax._NODES)
+    a = b = Prop("chain_probe")
+    for _ in range(20_000):
+        a, b = Not(a), Not(b)
+    assert a is b and hash(a) == hash(b) and a == b
+    del a, b
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+def test_a_formula_at_the_depth_bound_hashes_prints_and_compares():
+    text = "~" * (MAX_DEPTH - 1) + "p"
+    a = parse_formula(text, SIG)
+    b = Prop("p")
+    for _ in range(MAX_DEPTH - 1):
+        b = Not(b)
+    assert a is b and a == b and hash(a) == hash(b)
+    assert print_formula(a) == text and formula_key(b) == text
+    assert len({a, b, parse_formula(text, SIG)}) == 1
