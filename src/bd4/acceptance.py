@@ -674,6 +674,7 @@ def _criterion_11(config: SuiteConfig):
     if config.random_instances < 10_000 or config.max_nodes < 100_000:
         return "skipped", {}, "bound"
     budget = SearchBudget(max_nodes=config.max_nodes)
+    space = PropSpace(("p", "q"))
     details = {}
 
     stats = {"checked": 0, "proved": 0, "refuted": 0}
@@ -682,9 +683,8 @@ def _criterion_11(config: SuiteConfig):
     def probe(gamma, delta):
         stats["checked"] += 1
         s = Sequent.of(gamma, delta)
-        holds, witness = consequence_prop(s.ant, s.suc)
         result = prove_prop(s, budget)
-        if holds:
+        if space.valid(s):
             if not result.proved:
                 failures.append((s, "oracle valid, search %s" % result.status))
                 return
@@ -705,8 +705,8 @@ def _criterion_11(config: SuiteConfig):
             if bad:
                 failures.append((s, "countermodel does not check"))
 
-    for gamma, delta, _ in _prop_universe(PropSpace(("p", "q")), config,
-                                          "completeness", details):
+    for gamma, delta, _ in _prop_universe(space, config, "completeness",
+                                          details):
         probe(gamma, delta)
     details.update(stats)
     details["disagreements"] = len(failures)

@@ -274,6 +274,8 @@ def _cmd_define(args) -> int:
                                                str(ok).lower()))
         return 0 if ok else 1
     if args.action == "clone":
+        if args.arity < 0:
+            raise UsageError("--arity must not be negative")
         clone = clone_closure(BD_BASE, args.arity)
         _emit(args, "clone size at arity %d: %d" % (args.arity, len(clone)),
               "arity=%d size=%d" % (args.arity, len(clone)))
@@ -321,6 +323,8 @@ def _cmd_check(args) -> int:
 def _cmd_prove(args) -> int:
     sig = _get_sig(args, args.sequent)
     s = parse_sequent(args.sequent, sig)
+    if args.depth <= 0 or args.max_nodes <= 0:
+        raise UsageError("--depth and --max-nodes must be positive")
     budget = SearchBudget(max_depth=args.depth, max_nodes=args.max_nodes,
                           mode=args.packs)
     result = prove_prop(s, budget)

@@ -292,8 +292,3 @@ def print_derivation(d: Derivation) -> str:
 def load_derivation(path: str, sig: Signature) -> Derivation:
     with open(path, encoding="utf-8") as fh:
         return parse_derivation(fh.read(), sig)
-
-
-def save_derivation(path: str, d: Derivation):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(print_derivation(d))

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, Var,
+    Sequent, Signature, Var, kept,
 )
 from .values import (
     ALL_VALUES, B, CL_VALUES, DESIGNATED, EXTRA_CONNECTIVES, F, K3_VALUES,
@@ -176,7 +176,7 @@ def _arity(name: str, arity, args) -> tuple:
     return name, arity
 
 
-def _compile(formulas, sig: Signature | None = None) -> tuple:
+def _compile(formulas, sig: Signature) -> tuple:
     """Postfix code for the formulas, and the symbols they use, in one walk.
 
     A connective follows its operands, the left one on top of the
@@ -185,9 +185,8 @@ def _compile(formulas, sig: Signature | None = None) -> tuple:
     written, or for a quantifier the tuple (Forall or Exists, variable,
     code of the body).  Returns the code, the functions and predicates
     that occur as (name, arity) pairs (a proposition has arity 0),
-    whether equality occurs, and the free variables, sorted.  Without a
-    signature the formulas must be propositional; with one, every symbol
-    must be declared in it with its arity.
+    whether equality occurs, and the free variables, sorted.  Every
+    symbol must be declared in the signature with its arity.
     """
     code, funcs, preds, free = [], set(), set(), set()
     has_eq = False
@@ -203,8 +202,7 @@ def _compile(formulas, sig: Signature | None = None) -> tuple:
                     del code[start:]
                 code.append(x)
             elif cls is Prop:
-                preds.add((x.name, 0) if sig is None else _arity(
-                    x.name, sig.predicate_arity(x.name), ()))
+                preds.add(_arity(x.name, sig.predicate_arity(x.name), ()))
                 code.append(x.name)
             elif cls is Not:
                 stack += ((Not, None), (x.body, bound))
@@ -217,8 +215,6 @@ def _compile(formulas, sig: Signature | None = None) -> tuple:
                     stack += ((x, None), (x.args[0], bound))
                 else:
                     code.append(x)
-            elif sig is None:
-                raise SemanticsError("not propositional: %s" % (a,))
             elif cls is Pred or cls is Eq:
                 if cls is Pred:
                     preds.add(_arity(x.name, sig.predicate_arity(x.name),
@@ -247,11 +243,43 @@ def _compile(formulas, sig: Signature | None = None) -> tuple:
     return code, funcs, preds, has_eq, tuple(sorted(free))
 
 
+def _prop_code(a) -> tuple:
+    """A propositional formula's code, as ``_compile`` writes it, and the
+    names of its propositions, in one walk."""
+    code, names, stack = [], set(), [a]
+    while stack:
+        x = stack.pop()
+        cls = x.__class__
+        if cls is Prop:
+            names.add(x.name)
+            code.append(x.name)
+        elif cls is tuple:  # a connective whose operands are done
+            code.append(x[0])
+        elif cls is And or cls is Or or cls is Imp:
+            stack += ((cls,), x.left, x.right)
+        elif cls is Not:
+            stack += ((Not,), x.body)
+        elif cls is Falsity:
+            code.append(Falsity)
+        elif cls is ExtApp:
+            if x.args:
+                stack += ((x,), x.args[0])
+            else:
+                code.append(x)
+        else:
+            raise SemanticsError("not propositional: %s" % (a,))
+    return tuple(code), frozenset(names)
+
+
 def _compile_prop(formulas, atoms=None) -> tuple:
     """Code for propositional formulas, and their atoms: sorted, or as
-    given when every one occurring is among them."""
-    code, _, preds, _, _ = _compile(formulas)
-    names = {name for name, _ in preds}
+    given when every one occurring is among them.  A formula's code
+    depends on the formula alone, so it is compiled once and kept."""
+    code, names = [], set()
+    for a in formulas:
+        more, used = kept(a, "_prop_code", _prop_code)
+        code += more
+        names |= used
     if atoms is None:
         return code, tuple(sorted(names))
     if not names <= set(atoms):

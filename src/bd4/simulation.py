@@ -5,11 +5,14 @@ cl keeps {t,f}.  Restricted consequence over such a set coincides with
 base consequence after adding guard premises over the atomic
 subformulas: the lp guard forces an atom's excluded middle to be truly
 designated, the k3 guard forces its contradiction to fail, and cl adds
-both.
+both.  A formula keeps its atomic subformulas and an atom keeps weak
+references to its guards, so a problem's translation mostly reuses
+what earlier ones built.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .semantics import consequence_prop
@@ -29,17 +32,29 @@ def _k3_guard(a):
     return Imp(And(a, Not(a)), Falsity())
 
 
+def _guard(a, build):
+    """``build(a)``, kept on the atom by a weak reference while it lives.
+    A guard has the atom as a part, so a strong one would keep both
+    alive for good (see ``syntax.kept``)."""
+    name = build.__name__
+    g = getattr(a, name, None)
+    g = g and g()
+    if g is None:
+        g = build(a)
+        object.__setattr__(a, name, weakref.ref(g))
+    return g
+
+
 def translation_sets(gamma, delta, mode: str) -> frozenset:
     """Guard premises over every atomic subformula of the problem."""
     if mode not in EXTENSION_MODES:
         raise ValueError("unknown extension mode %r" % (mode,))
-    atoms = atomic_subformulas(tuple(gamma) + tuple(delta))
     out = set()
-    for a in sorted(atoms, key=str):
-        if mode in ("lp", "cl"):
-            out.add(_lp_guard(a))
-        if mode in ("k3", "cl"):
-            out.add(_k3_guard(a))
+    for a in atomic_subformulas(tuple(gamma) + tuple(delta)):
+        if mode != "k3":
+            out.add(_guard(a, _lp_guard))
+        if mode != "lp":
+            out.add(_guard(a, _k3_guard))
     return frozenset(out)
 
 

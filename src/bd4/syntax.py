@@ -13,9 +13,15 @@ object.
 The concrete syntax written by ``print_term``/``print_formula`` is the
 canonical one: it contains no sugar (t1 != t2 and T are accepted by the
 parser but printed as ~(t1 = t2) and ~F), and parsing the printed form
-gives back the same tree.  A node computes its printed form once and
-keeps it.  The canonical total order on formulas is the lexicographic
-order of the printed form, which is what sequent sides are sorted by.
+gives back the same tree.  The canonical total order on formulas is the
+lexicographic order of the printed form, which is what sequent sides are
+sorted by.
+
+Since a node never changes, a value derived from it alone can be
+computed on first use and kept on the node, as the printed form is:
+``kept`` keeps a formula's atomic subformulas here and its compiled
+code in ``semantics``.  A kept value lives and dies with its node, so no
+table keyed by formulas holds a node alive.
 """
 
 from __future__ import annotations
@@ -112,6 +118,25 @@ def _forget(ref: _Entry) -> None:
     """Drop a dead node's entry, unless a new node has taken its key."""
     if _NODES.get(ref.key) is ref:
         del _NODES[ref.key]
+
+
+_ABSENT = object()
+
+
+def kept(node, name: str, compute):
+    """``compute(node)``, computed on the first call and kept on the node
+    as its attribute ``name`` (which no field may use).
+
+    The value may refer to the node and its parts, but to no node that
+    has this one as a part: the table's key of such a node holds this
+    one, so the two would keep each other alive for good.  Attributes
+    are read and set, never the node's ``__dict__``: once that is asked
+    for, CPython 3.11 reads every attribute of the node more slowly."""
+    value = getattr(node, name, _ABSENT)
+    if value is _ABSENT:
+        value = compute(node)
+        object.__setattr__(node, name, value)
+    return value
 
 
 def _node(cls):
@@ -463,15 +488,14 @@ def is_literal(a: Formula) -> bool:
     return isinstance(a, Not) and is_atomic(a.body)
 
 
+def _atoms(a: Formula) -> frozenset:
+    return frozenset(s for s in subformulas(a) if is_atomic(s))
+
+
 def atomic_subformulas(gamma) -> frozenset:
     """AF of a formula collection: every atomic formula occurring as a
     subformula, the falsity constant included."""
-    out = set()
-    for g in gamma:
-        for s in subformulas(g):
-            if is_atomic(s):
-                out.add(s)
-    return frozenset(out)
+    return frozenset().union(*(kept(g, "_atoms", _atoms) for g in gamma))
 
 
 def prop_atoms(a: Formula) -> frozenset:

@@ -1,5 +1,6 @@
-"""The command line run in subprocesses: output that does not depend on
-the hash seed, and exit code 2 with a one-line error on bad input."""
+"""The command line, run in subprocesses and in process through
+``cli.main``: output that does not depend on the hash seed, and exit
+code 2 with a one-line error on bad input."""
 
 import os
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from bd4 import cli
 from bd4.parser import MAX_DEPTH
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -200,3 +202,22 @@ def test_a_first_order_sweep_past_the_column_bound_is_an_error(fo_sig):
     assert out.stdout == ""
     assert out.stderr.startswith("error: no answer after ")
     assert out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("define", "clone", "--arity", "-1"),
+    ("prove", "--depth", "0", "p => p"),
+    ("prove", "--max-nodes", "0", "p => p"),
+    ("prove", "--depth", "-3", "--max-nodes", "-3", "p => p"),
+])
+def test_a_bound_out_of_range_is_a_usage_error(args, capsys):
+    assert cli.main(list(args)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert out.err.count("\n") == 1
+
+
+def test_the_nullary_clone_holds_the_two_constants(capsys):
+    assert cli.main(["define", "clone", "--arity", "0"]) == 0
+    assert capsys.readouterr().out == "clone size at arity 0: 2\n  t\n  f\n"

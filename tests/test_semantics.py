@@ -199,6 +199,31 @@ def test_truth_tables_match_per_valuation_evaluation(a, order):
     assert truth_function_of(a, order).table == want
 
 
+@DIFFERENTIAL
+@given(formulas(), SIDES, SIDES, st.permutations(("p", "q", "r")),
+       st.sampled_from(list(MODES.values())))
+def test_kept_code_is_reused_across_atom_sets_orders_and_modes(
+        a, gamma, delta, order, first):
+    # first compiled in a sequent over a larger atom set, in one mode
+    consequence_prop([a, Prop("s")], [Prop("s")], first)
+    for allowed in MODES.values():
+        for g, d in (([a] + gamma, delta), (gamma, [a] + delta)):
+            _, want = reference_consequence(g, d, allowed)
+            assert consequence_prop(g, d, allowed) == (want is None, want)
+    for b in gamma + delta:
+        atoms = tuple(sorted(prop_atoms(a) | prop_atoms(b)))
+        want = next((v for v in valuations(atoms)
+                     if evaluate_prop(a, v) is not evaluate_prop(b, v)), None)
+        assert equivalent_prop(b, a) == (want is None, want)
+    assert truth_table(a, order) == tuple(
+        evaluate_prop(a, v) for v in valuations(order))
+    space = PropSpace(tuple(order))
+    for mode, allowed in MODES.items():
+        s = Sequent.of([a] + gamma, delta)
+        assert space.countermodel(s, mode) == reference_consequence(
+            [a] + gamma, delta, allowed, tuple(order))[1]
+
+
 def test_truth_tables_of_the_extra_connectives():
     for name in UNARY:
         a = ExtApp(name, (p,))

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from bd4 import syntax
 from bd4.parser import MAX_DEPTH, parse_formula
+from bd4.semantics import PropSpace, consequence_prop
+from bd4.simulation import EXTENSION_MODES, translation_sets
 from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
     Sequent, Signature, SyntaxBuildError, TRUTH, Var, atomic_subformulas,
@@ -253,3 +255,98 @@ def test_a_formula_at_the_depth_bound_hashes_prints_and_compares():
     assert a is b and a == b and hash(a) == hash(b)
     assert print_formula(a) == text and formula_key(b) == text
     assert len({a, b, parse_formula(text, SIG)}) == 1
+
+
+# ---------------------------------------------------------------------------
+# values kept on nodes
+
+
+def _kept_values(a, b) -> frozenset:
+    """Give the nodes of a and b every kind of kept value; returns the
+    cl guards."""
+    str(a), str(b)
+    atomic_subformulas([a, b])
+    guards = {mode: translation_sets([a], [b], mode)
+              for mode in EXTENSION_MODES}
+    consequence_prop([a], [b])
+    space = PropSpace(("kept_p", "kept_q"))
+    space.vector(a), space.vector(b)
+    return guards["cl"]
+
+
+def test_nodes_with_kept_values_leave_the_table():
+    # F is alive for good (TRUTH holds it), so its guards are too
+    for mode in EXTENSION_MODES:
+        translation_sets([Falsity()], [], mode)
+    gc.collect()
+    before = len(syntax._NODES)
+    kp, kq = Prop("kept_p"), Prop("kept_q")
+    a = Imp(And(kp, Not(kq)), Or(kq, Falsity()))
+    b = ExtApp("Des", (Or(kp, ExtApp("Both")),))
+    guards = _kept_values(a, b)
+    assert kp in a._atoms and b in b._prop_code[0] and a._text
+    # an atom's guards contain the atom: the values refer back to it
+    guard = kp._lp_guard()
+    assert guard in guards and kp in syntax.subformulas(guard)
+    del a, b, kp, kq, guards, guard
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+def test_kept_values_are_not_copied_or_pickled():
+    a = And(Prop("kept_p"), Not(Imp(Prop("kept_q"), Falsity())))
+    b = Or(Prop("kept_q"), Prop("kept_p"))
+    fresh = [pickle.dumps(a, protocol)
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    _kept_values(a, b)
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert copy.deepcopy([a, (a,)])[1][0] is a
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(a, protocol) == fresh[protocol]
+        assert pickle.loads(pickle.dumps(a, protocol)) is a
+
+
+def _atoms_afresh(a) -> set:
+    """Atomic subformulas by a recursive walk of the tree."""
+    match a:
+        case Falsity() | Prop(_) | Pred(_, _) | Eq(_, _):
+            return {a}
+        case ExtApp(_, ()):
+            return {a}
+        case ExtApp(_, args):
+            return set().union(*map(_atoms_afresh, args))
+        case Not(b) | Forall(_, b) | Exists(_, b):
+            return _atoms_afresh(b)
+        case And(l, r) | Or(l, r) | Imp(l, r):
+            return _atoms_afresh(l) | _atoms_afresh(r)
+    raise TypeError(a)
+
+
+def _guards_afresh(atoms, mode) -> set:
+    out = set()
+    for a in atoms:
+        if mode != "k3":
+            out.add(Not(Imp(Or(a, Not(a)), Falsity())))
+        if mode != "lp":
+            out.add(Imp(And(a, Not(a)), Falsity()))
+    return out
+
+
+_SIDE = st.lists(_FORMULA, max_size=3)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_SIDE, _SIDE, st.permutations(EXTENSION_MODES))
+def test_kept_atoms_and_guards_match_a_fresh_walk(gamma, delta, modes):
+    # fill the caches side by side first, then ask for the whole problem
+    for side in (gamma, delta):
+        atomic_subformulas(side)
+        translation_sets(side, [], modes[0])
+    want = set().union(*map(_atoms_afresh, gamma + delta))
+    assert atomic_subformulas(gamma + delta) == want
+    for g in gamma + delta:
+        assert atomic_subformulas([g]) == _atoms_afresh(g)
+    for mode in modes:
+        assert translation_sets(gamma, delta, mode) == _guards_afresh(
+            want, mode)
