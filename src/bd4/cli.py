@@ -284,6 +284,8 @@ def _cmd_define(args) -> int:
                   "fn=%d table=%s" % (i, _table_str(g)))
         return 0
     # synth
+    if args.depth < 0:
+        raise UsageError("--depth must not be negative")
     target = extra_function(args.name)
     d = find_definition(target, depth=args.depth)
     if d is None:

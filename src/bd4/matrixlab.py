@@ -436,8 +436,8 @@ def consequence_in(m: Matrix4, gamma, delta):
     gamma, delta = list(gamma), list(delta)
     n = len(gamma)
 
-    def counter(code, env, grid):
-        ts = [v[T] | v[B] for v in _values_in(m, code, env, grid.full)]
+    def counter(code, env, full):
+        ts = [v[T] | v[B] for v in _values_in(m, code, env, full)]
         return counter_bits(ts[:n], ts[n:])
 
     witness = scan_valuations(gamma + delta, counter)

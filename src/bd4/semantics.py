@@ -1,22 +1,22 @@
 """Evaluation and brute-force consequence for the four-valued logic.
 
-Both consequence relations run on one bit-pair engine.  A formula
-becomes a (told-true, told-false) pair of ints over many valuations or
-structures at once, the connectives become bitwise operations, and the
-lowest set bit of a mask marks the first valuation or structure in
-enumeration order.
+Both consequence relations run on one engine, a sweep of columns.  A
+formula becomes a (told-true, told-false) pair of ints over many
+columns at once, the connectives become bitwise operations, and the
+lowest set bit of a mask marks the first column in enumeration order.
 
-Propositionally the bits are the valuations of the atoms, in
-``valuations`` order: ``consequence_prop``, ``equivalent_prop``,
-``truth_table`` and ``PropSpace`` run on it.  First-order, the bits are
-the (structure, assignment) columns of one domain size, in
-``enumerate_structures`` order with the assignments innermost: ground
-atoms, equality cells and constants are digits of the column index, a
-term becomes one selector mask per element, and a quantifier is
-grounded into the And (forall) or Or (exists) of its instances, since
-the quantifiers are the infimum and supremum of the truth order.
-``consequence_fo`` scans those columns in blocks and ``FOSpace`` keeps
-a formula's mask over a whole class.
+The columns of one domain size are its (structure, assignment) pairs,
+in ``enumerate_structures`` order with the assignments innermost:
+ground atoms, equality cells and constants are digits of the column
+index, a term becomes one selector mask per element, and a quantifier
+is grounded into the And (forall) or Or (exists) of its instances,
+since the quantifiers are the infimum and supremum of the truth order.
+A propositional formula is a first-order one over nullary predicates,
+so its valuations are the columns of domain size 1, one digit per
+atom, in ``valuations`` order.  One block-by-block scan serves
+``consequence_prop``, ``equivalent_prop``, ``matrixlab.consequence_in``
+and ``consequence_fo``; ``truth_table``, ``PropSpace`` and ``FOSpace``
+keep a formula's pair over a whole sweep.
 
 ``evaluate_prop`` (one valuation) and ``evaluate`` over
 ``enumerate_structures`` (one structure) are kept as the references the
@@ -103,15 +103,12 @@ def valuations(atoms, allowed=ALL_VALUES):
 # ---------------------------------------------------------------------------
 # the bit-pair engine
 
-# Over a block of valuations a formula's values are a pair of ints
-# (t, f): bit i of t (of f) is set when the i-th valuation makes the
-# formula told-true (told-false), after Belnap 1977 and Dunn 1976.  So t,
-# b, n, f are (1, 0), (1, 1), (0, 0), (0, 1), and t is the designation
-# mask.  Bits follow ``valuations`` order, so the lowest set bit of a
-# mask is the first valuation it marks.  A block holds the 4^6
-# valuations of the last six atoms, the atoms before them fixed, which
-# bounds memory and keeps the early exit of a scan.
-_BLOCK_ATOMS = 6
+# Over a block of columns a formula's values are a pair of ints (t, f):
+# bit i of t (of f) is set when the i-th column makes the formula
+# told-true (told-false), after Belnap 1977 and Dunn 1976.  So t, b, n,
+# f are (1, 0), (1, 1), (0, 0), (0, 1), and t is the designation mask.
+# Bits follow column order, so the lowest set bit of a mask is the first
+# column it marks.
 _BY_BITS = (N, F, T, B)  # the value with bits (t, f), at index 2t + f
 
 
@@ -122,50 +119,6 @@ def onehot(t: int, f: int, full: int) -> tuple:
 
 def _pair(v: TruthValue, full: int) -> tuple:
     return (full if v in DESIGNATED else 0, full if v in (B, F) else 0)
-
-
-def _digit_masks(radix: int, step: int, full: int) -> list:
-    """Per value of a digit that holds each of its ``radix`` values for
-    ``step`` positions in turn, the positions where it holds that value;
-    ``full`` spans a whole number of the digit's periods."""
-    ones = (1 << step) - 1
-    repeat = full // ((1 << radix * step) - 1)
-    return [(ones << v * step) * repeat for v in range(radix)]
-
-
-class _Grid:
-    """The 4^k valuations of k atoms as bit positions."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.full = (1 << 4 ** k) - 1
-        self.pairs = []
-        for j in range(k):
-            hot = _digit_masks(4, 4 ** (k - 1 - j), self.full)
-            self.pairs.append((hot[0] | hot[1], hot[1] | hot[3]))
-        self._modes = {}
-
-    def mode(self, allowed: frozenset) -> int:
-        """The positions whose valuation uses only allowed values."""
-        if allowed not in self._modes:
-            out = self.full
-            for t, f in self.pairs:
-                out &= sum(onehot(t, f, self.full)[v] for v in allowed)
-            self._modes[allowed] = out
-        return self._modes[allowed]
-
-    def valuation_at(self, i: int) -> tuple:
-        return tuple(VALUES[i >> 2 * (self.k - 1 - j) & 3]
-                     for j in range(self.k))
-
-    def values(self, t: int, f: int) -> tuple:
-        return tuple(_BY_BITS[(t >> i & 1) << 1 | f >> i & 1]
-                     for i in range(self.full.bit_length()))
-
-
-@functools.lru_cache(maxsize=None)
-def _grid(k: int) -> _Grid:
-    return _Grid(k)
 
 
 def _arity(name: str, arity, args) -> tuple:
@@ -186,36 +139,39 @@ def _compile(formulas, sig: Signature) -> tuple:
     code of the body).  Returns the code, the functions and predicates
     that occur as (name, arity) pairs (a proposition has arity 0),
     whether equality occurs, and the free variables, sorted.  Every
-    symbol must be declared in the signature with its arity.
+    symbol must be declared in the signature with its arity; with no
+    signature the formulas must be propositional, and the predicates
+    returned are the names of their atoms.
     """
     code, funcs, preds, free = [], set(), set(), set()
     has_eq = False
     for a in formulas:
-        stack = [(a, frozenset())]
+        stack, bound = [a], frozenset()
         while stack:
-            x, bound = stack.pop()
+            x = stack.pop()
             cls = x.__class__
-            if bound is None:  # an operator whose operands are done
-                if cls is tuple:
-                    q, var, start = x
-                    x = (q, var, code[start:])
-                    del code[start:]
-                code.append(x)
-            elif cls is Prop:
-                preds.add(_arity(x.name, sig.predicate_arity(x.name), ()))
+            if cls is Prop:
+                preds.add(_arity(x.name, sig.predicate_arity(x.name), ())
+                          if sig else x.name)
                 code.append(x.name)
-            elif cls is Not:
-                stack += ((Not, None), (x.body, bound))
+            elif cls is tuple:  # an operator whose operands are done
+                if len(x) == 1:
+                    code.append(x[0])
+                else:  # a quantifier: its body's code ends its scope
+                    q, var, start, bound = x
+                    code[start:] = [(q, var, code[start:])]
             elif cls is And or cls is Or or cls is Imp:
-                stack += ((cls, None), (x.left, bound), (x.right, bound))
+                stack += ((cls,), x.left, x.right)
+            elif cls is Not:
+                stack += ((Not,), x.body)
             elif cls is Falsity:
                 code.append(Falsity)
             elif cls is ExtApp:
                 if x.args:
-                    stack += ((x, None), (x.args[0], bound))
+                    stack += ((x,), x.args[0])
                 else:
                     code.append(x)
-            elif cls is Pred or cls is Eq:
+            elif (cls is Pred or cls is Eq) and sig:
                 if cls is Pred:
                     preds.add(_arity(x.name, sig.predicate_arity(x.name),
                                      x.args))
@@ -235,39 +191,18 @@ def _compile(formulas, sig: Signature) -> tuple:
                     else:
                         raise SemanticsError("not a term: %r" % (t,))
                 code.append(x)
-            elif cls is Forall or cls is Exists:
-                stack += (((cls, x.var, len(code)), None),
-                          (x.body, bound | {x.var}))
+            elif (cls is Forall or cls is Exists) and sig:
+                stack += ((cls, x.var, len(code), bound), x.body)
+                bound = bound | {x.var}
             else:
-                raise SemanticsError("not a formula: %r" % (x,))
+                raise SemanticsError("not a %sformula: %r"
+                                     % ("" if sig else "propositional ", x))
     return code, funcs, preds, has_eq, tuple(sorted(free))
 
 
 def _prop_code(a) -> tuple:
-    """A propositional formula's code, as ``_compile`` writes it, and the
-    names of its propositions, in one walk."""
-    code, names, stack = [], set(), [a]
-    while stack:
-        x = stack.pop()
-        cls = x.__class__
-        if cls is Prop:
-            names.add(x.name)
-            code.append(x.name)
-        elif cls is tuple:  # a connective whose operands are done
-            code.append(x[0])
-        elif cls is And or cls is Or or cls is Imp:
-            stack += ((cls,), x.left, x.right)
-        elif cls is Not:
-            stack += ((Not,), x.body)
-        elif cls is Falsity:
-            code.append(Falsity)
-        elif cls is ExtApp:
-            if x.args:
-                stack += ((x,), x.args[0])
-            else:
-                code.append(x)
-        else:
-            raise SemanticsError("not propositional: %s" % (a,))
+    """A propositional formula's code and the names of its atoms."""
+    code, _, names, _, _ = _compile([a], None)
     return tuple(code), frozenset(names)
 
 
@@ -324,40 +259,287 @@ def _run(code, env: dict, full: int) -> list:
     return stack
 
 
-# A scan that has passed this many valuations, or first-order columns,
-# without an answer gives up: past it each further atom multiplies the
-# time by four, and each further free variable by the domain size.
+# ---------------------------------------------------------------------------
+# the sweep
+
+# The columns of one domain size are its (structure, assignment) pairs
+# in ``enumerate_structures`` order, with the assignments of the free
+# variables innermost.  Column i is the number i in a mixed radix whose
+# digits are, most significant first: the constants, the function cells
+# key by key, the propositions, the predicate cells, the equality cells
+# (the diagonal over the designated values, then the distinct pairs)
+# and the free variables.  A digit's value masks are periodic.  A term
+# is one selector mask per element, an atom is the OR over element
+# tuples of the selectors' AND with the cell's (t, f) pair (in partial
+# mode an equality cell at the bottom is n, the pair (0, 0)), and a
+# quantifier is grounded: its body is copied once per element, the
+# copies joined by And for forall (the infimum) and by Or for exists
+# (the supremum).  This is MACE-style grounding (McCune's Mace4;
+# Claessen and Sorensson 2003).  The valuations of k atoms are the
+# columns of domain size 1 over k propositions.  A scan takes blocks of
+# at most _BLOCK_COLUMNS columns, the outer digits fixed per block, in
+# column order, which bounds memory and keeps the early exit.
+_BLOCK_COLUMNS = 1 << 16
+
+# A scan that has passed this many columns without an answer gives up:
+# past it each further atom multiplies the time by up to four, and each
+# further free variable by the domain size.
 _SCAN_CAP = 4 ** 13
 
 
-def scan_valuations(formulas, marked, allowed=ALL_VALUES):
-    """The first valuation into ``allowed``, in ``valuations`` order,
-    that ``marked`` picks, or None.
+def _ground(code, domain, binding: dict) -> list:
+    """The code with every quantifier expanded over the domain: the body
+    once per element, its variable bound to the element's name, the
+    copies joined by And for forall and by Or for exists."""
+    out = []
+    for op in code:
+        cls = op.__class__
+        if cls is tuple:
+            q, var, body = op
+            for i, d in enumerate(domain):
+                out += _ground(body, domain, {**binding, var: d})
+                if i:
+                    out.append(And if q is Forall else Or)
+        elif binding and cls is Pred:
+            out.append(Pred(op.name, tuple(_ground_term(t, binding)
+                                           for t in op.args)))
+        elif binding and cls is Eq:
+            out.append(Eq(_ground_term(op.left, binding),
+                          _ground_term(op.right, binding)))
+        else:
+            out.append(op)
+    return out
 
-    The formulas are compiled once.  Per block, ``marked(code, env,
-    grid)`` gets them with the pair of each atom over the block and
-    returns the mask of picks; the atoms before the last six are fixed
-    per block, their values taken in ``valuations`` order.  Raises
-    EnumerationCapExceeded once the blocks scanned without a pick hold
-    more than ``_SCAN_CAP`` valuations.
-    """
-    code, atoms = _compile_prop(formulas)
-    low = min(len(atoms), _BLOCK_ATOMS)
-    grid = _grid(low)
-    env = dict(zip(atoms[len(atoms) - low:], grid.pairs))
+
+def _ground_term(t, binding: dict):
+    if t.__class__ is Var:
+        return binding.get(t.name, t)
+    if t.args:
+        return Fun(t.name, tuple(_ground_term(u, binding) for u in t.args))
+    return t
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(sig: Signature, size: int, mode, allowed, need_eq, eq_distinct,
+            variables) -> tuple:
+    """The domain and bottom of a sweep, its digits' roles, value tuples
+    and positions, and its column count, which is 0 for a size with no
+    structure."""
+    if mode == "partial":
+        if allowed != ALL_VALUES:
+            raise SemanticsError(
+                "partial mode does not combine with restrictions")
+        domain = ("u",) + tuple("d%d" % i for i in range(1, size))
+        bottom = "u"
+    else:
+        domain, bottom = tuple("d%d" % i for i in range(1, size + 1)), None
+    real = [d for d in domain if d != bottom]
     vals = tuple(v for v in VALUES if v in allowed)
+    digits = []  # (role, values) pairs
+    for kind, symbols, values in (("fun", sig.functions, domain),
+                                  ("pred", sig.predicates, vals)):
+        # the constants and propositions first, as in the enumeration
+        for name, a in sorted(symbols, key=lambda s: s[1] > 0):
+            digits += [((kind, name, key), values)
+                       for key in itertools.product(domain, repeat=a)]
+    if need_eq:
+        des = tuple(v for v in (T, B) if v in allowed)
+        dist = vals if eq_distinct is None else tuple(eq_distinct)
+        digits += [(("eq", d, d), des) for d in real]
+        digits += [(("eq", d1, d2), dist) for d1, d2 in
+                   itertools.product(real, repeat=2) if d1 != d2]
+    digits += [(("var", x), domain) for x in variables]
+    roles = tuple(role for role, _ in digits)
+    values = tuple(v for _, v in digits)
+    # a structure needs an element besides the bottom
+    columns = math.prod(map(len, values)) if real else 0
+    return (domain, bottom, roles, values,
+            {role: j for j, role in enumerate(roles)}, columns)
+
+
+class _Sweep:
+    """The (structure, assignment) columns of one domain size as digits.
+
+    The arguments are ``enumerate_structures``' and the variables to
+    assign; a size with no structure has no columns.  A block is at
+    most ``block`` consecutive columns, the whole size with None.
+    ``fill`` gives the pairs of ground atoms over a block in an env for
+    ``_run``; ``digits`` reads the digit values of one column and
+    ``decode`` builds its structure and assignment.
+    """
+
+    def __init__(self, sig: Signature, size: int, mode, allowed, need_eq,
+                 eq_distinct, variables, block=None):
+        (self.domain, self.bottom, self.roles, self.values, self.where,
+         self.columns) = _layout(
+            sig, size, mode, frozenset(allowed), need_eq,
+            None if eq_distinct is None else tuple(eq_distinct),
+            tuple(variables))
+        self.need_eq = need_eq
+        radices = [len(v) for v in self.values]
+        self._steps = [1] * len(radices)  # columns per step of a digit
+        split, inner = len(radices), 1
+        while split and (block is None or inner * radices[split - 1] <= block):
+            split -= 1
+            self._steps[split] = inner
+            inner *= radices[split]
+        self.outer = radices[:split]
+        self.full = (1 << inner) - 1
+        self._hot, self._pairs = {}, {}  # per inner digit, once built
+
+    def blocks(self):
+        """The outer digits' values of each block, in column order."""
+        if not self.columns:
+            return ()
+        return itertools.product(*map(range, self.outer))
+
+    def _masks(self, j: int, outer) -> list:
+        """Per value of digit j, the block positions holding it."""
+        if j < len(outer):
+            v = outer[j]
+            return [self.full if w == v else 0
+                    for w in range(len(self.values[j]))]
+        out = self._hot.get(j)
+        if out is None:
+            # the digit holds each value for ``step`` columns in turn,
+            # and the block spans a whole number of its periods
+            radix, step = len(self.values[j]), self._steps[j]
+            repeat = self.full // ((1 << radix * step) - 1)
+            out = self._hot[j] = [(((1 << step) - 1) << v * step) * repeat
+                                  for v in range(radix)]
+        return out
+
+    def pair(self, j: int, outer) -> tuple:
+        """The (t, f) pair over the block of digit j, whose values are
+        truth values."""
+        if j < len(outer):
+            return _pair(self.values[j][outer[j]], self.full)
+        out = self._pairs.get(j)
+        if out is None:
+            hot = tuple(zip(self._masks(j, outer), self.values[j]))
+            out = self._pairs[j] = (
+                sum(m for m, v in hot if v is T or v is B),
+                sum(m for m, v in hot if v is B or v is F))
+        return out
+
+    def pairs(self, outer) -> list:
+        """Every digit's pair over the block, when every digit is a
+        proposition's."""
+        return [self.pair(j, outer) for j in range(len(self.values))]
+
+    def fill(self, code, outer, env=None) -> dict:
+        """``env``, or a new env, given the (t, f) pair over the block
+        given by the outer digits' values of each atom of ``code`` it
+        lacks."""
+        env = {} if env is None else env
+        full, domain, where = self.full, self.domain, self.where
+        selectors = {}
+
+        def cell(role) -> tuple:
+            return self.pair(where[role], outer)
+
+        def eq_cell(key) -> tuple:
+            if self.bottom in key:
+                return (0, 0)
+            if self.need_eq:
+                return cell(("eq",) + key)
+            return (full, 0) if key[0] == key[1] else (0, full)
+
+        def apply(terms, table, width: int) -> list:
+            """The OR over element tuples of the AND of the terms'
+            selectors with the tuple's ``width`` masks in ``table``."""
+            out = [0] * width
+            hot = [[(domain[i], m) for i, m in enumerate(selector(t)) if m]
+                   for t in terms]
+            for combo in itertools.product(*hot):
+                both = full
+                for _, m in combo:
+                    both &= m
+                if both:
+                    key = tuple(e for e, _ in combo)
+                    for k, m in enumerate(table(key)):
+                        out[k] |= both & m
+            return out
+
+        def selector(t) -> list:
+            """Per element, the positions where the term denotes it."""
+            out = selectors.get(t)
+            if out is None:
+                if t.__class__ is str:
+                    out = [full if d == t else 0 for d in domain]
+                elif t.__class__ is Var:
+                    out = self._masks(where[("var", t.name)], outer)
+                else:
+                    out = apply(t.args, lambda key: self._masks(
+                        where[("fun", t.name, key)], outer), len(domain))
+                selectors[t] = out
+            return out
+
+        for op in code:
+            cls = op.__class__
+            if (cls is str or cls is Pred or cls is Eq) and op not in env:
+                if cls is str:
+                    env[op] = cell(("pred", op, ()))
+                elif cls is Pred:
+                    env[op] = tuple(apply(op.args, lambda key: cell(
+                        ("pred", op.name, key)), 2))
+                else:
+                    env[op] = tuple(apply((op.left, op.right), eq_cell, 2))
+        return env
+
+    def digits(self, outer, i: int) -> list:
+        """The digit values of column i of the block given by the outer
+        digits' values, most significant first."""
+        inner = []
+        for values in reversed(self.values[len(outer):]):
+            i, v = divmod(i, len(values))
+            inner.append(values[v])
+        fixed = [values[v] for values, v in zip(self.values, outer)]
+        return fixed + inner[::-1]
+
+    def decode(self, digits) -> tuple:
+        """The (structure, assignment) of the column with these digit
+        values."""
+        consts, funcs, props, preds, eq, alpha = {}, {}, {}, {}, {}, {}
+        for role, x in zip(self.roles, digits):
+            kind = role[0]
+            if kind == "eq":
+                eq[role[1:]] = x
+            elif kind == "var":
+                alpha[role[1]] = x
+            elif role[2]:
+                table = funcs if kind == "fun" else preds
+                table.setdefault(role[1], {})[role[2]] = x
+            else:
+                (consts if kind == "fun" else props)[role[1]] = x
+        return (Structure(self.domain, consts, funcs, props, preds, eq,
+                          self.bottom), alpha)
+
+
+def _first(scans, marked, env):
+    """The first column that ``marked`` picks, as its sweep and digit
+    values, or None.
+
+    ``scans`` gives (sweep, code) pairs, taken in turn.  Each sweep is
+    scanned block by block in column order: ``env(sweep, code, outer)``
+    gives the pairs of the atoms of ``code`` over the block named by its
+    outer digits' values, and ``marked(code, env, full)`` the mask of
+    picks.  Raises EnumerationCapExceeded once the blocks scanned
+    without a pick hold more than ``_SCAN_CAP`` columns.
+    """
     scanned = 0
-    for fixed in itertools.product(vals, repeat=len(atoms) - low):
-        env.update(zip(atoms, (_pair(v, grid.full) for v in fixed)))
-        bits = marked(code, env, grid) & grid.mode(allowed)
-        if bits:
-            rest = grid.valuation_at((bits & -bits).bit_length() - 1)
-            return dict(zip(atoms, fixed + rest))
-        scanned += grid.full.bit_length()
-        if scanned > _SCAN_CAP:
-            raise EnumerationCapExceeded(
-                "no answer after %d valuations of %d atoms (cap %d)"
-                % (scanned, len(atoms), _SCAN_CAP))
+    for sweep, code in scans:
+        for outer in sweep.blocks():
+            bits = marked(code, env(sweep, code, outer), sweep.full)
+            bits &= sweep.full
+            if bits:
+                return sweep, sweep.digits(
+                    outer, (bits & -bits).bit_length() - 1)
+            scanned += sweep.full.bit_length()
+            if scanned > _SCAN_CAP:
+                raise EnumerationCapExceeded(
+                    "no answer after %d columns (cap %d)"
+                    % (scanned, _SCAN_CAP))
     return None
 
 
@@ -371,6 +553,41 @@ def counter_bits(gamma_masks, delta_masks) -> int:
     return bits
 
 
+def _counter(n: int):
+    """``marked`` for a sequent compiled with its n antecedent formulas
+    first: the columns designating all of those and none of the rest."""
+
+    def marked(code, env, full):
+        ts = [t for t, _ in _run(code, env, full)]
+        return counter_bits(ts[:n], ts[n:])
+
+    return marked
+
+
+# ---------------------------------------------------------------------------
+# propositional consequence
+
+
+@functools.lru_cache(maxsize=64)
+def _prop_sweep(k: int, allowed: frozenset, block) -> _Sweep:
+    """The valuations of k atoms into ``allowed``, in ``valuations``
+    order: the columns of domain size 1 over k propositions, one digit
+    per atom position, whatever the atoms' names."""
+    sig = Signature(predicates=tuple(("p%d" % j, 0) for j in range(k)))
+    return _Sweep(sig, 1, "total", allowed, False, None, (), block)
+
+
+def scan_valuations(formulas, marked, allowed=ALL_VALUES):
+    """The first valuation into ``allowed``, in ``valuations`` order,
+    that ``marked`` picks, or None: ``_first`` over the sweep of the
+    formulas' atoms, their names zipped onto its digits' pairs."""
+    code, atoms = _compile_prop(formulas)
+    sweep = _prop_sweep(len(atoms), allowed, _BLOCK_COLUMNS)
+    hit = _first([(sweep, code)], marked, lambda sweep, code, outer: dict(
+        zip(atoms, sweep.pairs(outer))))
+    return None if hit is None else dict(zip(atoms, hit[1]))
+
+
 def consequence_prop(gamma, delta, allowed=ALL_VALUES):
     """Propositional consequence over every valuation into ``allowed``.
 
@@ -380,20 +597,15 @@ def consequence_prop(gamma, delta, allowed=ALL_VALUES):
     """
     _check_allowed(allowed)
     gamma, delta = list(gamma), list(delta)
-
-    def counter(code, env, grid):
-        ts = [t for t, _ in _run(code, env, grid.full)]
-        return counter_bits(ts[:len(gamma)], ts[len(gamma):])
-
-    witness = scan_valuations(gamma + delta, counter, allowed)
+    witness = scan_valuations(gamma + delta, _counter(len(gamma)), allowed)
     return witness is None, witness
 
 
 def equivalent_prop(a, b):
     """Identical truth value under every valuation of the shared atoms."""
 
-    def differ(code, env, grid):
-        (t1, f1), (t2, f2) = _run(code, env, grid.full)
+    def differ(code, env, full):
+        (t1, f1), (t2, f2) = _run(code, env, full)
         return (t1 ^ t2) | (f1 ^ f2)
 
     witness = scan_valuations([a, b], differ)
@@ -402,11 +614,12 @@ def equivalent_prop(a, b):
 
 def truth_table(a, atoms) -> tuple:
     """The values of a formula over ``valuations(atoms)``, in order; the
-    table is as large as one grid over all the atoms, so no blocks."""
+    table is as large as one sweep over all the atoms, so no blocks."""
     code, atoms = _compile_prop([a], atoms)
-    grid = _grid(len(atoms))
-    env = dict(zip(atoms, grid.pairs))
-    return grid.values(*_run(code, env, grid.full)[0])
+    sweep = _prop_sweep(len(atoms), ALL_VALUES, None)
+    (t, f), = _run(code, dict(zip(atoms, sweep.pairs(()))), sweep.full)
+    return tuple(_BY_BITS[(t >> i & 1) << 1 | f >> i & 1]
+                 for i in range(sweep.columns))
 
 
 def synonymous_prop(a, b) -> bool:
@@ -423,20 +636,30 @@ def synonymous_prop(a, b) -> bool:
 
 
 class PropSpace:
-    """Bulk propositional work over a fixed tuple of at most six atoms:
-    formulas become cached bit pairs over ``valuations(atoms)``, and
-    consequence is checked in the modes bd, lp, k3 and cl."""
+    """Bulk propositional work over a fixed tuple of atoms, at most one
+    block of valuations: formulas become cached bit pairs over
+    ``valuations(atoms)``, the columns of one size-1 sweep, and
+    consequence is checked in the modes bd, lp, k3 and cl, each the
+    columns whose every digit takes a value the mode allows."""
 
     MODES = {"bd": ALL_VALUES, "lp": LP_VALUES, "k3": K3_VALUES,
              "cl": CL_VALUES}
 
     def __init__(self, atoms: tuple):
         self.atoms = tuple(atoms)
-        if len(self.atoms) > _BLOCK_ATOMS:
-            raise SemanticsError("a PropSpace holds at most %d atoms"
-                                 % _BLOCK_ATOMS)
-        self._grid = _grid(len(self.atoms))
-        self._env = dict(zip(self.atoms, self._grid.pairs))
+        sweep = self._sweep = _prop_sweep(len(self.atoms), ALL_VALUES,
+                                          _BLOCK_COLUMNS)
+        if sweep.outer:
+            raise SemanticsError("a PropSpace holds at most %d valuations"
+                                 % _BLOCK_COLUMNS)
+        self._env = dict(zip(self.atoms, sweep.pairs(())))
+        self._modes = {}
+        for mode, allowed in self.MODES.items():
+            out = sweep.full
+            for j, values in enumerate(sweep.values):
+                out &= sum(m for m, v in zip(sweep._masks(j, ()), values)
+                           if v in allowed)
+            self._modes[mode] = out
         self._pairs: dict = {}
 
     def vector(self, a) -> tuple:
@@ -444,7 +667,7 @@ class PropSpace:
         out = self._pairs.get(a)
         if out is None:
             code, _ = _compile_prop([a], self.atoms)
-            out = self._pairs[a] = _run(code, self._env, self._grid.full)[0]
+            out = self._pairs[a] = _run(code, self._env, self._sweep.full)[0]
         return out
 
     def mask(self, a) -> int:
@@ -454,18 +677,18 @@ class PropSpace:
     def holds(self, gamma_masks, delta_masks, mode="bd") -> int | None:
         """Consequence over the mode's valuations; None when it holds,
         else the index of the first countervaluation."""
-        bits = counter_bits(gamma_masks, delta_masks)
-        bits &= self._grid.mode(self.MODES[mode])
+        bits = counter_bits(gamma_masks, delta_masks) & self._modes[mode]
         return (bits & -bits).bit_length() - 1 if bits else None
 
     def countermodel(self, s: Sequent, mode="bd") -> dict | None:
         i = self.holds([self.mask(a) for a in s.ant],
                        [self.mask(a) for a in s.suc], mode)
         return (None if i is None
-                else dict(zip(self.atoms, self._grid.valuation_at(i))))
+                else dict(zip(self.atoms, self._sweep.digits((), i))))
 
     def valid(self, s: Sequent, mode="bd") -> bool:
-        return self.countermodel(s, mode) is None
+        return self.holds([self.mask(a) for a in s.ant],
+                          [self.mask(a) for a in s.suc], mode) is None
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +761,7 @@ class Structure:
 
 def evaluate(a, structure: Structure, assignment: dict | None = None) -> TruthValue:
     """Value of a formula in a structure under an assignment."""
-    if assignment is None:
-        assignment = {}
-    return _eval(a, structure, dict(assignment))
-
-
-def _eval(a, m: Structure, alpha: dict) -> TruthValue:
+    m, alpha = structure, assignment or {}
     match a:
         case Falsity():
             return F
@@ -560,40 +778,21 @@ def _eval(a, m: Structure, alpha: dict) -> TruthValue:
         case Eq(l, r):
             return m.eq[(m.eval_term(l, alpha), m.eval_term(r, alpha))]
         case Not(b):
-            return neg(_eval(b, m, alpha))
+            return neg(evaluate(b, m, alpha))
         case And(l, r):
-            return meet(_eval(l, m, alpha), _eval(r, m, alpha))
+            return meet(evaluate(l, m, alpha), evaluate(r, m, alpha))
         case Or(l, r):
-            return join(_eval(l, m, alpha), _eval(r, m, alpha))
+            return join(evaluate(l, m, alpha), evaluate(r, m, alpha))
         case Imp(l, r):
-            return imp(_eval(l, m, alpha), _eval(r, m, alpha))
-        case Forall(x, b):
-            old, had = alpha.get(x), x in alpha
-            vals = set()
-            for d in m.domain:
-                alpha[x] = d
-                vals.add(_eval(b, m, alpha))
-            if had:
-                alpha[x] = old
-            else:
-                del alpha[x]
-            return inf(vals)
-        case Exists(x, b):
-            old, had = alpha.get(x), x in alpha
-            vals = set()
-            for d in m.domain:
-                alpha[x] = d
-                vals.add(_eval(b, m, alpha))
-            if had:
-                alpha[x] = old
-            else:
-                del alpha[x]
-            return sup(vals)
+            return imp(evaluate(l, m, alpha), evaluate(r, m, alpha))
+        case Forall(x, b) | Exists(x, b):
+            vals = {evaluate(b, m, {**alpha, x: d}) for d in m.domain}
+            return (inf if a.__class__ is Forall else sup)(vals)
         case ExtApp(conn, args):
             arity, table = EXTRA_CONNECTIVES[conn]
             if arity == 0:
                 return table
-            return table[_eval(args[0], m, alpha)]
+            return table[evaluate(args[0], m, alpha)]
     raise SemanticsError("not a formula: %r" % (a,))
 
 
@@ -604,23 +803,10 @@ def _eval(a, m: Structure, alpha: dict) -> TruthValue:
 def count_structures(sig: Signature, size: int, mode: str = "total",
                      allowed=ALL_VALUES, need_eq: bool = True,
                      eq_distinct=None) -> int:
-    nvals = len(allowed)
-    ndist = nvals if eq_distinct is None else len(eq_distinct)
-    k = size
-    count = 1
-    for _, a in sig.functions:
-        count *= k ** (k ** a) if a else k
-    for _, a in sig.predicates:
-        count *= nvals ** (k ** a) if a else nvals
-    if need_eq:
-        if mode == "partial":
-            real = k - 1
-            count *= len(DESIGNATED & allowed) ** real
-            count *= ndist ** (real * real - real)
-        else:
-            count *= len(DESIGNATED & allowed) ** k
-            count *= ndist ** (k * k - k)
-    return count
+    """How many structures ``enumerate_structures`` gives: the column
+    count of their sweep, built blocked so that no mask spans them."""
+    return _Sweep(sig, size, mode, allowed, need_eq, eq_distinct, (),
+                  _BLOCK_COLUMNS).columns
 
 
 def enumerate_structures(sig: Signature, size: int, mode: str = "total",
@@ -709,224 +895,6 @@ def enumerate_structures(sig: Signature, size: int, mode: str = "total",
                         )
 
 
-# ---------------------------------------------------------------------------
-# the grounded sweep
-
-# The columns of one domain size are its (structure, assignment) pairs
-# in ``enumerate_structures`` order, with the assignments of the free
-# variables innermost.  Column i is the number i in a mixed radix whose
-# digits are, most significant first: the constants, the function cells
-# key by key, the propositions, the predicate cells, the equality cells
-# (the diagonal over the designated values, then the distinct pairs)
-# and the free variables.  A digit's value masks are periodic and are
-# built as a _Grid's are.  A term is one selector mask per element, an
-# atom is the OR over element tuples of the selectors' AND with the
-# cell's (t, f) pair (in partial mode an equality cell at the bottom is
-# n, the pair (0, 0)), and a quantifier is grounded: its body is copied
-# once per element, the copies joined by And for forall (the infimum)
-# and by Or for exists (the supremum).  This is MACE-style grounding
-# (McCune's Mace4; Claessen and Sorensson 2003).  A scan takes blocks of
-# at most _BLOCK_COLUMNS columns, the outer digits fixed per block, in
-# column order, which bounds memory and keeps the early exit.
-_BLOCK_COLUMNS = 1 << 16
-
-
-def _ground(code, domain, binding: dict) -> list:
-    """The code with every quantifier expanded over the domain: the body
-    once per element, its variable bound to the element's name, the
-    copies joined by And for forall and by Or for exists."""
-    out = []
-    for op in code:
-        cls = op.__class__
-        if cls is tuple:
-            q, var, body = op
-            for i, d in enumerate(domain):
-                out += _ground(body, domain, {**binding, var: d})
-                if i:
-                    out.append(And if q is Forall else Or)
-        elif binding and cls is Pred:
-            out.append(Pred(op.name, tuple(_ground_term(t, binding)
-                                           for t in op.args)))
-        elif binding and cls is Eq:
-            out.append(Eq(_ground_term(op.left, binding),
-                          _ground_term(op.right, binding)))
-        else:
-            out.append(op)
-    return out
-
-
-def _ground_term(t, binding: dict):
-    if t.__class__ is Var:
-        return binding.get(t.name, t)
-    if t.args:
-        return Fun(t.name, tuple(_ground_term(u, binding) for u in t.args))
-    return t
-
-
-class _Sweep:
-    """The (structure, assignment) columns of one domain size as digits.
-
-    The arguments are ``enumerate_structures``' and the variables to
-    assign.  A block is at most ``block`` consecutive columns, the
-    whole size with None.  ``fill`` puts the pairs of ground atoms over
-    a block into an env for ``_run``; ``decode`` builds one column.
-    """
-
-    def __init__(self, sig: Signature, size: int, mode, allowed, need_eq,
-                 eq_distinct, variables, block=None):
-        if mode == "partial":
-            if allowed is not ALL_VALUES:
-                raise SemanticsError(
-                    "partial mode does not combine with restrictions")
-            self.domain = ("u",) + tuple("d%d" % i for i in range(1, size))
-            self.bottom = "u"
-        else:
-            self.domain = tuple("d%d" % i for i in range(1, size + 1))
-            self.bottom = None
-        self.need_eq = need_eq
-        real = [d for d in self.domain if d != self.bottom]
-        vals = tuple(v for v in VALUES if v in allowed)
-        self.roles, self.values, self.where = [], [], {}
-
-        def digit(role, values):
-            self.where[role] = len(self.roles)
-            self.roles.append(role)
-            self.values.append(values)
-
-        for kind, symbols, values in (("fun", sig.functions, self.domain),
-                                      ("pred", sig.predicates, vals)):
-            # the constants and propositions first, as in the enumeration
-            for name, a in sorted(symbols, key=lambda s: s[1] > 0):
-                for key in itertools.product(self.domain, repeat=a):
-                    digit((kind, name, key), values)
-        if need_eq:
-            for d in real:
-                digit(("eq", d, d), tuple(v for v in (T, B) if v in allowed))
-            dist = vals if eq_distinct is None else tuple(eq_distinct)
-            for d1, d2 in itertools.product(real, repeat=2):
-                if d1 != d2:
-                    digit(("eq", d1, d2), dist)
-        for x in variables:
-            digit(("var", x), self.domain)
-
-        radices = [len(v) for v in self.values]
-        self.columns = math.prod(radices)
-        self._steps = [1] * len(radices)  # columns per step of a digit
-        split, inner = len(radices), 1
-        while split and (block is None or inner * radices[split - 1] <= block):
-            split -= 1
-            self._steps[split] = inner
-            inner *= radices[split]
-        self.outer = radices[:split]
-        self.full = (1 << inner) - 1
-        self._hot = {}
-
-    def blocks(self):
-        """The outer digits' values of each block, in column order."""
-        if not self.columns:
-            return ()
-        return itertools.product(*map(range, self.outer))
-
-    def _masks(self, j: int, outer) -> list:
-        """Per value of digit j, the block positions holding it."""
-        if j < len(outer):
-            v = outer[j]
-            return [self.full if w == v else 0
-                    for w in range(len(self.values[j]))]
-        out = self._hot.get(j)
-        if out is None:
-            out = self._hot[j] = _digit_masks(len(self.values[j]),
-                                              self._steps[j], self.full)
-        return out
-
-    def fill(self, env: dict, code, outer) -> None:
-        """Put into ``env`` the (t, f) pair over the block given by the
-        outer digits' values of each atom of ``code`` it lacks."""
-        full, domain, where = self.full, self.domain, self.where
-        cells, selectors = {}, {}
-
-        def cell(role) -> tuple:
-            out = cells.get(role)
-            if out is None:
-                j = where[role]
-                hot = tuple(zip(self._masks(j, outer), self.values[j]))
-                out = cells[role] = (
-                    sum(m for m, v in hot if v is T or v is B),
-                    sum(m for m, v in hot if v is B or v is F))
-            return out
-
-        def eq_cell(key) -> tuple:
-            if self.bottom in key:
-                return (0, 0)
-            if self.need_eq:
-                return cell(("eq",) + key)
-            return (full, 0) if key[0] == key[1] else (0, full)
-
-        def apply(terms, table, width: int) -> list:
-            """The OR over element tuples of the AND of the terms'
-            selectors with the tuple's ``width`` masks in ``table``."""
-            out = [0] * width
-            hot = [[(domain[i], m) for i, m in enumerate(selector(t)) if m]
-                   for t in terms]
-            for combo in itertools.product(*hot):
-                both = full
-                for _, m in combo:
-                    both &= m
-                if both:
-                    key = tuple(e for e, _ in combo)
-                    for k, m in enumerate(table(key)):
-                        out[k] |= both & m
-            return out
-
-        def selector(t) -> list:
-            """Per element, the positions where the term denotes it."""
-            out = selectors.get(t)
-            if out is None:
-                if t.__class__ is str:
-                    out = [full if d == t else 0 for d in domain]
-                elif t.__class__ is Var:
-                    out = self._masks(where[("var", t.name)], outer)
-                else:
-                    out = apply(t.args, lambda key: self._masks(
-                        where[("fun", t.name, key)], outer), len(domain))
-                selectors[t] = out
-            return out
-
-        for op in code:
-            cls = op.__class__
-            if (cls is str or cls is Pred or cls is Eq) and op not in env:
-                if cls is str:
-                    env[op] = cell(("pred", op, ()))
-                elif cls is Pred:
-                    env[op] = tuple(apply(op.args, lambda key: cell(
-                        ("pred", op.name, key)), 2))
-                else:
-                    env[op] = tuple(apply((op.left, op.right), eq_cell, 2))
-
-    def decode(self, outer, i: int) -> tuple:
-        """The (structure, assignment) of column i of the block given by
-        the outer digits' values."""
-        digits = []
-        for values in reversed(self.values[len(outer):]):
-            i, v = divmod(i, len(values))
-            digits.append(v)
-        digits = list(outer) + digits[::-1]
-        consts, funcs, props, preds, eq, alpha = {}, {}, {}, {}, {}, {}
-        for role, values, v in zip(self.roles, self.values, digits):
-            kind, x = role[0], values[v]
-            if kind == "eq":
-                eq[role[1:]] = x
-            elif kind == "var":
-                alpha[role[1]] = x
-            elif role[2]:
-                table = funcs if kind == "fun" else preds
-                table.setdefault(role[1], {})[role[2]] = x
-            else:
-                (consts if kind == "fun" else props)[role[1]] = x
-        return (Structure(self.domain, consts, funcs, props, preds, eq,
-                          self.bottom), alpha)
-
-
 @dataclass
 class FOResult:
     holds: bool
@@ -946,14 +914,15 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     Only symbols that occur in the formulas are interpreted, which keeps
     the sweep small without changing the answer.  Each domain size is
     one grounded sweep over its (structure, assignment) columns, scanned
-    block by block; the countermodel is the first column, in
-    ``enumerate_structures`` order with the assignments innermost, that
-    designates all of gamma and nothing in delta, and it is the only
-    Structure built.  Raises SemanticsError when the bound admits no
-    structure, and EnumerationCapExceeded, before any sweep, when the
-    structures up to the bound number more than ``cap``, and during the
-    sweep once the blocks scanned without a countermodel hold more than
-    ``_SCAN_CAP`` (structure, assignment) columns.
+    block by block as ``consequence_prop``'s are; the countermodel is
+    the first column, in ``enumerate_structures`` order with the
+    assignments innermost, that designates all of gamma and nothing in
+    delta, and it is the only Structure built.  Raises SemanticsError
+    when the bound admits no structure, and EnumerationCapExceeded
+    before any scan once the structures of the sizes counted so far,
+    smallest first, number more than ``cap``, and during the scan once
+    the blocks scanned without a countermodel hold more than
+    ``_SCAN_CAP`` columns.
     """
     gamma, delta = list(gamma), list(delta)
     code, funcs, preds, has_eq, fv = _compile(gamma + delta, sig)
@@ -967,34 +936,23 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
             "domain bound %d admits no structure; the least %sdomain size "
             "is %d" % (max_domain, "partial " if least == 2 else "", least))
 
-    sizes = range(least, max_domain + 1)
-    total = 0
-    for size in sizes:
-        total += count_structures(small, size, mode, allowed, has_eq, eq_distinct)
-    if total > cap:
-        raise EnumerationCapExceeded(
-            "would enumerate %d structures (cap %d)" % (total, cap)
-        )
+    sweeps, total = [], 0
+    for size in range(least, max_domain + 1):
+        sweeps.append(_Sweep(small, size, mode, allowed, has_eq, eq_distinct,
+                             fv, _BLOCK_COLUMNS))
+        # a size's columns are its structures times the assignments
+        total += sweeps[-1].columns // size ** len(fv)
+        if total > cap:
+            raise EnumerationCapExceeded(
+                "would enumerate at least %d structures (cap %d)"
+                % (total, cap))
 
-    scanned = 0
-    for size in sizes:
-        sweep = _Sweep(small, size, mode, allowed, has_eq, eq_distinct, fv,
-                       _BLOCK_COLUMNS)
-        ground = _ground(code, sweep.domain, {})
-        for outer in sweep.blocks():
-            env = {}
-            sweep.fill(env, ground, outer)
-            ts = [t for t, _ in _run(ground, env, sweep.full)]
-            bits = counter_bits(ts[:len(gamma)], ts[len(gamma):]) & sweep.full
-            if bits:
-                return FOResult(False, *sweep.decode(
-                    outer, (bits & -bits).bit_length() - 1))
-            scanned += sweep.full.bit_length()
-            if scanned > _SCAN_CAP:
-                raise EnumerationCapExceeded(
-                    "no answer after %d columns of %d free variables (cap %d)"
-                    % (scanned, len(fv), _SCAN_CAP))
-    return FOResult(True)
+    hit = _first(((s, _ground(code, s.domain, {})) for s in sweeps),
+                 _counter(len(gamma)), _Sweep.fill)
+    if hit is None:
+        return FOResult(True)
+    sweep, digits = hit
+    return FOResult(False, *sweep.decode(digits))
 
 
 class FOSpace:
@@ -1006,7 +964,8 @@ class FOSpace:
     of its grounded sweep, size after size, and a sequent is valid on
     the class exactly when no column designates the whole antecedent
     while designating nothing in the succedent.  ``columns`` is the
-    sequence of (structure, assignment) pairs, decoded on access.
+    sequence of (structure, assignment) pairs, decoded on access.  A
+    size that admits no structure is refused.
     """
 
     def __init__(self, sig, sizes, mode="total", need_eq=True,
@@ -1016,6 +975,9 @@ class FOSpace:
         self._sweeps = tuple(
             _Sweep(sig, size, mode, ALL_VALUES, need_eq, eq_distinct,
                    self.variables) for size in sizes)
+        if not all(s.columns for s in self._sweeps):
+            raise SemanticsError("a domain size in %s admits no structure"
+                                 % (tuple(sizes),))
         self._envs = tuple({} for _ in self._sweeps)  # atom pairs per size
         self.columns = _Columns(self._sweeps)
         self._masks = {}
@@ -1029,10 +991,9 @@ class FOSpace:
                 raise SemanticsError("unbound variable %s" % min(unbound))
             out = shift = 0
             for sweep, env in zip(self._sweeps, self._envs):
-                if sweep.columns:
-                    ground = _ground(code, sweep.domain, {})
-                    sweep.fill(env, ground, ())
-                    out |= _run(ground, env, sweep.full)[0][0] << shift
+                ground = _ground(code, sweep.domain, {})
+                sweep.fill(ground, (), env)
+                out |= _run(ground, env, sweep.full)[0][0] << shift
                 shift += sweep.columns
             self._masks[a] = out
         return out
@@ -1064,7 +1025,7 @@ class _Columns:
             i += len(self)
         for s in self._sweeps:
             if 0 <= i < s.columns:
-                return s.decode((), i)
+                return s.decode(s.digits((), i))
             i -= s.columns
         raise IndexError("column index out of range")
 
@@ -1113,20 +1074,16 @@ def normality_probe(seed: int = 0, samples: int = 200) -> dict:
         a1 = _random_formula(rng, atoms, 2)
         a2 = _random_formula(rng, atoms, 2)
 
-        lhs, _ = consequence_prop(g, d + [And(a1, a2)])
-        rhs = consequence_prop(g, d + [a1])[0] and consequence_prop(g, d + [a2])[0]
-        if lhs != rhs:
-            failures.append(("conjunction-right", g, d, a1, a2))
-
-        lhs, _ = consequence_prop([Or(a1, a2)] + g, d)
-        rhs = consequence_prop([a1] + g, d)[0] and consequence_prop([a2] + g, d)[0]
-        if lhs != rhs:
-            failures.append(("disjunction-left", g, d, a1, a2))
-
-        lhs, _ = consequence_prop(g, d + [Imp(a1, a2)])
-        rhs, _ = consequence_prop([a1] + g, d + [a2])
-        if lhs != rhs:
-            failures.append(("deduction", g, d, a1, a2))
+        for name, lhs, rhs in (
+                ("conjunction-right", (g, d + [And(a1, a2)]),
+                 ((g, d + [a1]), (g, d + [a2]))),
+                ("disjunction-left", ([Or(a1, a2)] + g, d),
+                 (([a1] + g, d), ([a2] + g, d))),
+                ("deduction", (g, d + [Imp(a1, a2)]),
+                 (([a1] + g, d + [a2]),))):
+            if (consequence_prop(*lhs)[0]
+                    != all(consequence_prop(*x)[0] for x in rhs)):
+                failures.append((name, g, d, a1, a2))
         checked += 3
 
     sig = Signature(functions=(("c", 0),), predicates=(("P", 1), ("Q", 1)))
@@ -1147,15 +1104,12 @@ def normality_probe(seed: int = 0, samples: int = 200) -> dict:
         g = rng.sample(closed_pool, rng.randrange(3))
         d = rng.sample(closed_pool, rng.randrange(3))
 
-        lhs = consequence_fo(g, d + [Forall("x", a1)], sig, max_domain=2).holds
-        rhs = consequence_fo(g, d + [a1], sig, max_domain=2).holds
-        if lhs != rhs:
-            failures.append(("forall-right", g, d, a1))
-
-        lhs = consequence_fo([Exists("x", a1)] + g, d, sig, max_domain=2).holds
-        rhs = consequence_fo([a1] + g, d, sig, max_domain=2).holds
-        if lhs != rhs:
-            failures.append(("exists-left", g, d, a1))
+        for name, lhs, rhs in (
+                ("forall-right", (g, d + [Forall("x", a1)]), (g, d + [a1])),
+                ("exists-left", ([Exists("x", a1)] + g, d), ([a1] + g, d))):
+            if (consequence_fo(*lhs, sig, max_domain=2).holds
+                    != consequence_fo(*rhs, sig, max_domain=2).holds):
+                failures.append((name, g, d, a1))
         checked += 2
 
     return {"checked": checked, "failures": failures}

@@ -209,6 +209,7 @@ def test_a_first_order_sweep_past_the_column_bound_is_an_error(fo_sig):
     ("prove", "--depth", "0", "p => p"),
     ("prove", "--max-nodes", "0", "p => p"),
     ("prove", "--depth", "-3", "--max-nodes", "-3", "p => p"),
+    ("define", "synth", "Des", "--depth", "-1"),
 ])
 def test_a_bound_out_of_range_is_a_usage_error(args, capsys):
     assert cli.main(list(args)) == 2
@@ -221,3 +222,10 @@ def test_a_bound_out_of_range_is_a_usage_error(args, capsys):
 def test_the_nullary_clone_holds_the_two_constants(capsys):
     assert cli.main(["define", "clone", "--arity", "0"]) == 0
     assert capsys.readouterr().out == "clone size at arity 0: 2\n  t\n  f\n"
+
+
+def test_synthesis_at_depth_zero_searches_the_atoms_alone(capsys):
+    assert cli.main(["define", "synth", "Des", "--depth", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "no defining formula up to 0 connectives\n"
+    assert out.err == ""

@@ -1,6 +1,7 @@
 """Evaluation and consequence, propositional and first-order."""
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bd4 import acceptance, semantics
 from bd4.acceptance import _EQ_POOL, _EQ_SIG, _FO_POOL, _FO_SIG
 from bd4.definability import truth_function_of
+from bd4.matrixlab import BD_MATRIX, consequence_in
 from bd4.proofio import print_structure
 from bd4.semantics import (
     EnumerationCapExceeded, FOResult, FOSpace, PropSpace, SemanticsError,
@@ -234,9 +236,10 @@ def test_truth_tables_of_the_extra_connectives():
         assert truth_table(ExtApp(name), ("p",)) == (value,) * 4
 
 
-def test_blocks_keep_the_first_countervaluation():
-    """Seven atoms take 4 blocks; the first countervaluation of these
-    sits in later blocks, and the valid one scans them all."""
+def test_blocks_keep_the_first_countervaluation(monkeypatch):
+    """In blocks of 4^6 columns seven atoms take 4 blocks in bd; the first
+    countervaluation of these sits in later blocks, and the valid one
+    scans them all.  The default block holds all of them."""
     atoms = [Prop("a%d" % i) for i in range(7)]
     big = atoms[0]
     for a in atoms[1:]:
@@ -248,16 +251,18 @@ def test_blocks_keep_the_first_countervaluation():
         ([big], [And(atoms[0], atoms[3])]),
         ([big], [big]),                                 # valid
     ]
-    for gamma, delta in cases:
-        for allowed in MODES.values():
-            _, want = reference_consequence(gamma, delta, allowed)
-            assert consequence_prop(gamma, delta, allowed) == (
-                want is None, want)
+    for block in (semantics._BLOCK_COLUMNS, 4 ** 6):
+        monkeypatch.setattr(semantics, "_BLOCK_COLUMNS", block)
+        for gamma, delta in cases:
+            for allowed in MODES.values():
+                _, want = reference_consequence(gamma, delta, allowed)
+                assert consequence_prop(gamma, delta, allowed) == (
+                    want is None, want)
 
 
 def test_many_atoms_are_scanned_in_bounded_memory():
     """A 12-atom sequent refuted by its first valuation: one block of
-    4^6 valuations is evaluated, where all 4^12 at once would need
+    4^8 valuations is evaluated, where all 4^12 at once would need
     tens of megabytes."""
     atoms = [Prop("a%02d" % i) for i in range(12)]
     gamma, delta = atoms, [Not(atoms[0])]
@@ -270,6 +275,48 @@ def test_many_atoms_are_scanned_in_bounded_memory():
     _, want = reference_consequence(gamma, delta)
     assert got == (False, want)
     assert peak < 1 << 20
+
+
+def _sequent_past_the_first_block(k: int):
+    """Over atoms a00..a(k-1): not a00 and a02..a(k-1) entail a01.  The
+    first countervaluation gives a00 the first value that designates
+    not a00, a01 the first undesignated value, the rest t."""
+    atoms = [Prop("a%02d" % i) for i in range(k)]
+    return [Not(atoms[0])] + atoms[2:], [atoms[1]]
+
+
+@pytest.mark.parametrize("mode,k,first,second", [
+    ("bd", 9, B, N), ("lp", 11, B, F), ("k3", 11, F, N), ("cl", 17, F, F)])
+def test_a_countervaluation_past_the_first_block(mode, k, first, second):
+    """A block holds 4^8, 3^10 or 2^16 valuations, so with these atom
+    counts a00 = t fills the first block, and the countervaluation,
+    which needs a00 != t, lies past it."""
+    allowed = MODES[mode]
+    gamma, delta = _sequent_past_the_first_block(k)
+    want = {"a%02d" % i: T for i in range(k)} | {"a00": first, "a01": second}
+    assert len(allowed) ** (k - 1) <= semantics._BLOCK_COLUMNS
+    assert len(allowed) ** k > semantics._BLOCK_COLUMNS
+    holds, witness = consequence_prop(gamma, delta, allowed)
+    assert not holds and witness == want
+    assert list(witness) == sorted(want)
+    assert all(designated(evaluate_prop(a, witness)) for a in gamma)
+    assert not designated(evaluate_prop(delta[0], witness))
+    if mode == "bd":
+        assert consequence_in(BD_MATRIX, gamma, delta) == (False, want)
+
+
+def test_equivalence_witness_past_the_first_block():
+    """a00 and Des(a00) differ only where a00 is b; a00 = b starts the
+    second of the four blocks of nine atoms."""
+    atoms = [Prop("a%02d" % i) for i in range(9)]
+    rest = _conjunction(atoms[1:])
+    a = And(atoms[0], rest)
+    b = And(ExtApp("Des", (atoms[0],)), rest)
+    want = {"a%02d" % i: T for i in range(9)} | {"a00": B}
+    assert equivalent_prop(a, b) == (False, want)
+    assert evaluate_prop(a, want) is B and evaluate_prop(b, want) is T
+    assert equivalent_prop(a, And(atoms[0], _conjunction(atoms[:0:-1]))) == (
+        True, None)
 
 
 def test_non_propositional_input_is_refused():
@@ -322,6 +369,64 @@ def test_structure_guards():
         Structure(domain=("a",), eq={("a", "a"): F})
     with pytest.raises(SemanticsError):
         Structure(domain=("a",), bottom="a")
+
+
+COUNT_SIGS = [
+    Signature(),
+    Signature(predicates=(("q", 0), ("P", 1))),
+    Signature(functions=(("c", 0), ("f", 1)), predicates=(("P", 1),)),
+    Signature(functions=(("c", 0), ("d", 0)), predicates=(("Q", 2), ("q", 0))),
+    Signature(functions=(("g", 2),)),
+]
+
+
+@pytest.mark.parametrize("sig", COUNT_SIGS)
+def test_structure_counts_agree_with_the_sweep_and_the_enumeration(sig):
+    """``count_structures`` is the column count of a blocked sweep whose
+    blocks cover it exactly, a free variable multiplies it by the size,
+    and where it is small the enumeration and FOSpace's unblocked sweep
+    give as many structures."""
+    enumerated = 0
+    for size, mode, allowed, need_eq, eq_distinct in itertools.product(
+            (1, 2, 3), ("total", "partial"), MODES.values(), (True, False),
+            (None, (N, F), frozenset({F}))):
+        args = (sig, size, mode, allowed, need_eq, eq_distinct)
+        if mode == "partial" and allowed is not ALL_VALUES:
+            with pytest.raises(SemanticsError, match="restrictions"):
+                count_structures(*args)
+            continue
+        count = count_structures(*args)
+        sweep = semantics._Sweep(*args, ("x",), semantics._BLOCK_COLUMNS)
+        assert sweep.columns == count * size
+        if count:
+            assert math.prod(sweep.outer) * sweep.full.bit_length() == (
+                sweep.columns)
+        else:
+            assert list(sweep.blocks()) == []
+        assert (count == 0) == (mode == "partial" and size == 1)
+        if count <= 300:
+            assert len(list(enumerate_structures(*args))) == count
+            enumerated += 1
+            if count and allowed is ALL_VALUES:
+                space = FOSpace(sig, (size,), mode, need_eq, eq_distinct)
+                assert len(space.columns) == count
+    assert enumerated >= 20
+
+
+def test_a_partial_size_below_two_has_no_structure():
+    """The bottom needs an element beside it: partial size 1 has no
+    structures and no columns, and FOSpace refuses it as consequence_fo
+    refuses such a bound."""
+    sig = Signature(functions=(("c", 0),), predicates=(("P", 1), ("q", 0)))
+    assert count_structures(sig, 1, "partial") == 0
+    assert list(enumerate_structures(sig, 1, "partial")) == []
+    for sizes, mode in (((1, 2), "partial"), ((0,), "total")):
+        with pytest.raises(SemanticsError, match="admits no structure"):
+            FOSpace(sig, sizes, mode=mode)
+    space = FOSpace(sig, (2,), mode="partial")
+    assert len(space.columns) == count_structures(sig, 2, "partial") > 0
+    with pytest.raises(SemanticsError, match="admits no structure"):
+        consequence_fo([Prop("q")], [], sig, max_domain=1, mode="partial")
 
 
 def test_enumeration_counts():
@@ -450,11 +555,14 @@ def reference_fo(gamma, delta, sig, max_domain=3, mode="total", cap=10**7,
             "domain bound %d admits no structure; the least %sdomain size "
             "is %d" % (max_domain, "partial " if least == 2 else "", least))
     sizes = range(least, max_domain + 1)
-    total = sum(count_structures(small, k, mode, allowed, has_eq,
-                                 eq_distinct) for k in sizes)
-    if total > cap:
-        raise EnumerationCapExceeded(
-            "would enumerate %d structures (cap %d)" % (total, cap))
+    total = 0
+    for k in sizes:
+        total += count_structures(small, k, mode, allowed, has_eq,
+                                  eq_distinct)
+        if total > cap:
+            raise EnumerationCapExceeded(
+                "would enumerate at least %d structures (cap %d)"
+                % (total, cap))
     for k in sizes:
         for m in enumerate_structures(small, k, mode, allowed, has_eq,
                                       eq_distinct):
