@@ -28,7 +28,9 @@ from .definability import (
     check_expansion_equivalences, clone_closure, extra_function,
     is_definable_criterion, verify_definition, DEFINITIONS,
 )
-from .kernel import RULES, Derivation, DerivationStep, check_derivation
+from .kernel import (
+    RULES, Derivation, DerivationStep, check_derivation, instance,
+)
 from .matrixlab import (
     ALL_LAWS, BD_MATRIX, LAW_ARITY, SUBSETS, check_all_laws,
     check_classical_laws, is_classically_closed, is_regular,
@@ -533,11 +535,15 @@ def _sample_instance(name, rng, ctx_pool):
     values = {"x": "x", **{n: rng.choice(pool) for n in rule.slots}}
     fields = {f: rng.choice(_TERMS) for f in ("t", "t2") if f in rule.needs}
     fields.update((f, f) for f in ("x", "y") if f in rule.needs)
-    probe = DerivationStep(name, Sequent(),
-                           principal=rule.principal_of(values), **fields)
-    premises, conclusion = rule.instance(rule.bind(probe), gamma, delta)
+    principal = rule.principal_of(values)
+    if rule.kept_as:
+        adds = rule.additions(principal)
+    else:
+        adds = rule.filled({**values, **fields, "principal": principal,
+                            "y": Var("y")})
+    premises, conclusion = instance(adds, gamma, delta)
     step = DerivationStep(name, conclusion, tuple(range(len(premises))),
-                          probe.principal, **fields)
+                          principal, **fields)
     return premises, conclusion, step
 
 
@@ -568,10 +574,11 @@ def _soundness_run(rule, valid, rng, instances, ctx_pool, pack=None,
     for _ in range(instances):
         for _attempt in range(4):
             premises, conclusion, step = _sample_instance(rule, rng, ctx_pool)
-            if all(valid(s) for s in premises):
+            premises_valid = all(valid(s) for s in premises)
+            if premises_valid:
                 break
         _kernel_accepts(premises, step, pack)
-        if not all(valid(s) for s in premises):
+        if not premises_valid:
             continue
         nonvacuous += 1
         if not valid(conclusion):

@@ -14,7 +14,15 @@ conditions.  Patterns and additions are formulas over schematic
 letters; the principal binds A, B and the bound variable, the step
 gives t, t2 and y.  The checker reads a rule forwards, proof search
 reads it backwards (``Rule.backward``), and the soundness sampler
-builds instances with ``Rule.instance``.
+builds instances with ``instance``.
+
+The additions of a rule that needs the principal alone, Cut aside, are
+computed once per principal: ``Rule.additions`` keeps the premises'
+part on the principal (``syntax.kept``) and rebuilds the conclusion's,
+the principal itself, on each call.  All three readers take them from
+there: ``check_step``, ``Rule.backward`` (and so ``prove_prop``) and
+the sampler of ``acceptance``.  Every other rule except Cut fills its
+letters from the step on every call (``Rule.bind``, ``Rule.filled``).
 
 Sequent sides are sets.  A rule's conclusion is its context plus the
 formulas the rule introduces, and because sets absorb duplicates the
@@ -34,8 +42,8 @@ import operator
 from dataclasses import dataclass
 
 from .syntax import (
-    And, Eq, Exists, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop, Sequent,
-    Signature, Var, free_vars, is_literal, substitute,
+    And, Eq, Exists, Falsity, Forall, Formula, Fun, Imp, Not, Or, Pred, Prop,
+    Sequent, Signature, Var, free_vars, is_literal, kept, substitute,
 )
 
 
@@ -193,22 +201,64 @@ class Rule:
         return [(tuple([f(env) for f in ant]), tuple([f(env) for f in suc]))
                 for ant, suc in self._fills]
 
-    def instance(self, env, gamma=frozenset(), delta=frozenset()):
-        """(premises, conclusion) over the context gamma => delta."""
-        (ca, cs), *padds = self.filled(env)
-        return (tuple(Sequent(gamma | set(pa), delta | set(ps))
-                      for pa, ps in padds),
-                Sequent(gamma | set(ca), delta | set(cs)))
+    @functools.cached_property
+    def kept_as(self):
+        """The attribute under which a principal keeps this rule's premise
+        additions; None where the additions need a step field besides
+        the principal, and for Cut, whose premises add the principal
+        itself."""
+        if self.needs != ("principal",) or self.name == "Cut":
+            return None
+        return "_premises_" + self.name.replace("-", "_")
+
+    def _premise_additions(self, a):
+        """The premises' additions when this rule introduces a, or None
+        when a does not have the pattern."""
+        env = {"principal": a}
+        if not _match(self.pattern, a, env):
+            return None
+        return tuple(self.filled(env)[1:])
+
+    def _kept_premise_additions(self, a):
+        if self.kept_as and type(a) in _FORMULAS:
+            return kept(a, self.kept_as, self._premise_additions)
+        # a hand-built step may hold anything as its principal
+        return self._premise_additions(a)
+
+    def additions(self, a):
+        """What ``filled(bind(step))`` gives for a step with principal a,
+        for a rule with ``kept_as``: the conclusion's additions, then
+        each premise's; None when a does not have the pattern."""
+        premises = self._kept_premise_additions(a)
+        if premises is None:
+            return None
+        ant, suc = self.conclusion  # the principal, on one side or both
+        return [((a,) * len(ant), (a,) * len(suc)), *premises]
 
     def backward(self, s: Sequent, a):
         """The premises above s when this rule introduces a, which each
         premise drops; None when a does not have the pattern."""
-        env = {"principal": a}
-        if not _match(self.pattern, a, env):
+        premises = self._kept_premise_additions(a)
+        if premises is None:
             return None
         if self.side == "ant":
-            return self.instance(env, s.ant - {a}, s.suc)[0]
-        return self.instance(env, s.ant, s.suc - {a})[0]
+            gamma, delta = s.ant - {a}, s.suc
+        else:
+            gamma, delta = s.ant, s.suc - {a}
+        return tuple(Sequent(gamma.union(pa), delta.union(ps))
+                     for pa, ps in premises)
+
+
+_FORMULAS = frozenset(Formula.__args__)
+
+
+def instance(adds, gamma=frozenset(), delta=frozenset()):
+    """(premises, conclusion) over the context gamma => delta, given a
+    rule's additions (``Rule.filled`` or ``Rule.additions``)."""
+    (ca, cs), *padds = adds
+    return (tuple(Sequent(gamma | set(pa), delta | set(ps))
+                  for pa, ps in padds),
+            Sequent(gamma | set(ca), delta | set(cs)))
 
 
 def _L(*formulas):
@@ -329,11 +379,15 @@ def check_step(d: Derivation, i: int) -> Violation | None:
     if step.rule == "Cut":
         return _check_cut(i, step, prem)
 
-    env = rule.bind(step)
-    if env is None:
+    if rule.kept_as:
+        env, adds = None, rule.additions(step.principal)
+    else:
+        env = rule.bind(step)
+        adds = None if env is None else rule.filled(env)
+    if adds is None:
         return Violation(i, Code.PRINCIPAL_SHAPE,
                          "%s cannot introduce %s" % (step.rule, step.principal))
-    (ca, cs), *padds = rule.filled(env)
+    (ca, cs), *padds = adds
 
     concl = step.sequent
     for a in ca:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .kernel import RULES, Derivation, DerivationStep, head
 from .semantics import consequence_prop
-from .syntax import Falsity, Not, Sequent, formula_key, is_literal
+from .syntax import TRUTH, Falsity, Sequent, formula_key, is_literal
 from .values import ALL_VALUES, CL_VALUES, K3_VALUES, LP_VALUES
 
 MODES = ("base", "lp", "k3", "cl")
@@ -75,10 +75,13 @@ class _Node:
     principal: object = None
 
 
+_FALSITY = Falsity()
+
+
 def _closure(s: Sequent) -> _Node | None:
-    if Falsity() in s.ant:
+    if _FALSITY in s.ant:
         return _Node("F-L", s)
-    if Not(Falsity()) in s.suc:
+    if TRUTH in s.suc:
         return _Node("notF-R", s)
     shared = [a for a in s.ant if a in s.suc and is_literal(a)]
     if shared:

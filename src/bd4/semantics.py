@@ -823,11 +823,12 @@ def enumerate_structures(sig: Signature, size: int, mode: str = "total",
     every allowed value, which is all the structure definition asks
     for.  ``eq_distinct`` narrows that range; it exists so soundness
     diagnostics can re-run a sweep over the subclass where designated
-    equality implies element identity.
+    equality implies element identity.  A size below 1, or below 2 in
+    partial mode, gives none.
     """
+    if size < (2 if mode == "partial" else 1):
+        return
     if mode == "partial":
-        if size < 2:
-            return
         if allowed is not ALL_VALUES:
             raise SemanticsError("partial mode does not combine with restrictions")
         domain = ("u",) + tuple("d%d" % i for i in range(1, size))

@@ -19,9 +19,10 @@ sorted by.
 
 Since a node never changes, a value derived from it alone can be
 computed on first use and kept on the node, as the printed form is:
-``kept`` keeps a formula's atomic subformulas here and its compiled
-code in ``semantics``.  A kept value lives and dies with its node, so no
-table keyed by formulas holds a node alive.
+``kept`` keeps a formula's atomic subformulas here, its compiled code
+in ``semantics``, and in ``kernel`` what the premises of a rule add
+when the formula is the rule's principal.  A kept value lives and dies
+with its node, so no table keyed by formulas holds a node alive.
 """
 
 from __future__ import annotations
@@ -127,11 +128,18 @@ def kept(node, name: str, compute):
     """``compute(node)``, computed on the first call and kept on the node
     as its attribute ``name`` (which no field may use).
 
-    The value may refer to the node and its parts, but to no node that
-    has this one as a part: the table's key of such a node holds this
-    one, so the two would keep each other alive for good.  Attributes
-    are read and set, never the node's ``__dict__``: once that is asked
-    for, CPython 3.11 reads every attribute of the node more slowly."""
+    The value may refer to the node's parts and to other nodes built
+    over them, but never to the node itself: such a value is a cycle,
+    which only ``gc.collect()`` frees, and during that collection the
+    table's key of a parent still holds the node, so nested garbage of
+    such nodes goes one nesting level per collection.  (The compiled
+    code of an extra connective's application in ``semantics`` is the
+    one exception: it holds the application as its operator.)  Nor may
+    the value refer to a node that has this one as a part: that node's
+    table key holds this one, so the two would keep each other alive
+    for good.  Attributes are read and set, never the node's
+    ``__dict__``: once that is asked for, CPython 3.11 reads every
+    attribute of the node more slowly."""
     value = getattr(node, name, _ABSENT)
     if value is _ABSENT:
         value = compute(node)
@@ -489,13 +497,18 @@ def is_literal(a: Formula) -> bool:
 
 
 def _atoms(a: Formula) -> frozenset:
+    """The atomic subformulas of a; none when a is atomic, since a kept
+    value never holds its own node."""
+    if is_atomic(a):
+        return frozenset()
     return frozenset(s for s in subformulas(a) if is_atomic(s))
 
 
 def atomic_subformulas(gamma) -> frozenset:
     """AF of a formula collection: every atomic formula occurring as a
     subformula, the falsity constant included."""
-    return frozenset().union(*(kept(g, "_atoms", _atoms) for g in gamma))
+    return frozenset().union(*(kept(g, "_atoms", _atoms) or (g,)
+                               for g in gamma))
 
 
 def prop_atoms(a: Formula) -> frozenset:

@@ -9,11 +9,16 @@ n.  Turning these assertions green would mean the defect was papered
 over, so they pin the red status and the repair diagnostics instead.
 """
 
+from pathlib import Path
+
 import pytest
 
 from bd4.acceptance import (
     SuiteConfig, render_report, report_all, run_criterion,
 )
+
+PINNED_LINES = (Path(__file__).resolve().parents[1] / "bench"
+                / "report_lines_seed0.txt")
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +164,10 @@ def test_report_rendering_is_deterministic(report):
     assert "status=fail" in text and "status=pass" in text
     human = render_report(results)
     assert human.strip().endswith("passed 9 of 12 (0 skipped)")
+
+
+def test_report_lines_equal_the_pinned_seed_0_report(report):
+    """Every criterion detail, red ones included, byte for byte."""
+    results = tuple(report[n] for n in sorted(report))
+    pinned = PINNED_LINES.read_text(encoding="utf-8")
+    assert render_report(results, "lines") == pinned

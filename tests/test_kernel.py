@@ -1,7 +1,11 @@
 """Kernel checking: rule shapes, violation codes, side conditions."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bd4 import acceptance
 from bd4.kernel import (
     BASE_RULES, Code, Derivation, DerivationStep, PACK_RULES, PACKS, RULES,
     Violation, check_derivation, check_step, derives, equality_axioms,
@@ -390,3 +394,101 @@ def test_equality_axioms_shapes():
     assert "p -> p" in printed
     assert any("f(x1) = f(y1)" in s for s in printed)
     assert any("P(x1)" in s and "P(y1)" in s for s in printed)
+
+
+# ---------------------------------------------------------------------------
+# additions kept on the principal
+
+KEPT = [rule for rule in RULES.values() if rule.kept_as]
+
+
+def test_the_rules_whose_additions_are_kept():
+    assert len(KEPT) == 17
+    assert {rule.needs for rule in KEPT} == {("principal",)}
+    unkept = {name for name, rule in RULES.items() if not rule.kept_as}
+    assert unkept == {
+        "Cut", "F-L", "notF-R", "eq-Refl", "eq-Repl", "Den-L", "Den-R",
+        "forall-L", "forall-R", "exists-L", "exists-R", "notforall-L",
+        "notforall-R", "notexists-L", "notexists-R"}
+
+
+def _bound_and_filled(rule, a):
+    """The additions as the rule table gives them from a step."""
+    env = rule.bind(DerivationStep(rule.name, Sequent(), principal=a))
+    return None if env is None else rule.filled(env)
+
+
+def _assert_kept_additions_agree(a):
+    for rule in KEPT:
+        want = _bound_and_filled(rule, a)
+        got = rule.additions(a)
+        assert got == want, (rule.name, a)
+        assert rule.additions(a) == got
+        if got is not None:
+            # a kept value never holds its own node
+            assert all(a not in side for adds in got[1:] for side in adds)
+            premises = rule.backward(Sequent.of([a], [a]), a)
+            assert len(premises) == len(got) - 1
+
+
+def _pool_principals():
+    pools = (acceptance._PROP_POOL, acceptance._PROP_LITERALS,
+             acceptance._FO_POOL, acceptance._FO_BODIES, acceptance._EQ_POOL,
+             acceptance._EQ_X_LITERALS)
+    letters = sorted(set().union(*pools), key=str)
+    out = set(letters)
+    for rule in KEPT:
+        for a, b in itertools.product(letters, repeat=2):
+            out.add(rule.principal_of({"x": "x", "A": a, "B": b}))
+    return sorted(out, key=str)
+
+
+def test_kept_additions_match_the_table_over_the_sampler_pools():
+    principals = _pool_principals()
+    for a in principals:
+        _assert_kept_additions_agree(a)
+    # every kept rule met its pattern and something else
+    for rule in KEPT:
+        hits = [a for a in principals if rule.additions(a) is not None]
+        assert hits and (rule.name == "Id" or len(hits) < len(principals))
+
+
+_KTERM = st.sampled_from([x, y, c, d, Fun("f", (c,))])
+_KFORMULA = st.recursive(
+    st.one_of(st.sampled_from([p, q, r, Falsity()]), st.builds(P, _KTERM),
+              st.builds(Eq, _KTERM, _KTERM)),
+    lambda fs: st.one_of(
+        st.builds(Not, fs), st.builds(And, fs, fs), st.builds(Or, fs, fs),
+        st.builds(Imp, fs, fs), st.builds(Forall, st.sampled_from("xy"), fs),
+        st.builds(Exists, st.sampled_from("xy"), fs)),
+    max_leaves=8)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_KFORMULA)
+def test_kept_additions_match_the_table(a):
+    _assert_kept_additions_agree(a)
+
+
+@pytest.mark.parametrize("principal", ["p", 3, x, Fun("c")])
+@pytest.mark.parametrize("name", sorted(
+    ["Cut", "forall-L", "eq-Repl"] + [rule.name for rule in KEPT]))
+def test_a_principal_that_is_no_formula_is_a_violation(name, principal):
+    hyps = (Sequent.of([p], [q]), Sequent.of([q], [p]))
+    rule = RULES[name]
+    step = DerivationStep(name, Sequent.of([p, q], [p]),
+                          premises=tuple(range(len(rule.premises))),
+                          principal=principal, t=c, t2=c, x="x", y="y")
+    good, v = check_derivation(Derivation(
+        tuple(DerivationStep("hypothesis", s) for s in hyps) + (step,),
+        frozenset(PACKS), hyps))
+    if name == "Cut":
+        want = Violation(2, Code.PREMISE_MISMATCH,
+                         "cut formula %s not in first premise succedent"
+                         % principal)
+    elif rule.literal:
+        want = Violation(2, Code.LITERAL_REQUIRED, str(principal))
+    else:
+        want = Violation(2, Code.PRINCIPAL_SHAPE,
+                         "%s cannot introduce %s" % (name, principal))
+    assert not good and v == want

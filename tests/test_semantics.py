@@ -429,6 +429,15 @@ def test_a_partial_size_below_two_has_no_structure():
         consequence_fo([Prop("q")], [], sig, max_domain=1, mode="partial")
 
 
+def test_an_empty_domain_has_no_structure():
+    """Size 0 has no structures in either mode, counted or enumerated."""
+    for sig in (Signature(predicates=(("q", 0),)),
+                Signature(functions=(("c", 0),), predicates=(("P", 1),))):
+        for mode in ("total", "partial"):
+            assert count_structures(sig, 0, mode) == 0
+            assert list(enumerate_structures(sig, 0, mode)) == []
+
+
 def test_enumeration_counts():
     sig = Signature(functions=(("c", 0),), predicates=(("P", 1),))
     # no equality needed: consts * P tables = 1*4 at size 1, 2*16 at size 2

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bd4 import syntax
+from bd4.kernel import RULES, check_derivation
 from bd4.parser import MAX_DEPTH, parse_formula
+from bd4.search import MODES, SearchBudget, prove_prop
 from bd4.semantics import PropSpace, consequence_prop
 from bd4.simulation import EXTENSION_MODES, translation_sets
 from bd4.syntax import (
@@ -289,6 +291,39 @@ def test_nodes_with_kept_values_leave_the_table():
     guard = kp._lp_guard()
     assert guard in guards and kp in syntax.subformulas(guard)
     del a, b, kp, kq, guards, guard
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+def test_nodes_with_kept_rule_additions_leave_the_table():
+    gc.collect()
+    before = len(syntax._NODES)
+    lp, lq, lr = Prop("life_p"), Prop("life_q"), Prop("life_r")
+    deep = Imp(lp, Or(lq, Not(lr)))
+    for _ in range(5):  # every level decomposes, and keeps its premises
+        deep = Not(Not(And(deep, Not(Imp(lq, And(deep, lr))))))
+    s = Sequent.of([deep, Not(Or(lp, lq))], [deep, Not(And(lr, lp))])
+    for mode in MODES:
+        result = prove_prop(s, SearchBudget(mode=mode))
+        assert result.proved and check_derivation(result.proof)[0]
+    for rule in RULES.values():
+        if rule.kept_as:
+            rule.additions(deep), rule.additions(Not(deep))
+    assert deep._premises_notnot_L == (((deep.body.body,), ()),)
+    del lp, lq, lr, deep, s, result
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+def test_an_atom_with_kept_atoms_leaves_the_table_with_its_parent():
+    gc.collect()
+    before = len(syntax._NODES)
+    a = Prop("life_a")
+    b = ExtApp("Des", (a,))  # b's compiled code holds b itself
+    assert atomic_subformulas([a]) == {a} and atomic_subformulas([b]) == {a}
+    consequence_prop([b], [b])
+    assert b in b._prop_code[0]
+    del a, b
     gc.collect()
     assert len(syntax._NODES) == before
 
