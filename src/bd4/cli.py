@@ -148,33 +148,37 @@ def _fo_mode(args) -> str:
     return "partial" if getattr(args, "partial", False) else "total"
 
 
-def _cmd_entails(args) -> int:
-    if args.sig:
-        sig = _get_sig(args)
-        gamma = parse_formula_list(args.gamma, sig)
-        delta = parse_formula_list(args.delta, sig)
-        res = consequence_fo(gamma, delta, sig, max_domain=args.max_domain,
-                             mode=_fo_mode(args))
-        if res.holds:
-            _emit(args, "entails: yes (no countermodel up to domain %d)"
-                  % args.max_domain, "entails=true")
-            return 0
-        _emit(args, "entails: no\n%s\nassignment: %s" % (
-            print_structure(res.structure).rstrip(),
-            _render_assignment(res.assignment) or "-"),
-            "entails=false")
-        return 1
+def _cmd_consequence(args) -> int:
+    """entails and countermodel (``args.verb``): one decision, printed as
+    the verb asks; each exits 0 when it finds what it asks for."""
+    entails = args.verb == "entails"
     sig = _get_sig(args, args.gamma, args.delta)
     gamma = parse_formula_list(args.gamma, sig)
     delta = parse_formula_list(args.delta, sig)
-    holds, witness = consequence_prop(gamma, delta)
+    found = lines = bound = ""
+    if args.sig:
+        res = consequence_fo(gamma, delta, sig, max_domain=args.max_domain,
+                             mode=_fo_mode(args))
+        holds, bound = res.holds, " up to domain %d" % args.max_domain
+        if not holds:
+            found = "%s\nassignment: %s" % (
+                print_structure(res.structure).rstrip(),
+                _render_assignment(res.assignment) or "-")
+    else:
+        holds, witness = consequence_prop(gamma, delta)
+        if not holds:
+            w = _render_valuation(witness)
+            found = "%s: %s" % ("witness" if entails else "countermodel", w)
+            lines = " witness=" + w
     if holds:
-        _emit(args, "entails: yes", "entails=true")
-        return 0
-    w = _render_valuation(witness)
-    _emit(args, "entails: no\nwitness: %s" % w,
-          "entails=false witness=%s" % w)
-    return 1
+        human = "no countermodel" + bound
+        if entails:
+            human = "entails: yes" + (" (%s)" % human if bound else "")
+    else:
+        human = ("entails: no\n" if entails else "") + found
+    _emit(args, human, "%s=%s%s" % (args.verb, str(holds == entails).lower(),
+                                    lines))
+    return int(holds != entails)
 
 
 def _cmd_equiv(args) -> int:
@@ -189,34 +193,6 @@ def _cmd_equiv(args) -> int:
     _emit(args, "equivalent: no\nwitness: %s" % w,
           "equivalent=false witness=%s" % w)
     return 1
-
-
-def _cmd_countermodel(args) -> int:
-    if args.sig:
-        sig = _get_sig(args)
-        gamma = parse_formula_list(args.gamma, sig)
-        delta = parse_formula_list(args.delta, sig)
-        res = consequence_fo(gamma, delta, sig, max_domain=args.max_domain,
-                             mode=_fo_mode(args))
-        if res.holds:
-            _emit(args, "no countermodel up to domain %d" % args.max_domain,
-                  "countermodel=false")
-            return 1
-        _emit(args, "%s\nassignment: %s" % (
-            print_structure(res.structure).rstrip(),
-            _render_assignment(res.assignment) or "-"),
-            "countermodel=true")
-        return 0
-    sig = _get_sig(args, args.gamma, args.delta)
-    gamma = parse_formula_list(args.gamma, sig)
-    delta = parse_formula_list(args.delta, sig)
-    holds, witness = consequence_prop(gamma, delta)
-    if holds:
-        _emit(args, "no countermodel", "countermodel=false")
-        return 1
-    w = _render_valuation(witness)
-    _emit(args, "countermodel: %s" % w, "countermodel=true witness=%s" % w)
-    return 0
 
 
 def _cmd_laws(args) -> int:
@@ -412,8 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_sig(p)
     p.set_defaults(fn=_cmd_eval)
 
-    for name, fn in (("entails", _cmd_entails),
-                     ("countermodel", _cmd_countermodel)):
+    for name in ("entails", "countermodel"):
         p = sub.add_parser(name)
         p.add_argument("gamma", help="comma-separated premises ('' for none)")
         p.add_argument("delta", help="comma-separated conclusions")
@@ -421,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-domain", type=int, default=3)
         p.add_argument("--partial", action="store_true",
                        help="partial structures (first-order only)")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_consequence)
 
     p = sub.add_parser("equiv", help="propositional equivalence")
     p.add_argument("left")

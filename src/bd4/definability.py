@@ -90,12 +90,10 @@ BD_BASE = (FALSUM_FN, NEG_FN, CONJ_FN, DISJ_FN, IMPL_FN)
 def extra_function(name: str) -> TruthFunction:
     """The table of a named optional connective (Des, Norm, Confl, ...)."""
     try:
-        arity, raw = EXTRA_CONNECTIVES[name]
+        arity, table = EXTRA_CONNECTIVES[name]
     except KeyError:
         raise DefinabilityError("unknown connective %r" % name) from None
-    if arity == 0:
-        return TruthFunction(0, (raw,), name)
-    return TruthFunction(1, tuple(raw[v] for v in VALUES), name)
+    return TruthFunction(arity, table, name)
 
 
 CONFLATION = extra_function("Confl")
@@ -133,19 +131,35 @@ def is_definable_criterion(g: TruthFunction) -> bool:
     return True
 
 
+# The work a closure may do, in table cells: 4^arity for each projection
+# and for each argument combination it examines.  The unary closure of
+# the base takes 33,372; at arity 2 the table cap alone would let the
+# work grow with the square of up to 200,000 tables.
+MAX_CELLS = 400_000
+
+
 def clone_closure(base, arity: int, cap: int = 200_000) -> tuple:
     """All arity-`arity` functions composable from base and projections.
 
     Returns the closure sorted by packed table code.  Nullary base
     members enter as constant functions of the requested arity.  The
     cap bounds the closure size and raises CloneCapExceeded as soon as
-    it would be passed.  Saturation runs on a frontier worklist: a
-    composition is only recomputed when at least one argument is new,
-    so each combination is examined once.
+    it would be passed, and so does work past ``MAX_CELLS`` table cells.
+    Saturation runs on a frontier worklist: a composition is only
+    recomputed when at least one argument is new, so each combination is
+    examined once.
     """
     base = tuple(base)
-    size = 4 ** arity
     seen: dict[int, TruthFunction] = {}
+    # the projections' cells; 4^16 alone passes the bound, so a larger
+    # arity is not raised to its power
+    work = arity * 4 ** min(arity, 16)
+
+    def spend():
+        if work > MAX_CELLS:
+            raise CloneCapExceeded("clone closure at arity %d needs more "
+                                   "than %d table cells of work"
+                                   % (arity, MAX_CELLS))
 
     def register(table, name=None):
         code = 0
@@ -158,6 +172,8 @@ def clone_closure(base, arity: int, cap: int = 200_000) -> tuple:
         seen[code] = TruthFunction(arity, tuple(table), name)
         return code
 
+    spend()
+    size = 4 ** arity
     for i in range(arity):
         register(projection(arity, i).table, "proj%d" % (i + 1))
     for g in base:
@@ -172,6 +188,8 @@ def clone_closure(base, arity: int, cap: int = 200_000) -> tuple:
             if g.arity == 0:
                 continue
             for combo in product(snapshot, repeat=g.arity):
+                work += size
+                spend()
                 if not any(code in fresh for code, _ in combo):
                     continue
                 tables = [tf.table for _, tf in combo]

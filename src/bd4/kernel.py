@@ -21,8 +21,10 @@ computed once per principal: ``Rule.additions`` keeps the premises'
 part on the principal (``syntax.kept``) and rebuilds the conclusion's,
 the principal itself, on each call.  All three readers take them from
 there: ``check_step``, ``Rule.backward`` (and so ``prove_prop``) and
-the sampler of ``acceptance``.  Every other rule except Cut fills its
-letters from the step on every call (``Rule.bind``, ``Rule.filled``).
+the sampler of ``acceptance``.  The rules that need no step field,
+F-L and notF-R, are filled once per rule (``Rule.constant``).  Every
+other rule except Cut fills its letters from the step on every call
+(``Rule.bind``, ``Rule.filled``).
 
 Sequent sides are sets.  A rule's conclusion is its context plus the
 formulas the rule introduces, and because sets absorb duplicates the
@@ -200,6 +202,12 @@ class Rule:
         """The additions of the conclusion, then of each premise."""
         return [(tuple([f(env) for f in ant]), tuple([f(env) for f in suc]))
                 for ant, suc in self._fills]
+
+    @functools.cached_property
+    def constant(self):
+        """The additions of a rule that needs no step field (F-L and
+        notF-R), filled once; None for every other rule."""
+        return None if self.needs else self.filled({})
 
     @functools.cached_property
     def kept_as(self):
@@ -381,6 +389,8 @@ def check_step(d: Derivation, i: int) -> Violation | None:
 
     if rule.kept_as:
         env, adds = None, rule.additions(step.principal)
+    elif rule.constant:
+        env, adds = None, rule.constant
     else:
         env = rule.bind(step)
         adds = None if env is None else rule.filled(env)

@@ -18,7 +18,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .semantics import counter_bits, onehot, scan_valuations
+from .semantics import _counter, scan_valuations
 from .syntax import And, Falsity, Imp, Not, Or
 from .values import (
     B, CL_VALUES, DESIGNATED, F, NON_DESIGNATED, T, TruthValue, VALUES,
@@ -400,47 +400,27 @@ def uniqueness_search(dropped=(), cap: int = 1000) -> UniquenessReport:
 # consequence inside an arbitrary candidate matrix
 
 
-def _values_in(m: Matrix4, code, env: dict, full: int) -> list:
-    """One-hot value masks (t, b, n, f order) of each compiled formula
-    over one block of valuations, computed with the matrix's tables."""
-    stack = []
-    for op in code:
-        if op.__class__ is str:
-            stack.append(onehot(*env[op], full))
-        elif op is Falsity:
-            stack.append(tuple(full if v is m.falsum else 0 for v in VALUES))
-        elif op is Not:
-            a, out = stack.pop(), [0, 0, 0, 0]
-            for v, w in zip(VALUES, m.neg):
-                out[w] |= a[v]
-            stack.append(out)
-        elif op is And or op is Or or op is Imp:
-            a, b, out = stack.pop(), stack.pop(), [0, 0, 0, 0]
-            table = m.conj if op is And else m.disj if op is Or else m.impl
-            for i, w in enumerate(table):
-                out[w] |= a[i >> 2] & b[i & 3]
-            stack.append(out)
-        else:
-            raise ValueError("unsupported formula for table evaluation: %s"
-                             % (op,))
-    return stack
-
-
 def consequence_in(m: Matrix4, gamma, delta):
     """Propositional consequence computed with the matrix's tables.
 
     Used to exhibit behavioral differences between law-satisfying
-    matrices.  Returns (True, None) or (False, the first
-    countervaluation in ``valuations`` order).
+    matrices.  The compiled formulas run with the matrix's tables in
+    place of falsity and the four connectives.  Returns (True, None) or
+    (False, the first countervaluation in ``valuations`` order); raises
+    ValueError on an extra connective, which has no table here.
     """
     gamma, delta = list(gamma), list(delta)
-    n = len(gamma)
+    tables = {Falsity: (m.falsum,), Not: m.neg, And: m.conj, Or: m.disj,
+              Imp: m.impl}
+    counter = _counter(len(gamma))
 
-    def counter(code, env, full):
-        ts = [v[T] | v[B] for v in _values_in(m, code, env, full)]
-        return counter_bits(ts[:n], ts[n:])
+    def marked(code, env, full):
+        if any(op.__class__ is tuple for op in code):
+            raise ValueError("an extra connective has no table in the "
+                             "matrix")
+        return counter([tables.get(op, op) for op in code], env, full)
 
-    witness = scan_valuations(gamma + delta, counter)
+    witness = scan_valuations(gamma + delta, marked)
     return witness is None, witness
 
 

@@ -258,12 +258,8 @@ def parse_derivation(text: str, sig: Signature) -> Derivation:
     return Derivation(tuple(steps), packs=packs, hypotheses=tuple(hypotheses))
 
 
-def _print_side(side) -> str:
-    return "; ".join(sorted(print_formula(a) for a in side))
-
-
 def print_sequent(s: Sequent) -> str:
-    return "|- %s => %s" % (_print_side(s.ant), _print_side(s.suc))
+    return str(s)
 
 
 def print_derivation(d: Derivation) -> str:

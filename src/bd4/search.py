@@ -25,13 +25,9 @@ from dataclasses import dataclass
 from .kernel import RULES, Derivation, DerivationStep, head
 from .semantics import consequence_prop
 from .syntax import TRUTH, Falsity, Sequent, formula_key, is_literal
-from .values import ALL_VALUES, CL_VALUES, K3_VALUES, LP_VALUES
+from .values import MODE_VALUES
 
 MODES = ("base", "lp", "k3", "cl")
-
-_MODE_VALUES = {
-    "base": ALL_VALUES, "lp": LP_VALUES, "k3": K3_VALUES, "cl": CL_VALUES,
-}
 
 _MODE_PACK_RULES = {
     "base": (), "lp": ("not-R",), "k3": ("not-L",), "cl": ("not-L", "not-R"),
@@ -207,8 +203,8 @@ def prove_prop(s: Sequent, budget: SearchBudget = SearchBudget()) -> SearchResul
     positive side the backward search builds a derivation; its packs
     field names the notLR pack exactly when a pack rule was used.
     """
-    holds, witness = consequence_prop(s.ant, s.suc,
-                                      _MODE_VALUES[budget.mode])
+    allowed = MODE_VALUES["bd" if budget.mode == "base" else budget.mode]
+    holds, witness = consequence_prop(s.ant, s.suc, allowed)
     if not holds:
         return SearchResult("refuted", countermodel=witness)
     searcher = _Searcher(budget)

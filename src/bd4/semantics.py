@@ -1,9 +1,12 @@
 """Evaluation and brute-force consequence for the four-valued logic.
 
-Both consequence relations run on one engine, a sweep of columns.  A
-formula becomes a (told-true, told-false) pair of ints over many
-columns at once, the connectives become bitwise operations, and the
-lowest set bit of a mask marks the first column in enumeration order.
+One evaluator serves everything: ``_run`` takes a formula's compiled
+code to a (told-true, told-false) pair of ints over many columns at
+once.  The base connectives are bitwise operations on the pairs, and
+any other connective is a table applied through one-hot masks: an
+extra connective compiles to its table, and ``matrixlab.consequence_in``
+runs a candidate matrix's tables in place of the base ones.  The lowest
+set bit of a mask marks the first column in enumeration order.
 
 The columns of one domain size are its (structure, assignment) pairs,
 in ``enumerate_structures`` order with the assignments innermost:
@@ -15,8 +18,10 @@ A propositional formula is a first-order one over nullary predicates,
 so its valuations are the columns of domain size 1, one digit per
 atom, in ``valuations`` order.  One block-by-block scan serves
 ``consequence_prop``, ``equivalent_prop``, ``matrixlab.consequence_in``
-and ``consequence_fo``; ``truth_table``, ``PropSpace`` and ``FOSpace``
-keep a formula's pair over a whole sweep.
+and ``consequence_fo``.  One space class, ``FOSpace``, keeps formulas'
+pairs over whole sweeps and checks sequents on them, per mode;
+``PropSpace`` is the ``FOSpace`` of domain size 1 over a tuple of
+atoms.  ``truth_table`` reads one sweep whole.
 
 ``evaluate_prop`` (one valuation) and ``evaluate`` over
 ``enumerate_structures`` (one structure) are kept as the references the
@@ -36,9 +41,8 @@ from .syntax import (
     Sequent, Signature, Var, kept,
 )
 from .values import (
-    ALL_VALUES, B, CL_VALUES, DESIGNATED, EXTRA_CONNECTIVES, F, K3_VALUES,
-    LP_VALUES, N, T, TruthValue, VALUES, designated, imp, inf, join, meet,
-    neg, sup,
+    ALL_VALUES, B, DESIGNATED, EXTRA_CONNECTIVES, F, MODE_VALUES, N, T,
+    TruthValue, VALUES, designated, imp, inf, join, meet, neg, sup,
 )
 
 
@@ -73,15 +77,13 @@ def evaluate_prop(a, valuation: dict) -> TruthValue:
         case Imp(l, r):
             return imp(evaluate_prop(l, valuation), evaluate_prop(r, valuation))
         case ExtApp(conn, args):
-            arity, table = EXTRA_CONNECTIVES[conn]
-            if arity == 0:
-                return table
-            return table[evaluate_prop(args[0], valuation)]
+            table = EXTRA_CONNECTIVES[conn][1]
+            return table[evaluate_prop(args[0], valuation) if args else 0]
     raise SemanticsError("not a propositional formula: %s" % (a,))
 
 
 def _check_allowed(allowed: frozenset):
-    if allowed not in (ALL_VALUES, LP_VALUES, K3_VALUES, CL_VALUES):
+    if allowed not in MODE_VALUES.values():
         raise SemanticsError(
             "allowed value set must be one of the four closed restrictions"
         )
@@ -112,13 +114,33 @@ def valuations(atoms, allowed=ALL_VALUES):
 _BY_BITS = (N, F, T, B)  # the value with bits (t, f), at index 2t + f
 
 
-def onehot(t: int, f: int, full: int) -> tuple:
-    """Per value, in t, b, n, f order, the positions holding it."""
-    return (t & ~f, t & f, full ^ (t | f), f & ~t)
-
-
 def _pair(v: TruthValue, full: int) -> tuple:
     return (full if v in DESIGNATED else 0, full if v in (B, F) else 0)
+
+
+# A connective is also given by its table: the value for each tuple of
+# argument values, at index a1 * 4 + a2 for a binary one, in t, b, n, f
+# order, and for a constant a 1-tuple of its value.  ``_run`` applies
+# the extra connectives' tables, and ``matrixlab.consequence_in`` a
+# candidate matrix's tables in place of the base connectives.
+_ARITY = {1: 0, 4: 1, 16: 2}  # a table's arity by its length
+
+
+def _apply(table: tuple, args, full: int) -> tuple:
+    """The (t, f) pair of a connective given by its table, on the pairs
+    of its arguments, the left one first: the cells' one-hot position
+    masks joined by the value each cell holds."""
+    cells = [full]
+    for t, f in args:
+        hot = (t & ~f, t & f, full ^ (t | f), f & ~t)  # t, b, n, f
+        cells = [c & h for c in cells for h in hot]
+    t = f = 0
+    for m, v in zip(cells, table):
+        if v is T or v is B:
+            t |= m
+        if v is B or v is F:
+            f |= m
+    return t, f
 
 
 def _arity(name: str, arity, args) -> tuple:
@@ -134,10 +156,11 @@ def _compile(formulas, sig: Signature) -> tuple:
 
     A connective follows its operands, the left one on top of the
     stack.  An item is a proposition's name, one of the classes Not,
-    And, Or, Imp and Falsity, an ExtApp node, a Pred or Eq atom as
-    written, or for a quantifier the tuple (Forall or Exists, variable,
-    code of the body).  Returns the code, the functions and predicates
-    that occur as (name, arity) pairs (a proposition has arity 0),
+    And, Or, Imp and Falsity, an extra connective's table, a Pred or Eq
+    atom as written, or for a quantifier the list [Forall or Exists,
+    variable, code of the body].  Returns the code, the functions and
+    predicates that occur as (name, arity) pairs (a proposition has
+    arity 0),
     whether equality occurs, and the free variables, sorted.  Every
     symbol must be declared in the signature with its arity; with no
     signature the formulas must be propositional, and the predicates
@@ -159,7 +182,7 @@ def _compile(formulas, sig: Signature) -> tuple:
                     code.append(x[0])
                 else:  # a quantifier: its body's code ends its scope
                     q, var, start, bound = x
-                    code[start:] = [(q, var, code[start:])]
+                    code[start:] = [[q, var, code[start:]]]
             elif cls is And or cls is Or or cls is Imp:
                 stack += ((cls,), x.left, x.right)
             elif cls is Not:
@@ -167,10 +190,11 @@ def _compile(formulas, sig: Signature) -> tuple:
             elif cls is Falsity:
                 code.append(Falsity)
             elif cls is ExtApp:
+                table = EXTRA_CONNECTIVES[x.conn][1]
                 if x.args:
-                    stack += ((x,), x.args[0])
+                    stack += ((table,), x.args[0])
                 else:
-                    code.append(x)
+                    code.append(table)
             elif (cls is Pred or cls is Eq) and sig:
                 if cls is Pred:
                     preds.add(_arity(x.name, sig.predicate_arity(x.name),
@@ -226,7 +250,8 @@ def _compile_prop(formulas, atoms=None) -> tuple:
 def _run(code, env: dict, full: int) -> list:
     """The (t, f) pair of each compiled formula, given the pairs of its
     atoms: proposition names, and the ground Pred and Eq atoms of the
-    first-order sweep."""
+    first-order sweep.  The base connectives are bitwise operations on
+    the pairs; a table goes through ``_apply``."""
     stack = []
     push, pop = stack.append, stack.pop
     for op in code:
@@ -237,14 +262,8 @@ def _run(code, env: dict, full: int) -> list:
             push((f, t))
         elif op is Falsity:
             push((0, full))
-        elif op.__class__ is ExtApp:
-            arity, table = EXTRA_CONNECTIVES[op.conn]
-            if arity == 0:
-                push(_pair(table, full))
-            else:
-                hot = onehot(*pop(), full)
-                push((sum(hot[v] for v in VALUES if table[v] in (T, B)),
-                      sum(hot[v] for v in VALUES if table[v] in (B, F))))
+        elif op.__class__ is tuple:
+            push(_apply(op, [pop() for _ in range(_ARITY[len(op)])], full))
         elif op is And or op is Or or op is Imp:
             t1, f1 = pop()
             t2, f2 = pop()
@@ -294,7 +313,7 @@ def _ground(code, domain, binding: dict) -> list:
     out = []
     for op in code:
         cls = op.__class__
-        if cls is tuple:
+        if cls is list:
             q, var, body = op
             for i, d in enumerate(domain):
                 out += _ground(body, domain, {**binding, var: d})
@@ -635,62 +654,6 @@ def synonymous_prop(a, b) -> bool:
     return True
 
 
-class PropSpace:
-    """Bulk propositional work over a fixed tuple of atoms, at most one
-    block of valuations: formulas become cached bit pairs over
-    ``valuations(atoms)``, the columns of one size-1 sweep, and
-    consequence is checked in the modes bd, lp, k3 and cl, each the
-    columns whose every digit takes a value the mode allows."""
-
-    MODES = {"bd": ALL_VALUES, "lp": LP_VALUES, "k3": K3_VALUES,
-             "cl": CL_VALUES}
-
-    def __init__(self, atoms: tuple):
-        self.atoms = tuple(atoms)
-        sweep = self._sweep = _prop_sweep(len(self.atoms), ALL_VALUES,
-                                          _BLOCK_COLUMNS)
-        if sweep.outer:
-            raise SemanticsError("a PropSpace holds at most %d valuations"
-                                 % _BLOCK_COLUMNS)
-        self._env = dict(zip(self.atoms, sweep.pairs(())))
-        self._modes = {}
-        for mode, allowed in self.MODES.items():
-            out = sweep.full
-            for j, values in enumerate(sweep.values):
-                out &= sum(m for m, v in zip(sweep._masks(j, ()), values)
-                           if v in allowed)
-            self._modes[mode] = out
-        self._pairs: dict = {}
-
-    def vector(self, a) -> tuple:
-        """The formula's (t, f) pair; equal pairs mean equal tables."""
-        out = self._pairs.get(a)
-        if out is None:
-            code, _ = _compile_prop([a], self.atoms)
-            out = self._pairs[a] = _run(code, self._env, self._sweep.full)[0]
-        return out
-
-    def mask(self, a) -> int:
-        """Bit i set iff the i-th valuation designates the formula."""
-        return self.vector(a)[0]
-
-    def holds(self, gamma_masks, delta_masks, mode="bd") -> int | None:
-        """Consequence over the mode's valuations; None when it holds,
-        else the index of the first countervaluation."""
-        bits = counter_bits(gamma_masks, delta_masks) & self._modes[mode]
-        return (bits & -bits).bit_length() - 1 if bits else None
-
-    def countermodel(self, s: Sequent, mode="bd") -> dict | None:
-        i = self.holds([self.mask(a) for a in s.ant],
-                       [self.mask(a) for a in s.suc], mode)
-        return (None if i is None
-                else dict(zip(self.atoms, self._sweep.digits((), i))))
-
-    def valid(self, s: Sequent, mode="bd") -> bool:
-        return self.holds([self.mask(a) for a in s.ant],
-                          [self.mask(a) for a in s.suc], mode) is None
-
-
 # ---------------------------------------------------------------------------
 # structures
 
@@ -789,10 +752,8 @@ def evaluate(a, structure: Structure, assignment: dict | None = None) -> TruthVa
             vals = {evaluate(b, m, {**alpha, x: d}) for d in m.domain}
             return (inf if a.__class__ is Forall else sup)(vals)
         case ExtApp(conn, args):
-            arity, table = EXTRA_CONNECTIVES[conn]
-            if arity == 0:
-                return table
-            return table[evaluate(args[0], m, alpha)]
+            table = EXTRA_CONNECTIVES[conn][1]
+            return table[evaluate(args[0], m, alpha) if args else 0]
     raise SemanticsError("not a formula: %r" % (a,))
 
 
@@ -961,12 +922,13 @@ class FOSpace:
     structure ``enumerate_structures`` gives for a size in ``sizes``,
     with each assignment of ``variables``.
 
-    A formula's designation mask over the columns is the told-true mask
-    of its grounded sweep, size after size, and a sequent is valid on
-    the class exactly when no column designates the whole antecedent
-    while designating nothing in the succedent.  ``columns`` is the
-    sequence of (structure, assignment) pairs, decoded on access.  A
-    size that admits no structure is refused.
+    A formula's (t, f) pair over the columns is the pair of its grounded
+    sweep, size after size, and a sequent is valid on the class exactly
+    when no column designates the whole antecedent while designating
+    nothing in the succedent.  ``columns`` is the sequence of
+    (structure, assignment) pairs, decoded on access.  A size that
+    admits no structure is refused.  The checks take a ``mode`` that
+    names the columns they range over; here "bd" is every column.
     """
 
     def __init__(self, sig, sizes, mode="total", need_eq=True,
@@ -981,35 +943,80 @@ class FOSpace:
                                  % (tuple(sizes),))
         self._envs = tuple({} for _ in self._sweeps)  # atom pairs per size
         self.columns = _Columns(self._sweeps)
-        self._masks = {}
+        self._modes = {"bd": (1 << len(self.columns)) - 1}
+        self._vectors = {}
 
-    def mask(self, a) -> int:
-        """Bit i set iff column i designates the formula."""
-        out = self._masks.get(a)
+    def vector(self, a) -> tuple:
+        """The formula's (t, f) pair; equal pairs mean equal values in
+        every column."""
+        out = self._vectors.get(a)
         if out is None:
             code, _, _, _, fv = _compile([a], self.sig)
             if unbound := set(fv) - set(self.variables):
                 raise SemanticsError("unbound variable %s" % min(unbound))
-            out = shift = 0
+            t = f = shift = 0
             for sweep, env in zip(self._sweeps, self._envs):
                 ground = _ground(code, sweep.domain, {})
                 sweep.fill(ground, (), env)
-                out |= _run(ground, env, sweep.full)[0][0] << shift
+                (st, sf), = _run(ground, env, sweep.full)
+                t |= st << shift
+                f |= sf << shift
                 shift += sweep.columns
-            self._masks[a] = out
+            out = self._vectors[a] = (t, f)
         return out
 
-    def counter_mask(self, s: Sequent) -> int:
-        bits = counter_bits(map(self.mask, s.ant), map(self.mask, s.suc))
-        return bits & ((1 << len(self.columns)) - 1)
+    def mask(self, a) -> int:
+        """Bit i set iff column i designates the formula."""
+        return self.vector(a)[0]
 
-    def valid(self, s: Sequent) -> bool:
-        return self.counter_mask(s) == 0
+    def holds(self, gamma_masks, delta_masks, mode="bd") -> int | None:
+        """Consequence over the mode's columns; None when it holds, else
+        the index of the first counter column."""
+        bits = counter_bits(gamma_masks, delta_masks) & self._modes[mode]
+        return (bits & -bits).bit_length() - 1 if bits else None
 
-    def countermodel(self, s: Sequent):
+    def counter_mask(self, s: Sequent, mode="bd") -> int:
+        return (counter_bits(map(self.mask, s.ant), map(self.mask, s.suc))
+                & self._modes[mode])
+
+    def valid(self, s: Sequent, mode="bd") -> bool:
+        return self.counter_mask(s, mode) == 0
+
+    def countermodel(self, s: Sequent, mode="bd"):
         """The first counter column's (structure, assignment), or None."""
-        cm = self.counter_mask(s)
+        cm = self.counter_mask(s, mode)
         return self.columns[(cm & -cm).bit_length() - 1] if cm else None
+
+
+class PropSpace(FOSpace):
+    """Bulk propositional work over a fixed tuple of at most eight atoms:
+    the ``FOSpace`` of domain size 1 over the atoms as propositions,
+    whose columns are ``valuations(atoms)``, one block of them.  Its
+    modes are bd, lp, k3 and cl, each the columns whose every atom takes
+    a value the mode allows, and a countermodel is a valuation."""
+
+    # entries of its own, so that a tracer that rebinds a class's
+    # methods (bench/layertrace.py) tells the two spaces apart
+    vector, mask, holds = FOSpace.vector, FOSpace.mask, FOSpace.holds
+
+    def __init__(self, atoms: tuple):
+        self.atoms = tuple(atoms)
+        if 4 ** len(self.atoms) > _BLOCK_COLUMNS:
+            raise SemanticsError("a PropSpace holds at most %d valuations"
+                                 % _BLOCK_COLUMNS)
+        super().__init__(Signature(predicates=tuple(
+            (a, 0) for a in self.atoms)), (1,), need_eq=False)
+        sweep, = self._sweeps
+        for mode, allowed in MODE_VALUES.items():
+            out = sweep.full
+            for j, values in enumerate(sweep.values):
+                out &= sum(m for m, v in zip(sweep._masks(j, ()), values)
+                           if v in allowed)
+            self._modes[mode] = out
+
+    def countermodel(self, s: Sequent, mode="bd") -> dict | None:
+        column = super().countermodel(s, mode)
+        return None if column is None else column[0].props
 
 
 class _Columns:

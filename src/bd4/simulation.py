@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 from .semantics import consequence_prop
 from .syntax import And, Falsity, Imp, Not, Or, atomic_subformulas
-from .values import ALL_VALUES, CL_VALUES, K3_VALUES, LP_VALUES
+from .values import ALL_VALUES, MODE_VALUES
 
 EXTENSION_MODES = ("lp", "k3", "cl")
-
-MODE_VALUES = {"lp": LP_VALUES, "k3": K3_VALUES, "cl": CL_VALUES}
 
 
 def _lp_guard(a):

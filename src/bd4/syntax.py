@@ -132,10 +132,8 @@ def kept(node, name: str, compute):
     over them, but never to the node itself: such a value is a cycle,
     which only ``gc.collect()`` frees, and during that collection the
     table's key of a parent still holds the node, so nested garbage of
-    such nodes goes one nesting level per collection.  (The compiled
-    code of an extra connective's application in ``semantics`` is the
-    one exception: it holds the application as its operator.)  Nor may
-    the value refer to a node that has this one as a part: that node's
+    such nodes goes one nesting level per collection.  Nor may the
+    value refer to a node that has this one as a part: that node's
     table key holds this one, so the two would keep each other alive
     for good.  Attributes are read and set, never the node's
     ``__dict__``: once that is asked for, CPython 3.11 reads every

@@ -24,13 +24,6 @@ class TruthValue(IntEnum):
     def __str__(self) -> str:
         return self.name
 
-    @classmethod
-    def from_letter(cls, s: str) -> "TruthValue":
-        try:
-            return cls[s.upper()]
-        except KeyError:
-            raise ValueError("not a truth value letter: %r" % (s,)) from None
-
 
 T = TruthValue.T
 B = TruthValue.B
@@ -46,6 +39,11 @@ LP_VALUES = frozenset({T, B, F})
 K3_VALUES = frozenset({T, N, F})
 CL_VALUES = frozenset({T, F})
 ALL_VALUES = frozenset(VALUES)
+
+# The value set of each mode by name: bd, the base logic, and the three
+# restrictions.
+MODE_VALUES = {"bd": ALL_VALUES, "lp": LP_VALUES, "k3": K3_VALUES,
+               "cl": CL_VALUES}
 
 
 def designated(v: TruthValue) -> bool:
@@ -119,18 +117,18 @@ def imp(a: TruthValue, b: TruthValue) -> TruthValue:
 
 
 # Truth tables of the optional extra connectives, keyed by surface name.
-# Each entry is (arity, table); unary tables are dicts over VALUES and
-# nullary ones are plain values.
-def _gate(truth_on: frozenset) -> dict:
-    return {v: (T if v in truth_on else F) for v in VALUES}
+# Each entry is (arity, table): a unary table holds the value for each
+# argument in t, b, n, f order, a nullary one is the 1-tuple of its value.
+def _gate(truth_on: frozenset) -> tuple:
+    return tuple(T if v in truth_on else F for v in VALUES)
 
 
-EXTRA_CONNECTIVES: dict[str, tuple[int, object]] = {
+EXTRA_CONNECTIVES: dict[str, tuple[int, tuple]] = {
     "Des": (1, _gate(DESIGNATED)),
     "Norm": (1, _gate(frozenset({T, F}))),
     "Cons": (1, _gate(frozenset({T, F, N}))),
     "Det": (1, _gate(frozenset({T, F, B}))),
-    "Confl": (1, {T: T, F: F, B: N, N: B}),
-    "Both": (0, B),
-    "Neither": (0, N),
+    "Confl": (1, (T, N, B, F)),
+    "Both": (0, (B,)),
+    "Neither": (0, (N,)),
 }

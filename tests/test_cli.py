@@ -175,6 +175,55 @@ def test_first_order_output_is_pinned(name, fo_sig):
     assert (out.returncode, out.stdout, out.stderr) == (code, lines, "")
 
 
+TWO_ELEMENTS = """\
+domain d1 d2
+const c = d1
+const d = d2
+pred q = T
+pred P d1 = T
+pred P d2 = N
+eq d1 d1 = T
+eq d1 d2 = F
+eq d2 d1 = F
+eq d2 d2 = T
+assignment: x=d2
+"""
+
+# per question: its arguments after the verb ("SIG" for the signature
+# file), then per verb its exit code, human output and lines output
+VERB_PINS = {
+    "prop-holds": (("p & q", "q, r"), {
+        "entails": (0, "entails: yes\n", "entails=true\n"),
+        "countermodel": (1, "no countermodel\n", "countermodel=false\n")}),
+    "prop-fails": (("p | q, ~r", "p & r"), {
+        "entails": (1, "entails: no\nwitness: p=t,q=t,r=f\n",
+                    "entails=false witness=p=t,q=t,r=f\n"),
+        "countermodel": (0, "countermodel: p=t,q=t,r=f\n",
+                         "countermodel=true witness=p=t,q=t,r=f\n")}),
+    "fo-holds": (("--sig", "SIG", "forall x. P(x)", "P(f(c))"), {
+        "entails": (0, "entails: yes (no countermodel up to domain 3)\n",
+                    "entails=true\n"),
+        "countermodel": (1, "no countermodel up to domain 3\n",
+                         "countermodel=false\n")}),
+    "fo-fails": (("--sig", "SIG", "--max-domain", "2", "P(c), q",
+                  "P(x) | P(d)"), {
+        "entails": (1, "entails: no\n" + TWO_ELEMENTS, "entails=false\n"),
+        "countermodel": (0, TWO_ELEMENTS, "countermodel=true\n")}),
+}
+
+
+@pytest.mark.parametrize("verb", ["entails", "countermodel"])
+@pytest.mark.parametrize("name", list(VERB_PINS))
+def test_entails_and_countermodel_output_is_pinned(name, verb, fo_sig,
+                                                   capsys):
+    args, pins = VERB_PINS[name]
+    args = [fo_sig if x == "SIG" else x for x in args]
+    code, human, lines = pins[verb]
+    for fmt, want in (("human", human), ("lines", lines)):
+        assert cli.main(["--format", fmt, verb, *args]) == code
+        assert capsys.readouterr() == (want, "")
+
+
 @pytest.mark.parametrize("args", [("--max-domain", "0"),
                                   ("--max-domain", "-3"),
                                   ("--partial", "--max-domain", "1")])
@@ -222,6 +271,15 @@ def test_a_bound_out_of_range_is_a_usage_error(args, capsys):
 def test_the_nullary_clone_holds_the_two_constants(capsys):
     assert cli.main(["define", "clone", "--arity", "0"]) == 0
     assert capsys.readouterr().out == "clone size at arity 0: 2\n  t\n  f\n"
+
+
+@pytest.mark.parametrize("arity", ["2", "3", "12", "1000000000"])
+def test_a_clone_past_the_work_bound_is_an_error(arity, capsys):
+    assert cli.main(["define", "clone", "--arity", arity]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: clone closure at arity %s needs more than "
+                       "400000 table cells of work\n" % arity)
 
 
 def test_synthesis_at_depth_zero_searches_the_atoms_alone(capsys):

@@ -58,6 +58,31 @@ def test_falsity_axioms():
         Code.CONCLUSION_MISMATCH)
 
 
+def test_the_falsity_axioms_are_filled_once():
+    for name in ("F-L", "notF-R"):
+        rule = RULES[name]
+        step = DerivationStep(name, Sequent(), principal=p)
+        assert rule.constant == rule.filled(rule.bind(step))
+        assert rule.constant is rule.constant
+    assert {name for name, rule in RULES.items()
+            if rule.constant is not None} == {"F-L", "notF-R"}
+    # any principal is ignored, and the violations are as before
+    for step, want in (
+            (DerivationStep("notF-R", Sequent.of([p], [q]), principal=p),
+             (False, Violation(0, Code.CONCLUSION_MISMATCH,
+                               "~F missing on the right"))),
+            (DerivationStep("F-L", Sequent.of([p], [q]), principal=3),
+             (False, Violation(0, Code.CONCLUSION_MISMATCH,
+                               "F missing on the left"))),
+            (DerivationStep("F-L", Sequent.of([Falsity()], [q]),
+                            premises=(0,)),
+             (False, Violation(0, Code.BAD_PREMISE_INDEX,
+                               "F-L takes 0 premises, got 1"))),
+            (DerivationStep("notF-R", Sequent.of([p], [Not(Falsity())]),
+                            principal="junk"), (True, None))):
+        assert check_derivation(Derivation((step,))) == want
+
+
 def test_conjunction_rules():
     ok([
         DerivationStep("Id", Sequent.of([p, q], [p]), principal=p),

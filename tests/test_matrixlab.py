@@ -18,7 +18,9 @@ from bd4.matrixlab import (
     is_regular, uniqueness_search,
 )
 from bd4.semantics import consequence_prop, valuations
-from bd4.syntax import And, Falsity, Imp, Not, Or, Prop, prop_atoms
+from bd4.syntax import (
+    And, ExtApp, Falsity, Imp, Not, Or, Prop, prop_atoms,
+)
 from bd4.values import B, F, N, T, VALUES, designated, imp, inf, sup
 
 p, q = Prop("p"), Prop("q")
@@ -149,6 +151,13 @@ def test_consequence_in_matrix_matches_reference_semantics():
     for gamma, delta in cases:
         assert consequence_in(BD_MATRIX, gamma, delta)[0] == \
             consequence_prop(gamma, delta)[0]
+
+
+def test_consequence_in_refuses_an_extra_connective():
+    for a in (ExtApp("Des", (p,)), Or(p, ExtApp("Both"))):
+        for gamma, delta in (([a], [q]), ([q], [a])):
+            with pytest.raises(ValueError):
+                consequence_in(BD_MATRIX, gamma, delta)
 
 
 def _value_in(m, a, v):

@@ -328,6 +328,13 @@ def test_non_propositional_input_is_refused():
         truth_table(And(p, q), ("p",))
 
 
+def test_a_prop_space_holds_at_most_one_block_of_valuations():
+    assert len(PropSpace(tuple("a%d" % i for i in range(8))).columns) == 4 ** 8
+    for k in (9, 40):  # refused before any mask is built
+        with pytest.raises(SemanticsError, match="at most 65536 valuations"):
+            PropSpace(tuple("a%d" % i for i in range(k)))
+
+
 SIG = Signature(
     functions=(("c", 0), ("d", 0), ("f", 1)),
     predicates=(("P", 1), ("Q", 2)),

@@ -286,7 +286,7 @@ def test_nodes_with_kept_values_leave_the_table():
     a = Imp(And(kp, Not(kq)), Or(kq, Falsity()))
     b = ExtApp("Des", (Or(kp, ExtApp("Both")),))
     guards = _kept_values(a, b)
-    assert kp in a._atoms and b in b._prop_code[0] and a._text
+    assert kp in a._atoms and b._prop_code and a._text
     # an atom's guards contain the atom: the values refer back to it
     guard = kp._lp_guard()
     assert guard in guards and kp in syntax.subformulas(guard)
@@ -319,11 +319,24 @@ def test_an_atom_with_kept_atoms_leaves_the_table_with_its_parent():
     gc.collect()
     before = len(syntax._NODES)
     a = Prop("life_a")
-    b = ExtApp("Des", (a,))  # b's compiled code holds b itself
+    b = ExtApp("Des", (a,))
     assert atomic_subformulas([a]) == {a} and atomic_subformulas([b]) == {a}
     consequence_prop([b], [b])
-    assert b in b._prop_code[0]
     del a, b
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+def test_nested_extra_connectives_with_kept_code_leave_in_one_collection():
+    # compiled code holds a connective's table, not its application, so
+    # the kept code makes no cycle through the node
+    gc.collect()
+    before = len(syntax._NODES)
+    inner = ExtApp("Des", (Prop("life_d"),))
+    outer = ExtApp("Des", (inner,))
+    consequence_prop([outer], [inner])
+    assert outer._prop_code and inner._prop_code
+    del inner, outer
     gc.collect()
     assert len(syntax._NODES) == before
 
