@@ -2,8 +2,12 @@
 ``cli.main``: output that does not depend on the hash seed, and exit
 code 2 with a one-line error on bad input."""
 
+import contextlib
+import io
+import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from bd4 import cli
+from bd4.acceptance import report_all
 from bd4.parser import MAX_DEPTH
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -287,3 +292,60 @@ def test_synthesis_at_depth_zero_searches_the_atoms_alone(capsys):
     out = capsys.readouterr()
     assert out.out == "no defining formula up to 0 connectives\n"
     assert out.err == ""
+
+
+# the uniqueness sweep's verbs, pinned as they printed before the sweep
+# was rebuilt from per-cell value sets; the file maps each argv, format
+# first, to the exit code and stdout, with the human report's seconds
+# masked
+LAWS_PINS = Path(__file__).resolve().parent / "laws_cli_pins.json"
+LAWS_ARGVS = [("laws", "uniqueness")] + [("laws", "drop", str(law))
+                                         for law in range(1, 16)]
+DROPPED_REPORT = ("report", "--drop-law", "7", "--drop-law", "8")
+
+
+def _main(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _untimed(text: str) -> str:
+    return re.sub(r"(?m)^(criterion-\d+ \w+) +\d+\.\d+s ", r"\1 ", text)
+
+
+def _pinned_runs(report=report_all) -> dict:
+    """Each pinned argv in both formats, keyed as in ``LAWS_PINS``; the
+    two report runs share one run of the suites."""
+    runs, configs = {}, []
+
+    def once(config):
+        configs.append(config)
+        if len(configs) == 1:
+            runs["results"] = report(config)
+        return runs["results"]
+
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "report_all", once)
+        for argv in LAWS_ARGVS + [DROPPED_REPORT]:
+            for fmt in ("human", "lines"):
+                key = " ".join(("--format", fmt) + argv)
+                code, stdout, stderr = _main(key.split())
+                assert stderr == ""
+                out[key] = [code, _untimed(stdout)]
+    assert len(configs) == 2 and configs[0] == configs[1]
+    return out
+
+
+@pytest.fixture(scope="module")
+def pinned_runs():
+    return _pinned_runs()
+
+
+def test_the_laws_verbs_and_a_dropped_law_report_are_pinned(pinned_runs):
+    pins = json.loads(LAWS_PINS.read_text(encoding="utf-8"))
+    assert len(pins) == 2 * len(LAWS_ARGVS) + 2
+    for key, want in pins.items():
+        assert pinned_runs[key] == want, key
