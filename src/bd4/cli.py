@@ -31,8 +31,8 @@ from .proofio import (
 )
 from .search import MODES, SearchBudget, prove_prop
 from .semantics import (
-    EnumerationCapExceeded, SemanticsError, consequence_fo, consequence_prop,
-    equivalent_prop, evaluate, evaluate_prop, valuations,
+    SemanticsError, consequence_fo, consequence_prop, equivalent_prop,
+    evaluate, evaluate_prop, valuations,
 )
 from .simulation import EXTENSION_MODES, translation_sets, verify_simulation
 from .syntax import EXTRA_CONNECTIVES, SyntaxBuildError, prop_signature
@@ -88,10 +88,18 @@ def _infer_atoms(*texts: str):
     return sorted(names)
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError("%s is not UTF-8 text: %s at byte %d"
+                         % (path, exc.reason, exc.start))
+
+
 def _get_sig(args, *texts: str):
     if getattr(args, "sig", None):
-        with open(args.sig) as fh:
-            return parse_signature(fh.read())
+        return parse_signature(_read(args.sig))
     if getattr(args, "atoms", None):
         return prop_signature(*args.atoms.split())
     return prop_signature(*_infer_atoms(*texts))
@@ -122,8 +130,7 @@ def _cmd_eval(args) -> int:
             raise UsageError("eval over a structure needs --sig")
         sig = _get_sig(args)
         a = parse_formula(args.formula, sig)
-        with open(args.structure) as fh:
-            m = parse_structure(fh.read(), sig)
+        m = parse_structure(_read(args.structure), sig)
         v = evaluate(a, m)
         _emit(args, "value: %s" % _vname(v), "value=%s" % _vname(v))
         return 0 if designated(v) else 1
@@ -281,8 +288,7 @@ def _quoted_segments(text: str):
 
 
 def _cmd_check(args) -> int:
-    with open(args.file) as fh:
-        text = fh.read()
+    text = _read(args.file)
     if args.sig:
         sig = _get_sig(args)
     else:

@@ -19,8 +19,8 @@ from .syntax import (
     prop_atoms,
 )
 from .values import (
-    B, DESIGNATED, EXTRA_CONNECTIVES, F, N, T, TruthValue, VALUES,
-    designated, imp, join, meet, neg,
+    B, EXTRA_CONNECTIVES, F, N, T, TruthValue, VALUES, designated, imp, join,
+    meet, neg,
 )
 
 

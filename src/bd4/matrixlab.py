@@ -3,8 +3,10 @@
 Everything here treats truth tables as data: regularity and classical
 closure are decidable cell checks, the fifteen lattice laws are finite
 schemas, and the uniqueness question ("which regular classically closed
-matrices satisfy all fifteen?") is answered by staged enumeration over
-the candidate pools rather than the raw 4^16-sized table space.
+matrices satisfy all fifteen?") is answered by a staged search, not
+over the raw 4^16-sized table space: regularity, closure and the laws
+that pin or tie single cells (1-8) build the lattice tables as products
+of per-cell value sets, and laws 9-15 filter whole tables.
 
 Binary tables are tuples of 16 values indexed by a1*4+a2; quantifier
 tables are tuples of 15 values indexed over the nonempty subsets of the
@@ -16,26 +18,24 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 from .semantics import _counter, scan_valuations
 from .syntax import And, Falsity, Imp, Not, Or
 from .values import (
-    B, CL_VALUES, DESIGNATED, F, NON_DESIGNATED, T, TruthValue, VALUES,
-    designated, imp, inf, join, meet, neg, sup,
+    B, CL_VALUES, DESIGNATED, F, T, TruthValue, VALUES, designated, imp, inf,
+    join, meet, neg, sup,
 )
 
 #: all nonempty subsets of the value space, ordered by bitmask
-SUBSETS = tuple(
-    frozenset(v for v in VALUES if mask >> int(v) & 1)
-    for mask in range(1, 16)
-)
+SUBSETS = tuple(frozenset(v for v in VALUES if mask >> v & 1)
+                for mask in range(1, 16))
 
 
 def subset_index(values) -> int:
-    mask = 0
-    for v in values:
-        mask |= 1 << int(v)
+    mask = functools.reduce(operator.or_, (1 << v for v in values), 0)
     if mask == 0:
         raise ValueError("quantifier tables have no entry for the empty set")
     return mask - 1
@@ -73,16 +73,6 @@ class Matrix4:
     def truth(self) -> TruthValue:
         return self.neg[self.falsum]
 
-    def packed(self) -> dict:
-        """Base-4 integer encodings of the finite tables."""
-        pack = lambda cells: sum(int(v) * 4 ** i for i, v in enumerate(cells))
-        return {
-            "neg": pack(self.neg), "conj": pack(self.conj),
-            "disj": pack(self.disj), "impl": pack(self.impl),
-            "forall": pack(self.forall_q), "exists": pack(self.exists_q),
-            "falsum": int(self.falsum),
-        }
-
 
 BD_MATRIX = Matrix4(
     neg=tuple(neg(a) for a in VALUES),
@@ -97,7 +87,6 @@ BD_MATRIX = Matrix4(
 
 # ---------------------------------------------------------------------------
 # regularity and classical closure
-
 
 _BINARY_CONDITIONS = {
     "conj": lambda a1, a2: designated(a1) and designated(a2),
@@ -210,10 +199,8 @@ _INSTANCES = {
 def _image_cells(op: tuple) -> tuple:
     """Instances (V, a2) of laws 14 and 15 for a binary table, as index
     triples: V's index, a2, and the index of {op(v, a2) : v in V}."""
-    return tuple(
-        (i, a2, subset_index(op[v * 4 + a2] for v in s))
-        for i, s in enumerate(SUBSETS) for a2 in VALUES
-    )
+    return tuple((i, a2, subset_index(op[v * 4 + a2] for v in s))
+                 for i, s in enumerate(SUBSETS) for a2 in VALUES)
 
 
 def _law_witness(law, nu, ff, cj, dj, im, al, ex):
@@ -261,11 +248,37 @@ def check_all_laws(m: Matrix4, laws=ALL_LAWS):
 _FAMILIES = ("neg", "conj", "disj", "impl", "forall", "exists", "falsum")
 
 
-def _cell_pool(want_designated: bool, classical: bool):
-    pool = DESIGNATED if want_designated else NON_DESIGNATED
-    if classical:
-        pool = pool & CL_VALUES
-    return tuple(v for v in VALUES if v in pool)
+def _cell_sets(family: str, laws=(), nu=None, ff=None) -> tuple:
+    """A family's regular classically closed tables as a value set per
+    cell, narrowed by ``laws``, and the ties {cell: earlier cell it equals}.
+
+    Given negation ``nu`` and falsity ``ff``, laws 1-6 pin cells and 7
+    and 8 tie each cell to its transpose; no other law may be given.  A
+    side read off identity tables is a cell, or a value if it reads none.
+    """
+    sets = [tuple(v for v in VALUES if designated(v) == want
+                  and (v in CL_VALUES or not classical))
+            for _, want, classical in _cells(family)]
+    cells, ties = range(len(sets)), {}
+    for law in laws:
+        for a, b in _INSTANCES[LAW_ARITY[law]]:
+            i, j = _SIDES[law](nu, ff, cells, cells, None, a, b)
+            if isinstance(j, TruthValue):
+                sets[i] = tuple(v for v in sets[i] if v is j)
+            elif i != j:
+                ties[max(i, j)] = min(i, j)
+    for j, i in ties.items():
+        sets[i] = sets[j] = tuple(v for v in sets[i] if v in sets[j])
+    return sets, ties
+
+
+def _tables(sets, ties):
+    """Every table of the cell sets, tied cells copied, in the order of
+    the product over the cells (the order filtering that product keeps)."""
+    free = [i for i in range(len(sets)) if i not in ties]
+    where = [free.index(ties.get(i, i)) for i in range(len(sets))]
+    return map(operator.itemgetter(*where),
+               itertools.product(*(sets[i] for i in free)))
 
 
 def enumerate_candidates(family: str):
@@ -276,31 +289,44 @@ def enumerate_candidates(family: str):
     """
     if family == "falsum":
         return [T, F]
-    cells = [_cell_pool(want, classical)
-             for _, want, classical in _cells(family)]
-    return [tuple(c) for c in itertools.product(*cells)]
+    return list(_tables(*_cell_sets(family)))
 
 
 def candidate_counts() -> dict:
-    return {family: len(enumerate_candidates(family)) for family in _FAMILIES}
+    return {family: len(enumerate_candidates(family)) if family == "falsum"
+            else math.prod(map(len, _cell_sets(family)[0]))
+            for family in _FAMILIES}
 
 
 # ---------------------------------------------------------------------------
 # staged uniqueness search
 
-
 # the places of a context, in the order _law_witness takes the tables
 _CONTEXT = ("neg", "falsum", "conj", "disj", "impl", "forall", "exists")
 
+# the laws checked on whole tables of one family, and the other places
+# of the context that each reads
+_READS = {11: (), 12: (0, 1, 2), 13: (1, 3), 14: (2,), 15: (3,)}
 
-def _passing(pools, family: str, laws, context: tuple) -> list:
-    """The family's candidate tables that satisfy every law when put in
-    their place in the context."""
+
+@functools.lru_cache(maxsize=32)
+def _law_pool(family: str, law: int, context: tuple) -> tuple:
+    """The family's candidate tables that satisfy one law when put in
+    their place in the context, which holds only what the law reads."""
     slot = _CONTEXT.index(family)
     before, after = context[:slot], context[slot + 1:]
-    return [x for x in pools[family]
-            if all(_law_witness(law, *before, x, *after) is None
-                   for law in laws)]
+    return tuple(x for x in enumerate_candidates(family)
+                 if _law_witness(law, *before, x, *after) is None)
+
+
+def _pool(family: str, laws, context: tuple) -> list:
+    """The family's candidate tables that satisfy every law in ``laws``
+    in the context, in candidate order."""
+    pools = [_law_pool(family, law, tuple(c if i in _READS[law] else None
+                                          for i, c in enumerate(context)))
+             for law in laws] or [enumerate_candidates(family)]
+    keep = frozenset(pools[0]).intersection(*pools[1:])
+    return [x for x in pools[0] if x in keep]
 
 
 @dataclass
@@ -313,92 +339,66 @@ class UniquenessReport:
 
     def survivors_modulo_impl(self):
         """Distinct survivors after erasing the implication table."""
-        if self.survivors is None:
-            return None
-        return {
+        return None if self.survivors is None else {
             (s.neg, s.conj, s.disj, s.forall_q, s.exists_q, s.falsum)
-            for s in self.survivors
-        }
+            for s in self.survivors}
 
 
 def uniqueness_search(dropped=(), cap: int = 1000) -> UniquenessReport:
     """Every regular classically closed matrix satisfying the active laws.
 
-    ``dropped`` removes law identifiers from the requirement.  The
-    search stages the laws by which tables they mention: negation and
-    falsity first (laws that involve T go through both), then the
-    lattice connectives, then implication and the quantifiers, whose
-    pools multiply out per surviving context.  With the full law set
-    the count comes out at 81: the fifteen laws pin every table except
-    implication, whose pool retains 81 tables.
-
+    ``dropped`` removes law identifiers from the requirement.  The laws
+    are staged by the tables they mention.  Law 11 filters negation.
+    Per (negation, falsity) context, laws 1-8 act per cell, so the
+    conjunction and disjunction pools are products of cell value sets;
+    laws 9 and 10 filter their pairs.  Per pair, laws 12 and 13 filter
+    implication and 14 and 15 the quantifiers, with verdicts shared by
+    every search, and the pools multiply out.  With every law the count
+    is 81: all tables but implication are pinned, and it keeps 81.
     Survivors are materialized only when the count fits under ``cap``.
     """
     active = frozenset(ALL_LAWS) - frozenset(dropped)
-    pools = {family: enumerate_candidates(family) for family in _FAMILIES}
-    counts = {family: len(pool) for family, pool in pools.items()}
 
     def laws(*ids):
         return tuple(law for law in ids if law in active)
 
-    stages = []
-    negs = _passing(pools, "neg", laws(11), (None,) * 7)
-    stages.append(("negation tables after law 11", len(negs)))
+    negs = _pool("neg", laws(11), (None,) * 7)
+    stages = [("negation tables after law 11", len(negs))]
 
-    # law 14 reads only conjunction, law 15 only disjunction
-    forall_cache: dict = {}
-    exists_cache: dict = {}
-    total = 0
-    contexts = []
+    late = (("impl", (12, 13)), ("forall", (14,)), ("exists", (15,)))
+    total, contexts = 0, []
     for nu in negs:
-        for ff in pools["falsum"]:
-            context = (nu, ff) + (None,) * 5
-            conj_pool = _passing(pools, "conj", laws(1, 3, 5, 7), context)
-            disj_pool = _passing(pools, "disj", laws(2, 4, 6, 8), context)
-            pairs = [
-                (cj, dj) for cj in conj_pool for dj in disj_pool
-                if all(_law_witness(law, nu, ff, cj, dj, None, None, None)
-                       is None for law in laws(9, 10))
-            ]
+        for ff in enumerate_candidates("falsum"):
+            conj_pool, disj_pool = (
+                list(_tables(*_cell_sets(family, laws(*ids), nu, ff)))
+                for family, ids in (("conj", (1, 3, 5, 7)),
+                                    ("disj", (2, 4, 6, 8))))
+            pairs = [(cj, dj) for cj in conj_pool for dj in disj_pool
+                     if all(_law_witness(law, nu, ff, cj, dj, None, None,
+                                         None) is None for law in laws(9, 10))]
             stages.append((
                 "context neg=%s falsum=%s: conj %d, disj %d, joint pairs %d"
                 % (tuple(v.letter for v in nu), ff.letter, len(conj_pool),
-                   len(disj_pool), len(pairs)),
-                len(pairs),
-            ))
+                   len(disj_pool), len(pairs)), len(pairs)))
             for cj, dj in pairs:
                 context = (nu, ff, cj, dj, None, None, None)
-                impl_pool = _passing(pools, "impl", laws(12, 13), context)
-                if cj not in forall_cache:
-                    forall_cache[cj] = _passing(pools, "forall", laws(14),
-                                                context)
-                if dj not in exists_cache:
-                    exists_cache[dj] = _passing(pools, "exists", laws(15),
-                                                context)
-                forall_pool, exists_pool = forall_cache[cj], exists_cache[dj]
-                n = len(impl_pool) * len(forall_pool) * len(exists_pool)
-                total += n
-                if n:
-                    contexts.append((nu, ff, cj, dj, impl_pool, forall_pool,
-                                     exists_pool))
+                pools = [_pool(family, laws(*ids), context)
+                         for family, ids in late]
+                total += math.prod(map(len, pools))
+                contexts.append((nu, ff, cj, dj, pools))
 
-    survivors = None
-    if total <= cap:
-        survivors = [
-            Matrix4(neg=nu, conj=cj, disj=dj, impl=im, forall_q=al,
-                    exists_q=ex, falsum=ff)
-            for nu, ff, cj, dj, *pools in contexts
-            for im, al, ex in itertools.product(*pools)
-        ]
+    survivors = None if total > cap else [
+        Matrix4(neg=nu, conj=cj, disj=dj, impl=im, forall_q=al, exists_q=ex,
+                falsum=ff)
+        for nu, ff, cj, dj, pools in contexts
+        for im, al, ex in itertools.product(*pools)]
     return UniquenessReport(
-        dropped=frozenset(dropped), candidate_counts=counts, stages=stages,
-        survivor_count=total, survivors=survivors,
-    )
+        dropped=frozenset(dropped), candidate_counts=candidate_counts(),
+        stages=stages, survivor_count=total, survivors=survivors)
 
 
 # ---------------------------------------------------------------------------
 # consequence inside an arbitrary candidate matrix
-
 
 def consequence_in(m: Matrix4, gamma, delta):
     """Propositional consequence computed with the matrix's tables.

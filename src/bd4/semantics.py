@@ -857,6 +857,24 @@ def enumerate_structures(sig: Signature, size: int, mode: str = "total",
                         )
 
 
+def _structure_bits(sig: Signature, size: int, mode, allowed, need_eq,
+                    eq_distinct) -> float:
+    """log2 of the count of structures ``_layout`` lays out at one size,
+    read off the arities alone: each digit adds log2 of its radix.  A
+    symbol with more than 2^1000 digits makes it infinite."""
+    real = size - (mode == "partial")
+    vals = [v for v in VALUES if v in allowed]
+    radices = [(size, a) for _, a in sig.functions]
+    radices += [(len(vals), a) for _, a in sig.predicates]
+    digits = [(radix, size ** a if a * math.log2(size) < 1000 else math.inf)
+              for radix, a in radices]
+    if need_eq:
+        dist = vals if eq_distinct is None else list(eq_distinct)
+        digits += [(len([v for v in (T, B) if v in allowed]), real),
+                   (len(dist), real * (real - 1))]
+    return sum(n * math.log2(radix) for radix, n in digits if radix > 1)
+
+
 @dataclass
 class FOResult:
     holds: bool
@@ -882,7 +900,8 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     delta, and it is the only Structure built.  Raises SemanticsError
     when the bound admits no structure, and EnumerationCapExceeded
     before any scan once the structures of the sizes counted so far,
-    smallest first, number more than ``cap``, and during the scan once
+    smallest first, number more than ``cap`` (a size far past it is
+    refused before any of its digits is built), and during the scan once
     the blocks scanned without a countermodel hold more than
     ``_SCAN_CAP`` columns.
     """
@@ -900,6 +919,14 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
 
     sweeps, total = [], 0
     for size in range(least, max_domain + 1):
+        # far past the cap, refuse before building a digit of the size
+        bits = _structure_bits(small, size, mode, allowed, has_eq,
+                               eq_distinct)
+        if bits > cap.bit_length() + 64:
+            k = bits * math.log10(2)
+            raise EnumerationCapExceeded(
+                "would enumerate at least %s structures (cap %d)"
+                % ("about 10^%d" % k if k < 1e15 else "10^(10^15)", cap))
         sweeps.append(_Sweep(small, size, mode, allowed, has_eq, eq_distinct,
                              fv, _BLOCK_COLUMNS))
         # a size's columns are its structures times the assignments

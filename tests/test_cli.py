@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -349,3 +350,61 @@ def test_the_laws_verbs_and_a_dropped_law_report_are_pinned(pinned_runs):
     assert len(pins) == 2 * len(LAWS_ARGVS) + 2
     for key, want in pins.items():
         assert pinned_runs[key] == want, key
+
+
+NOT_UTF8 = b"const c\npred P/1\n\xff\xfe\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "BAD"),
+    ("check", "SIG", "--sig", "BAD"),
+    ("entails", "--sig", "BAD", "P(c)", "P(c)"),
+    ("countermodel", "--sig", "BAD", "P(c)", "P(c)"),
+    ("simulate", "--mode", "lp", "--sig", "BAD", "p", "p"),
+    ("eval", "--sig", "BAD", "P(c)"),
+    ("eval", "--sig", "SIG", "--structure", "BAD", "P(c)"),
+], ids=" ".join)
+def test_a_file_that_is_not_utf8_is_an_error(argv, fo_sig, tmp_path,
+                                             capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    argv = [{"BAD": str(bad), "SIG": fo_sig}.get(x, x) for x in argv]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: %s is not UTF-8 text: invalid start byte "
+                       "at byte 17\n" % bad)
+
+
+# per signature line: the atom that uses it, and the exponent of ten
+# its two-element structures number
+HUGE = [
+    ("pred P/12", "P(%s)" % ",".join("c" * 12), "2466"),
+    ("pred P/16", "P(%s)" % ",".join("c" * 16), "39456"),
+    ("pred P/24", "P(%s)" % ",".join("c" * 24), "10100890"),
+    ("pred P/40", "P(%s)" % ",".join("c" * 40), "661971961084"),
+    ("func f/30", "R(f(%s))" % ",".join("c" * 30), "323228498"),
+]
+
+
+@pytest.mark.parametrize("decl,atom,exponent", HUGE,
+                         ids=[row[0] for row in HUGE])
+def test_a_structure_count_past_reading_is_refused_unbuilt(decl, atom,
+                                                           exponent, tmp_path,
+                                                           capsys):
+    """Each size's count comes from the arities, so the two-element
+    structures are refused before a digit of them is laid out."""
+    sig = tmp_path / "huge.sig"
+    sig.write_text("const c\npred R/1\n%s\n" % decl)
+    tracemalloc.start()
+    try:
+        code = cli.main(["entails", "--sig", str(sig), atom, atom])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == ("error: would enumerate at least about 10^%s "
+                       "structures (cap 10000000)\n" % exponent)
+    assert len(out.err.encode()) < 200
+    assert peak < 1 << 20

@@ -1,5 +1,6 @@
 """The package has no runtime dependencies: read from the sources alone,
-every module imports only the standard library and ``bd4`` itself."""
+every module imports only the standard library and ``bd4`` itself, and
+uses every name it imports."""
 
 import ast
 import pathlib
@@ -31,3 +32,35 @@ def test_a_third_party_import_is_seen():
     tree = ast.parse("import os\nfrom numpy.linalg import norm\n"
                      "from . import syntax\n")
     assert list(imported_roots(tree)) == ["os", "numpy"]
+
+
+def unused_imports(tree):
+    """The names a module binds by import and never reads, ``from
+    __future__`` aside."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0]
+                         for a in node.names)
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            bound.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_every_module_uses_what_it_imports():
+    modules = [path for path in sorted(PACKAGE.rglob("*.py"))
+               if path.name != "__init__.py"]
+    assert len(modules) > 10
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        assert unused_imports(tree) == [], path.name
+
+
+def test_an_unused_import_is_seen():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nimport re as regex\n"
+                     "from .values import T, F as falsum\n"
+                     "print(os.sep, T)\n")
+    assert unused_imports(tree) == ["falsum", "regex"]

@@ -7,12 +7,14 @@ fifteen-law filter, differing from the reference matrix only in the
 implication table (9 admissible b-rows times 9 admissible n-rows).
 """
 
+import itertools
 import random
 
 import pytest
 
 from bd4.matrixlab import (
-    ALL_LAWS, BD_MATRIX, CLASSICAL_LAWS, LAW_TEXT, Matrix4, SUBSETS,
+    _CONTEXT, _FAMILIES as FAMILIES, ALL_LAWS, BD_MATRIX, CLASSICAL_LAWS,
+    LAW_TEXT, Matrix4, SUBSETS, _cell_sets, _law_witness, _tables,
     candidate_counts, check_all_laws, check_classical_laws, check_law,
     consequence_in, enumerate_candidates, is_classically_closed,
     is_regular, uniqueness_search,
@@ -201,3 +203,108 @@ def test_consequence_in_matrix_matches_per_valuation_evaluation(m):
         assert consequence_in(m, gamma, delta) == (want is None, want)
         if m is BD_MATRIX:
             assert consequence_prop(gamma, delta) == (want is None, want)
+
+
+# ---------------------------------------------------------------------------
+# the staged search against the staged filter it replaced
+
+
+def _passing(pools, family, laws, context):
+    slot = _CONTEXT.index(family)
+    before, after = context[:slot], context[slot + 1:]
+    return [x for x in pools[family]
+            if all(_law_witness(law, *before, x, *after) is None
+                   for law in laws)]
+
+
+def _filtered_search(dropped=(), cap=1000):
+    """The reference: every family's candidates filtered by
+    ``_law_witness``, stage by stage, with the report of the search."""
+    active = frozenset(ALL_LAWS) - frozenset(dropped)
+    pools = {family: enumerate_candidates(family) for family in FAMILIES}
+    counts = {family: len(pool) for family, pool in pools.items()}
+
+    def laws(*ids):
+        return tuple(law for law in ids if law in active)
+
+    stages = []
+    negs = _passing(pools, "neg", laws(11), (None,) * 7)
+    stages.append(("negation tables after law 11", len(negs)))
+    total, contexts = 0, []
+    for nu in negs:
+        for ff in pools["falsum"]:
+            context = (nu, ff) + (None,) * 5
+            conj_pool = _passing(pools, "conj", laws(1, 3, 5, 7), context)
+            disj_pool = _passing(pools, "disj", laws(2, 4, 6, 8), context)
+            pairs = [
+                (cj, dj) for cj in conj_pool for dj in disj_pool
+                if all(_law_witness(law, nu, ff, cj, dj, None, None, None)
+                       is None for law in laws(9, 10))
+            ]
+            stages.append((
+                "context neg=%s falsum=%s: conj %d, disj %d, joint pairs %d"
+                % (tuple(v.letter for v in nu), ff.letter, len(conj_pool),
+                   len(disj_pool), len(pairs)),
+                len(pairs),
+            ))
+            for cj, dj in pairs:
+                context = (nu, ff, cj, dj, None, None, None)
+                late = [_passing(pools, family, laws(*ids), context)
+                        for family, ids in (("impl", (12, 13)),
+                                            ("forall", (14,)),
+                                            ("exists", (15,)))]
+                n = len(late[0]) * len(late[1]) * len(late[2])
+                total += n
+                if n:
+                    contexts.append((nu, ff, cj, dj, late))
+    survivors = None
+    if total <= cap:
+        survivors = [
+            Matrix4(neg=nu, conj=cj, disj=dj, impl=im, forall_q=al,
+                    exists_q=ex, falsum=ff)
+            for nu, ff, cj, dj, late in contexts
+            for im, al, ex in itertools.product(*late)
+        ]
+    return counts, stages, total, survivors
+
+
+def _drop_sets():
+    """No drop, each single drop, and ten pairs drawn with a fixed seed."""
+    pairs = list(itertools.combinations(ALL_LAWS, 2))
+    return ([()] + [(law,) for law in ALL_LAWS]
+            + random.Random(2301).sample(pairs, 10))
+
+
+@pytest.mark.parametrize("dropped", _drop_sets(), ids=str)
+def test_the_search_equals_the_staged_filter(dropped):
+    rep = uniqueness_search(dropped=dropped)
+    got = (rep.candidate_counts, rep.stages, rep.survivor_count,
+           rep.survivors)
+    assert got == _filtered_search(dropped)
+    assert list(rep.candidate_counts) == list(FAMILIES)
+    assert rep.dropped == frozenset(dropped)
+
+
+def test_every_per_cell_pool_equals_the_filtered_candidates():
+    """Conjunction and disjunction pools under every subset of their
+    cell laws, in every (negation, falsity) context, against filtering
+    the candidates with ``_law_witness``: the same tables in order."""
+    for family, cell_laws in (("conj", (1, 3, 5, 7)),
+                              ("disj", (2, 4, 6, 8))):
+        candidates = enumerate_candidates(family)
+        slot = _CONTEXT.index(family)
+        for nu in enumerate_candidates("neg"):
+            for ff in enumerate_candidates("falsum"):
+                context = (nu, ff, None, None, None, None, None)
+                passing = {
+                    law: {x for x in candidates if _law_witness(
+                        law, *context[:slot], x, *context[slot + 1:])
+                        is None}
+                    for law in cell_laws}
+                for k in range(len(cell_laws) + 1):
+                    for laws in itertools.combinations(cell_laws, k):
+                        want = [x for x in candidates
+                                if all(x in passing[law] for law in laws)]
+                        got = list(_tables(*_cell_sets(family, laws, nu,
+                                                       ff)))
+                        assert got == want, (family, laws, nu, ff)

@@ -391,8 +391,8 @@ COUNT_SIGS = [
 def test_structure_counts_agree_with_the_sweep_and_the_enumeration(sig):
     """``count_structures`` is the column count of a blocked sweep whose
     blocks cover it exactly, a free variable multiplies it by the size,
-    and where it is small the enumeration and FOSpace's unblocked sweep
-    give as many structures."""
+    the arities alone give its logarithm, and where it is small the
+    enumeration and FOSpace's unblocked sweep give as many structures."""
     enumerated = 0
     for size, mode, allowed, need_eq, eq_distinct in itertools.product(
             (1, 2, 3), ("total", "partial"), MODES.values(), (True, False),
@@ -403,6 +403,8 @@ def test_structure_counts_agree_with_the_sweep_and_the_enumeration(sig):
                 count_structures(*args)
             continue
         count = count_structures(*args)
+        if count:
+            assert math.isclose(2 ** semantics._structure_bits(*args), count)
         sweep = semantics._Sweep(*args, ("x",), semantics._BLOCK_COLUMNS)
         assert sweep.columns == count * size
         if count:
