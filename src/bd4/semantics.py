@@ -862,13 +862,14 @@ def _structure_bits(sig: Signature, size: int, mode, allowed, need_eq,
     """log2 of the count of structures ``_layout`` lays out at one size,
     read off the arities alone: each digit adds log2 of its radix.  A
     symbol with more than 2^1000 digits makes it infinite."""
-    real = size - (mode == "partial")
+    def cells(symbols) -> float:
+        return sum(size ** a if a * math.log2(size) < 1000 else math.inf
+                   for _, a in symbols)
+
     vals = [v for v in VALUES if v in allowed]
-    radices = [(size, a) for _, a in sig.functions]
-    radices += [(len(vals), a) for _, a in sig.predicates]
-    digits = [(radix, size ** a if a * math.log2(size) < 1000 else math.inf)
-              for radix, a in radices]
+    digits = [(size, cells(sig.functions)), (len(vals), cells(sig.predicates))]
     if need_eq:
+        real = size - (mode == "partial")
         dist = vals if eq_distinct is None else list(eq_distinct)
         digits += [(len([v for v in (T, B) if v in allowed]), real),
                    (len(dist), real * (real - 1))]
@@ -917,12 +918,17 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
             "domain bound %d admits no structure; the least %sdomain size "
             "is %d" % (max_domain, "partial " if least == 2 else "", least))
 
+    # a size over 2^64 times the cap is refused from the arities, before
+    # any of its digits is built, and nearer counts are exact; the count
+    # grows with the size, so a bound under the limit clears every size
+    limit = cap.bit_length() + 64
+    far = _structure_bits(small, max_domain, mode, allowed, has_eq,
+                          eq_distinct) > limit
     sweeps, total = [], 0
     for size in range(least, max_domain + 1):
-        # far past the cap, refuse before building a digit of the size
         bits = _structure_bits(small, size, mode, allowed, has_eq,
-                               eq_distinct)
-        if bits > cap.bit_length() + 64:
+                               eq_distinct) if far else 0
+        if bits > limit:
             k = bits * math.log10(2)
             raise EnumerationCapExceeded(
                 "would enumerate at least %s structures (cap %d)"

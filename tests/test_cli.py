@@ -316,7 +316,7 @@ def _untimed(text: str) -> str:
     return re.sub(r"(?m)^(criterion-\d+ \w+) +\d+\.\d+s ", r"\1 ", text)
 
 
-def _pinned_runs(report=report_all) -> dict:
+def _pinned_runs() -> dict:
     """Each pinned argv in both formats, keyed as in ``LAWS_PINS``; the
     two report runs share one run of the suites."""
     runs, configs = {}, []
@@ -324,7 +324,7 @@ def _pinned_runs(report=report_all) -> dict:
     def once(config):
         configs.append(config)
         if len(configs) == 1:
-            runs["results"] = report(config)
+            runs["results"] = report_all(config)
         return runs["results"]
 
     out = {}
@@ -340,16 +340,12 @@ def _pinned_runs(report=report_all) -> dict:
     return out
 
 
-@pytest.fixture(scope="module")
-def pinned_runs():
-    return _pinned_runs()
-
-
-def test_the_laws_verbs_and_a_dropped_law_report_are_pinned(pinned_runs):
+def test_the_laws_verbs_and_a_dropped_law_report_are_pinned():
+    runs = _pinned_runs()
     pins = json.loads(LAWS_PINS.read_text(encoding="utf-8"))
     assert len(pins) == 2 * len(LAWS_ARGVS) + 2
     for key, want in pins.items():
-        assert pinned_runs[key] == want, key
+        assert runs[key] == want, key
 
 
 NOT_UTF8 = b"const c\npred P/1\n\xff\xfe\n"
