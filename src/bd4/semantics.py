@@ -857,6 +857,7 @@ def enumerate_structures(sig: Signature, size: int, mode: str = "total",
                         )
 
 
+@functools.lru_cache(maxsize=256)
 def _structure_bits(sig: Signature, size: int, mode, allowed, need_eq,
                     eq_distinct) -> float:
     """log2 of the count of structures ``_layout`` lays out at one size,
@@ -922,12 +923,12 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     # any of its digits is built, and nearer counts are exact; the count
     # grows with the size, so a bound under the limit clears every size
     limit = cap.bit_length() + 64
-    far = _structure_bits(small, max_domain, mode, allowed, has_eq,
-                          eq_distinct) > limit
+    shape = (mode, frozenset(allowed), has_eq,
+             None if eq_distinct is None else tuple(eq_distinct))
+    far = _structure_bits(small, max_domain, *shape) > limit
     sweeps, total = [], 0
     for size in range(least, max_domain + 1):
-        bits = _structure_bits(small, size, mode, allowed, has_eq,
-                               eq_distinct) if far else 0
+        bits = _structure_bits(small, size, *shape) if far else 0
         if bits > limit:
             k = bits * math.log10(2)
             raise EnumerationCapExceeded(
