@@ -519,21 +519,35 @@ _EQ_X_LITERALS = (_P(_x), Not(_P(_x)), Eq(_x, _c), Eq(_d, _x),
 _TERMS = (_c, _d)
 
 
-def _sample_instance(name, rng, ctx_pool):
-    """One random instance: (premises, conclusion, final step).
+def _sample_instance(rule, rng, ctx_pool, made):
+    """One random instance: (premises, conclusion, principal, fields).
 
-    The pattern's formula letters are drawn left to right from the
-    rule's pool, then t and t2 from the terms; the kernel's table builds
-    the premises and the conclusion.
+    The contexts are drawn from ``ctx_pool``, then the pattern's formula
+    letters left to right from the rule's pool, then t and t2 from the
+    terms; the kernel's table builds the premises and the conclusion.
+    ``made`` maps the drawn letters and terms to the principal, the step
+    fields and the additions, which are filled once per draw.
     """
-    rule = RULES[name]
     gamma = frozenset(rng.sample(ctx_pool, rng.randint(0, 2)))
     delta = frozenset(rng.sample(ctx_pool, rng.randint(0, 2)))
-    pool = (_EQ_X_LITERALS if name == "eq-Repl"
+    pool = (_EQ_X_LITERALS if rule.name == "eq-Repl"
             else _PROP_LITERALS if rule.literal
-            else _FO_BODIES if name in _QUANT_RULES else _PROP_POOL)
-    values = {"x": "x", **{n: rng.choice(pool) for n in rule.slots}}
-    fields = {f: rng.choice(_TERMS) for f in ("t", "t2") if f in rule.needs}
+            else _FO_BODIES if rule.name in _QUANT_RULES else _PROP_POOL)
+    key = (tuple([rng.choice(pool) for _ in rule.slots])
+           + tuple([rng.choice(_TERMS) for f in ("t", "t2")
+                    if f in rule.needs]))
+    filled = made.get(key)
+    if filled is None:
+        filled = made[key] = _fill(rule, key)
+    principal, fields, adds = filled
+    return (*instance(adds, gamma, delta), principal, fields)
+
+
+def _fill(rule, key):
+    """(principal, step fields, additions) for drawn letters and terms."""
+    values = dict(zip(rule.slots, key), x="x")
+    fields = dict(zip([f for f in ("t", "t2") if f in rule.needs],
+                      key[len(rule.slots):]))
     fields.update((f, f) for f in ("x", "y") if f in rule.needs)
     principal = rule.principal_of(values)
     if rule.kept_as:
@@ -541,43 +555,54 @@ def _sample_instance(name, rng, ctx_pool):
     else:
         adds = rule.filled({**values, **fields, "principal": principal,
                             "y": Var("y")})
-    premises, conclusion = instance(adds, gamma, delta)
-    step = DerivationStep(name, conclusion, tuple(range(len(premises))),
-                          principal, **fields)
-    return premises, conclusion, step
+    return principal, fields, adds
 
 
-def _kernel_accepts(premises, step, pack) -> None:
+def _replay(rule, premises, conclusion, principal, fields, pack):
+    """The derivation of an instance's conclusion by the rule from its
+    premises, cited as hypotheses."""
     steps = tuple(DerivationStep("hypothesis", s) for s in premises)
-    d = Derivation(steps=steps + (step,), hypotheses=premises,
-                   packs=frozenset() if pack is None else frozenset({pack}))
+    step = DerivationStep(rule.name, conclusion, tuple(range(len(premises))),
+                          principal, **fields)
+    return Derivation(steps=steps + (step,), hypotheses=premises,
+                      packs=frozenset() if pack is None else frozenset({pack}))
+
+
+def _kernel_accepts(d) -> None:
     good, v = check_derivation(d)
     if not good:
         # the sampler produced something the kernel's own schema rejects;
         # that is a bug in this module, not a soundness result
-        raise RuntimeError("sampler/kernel mismatch on %s: %s" % (step.rule, v))
+        raise RuntimeError("sampler/kernel mismatch on %s: %s"
+                           % (d.steps[-1].rule, v))
 
 
-def _soundness_run(rule, valid, rng, instances, ctx_pool, pack=None,
+def _soundness_run(name, valid, rng, instances, ctx_pool, pack=None,
                    repair_valid=None):
     """Premises-valid-implies-conclusion-valid over random instances.
 
     Sampling retries a few times toward instances whose premises are
     all valid, since vacuous instances certify nothing.  Every kept
-    instance is replayed through the proof kernel so the schema being
-    judged is exactly the one the kernel enforces.
+    instance, the last draw of each, is replayed through the proof
+    kernel so the schema being judged is exactly the one the kernel
+    enforces.  The run's own dict keeps the filled rule per draw of
+    letters and terms, so it ends with the run.
     """
+    rule = RULES[name]
+    made: dict = {}
     nonvacuous = 0
     violations = 0
     example = None
     repair_violations = 0
     for _ in range(instances):
         for _attempt in range(4):
-            premises, conclusion, step = _sample_instance(rule, rng, ctx_pool)
+            premises, conclusion, principal, fields = _sample_instance(
+                rule, rng, ctx_pool, made)
             premises_valid = all(valid(s) for s in premises)
             if premises_valid:
                 break
-        _kernel_accepts(premises, step, pack)
+        _kernel_accepts(_replay(rule, premises, conclusion, principal,
+                                fields, pack))
         if not premises_valid:
             continue
         nonvacuous += 1

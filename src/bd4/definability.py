@@ -19,8 +19,7 @@ from .syntax import (
     prop_atoms,
 )
 from .values import (
-    B, EXTRA_CONNECTIVES, F, N, T, TruthValue, VALUES, designated, imp, join,
-    meet, neg,
+    B, EXTRA_CONNECTIVES, F, N, T, TruthValue, VALUES, imp, join, meet, neg,
 )
 
 
@@ -332,28 +331,3 @@ def find_definition(target: TruthFunction,
             if truth_function_of(cand, order).table == target.table:
                 return ConnectiveDef(target.name or "target", target.arity, cand)
     return None
-
-
-def simplicity_probe() -> tuple[bool, dict]:
-    """Check that unary generated functions separate every value pair.
-
-    For each pair of distinct values, find a unary function in the
-    clone of the base whose outputs differ in designation.  Separating
-    every pair is what makes synonymity collapse to equivalence.
-    """
-    unary = clone_closure(BD_BASE, 1)
-    witnesses = {}
-    ok = True
-    for a in VALUES:
-        for b in VALUES:
-            if a >= b:
-                continue
-            sep = None
-            for g in unary:
-                if designated(g.apply(a)) != designated(g.apply(b)):
-                    sep = g
-                    break
-            witnesses[(a, b)] = sep
-            if sep is None:
-                ok = False
-    return ok, witnesses

@@ -30,22 +30,24 @@ Sequent sides are sets.  A rule's conclusion is its context plus the
 formulas the rule introduces, and because sets absorb duplicates the
 introduced formula may coincide with a context member.  The checker
 therefore tries every way of retaining introduced formulas in the
-context (at most four combinations; Cut gets the analogous choice on
-the cut formula) and accepts if any candidate reading works.  Under
-this reading the Table 2 rules absorb weakening and no separate
-weakening rule exists.
+context and accepts if any candidate reading works: each side's
+candidates are the side less the introduced formulas, joined with each
+subset of them (at most four pairs of sides; Cut gets the analogous
+choice on the cut formula), and each premise's sides are compared with
+a candidate's joined with the premise's additions.  The verdict does
+not depend on the order of the candidates.  Under this reading the
+Table 2 rules absorb weakening and no separate weakening rule exists.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 
 from .syntax import (
-    And, Eq, Exists, Falsity, Forall, Formula, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, Var, free_vars, is_literal, kept, substitute,
+    And, Eq, Exists, Falsity, Forall, Formula, Imp, Not, Or, Sequent, Var,
+    free_vars, is_literal, kept, substitute,
 )
 
 
@@ -264,9 +266,9 @@ def instance(adds, gamma=frozenset(), delta=frozenset()):
     """(premises, conclusion) over the context gamma => delta, given a
     rule's additions (``Rule.filled`` or ``Rule.additions``)."""
     (ca, cs), *padds = adds
-    return (tuple(Sequent(gamma | set(pa), delta | set(ps))
-                  for pa, ps in padds),
-            Sequent(gamma | set(ca), delta | set(cs)))
+    return (tuple([Sequent(gamma.union(pa), delta.union(ps))
+                   for pa, ps in padds]),
+            Sequent(gamma.union(ca), delta.union(cs)))
 
 
 def _L(*formulas):
@@ -323,13 +325,6 @@ RULES = {r.name: r for r in (
 
 BASE_RULES = tuple(r for r, row in RULES.items() if row.pack is None)
 PACK_RULES = tuple(r for r, row in RULES.items() if row.pack is not None)
-
-
-def _subsets(items):
-    items = tuple(items)
-    for k in range(len(items) + 1):
-        for combo in itertools.combinations(items, k):
-            yield frozenset(combo)
 
 
 def _check_cut(i: int, step: DerivationStep, prem) -> Violation | None:
@@ -414,20 +409,26 @@ def check_step(d: Derivation, i: int) -> Violation | None:
         return Violation(i, Code.EIGENVARIABLE,
                          "%s is free in the quantified formula" % y)
 
-    base_ant = concl.ant - frozenset(ca)
-    base_suc = concl.suc - frozenset(cs)
+    base_ant = concl.ant.difference(ca)
+    base_suc = concl.suc.difference(cs)
+    # the contexts that retain each subset of the introduced formulas
+    gammas, deltas = [base_ant], [base_suc]
+    for a in ca:
+        gammas += [g | {a} for g in gammas]
+    for a in cs:
+        deltas += [g | {a} for g in deltas]
     eigen_blocked = False
-    for keep_a in _subsets(ca):
-        for keep_s in _subsets(cs):
-            gamma = base_ant | keep_a
-            delta = base_suc | keep_s
-            if any(p != Sequent(gamma.union(pa), delta.union(ps))
-                   for p, (pa, ps) in zip(prem, padds)):
-                continue
-            if rule.eigen and any(y in free_vars(f) for f in gamma | delta):
-                eigen_blocked = True
-                continue
-            return None
+    for gamma in gammas:
+        for delta in deltas:
+            for p, (pa, ps) in zip(prem, padds):
+                if p.ant != gamma.union(pa) or p.suc != delta.union(ps):
+                    break
+            else:
+                if rule.eigen and any(y in free_vars(f)
+                                      for f in gamma | delta):
+                    eigen_blocked = True
+                    continue
+                return None
     if eigen_blocked:
         return Violation(i, Code.EIGENVARIABLE,
                          "%s is free in the conclusion context" % y)
@@ -455,52 +456,3 @@ def check_derivation(d: Derivation):
 def is_proof(d: Derivation) -> bool:
     """A proof is a hypothesis-free derivation that checks."""
     return not d.hypotheses and check_derivation(d)[0]
-
-
-def derives(gamma, delta, d: Derivation) -> bool:
-    """Does the derivation establish that delta follows from gamma?
-
-    True when d is a proof whose target antecedent is a subset of gamma
-    and target succedent a subset of delta.
-    """
-    if not d.steps or not is_proof(d):
-        return False
-    target = d.target
-    return target.ant <= frozenset(gamma) and target.suc <= frozenset(delta)
-
-
-def equality_axioms(sig: Signature):
-    """The equality axiom set for a signature: reflexivity, c = c per
-    constant, p implies p per proposition, and one congruence formula
-    per function and predicate symbol."""
-    out = [Forall("x", Eq(Var("x"), Var("x")))]
-    for name in sig.constants:
-        out.append(Eq(Fun(name), Fun(name)))
-    for name, arity in sig.functions:
-        if arity == 0:
-            continue
-        xs = [Var("x%d" % (i + 1)) for i in range(arity)]
-        ys = [Var("y%d" % (i + 1)) for i in range(arity)]
-        ant = Eq(xs[0], ys[0])
-        for i in range(1, arity):
-            ant = And(ant, Eq(xs[i], ys[i]))
-        body = Imp(ant, Eq(Fun(name, tuple(xs)), Fun(name, tuple(ys))))
-        for i in reversed(range(arity)):
-            body = Forall(xs[i].name, Forall(ys[i].name, body))
-        out.append(body)
-    for name in sig.propositions:
-        out.append(Imp(Prop(name), Prop(name)))
-    for name, arity in sig.predicates:
-        if arity == 0:
-            continue
-        xs = [Var("x%d" % (i + 1)) for i in range(arity)]
-        ys = [Var("y%d" % (i + 1)) for i in range(arity)]
-        ant = Eq(xs[0], ys[0])
-        for i in range(1, arity):
-            ant = And(ant, Eq(xs[i], ys[i]))
-        ant = And(ant, Pred(name, tuple(xs)))
-        body = Imp(ant, Pred(name, tuple(ys)))
-        for i in reversed(range(arity)):
-            body = Forall(xs[i].name, Forall(ys[i].name, body))
-        out.append(body)
-    return tuple(out)

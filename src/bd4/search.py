@@ -16,6 +16,11 @@ close by Id / F-L / notF-R, and a stuck literal-only sequent is
 genuinely invalid.  The not-L / not-R pack rules are applied only at
 stuck literal-only sequents, as backtracking choice points; each
 application consumes one negated literal, so that phase terminates too.
+
+Each decomposition takes the least decomposable formula in the
+canonical order (``formula_key``), the antecedent before the succedent.
+The memo shares nodes between branches, so a proof is a graph; its
+derivation lists each node once, in post-order.
 """
 
 from __future__ import annotations
@@ -91,12 +96,17 @@ _DECOMPOSE = {(r.side, head(r.pattern)): r for r in RULES.values()
 
 
 def _first_move(s: Sequent):
-    """The first decomposition in canonical order: (rule, principal)."""
+    """The first decomposition in canonical order: (rule, principal).
+    Of formulas with equal keys, the first in iteration order."""
     for side, formulas in (("ant", s.ant), ("suc", s.suc)):
-        for a in sorted(formulas, key=formula_key):
+        best = None
+        for a in formulas:
             rule = _DECOMPOSE.get((side, head(a)))
-            if rule is not None:
-                return rule, a
+            if rule is not None and (
+                    best is None or formula_key(a) < formula_key(best)):
+                best, move = a, rule
+        if best is not None:
+            return move, best
     return None
 
 
@@ -168,30 +178,28 @@ class _Searcher:
 
 
 def _linearize(root: _Node) -> Derivation:
-    """Steps in post-order, premises in order, each node once."""
+    """Steps in post-order, premises in order, each node once.  A node
+    popped unexpanded goes back expanded, under its children; popped
+    expanded it becomes a step, and once a step it is skipped."""
     steps = []
     index_of: dict = {}
     used_packs = set()
-    stack = [root]
+    stack = [(root, False)]
     while stack:
-        node = stack[-1]
+        node, expanded = stack.pop()
         if id(node) in index_of:
-            stack.pop()
             continue
-        todo = [k for k in node.children if id(k) not in index_of]
-        if todo:
-            stack.extend(reversed(todo))
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(node.children))
             continue
-        stack.pop()
         pack = RULES[node.rule].pack
         if pack is not None:
             used_packs.add(pack)
+        index_of[id(node)] = len(steps)
         steps.append(DerivationStep(
             node.rule, node.sequent,
-            premises=tuple(index_of[id(k)] for k in node.children),
-            principal=node.principal,
-        ))
-        index_of[id(node)] = len(steps) - 1
+            tuple([index_of[id(k)] for k in node.children]), node.principal))
     return Derivation(tuple(steps), packs=frozenset(used_packs))
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 
 from .syntax import (
@@ -641,19 +640,6 @@ def truth_table(a, atoms) -> tuple:
                  for i in range(sweep.columns))
 
 
-def synonymous_prop(a, b) -> bool:
-    """Synonymity decided through the four consequence checks.
-
-    On this matrix the result coincides with logical equivalence; the
-    test suite checks that coincidence rather than assuming it here.
-    """
-    for x, y in ((a, b), (b, a), (Not(a), Not(b)), (Not(b), Not(a))):
-        ok, _ = consequence_prop([x], [y])
-        if not ok:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # structures
 
@@ -877,6 +863,47 @@ def _structure_bits(sig: Signature, size: int, mode, allowed, need_eq,
     return sum(n * math.log2(radix) for radix, n in digits if radix > 1)
 
 
+def _grounding(code, least: int, most: int, cap: int):
+    """(domain elements, grounded code items) of the sizes least..most.
+
+    At size k an item at quantifier depth j is copied k^j times and a
+    quantifier at depth j joins its k copies with k - 1 connectives, so
+    both are sums of powers of the sizes, in closed form: the count and
+    the sum of the sizes, and for j > 1 the telescoping sum of
+    (k + 1)^(j + 1) - k^(j + 1).  The sums grow with j and the items are
+    at least the deepest one's, so the items stop at a lower bound once
+    a sum passes the cap."""
+    weights = [0]  # the items at size k are the sum of weights[j] * k^j
+    stack = [(code, 0)]
+    while stack:
+        ops, j = stack.pop()
+        weights[j] += len(ops)
+        for op in ops:
+            if op.__class__ is list:  # no item itself: (k - 1) k^j joins
+                if len(weights) == j + 1:
+                    weights.append(0)
+                weights[j] -= 2
+                weights[j + 1] += 1
+                stack.append((op[2], j + 1))
+    depth = len(weights) - 1
+    n = most + 1 - least
+    sums = [n, n * (least + most) // 2]  # the sums of k^j over the sizes
+    for j in range(2, depth + 1):
+        if sums[-1] > cap:
+            break
+        rest = sum([math.comb(j + 1, i) * s for i, s in enumerate(sums)])
+        sums.append(((most + 1) ** (j + 1) - least ** (j + 1) - rest)
+                    // (j + 1))
+    if depth and sums[-1] > cap:
+        return sums[1], sums[-1]
+    return sums[1], sum([w * s for w, s in zip(weights, sums)])
+
+
+def _count(n: int) -> str:
+    """A count in full, or about 10^k when it is too long to read."""
+    return "%d" % n if n < 10**15 else "about 10^%d" % math.log10(n)
+
+
 @dataclass
 class FOResult:
     holds: bool
@@ -901,7 +928,9 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     assignments innermost, that designates all of gamma and nothing in
     delta, and it is the only Structure built.  Raises SemanticsError
     when the bound admits no structure, and EnumerationCapExceeded
-    before any scan once the structures of the sizes counted so far,
+    before any sweep is built once the domain elements or the grounded
+    code items of all the sizes number more than ``cap``, before any
+    scan once the structures of the sizes counted so far,
     smallest first, number more than ``cap`` (a size far past it is
     refused before any of its digits is built), and during the scan once
     the blocks scanned without a countermodel hold more than
@@ -918,6 +947,12 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
         raise SemanticsError(
             "domain bound %d admits no structure; the least %sdomain size "
             "is %d" % (max_domain, "partial " if least == 2 else "", least))
+
+    elements, items = _grounding(code, least, max_domain, cap)
+    if elements > cap or items > cap:
+        raise EnumerationCapExceeded(
+            "would lay out %s domain elements and ground at least %s "
+            "formula items (cap %d)" % (_count(elements), _count(items), cap))
 
     # a size over 2^64 times the cap is refused from the arities, before
     # any of its digits is built, and nearer counts are exact; the count
@@ -1070,88 +1105,3 @@ class _Columns:
                 return s.decode(s.digits((), i))
             i -= s.columns
         raise IndexError("column index out of range")
-
-
-# ---------------------------------------------------------------------------
-# normality probe
-
-
-_NORMALITY_CONNS = ("not", "and", "or", "imp")
-
-
-def _random_formula(rng: random.Random, atoms, budget: int):
-    if budget <= 0 or rng.random() < 0.3:
-        return Prop(rng.choice(atoms)) if rng.random() < 0.9 else Falsity()
-    kind = rng.choice(_NORMALITY_CONNS)
-    if kind == "not":
-        return Not(_random_formula(rng, atoms, budget - 1))
-    l = _random_formula(rng, atoms, budget - 1)
-    r = _random_formula(rng, atoms, budget - 1)
-    return {"and": And, "or": Or, "imp": Imp}[kind](l, r)
-
-
-def normality_probe(seed: int = 0, samples: int = 200) -> dict:
-    """Property-check the normality biconditionals on random instances.
-
-    Covers the atomic noninclusion checks, the three propositional
-    splits (conjunction right, disjunction left, the deduction theorem)
-    and the two quantifier conditions on domain-bounded structures.
-    Returns a report dict with a list of failures (empty on success).
-    """
-    rng = random.Random(seed)
-    atoms = ("p", "q", "r")
-    failures = []
-    checked = 0
-
-    p = Prop("p")
-    for a, b in ((p, Not(p)), (Not(p), p)):
-        ok, _ = consequence_prop([a], [b])
-        if ok:
-            failures.append(("atomic-noninclusion", a, b))
-        checked += 1
-
-    for _ in range(samples):
-        g = [_random_formula(rng, atoms, 2) for _ in range(rng.randrange(3))]
-        d = [_random_formula(rng, atoms, 2) for _ in range(rng.randrange(3))]
-        a1 = _random_formula(rng, atoms, 2)
-        a2 = _random_formula(rng, atoms, 2)
-
-        for name, lhs, rhs in (
-                ("conjunction-right", (g, d + [And(a1, a2)]),
-                 ((g, d + [a1]), (g, d + [a2]))),
-                ("disjunction-left", ([Or(a1, a2)] + g, d),
-                 (([a1] + g, d), ([a2] + g, d))),
-                ("deduction", (g, d + [Imp(a1, a2)]),
-                 (([a1] + g, d + [a2]),))):
-            if (consequence_prop(*lhs)[0]
-                    != all(consequence_prop(*x)[0] for x in rhs)):
-                failures.append((name, g, d, a1, a2))
-        checked += 3
-
-    sig = Signature(functions=(("c", 0),), predicates=(("P", 1), ("Q", 1)))
-    x = Var("x")
-    open_pool = [
-        Pred("P", (x,)), Not(Pred("P", (x,))), Or(Pred("P", (x,)), Pred("Q", (x,))),
-        And(Pred("P", (x,)), Pred("Q", (Fun("c"),))),
-        Imp(Pred("P", (x,)), Pred("Q", (x,))),
-    ]
-    closed_pool = [
-        Pred("P", (Fun("c"),)), Pred("Q", (Fun("c"),)),
-        Exists("x", Pred("P", (Var("x"),))), Forall("x", Pred("Q", (Var("x"),))),
-        Not(Pred("P", (Fun("c"),))),
-    ]
-    fo_samples = max(10, samples // 10)
-    for _ in range(fo_samples):
-        a1 = rng.choice(open_pool)
-        g = rng.sample(closed_pool, rng.randrange(3))
-        d = rng.sample(closed_pool, rng.randrange(3))
-
-        for name, lhs, rhs in (
-                ("forall-right", (g, d + [Forall("x", a1)]), (g, d + [a1])),
-                ("exists-left", ([Exists("x", a1)] + g, d), ([a1] + g, d))):
-            if (consequence_fo(*lhs, sig, max_domain=2).holds
-                    != consequence_fo(*rhs, sig, max_domain=2).holds):
-                failures.append((name, g, d, a1))
-        checked += 2
-
-    return {"checked": checked, "failures": failures}

@@ -404,3 +404,37 @@ def test_a_structure_count_past_reading_is_refused_unbuilt(decl, atom,
                        "structures (cap 10000000)\n" % exponent)
     assert len(out.err.encode()) < 200
     assert peak < 1 << 20
+
+
+# queries whose structures are few but whose domains or grounded
+# quantifiers are not, with the elements and items they would need
+UNGROUNDED = [
+    (("--max-domain", "1000000", "F", "F"), "500000500000", "2000000"),
+    (("--max-domain", "400", "forall x. forall y. forall z. F", "F"),
+     "80200", "21413400"),
+    (("--max-domain", "1" + "0" * 3000, "F", "F"),
+     "about 10^5999", "about 10^3000"),
+]
+
+
+@pytest.mark.parametrize("args,elements,items", UNGROUNDED,
+                         ids=["elements", "grounding", "huge-bound"])
+def test_a_sweep_past_the_cap_in_elements_or_grounding_is_refused(
+        args, elements, items, tmp_path, capsys):
+    """The domain elements and grounded code of every size are counted
+    in closed form before the first size is laid out."""
+    sig = tmp_path / "p.sig"
+    sig.write_text("pred P/1\n")
+    tracemalloc.start()
+    try:
+        code = cli.main(["entails", "--sig", str(sig), *args])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == ("error: would lay out %s domain elements and ground "
+                       "at least %s formula items (cap 10000000)\n"
+                       % (elements, items))
+    assert len(out.err.encode()) < 200
+    assert peak < 1 << 20

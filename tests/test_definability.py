@@ -9,7 +9,7 @@ from bd4.definability import (
     DEFINITIONS, DISJ_FN, DefinabilityError, FALSUM_FN, IMPL_FN, NEG_FN,
     TruthFunction, check_expansion_equivalences, clone_closure,
     extra_function, find_definition, is_definable_criterion, projection,
-    simplicity_probe, truth_function_of, verify_definition,
+    truth_function_of, verify_definition,
 )
 from bd4.syntax import And, Falsity, Imp, Not, Or, Prop, print_formula
 from bd4.values import B, F, N, T, VALUES, designated
@@ -135,6 +135,31 @@ def test_find_definition_examples():
 def test_connective_def_guards():
     with pytest.raises(DefinabilityError):
         ConnectiveDef("bad", 1, Prop("q"))
+
+
+def simplicity_probe() -> tuple[bool, dict]:
+    """Check that unary generated functions separate every value pair.
+
+    For each pair of distinct values, find a unary function in the
+    clone of the base whose outputs differ in designation.  Separating
+    every pair is what makes synonymity collapse to equivalence.
+    """
+    unary = clone_closure(BD_BASE, 1)
+    witnesses = {}
+    ok = True
+    for a in VALUES:
+        for b in VALUES:
+            if a >= b:
+                continue
+            sep = None
+            for g in unary:
+                if designated(g.apply(a)) != designated(g.apply(b)):
+                    sep = g
+                    break
+            witnesses[(a, b)] = sep
+            if sep is None:
+                ok = False
+    return ok, witnesses
 
 
 def test_simplicity_probe_separates_all_pairs():

@@ -1,5 +1,7 @@
 """Kernel checking: rule shapes, violation codes, side conditions."""
 
+import collections
+import dataclasses
 import itertools
 
 import pytest
@@ -8,13 +10,16 @@ from hypothesis import given, settings, strategies as st
 from bd4 import acceptance
 from bd4.kernel import (
     BASE_RULES, Code, Derivation, DerivationStep, PACK_RULES, PACKS, RULES,
-    Violation, check_derivation, check_step, derives, equality_axioms,
-    is_proof,
+    Violation, _check_cut, check_derivation, check_step, is_proof,
 )
+from bd4.search import SearchBudget, prove_prop
+from bd4.semantics import PropSpace
 from bd4.syntax import (
     And, Eq, Exists, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, Var, print_formula,
+    Sequent, Signature, Var, free_vars, is_literal, print_formula,
 )
+
+from support import derives
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 x, y = Var("x"), Var("y")
@@ -408,6 +413,43 @@ def test_derives_and_is_proof():
     assert check_derivation(dh)[0] and not is_proof(dh)
 
 
+def equality_axioms(sig: Signature):
+    """The equality axiom set for a signature: reflexivity, c = c per
+    constant, p implies p per proposition, and one congruence formula
+    per function and predicate symbol."""
+    out = [Forall("x", Eq(Var("x"), Var("x")))]
+    for name in sig.constants:
+        out.append(Eq(Fun(name), Fun(name)))
+    for name, arity in sig.functions:
+        if arity == 0:
+            continue
+        xs = [Var("x%d" % (i + 1)) for i in range(arity)]
+        ys = [Var("y%d" % (i + 1)) for i in range(arity)]
+        ant = Eq(xs[0], ys[0])
+        for i in range(1, arity):
+            ant = And(ant, Eq(xs[i], ys[i]))
+        body = Imp(ant, Eq(Fun(name, tuple(xs)), Fun(name, tuple(ys))))
+        for i in reversed(range(arity)):
+            body = Forall(xs[i].name, Forall(ys[i].name, body))
+        out.append(body)
+    for name in sig.propositions:
+        out.append(Imp(Prop(name), Prop(name)))
+    for name, arity in sig.predicates:
+        if arity == 0:
+            continue
+        xs = [Var("x%d" % (i + 1)) for i in range(arity)]
+        ys = [Var("y%d" % (i + 1)) for i in range(arity)]
+        ant = Eq(xs[0], ys[0])
+        for i in range(1, arity):
+            ant = And(ant, Eq(xs[i], ys[i]))
+        ant = And(ant, Pred(name, tuple(xs)))
+        body = Imp(ant, Pred(name, tuple(ys)))
+        for i in reversed(range(arity)):
+            body = Forall(xs[i].name, Forall(ys[i].name, body))
+        out.append(body)
+    return tuple(out)
+
+
 def test_equality_axioms_shapes():
     sig = Signature(
         functions=(("c", 0), ("f", 1)),
@@ -517,3 +559,218 @@ def test_a_principal_that_is_no_formula_is_a_violation(name, principal):
         want = Violation(2, Code.PRINCIPAL_SHAPE,
                          "%s cannot introduce %s" % (name, principal))
     assert not good and v == want
+
+
+# ---------------------------------------------------------------------------
+# the premise-matching loop against the one it replaced
+
+
+def _subsets(items):
+    items = tuple(items)
+    for k in range(len(items) + 1):
+        for combo in itertools.combinations(items, k):
+            yield frozenset(combo)
+
+
+def reference_check_step(d: Derivation, i: int):
+    """``check_step`` as it was before its premise-matching loop was
+    rewritten: one candidate Sequent per reading of the retained
+    formulas, built from ``_subsets``."""
+    step = d.steps[i]
+    if step.rule == "hypothesis":
+        if step.premises:
+            return Violation(i, Code.BAD_PREMISE_INDEX,
+                             "hypothesis steps cite no premises")
+        if step.sequent not in d.hypotheses:
+            return Violation(i, Code.HYPOTHESIS_NOT_DECLARED, str(step.sequent))
+        return None
+    rule = RULES.get(step.rule)
+    if rule is None:
+        return Violation(i, Code.UNKNOWN_RULE, step.rule)
+    if rule.pack is not None and rule.pack not in d.packs:
+        return Violation(i, Code.PACK_DISABLED,
+                         "%s needs pack %s" % (step.rule, rule.pack))
+    if len(step.premises) != len(rule.premises):
+        return Violation(i, Code.BAD_PREMISE_INDEX,
+                         "%s takes %d premises, got %d"
+                         % (step.rule, len(rule.premises), len(step.premises)))
+    if any(not isinstance(j, int) or not 0 <= j < i for j in step.premises):
+        return Violation(i, Code.BAD_PREMISE_INDEX,
+                         "premise indices must point at earlier steps")
+    for field in rule.needs:
+        if getattr(step, field) is None:
+            return Violation(i, Code.MISSING_FIELD,
+                             "%s requires %s" % (step.rule, field))
+    if rule.literal and not is_literal(step.principal):
+        return Violation(i, Code.LITERAL_REQUIRED, str(step.principal))
+
+    prem = [d.steps[j].sequent for j in step.premises]
+    if step.rule == "Cut":
+        return _check_cut(i, step, prem)
+
+    if rule.kept_as:
+        env, adds = None, rule.additions(step.principal)
+    elif rule.constant:
+        env, adds = None, rule.constant
+    else:
+        env = rule.bind(step)
+        adds = None if env is None else rule.filled(env)
+    if adds is None:
+        return Violation(i, Code.PRINCIPAL_SHAPE,
+                         "%s cannot introduce %s" % (step.rule, step.principal))
+    (ca, cs), *padds = adds
+
+    concl = step.sequent
+    for a in ca:
+        if a not in concl.ant:
+            return Violation(i, Code.CONCLUSION_MISMATCH,
+                             "%s missing on the left" % a)
+    for a in cs:
+        if a not in concl.suc:
+            return Violation(i, Code.CONCLUSION_MISMATCH,
+                             "%s missing on the right" % a)
+
+    y = step.y
+    if rule.eigen and y != env["x"] and y in free_vars(env["A"]):
+        return Violation(i, Code.EIGENVARIABLE,
+                         "%s is free in the quantified formula" % y)
+
+    base_ant = concl.ant - frozenset(ca)
+    base_suc = concl.suc - frozenset(cs)
+    eigen_blocked = False
+    for keep_a in _subsets(ca):
+        for keep_s in _subsets(cs):
+            gamma = base_ant | keep_a
+            delta = base_suc | keep_s
+            if any(p != Sequent(gamma.union(pa), delta.union(ps))
+                   for p, (pa, ps) in zip(prem, padds)):
+                continue
+            if rule.eigen and any(y in free_vars(f) for f in gamma | delta):
+                eigen_blocked = True
+                continue
+            return None
+    if eigen_blocked:
+        return Violation(i, Code.EIGENVARIABLE,
+                         "%s is free in the conclusion context" % y)
+    pa, ps = padds[0] if padds else ((), ())
+    want = Sequent(base_ant.union(pa), base_suc.union(ps))
+    return Violation(i, Code.PREMISE_MISMATCH,
+                     "expected first premise like %s, got %s"
+                     % (want, prem[0] if prem else "none"))
+
+
+def reference_check_derivation(d: Derivation):
+    for i in range(len(d.steps)):
+        v = reference_check_step(d, i)
+        if v is not None:
+            return False, v
+    return True, None
+
+
+def _one_step(premises, step, packs):
+    """The derivation of step from its premises cited as hypotheses."""
+    premises = tuple(premises)
+    return Derivation(
+        tuple(DerivationStep("hypothesis", s) for s in premises)
+        + (dataclasses.replace(step, premises=tuple(range(len(premises)))),),
+        frozenset(packs), premises)
+
+
+def _with(s: Sequent, side: str, a, add: bool) -> Sequent:
+    part = getattr(s, side)
+    return dataclasses.replace(s, **{side: part | {a} if add else part - {a}})
+
+
+def _mutants(d: Derivation):
+    """Single edits of the last step of a one-step derivation: a formula
+    added to or dropped from one side of one premise (the principal
+    among the added ones), a formula dropped from the conclusion, two
+    premises swapped, and the eigenvariable made free in the context."""
+    step, premises = d.steps[-1], d.hypotheses
+    extra = [Prop("s")]
+    if step.principal is not None:
+        extra.append(step.principal)
+    for k, s in enumerate(premises):
+        for side in ("ant", "suc"):
+            edits = [(a, True) for a in extra if a not in getattr(s, side)]
+            edits += [(a, False) for a in getattr(s, side)]
+            for a, add in edits:
+                changed = list(premises)
+                changed[k] = _with(s, side, a, add)
+                yield _one_step(changed, step, d.packs)
+    for side in ("ant", "suc"):
+        for a in getattr(step.sequent, side):
+            yield _one_step(premises, dataclasses.replace(
+                step, sequent=_with(step.sequent, side, a, False)), d.packs)
+    if len(premises) == 2:
+        yield _one_step(premises[::-1], step, d.packs)
+    free = Pred("P", (Var("y"),))
+    for side in ("ant", "suc"):
+        yield _one_step([_with(s, side, free, True) for s in premises],
+                        dataclasses.replace(step, sequent=_with(
+                            step.sequent, side, free, True)), d.packs)
+
+
+@pytest.fixture(scope="module")
+def sampled_instances():
+    """Every instance criteria 10 and 12 replay, 40 per run at the
+    default seed, recorded where the sampler hands them to the kernel."""
+    seen = []
+    real = acceptance._soundness_run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acceptance, "_kernel_accepts", seen.append)
+        mp.setattr(acceptance, "_soundness_run",
+                   lambda rule, valid, rng, instances, *rest:
+                   real(rule, valid, rng, 40, *rest))
+        acceptance._criterion_10(acceptance.SuiteConfig())
+        acceptance._criterion_12(acceptance.SuiteConfig())
+    return seen
+
+
+@pytest.fixture(scope="module")
+def proof_steps():
+    """Every step of the proofs of every 60th sequent of criterion 11's
+    universe, as a one-step derivation."""
+    space = PropSpace(("p", "q"))
+    universe = acceptance._prop_universe(space, acceptance.SuiteConfig(),
+                                         "completeness", {})
+    out = []
+    for gamma, delta, _ in itertools.islice(universe, 0, None, 60):
+        res = prove_prop(Sequent.of(gamma, delta), SearchBudget())
+        if res.proved:
+            steps = res.proof.steps
+            out += [_one_step([steps[j].sequent for j in st.premises], st,
+                              res.proof.packs) for st in steps]
+    return out
+
+
+def _assert_same_verdicts(derivations):
+    rejected = collections.Counter()
+    for d in derivations:
+        want = reference_check_derivation(d)
+        assert check_derivation(d) == want, d.steps[-1]
+        if not want[0]:
+            rejected[d.steps[-1].rule, want[1].code] += 1
+    return rejected
+
+
+def test_the_sampled_instances_check_as_before(sampled_instances):
+    assert len(sampled_instances) == 36 * 40
+    assert {d.steps[-1].rule for d in sampled_instances} == set(RULES)
+    assert not _assert_same_verdicts(sampled_instances)
+    rejected = _assert_same_verdicts(
+        m for d in sampled_instances for m in _mutants(d))
+    # every rule rejects some mutant; the eigenvariable rules by their
+    # side condition as well
+    assert {rule for rule, _ in rejected} == set(RULES)
+    eigen = {rule for rule, code in rejected if code == Code.EIGENVARIABLE}
+    assert eigen == {name for name, rule in RULES.items() if rule.eigen}
+
+
+def test_the_proof_steps_check_as_before(proof_steps):
+    assert len(proof_steps) > 1000
+    assert not _assert_same_verdicts(proof_steps)
+    rejected = _assert_same_verdicts(
+        m for d in proof_steps for m in _mutants(d))
+    assert {rule for rule, _ in rejected} == {
+        d.steps[-1].rule for d in proof_steps}

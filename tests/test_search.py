@@ -4,14 +4,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bd4.kernel import check_derivation, derives
+from bd4.kernel import check_derivation
 from bd4.parser import parse_sequent
 from bd4.proofio import print_derivation
 from bd4.search import MODES, SearchBudget, prove_prop
 from bd4.semantics import consequence_prop, evaluate_prop
 from bd4.syntax import And, Falsity, Imp, Not, Or, Prop, Sequent, prop_signature
 from bd4.values import ALL_VALUES, CL_VALUES, K3_VALUES, LP_VALUES, N, designated
+
+from support import derives
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -150,6 +153,36 @@ def test_search_matches_oracle_across_modes():
                 good, v = check_derivation(res.proof)
                 assert good, v
                 assert derives(gamma, delta, res.proof)
+
+
+def _formulas(depth):
+    """Formulas over p, q, r and F of connective depth at most ``depth``."""
+    if depth == 0:
+        return st.sampled_from([p, q, r, Falsity()])
+    sub = _formulas(depth - 1)
+    return st.one_of(sub, sub.map(Not), st.builds(And, sub, sub),
+                     st.builds(Or, sub, sub), st.builds(Imp, sub, sub))
+
+
+_SIDE = st.lists(_formulas(3), max_size=2)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_SIDE, _SIDE, st.sampled_from(MODES))
+def test_every_proof_checks_and_every_countermodel_refutes(gamma, delta,
+                                                          mode):
+    s = Sequent.of(gamma, delta)
+    res = prove_prop(s, SearchBudget(mode=mode))
+    if res.proved:
+        good, v = check_derivation(res.proof)
+        assert good, v
+        assert not res.proof.hypotheses and res.proof.target == s
+    else:
+        assert res.status == "refuted"
+        w = res.countermodel
+        assert all(v in MODE_VALUES[mode] for v in w.values())
+        assert all(designated(evaluate_prop(a, w)) for a in s.ant)
+        assert not any(designated(evaluate_prop(a, w)) for a in s.suc)
 
 
 def test_exhaustive_two_atom_shallow_agreement():

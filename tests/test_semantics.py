@@ -12,12 +12,13 @@ from bd4 import acceptance, semantics
 from bd4.acceptance import _EQ_POOL, _EQ_SIG, _FO_POOL, _FO_SIG
 from bd4.definability import truth_function_of
 from bd4.matrixlab import BD_MATRIX, consequence_in
+from bd4.parser import parse_formula_list
 from bd4.proofio import print_structure
 from bd4.semantics import (
     EnumerationCapExceeded, FOResult, FOSpace, PropSpace, SemanticsError,
     Structure, consequence_fo, consequence_prop, count_structures,
     enumerate_structures, equivalent_prop, evaluate, evaluate_prop,
-    normality_probe, synonymous_prop, truth_table, valuations,
+    truth_table, valuations,
 )
 from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
@@ -79,6 +80,19 @@ def test_classical_modes_recover_classical_laws():
     assert not consequence_prop([p, Not(p)], [q], LP_VALUES)[0]
     assert consequence_prop([], [Or(p, Not(p))], CL_VALUES)[0]
     assert consequence_prop([p, Not(p)], [q], CL_VALUES)[0]
+
+
+def synonymous_prop(a, b) -> bool:
+    """Synonymity decided through the four consequence checks.
+
+    On this matrix the result coincides with logical equivalence; the
+    test suite checks that coincidence rather than assuming it here.
+    """
+    for x, y in ((a, b), (b, a), (Not(a), Not(b)), (Not(b), Not(a))):
+        ok, _ = consequence_prop([x], [y])
+        if not ok:
+            return False
+    return True
 
 
 def test_equivalence_and_synonymity():
@@ -447,6 +461,26 @@ def test_an_empty_domain_has_no_structure():
             assert list(enumerate_structures(sig, 0, mode)) == []
 
 
+@pytest.mark.parametrize("text", [
+    "F", "P(x) & F", "forall x. forall y. forall z. F",
+    "forall x. (P(x) & exists y. P(y)) | forall z. P(z), P(x) -> ~P(x)",
+    "exists x. forall y. (P(y) | exists z. P(z)), forall w. P(w)"])
+def test_grounding_counts_in_closed_form_equal_the_grounded_sweeps(text):
+    """The elements and items of ``_grounding`` are the domains' lengths
+    and the grounded code's, summed over the sizes; past the cap the
+    items are a lower bound."""
+    sig = Signature(predicates=(("P", 1),))
+    code = semantics._compile(parse_formula_list(text, sig), sig)[0]
+    for least, most in itertools.product((1, 2), (2, 3, 6)):
+        domains = [tuple(range(k)) for k in range(least, most + 1)]
+        items = sum(len(semantics._ground(code, dom, {})) for dom in domains)
+        assert semantics._grounding(code, least, most, 10**9) == (
+            sum(map(len, domains)), items)
+        elements, bound = semantics._grounding(code, least, most, 20)
+        assert elements == sum(map(len, domains))
+        assert min(items, 21) <= bound <= items
+
+
 def test_enumeration_counts():
     sig = Signature(functions=(("c", 0),), predicates=(("P", 1),))
     # no equality needed: consts * P tables = 1*4 at size 1, 2*16 at size 2
@@ -521,6 +555,87 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         consequence_fo([Pred("Q", (Fun("c"), Fun("c")))], [], sig,
                        max_domain=3, cap=1000)
+
+
+_NORMALITY_CONNS = ("not", "and", "or", "imp")
+
+
+def _random_formula(rng: random.Random, atoms, budget: int):
+    if budget <= 0 or rng.random() < 0.3:
+        return Prop(rng.choice(atoms)) if rng.random() < 0.9 else Falsity()
+    kind = rng.choice(_NORMALITY_CONNS)
+    if kind == "not":
+        return Not(_random_formula(rng, atoms, budget - 1))
+    l = _random_formula(rng, atoms, budget - 1)
+    r = _random_formula(rng, atoms, budget - 1)
+    return {"and": And, "or": Or, "imp": Imp}[kind](l, r)
+
+
+def normality_probe(seed: int = 0, samples: int = 200) -> dict:
+    """Property-check the normality biconditionals on random instances.
+
+    Covers the atomic noninclusion checks, the three propositional
+    splits (conjunction right, disjunction left, the deduction theorem)
+    and the two quantifier conditions on domain-bounded structures.
+    Returns a report dict with a list of failures (empty on success).
+    """
+    rng = random.Random(seed)
+    atoms = ("p", "q", "r")
+    failures = []
+    checked = 0
+
+    p = Prop("p")
+    for a, b in ((p, Not(p)), (Not(p), p)):
+        ok, _ = consequence_prop([a], [b])
+        if ok:
+            failures.append(("atomic-noninclusion", a, b))
+        checked += 1
+
+    for _ in range(samples):
+        g = [_random_formula(rng, atoms, 2) for _ in range(rng.randrange(3))]
+        d = [_random_formula(rng, atoms, 2) for _ in range(rng.randrange(3))]
+        a1 = _random_formula(rng, atoms, 2)
+        a2 = _random_formula(rng, atoms, 2)
+
+        for name, lhs, rhs in (
+                ("conjunction-right", (g, d + [And(a1, a2)]),
+                 ((g, d + [a1]), (g, d + [a2]))),
+                ("disjunction-left", ([Or(a1, a2)] + g, d),
+                 (([a1] + g, d), ([a2] + g, d))),
+                ("deduction", (g, d + [Imp(a1, a2)]),
+                 (([a1] + g, d + [a2]),))):
+            if (consequence_prop(*lhs)[0]
+                    != all(consequence_prop(*x)[0] for x in rhs)):
+                failures.append((name, g, d, a1, a2))
+        checked += 3
+
+    sig = Signature(functions=(("c", 0),), predicates=(("P", 1), ("Q", 1)))
+    x = Var("x")
+    open_pool = [
+        Pred("P", (x,)), Not(Pred("P", (x,))), Or(Pred("P", (x,)), Pred("Q", (x,))),
+        And(Pred("P", (x,)), Pred("Q", (Fun("c"),))),
+        Imp(Pred("P", (x,)), Pred("Q", (x,))),
+    ]
+    closed_pool = [
+        Pred("P", (Fun("c"),)), Pred("Q", (Fun("c"),)),
+        Exists("x", Pred("P", (Var("x"),))), Forall("x", Pred("Q", (Var("x"),))),
+        Not(Pred("P", (Fun("c"),))),
+    ]
+    fo_samples = max(10, samples // 10)
+    for _ in range(fo_samples):
+        a1 = rng.choice(open_pool)
+        g = rng.sample(closed_pool, rng.randrange(3))
+        d = rng.sample(closed_pool, rng.randrange(3))
+
+        for name, lhs, rhs in (
+                ("forall-right", (g, d + [Forall("x", a1)]), (g, d + [a1])),
+                ("exists-left", ([Exists("x", a1)] + g, d), ([a1] + g, d))):
+            if (consequence_fo(*lhs, sig, max_domain=2).holds
+                    != consequence_fo(*rhs, sig, max_domain=2).holds):
+                failures.append((name, g, d, a1))
+        checked += 2
+
+    return {"checked": checked, "failures": failures}
 
 
 def test_normality_probe_clean():
