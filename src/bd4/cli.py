@@ -376,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bd4",
         description="four-valued first-order logic toolkit")
     top.add_argument("--seed", type=int,
-                     default=int(os.environ.get("BD4_SEED", "0")),
+                     default=os.environ.get("BD4_SEED", "0"),
                      help="seed for randomized suites (env BD4_SEED)")
     top.add_argument("--format", choices=("human", "lines"), default="human")
     sub = top.add_subparsers(dest="verb", required=True)
@@ -462,6 +462,9 @@ def main(argv=None) -> int:
     if args.verb == "laws" and args.action == "drop":
         if args.law is None or not 1 <= args.law <= 15:
             parser.error("laws drop needs a law number from 1 to 15")
+    if args.verb == "report" and any(
+            not 1 <= law <= 15 for law in args.drop_law or ()):
+        parser.error("report --drop-law needs a law number from 1 to 15")
     if args.verb == "define" and args.action in ("criterion", "synth"):
         if not args.name:
             parser.error("define %s needs a connective name" % args.action)

@@ -68,7 +68,7 @@ class Code:
     EMPTY_DERIVATION = "empty-derivation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DerivationStep:
     rule: str
     sequent: Sequent
@@ -78,6 +78,14 @@ class DerivationStep:
     t2: object = None
     x: str | None = None
     y: str | None = None
+
+    def __init__(self, rule, sequent, premises=(), principal=None, t=None,
+                 t2=None, x=None, y=None):
+        # one store of the whole dict, where a frozen dataclass's own
+        # __init__ makes one object.__setattr__ call per field
+        object.__setattr__(self, "__dict__", {
+            "rule": rule, "sequent": sequent, "premises": premises,
+            "principal": principal, "t": t, "t2": t2, "x": x, "y": y})
 
 
 @dataclass(frozen=True)

@@ -347,7 +347,8 @@ class UniquenessReport:
 def uniqueness_search(dropped=(), cap: int = 1000) -> UniquenessReport:
     """Every regular classically closed matrix satisfying the active laws.
 
-    ``dropped`` removes law identifiers from the requirement.  The laws
+    ``dropped`` removes laws, numbers 1-15, from the requirement; any
+    other value is a ValueError.  The laws
     are staged by the tables they mention.  Law 11 filters negation.
     Per (negation, falsity) context, laws 1-8 act per cell, so the
     conjunction and disjunction pools are products of cell value sets;
@@ -357,6 +358,8 @@ def uniqueness_search(dropped=(), cap: int = 1000) -> UniquenessReport:
     is 81: all tables but implication are pinned, and it keeps 81.
     Survivors are materialized only when the count fits under ``cap``.
     """
+    if unknown := [law for law in dropped if law not in ALL_LAWS]:
+        raise ValueError("no law to drop: %s" % ", ".join(map(repr, unknown)))
     active = frozenset(ALL_LAWS) - frozenset(dropped)
 
     def laws(*ids):

@@ -21,6 +21,11 @@ deeper nesting of brackets and prefix operators are a ParseError, which
 keeps every recursive consumer of formulas (printing, evaluation,
 substitution, search, the kernel) inside Python's default recursion
 limit.
+
+A formula list is scanned once: one ``findall`` gives the token values
+of the whole list, and one parser reads them, ending a part at each
+separator outside brackets.  Positions, which count from the start of
+their part, are found by a second scan only when an error is raised.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import re
 
 from .syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, Var,
+    Sequent, Signature, TRUTH, Var,
 )
 from .values import EXTRA_CONNECTIVES
 
@@ -43,27 +48,16 @@ class ParseError(Exception):
         self.pos = pos
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<neq>!=)|(?P<punct>[()&|~=.,;])"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*))"
-)
+_TOKEN = re.compile(r"->|!=|[()&|~=.,;]|[A-Za-z_][A-Za-z_0-9]*")
+# the token values that are no identifier, and "" for the end of the input
+_PUNCT = frozenset(("->", "!=", *"()&|~=.,;", ""))
+_QUANTIFIERS = ("forall", "exists")
+_FALSITY = Falsity()
 
 
-def _tokenize(text: str):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError("unexpected character %r" % stripped[0], pos)
-        kind = m.lastgroup
-        out.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    out.append(("eof", "", len(text)))
-    return out
+class _Fail(Exception):
+    """A ParseError with a token index for its position, or None for the
+    start of the part."""
 
 
 def _height(e) -> int:
@@ -80,185 +74,207 @@ def _height(e) -> int:
 
 
 class _Parser:
-    def __init__(self, text: str, sig: Signature):
-        self.tokens = _tokenize(text)
-        self.sig = sig
-        self.i = 0
-        self.depth = 0
+    """Recursive descent over a list of token values ending in "".  A
+    separator outside brackets ends a part as the end of input does."""
 
-    def peek(self):
-        return self.tokens[self.i]
+    __slots__ = ("vals", "sig", "sep", "i", "depth")
 
-    def next(self):
-        tok = self.tokens[self.i]
+    def __init__(self, vals: list, sig: Signature, sep):
+        self.vals, self.sig, self.sep = vals, sig, sep
+        self.i = self.depth = 0
+
+    def next(self) -> str:
         self.i += 1
-        return tok
+        return self.vals[self.i - 1]
+
+    def found(self, j: int) -> str:
+        """Token j as an error names it; a part's separator is the end."""
+        val, before = self.vals[j], self.vals[:j]
+        if val == self.sep and before.count("(") == before.count(")"):
+            return "end"
+        return val or "end"
 
     def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError("expected %r, found %r" % (value, val or "end"), pos)
+        if self.vals[self.i] != value:
+            raise _Fail("expected %r, found %r" % (value, self.found(self.i)),
+                        self.i)
+        self.i += 1
 
-    def at(self, value: str) -> bool:
-        return self.peek()[1] == value
-
-    def nested(self, parse, pos: int):
+    def nested(self, parse, j: int):
         """Parse one level further in, refusing to pass MAX_DEPTH."""
         if self.depth == MAX_DEPTH:
-            raise ParseError("nested deeper than %d levels" % MAX_DEPTH, pos)
+            raise _Fail("nested deeper than %d levels" % MAX_DEPTH, j)
         self.depth += 1
         out = parse()
         self.depth -= 1
         return out
 
-    def finish(self, out):
-        """``out`` once the input is used up and not nested too deep."""
-        kind, val, pos = self.peek()
-        if kind != "eof":
-            raise ParseError("trailing input %r" % val, pos)
+    def part(self, parse):
+        """``parse(self)`` once it ends the part and is not too high."""
+        start = self.i
+        out = parse(self)
+        val = self.vals[self.i]
+        if val and val != self.sep:
+            raise _Fail("trailing input %r" % val, self.i)
         # each level of a tree takes a token, so only long input can be high
-        if len(self.tokens) > MAX_DEPTH and _height(out) > MAX_DEPTH:
-            raise ParseError("nested deeper than %d levels" % MAX_DEPTH, 0)
+        if self.i - start >= MAX_DEPTH and _height(out) > MAX_DEPTH:
+            raise _Fail("nested deeper than %d levels" % MAX_DEPTH, None)
         return out
 
     # -- formulas ----------------------------------------------------------
 
     def formula(self):
-        left = self.disj()
-        if self.at("->"):
-            return Imp(left, self.nested(self.formula, self.next()[2]))
-        return left
-
-    def disj(self):
-        out = self.conj()
-        while self.at("|"):
-            self.next()
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self):
+        """The formula rule, with its disjunctions and conjunctions."""
+        vals = self.vals
         out = self.unary()
-        while self.at("&"):
-            self.next()
+        while vals[self.i] == "&":
+            self.i += 1
             out = And(out, self.unary())
+        while vals[self.i] == "|":
+            self.i += 1
+            right = self.unary()
+            while vals[self.i] == "&":
+                self.i += 1
+                right = And(right, self.unary())
+            out = Or(out, right)
+        if vals[self.i] == "->":
+            self.i += 1
+            return Imp(out, self.nested(self.formula, self.i - 1))
         return out
 
     def unary(self):
-        kind, val, pos = self.peek()
-        if val == "~":
-            self.next()
-            return Not(self.nested(self.unary, pos))
-        if kind == "ident" and val in ("forall", "exists"):
-            self.next()
-            k2, var, p2 = self.next()
-            if k2 != "ident" or var in ("forall", "exists"):
-                raise ParseError("expected a variable after %s" % val, p2)
-            self.expect(".")
-            body = self.nested(self.formula, pos)
-            return Forall(var, body) if val == "forall" else Exists(var, body)
-        if kind == "ident" and val in EXTRA_CONNECTIVES:
-            arity = EXTRA_CONNECTIVES[val][0]
-            if val not in self.sig.extras:
-                raise ParseError("extra connective %s not enabled" % val, pos)
-            self.next()
-            if arity == 0:
-                return ExtApp(val, ())
-            return ExtApp(val, (self.nested(self.unary, pos),))
-        return self.atom()
-
-    def atom(self):
-        kind, val, pos = self.next()
+        """The unary rule, with its atoms."""
+        j = self.i
+        val = self.vals[j]
+        self.i = j + 1
         if val == "(":
-            out = self.nested(self.formula, pos)
+            out = self.nested(self.formula, j)
             self.expect(")")
             return out
+        if val == "~":
+            return Not(self.nested(self.unary, j))
         if val == "F":
-            return Falsity()
+            return _FALSITY
         if val == "T":
-            return Not(Falsity())
-        if kind != "ident":
-            raise ParseError("expected a formula, found %r" % (val or "end"), pos)
+            return TRUTH
+        if val in _PUNCT:
+            raise _Fail("expected a formula, found %r" % self.found(j), j)
+        if val in _QUANTIFIERS:
+            var = self.next()
+            if var in _PUNCT or var in _QUANTIFIERS:
+                raise _Fail("expected a variable after %s" % val, j + 1)
+            self.expect(".")
+            body = self.nested(self.formula, j)
+            return Forall(var, body) if val == "forall" else Exists(var, body)
+        if val in EXTRA_CONNECTIVES:
+            if val not in self.sig.extras:
+                raise _Fail("extra connective %s not enabled" % val, j)
+            if EXTRA_CONNECTIVES[val][0] == 0:
+                return ExtApp(val, ())
+            return ExtApp(val, (self.nested(self.unary, j),))
         # identifier: predicate/proposition, or the start of a term
         parity = self.sig.predicate_arity(val)
         if parity == 0:
             return Prop(val)
         if parity is not None and parity > 0:
-            args = self.term_args(val, parity, pos)
-            return Pred(val, args)
+            return Pred(val, self.term_args(val, parity, j))
         # otherwise it must open a term of an equality
-        self.i -= 1
+        self.i = j
         left = self.term()
-        kind2, val2, pos2 = self.next()
+        val2 = self.next()
         if val2 == "=":
             return Eq(left, self.term())
         if val2 == "!=":
             return Not(Eq(left, self.term()))
         if self.sig.function_arity(val) is None and isinstance(left, Var):
-            raise ParseError("unknown symbol %r" % val, pos)
-        raise ParseError("expected '=' or '!=' after a term", pos2)
+            raise _Fail("unknown symbol %r" % val, j)
+        raise _Fail("expected '=' or '!=' after a term", self.i - 1)
 
     # -- terms -------------------------------------------------------------
 
     def term(self):
-        kind, val, pos = self.next()
-        if kind != "ident" or val in ("forall", "exists") or val in EXTRA_CONNECTIVES:
-            raise ParseError("expected a term, found %r" % (val or "end"), pos)
+        j = self.i
+        val = self.vals[j]
+        self.i = j + 1
+        if val in _PUNCT or val in _QUANTIFIERS or val in EXTRA_CONNECTIVES:
+            raise _Fail("expected a term, found %r" % self.found(j), j)
         farities = self.sig.function_arity(val)
         if self.sig.predicate_arity(val) is not None:
-            raise ParseError("predicate symbol %r used as a term" % val, pos)
+            raise _Fail("predicate symbol %r used as a term" % val, j)
         if farities is None:
-            if self.at("("):
-                raise ParseError("unknown symbol %r" % val, pos)
+            if self.vals[self.i] == "(":
+                raise _Fail("unknown symbol %r" % val, j)
             return Var(val)
         if farities == 0:
             return Fun(val, ())
-        args = self.term_args(val, farities, pos)
-        return Fun(val, args)
+        return Fun(val, self.term_args(val, farities, j))
 
-    def term_args(self, name: str, arity: int, pos: int) -> tuple:
+    def term_args(self, name: str, arity: int, j: int) -> tuple:
         self.expect("(")
-        args = [self.nested(self.term, pos)]
-        while self.at(","):
-            self.next()
-            args.append(self.nested(self.term, pos))
+        args = [self.nested(self.term, j)]
+        while self.vals[self.i] == ",":
+            self.i += 1
+            args.append(self.nested(self.term, j))
         self.expect(")")
         if len(args) != arity:
-            raise ParseError(
-                "%s expects %d argument(s), got %d" % (name, arity, len(args)), pos
-            )
+            raise _Fail("%s expects %d argument(s), got %d"
+                        % (name, arity, len(args)), j)
         return tuple(args)
 
 
+def _parse(text: str, sig: Signature, parse, sep=None) -> list:
+    """The trees ``parse`` makes of the parts of text that separators
+    outside brackets delimit (one part when sep is None).  A position
+    counts from the start of its part."""
+    vals = _TOKEN.findall(text)
+    if len("".join(vals)) != len("".join(text.split())):
+        _refuse_character(text, sig, parse, sep)
+    vals.append("")
+    p, out, first = _Parser(vals, sig, sep), [], 0
+    try:
+        while True:
+            out.append(p.part(parse))
+            if not vals[p.i]:
+                return out
+            p.i = first = p.i + 1
+    except _Fail as fail:
+        message, j = fail.args
+    starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+    start = starts[first - 1] + 1 if first else 0
+    raise ParseError(message, 0 if j is None else starts[j] - start)
+
+
+def _refuse_character(text: str, sig: Signature, parse, sep):
+    """Raise the first error of a text that holds a character no token
+    covers: an earlier part's, or else that character's, placed at the
+    end of the token before it in its part."""
+    blank = _TOKEN.sub(lambda m: " " * len(m[0]), text)
+    bad = len(blank) - len(blank.lstrip())
+    start = depth = 0
+    for i, ch in enumerate(text[:bad]):
+        depth += (ch == "(") - (ch == ")")
+        if ch == sep and depth == 0:
+            start = i + 1
+    if start:
+        _parse(text[:start - 1], sig, parse, sep)
+    raise ParseError("unexpected character %r" % text[bad],
+                     len(text[start:bad].rstrip()))
+
+
 def parse_formula(text: str, sig: Signature):
-    p = _Parser(text, sig)
-    return p.finish(p.formula())
+    return _parse(text, sig, _Parser.formula)[0]
 
 
 def parse_term(text: str, sig: Signature):
-    p = _Parser(text, sig)
-    return p.finish(p.term())
-
-
-def split_top(text: str, sep: str) -> list[str]:
-    """Split on a separator, ignoring separators inside parentheses."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
+    return _parse(text, sig, _Parser.term)[0]
 
 
 def parse_formula_list(text: str, sig: Signature, sep: str = ",") -> list:
-    """Parse a separator-joined formula list; blank input is the empty list."""
+    """Parse a list joined by ``sep``, ',' or ';'; blank input is the
+    empty list."""
     if not text.strip():
         return []
-    return [parse_formula(part, sig) for part in split_top(text, sep)]
+    return _parse(text, sig, _Parser.formula, sep)
 
 
 def parse_sequent(text: str, sig: Signature) -> Sequent:

@@ -77,6 +77,7 @@ class _Node:
 
 
 _FALSITY = Falsity()
+_OPEN = object()  # not in the memo
 
 
 def _closure(s: Sequent) -> _Node | None:
@@ -91,20 +92,22 @@ def _closure(s: Sequent) -> _Node | None:
 
 
 # base rules that also need a term or an eigenvariable are first-order
-_DECOMPOSE = {(r.side, head(r.pattern)): r for r in RULES.values()
-              if r.pack is None and r.side and r.needs == ("principal",)}
+_DECOMPOSE = tuple({head(r.pattern): r for r in RULES.values()
+                    if r.side == side and r.pack is None
+                    and r.needs == ("principal",)} for side in ("ant", "suc"))
 
 
 def _first_move(s: Sequent):
     """The first decomposition in canonical order: (rule, principal).
     Of formulas with equal keys, the first in iteration order."""
-    for side, formulas in (("ant", s.ant), ("suc", s.suc)):
+    for rules, formulas in zip(_DECOMPOSE, (s.ant, s.suc)):
         best = None
         for a in formulas:
-            rule = _DECOMPOSE.get((side, head(a)))
-            if rule is not None and (
-                    best is None or formula_key(a) < formula_key(best)):
-                best, move = a, rule
+            rule = rules.get(head(a))
+            if rule is not None:
+                key = formula_key(a)
+                if best is None or key < best_key:
+                    best, move, best_key = a, rule, key
         if best is not None:
             return move, best
     return None
@@ -121,9 +124,9 @@ def _choices(s: Sequent, pack_rules):
 
 
 class _Searcher:
-    """Depth-first search with a memo.  Each sequent is one generator
-    frame on an explicit stack, so proof depth is not bounded by
-    Python's recursion limit."""
+    """Depth-first search with a memo.  Each sequent being searched is a
+    frame on a list, so proof depth is not bounded by Python's recursion
+    limit; a memo hit is answered at once and takes no frame."""
 
     def __init__(self, budget: SearchBudget):
         self.budget = budget
@@ -132,49 +135,59 @@ class _Searcher:
         self.memo: dict = {}
 
     def solve(self, s: Sequent) -> _Node | None:
-        stack, result = [self._solve(s, 0)], None
-        while stack:
-            try:
-                stack.append(self._solve(*stack[-1].send(result)))
-                result = None
-            except StopIteration as done:
+        """The node of s, or None.  A frame is [sequent, depth, rule,
+        principal, goals, kids]: a decomposition's premises and the
+        nodes of those proved so far, or at a choice point the remaining
+        (rule, principal, premise) choices and None."""
+        memo, stack, depth = self.memo, [], 0
+        max_depth, max_nodes = self.budget.max_depth, self.budget.max_nodes
+        while True:
+            node = memo.get(s, _OPEN)
+            if node is _OPEN:
+                if depth > max_depth:
+                    raise _Exhausted("depth")
+                self.nodes += 1
+                if self.nodes > max_nodes:
+                    raise _Exhausted("nodes")
+                node = _closure(s)
+                if node is None:
+                    move = _first_move(s)
+                    if move is not None:
+                        # all decompositions are invertible: commit to it
+                        goals = move[0].backward(s, move[1])
+                        stack.append([s, depth, *move, goals, []])
+                        s, depth = goals[0], depth + 1
+                        continue
+                    # stuck on literals: pack rules are genuine choices
+                    goals = _choices(s, self.pack_rules)
+                    choice = next(goals, None)
+                    if choice is not None:
+                        stack.append([s, depth, *choice[:2], goals, None])
+                        s, depth = choice[2], depth + 1
+                        continue
+                memo[s] = node
+            # hand the node down to the frames that wait for it
+            while stack:
+                frame = stack[-1]
+                top, at, rule, principal, goals, kids = frame
+                if kids is None and node is None:
+                    choice = next(goals, None)
+                    if choice is not None:
+                        frame[2:4] = choice[:2]
+                        s, depth = choice[2], at + 1
+                        break
+                elif kids is None:
+                    node = _Node(rule.name, top, (node,), principal)
+                elif node is not None:
+                    kids.append(node)
+                    if len(kids) < len(goals):
+                        s, depth = goals[len(kids)], at + 1
+                        break
+                    node = _Node(rule.name, top, tuple(kids), principal)
                 stack.pop()
-                result = done.value
-        return result
-
-    def _solve(self, s: Sequent, depth: int):
-        """Yields (premise, depth) for each subgoal and is sent back its
-        node or None; returns the node of ``s`` or None."""
-        if s in self.memo:
-            return self.memo[s]
-        if depth > self.budget.max_depth:
-            raise _Exhausted("depth")
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise _Exhausted("nodes")
-
-        node = _closure(s)
-        move = _first_move(s) if node is None else None
-        if move is not None:
-            # all decompositions are invertible, so commit to the first
-            rule, principal = move
-            kids = []
-            for p in rule.backward(s, principal):
-                kid = yield p, depth + 1
-                if kid is None:
-                    break
-                kids.append(kid)
+                memo[top] = node
             else:
-                node = _Node(rule.name, s, tuple(kids), principal)
-        elif node is None:
-            # stuck on literals: pack rules are genuine choice points
-            for rule, principal, premise in _choices(s, self.pack_rules):
-                kid = yield premise, depth + 1
-                if kid is not None:
-                    node = _Node(rule.name, s, (kid,), principal)
-                    break
-        self.memo[s] = node
-        return node
+                return node
 
 
 def _linearize(root: _Node) -> Derivation:

@@ -274,6 +274,29 @@ def test_a_bound_out_of_range_is_a_usage_error(args, capsys):
     assert out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (("eval", "p"), "abc", "argument --seed: invalid int value: 'abc'"),
+    (("report", "--drop-law", "16"), None,
+     "report --drop-law needs a law number from 1 to 15"),
+    (("report", "--drop-law", "7", "--drop-law", "0"), None,
+     "report --drop-law needs a law number from 1 to 15"),
+    (("laws", "drop", "16"), None,
+     "laws drop needs a law number from 1 to 15"),
+], ids=["seed-abc", "report-law-16", "report-law-0", "laws-drop-16"])
+def test_a_bad_seed_or_law_number_is_a_usage_error(argv, env, message,
+                                                   monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("BD4_SEED", raising=False)
+    else:
+        monkeypatch.setenv("BD4_SEED", env)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(list(argv))
+    assert exit_.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith("bd4: error: %s\n" % message)
+
+
 def test_the_nullary_clone_holds_the_two_constants(capsys):
     assert cli.main(["define", "clone", "--arity", "0"]) == 0
     assert capsys.readouterr().out == "clone size at arity 0: 2\n  t\n  f\n"

@@ -34,6 +34,35 @@ def test_a_third_party_import_is_seen():
     assert list(imported_roots(tree)) == ["os", "numpy"]
 
 
+# modules that start threads, processes or timers, or take signals; the
+# benchmark's reference clock drives SIGALRM from its own timer, so the
+# package must do none of this
+CONCURRENCY = frozenset(("signal", "threading", "_thread", "multiprocessing",
+                         "concurrent", "subprocess"))
+
+
+def concurrency_imports(package):
+    """(module file name, root) for each such import under package."""
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for root in sorted(CONCURRENCY.intersection(imported_roots(tree))):
+            yield path.name, root
+
+
+def test_no_module_uses_signals_threads_or_processes():
+    assert list(concurrency_imports(PACKAGE)) == []
+
+
+def test_a_concurrency_import_is_seen(tmp_path):
+    (tmp_path / "clean.py").write_text("import os\n")
+    (tmp_path / "timed.py").write_text(
+        "import os, signal\nfrom concurrent import futures\n"
+        "def run():\n    import subprocess as sp\n")
+    assert list(concurrency_imports(tmp_path)) == [
+        ("timed.py", "concurrent"), ("timed.py", "signal"),
+        ("timed.py", "subprocess")]
+
+
 def unused_imports(tree):
     """The names a module binds by import and never reads, ``from
     __future__`` aside."""

@@ -285,6 +285,13 @@ def test_the_search_equals_the_staged_filter(dropped):
     assert rep.dropped == frozenset(dropped)
 
 
+@pytest.mark.parametrize("dropped", [(16,), ("x",), (0, 3), (7, "7")],
+                         ids=str)
+def test_dropping_no_law_is_refused(dropped):
+    with pytest.raises(ValueError, match="no law to drop"):
+        uniqueness_search(dropped=dropped)
+
+
 def test_every_per_cell_pool_equals_the_filtered_candidates():
     """Conjunction and disjunction pools under every subset of their
     cell laws, in every (negation, falsity) context, against filtering

@@ -1,6 +1,13 @@
 """Concrete syntax: parsing, precedence, and print round-trips."""
 
+import itertools
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_parser as ref
 
 from bd4.kernel import check_derivation
 from bd4.parser import MAX_DEPTH, ParseError, parse_formula, \
@@ -167,3 +174,81 @@ def test_subformulas_walks_in_preorder(text):
     a = parse_formula(text, SIG)
     assert ([id(x) for x in subformulas(a)]
             == [id(x) for x in _recursive_subformulas(a)])
+
+
+# ---------------------------------------------------------------------------
+# the parser against the reference: the parser before each list was
+# scanned once, which split a list by characters and tokenized each part
+
+
+def _outcome(parse, *args):
+    """The tree a parse returns, or its error's message and position."""
+    try:
+        return "tree", parse(*args)
+    except ParseError as exc:
+        return "error", str(exc), exc.pos
+
+
+def assert_parses_as_reference(text: str, sig=SIG):
+    """Every entry point gives the reference's tree or error on text."""
+    cases = [("parse_formula", (sig,)), ("parse_term", (sig,)),
+             ("parse_formula_list", (sig, ",")),
+             ("parse_formula_list", (sig, ";")), ("parse_sequent", (sig,))]
+    for name, args in cases:
+        want = _outcome(getattr(ref, name), text, *args)
+        got = _outcome(globals()[name], text, *args)
+        assert got == want, (name, text)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's query streams, read from ``bench/workloads.py``."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads
+
+
+def test_the_benchmark_streams_parse_as_the_reference(workloads):
+    """The first queries of the prop-prove and fo-entails streams, and
+    every fourth prefix of each, which are mostly errors."""
+    W = workloads
+    texts = [(q.text, W.PROP_SIG)
+             for q in itertools.islice(W.prop_queries(0), 250)]
+    texts += [(side, W.FO_SIG)
+              for q in itertools.islice(W.fo_queries(0), 40)
+              for side in (q.gamma, q.delta)]
+    errors = 0
+    for text, sig in texts:
+        for cut in itertools.chain(range(0, len(text), 4), [len(text)]):
+            assert_parses_as_reference(text[:cut], sig)
+            outcome = _outcome(ref.parse_sequent, text[:cut], sig)
+            errors += outcome[0] == "error"
+    assert errors > len(texts)
+
+
+@pytest.mark.parametrize("name", list(AT_BOUND))
+def test_the_depth_bound_parses_as_the_reference(name):
+    for text in AT_BOUND[name]:
+        for joined in (text, "p, " + text, text + "; q", "p; " + text):
+            assert_parses_as_reference(joined)
+
+
+# token values, spaces, bad characters, and fragments that leave parts
+# empty, brackets unbalanced and separators inside brackets
+_PIECES = (["p", "q", "r", "P", "Q", "c", "d", "f", "g", "x", "F", "T",
+            "Des", "Both", "Neither", "forall", "exists", "x.", "(", ")",
+            "&", "|", "~", "->", "=", "!=", ".", ",", ";", "=>", "|-"]
+           + [" ", "  ", "\t", "$", "-", "!", ">", "é", "1"]
+           + [", ,", "; ;", ",", "(p, q)", "(p; q)", "P(c, d)", "Q(x, f(c))",
+              "((p)", "(q))", "g(c, d) = x", "p -> q", "~(p & q)"])
+
+
+@settings(derandomize=True, max_examples=800, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12))
+def test_hypothesis_texts_parse_as_the_reference(pieces):
+    assert_parses_as_reference(" ".join(pieces))
+    assert_parses_as_reference("".join(pieces))

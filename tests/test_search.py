@@ -1,19 +1,25 @@
 """Backward proof search: found proofs check, refutations countermodel."""
 
+import collections
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bd4 import acceptance
 from bd4.kernel import check_derivation
 from bd4.parser import parse_sequent
 from bd4.proofio import print_derivation
-from bd4.search import MODES, SearchBudget, prove_prop
-from bd4.semantics import consequence_prop, evaluate_prop
+from bd4.search import (
+    MODES, SearchBudget, _Exhausted, _linearize, _Searcher, prove_prop,
+)
+from bd4.semantics import PropSpace, consequence_prop, evaluate_prop
 from bd4.syntax import And, Falsity, Imp, Not, Or, Prop, Sequent, prop_signature
 from bd4.values import ALL_VALUES, CL_VALUES, K3_VALUES, LP_VALUES, N, designated
 
+from reference_search import _Searcher as ReferenceSearcher
+from reference_search import reference_prove_prop
 from support import derives
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
@@ -314,3 +320,52 @@ def test_pins_cover_every_decomposition_and_pack_mode():
                     "notnot-L", "notnot-R", "notand-L", "notand-R",
                     "notor-L", "notor-R", "notimp-L", "notimp-R"}
     assert {mode for _, mode in PINNED} == set(MODES)
+
+
+# ---------------------------------------------------------------------------
+# the search loop against the reference: the search before it ran as one
+# loop, with a generator per subgoal
+
+def _searched(searcher_class, s, budget):
+    """(outcome, nodes searched) of one search of s: its derivation,
+    None when the search fails, or the bound that ran out."""
+    searcher = searcher_class(budget)
+    try:
+        root = searcher.solve(s)
+    except _Exhausted as exc:
+        return exc.args[0], searcher.nodes
+    return (None if root is None else _linearize(root)), searcher.nodes
+
+
+@pytest.fixture(scope="module")
+def c11_sequents():
+    """Every 60th sequent of criterion 11's universe."""
+    universe = acceptance._prop_universe(
+        PropSpace(("p", "q")), acceptance.SuiteConfig(), "completeness", {})
+    return [Sequent.of(gamma, delta) for gamma, delta, _
+            in itertools.islice(universe, 0, None, 60)]
+
+
+# bounds small enough that some searches run out of depth or of nodes
+BOUNDS = {"default": {}, "depth": {"max_depth": 2}, "nodes": {"max_nodes": 3}}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_search_loop_equals_the_generator_search(mode, c11_sequents):
+    """Searched alone, valid or not, each sequent gets the same proof,
+    failure or bound, after the same number of nodes; and ``prove_prop``
+    the same status, bound, proof and countermodel."""
+    seen = collections.Counter()
+    for bound, limits in BOUNDS.items():
+        budget = SearchBudget(mode=mode, **limits)
+        for s in c11_sequents:
+            want = _searched(ReferenceSearcher, s, budget)
+            assert _searched(_Searcher, s, budget) == want, (bound, s)
+            seen[want[0] if want[0] in (None, "depth", "nodes")
+                 else "proof"] += 1
+            got, ref = prove_prop(s, budget), reference_prove_prop(s, budget)
+            assert ((got.status, got.bound, got.proof, got.countermodel)
+                    == (ref.status, ref.bound, ref.proof, ref.countermodel))
+            seen[got.status] += 1
+    assert min(seen[k] for k in (None, "depth", "nodes", "proof", "proved",
+                                 "refuted", "exhausted")) > 0, seen
