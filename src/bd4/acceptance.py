@@ -29,7 +29,8 @@ from .definability import (
     is_definable_criterion, verify_definition, DEFINITIONS,
 )
 from .kernel import (
-    RULES, Derivation, DerivationStep, check_derivation, instance,
+    _EIGEN, _TERM, RULES, Derivation, DerivationStep, check_derivation,
+    instance,
 )
 from .matrixlab import (
     ALL_LAWS, BD_MATRIX, LAW_ARITY, SUBSETS, check_all_laws,
@@ -37,7 +38,7 @@ from .matrixlab import (
     uniqueness_search,
 )
 from .proofio import print_sequent
-from .search import SearchBudget, prove_prop
+from .search import _MODE_PACK_RULES, SearchBudget, prove_prop
 from .semantics import (
     FOSpace, PropSpace, consequence_fo, consequence_prop, evaluate_prop,
 )
@@ -78,11 +79,9 @@ class CriterionResult:
     def ok(self) -> bool:
         return self.status == "pass"
 
-    def line(self, timing: bool = True) -> str:
-        head = "criterion-%02d %s" % (self.number, self.status)
-        if timing:
-            head += " %6.2fs" % self.seconds
-        head += " %s" % self.name
+    def line(self) -> str:
+        head = "criterion-%02d %s %6.2fs %s" % (
+            self.number, self.status, self.seconds, self.name)
         if self.note:
             head += " [%s]" % self.note
         return head
@@ -532,7 +531,7 @@ def _sample_instance(rule, rng, ctx_pool, made):
     delta = frozenset(rng.sample(ctx_pool, rng.randint(0, 2)))
     pool = (_EQ_X_LITERALS if rule.name == "eq-Repl"
             else _PROP_LITERALS if rule.literal
-            else _FO_BODIES if rule.name in _QUANT_RULES else _PROP_POOL)
+            else _FO_BODIES if rule.needs in (_TERM, _EIGEN) else _PROP_POOL)
     key = (tuple([rng.choice(pool) for _ in rule.slots])
            + tuple([rng.choice(_TERMS) for f in ("t", "t2")
                     if f in rule.needs]))
@@ -639,10 +638,6 @@ def _fo_space(kind: str) -> FOSpace:
     raise ValueError(kind)
 
 
-_QUANT_RULES = ("forall-L", "forall-R", "exists-L", "exists-R",
-                "notforall-L", "notforall-R", "notexists-L", "notexists-R")
-
-
 def _criterion_10(config: SuiteConfig):
     if config.rule_instances < 1000:
         return "skipped", {}, "bound"
@@ -655,8 +650,10 @@ def _criterion_10(config: SuiteConfig):
     den_repair = _fo_space("den-repair")
 
     runs = []
-    for rule in RULES:
-        if rule in _QUANT_RULES:
+    for rule, row in RULES.items():
+        pack_modes = [mode for mode, packed in _MODE_PACK_RULES.items()
+                      if rule in packed]
+        if row.needs in (_TERM, _EIGEN):  # a quantifier rule
             runs.append((rule, "fo", fo.valid, _FO_POOL, None, None))
         elif rule == "eq-Refl":
             runs.append((rule, "eq", eq.valid, _EQ_POOL, None, None))
@@ -668,8 +665,8 @@ def _criterion_10(config: SuiteConfig):
         elif rule == "Den-R":
             runs.append((rule, "partial", den.valid, _EQ_POOL, "den",
                          den_repair.valid))
-        elif rule in ("not-L", "not-R"):
-            for mode in ("k3" if rule == "not-L" else "lp", "cl"):
+        elif pack_modes:
+            for mode in pack_modes:
                 runs.append((rule, mode,
                              functools.partial(space3.valid, mode=mode),
                              _PROP_POOL, "notLR", None))

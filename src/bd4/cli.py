@@ -31,15 +31,17 @@ from .proofio import (
 )
 from .search import MODES, SearchBudget, prove_prop
 from .semantics import (
-    SemanticsError, consequence_fo, consequence_prop, equivalent_prop,
-    evaluate, evaluate_prop, valuations,
+    SemanticsError, _compile, _count, _grounding, consequence_fo,
+    consequence_prop, equivalent_prop, evaluate, evaluate_prop, valuations,
 )
 from .simulation import EXTENSION_MODES, translation_sets, verify_simulation
-from .syntax import EXTRA_CONNECTIVES, SyntaxBuildError, prop_signature
+from .syntax import _RESERVED, SyntaxBuildError, prop_signature
 from .values import TruthValue, designated
 
 _NAME_RX = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NOT_ATOMS = {"F", "T", "forall", "exists"} | set(EXTRA_CONNECTIVES)
+# the grounded formula items eval may visit over a structure; a million
+# take about 2 s
+MAX_EVAL_ITEMS = 10**6
 
 
 class UsageError(Exception):
@@ -83,7 +85,7 @@ def _infer_atoms(*texts: str):
             if m.group() in ("forall", "exists"):
                 raise UsageError(
                     "cannot infer a signature under quantifiers; pass --sig")
-            if m.group() not in _NOT_ATOMS and m.group() not in names:
+            if m.group() not in _RESERVED and m.group() not in names:
                 names.append(m.group())
     return sorted(names)
 
@@ -131,6 +133,13 @@ def _cmd_eval(args) -> int:
         sig = _get_sig(args)
         a = parse_formula(args.formula, sig)
         m = parse_structure(_read(args.structure), sig)
+        size = len(m.domain)
+        _, items = _grounding(_compile([a], sig)[0], size, size,
+                              MAX_EVAL_ITEMS)
+        if items > MAX_EVAL_ITEMS:
+            raise UsageError(
+                "over %d elements the formula grounds to at least %s "
+                "items, more than %d" % (size, _count(items), MAX_EVAL_ITEMS))
         v = evaluate(a, m)
         _emit(args, "value: %s" % _vname(v), "value=%s" % _vname(v))
         return 0 if designated(v) else 1

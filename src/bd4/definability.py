@@ -132,18 +132,19 @@ def is_definable_criterion(g: TruthFunction) -> bool:
 
 # The work a closure may do, in table cells: 4^arity for each projection
 # and for each argument combination it examines.  The unary closure of
-# the base takes 33,372; at arity 2 the table cap alone would let the
-# work grow with the square of up to 200,000 tables.
+# the base takes 33,372.  Each combination yields at most one new table,
+# so the bound also caps the tables: 4 at arity 0, about 100,000 at
+# arity 1 and at most 25,000 from arity 2 up.
 MAX_CELLS = 400_000
 
 
-def clone_closure(base, arity: int, cap: int = 200_000) -> tuple:
+def clone_closure(base, arity: int) -> tuple:
     """All arity-`arity` functions composable from base and projections.
 
     Returns the closure sorted by packed table code.  Nullary base
-    members enter as constant functions of the requested arity.  The
-    cap bounds the closure size and raises CloneCapExceeded as soon as
-    it would be passed, and so does work past ``MAX_CELLS`` table cells.
+    members enter as constant functions of the requested arity.  Work
+    past ``MAX_CELLS`` table cells raises CloneCapExceeded, which bounds
+    the closure size too; the base's closure passes it from arity 2.
     Saturation runs on a frontier worklist: a composition is only
     recomputed when at least one argument is new, so each combination is
     examined once.
@@ -166,8 +167,6 @@ def clone_closure(base, arity: int, cap: int = 200_000) -> tuple:
             code = (code << 2) | int(v)
         if code in seen:
             return None
-        if len(seen) >= cap:
-            raise CloneCapExceeded("clone closure exceeded %d tables" % cap)
         seen[code] = TruthFunction(arity, tuple(table), name)
         return code
 
@@ -280,52 +279,27 @@ def check_expansion_equivalences() -> tuple:
     return tuple(out)
 
 
-_CONNECTIVE_BUILDERS = {
-    "F": (0, lambda: Falsity()),
-    "not": (1, Not),
-    "and": (2, And),
-    "or": (2, Or),
-    "imp": (2, Imp),
-}
-
-
-def _builder(name):
-    if name in _CONNECTIVE_BUILDERS:
-        return _CONNECTIVE_BUILDERS[name]
-    if name in EXTRA_CONNECTIVES:
-        k = EXTRA_CONNECTIVES[name][0]
-        if k == 0:
-            return 0, lambda: ExtApp(name)
-        return 1, lambda a: ExtApp(name, (a,))
-    raise DefinabilityError("unknown connective %r" % (name,))
-
-
 def find_definition(target: TruthFunction,
-                    connectives=("F", "not", "and", "or", "imp"),
                     depth: int = 3) -> ConnectiveDef | None:
-    """Bounded synthesis: smallest defining formula up to `depth` connectives.
+    """Bounded synthesis: the smallest formula over the base F, ~, &, |
+    and -> with up to `depth` connectives that defines `target`.
 
     Within one size class candidates are tried in lexicographic order
     of their printed form, so the result is the least match by (size,
     text).  Returning None is inconclusive by design.
     """
-    builders = [(name,) + _builder(name) for name in connectives]
     atoms = [Prop("p%d" % (i + 1)) for i in range(target.arity)]
     order = tuple("p%d" % (i + 1) for i in range(target.arity))
-    levels = {0: list(atoms)}
+    levels = {0: atoms}
     for size in range(0, depth + 1):
         if size > 0:
-            made = []
-            for name, k, build in builders:
-                if k == 0 and size == 1:
-                    made.append(build())
-                elif k == 1:
-                    made.extend(build(a) for a in levels.get(size - 1, ()))
-                elif k == 2:
-                    for left_size in range(0, size):
-                        for a in levels.get(left_size, ()):
-                            for b in levels.get(size - 1 - left_size, ()):
-                                made.append(build(a, b))
+            made = [Falsity()] if size == 1 else []
+            made.extend(Not(a) for a in levels[size - 1])
+            for build in (And, Or, Imp):
+                for left_size in range(0, size):
+                    for a in levels[left_size]:
+                        for b in levels[size - 1 - left_size]:
+                            made.append(build(a, b))
             levels[size] = made
         for cand in sorted(levels[size], key=print_formula):
             if truth_function_of(cand, order).table == target.table:

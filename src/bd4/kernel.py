@@ -127,7 +127,7 @@ class _Letter:
 
 
 A, B, X = _Letter("A"), _Letter("B"), _Letter("x")
-P, T, T2, Y = _Letter("principal"), _Letter("t"), _Letter("t2"), _Letter("y")
+P, T, T2 = _Letter("principal"), _Letter("t"), _Letter("t2")
 A_t, A_t2, A_y = _Letter("A", "t"), _Letter("A", "t2"), _Letter("A", "y")
 
 

@@ -238,8 +238,8 @@ def check_law(m: Matrix4, law: int):
     return witness is None, witness
 
 
-def check_all_laws(m: Matrix4, laws=ALL_LAWS):
-    return {law: check_law(m, law) for law in laws}
+def check_all_laws(m: Matrix4):
+    return {law: check_law(m, law) for law in ALL_LAWS}
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,11 @@ class UniquenessReport:
             for s in self.survivors}
 
 
-def uniqueness_search(dropped=(), cap: int = 1000) -> UniquenessReport:
+# survivors are listed only up to this many; past it, only counted
+SURVIVOR_CAP = 1000
+
+
+def uniqueness_search(dropped=()) -> UniquenessReport:
     """Every regular classically closed matrix satisfying the active laws.
 
     ``dropped`` removes laws, numbers 1-15, from the requirement; any
@@ -356,7 +360,8 @@ def uniqueness_search(dropped=(), cap: int = 1000) -> UniquenessReport:
     implication and 14 and 15 the quantifiers, with verdicts shared by
     every search, and the pools multiply out.  With every law the count
     is 81: all tables but implication are pinned, and it keeps 81.
-    Survivors are materialized only when the count fits under ``cap``.
+    Survivors are materialized only when the count is at most
+    ``SURVIVOR_CAP``.
     """
     if unknown := [law for law in dropped if law not in ALL_LAWS]:
         raise ValueError("no law to drop: %s" % ", ".join(map(repr, unknown)))
@@ -390,7 +395,7 @@ def uniqueness_search(dropped=(), cap: int = 1000) -> UniquenessReport:
                 total += math.prod(map(len, pools))
                 contexts.append((nu, ff, cj, dj, pools))
 
-    survivors = None if total > cap else [
+    survivors = None if total > SURVIVOR_CAP else [
         Matrix4(neg=nu, conj=cj, disj=dj, impl=im, forall_q=al, exists_q=ex,
                 falsum=ff)
         for nu, ff, cj, dj, pools in contexts

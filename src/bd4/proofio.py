@@ -89,6 +89,11 @@ def _value(tok: str, n: int) -> TruthValue:
         _fail(n, "bad truth value %r" % tok)
 
 
+# a Structure fills one equality cell per ordered pair of elements; a
+# million of them (1,000 elements) take about 100 MB
+MAX_EQ_CELLS = 10**6
+
+
 def parse_structure(text: str, sig: Signature) -> Structure:
     domain = None
     bottom = None
@@ -109,6 +114,9 @@ def parse_structure(text: str, sig: Signature) -> Structure:
                     _fail(n, "duplicate domain line")
                 if not elems or len(set(elems)) != len(elems):
                     _fail(n, "domain must list distinct elements")
+                if len(elems) ** 2 > MAX_EQ_CELLS:
+                    _fail(n, "a domain of %d elements has more than %d "
+                          "equality cells" % (len(elems), MAX_EQ_CELLS))
                 domain = tuple(elems)
             case ["bottom", e]:
                 bottom = element(e, n)
@@ -144,26 +152,20 @@ def parse_structure(text: str, sig: Signature) -> Structure:
     if domain is None:
         raise ProofIOError("structure file has no domain line")
     # interpretations must be total over the domain, bottom rows included
-    for name, arity in sig.functions:
-        if arity == 0:
-            if name not in consts:
-                raise ProofIOError("no interpretation for constant %s" % name)
-            continue
-        rows = funcs.get(name, {})
-        for key in itertools.product(domain, repeat=arity):
-            if key not in rows:
-                raise ProofIOError(
-                    "function %s missing row %s" % (name, " ".join(key)))
-    for name, arity in sig.predicates:
-        if arity == 0:
-            if name not in props:
-                raise ProofIOError("no interpretation for atom %s" % name)
-            continue
-        rows = preds.get(name, {})
-        for key in itertools.product(domain, repeat=arity):
-            if key not in rows:
-                raise ProofIOError(
-                    "predicate %s missing row %s" % (name, " ".join(key)))
+    for symbols, nullary, tables, kinds in (
+            (sig.functions, consts, funcs, ("constant", "function")),
+            (sig.predicates, props, preds, ("atom", "predicate"))):
+        for name, arity in symbols:
+            if arity == 0:
+                if name not in nullary:
+                    raise ProofIOError(
+                        "no interpretation for %s %s" % (kinds[0], name))
+                continue
+            rows = tables.get(name, {})
+            for key in itertools.product(domain, repeat=arity):
+                if key not in rows:
+                    raise ProofIOError("%s %s missing row %s"
+                                       % (kinds[1], name, " ".join(key)))
     return Structure(domain, consts, funcs, props, preds, eq, bottom)
 
 

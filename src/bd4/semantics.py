@@ -1067,6 +1067,7 @@ class PropSpace(FOSpace):
     # entries of its own, so that a tracer that rebinds a class's
     # methods (bench/layertrace.py) tells the two spaces apart
     vector, mask, holds = FOSpace.vector, FOSpace.mask, FOSpace.holds
+    counter_mask, valid = FOSpace.counter_mask, FOSpace.valid
 
     def __init__(self, atoms: tuple):
         self.atoms = tuple(atoms)

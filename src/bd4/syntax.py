@@ -94,11 +94,9 @@ class Signature:
         return tuple(n for n, a in self.predicates if a == 0)
 
 
-def prop_signature(*names: str, extras=()) -> Signature:
+def prop_signature(*names: str) -> Signature:
     """Signature with only proposition symbols, the common test case."""
-    return Signature(
-        predicates=tuple((n, 0) for n in names), extras=frozenset(extras)
-    )
+    return Signature(predicates=tuple((n, 0) for n in names))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ F = TruthValue.F
 
 VALUES = (T, B, N, F)
 DESIGNATED = frozenset({T, B})
-NON_DESIGNATED = frozenset({F, N})
 
 # The three closed restrictions used for the LP-, K3- and CL-style modes.
 LP_VALUES = frozenset({T, B, F})

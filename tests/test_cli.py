@@ -14,8 +14,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bd4 import cli
+from bd4 import cli, proofio
 from bd4.acceptance import report_all
 from bd4.parser import MAX_DEPTH
 
@@ -461,3 +462,244 @@ def test_a_sweep_past_the_cap_in_elements_or_grounding_is_refused(
                        % (elements, items))
     assert len(out.err.encode()) < 200
     assert peak < 1 << 20
+
+
+# the two hostile structure files: a domain whose equality cells pass
+# the bound, and 300 elements under which four quantifiers pass the
+# grounding bound (two take about 0.3 s)
+WIDE = "domain %s\npred q = T\n" % " ".join("e%d" % i for i in range(20000))
+BIG = "domain %s\n%s" % (" ".join("e%d" % i for i in range(300)),
+                         "".join("pred P e%d = T\n" % i for i in range(300)))
+
+
+def _traced_main(argv) -> tuple:
+    """``_main`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        code, out, err = _main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, out, err, peak
+
+
+def test_a_domain_past_the_equality_cell_bound_is_refused(tmp_path):
+    (tmp_path / "q.sig").write_text("prop q\n")
+    (tmp_path / "wide.struct").write_text(WIDE)
+    code, out, err, peak = _traced_main([
+        "eval", "--sig", str(tmp_path / "q.sig"),
+        "--structure", str(tmp_path / "wide.struct"), "q"])
+    assert (code, out) == (2, "")
+    assert err == ("error: line 1: a domain of 20000 elements has more "
+                   "than 1000000 equality cells\n")
+    assert peak < 8 << 20
+
+
+def test_the_equality_cell_bound_admits_a_domain_that_meets_it(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(proofio, "MAX_EQ_CELLS", 9)
+    sig = proofio.parse_signature("prop q\n")
+    assert len(proofio.parse_structure(
+        "domain a b c\npred q = T\n", sig).eq) == 9
+    with pytest.raises(proofio.ProofIOError,
+                       match="4 elements has more than 9 equality cells"):
+        proofio.parse_structure("domain a b c d\npred q = T\n", sig)
+
+
+@pytest.mark.parametrize("quantifiers", [3, 4])
+def test_a_formula_past_the_grounding_bound_is_refused(quantifiers,
+                                                       tmp_path):
+    (tmp_path / "p1.sig").write_text("pred P/1\n")
+    (tmp_path / "big.struct").write_text(BIG)
+    formula = "".join("forall %s. " % v for v in "xyzw"[:quantifiers])
+    code, out, err, peak = _traced_main([
+        "eval", "--sig", str(tmp_path / "p1.sig"),
+        "--structure", str(tmp_path / "big.struct"), formula + "P(x)"])
+    assert (code, out) == (2, "")
+    assert err == ("error: over 300 elements the formula grounds to at "
+                   "least 27000000 items, more than 1000000\n")
+    assert peak < 32 << 20
+
+
+def test_the_grounding_bound_admits_a_formula_that_meets_it(
+        tmp_path, monkeypatch):
+    """forall x. forall y. P(x) grounds to 3 P atoms for each of the 3
+    values of x, 2 joins for each x and 2 joins of the x copies, plus
+    the 3 copies of each inner quantifier: 9 + 6 + 2 = 17 items."""
+    (tmp_path / "p1.sig").write_text("pred P/1\n")
+    (tmp_path / "three.struct").write_text(
+        "domain a b c\npred P a = T\npred P b = B\npred P c = T\n")
+    argv = ["eval", "--sig", str(tmp_path / "p1.sig"), "--structure",
+            str(tmp_path / "three.struct"), "forall x. forall y. P(x)"]
+    monkeypatch.setattr(cli, "MAX_EVAL_ITEMS", 17)
+    assert _main(argv) == (0, "value: b\n", "")
+    monkeypatch.setattr(cli, "MAX_EVAL_ITEMS", 16)
+    assert _main(argv) == (2, "", "error: over 3 elements the formula "
+                           "grounds to at least 17 items, more than 16\n")
+
+
+def test_prove_emit_writes_the_printed_derivation(tmp_path):
+    drv = tmp_path / "proof.drv"
+    code, out, err = _main(["prove", "--emit", str(drv),
+                            "r | (q & p) => p; q; r"])
+    assert (code, out, err) == (0, SPLIT, "")
+    assert drv.read_bytes() == SPLIT.split("\n", 1)[1].encode()
+    assert _main(["--format", "lines", "check", str(drv)]) == (
+        0, "ok=true steps=4\n", "")
+    nowhere = tmp_path / "missing" / "proof.drv"
+    code, out, err = _main(["prove", "--emit", str(nowhere), "p => p"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(nowhere) in err
+
+
+def test_report_out_writes_what_it_prints(tmp_path):
+    report = tmp_path / "report.txt"
+    code, out, err = _main([
+        "--format", "lines", "report", "--rule-instances", "1",
+        "--random-instances", "1", "--max-nodes", "1", "--out",
+        str(report)])
+    assert (code, err) == (1, "")  # criterion 4 stays red
+    assert report.read_text() == out
+    statuses = dict(re.findall(r"criterion=(\d+)\nname=\S+\nstatus=(\w+)",
+                               out))
+    assert sorted(n for n, st in statuses.items() if st == "skipped") == [
+        "10", "11", "12", "6"]
+    assert len(statuses) == 12
+
+
+def test_atoms_name_the_table_rows(capsys):
+    code, out, err = _main(["eval", "--atoms", "p q", "p & q"])
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert len(rows) == 16
+    assert rows[0] == "p=t q=t : t" and rows[-1] == "p=f q=f : f"
+    assert _main(["eval", "--atoms", "p,q", "p & q"]) == (
+        2, "", "error: bad symbol name: 'p,q'\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv over the verbs that read signature, structure and
+# derivation files
+
+_ARITY = st.integers(0, 2) | st.integers(0, 64)
+_SOUP = st.lists(st.sampled_from((
+    "(", ")", ",", "~", "&", "|", "->", "=", "=>", ";", "forall", "x.",
+    "p", "q", "c", "P", "F", "T", "Des")), max_size=8).map(" ".join)
+
+
+def _applied(name, arity, args):
+    return "%s(%s)" % (name, ", ".join(args)) if arity else name
+
+
+@st.composite
+def _inputs(draw):
+    """A signature file, and strategies for a formula and a formula list
+    over its symbols.  The arities go up to 64; one file in four carries
+    a line that is no declaration or is random bytes, and one formula in
+    five is a soup of tokens."""
+    arity = {name: draw(_ARITY) for name in "fPQ"}
+    decls = {"f": "func f/%d" % arity["f"], "P": "pred P/%d" % arity["P"],
+             "Q": "pred Q/%d" % arity["Q"], "q": "prop q", "Des": "conn Des"}
+    names = {"c"} | set(draw(st.lists(st.sampled_from(sorted(decls)))))
+    sig = "const c\n" + "".join(decls[n] + "\n" for n in sorted(decls)
+                                if n in names)
+    broken = draw(st.integers(0, 7))
+    if broken == 0:
+        sig += draw(st.text(max_size=12))
+    elif broken == 1:
+        sig = draw(st.binary(max_size=40))
+    terms = ["c", "x"]
+    if "f" in names:
+        terms.append(_applied("f", arity["f"], ["c"] * arity["f"]))
+    atoms = ["F", "c = x"]
+    if "q" in names:
+        atoms += ["q", "Des(q)"] if "Des" in names else ["q"]
+    atom = st.one_of(st.sampled_from(atoms), *[
+        st.lists(st.sampled_from(terms), min_size=arity[name],
+                 max_size=arity[name]).map(
+            lambda args, name=name: _applied(name, arity[name], args))
+        for name in sorted(names & {"P", "Q"})])
+    formula = st.recursive(atom, lambda fs: st.one_of(
+        fs.map("~{}".format), st.builds("({} & {})".format, fs, fs),
+        st.builds("({} | {})".format, fs, fs),
+        st.builds("({} -> {})".format, fs, fs),
+        fs.map("forall x. {}".format), fs.map("exists x. {}".format)),
+        max_leaves=4)
+    side = st.lists(formula, max_size=2).map(", ".join)
+    return (sig, st.one_of(*[formula] * 4, _SOUP),
+            st.one_of(*[side] * 4, _SOUP))
+
+
+_STRUCTURE = st.one_of(
+    st.sampled_from((WIDE, BIG, "domain a b\npred P a = T\npred P b = N\n"
+                     "const c = a\nprop q = B\n")),
+    st.text(max_size=40), st.binary(max_size=40))
+_DERIVATION = st.one_of(
+    st.just(SPLIT.split("\n", 1)[1]), st.text(max_size=60),
+    st.binary(max_size=60))
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, {file name: contents}) for one random invocation."""
+    verb = draw(st.sampled_from(("eval", "entails", "countermodel", "equiv",
+                                 "prove", "check", "simulate")))
+    sig, formula, side = draw(_inputs())
+    files, argv = {}, [verb]
+    if draw(st.integers(0, 2)):
+        files["sig"] = sig
+        argv += ["--sig", "sig"]
+    elif verb != "check" and draw(st.booleans()):
+        argv += ["--atoms", draw(st.sampled_from(("p q", "q", "p,q", "")))]
+    if verb == "eval":
+        if draw(st.booleans()):
+            files["struct"] = draw(_STRUCTURE)
+            argv += ["--structure", "struct"]
+        argv.append(draw(formula))
+    elif verb == "check":
+        files["drv"] = draw(_DERIVATION)
+        argv.append("drv")
+    elif verb == "prove":
+        argv += ["--packs", draw(st.sampled_from(("base", "lp", "k3", "cl"))),
+                 "%s => %s" % (draw(side), draw(side))]
+    elif verb == "simulate":
+        argv += ["--mode", draw(st.sampled_from(("lp", "k3", "cl"))),
+                 draw(side), draw(side)]
+    elif verb == "equiv":
+        argv += [draw(formula), draw(formula)]
+    else:
+        argv += ["--max-domain", str(draw(st.integers(0, 2)))]
+        if draw(st.booleans()):
+            argv.append("--partial")
+        argv += [draw(side), draw(side)]
+    return argv, files
+
+
+def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    codes = set()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_argvs())
+    def run(case):
+        argv, files = case
+        for name, body in files.items():
+            path = folder / name
+            if isinstance(body, bytes):
+                path.write_bytes(body)
+            else:
+                path.write_text(body, encoding="utf-8")
+        argv = [str(folder / a) if a in files else a for a in argv]
+        try:
+            code, out, err = _main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code, err = exc.code, ""
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err
+        if code == 2 and err:
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+        codes.add(code)
+
+    run()
+    assert codes == {0, 1, 2}

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from bd4.definability import (
-    BD_BASE, CONFLATION, CONJ_FN, CloneCapExceeded, ConnectiveDef,
+    BD_BASE, CONFLATION, CONJ_FN, ConnectiveDef,
     DEFINITIONS, DISJ_FN, DefinabilityError, FALSUM_FN, IMPL_FN, NEG_FN,
     TruthFunction, check_expansion_equivalences, clone_closure,
     extra_function, find_definition, is_definable_criterion, projection,
@@ -101,11 +101,6 @@ def test_cons_outside_clone_without_falsum_style_base():
     tables = {g.packed() for g in clone}
     assert extra_function("Cons").packed() not in tables
     assert extra_function("Det").packed() not in tables
-
-
-def test_clone_cap():
-    with pytest.raises(CloneCapExceeded):
-        clone_closure(BD_BASE, 2, cap=500)
 
 
 def test_binary_clone_of_join_only():

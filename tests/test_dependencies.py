@@ -93,3 +93,195 @@ def test_an_unused_import_is_seen():
                      "from .values import T, F as falsum\n"
                      "print(os.sep, T)\n")
     assert unused_imports(tree) == ["falsum", "regex"]
+
+
+ROOT = PACKAGE.parent.parent
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted(d.rglob("*.py")):
+            yield path, ast.parse(path.read_text(), str(path))
+
+
+def _name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def defaulted_parameters(package):
+    """(module.[Class.]function, parameter, callee names, position) for
+    each parameter with a default of a function or method under package.
+    The position counts the arguments a call passes before it (a
+    method's self aside); it is None for a keyword-only parameter.  An
+    ``__init__`` is called by its class's name or as ``__init__``."""
+    for path, tree in _trees(package):
+        for scope in ast.walk(tree):
+            body = getattr(scope, "body", ())  # a lambda's is one node
+            for fn in body if isinstance(body, list) else ():
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                method = isinstance(scope, ast.ClassDef) and not any(
+                    _name(d) == "staticmethod" for d in fn.decorator_list)
+                owner = scope.name + "." if method else ""
+                callees = ((scope.name, fn.name)
+                           if method and fn.name == "__init__"
+                           else (fn.name,))
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    yield (path.stem + "." + owner + fn.name, arg.arg,
+                           callees, i - method)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield (path.stem + "." + owner + fn.name, arg.arg,
+                               callees, None)
+
+
+def calls(*dirs):
+    """{callee name: [(positional arguments, keywords)]} over every call
+    under dirs; ``functools.partial(f, ...)`` is a call of f.  A starred
+    argument counts as every position, and ``**`` as every keyword
+    (the keyword None)."""
+    out = {}
+    for _, tree in _trees(*dirs):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, list(node.args)
+            if _name(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            n = (float("inf") if any(isinstance(a, ast.Starred) for a in args)
+                 else len(args))
+            out.setdefault(_name(func), []).append(
+                (n, {k.arg for k in node.keywords}))
+    return out
+
+
+def unset_defaults(package, *callers):
+    """The defaulted parameters that no call under package or callers
+    passes, by keyword, by position or through functools.partial."""
+    made = calls(package, *callers)
+    out = []
+    for where, param, callees, position in defaulted_parameters(package):
+        found = [call for name in callees for call in made.get(name, [])]
+        if not any(param in kw or None in kw
+                   or (position is not None and n > position)
+                   for n, kw in found):
+            out.append(where + "." + param)
+    return sorted(out)
+
+
+# defaulted parameters that no call in src or bench sets, and why each
+# stays
+KEPT_DEFAULTS = {
+    "cli.main.argv": "the tests run the CLI in process through it",
+    "semantics.consequence_fo.cap":
+        "the differential tests drive its refusals at caps of 10 and 3,000",
+    "semantics.consequence_fo.allowed":
+        "bench/layertrace.py reads it from the bound arguments",
+    "semantics.consequence_fo.eq_distinct":
+        "bench/layertrace.py reads it from the bound arguments",
+    "semantics.valuations.allowed":
+        "the reference the engine's modes are tested against",
+    "semantics.enumerate_structures.mode":
+        "the reference the sweep is tested against",
+    "semantics.enumerate_structures.allowed":
+        "the reference the sweep is tested against",
+    "semantics.enumerate_structures.need_eq":
+        "the reference the sweep is tested against",
+    "semantics.enumerate_structures.eq_distinct":
+        "the reference the sweep is tested against",
+}
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    assert len(list(defaulted_parameters(PACKAGE))) > 40
+    assert unset_defaults(PACKAGE, ROOT / "bench") == sorted(KEPT_DEFAULTS)
+
+
+def test_a_parameter_no_call_sets_is_seen(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "import functools\n"
+        "def used(a, b=1, *, c=2): pass\n"
+        "def unused(a, flag=False): pass\n"
+        "def two(a, b=1, c=2): pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0): pass\n"
+        "    def m(self, y=1, z=2): pass\n"
+        "    @staticmethod\n"
+        "    def s(w=3): pass\n"
+        "used(0, 1, c=3)\n"
+        "unused(0)\n"
+        "two(0, 1)\n"
+        "K(5).m(1)\n"
+        "functools.partial(K.s, 1)\n")
+    callers = tmp_path / "bench"
+    callers.mkdir()
+    (callers / "run.py").write_text(
+        "from mod import K\nimport functools\n"
+        "functools.partial(K().m, z=4)\n")
+    assert unset_defaults(package, callers) == [
+        "mod.two.c", "mod.unused.flag"]
+    assert unset_defaults(package) == [
+        "mod.K.m.z", "mod.two.c", "mod.unused.flag"]
+
+
+def unread_names(package, *readers):
+    """module.name for each module-level name under package, dunders
+    aside, that no module under package or readers reads: as a name,
+    as an attribute or by importing it."""
+    read = set()
+    for _, tree in _trees(package, *readers):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    out = []
+    for path, tree in _trees(package):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            out += [path.stem + "." + n for n in names
+                    if not (n.startswith("__") and n.endswith("__"))
+                    and n not in read]
+    return sorted(out)
+
+
+def test_every_module_level_name_is_read():
+    assert unread_names(PACKAGE, ROOT / "tests", ROOT / "bench") == []
+
+
+def test_an_unread_name_is_seen(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "__all__ = ['helper']\n"
+        "USED, UNUSED = 1, 2\n"
+        "LOCAL: int = USED\n"
+        "def helper(): pass\n"
+        "def orphan(): pass\n"
+        "class Thing: pass\n"
+        "class Lone: pass\n")
+    readers = tmp_path / "tests"
+    readers.mkdir()
+    (readers / "test_mod.py").write_text(
+        "import mod\nfrom mod import helper\n"
+        "print(mod.LOCAL, mod.Thing)\n")
+    assert unread_names(package, readers) == [
+        "mod.Lone", "mod.UNUSED", "mod.orphan"]

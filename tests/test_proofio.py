@@ -1,17 +1,24 @@
 """Text formats: signatures, structures, derivation files."""
 
-import pytest
+from itertools import product
 
-from bd4.kernel import Derivation, DerivationStep, check_derivation
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bd4.kernel import (
+    PACKS, RULES, Derivation, DerivationStep, check_derivation,
+)
 from bd4.proofio import (
     ProofIOError, parse_derivation, parse_signature, parse_structure,
     print_derivation, print_sequent, print_signature, print_structure,
 )
 from bd4.semantics import Structure, evaluate
 from bd4.syntax import (
-    And, Eq, Falsity, Forall, Fun, Not, Pred, Prop, Sequent, Var,
+    _RESERVED, EXTRA_CONNECTIVES, And, Eq, Falsity, Forall, Fun, Not, Pred,
+    Prop, Sequent, Signature, Var,
 )
-from bd4.values import B, F, N, T
+from bd4.values import B, F, N, T, VALUES
+from test_syntax import SIG, _FORMULA, _TERM
 
 SIG_TEXT = """\
 # toy signature
@@ -172,3 +179,101 @@ def test_print_sequent_shape():
     s = Sequent.of([Prop("p"), And(Prop("p"), Prop("q"))], [Falsity()])
     assert print_sequent(s) == "|- p; p & q => F"
     assert print_sequent(Sequent.of([], [])) == "|-  => "
+
+
+# ---------------------------------------------------------------------------
+# every file printed from a random object parses back to that object
+
+_NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True).filter(
+    lambda n: n not in _RESERVED)
+
+
+@st.composite
+def _signatures(draw, max_arity=64):
+    names = draw(st.lists(_NAME, unique=True, max_size=6))
+    kinds = [(draw(st.booleans()), draw(st.integers(0, max_arity)))
+             for _ in names]
+    return Signature(
+        tuple((n, a) for n, (fn, a) in zip(names, kinds) if fn),
+        tuple((n, a) for n, (fn, a) in zip(names, kinds) if not fn),
+        draw(st.frozensets(st.sampled_from(sorted(EXTRA_CONNECTIVES)))))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_signatures())
+def test_a_printed_signature_parses_back(sig):
+    text = print_signature(sig)
+    assert parse_signature(text) == sig
+    assert print_signature(parse_signature(text)) == text
+
+
+@st.composite
+def _structures(draw):
+    """A signature of arities up to 2 and a structure for it, partial
+    (with a bottom element) or total, over one to three elements."""
+    sig = draw(_signatures(max_arity=2))
+    domain = tuple(draw(st.lists(_NAME, min_size=1, max_size=3,
+                                 unique=True)))
+    bottom = (draw(st.sampled_from(domain))
+              if len(domain) > 1 and draw(st.booleans()) else None)
+    element, value = st.sampled_from(domain), st.sampled_from(VALUES)
+    eq = {}
+    for pair in product(domain, repeat=2):
+        if bottom in pair:
+            eq[pair] = N
+        else:
+            eq[pair] = draw(st.sampled_from((T, B)) if pair[0] == pair[1]
+                            else value)
+    return sig, Structure(
+        domain,
+        consts={n: draw(element) for n, a in sig.functions if a == 0},
+        funcs={n: {k: draw(element) for k in product(domain, repeat=a)}
+               for n, a in sig.functions if a},
+        props={n: draw(value) for n, a in sig.predicates if a == 0},
+        preds={n: {k: draw(value) for k in product(domain, repeat=a)}
+               for n, a in sig.predicates if a},
+        eq=eq, bottom=bottom)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_structures())
+def test_a_printed_structure_parses_back(case):
+    sig, m = case
+    text = print_structure(m)
+    assert parse_structure(text, sig) == m
+    assert print_structure(parse_structure(text, sig)) == text
+
+
+_SEQUENT = st.builds(lambda ant, suc: Sequent.of(ant, suc),
+                     st.lists(_FORMULA, max_size=2),
+                     st.lists(_FORMULA, max_size=2))
+
+
+def _maybe(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def _derivations(draw):
+    """Steps with every field drawn at random, checked or not: the file
+    format carries what it is given."""
+    steps = []
+    for i in range(draw(st.integers(1, 4))):
+        steps.append(DerivationStep(
+            draw(st.sampled_from(("hypothesis",) + tuple(RULES))),
+            draw(_SEQUENT),
+            premises=tuple(draw(st.lists(st.integers(0, i), max_size=2))),
+            principal=draw(_maybe(_FORMULA)), t=draw(_maybe(_TERM)),
+            t2=draw(_maybe(_TERM)), x=draw(_maybe(st.sampled_from("xyz"))),
+            y=draw(_maybe(st.sampled_from("xyz")))))
+    return Derivation(
+        tuple(steps), packs=draw(st.frozensets(st.sampled_from(PACKS))),
+        hypotheses=tuple(draw(st.lists(_SEQUENT, max_size=2))))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_derivations())
+def test_a_printed_derivation_parses_back(d):
+    text = print_derivation(d)
+    assert parse_derivation(text, SIG) == d
+    assert print_derivation(parse_derivation(text, SIG)) == text

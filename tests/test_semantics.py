@@ -816,6 +816,37 @@ def test_consequence_fo_errors_match_the_reference():
         assert outcome(consequence_fo, gamma, delta, RICH_SIG, **kw) == want
 
 
+def test_every_countermodel_evaluates_as_a_countermodel_again():
+    """Whatever consequence_fo returns as a countermodel designates all
+    of gamma and nothing in delta under ``evaluate``, in total and in
+    partial mode, with its assignment of exactly the free variables."""
+    from test_syntax import SIG, _FORMULA
+    seen = set()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(_FORMULA, max_size=2), st.lists(_FORMULA, max_size=2),
+           st.sampled_from(("total", "partial")), st.integers(1, 2))
+    def check(gamma, delta, mode, bound):
+        bound = 2 if mode == "partial" else bound
+        try:
+            res = consequence_fo(gamma, delta, SIG, max_domain=bound,
+                                 mode=mode, cap=10**5)
+        except EnumerationCapExceeded:
+            return
+        seen.add((mode, res.holds))
+        if res.holds:
+            return
+        m, alpha = res.structure, res.assignment
+        assert (m.bottom is None) == (mode == "total")
+        assert set(alpha) == set().union(*map(free_vars, gamma + delta))
+        assert all(designated(evaluate(a, m, alpha)) for a in gamma)
+        assert not any(designated(evaluate(a, m, alpha)) for a in delta)
+
+    check()
+    assert seen == {(mode, holds) for mode in ("total", "partial")
+                    for holds in (True, False)}
+
+
 @pytest.mark.parametrize("mode,bound", [("total", 0), ("total", -3),
                                         ("partial", 1)])
 def test_a_domain_bound_that_admits_no_structure_is_refused(mode, bound):

@@ -18,7 +18,7 @@ from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
     Sequent, Signature, SyntaxBuildError, TRUTH, Var, atomic_subformulas,
     formula_key, free_vars, fresh_var, is_literal, is_propositional,
-    print_formula, print_term, prop_atoms, prop_signature, subformulas,
+    print_formula, print_term, prop_atoms, subformulas,
     substitute, substitute_term,
 )
 
@@ -39,7 +39,7 @@ def test_signature_guards():
     with pytest.raises(SyntaxBuildError):
         Signature((("f", -1),), ())
     with pytest.raises(SyntaxBuildError):
-        prop_signature("p", extras=("NoSuchConn",))
+        Signature(predicates=(("p", 0),), extras=frozenset({"NoSuchConn"}))
 
 
 def test_truth_abbreviation():
