@@ -42,6 +42,9 @@ _NAME_RX = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # the grounded formula items eval may visit over a structure; a million
 # take about 2 s
 MAX_EVAL_ITEMS = 10**6
+# an error line stays under this many bytes of UTF-8, however much
+# input it quotes
+MAX_ERROR_BYTES = 200
 
 
 class UsageError(Exception):
@@ -364,6 +367,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if min(args.rule_instances, args.random_instances, args.max_nodes) <= 0:
+        raise UsageError("--rule-instances, --random-instances and "
+                         "--max-nodes must be positive")
     config = SuiteConfig(
         seed=args.seed, dropped_laws=tuple(args.drop_law or ()),
         rule_instances=args.rule_instances,
@@ -481,7 +487,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (UsageError, ParseError, ProofIOError, SyntaxBuildError,
             DefinabilityError, SemanticsError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        line = ("error: %s" % exc).encode(errors="backslashreplace")
+        if len(line) >= MAX_ERROR_BYTES:  # the marker has 10 bytes
+            line = line[:MAX_ERROR_BYTES - 11] + b" [clipped]"
+        # decoding drops a character that the cut splits
+        print(line.decode(errors="ignore"), file=sys.stderr)
         return 2
 
 

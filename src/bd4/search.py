@@ -19,8 +19,10 @@ application consumes one negated literal, so that phase terminates too.
 
 Each decomposition takes the least decomposable formula in the
 canonical order (``formula_key``), the antecedent before the succedent.
-The memo shares nodes between branches, so a proof is a graph; its
-derivation lists each node once, in post-order.
+The search appends a derivation step as each sequent is proved, so the
+derivation comes out of the search itself, premises before conclusions.
+The memo maps a sequent to its step, so a sequent that two branches
+share is one step that both cite.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kernel import RULES, Derivation, DerivationStep, head
-from .semantics import consequence_prop
+from .semantics import SemanticsError, consequence_prop
 from .syntax import TRUTH, Falsity, Sequent, formula_key, is_literal
 from .values import MODE_VALUES
 
@@ -68,26 +70,18 @@ class _Exhausted(Exception):
     """A search bound ran out; the argument names it."""
 
 
-@dataclass
-class _Node:
-    rule: str
-    sequent: Sequent
-    children: tuple = ()
-    principal: object = None
-
-
 _FALSITY = Falsity()
 _OPEN = object()  # not in the memo
 
 
-def _closure(s: Sequent) -> _Node | None:
+def _closure(s: Sequent) -> DerivationStep | None:
     if _FALSITY in s.ant:
-        return _Node("F-L", s)
+        return DerivationStep("F-L", s)
     if TRUTH in s.suc:
-        return _Node("notF-R", s)
+        return DerivationStep("notF-R", s)
     shared = [a for a in s.ant if a in s.suc and is_literal(a)]
     if shared:
-        return _Node("Id", s, principal=min(shared, key=formula_key))
+        return DerivationStep("Id", s, principal=min(shared, key=formula_key))
     return None
 
 
@@ -132,25 +126,32 @@ class _Searcher:
         self.budget = budget
         self.pack_rules = [RULES[r] for r in _MODE_PACK_RULES[budget.mode]]
         self.nodes = 0
-        self.memo: dict = {}
 
-    def solve(self, s: Sequent) -> _Node | None:
-        """The node of s, or None.  A frame is [sequent, depth, rule,
-        principal, goals, kids]: a decomposition's premises and the
-        nodes of those proved so far, or at a choice point the remaining
-        (rule, principal, premise) choices and None."""
-        memo, stack, depth = self.memo, [], 0
+    def solve(self, s: Sequent) -> Derivation | None:
+        """The derivation of s, or None.  A frame is [sequent, depth,
+        rule, principal, goals, kids]: a decomposition's premises and the
+        steps of those proved so far, or at a choice point the remaining
+        (rule, principal, premise) choices and None.  The memo maps a
+        sequent to the index of its step, or to None if it failed.
+
+        A step is appended as its sequent is proved, with no undo log:
+        below a choice point all sequents are literal-only, so a failed
+        choice proved nothing, and a failed decomposition fails every
+        frame down to the root.  So a proved root's steps are exactly
+        its proof, in post-order, each shared step once."""
+        memo, stack, depth = {}, [], 0
         max_depth, max_nodes = self.budget.max_depth, self.budget.max_nodes
+        steps, packs = [], set()
         while True:
-            node = memo.get(s, _OPEN)
-            if node is _OPEN:
+            done = memo.get(s, _OPEN)
+            if done is _OPEN:
                 if depth > max_depth:
                     raise _Exhausted("depth")
                 self.nodes += 1
                 if self.nodes > max_nodes:
                     raise _Exhausted("nodes")
-                node = _closure(s)
-                if node is None:
+                step = _closure(s)
+                if step is None:
                     move = _first_move(s)
                     if move is not None:
                         # all decompositions are invertible: commit to it
@@ -165,55 +166,40 @@ class _Searcher:
                         stack.append([s, depth, *choice[:2], goals, None])
                         s, depth = choice[2], depth + 1
                         continue
-                memo[s] = node
-            # hand the node down to the frames that wait for it
+                    done = None
+                else:
+                    done = len(steps)
+                    steps.append(step)
+                memo[s] = done
+            # hand the step down to the frames that wait for it
             while stack:
                 frame = stack[-1]
                 top, at, rule, principal, goals, kids = frame
-                if kids is None and node is None:
+                if kids is None and done is None:
                     choice = next(goals, None)
                     if choice is not None:
                         frame[2:4] = choice[:2]
                         s, depth = choice[2], at + 1
                         break
                 elif kids is None:
-                    node = _Node(rule.name, top, (node,), principal)
-                elif node is not None:
-                    kids.append(node)
+                    packs.add(rule.pack)
+                    steps.append(DerivationStep(rule.name, top, (done,),
+                                                principal))
+                    done = len(steps) - 1
+                elif done is not None:
+                    kids.append(done)
                     if len(kids) < len(goals):
                         s, depth = goals[len(kids)], at + 1
                         break
-                    node = _Node(rule.name, top, tuple(kids), principal)
+                    steps.append(DerivationStep(rule.name, top, tuple(kids),
+                                                principal))
+                    done = len(steps) - 1
                 stack.pop()
-                memo[top] = node
+                memo[top] = done
             else:
-                return node
-
-
-def _linearize(root: _Node) -> Derivation:
-    """Steps in post-order, premises in order, each node once.  A node
-    popped unexpanded goes back expanded, under its children; popped
-    expanded it becomes a step, and once a step it is skipped."""
-    steps = []
-    index_of: dict = {}
-    used_packs = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in index_of:
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((k, False) for k in reversed(node.children))
-            continue
-        pack = RULES[node.rule].pack
-        if pack is not None:
-            used_packs.add(pack)
-        index_of[id(node)] = len(steps)
-        steps.append(DerivationStep(
-            node.rule, node.sequent,
-            tuple([index_of[id(k)] for k in node.children]), node.principal))
-    return Derivation(tuple(steps), packs=frozenset(used_packs))
+                if done is None:
+                    return None
+                return Derivation(tuple(steps), packs=frozenset(packs))
 
 
 def prove_prop(s: Sequent, budget: SearchBudget = SearchBudget()) -> SearchResult:
@@ -228,13 +214,14 @@ def prove_prop(s: Sequent, budget: SearchBudget = SearchBudget()) -> SearchResul
     holds, witness = consequence_prop(s.ant, s.suc, allowed)
     if not holds:
         return SearchResult("refuted", countermodel=witness)
-    searcher = _Searcher(budget)
     try:
-        root = searcher.solve(s)
+        proof = _Searcher(budget).solve(s)
     except _Exhausted as exc:
         return SearchResult("exhausted", bound=exc.args[0])
-    if root is None:
-        # the oracle said valid but the search failed; with invertible
-        # decompositions this cannot happen, so surface it loudly
-        raise RuntimeError("search disagrees with oracle on %s" % (s,))
-    return SearchResult("proved", proof=_linearize(root))
+    if proof is None:
+        # the oracle said valid and every decomposition is invertible, so
+        # only an extra connective such as Des, which no rule takes apart,
+        # can leave the search stuck
+        raise SemanticsError("no sequent rule proves %s, though it holds"
+                             % (s,))
+    return SearchResult("proved", proof=proof)

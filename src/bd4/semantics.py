@@ -218,7 +218,7 @@ def _compile(formulas, sig: Signature) -> tuple:
                 stack += ((cls, x.var, len(code), bound), x.body)
                 bound = bound | {x.var}
             else:
-                raise SemanticsError("not a %sformula: %r"
+                raise SemanticsError("not a %sformula: %s"
                                      % ("" if sig else "propositional ", x))
     return code, funcs, preds, has_eq, tuple(sorted(free))
 

@@ -1,20 +1,57 @@
 """The proof search as it was before it ran as one loop: each sequent is
 a generator frame that yields its subgoals, memo hits included, and the
-moves are found with ``head`` and ``formula_key`` per formula.  Kept as
-the reference that ``bd4.search`` must agree with, result for result."""
+moves are found with ``head`` and ``formula_key`` per formula.  A
+proof is a tree of nodes, shared through the memo, that a second walk
+turns into a derivation.  Kept as the reference that ``bd4.search`` must
+agree with, result for result."""
 
 from __future__ import annotations
 
-from bd4.kernel import RULES, head
+from dataclasses import dataclass
+
+from bd4.kernel import RULES, Derivation, DerivationStep, head
 from bd4.search import (
-    _MODE_PACK_RULES, SearchBudget, SearchResult, _Exhausted, _linearize,
-    _Node,
+    _MODE_PACK_RULES, SearchBudget, SearchResult, _Exhausted,
 )
 from bd4.semantics import consequence_prop
 from bd4.syntax import TRUTH, Falsity, Sequent, formula_key, is_literal
 from bd4.values import MODE_VALUES
 
 _FALSITY = Falsity()
+
+
+@dataclass
+class _Node:
+    rule: str
+    sequent: Sequent
+    children: tuple = ()
+    principal: object = None
+
+
+def _linearize(root: _Node) -> Derivation:
+    """Steps in post-order, premises in order, each node once.  A node
+    popped unexpanded goes back expanded, under its children; popped
+    expanded it becomes a step, and once a step it is skipped."""
+    steps = []
+    index_of: dict = {}
+    used_packs = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in index_of:
+            continue
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(node.children))
+            continue
+        pack = RULES[node.rule].pack
+        if pack is not None:
+            used_packs.add(pack)
+        index_of[id(node)] = len(steps)
+        steps.append(DerivationStep(
+            node.rule, node.sequent,
+            tuple([index_of[id(k)] for k in node.children]), node.principal))
+    return Derivation(tuple(steps), packs=frozenset(used_packs))
 
 
 def _closure(s: Sequent) -> _Node | None:

@@ -266,6 +266,11 @@ def test_a_first_order_sweep_past_the_column_bound_is_an_error(fo_sig):
     ("prove", "--max-nodes", "0", "p => p"),
     ("prove", "--depth", "-3", "--max-nodes", "-3", "p => p"),
     ("define", "synth", "Des", "--depth", "-1"),
+    ("report", "--rule-instances", "-5", "--random-instances", "-3",
+     "--max-nodes", "0"),
+    ("report", "--rule-instances", "0"),
+    ("report", "--random-instances", "-1"),
+    ("report", "--max-nodes", "0"),
 ])
 def test_a_bound_out_of_range_is_a_usage_error(args, capsys):
     assert cli.main(list(args)) == 2
@@ -538,6 +543,37 @@ def test_the_grounding_bound_admits_a_formula_that_meets_it(
                            "grounds to at least 17 items, more than 16\n")
 
 
+@pytest.mark.parametrize("sig, argv, head", [
+    ("pred P/1\n",
+     ["prove", "--sig", "S", "=> " + "forall x. " * 99 + "P(x)"],
+     "error: not a propositional formula: forall x. forall x. "),
+    ("prop p\n" + "zzz " * 20_000 + "\n",
+     ["entails", "--sig", "S", "p", "p"],
+     "error: line 2: unrecognized declaration 'zzz zzz "),
+    ("prop p\n" + "z\u00e9z " * 20_000 + "\n",
+     ["entails", "--sig", "S", "p", "p"],
+     "error: line 2: unrecognized declaration 'z\u00e9z z\u00e9z "),
+], ids=["quantifiers", "declaration", "two-byte-characters"])
+def test_a_long_error_is_clipped_to_one_short_line(sig, argv, head, tmp_path):
+    """Uncut, the first two lines would run to 1,031 and 80,042 bytes."""
+    (tmp_path / "S").write_text(sig, encoding="utf-8")
+    code, out, err = _main([str(tmp_path / a) if a == "S" else a
+                            for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(head) and err.endswith(" [clipped]\n")
+    assert err.count("\n") == 1
+    assert 196 <= len(err.encode()) <= 200
+
+
+def test_prove_refuses_a_valid_sequent_that_needs_an_extra_connective(
+        tmp_path):
+    sig = tmp_path / "S"
+    sig.write_text("conn Des\nprop q\n")
+    assert _main(["prove", "--sig", str(sig), "q => Des(q)"]) == (
+        2, "", "error: no sequent rule proves |- q => Des q, though it "
+        "holds\n")
+
+
 def test_prove_emit_writes_the_printed_derivation(tmp_path):
     drv = tmp_path / "proof.drv"
     code, out, err = _main(["prove", "--emit", str(drv),
@@ -699,6 +735,7 @@ def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(tmp_path_factory):
         assert "Traceback" not in err
         if code == 2 and err:
             assert err.startswith("error: ") and err.count("\n") == 1, argv
+            assert len(err.encode()) <= 200, argv
         codes.add(code)
 
     run()

@@ -12,13 +12,18 @@ from bd4.kernel import check_derivation
 from bd4.parser import parse_sequent
 from bd4.proofio import print_derivation
 from bd4.search import (
-    MODES, SearchBudget, _Exhausted, _linearize, _Searcher, prove_prop,
+    MODES, SearchBudget, _Exhausted, _Searcher, prove_prop,
 )
-from bd4.semantics import PropSpace, consequence_prop, evaluate_prop
-from bd4.syntax import And, Falsity, Imp, Not, Or, Prop, Sequent, prop_signature
+from bd4.semantics import (
+    PropSpace, SemanticsError, consequence_prop, evaluate_prop,
+)
+from bd4.syntax import (
+    And, ExtApp, Falsity, Imp, Not, Or, Prop, Sequent, prop_signature,
+)
 from bd4.values import ALL_VALUES, CL_VALUES, K3_VALUES, LP_VALUES, N, designated
 
 from reference_search import _Searcher as ReferenceSearcher
+from reference_search import _linearize
 from reference_search import reference_prove_prop
 from support import derives
 
@@ -133,14 +138,24 @@ def test_budget_validation():
         SearchBudget(mode="zap")
 
 
-def random_formula(rng, depth):
+def test_a_valid_sequent_that_needs_an_extra_connective_is_refused():
+    """No rule takes Des apart: where the oracle says valid the search is
+    stuck, and where it refutes the countermodel still comes back."""
+    des = ExtApp("Des", (q,))
+    with pytest.raises(SemanticsError, match="no sequent rule proves"):
+        prove_prop(Sequent.of([q], [des]))
+    assert prove_prop(Sequent.of([des], [p])).status == "refuted"
+    assert prove_prop(Sequent.of([des, q], [q])).proved
+
+
+def random_formula(rng, depth, leaves=(p, q, Falsity())):
     if depth == 0 or rng.random() < 0.25:
-        return rng.choice([p, q, Falsity()])
+        return rng.choice(leaves)
     kind = rng.randrange(4)
     if kind == 0:
-        return Not(random_formula(rng, depth - 1))
-    a = random_formula(rng, depth - 1)
-    b = random_formula(rng, depth - 1)
+        return Not(random_formula(rng, depth - 1, leaves))
+    a = random_formula(rng, depth - 1, leaves)
+    b = random_formula(rng, depth - 1, leaves)
     return (And, Or, Imp)[kind - 1](a, b)
 
 
@@ -328,13 +343,16 @@ def test_pins_cover_every_decomposition_and_pack_mode():
 
 def _searched(searcher_class, s, budget):
     """(outcome, nodes searched) of one search of s: its derivation,
-    None when the search fails, or the bound that ran out."""
+    None when the search fails, or the bound that ran out.  The
+    reference's proof is a node tree, linearized here."""
     searcher = searcher_class(budget)
     try:
-        root = searcher.solve(s)
+        found = searcher.solve(s)
     except _Exhausted as exc:
         return exc.args[0], searcher.nodes
-    return (None if root is None else _linearize(root)), searcher.nodes
+    if searcher_class is ReferenceSearcher and found is not None:
+        found = _linearize(found)
+    return found, searcher.nodes
 
 
 @pytest.fixture(scope="module")
@@ -346,19 +364,37 @@ def c11_sequents():
             in itertools.islice(universe, 0, None, 60)]
 
 
+@pytest.fixture(scope="module")
+def random_sequents():
+    """Seeded random sequents over 3 to 5 atoms and F."""
+    rng = random.Random(5)
+    sequents = []
+    for _ in range(200):
+        leaves = [Prop(n) for n in "pqrst"[:rng.randint(3, 5)]] + [Falsity()]
+        gamma = [random_formula(rng, 3, leaves)
+                 for _ in range(rng.randrange(4))]
+        delta = [random_formula(rng, 3, leaves)
+                 for _ in range(rng.randint(1, 2))]
+        sequents.append(Sequent.of(gamma, delta))
+    return sequents
+
+
 # bounds small enough that some searches run out of depth or of nodes
 BOUNDS = {"default": {}, "depth": {"max_depth": 2}, "nodes": {"max_nodes": 3}}
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_the_search_loop_equals_the_generator_search(mode, c11_sequents):
+def test_the_search_loop_equals_the_generator_search(mode, c11_sequents,
+                                                     random_sequents):
     """Searched alone, valid or not, each sequent gets the same proof,
     failure or bound, after the same number of nodes; and ``prove_prop``
-    the same status, bound, proof and countermodel."""
+    the same status, bound, proof and countermodel.  Among the proofs
+    are some that cite a step twice and, in the pack modes, some that
+    use a pack rule."""
     seen = collections.Counter()
     for bound, limits in BOUNDS.items():
         budget = SearchBudget(mode=mode, **limits)
-        for s in c11_sequents:
+        for s in c11_sequents + random_sequents:
             want = _searched(ReferenceSearcher, s, budget)
             assert _searched(_Searcher, s, budget) == want, (bound, s)
             seen[want[0] if want[0] in (None, "depth", "nodes")
@@ -367,5 +403,11 @@ def test_the_search_loop_equals_the_generator_search(mode, c11_sequents):
             assert ((got.status, got.bound, got.proof, got.countermodel)
                     == (ref.status, ref.bound, ref.proof, ref.countermodel))
             seen[got.status] += 1
+            if got.proved:
+                cited = collections.Counter(
+                    i for step in got.proof.steps for i in step.premises)
+                seen["shared"] += max(cited.values(), default=0) > 1
+                seen["packs"] += bool(got.proof.packs)
     assert min(seen[k] for k in (None, "depth", "nodes", "proof", "proved",
-                                 "refuted", "exhausted")) > 0, seen
+                                 "refuted", "exhausted", "shared")) > 0, seen
+    assert (seen["packs"] > 0) == (mode != "base"), seen
