@@ -20,7 +20,7 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .corpus_suite import load_corpus, mutations
 from .definability import (
@@ -519,13 +519,15 @@ _TERMS = (_c, _d)
 
 
 def _sample_instance(rule, rng, ctx_pool, made):
-    """One random instance: (premises, conclusion, principal, fields).
+    """One random instance: (premises, conclusion, step).
 
     The contexts are drawn from ``ctx_pool``, then the pattern's formula
     letters left to right from the rule's pool, then t and t2 from the
-    terms; the kernel's table builds the premises and the conclusion.
-    ``made`` maps the drawn letters and terms to the principal, the step
-    fields and the additions, which are filled once per draw.
+    terms.  The letters give the principal, and the step by the rule
+    with that principal and those terms (no sequent or premises yet)
+    gives its additions through ``Rule.additions``, which ``instance``
+    puts over the contexts.  ``made`` keeps the step and its additions
+    per draw of letters and terms.
     """
     gamma = frozenset(rng.sample(ctx_pool, rng.randint(0, 2)))
     delta = frozenset(rng.sample(ctx_pool, rng.randint(0, 2)))
@@ -535,34 +537,24 @@ def _sample_instance(rule, rng, ctx_pool, made):
     key = (tuple([rng.choice(pool) for _ in rule.slots])
            + tuple([rng.choice(_TERMS) for f in ("t", "t2")
                     if f in rule.needs]))
-    filled = made.get(key)
-    if filled is None:
-        filled = made[key] = _fill(rule, key)
-    principal, fields, adds = filled
-    return (*instance(adds, gamma, delta), principal, fields)
+    cached = made.get(key)
+    if cached is None:
+        fields = dict(zip([f for f in ("t", "t2") if f in rule.needs],
+                          key[len(rule.slots):]))
+        fields.update((f, f) for f in ("x", "y") if f in rule.needs)
+        step = DerivationStep(rule.name, None, (), rule.principal_of(
+            dict(zip(rule.slots, key), x="x")), **fields)
+        cached = made[key] = step, rule.additions(step)
+    step, adds = cached
+    return (*instance(adds, gamma, delta), step)
 
 
-def _fill(rule, key):
-    """(principal, step fields, additions) for drawn letters and terms."""
-    values = dict(zip(rule.slots, key), x="x")
-    fields = dict(zip([f for f in ("t", "t2") if f in rule.needs],
-                      key[len(rule.slots):]))
-    fields.update((f, f) for f in ("x", "y") if f in rule.needs)
-    principal = rule.principal_of(values)
-    if rule.kept_as:
-        adds = rule.additions(principal)
-    else:
-        adds = rule.filled({**values, **fields, "principal": principal,
-                            "y": Var("y")})
-    return principal, fields, adds
-
-
-def _replay(rule, premises, conclusion, principal, fields, pack):
-    """The derivation of an instance's conclusion by the rule from its
-    premises, cited as hypotheses."""
+def _replay(step, premises, conclusion, pack):
+    """The derivation of an instance's conclusion by the step's rule from
+    its premises, cited as hypotheses."""
     steps = tuple(DerivationStep("hypothesis", s) for s in premises)
-    step = DerivationStep(rule.name, conclusion, tuple(range(len(premises))),
-                          principal, **fields)
+    step = replace(step, sequent=conclusion,
+                   premises=tuple(range(len(premises))))
     return Derivation(steps=steps + (step,), hypotheses=premises,
                       packs=frozenset() if pack is None else frozenset({pack}))
 
@@ -584,8 +576,8 @@ def _soundness_run(name, valid, rng, instances, ctx_pool, pack=None,
     all valid, since vacuous instances certify nothing.  Every kept
     instance, the last draw of each, is replayed through the proof
     kernel so the schema being judged is exactly the one the kernel
-    enforces.  The run's own dict keeps the filled rule per draw of
-    letters and terms, so it ends with the run.
+    enforces.  The run's own dict keeps the step and its additions per
+    draw of letters and terms, so they end with the run.
     """
     rule = RULES[name]
     made: dict = {}
@@ -595,13 +587,12 @@ def _soundness_run(name, valid, rng, instances, ctx_pool, pack=None,
     repair_violations = 0
     for _ in range(instances):
         for _attempt in range(4):
-            premises, conclusion, principal, fields = _sample_instance(
+            premises, conclusion, step = _sample_instance(
                 rule, rng, ctx_pool, made)
             premises_valid = all(valid(s) for s in premises)
             if premises_valid:
                 break
-        _kernel_accepts(_replay(rule, premises, conclusion, principal,
-                                fields, pack))
+        _kernel_accepts(_replay(step, premises, conclusion, pack))
         if not premises_valid:
             continue
         nonvacuous += 1

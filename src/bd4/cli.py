@@ -45,10 +45,29 @@ MAX_EVAL_ITEMS = 10**6
 # an error line stays under this many bytes of UTF-8, however much
 # input it quotes
 MAX_ERROR_BYTES = 200
+# a report count may be at most this many times its nominal value
+MAX_COUNT_FACTOR = 100
 
 
 class UsageError(Exception):
     pass
+
+
+def _clipped(line: str) -> str:
+    """The line cut under ``MAX_ERROR_BYTES`` of UTF-8, with a marker."""
+    data = line.encode(errors="backslashreplace")
+    if len(data) >= MAX_ERROR_BYTES:  # the marker has 10 bytes
+        data = data[:MAX_ERROR_BYTES - 11] + b" [clipped]"
+    # decoding drops a character that the cut splits
+    return data.decode(errors="ignore")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose error line is clipped as ``main``'s are."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, _clipped("%s: error: %s" % (self.prog, message)) + "\n")
 
 
 def _vname(v: TruthValue) -> str:
@@ -367,9 +386,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if min(args.rule_instances, args.random_instances, args.max_nodes) <= 0:
-        raise UsageError("--rule-instances, --random-instances and "
-                         "--max-nodes must be positive")
+    nominal = SuiteConfig()
+    for dest in ("rule_instances", "random_instances", "max_nodes"):
+        bound = MAX_COUNT_FACTOR * getattr(nominal, dest)
+        if not 1 <= getattr(args, dest) <= bound:
+            raise UsageError("--%s must be from 1 to %d"
+                             % (dest.replace("_", "-"), bound))
     config = SuiteConfig(
         seed=args.seed, dropped_laws=tuple(args.drop_law or ()),
         rule_instances=args.rule_instances,
@@ -387,7 +409,7 @@ def _cmd_report(args) -> int:
 # argument wiring
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="bd4",
         description="four-valued first-order logic toolkit")
     top.add_argument("--seed", type=int,
@@ -487,11 +509,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (UsageError, ParseError, ProofIOError, SyntaxBuildError,
             DefinabilityError, SemanticsError, OSError) as exc:
-        line = ("error: %s" % exc).encode(errors="backslashreplace")
-        if len(line) >= MAX_ERROR_BYTES:  # the marker has 10 bytes
-            line = line[:MAX_ERROR_BYTES - 11] + b" [clipped]"
-        # decoding drops a character that the cut splits
-        print(line.decode(errors="ignore"), file=sys.stderr)
+        print(_clipped("error: %s" % exc), file=sys.stderr)
         return 2
 
 

@@ -150,7 +150,7 @@ def clone_closure(base, arity: int) -> tuple:
     examined once.
     """
     base = tuple(base)
-    seen: dict[int, TruthFunction] = {}
+    seen: dict[tuple, TruthFunction] = {}
     # the projections' cells; 4^16 alone passes the bound, so a larger
     # arity is not raised to its power
     work = arity * 4 ** min(arity, 16)
@@ -161,41 +161,30 @@ def clone_closure(base, arity: int) -> tuple:
                                    "than %d table cells of work"
                                    % (arity, MAX_CELLS))
 
-    def register(table, name=None):
-        code = 0
-        for v in table:
-            code = (code << 2) | int(v)
-        if code in seen:
-            return None
-        seen[code] = TruthFunction(arity, tuple(table), name)
-        return code
-
     spend()
     size = 4 ** arity
-    for i in range(arity):
-        register(projection(arity, i).table, "proj%d" % (i + 1))
-    for g in base:
-        if g.arity == 0:
-            register(g.table * size, g.name)
+    for g in [projection(arity, i) for i in range(arity)] + [
+            TruthFunction(arity, g.table * size, g.name)
+            for g in base if g.arity == 0]:
+        seen.setdefault(g.table, g)
 
     fresh = set(seen)
     while fresh:
-        snapshot = tuple(seen.items())
+        snapshot = tuple(seen)
         next_fresh = set()
         for g in base:
             if g.arity == 0:
                 continue
-            for combo in product(snapshot, repeat=g.arity):
+            for tables in product(snapshot, repeat=g.arity):
                 work += size
                 spend()
-                if not any(code in fresh for code, _ in combo):
+                if not any(table in fresh for table in tables):
                     continue
-                tables = [tf.table for _, tf in combo]
                 table = tuple(
                     g.apply(*(tab[i] for tab in tables)) for i in range(size))
-                code = register(table)
-                if code is not None:
-                    next_fresh.add(code)
+                if table not in seen:
+                    seen[table] = TruthFunction(arity, table)
+                    next_fresh.add(table)
         fresh = next_fresh
     return tuple(sorted(seen.values(), key=TruthFunction.packed))
 

@@ -16,15 +16,14 @@ gives t, t2 and y.  The checker reads a rule forwards, proof search
 reads it backwards (``Rule.backward``), and the soundness sampler
 builds instances with ``instance``.
 
-The additions of a rule that needs the principal alone, Cut aside, are
-computed once per principal: ``Rule.additions`` keeps the premises'
-part on the principal (``syntax.kept``) and rebuilds the conclusion's,
-the principal itself, on each call.  All three readers take them from
-there: ``check_step``, ``Rule.backward`` (and so ``prove_prop``) and
-the sampler of ``acceptance``.  The rules that need no step field,
-F-L and notF-R, are filled once per rule (``Rule.constant``).  Every
-other rule except Cut fills its letters from the step on every call
-(``Rule.bind``, ``Rule.filled``).
+``Rule.additions(step)`` is the one forward reading of a rule, which
+``check_step`` and the sampler of ``acceptance`` both ask.  A rule that
+needs the principal alone, Cut aside, keeps its premises' additions on
+the principal (``syntax.kept``, shared with ``Rule.backward`` and so
+``prove_prop``) and rebuilds the conclusion's, the principal itself.
+F-L and notF-R, which need no step field, are filled once per rule
+(``Rule.constant``).  The rest bind their letters from the step's
+fields and fill them (``Rule.filled``) on every call.
 
 Sequent sides are sets.  A rule's conclusion is its context plus the
 formulas the rule introduces, and because sets absorb duplicates the
@@ -194,15 +193,6 @@ class Rule:
         """The function from letter values to the pattern filled in."""
         return _compile(self.pattern) if self.pattern else lambda values: None
 
-    def bind(self, step):
-        """The step's letter bindings; None when its principal does not
-        have the pattern."""
-        env = {"principal": step.principal, "t": step.t, "t2": step.t2,
-               "x": step.x, "y": None if step.y is None else Var(step.y)}
-        if self.pattern is None or _match(self.pattern, step.principal, env):
-            return env
-        return None
-
     @functools.cached_property
     def _fills(self):
         return [(tuple(map(_compile, ant)), tuple(map(_compile, suc)))
@@ -243,15 +233,26 @@ class Rule:
         # a hand-built step may hold anything as its principal
         return self._premise_additions(a)
 
-    def additions(self, a):
-        """What ``filled(bind(step))`` gives for a step with principal a,
-        for a rule with ``kept_as``: the conclusion's additions, then
-        each premise's; None when a does not have the pattern."""
-        premises = self._kept_premise_additions(a)
-        if premises is None:
-            return None
-        ant, suc = self.conclusion  # the principal, on one side or both
-        return [((a,) * len(ant), (a,) * len(suc)), *premises]
+    def additions(self, step):
+        """The additions of a step by this rule: the conclusion's, then
+        each premise's; None when the step's principal does not have the
+        pattern.  Kept on the principal for a rule with ``kept_as``, the
+        ``constant`` for F-L and notF-R, else the letters bound from the
+        step's principal, t, t2, x and y, filled."""
+        a = step.principal
+        if self.kept_as:
+            premises = self._kept_premise_additions(a)
+            if premises is None:
+                return None
+            ant, suc = self.conclusion  # the principal, on one side or both
+            return [((a,) * len(ant), (a,) * len(suc)), *premises]
+        if self.constant:
+            return self.constant
+        env = {"principal": a, "t": step.t, "t2": step.t2, "x": step.x,
+               "y": None if step.y is None else Var(step.y)}
+        if self.pattern is None or _match(self.pattern, a, env):
+            return self.filled(env)
+        return None
 
     def backward(self, s: Sequent, a):
         """The premises above s when this rule introduces a, which each
@@ -272,7 +273,7 @@ _FORMULAS = frozenset(Formula.__args__)
 
 def instance(adds, gamma=frozenset(), delta=frozenset()):
     """(premises, conclusion) over the context gamma => delta, given a
-    rule's additions (``Rule.filled`` or ``Rule.additions``)."""
+    rule's additions (``Rule.additions``)."""
     (ca, cs), *padds = adds
     return (tuple([Sequent(gamma.union(pa), delta.union(ps))
                    for pa, ps in padds]),
@@ -390,13 +391,7 @@ def check_step(d: Derivation, i: int) -> Violation | None:
     if step.rule == "Cut":
         return _check_cut(i, step, prem)
 
-    if rule.kept_as:
-        env, adds = None, rule.additions(step.principal)
-    elif rule.constant:
-        env, adds = None, rule.constant
-    else:
-        env = rule.bind(step)
-        adds = None if env is None else rule.filled(env)
+    adds = rule.additions(step)
     if adds is None:
         return Violation(i, Code.PRINCIPAL_SHAPE,
                          "%s cannot introduce %s" % (step.rule, step.principal))
@@ -413,9 +408,12 @@ def check_step(d: Derivation, i: int) -> Violation | None:
                              "%s missing on the right" % a)
 
     y = step.y
-    if rule.eigen and y != env["x"] and y in free_vars(env["A"]):
-        return Violation(i, Code.EIGENVARIABLE,
-                         "%s is free in the quantified formula" % y)
+    if rule.eigen:
+        q = step.principal  # the quantifier, or its negation
+        q = q.body if type(q) is Not else q
+        if y != q.var and y in free_vars(q.body):
+            return Violation(i, Code.EIGENVARIABLE,
+                             "%s is free in the quantified formula" % y)
 
     base_ant = concl.ant.difference(ca)
     base_suc = concl.suc.difference(cs)

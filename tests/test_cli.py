@@ -280,6 +280,51 @@ def test_a_bound_out_of_range_is_a_usage_error(args, capsys):
     assert out.err.count("\n") == 1
 
 
+REPORT_BOUNDS = {"--rule-instances": 100_000, "--random-instances": 1_000_000,
+                 "--max-nodes": 10_000_000}
+
+
+class _SuiteRan(Exception):
+    pass
+
+
+def _no_suite(config):
+    raise _SuiteRan(config)
+
+
+@pytest.mark.parametrize("flag", sorted(REPORT_BOUNDS))
+def test_a_report_count_past_its_bound_is_refused_before_any_suite(
+        flag, monkeypatch, capsys):
+    bound = REPORT_BOUNDS[flag]
+    monkeypatch.setattr(cli, "report_all", _no_suite)
+    for count in (str(bound + 1), "9" * 3000):
+        assert cli.main(["report", flag, count]) == 2
+        assert capsys.readouterr() == (
+            "", "error: %s must be from 1 to %d\n" % (flag, bound))
+    with pytest.raises(_SuiteRan) as ran:  # the bound itself is admitted
+        cli.main(["report", flag, str(bound)])
+    assert getattr(ran.value.args[0], flag[2:].replace("-", "_")) == bound
+
+
+@pytest.mark.parametrize("argv, head", [
+    (["--seed", "x" * 5000, "eval", "p"],
+     "bd4: error: argument --seed: invalid int value: 'xxx"),
+    (["report", "--drop-law", "z\u00e9" * 2000],
+     "bd4 report: error: argument --drop-law: invalid int value: 'z\u00e9"),
+], ids=["seed", "report-drop-law"])
+def test_a_long_usage_error_is_clipped_to_one_short_line(argv, head,
+                                                         capsys):
+    """Uncut, the seed's error line would run to 5,050 bytes."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("usage: bd4")
+    last = out.err.splitlines()[-1]
+    assert last.startswith(head) and last.endswith(" [clipped]")
+    assert 196 <= len(last.encode()) <= 199
+
+
 @pytest.mark.parametrize("argv, env, message", [
     (("eval", "p"), "abc", "argument --seed: invalid int value: 'abc'"),
     (("report", "--drop-law", "16"), None,
@@ -616,7 +661,8 @@ def test_atoms_name_the_table_rows(capsys):
 
 # ---------------------------------------------------------------------------
 # fuzzed argv over the verbs that read signature, structure and
-# derivation files
+# derivation files, and over the counts, law numbers, arities and depths
+# that the other verbs refuse
 
 _ARITY = st.integers(0, 2) | st.integers(0, 64)
 _SOUP = st.lists(st.sampled_from((
@@ -676,6 +722,44 @@ _DERIVATION = st.one_of(
     st.binary(max_size=60))
 
 
+_DIGITS = st.sampled_from(("1" * 3000, "9" * 5000))
+_REFUSED_LAW = st.one_of(st.integers(max_value=0),
+                         st.integers(min_value=16)).map(str) | _DIGITS
+_JUNK_SEED = st.one_of(st.text(max_size=12), st.sampled_from((
+    "x" * 5000, "9" * 5000, "", "1.5", "0x10", "--", "-")))
+
+
+def _refused_count(bound):
+    return st.one_of(st.integers(max_value=0).map(str),
+                     st.integers(min_value=bound + 1).map(str), _DIGITS)
+
+
+@st.composite
+def _refused_argvs(draw):
+    """argv for report, laws drop or define clone or synth, with every
+    flag value in a range the verb refuses; about half start with a junk
+    --seed."""
+    seed = ["--seed", draw(_JUNK_SEED)] if draw(st.booleans()) else []
+    verb = draw(st.sampled_from(("report", "laws", "clone", "synth")))
+    if verb == "report":
+        argv = ["report"]
+        for flag in draw(st.lists(st.sampled_from(sorted(REPORT_BOUNDS)
+                                                  + ["--drop-law"]),
+                                  min_size=1, max_size=4)):
+            argv += [flag, draw(_REFUSED_LAW if flag == "--drop-law"
+                                else _refused_count(REPORT_BOUNDS[flag]))]
+    elif verb == "laws":
+        argv = ["laws", "drop", draw(_REFUSED_LAW)]
+    elif verb == "clone":
+        argv = ["define", "clone", "--arity", draw(st.one_of(
+            st.integers(max_value=-1), st.integers(min_value=12)).map(str)
+            | _DIGITS)]
+    else:
+        argv = ["define", "synth", draw(st.sampled_from(("Des", "Confl"))),
+                "--depth", str(draw(st.integers(max_value=-1)))]
+    return seed + argv
+
+
 @st.composite
 def _argvs(draw):
     """(argv, {file name: contents}) for one random invocation."""
@@ -712,9 +796,35 @@ def _argvs(draw):
     return argv, files
 
 
-def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(tmp_path_factory):
+def _exit_checked(argv) -> int:
+    """main's exit code for argv, with no traceback and every stderr line
+    under 200 bytes; argparse's errors end its usage with one line, and
+    main's own exit 2 prints one ``error:`` line alone."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+            usage = False
+        except SystemExit as exc:  # argparse's usage errors
+            code, usage = exc.code, True
+    err = err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    assert all(len(line.encode()) < 200 for line in err.splitlines()), argv
+    if usage:
+        assert code == 2 and out.getvalue() == "", argv
+        assert err.startswith("usage: bd4"), argv
+        assert ": error: " in err.splitlines()[-1], argv
+    elif code == 2 and err:
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    return code
+
+
+def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(tmp_path_factory,
+                                                        monkeypatch):
     folder = tmp_path_factory.mktemp("fuzz")
     codes = set()
+    monkeypatch.setattr(cli, "report_all", _no_suite)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(_argvs())
@@ -727,16 +837,13 @@ def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(tmp_path_factory):
             else:
                 path.write_text(body, encoding="utf-8")
         argv = [str(folder / a) if a in files else a for a in argv]
-        try:
-            code, out, err = _main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code, err = exc.code, ""
-        assert code in (0, 1, 2), argv
-        assert "Traceback" not in err
-        if code == 2 and err:
-            assert err.startswith("error: ") and err.count("\n") == 1, argv
-            assert len(err.encode()) <= 200, argv
-        codes.add(code)
+        codes.add(_exit_checked(argv))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_refused_argvs())
+    def run_refused(argv):
+        assert _exit_checked(argv) == 2, argv
 
     run()
     assert codes == {0, 1, 2}
+    run_refused()

@@ -95,6 +95,19 @@ def test_negation_clone_is_just_id_and_neg():
         [(T, B, N, F), (F, B, N, T)])
 
 
+def test_a_table_keeps_the_name_it_entered_the_closure_under():
+    # a projection first, then the base's constants in base order; a
+    # composition that gives a named table again stays under its name
+    truth = TruthFunction(0, (T,), "T")
+    clone = clone_closure((FALSUM_FN, truth, TruthFunction(0, (F,), "G"),
+                           NEG_FN), 1)
+    assert [(g.table, g.name) for g in clone] == [
+        ((T, T, T, T), "T"), ((T, B, N, F), "proj1"), ((F, B, N, T), None),
+        ((F, F, F, F), "F")]
+    assert [g.name for g in clone_closure((truth, FALSUM_FN), 0)] == [
+        "T", "F"]
+
+
 def test_cons_outside_clone_without_falsum_style_base():
     clone = clone_closure(
         (NEG_FN, CONJ_FN, DISJ_FN, extra_function("Norm")), 1)

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from bd4 import acceptance
 from bd4.kernel import (
-    BASE_RULES, Code, Derivation, DerivationStep, PACK_RULES, PACKS, RULES,
-    Violation, _check_cut, check_derivation, check_step, is_proof,
+    _EIGEN, _TERM, BASE_RULES, Code, Derivation, DerivationStep, PACK_RULES,
+    PACKS, RULES, Violation, _check_cut, _Letter, check_derivation,
+    check_step, is_proof,
 )
 from bd4.search import SearchBudget, prove_prop
 from bd4.semantics import PropSpace
@@ -19,7 +20,7 @@ from bd4.syntax import (
     Sequent, Signature, Var, free_vars, is_literal, print_formula,
 )
 
-from support import derives
+from support import derives, reference_additions, reference_bind
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 x, y = Var("x"), Var("y")
@@ -67,8 +68,9 @@ def test_the_falsity_axioms_are_filled_once():
     for name in ("F-L", "notF-R"):
         rule = RULES[name]
         step = DerivationStep(name, Sequent(), principal=p)
-        assert rule.constant == rule.filled(rule.bind(step))
+        assert rule.constant == rule.filled(reference_bind(rule, step))
         assert rule.constant is rule.constant
+        assert rule.additions(step) is rule.constant
     assert {name for name, rule in RULES.items()
             if rule.constant is not None} == {"F-L", "notF-R"}
     # any principal is ignored, and the violations are as before
@@ -479,18 +481,19 @@ def test_the_rules_whose_additions_are_kept():
         "notforall-R", "notexists-L", "notexists-R"}
 
 
-def _bound_and_filled(rule, a):
+def _bound_and_filled(rule, step):
     """The additions as the rule table gives them from a step."""
-    env = rule.bind(DerivationStep(rule.name, Sequent(), principal=a))
+    env = reference_bind(rule, step)
     return None if env is None else rule.filled(env)
 
 
 def _assert_kept_additions_agree(a):
     for rule in KEPT:
-        want = _bound_and_filled(rule, a)
-        got = rule.additions(a)
+        step = DerivationStep(rule.name, Sequent(), principal=a)
+        want = _bound_and_filled(rule, step)
+        got = rule.additions(step)
         assert got == want, (rule.name, a)
-        assert rule.additions(a) == got
+        assert rule.additions(step) == got
         if got is not None:
             # a kept value never holds its own node
             assert all(a not in side for adds in got[1:] for side in adds)
@@ -516,8 +519,35 @@ def test_kept_additions_match_the_table_over_the_sampler_pools():
         _assert_kept_additions_agree(a)
     # every kept rule met its pattern and something else
     for rule in KEPT:
-        hits = [a for a in principals if rule.additions(a) is not None]
+        hits = [a for a in principals if rule.additions(
+            DerivationStep(rule.name, Sequent(), principal=a)) is not None]
         assert hits and (rule.name == "Id" or len(hits) < len(principals))
+
+
+def test_every_rule_reads_a_step_as_before():
+    """All 32 rules over the sampler's pools: every other principal
+    above, the quantifier principals the sampler builds, its terms and
+    two eigenvariables, with the principals that miss each pattern.  The
+    steps carry no rule name, which neither reader looks at."""
+    quantified = {rule.principal_of({"x": "x", "A": body})
+                  for rule in RULES.values() if rule.needs in (_TERM, _EIGEN)
+                  for body in acceptance._FO_BODIES}
+    fields = list(itertools.product(acceptance._TERMS, acceptance._TERMS,
+                                    ("y", "w")))
+    rows = [(a, *tf) for a in sorted(quantified, key=str) for tf in fields]
+    rows += [(a, *fields[i % len(fields)])
+             for i, a in enumerate(_pool_principals()[::2])]
+    steps = [DerivationStep(None, Sequent(), principal=a, t=t, t2=t2, x="x",
+                            y=y) for a, t, t2, y in rows]
+    misses = set()
+    for rule in RULES.values():
+        got = [rule.additions(step) for step in steps]
+        assert got == [reference_additions(rule, step) for step in steps]
+        if None in got:
+            misses.add(rule.name)
+    assert misses == {name for name, rule in RULES.items()
+                      if rule.pattern is not None
+                      and not isinstance(rule.pattern, _Letter)}
 
 
 _KTERM = st.sampled_from([x, y, c, d, Fun("f", (c,))])
@@ -575,7 +605,9 @@ def _subsets(items):
 def reference_check_step(d: Derivation, i: int):
     """``check_step`` as it was before its premise-matching loop was
     rewritten: one candidate Sequent per reading of the retained
-    formulas, built from ``_subsets``."""
+    formulas, built from ``_subsets``; the additions and the eigenvariable
+    check come from the letters bound as before ``Rule.additions`` took
+    the step."""
     step = d.steps[i]
     if step.rule == "hypothesis":
         if step.premises:
@@ -608,13 +640,7 @@ def reference_check_step(d: Derivation, i: int):
     if step.rule == "Cut":
         return _check_cut(i, step, prem)
 
-    if rule.kept_as:
-        env, adds = None, rule.additions(step.principal)
-    elif rule.constant:
-        env, adds = None, rule.constant
-    else:
-        env = rule.bind(step)
-        adds = None if env is None else rule.filled(env)
+    adds = reference_additions(rule, step)
     if adds is None:
         return Violation(i, Code.PRINCIPAL_SHAPE,
                          "%s cannot introduce %s" % (step.rule, step.principal))
@@ -631,6 +657,7 @@ def reference_check_step(d: Derivation, i: int):
                              "%s missing on the right" % a)
 
     y = step.y
+    env = reference_bind(rule, step) if rule.eigen else None
     if rule.eigen and y != env["x"] and y in free_vars(env["A"]):
         return Violation(i, Code.EIGENVARIABLE,
                          "%s is free in the quantified formula" % y)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bd4 import syntax
-from bd4.kernel import RULES, check_derivation
+from bd4.kernel import RULES, DerivationStep, check_derivation
 from bd4.parser import MAX_DEPTH, parse_formula
 from bd4.search import MODES, SearchBudget, prove_prop
 from bd4.semantics import PropSpace, consequence_prop
@@ -21,6 +21,8 @@ from bd4.syntax import (
     print_formula, print_term, prop_atoms, subformulas,
     substitute, substitute_term,
 )
+
+from support import reference_additions
 
 x, y, z = Var("x"), Var("y"), Var("z")
 c = Fun("c")
@@ -308,7 +310,9 @@ def test_nodes_with_kept_rule_additions_leave_the_table():
         assert result.proved and check_derivation(result.proof)[0]
     for rule in RULES.values():
         if rule.kept_as:
-            rule.additions(deep), rule.additions(Not(deep))
+            [reference_additions(rule, DerivationStep(rule.name, s,
+                                                      principal=a))
+             for a in (deep, Not(deep))]
     assert deep._premises_notnot_L == (((deep.body.body,), ()),)
     del lp, lq, lr, deep, s, result
     gc.collect()
