@@ -4,7 +4,8 @@ The search decides first and searches second: ``consequence_prop``,
 which evaluates the sequent over all valuations at once on the bit-pair
 engine, settles whether it holds, and only the positive case goes to
 backward search, so countermodels always come from that oracle and
-never from a failed bounded search.
+never from a failed bounded search.  Past the oracle's scan cap the
+search runs alone, and only a proof it finds is an answer.
 
 The search reads the kernel's rule table backwards.  The base rules
 that need only a principal are the decompositions; each formula finds
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kernel import RULES, Derivation, DerivationStep, head
-from .semantics import SemanticsError, consequence_prop
+from .semantics import EnumerationCapExceeded, SemanticsError, consequence_prop
 from .syntax import TRUTH, Falsity, Sequent, formula_key, is_literal
 from .values import MODE_VALUES
 
@@ -208,10 +209,21 @@ def prove_prop(s: Sequent, budget: SearchBudget = SearchBudget()) -> SearchResul
     The oracle runs first over the valuation set matching the budget's
     mode, so a refutation is always a genuine countervaluation.  On the
     positive side the backward search builds a derivation; its packs
-    field names the notLR pack exactly when a pack rule was used.
+    field names the notLR pack exactly when a pack rule was used.  When
+    the oracle gives up at its scan cap, the search still runs: a proof
+    it finds is the answer, and with none the oracle's error stands.
     """
     allowed = MODE_VALUES["bd" if budget.mode == "base" else budget.mode]
-    holds, witness = consequence_prop(s.ant, s.suc, allowed)
+    try:
+        holds, witness = consequence_prop(s.ant, s.suc, allowed)
+    except EnumerationCapExceeded:
+        try:
+            proof = _Searcher(budget).solve(s)
+        except _Exhausted:
+            proof = None
+        if proof is None:
+            raise
+        return SearchResult("proved", proof=proof)
     if not holds:
         return SearchResult("refuted", countermodel=witness)
     try:

@@ -299,6 +299,19 @@ def _run(code, env: dict, full: int) -> list:
 # column order, which bounds memory and keeps the early exit.
 _BLOCK_COLUMNS = 1 << 16
 
+# ``consequence_fo`` takes its sweeps from ``_fo_sweep``, which caches
+# 256 of them on ``_layout``'s key and the block size, so each builds its
+# digit masks once.  A cached sweep that is a single block also keeps
+# the (t, f) pair of each ground atom it fills, keyed by the atom's
+# structure (``_shape``), never by its node, so no kept pair holds a
+# formula alive.  The cached sweeps hold at most this many bits between
+# them, their digit masks and pairs counted as each sweep is made and
+# each kept pair with its key as it is kept (``_count_kept``); past it
+# the cache starts afresh.  ``FOSpace`` and ``count_structures`` build
+# sweeps of their own, which keep nothing and share nothing with it.
+_KEPT_BITS = 1 << 25
+_kept_bits = 0  # bits counted since the cache last started afresh
+
 # A scan that has passed this many columns without an answer gives up:
 # past it each further atom multiplies the time by up to four, and each
 # further free variable by the domain size.
@@ -335,6 +348,29 @@ def _ground_term(t, binding: dict):
     if t.args:
         return Fun(t.name, tuple(_ground_term(u, binding) for u in t.args))
     return t
+
+
+def _shape(x) -> tuple:
+    """A ground atom or term as a flat tuple in prefix order: a domain
+    element is its name, anything else its class, its name (an equation
+    has none) and its arguments' shapes.  So a constant or variable named
+    like an element stays apart from it, and since a sweep fixes each
+    symbol's arity the tuple reads back one way."""
+    out, stack = [], [x]
+    while stack:
+        y = stack.pop()
+        cls = y.__class__
+        if cls is str:
+            out.append(y)
+        elif cls is Var:
+            out += (Var, y.name)
+        elif cls is Eq:
+            out.append(Eq)
+            stack += (y.right, y.left)
+        else:
+            out += (cls, y.name)
+            stack += reversed(y.args)
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=256)
@@ -382,8 +418,9 @@ class _Sweep:
     assign; a size with no structure has no columns.  A block is at
     most ``block`` consecutive columns, the whole size with None.
     ``fill`` gives the pairs of ground atoms over a block in an env for
-    ``_run``; ``digits`` reads the digit values of one column and
-    ``decode`` builds its structure and assignment.
+    ``_run``, reading and adding to ``kept`` when ``_fo_sweep`` gave it
+    one; ``digits`` reads the digit values of one column and ``decode``
+    builds its structure and assignment.
     """
 
     def __init__(self, sig: Signature, size: int, mode, allowed, need_eq,
@@ -404,6 +441,7 @@ class _Sweep:
         self.outer = radices[:split]
         self.full = (1 << inner) - 1
         self._hot, self._pairs = {}, {}  # per inner digit, once built
+        self.kept = None  # atom pairs by ``_shape``, on a cached single block
 
     def blocks(self):
         """The outer digits' values of each block, in column order."""
@@ -493,16 +531,27 @@ class _Sweep:
                 selectors[t] = out
             return out
 
+        kept = self.kept
         for op in code:
             cls = op.__class__
             if (cls is str or cls is Pred or cls is Eq) and op not in env:
+                if kept is not None:
+                    shape = _shape(op)
+                    out = kept.get(shape)
+                    if out is not None:
+                        env[op] = out
+                        continue
                 if cls is str:
-                    env[op] = cell(("pred", op, ()))
+                    out = cell(("pred", op, ()))
                 elif cls is Pred:
-                    env[op] = tuple(apply(op.args, lambda key: cell(
+                    out = tuple(apply(op.args, lambda key: cell(
                         ("pred", op.name, key)), 2))
                 else:
-                    env[op] = tuple(apply((op.left, op.right), eq_cell, 2))
+                    out = tuple(apply((op.left, op.right), eq_cell, 2))
+                env[op] = out
+                if kept is not None:
+                    kept[shape] = out
+                    _count_kept(self, 2, len(shape))
         return env
 
     def digits(self, outer, i: int) -> list:
@@ -532,6 +581,37 @@ class _Sweep:
                 (consts if kind == "fun" else props)[role[1]] = x
         return (Structure(self.domain, consts, funcs, props, preds, eq,
                           self.bottom), alpha)
+
+
+@functools.lru_cache(maxsize=256)
+def _fo_sweep(sig: Signature, size: int, mode, allowed, need_eq, eq_distinct,
+              variables, block) -> _Sweep:
+    """``consequence_fo``'s sweep, cached on ``_layout``'s key and the
+    block size; a single block keeps the pairs of the ground atoms it
+    fills."""
+    sweep = _Sweep(sig, size, mode, allowed, need_eq, eq_distinct, variables,
+                   block)
+    if not sweep.outer:
+        sweep.kept = {}
+    # each inner digit's value masks and its pair
+    inner = sweep.values[len(sweep.outer):]
+    _count_kept(sweep, sum(len(v) + 2 for v in inner), 0)
+    return sweep
+
+
+def _count_kept(sweep: _Sweep, masks: int, items: int):
+    """Count that many more masks over the sweep's block and items of
+    kept keys: a mask as its columns plus 1,024 bits for the int and the
+    slots that hold it, an item as 64 bits.  Past ``_KEPT_BITS`` first
+    drop every cached sweep, and with them every pair they keep."""
+    global _kept_bits
+    bits = masks * (sweep.full.bit_length() + 1024) + 64 * items
+    if not _fo_sweep.cache_info().currsize:  # cleared since last counted
+        _kept_bits = 0
+    if _kept_bits + bits > _KEPT_BITS:
+        _fo_sweep.cache_clear()
+        _kept_bits = 0
+    _kept_bits += bits
 
 
 def _first(scans, marked, env):
@@ -926,14 +1006,19 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     block by block as ``consequence_prop``'s are; the countermodel is
     the first column, in ``enumerate_structures`` order with the
     assignments innermost, that designates all of gamma and nothing in
-    delta, and it is the only Structure built.  Raises SemanticsError
-    when the bound admits no structure, and EnumerationCapExceeded
-    before any sweep is built once the domain elements or the grounded
-    code items of all the sizes number more than ``cap``, before any
-    scan once the structures of the sizes counted so far,
+    delta, and it is the only Structure built.  Every call takes its
+    sweeps from one cache (``_fo_sweep``: 256 sweeps, on ``_layout``'s
+    key and the block size), and a single-block sweep keeps the pairs of
+    the ground atoms it has filled, by their structure; the masks,
+    pairs and keys of the whole cache stay within ``_KEPT_BITS`` bits,
+    and ``FOSpace`` and ``count_structures`` share none of it.  Raises
+    SemanticsError when the bound admits no structure, and
+    EnumerationCapExceeded before any sweep is built once the domain
+    elements or the grounded code items of all the sizes number more
+    than ``cap``, or once the structures of the sizes counted so far,
     smallest first, number more than ``cap`` (a size far past it is
-    refused before any of its digits is built), and during the scan once
-    the blocks scanned without a countermodel hold more than
+    refused before any of its digits is laid out), and during the scan
+    once the blocks scanned without a countermodel hold more than
     ``_SCAN_CAP`` columns.
     """
     gamma, delta = list(gamma), list(delta)
@@ -961,7 +1046,7 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     shape = (mode, frozenset(allowed), has_eq,
              None if eq_distinct is None else tuple(eq_distinct))
     far = _structure_bits(small, max_domain, *shape) > limit
-    sweeps, total = [], 0
+    total = 0
     for size in range(least, max_domain + 1):
         bits = _structure_bits(small, size, *shape) if far else 0
         if bits > limit:
@@ -969,15 +1054,16 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
             raise EnumerationCapExceeded(
                 "would enumerate at least %s structures (cap %d)"
                 % ("about 10^%d" % k if k < 1e15 else "10^(10^15)", cap))
-        sweeps.append(_Sweep(small, size, mode, allowed, has_eq, eq_distinct,
-                             fv, _BLOCK_COLUMNS))
         # a size's columns are its structures times the assignments
-        total += sweeps[-1].columns // size ** len(fv)
+        total += _layout(small, size, *shape, fv)[-1] // size ** len(fv)
         if total > cap:
             raise EnumerationCapExceeded(
                 "would enumerate at least %d structures (cap %d)"
                 % (total, cap))
 
+    # a size is taken from the cache only when the scan reaches it
+    sweeps = (_fo_sweep(small, size, *shape, fv, _BLOCK_COLUMNS)
+              for size in range(least, max_domain + 1))
     hit = _first(((s, _ground(code, s.domain, {})) for s in sweeps),
                  _counter(len(gamma)), _Sweep.fill)
     if hit is None:

@@ -619,6 +619,34 @@ def test_prove_refuses_a_valid_sequent_that_needs_an_extra_connective(
         "holds\n")
 
 
+PAST_CAP_VALID = " & ".join("p%d" % i for i in range(14)) + " => p0"
+PAST_CAP_INVALID = ("~a00; a00 -> F; "
+                    + " & ".join("a%02d" % i for i in range(1, 14)) + " => F")
+
+
+def test_prove_past_the_oracle_cap_answers_with_a_proof_the_search_finds(
+        tmp_path):
+    """Fourteen atoms take the oracle past its scan cap, but the search
+    proves the sequent in fourteen steps, and the kernel accepts them."""
+    drv = tmp_path / "proof.drv"
+    code, out, err = _main(["prove", "--emit", str(drv), PAST_CAP_VALID])
+    assert (code, err) == (0, "")
+    assert out.startswith("proved (14 steps)\npacks: base\n")
+    assert _main(["check", str(drv)]) == (
+        0, "ok: 14 steps, target |- %s\n" % PAST_CAP_VALID, "")
+
+
+@pytest.mark.parametrize("argv", [[PAST_CAP_INVALID],
+                                  ["--max-nodes", "5", PAST_CAP_VALID]],
+                         ids=["no-proof", "budget"])
+def test_prove_past_the_oracle_cap_without_a_proof_is_still_refused(argv):
+    """The oracle gives up on a sequent over fourteen atoms, and the
+    search finds no proof (the sequent is refutable) or runs out of
+    budget, so the cap's error stands."""
+    assert _main(["prove", *argv]) == (
+        2, "", "error: no answer after 67174400 columns (cap 67108864)\n")
+
+
 def test_prove_emit_writes_the_printed_derivation(tmp_path):
     drv = tmp_path / "proof.drv"
     code, out, err = _main(["prove", "--emit", str(drv),

@@ -1,5 +1,6 @@
 """Evaluation and consequence, propositional and first-order."""
 
+import gc
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bd4 import acceptance, semantics
+from bd4 import acceptance, semantics, syntax
 from bd4.acceptance import _EQ_POOL, _EQ_SIG, _FO_POOL, _FO_SIG
 from bd4.definability import truth_function_of
 from bd4.matrixlab import BD_MATRIX, consequence_in
@@ -1022,3 +1023,197 @@ def test_formulas_at_the_parser_depth_bound_are_swept():
     res = consequence_fo([terms], [pc], sig, max_domain=2)
     assert not res.holds
     assert designated(evaluate(terms, res.structure))
+
+
+# ---------------------------------------------------------------------------
+# the first-order sweep cache and the pairs it keeps
+
+CACHE_SIG = Signature(
+    functions=(("d1", 0), ("u", 0), ("c", 0), ("f", 1)),
+    predicates=(("P", 1), ("R", 2), ("q", 0)),
+)
+
+
+# each query draws its symbols from one of these (atoms, constants, f)
+CACHE_VOCABULARIES = (("P=", ("d1", "u"), False), ("R", ("c",), True),
+                      ("PRq=", ("d1", "u", "c"), True))
+CACHE_VARIABLES = ("x", "y", "d2")
+
+
+def _cache_term(rng, voc, depth):
+    if depth and voc[2] and rng.random() < 0.3:
+        return Fun("f", (_cache_term(rng, voc, depth - 1),))
+    if rng.random() < 0.4:
+        return Var(rng.choice(CACHE_VARIABLES))
+    return Fun(rng.choice(voc[1]))
+
+
+def _cache_formula(rng, voc, depth):
+    """A formula over CACHE_SIG whose constants are named like domain
+    elements (d1, and u, the partial bottom) and like none, as is one of
+    its variables (d2); each variable is bound or free, whatever the
+    quantifiers around it."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.choice(voc[0])
+        if kind == "q":
+            return Prop("q")
+        if kind == "=":
+            return Eq(_cache_term(rng, voc, 2), _cache_term(rng, voc, 2))
+        return Pred(kind, tuple(_cache_term(rng, voc, 2)
+                                for _ in range(1 if kind == "P" else 2)))
+    kind = rng.choice(("not", "and", "or", "imp", "all", "ex"))
+    if kind == "not":
+        return Not(_cache_formula(rng, voc, depth - 1))
+    if kind in ("all", "ex"):
+        return (Forall if kind == "all" else Exists)(
+            rng.choice(CACHE_VARIABLES), _cache_formula(rng, voc, depth - 1))
+    cls = {"and": And, "or": Or, "imp": Imp}[kind]
+    return cls(_cache_formula(rng, voc, depth - 1),
+               _cache_formula(rng, voc, depth - 1))
+
+
+def _cache_queries(seed: int, n: int):
+    """(gamma, delta, mode, max_domain) over a few vocabularies, so that
+    later queries meet the sweeps of earlier ones."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        voc = rng.choice(CACHE_VOCABULARIES)
+        sides = [[_cache_formula(rng, voc, rng.randint(0, 2))
+                  for _ in range(rng.randint(0, 2))] for _ in range(2)]
+        mode = rng.choice(("total", "partial"))
+        out.append((*sides, mode, 2 if mode == "partial" else
+                    rng.choice((1, 2))))
+    return out
+
+
+def _cache_outcome(gamma, delta, mode, bound):
+    try:
+        res = consequence_fo(gamma, delta, CACHE_SIG, max_domain=bound,
+                             mode=mode, cap=5000)
+    except EnumerationCapExceeded as exc:
+        return "cap", str(exc)
+    if res.holds:
+        return True, None, None
+    m, alpha = res.structure, res.assignment
+    assert all(designated(evaluate(a, m, alpha)) for a in gamma)
+    assert not any(designated(evaluate(a, m, alpha)) for a in delta)
+    return False, print_structure(m), alpha
+
+
+def test_cached_sweeps_and_kept_pairs_do_not_change_any_answer():
+    """The same answers with a warm cache, a cleared one before every
+    query and the queries in reverse order; each countermodel evaluates
+    as one again."""
+    queries = _cache_queries(18, 320)
+    semantics._fo_sweep.cache_clear()
+    warm = [_cache_outcome(*query) for query in queries]
+    info = semantics._fo_sweep.cache_info()
+    assert info.hits >= len(queries) // 4
+    cold = []
+    for query in queries:
+        semantics._fo_sweep.cache_clear()
+        cold.append(_cache_outcome(*query))
+    backwards = [_cache_outcome(*query) for query in reversed(queries)]
+    assert warm == cold == backwards[::-1]
+    kinds = {out[0] for out in warm}
+    assert kinds == {True, False, "cap"}
+    assert sum(out[0] is False and bool(out[2]) for out in warm) >= 20
+
+
+def test_elements_constants_and_variables_named_alike_stay_apart():
+    """Grounding P(x) gives the atoms P(d1) and P(u) over elements; the
+    constants d1 and u and the free variables d1 and u are other atoms
+    over the same sweeps, checked against the per-structure reference
+    with the cache cleared first and warm."""
+    sig = Signature(functions=(("d1", 0), ("u", 0)), predicates=(("P", 1),))
+
+    def P(t):
+        return Pred("P", (t,))
+
+    pool = [Forall("x", P(Var("x"))), Exists("x", Not(P(Var("x")))),
+            P(Var("d1")), P(Fun("d1")), P(Var("u")), P(Fun("u"))]
+    queries = [([a, b], [c], mode) for a in pool for b in pool[2:]
+               for c in pool for mode in ("total", "partial")]
+    semantics._fo_sweep.cache_clear()
+    for _ in range(2):
+        for gamma, delta, mode in queries:
+            want = outcome(reference_fo, gamma, delta, sig, 2, mode)
+            assert outcome(consequence_fo, gamma, delta, sig, 2, mode) == (
+                want), (gamma, delta, mode)
+
+
+def _cached_sweeps(sig: Signature, sizes, mode: str, has_eq: bool,
+                   variables=()):
+    return [semantics._fo_sweep(sig, size, mode, ALL_VALUES, has_eq, None,
+                                variables, semantics._BLOCK_COLUMNS)
+            for size in sizes]
+
+
+def test_kept_pairs_hold_no_formula_alive():
+    sig = Signature(functions=(("life_c", 0), ("life_f", 1)),
+                    predicates=(("Life", 2),))
+    gc.collect()
+    before = len(syntax._NODES)
+    fx = Fun("life_f", (Var("life_x"),))
+    a = Forall("life_y", Pred("Life", (fx, Var("life_y"))))
+    b = Pred("Life", (fx, Fun("life_c")))
+    assert consequence_fo([a], [b], sig, max_domain=2).holds
+    kept = [s.kept for s in _cached_sweeps(sig, (1, 2), "total", False,
+                                           ("life_x",))]
+    assert len(kept[0]) == 2 and len(kept[1]) == 3
+    del a, b, fx
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+def test_kept_pairs_stay_within_their_bound():
+    """2,000 queries over distinct nested terms on one signature count
+    more than ``_KEPT_BITS``, so the cache starts afresh, and what the
+    cached sweeps keep never passes the bound."""
+    sig = Signature(functions=(("c", 0), ("f", 1)),
+                    predicates=(("P", 1), ("R", 2)))
+    terms = [Fun("c")]
+    while len(terms) < 45:
+        terms.append(Fun("f", (terms[-1],)))
+    pc = Pred("P", (terms[0],))
+    semantics._fo_sweep.cache_clear()
+    counted = 0
+    for i in range(2000):
+        atom = Pred("R", (terms[i // 45], terms[i % 45]))
+        before = semantics._kept_bits
+        assert consequence_fo([atom], [pc, atom], sig, max_domain=2).holds
+        counted += max(semantics._kept_bits - before, 0)
+        held = sum(len(s.kept) * 2 * (s.full.bit_length() + 1024)
+                   for s in _cached_sweeps(sig, (1, 2), "total", False))
+        assert held <= semantics._kept_bits <= semantics._KEPT_BITS
+    assert counted > 2 * semantics._KEPT_BITS
+
+
+def test_the_sweep_cache_holds_memory_within_its_bound():
+    """Each of 64 signatures over eight fresh propositions makes a sweep
+    of one 2^16-column block; without the bound their masks and pairs
+    would hold about 25 MB."""
+    semantics._fo_sweep.cache_clear()
+    tracemalloc.start()
+    try:
+        for i in range(64):
+            atoms = [Prop("wide%d_%d" % (i, j)) for j in range(8)]
+            sig = Signature(predicates=tuple((a.name, 0) for a in atoms))
+            assert consequence_fo([_conjunction(atoms)], [atoms[0]], sig,
+                                  max_domain=1).holds
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < semantics._KEPT_BITS // 8 * 2
+
+
+def test_count_structures_and_fo_spaces_leave_the_sweep_cache_alone():
+    """The benchmark sizes its queries with count_structures before it
+    times consequence_fo, so sizing must not warm the timed path."""
+    info = semantics._fo_sweep.cache_info()
+    for size in (1, 2, 3):
+        count_structures(CACHE_SIG, size, "partial" if size > 1 else "total")
+        count_structures(RICH_SIG, size, "total", K3_VALUES, False)
+    FOSpace(_EQ_SIG, (1, 2)).mask(_EQ_POOL[0])
+    assert semantics._fo_sweep.cache_info() == info
