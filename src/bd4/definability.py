@@ -123,11 +123,8 @@ _PRESERVED = (frozenset({T, F, B}), frozenset({T, F, N}))
 
 def is_definable_criterion(g: TruthFunction) -> bool:
     """Preservation test: g keeps both {t,f,b} and {t,f,n} closed."""
-    for sub in _PRESERVED:
-        for args in product(sorted(sub), repeat=g.arity):
-            if g.apply(*args) not in sub:
-                return False
-    return True
+    return all(g.apply(*args) in sub for sub in _PRESERVED
+               for args in product(sorted(sub), repeat=g.arity))
 
 
 # The work a closure may do, in table cells: 4^arity for each projection

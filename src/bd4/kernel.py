@@ -11,10 +11,11 @@ The calculus is written once, as data: ``RULES`` gives each of the 32
 rules its pack, the step fields it needs, the pattern of its principal,
 the formulas its conclusion and each premise add, and its side
 conditions.  Patterns and additions are formulas over schematic
-letters; the principal binds A, B and the bound variable, the step
-gives t, t2 and y.  The checker reads a rule forwards, proof search
-reads it backwards (``Rule.backward``), and the soundness sampler
-builds instances with ``instance``.
+letters, which are hash-consed nodes (``syntax._node``) like the
+formulas, so a pattern is one node tree; the principal binds A, B and
+the bound variable, the step gives t, t2 and y.  The checker reads a
+rule forwards, proof search reads it backwards (``Rule.backward``), and
+the soundness sampler builds instances with ``instance``.
 
 ``Rule.additions(step)`` is the one forward reading of a rule, which
 ``check_step`` and the sampler of ``acceptance`` both ask.  A rule that
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 from .syntax import (
     And, Eq, Exists, Falsity, Forall, Formula, Imp, Not, Or, Sequent, Var,
-    free_vars, is_literal, kept, substitute,
+    _node, free_vars, is_literal, kept, substitute,
 )
 
 
@@ -115,7 +116,7 @@ PACKS = ("notLR", "den")
 # the rule table
 
 
-@dataclass(frozen=True)
+@_node
 class _Letter:
     """A schematic letter: A or B (formulas), x (the variable a quantifier
     binds or eq-Repl replaces), or a step field (principal, t, t2, y).
@@ -135,12 +136,9 @@ def _match(pattern, a, env) -> bool:
     if isinstance(pattern, _Letter):
         env[pattern.name] = a
         return True
-    if type(a) is not type(pattern):
-        return False
-    for f in pattern.__match_args__:
-        if not _match(getattr(pattern, f), getattr(a, f), env):
-            return False
-    return True
+    return type(a) is type(pattern) and all(
+        _match(getattr(pattern, f), getattr(a, f), env)
+        for f in pattern.__match_args__)
 
 
 def _compile(template):

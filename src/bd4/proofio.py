@@ -49,12 +49,10 @@ def parse_signature(text: str) -> Signature:
                     functions.append((name, 0))
                 case ["prop", name]:
                     predicates.append((name, 0))
-                case ["func", decl] if "/" in decl:
+                case ["func" | "pred" as kind, decl] if "/" in decl:
                     name, arity = decl.split("/", 1)
-                    functions.append((name, int(arity)))
-                case ["pred", decl] if "/" in decl:
-                    name, arity = decl.split("/", 1)
-                    predicates.append((name, int(arity)))
+                    (functions if kind == "func" else predicates).append(
+                        (name, int(arity)))
                 case ["conn", name]:
                     extras.append(name)
                 case _:

@@ -57,6 +57,9 @@ class EnumerationCapExceeded(SemanticsError):
 # propositional evaluation
 
 
+_BINARY = {And: meet, Or: join, Imp: imp}
+
+
 def evaluate_prop(a, valuation: dict) -> TruthValue:
     """Value of a propositional formula under a valuation."""
     match a:
@@ -69,12 +72,9 @@ def evaluate_prop(a, valuation: dict) -> TruthValue:
             return F
         case Not(b):
             return neg(evaluate_prop(b, valuation))
-        case And(l, r):
-            return meet(evaluate_prop(l, valuation), evaluate_prop(r, valuation))
-        case Or(l, r):
-            return join(evaluate_prop(l, valuation), evaluate_prop(r, valuation))
-        case Imp(l, r):
-            return imp(evaluate_prop(l, valuation), evaluate_prop(r, valuation))
+        case And(l, r) | Or(l, r) | Imp(l, r):
+            return _BINARY[a.__class__](evaluate_prop(l, valuation),
+                                        evaluate_prop(r, valuation))
         case ExtApp(conn, args):
             table = EXTRA_CONNECTIVES[conn][1]
             return table[evaluate_prop(args[0], valuation) if args else 0]
@@ -93,12 +93,8 @@ def valuations(atoms, allowed=ALL_VALUES):
     deterministic order (t, b, n, f per coordinate)."""
     _check_allowed(allowed)
     vals = tuple(v for v in VALUES if v in allowed)
-
-    def generate():
-        for combo in itertools.product(vals, repeat=len(atoms)):
-            yield dict(zip(atoms, combo))
-
-    return generate()
+    return (dict(zip(atoms, combo))
+            for combo in itertools.product(vals, repeat=len(atoms)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +339,30 @@ def _ground(code, domain, binding: dict) -> list:
 
 
 def _ground_term(t, binding: dict):
+    """t with each variable that ``binding`` binds replaced by its element."""
     if t.__class__ is Var:
         return binding.get(t.name, t)
-    if t.args:
-        return Fun(t.name, tuple(_ground_term(u, binding) for u in t.args))
-    return t
+    if not t.args:
+        return t
+    done = {}
+    return _bottom_up(t, done, lambda u: (
+        binding.get(u.name, u) if u.__class__ is Var
+        else Fun(u.name, tuple([done[a] for a in u.args])) if u.args else u))
+
+
+def _bottom_up(t, done: dict, make):
+    """``done[t]``, after ``done[u] = make(u)`` for each subterm u of t not
+    in ``done``, arguments first; a loop, so no term nests too deep."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u not in done:
+            todo = u.__class__ is Fun and [a for a in u.args if a not in done]
+            if todo:
+                stack += (u, *todo)
+            else:
+                done[u] = make(u)
+    return done[t]
 
 
 def _shape(x) -> tuple:
@@ -505,8 +520,8 @@ class _Sweep:
             """The OR over element tuples of the AND of the terms'
             selectors with the tuple's ``width`` masks in ``table``."""
             out = [0] * width
-            hot = [[(domain[i], m) for i, m in enumerate(selector(t)) if m]
-                   for t in terms]
+            hot = [[(domain[i], m) for i, m in enumerate(
+                _bottom_up(t, selectors, selector)) if m] for t in terms]
             for combo in itertools.product(*hot):
                 both = full
                 for _, m in combo:
@@ -519,17 +534,12 @@ class _Sweep:
 
         def selector(t) -> list:
             """Per element, the positions where the term denotes it."""
-            out = selectors.get(t)
-            if out is None:
-                if t.__class__ is str:
-                    out = [full if d == t else 0 for d in domain]
-                elif t.__class__ is Var:
-                    out = self._masks(where[("var", t.name)], outer)
-                else:
-                    out = apply(t.args, lambda key: self._masks(
-                        where[("fun", t.name, key)], outer), len(domain))
-                selectors[t] = out
-            return out
+            if t.__class__ is str:
+                return [full if d == t else 0 for d in domain]
+            if t.__class__ is Var:
+                return self._masks(where[("var", t.name)], outer)
+            return apply(t.args, lambda key: self._masks(
+                where[("fun", t.name, key)], outer), len(domain))
 
         kept = self.kept
         for op in code:
@@ -808,12 +818,9 @@ def evaluate(a, structure: Structure, assignment: dict | None = None) -> TruthVa
             return m.eq[(m.eval_term(l, alpha), m.eval_term(r, alpha))]
         case Not(b):
             return neg(evaluate(b, m, alpha))
-        case And(l, r):
-            return meet(evaluate(l, m, alpha), evaluate(r, m, alpha))
-        case Or(l, r):
-            return join(evaluate(l, m, alpha), evaluate(r, m, alpha))
-        case Imp(l, r):
-            return imp(evaluate(l, m, alpha), evaluate(r, m, alpha))
+        case And(l, r) | Or(l, r) | Imp(l, r):
+            return _BINARY[a.__class__](evaluate(l, m, alpha),
+                                        evaluate(r, m, alpha))
         case Forall(x, b) | Exists(x, b):
             vals = {evaluate(b, m, {**alpha, x: d}) for d in m.domain}
             return (inf if a.__class__ is Forall else sup)(vals)

@@ -1190,6 +1190,40 @@ def test_kept_pairs_stay_within_their_bound():
     assert counted > 2 * semantics._KEPT_BITS
 
 
+@pytest.mark.parametrize("block", [None, 4096])
+def test_a_term_nested_2000_deep_is_swept_without_recursion(monkeypatch,
+                                                            block):
+    """Over at most three elements, f applied 2,000 times and twice agree
+    on every element (past a tail of at most two steps f repeats with a
+    period dividing 6, and 2,000 = 2 mod 6), so each deep query answers
+    as its shallow twin, to the countermodel, in one block and in many.
+    Queries with equality stop at two elements, under the cap."""
+    if block:
+        monkeypatch.setattr(semantics, "_BLOCK_COLUMNS", block)
+    sig = Signature(functions=(("c", 0), ("f", 1)), predicates=(("P", 1),))
+    c, x = Fun("c"), Var("x")
+
+    def queries(n):
+        fc, fx = c, x
+        for _ in range(n):
+            fc, fx = Fun("f", (fc,)), Fun("f", (fx,))
+        return [([Pred("P", (fc,))], [Pred("P", (c,))], 3),
+                ([Forall("x", Pred("P", (fx,)))], [Eq(c, fc)], 2),
+                ([Exists("x", Eq(fx, x))], [Pred("P", (fx,))], 2),
+                ([Pred("P", (fc,))], [Exists("x", Pred("P", (fx,)))], 3)]
+
+    refuted = 0
+    for mode in ("total", "partial"):
+        for (g2, d2, most), (g, d, _) in zip(queries(2), queries(2000)):
+            semantics._fo_sweep.cache_clear()
+            want = consequence_fo(g2, d2, sig, max_domain=most, mode=mode)
+            semantics._fo_sweep.cache_clear()
+            assert consequence_fo(g, d, sig, max_domain=most,
+                                  mode=mode) == want
+            refuted += not want.holds
+    assert refuted >= 4
+
+
 def test_the_sweep_cache_holds_memory_within_its_bound():
     """Each of 64 signatures over eight fresh propositions makes a sweep
     of one 2^16-column block; without the bound their masks and pairs

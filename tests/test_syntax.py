@@ -4,12 +4,14 @@ the hash-consed node table."""
 import copy
 import gc
 import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bd4 import syntax
-from bd4.kernel import RULES, DerivationStep, check_derivation
+from bd4 import kernel
+from bd4.kernel import RULES, DerivationStep, _Letter, check_derivation
 from bd4.parser import MAX_DEPTH, parse_formula
 from bd4.search import MODES, SearchBudget, prove_prop
 from bd4.semantics import PropSpace, consequence_prop
@@ -259,6 +261,112 @@ def test_a_formula_at_the_depth_bound_hashes_prints_and_compares():
     assert a is b and a == b and hash(a) == hash(b)
     assert print_formula(a) == text and formula_key(b) == text
     assert len({a, b, parse_formula(text, SIG)}) == 1
+
+
+# ---------------------------------------------------------------------------
+# the node constructor
+
+# one call per node class, its fields' values in order
+_CALLS = [
+    (Var, ("ctor_x",)), (Fun, ("ctor_f", (c,))), (Falsity, ()),
+    (Prop, ("ctor_p",)), (Pred, ("ctor_P", (c, x))), (Eq, (x, c)),
+    (Not, (p,)), (And, (p, q)), (Or, (q, p)), (Imp, (p, p)),
+    (Forall, ("ctor_x", p)), (Exists, ("ctor_y", q)),
+    (ExtApp, ("Des", (p,))), (_Letter, ("ctor_A", "t")),
+]
+_FIELDS = {
+    Var: ("name",), Fun: ("name", "args"), Falsity: (), Prop: ("name",),
+    Pred: ("name", "args"), Eq: ("left", "right"), Not: ("body",),
+    And: ("left", "right"), Or: ("left", "right"), Imp: ("left", "right"),
+    Forall: ("var", "body"), Exists: ("var", "body"),
+    ExtApp: ("conn", "args"), _Letter: ("name", "term"),
+}
+_IDS = [cls.__name__ for cls, _ in _CALLS]
+
+
+def test_every_node_class_is_called():
+    assert {cls for cls, _ in _CALLS} == set(_FIELDS)
+    assert set(_FIELDS) - {_Letter} == set(syntax._LEVEL) | {Var, Fun}
+
+
+@pytest.mark.parametrize("cls, values", _CALLS, ids=_IDS)
+def test_match_args_list_the_fields_in_order(cls, values):
+    assert cls.__match_args__ == _FIELDS[cls]
+    node = cls(*values)
+    assert tuple(getattr(node, n) for n in cls.__match_args__) == values
+    assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+
+
+@pytest.mark.parametrize("cls, values", _CALLS, ids=_IDS)
+def test_positional_and_keyword_calls_give_one_node(cls, values):
+    node, names = cls(*values), _FIELDS[cls]
+    keywords = dict(zip(names, values))
+    assert cls(**keywords) is node
+    assert cls(**dict(reversed(keywords.items()))) is node
+    for k in range(len(values)):
+        assert cls(*values[:k], **dict(zip(names[k:], values[k:]))) is node
+    assert pickle.loads(pickle.dumps(node)) is node
+
+
+def test_defaults_fill_in_the_fields_left_out():
+    assert Fun(name="c") is Fun("c") is Fun("c", ()) is Fun(args=(), name="c")
+    assert ExtApp("Both") is ExtApp(conn="Both") is ExtApp("Both", ())
+    assert _Letter("A") is _Letter("A", None) is _Letter(name="A") is kernel.A
+    assert _Letter("A", "t") is _Letter(term="t", name="A") is kernel.A_t
+
+
+@pytest.mark.parametrize("cls, values", _CALLS, ids=_IDS)
+def test_a_missing_extra_or_unknown_argument_is_a_type_error(cls, values):
+    names = _FIELDS[cls]
+    keywords = dict(zip(names, values))
+    bad = [((*values, "ctor_extra"), {}), ((), {**keywords, "nosuch": 1}),
+           (values, {"nosuch": 1})]
+    bad += [((), {n: v for n, v in keywords.items() if n != gone})
+            for gone in names if gone not in cls.__dict__]  # no default
+    bad += [(values[:1], {names[0]: values[0]})] if names else []
+    before = set(syntax._NODES)
+    for args, kwargs in bad:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    assert set(syntax._NODES) == before
+
+
+def test_the_wrong_counts_of_arguments_are_refused():
+    before = set(syntax._NODES)
+    for call in (lambda: Prop("ctor_p", "ctor_q"), lambda: Fun(),
+                 lambda: Var(), lambda: Not(p, q), lambda: Falsity(p),
+                 lambda: And(p), lambda: _Letter(), lambda: ExtApp()):
+        with pytest.raises(TypeError):
+            call()
+    assert set(syntax._NODES) == before
+
+
+@pytest.mark.parametrize("cls, values", _CALLS, ids=_IDS)
+def test_a_node_is_frozen(cls, values):
+    node = cls(*values)
+    for name in _FIELDS[cls] + ("ctor_other",):
+        with pytest.raises(FrozenInstanceError, match="cannot assign to"):
+            setattr(node, name, p)
+        with pytest.raises(FrozenInstanceError, match="cannot delete"):
+            delattr(node, name)
+    assert tuple(getattr(node, n) for n in _FIELDS[cls]) == values
+
+
+def test_the_repr_of_a_nested_formula_is_the_dataclass_text():
+    a = Exists("y", Forall("x", Imp(
+        And(Pred("P", (x, Fun("f", (c,)))), Not(p)),
+        Or(Eq(x, c), ExtApp("Des", (Falsity(),))))))
+    assert repr(a) == (
+        "Exists(var='y', body=Forall(var='x', body=Imp(left=And(left=Pred("
+        "name='P', args=(Var(name='x'), Fun(name='f', args=(Fun(name='c', "
+        "args=()),)))), right=Not(body=Prop(name='p'))), right=Or(left=Eq("
+        "left=Var(name='x'), right=Fun(name='c', args=())), right=ExtApp("
+        "conn='Des', args=(Falsity(),))))))")
+    assert repr(ExtApp("Both")) == "ExtApp(conn='Both', args=())"
+    assert repr(RULES["and-L"].pattern) == (
+        "And(left=_Letter(name='A', term=None), "
+        "right=_Letter(name='B', term=None))")
+    assert repr(kernel.A_y) == "_Letter(name='A', term='y')"
 
 
 # ---------------------------------------------------------------------------
