@@ -20,7 +20,6 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass, field, replace
 
 from .corpus_suite import load_corpus, mutations
 from .definability import (
@@ -45,12 +44,12 @@ from .semantics import (
 from .simulation import EXTENSION_MODES, translation_sets, verify_simulation
 from .syntax import (
     And, Eq, Exists, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop, Sequent,
-    Signature, Var,
+    Signature, Var, _record, replace,
 )
 from .values import B, F, N, T, VALUES, designated
 
 
-@dataclass(frozen=True)
+@_record
 class SuiteConfig:
     """Knobs for the reproduction run.
 
@@ -66,13 +65,13 @@ class SuiteConfig:
     max_nodes: int = 100_000
 
 
-@dataclass
+@_record
 class CriterionResult:
     number: int
     name: str
     status: str  # pass | fail | skipped
     seconds: float
-    details: dict = field(default_factory=dict)
+    details: dict = {}
     note: str = ""
 
     @property
@@ -555,8 +554,8 @@ def _replay(step, premises, conclusion, pack):
     steps = tuple(DerivationStep("hypothesis", s) for s in premises)
     step = replace(step, sequent=conclusion,
                    premises=tuple(range(len(premises))))
-    return Derivation(steps=steps + (step,), hypotheses=premises,
-                      packs=frozenset() if pack is None else frozenset({pack}))
+    packs = frozenset() if pack is None else frozenset({pack})
+    return Derivation(steps + (step,), packs, premises)
 
 
 def _kernel_accepts(d) -> None:

@@ -10,12 +10,11 @@ report both read from this module so they cannot drift apart.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 from .kernel import Code, Derivation
 from .proofio import load_derivation, parse_signature
-from .syntax import And, Eq, Exists, Fun, Or, Pred, Prop, Sequent, Var
+from .syntax import And, Eq, Exists, Fun, Or, Pred, Prop, Sequent, Var, replace
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -35,8 +34,8 @@ def load_corpus() -> dict:
 
 def edit_step(d: Derivation, i: int, **changes) -> Derivation:
     steps = list(d.steps)
-    steps[i] = dataclasses.replace(steps[i], **changes)
-    return dataclasses.replace(d, steps=tuple(steps))
+    steps[i] = replace(steps[i], **changes)
+    return replace(d, steps=tuple(steps))
 
 
 def _seq(ant, suc) -> Sequent:
@@ -138,16 +137,16 @@ def mutations() -> list:
 
         # packs and hypotheses
         ("pack rule with packs stripped", "lp_excluded_middle",
-         lambda d: dataclasses.replace(d, packs=frozenset()),
+         lambda d: replace(d, packs=frozenset()),
          Code.PACK_DISABLED),
         ("pack rule under the wrong pack", "lp_excluded_middle",
-         lambda d: dataclasses.replace(d, packs=frozenset({"den"})),
+         lambda d: replace(d, packs=frozenset({"den"})),
          Code.PACK_DISABLED),
         ("denotation rules without their pack", "den_left",
-         lambda d: dataclasses.replace(d, packs=frozenset({"notLR"})),
+         lambda d: replace(d, packs=frozenset({"notLR"})),
          Code.PACK_DISABLED),
         ("hypothesis declaration removed", "cut_hypothesis",
-         lambda d: dataclasses.replace(d, hypotheses=()),
+         lambda d: replace(d, hypotheses=()),
          Code.HYPOTHESIS_NOT_DECLARED),
         ("hypothesis step citing premises", "cut_hypothesis",
          lambda d: edit_step(d, 0, premises=(0,)), Code.BAD_PREMISE_INDEX),

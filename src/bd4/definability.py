@@ -10,13 +10,12 @@ proves nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .semantics import truth_table
 from .syntax import (
-    And, ExtApp, Falsity, Formula, Imp, Not, Or, Prop, print_formula,
-    prop_atoms,
+    And, ExtApp, Falsity, Formula, Imp, Not, Or, Prop, _record,
+    print_formula, prop_atoms,
 )
 from .values import (
     B, EXTRA_CONNECTIVES, F, N, T, TruthValue, VALUES, imp, join, meet, neg,
@@ -31,7 +30,7 @@ class CloneCapExceeded(DefinabilityError):
     pass
 
 
-@dataclass(frozen=True)
+@_record
 class TruthFunction:
     """An n-ary function on the four values as a flat table.
 
@@ -42,13 +41,19 @@ class TruthFunction:
 
     arity: int
     table: tuple
-    name: str | None = field(default=None, compare=False)
+    name: str | None = None
 
     def __post_init__(self):
         if self.arity < 0 or len(self.table) != 4 ** self.arity:
             raise DefinabilityError(
                 "table length %d does not fit arity %d"
                 % (len(self.table), self.arity))
+
+    def __eq__(self, other):  # a table's length gives its arity
+        return other.__class__ is TruthFunction and self.table == other.table
+
+    def __hash__(self):
+        return hash((self.arity, self.table))
 
     def apply(self, *args) -> TruthValue:
         if len(args) != self.arity:
@@ -186,7 +191,7 @@ def clone_closure(base, arity: int) -> tuple:
     return tuple(sorted(seen.values(), key=TruthFunction.packed))
 
 
-@dataclass(frozen=True)
+@_record
 class ConnectiveDef:
     """A defining formula for a connective, over symbols p1..pn."""
 
@@ -227,7 +232,7 @@ DEFINITIONS = {
 }
 
 
-@dataclass(frozen=True)
+@_record
 class EquivalenceCheck:
     label: str
     lhs: Formula

@@ -43,11 +43,10 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 
 from .syntax import (
     And, Eq, Exists, Falsity, Forall, Formula, Imp, Not, Or, Sequent, Var,
-    _node, free_vars, is_literal, kept, substitute,
+    _node, _record, free_vars, is_literal, kept, substitute,
 )
 
 
@@ -68,7 +67,7 @@ class Code:
     EMPTY_DERIVATION = "empty-derivation"
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class DerivationStep:
     rule: str
     sequent: Sequent
@@ -81,14 +80,14 @@ class DerivationStep:
 
     def __init__(self, rule, sequent, premises=(), principal=None, t=None,
                  t2=None, x=None, y=None):
-        # one store of the whole dict, where a frozen dataclass's own
-        # __init__ makes one object.__setattr__ call per field
+        # written out: the interpreter binds the call and one store sets
+        # every field, where ``_record``'s binds in Python, field by field
         object.__setattr__(self, "__dict__", {
             "rule": rule, "sequent": sequent, "premises": premises,
             "principal": principal, "t": t, "t2": t2, "x": x, "y": y})
 
 
-@dataclass(frozen=True)
+@_record
 class Derivation:
     steps: tuple
     packs: frozenset = frozenset()
@@ -99,7 +98,7 @@ class Derivation:
         return self.steps[-1].sequent if self.steps else None
 
 
-@dataclass(frozen=True)
+@_record
 class Violation:
     step: int
     code: str
@@ -159,7 +158,7 @@ def head(a):
     return (Not, type(a.body)) if isinstance(a, Not) else type(a)
 
 
-@dataclass(frozen=True)
+@_record
 class Rule:
     """One rule of the calculus: ``conclusion`` and each of ``premises``
     are the (antecedent, succedent) formulas added to the context."""

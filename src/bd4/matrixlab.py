@@ -20,10 +20,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .semantics import _counter, scan_valuations
-from .syntax import And, Falsity, Imp, Not, Or
+from .syntax import And, Falsity, Imp, Not, Or, _record
 from .values import (
     B, CL_VALUES, DESIGNATED, F, T, TruthValue, VALUES, designated, imp, inf,
     join, meet, neg, sup,
@@ -41,7 +40,7 @@ def subset_index(values) -> int:
     return mask - 1
 
 
-@dataclass(frozen=True)
+@_record
 class Matrix4:
     neg: tuple
     conj: tuple
@@ -329,7 +328,7 @@ def _pool(family: str, laws, context: tuple) -> list:
     return [x for x in pools[0] if x in keep]
 
 
-@dataclass
+@_record
 class UniquenessReport:
     dropped: frozenset
     candidate_counts: dict

@@ -28,11 +28,9 @@ share is one step that both cite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .kernel import RULES, Derivation, DerivationStep, head
 from .semantics import EnumerationCapExceeded, SemanticsError, consequence_prop
-from .syntax import TRUTH, Falsity, Sequent, formula_key, is_literal
+from .syntax import TRUTH, Falsity, Sequent, _record, formula_key, is_literal
 from .values import MODE_VALUES
 
 MODES = ("base", "lp", "k3", "cl")
@@ -42,7 +40,7 @@ _MODE_PACK_RULES = {
 }
 
 
-@dataclass(frozen=True)
+@_record
 class SearchBudget:
     max_depth: int = 200
     max_nodes: int = 100_000
@@ -55,7 +53,7 @@ class SearchBudget:
             raise ValueError("unknown mode %r" % (self.mode,))
 
 
-@dataclass
+@_record
 class SearchResult:
     status: str  # proved | refuted | exhausted
     proof: Derivation | None = None
@@ -200,7 +198,7 @@ class _Searcher:
             else:
                 if done is None:
                     return None
-                return Derivation(tuple(steps), packs=frozenset(packs))
+                return Derivation(tuple(steps), frozenset(packs))
 
 
 def prove_prop(s: Sequent, budget: SearchBudget = SearchBudget()) -> SearchResult:
@@ -223,17 +221,17 @@ def prove_prop(s: Sequent, budget: SearchBudget = SearchBudget()) -> SearchResul
             proof = None
         if proof is None:
             raise
-        return SearchResult("proved", proof=proof)
+        return SearchResult("proved", proof)
     if not holds:
-        return SearchResult("refuted", countermodel=witness)
+        return SearchResult("refuted", None, witness)
     try:
         proof = _Searcher(budget).solve(s)
     except _Exhausted as exc:
-        return SearchResult("exhausted", bound=exc.args[0])
+        return SearchResult("exhausted", None, None, exc.args[0])
     if proof is None:
         # the oracle said valid and every decomposition is invertible, so
         # only an extra connective such as Des, which no rule takes apart,
         # can leave the search stuck
         raise SemanticsError("no sequent rule proves %s, though it holds"
                              % (s,))
-    return SearchResult("proved", proof=proof)
+    return SearchResult("proved", proof)

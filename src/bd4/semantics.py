@@ -33,11 +33,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, Var, kept,
+    Sequent, Signature, Var, _record, kept,
 )
 from .values import (
     ALL_VALUES, B, DESIGNATED, EXTRA_CONNECTIVES, F, MODE_VALUES, N, T,
@@ -317,24 +316,30 @@ _SCAN_CAP = 4 ** 13
 def _ground(code, domain, binding: dict) -> list:
     """The code with every quantifier expanded over the domain: the body
     once per element, its variable bound to the element's name, the
-    copies joined by And for forall and by Or for exists."""
-    out = []
-    for op in code:
-        cls = op.__class__
-        if cls is list:
-            q, var, body = op
-            for i, d in enumerate(domain):
-                out += _ground(body, domain, {**binding, var: d})
-                if i:
-                    out.append(And if q is Forall else Or)
-        elif binding and cls is Pred:
-            out.append(Pred(op.name, tuple(_ground_term(t, binding)
-                                           for t in op.args)))
-        elif binding and cls is Eq:
-            out.append(Eq(_ground_term(op.left, binding),
-                          _ground_term(op.right, binding)))
-        else:
-            out.append(op)
+    copies joined by And for forall and by Or for exists.  The ops still
+    to ground wait on a stack, so quantifiers may nest to any depth."""
+    out, stack = [], [(iter(code), binding)]
+    while stack:
+        ops, binding = stack.pop()
+        for op in ops:
+            cls = op.__class__
+            if cls is list:  # the rest of ops waits under the copies
+                q, var, body = op
+                join = (And if q is Forall else Or,)
+                stack.append((ops, binding))
+                for i in range(len(domain) - 1, -1, -1):
+                    if i:
+                        stack.append((iter(join), binding))
+                    stack.append((iter(body), {**binding, var: domain[i]}))
+                break
+            if binding and cls is Pred:
+                out.append(Pred(op.name, tuple(_ground_term(t, binding)
+                                               for t in op.args)))
+            elif binding and cls is Eq:
+                out.append(Eq(_ground_term(op.left, binding),
+                              _ground_term(op.right, binding)))
+            else:
+                out.append(op)
     return out
 
 
@@ -734,7 +739,7 @@ def truth_table(a, atoms) -> tuple:
 # structures
 
 
-@dataclass
+@_record
 class Structure:
     """A finite interpretation.
 
@@ -745,11 +750,11 @@ class Structure:
     """
 
     domain: tuple
-    consts: dict = field(default_factory=dict)
-    funcs: dict = field(default_factory=dict)
-    props: dict = field(default_factory=dict)
-    preds: dict = field(default_factory=dict)
-    eq: dict = field(default_factory=dict)
+    consts: dict = {}
+    funcs: dict = {}
+    props: dict = {}
+    preds: dict = {}
+    eq: dict = {}
     bottom: object = None
 
     def __post_init__(self):
@@ -776,7 +781,7 @@ class Structure:
                 elif v is None:
                     v = F
                 full[(d1, d2)] = v
-        self.eq = full
+        object.__setattr__(self, "eq", full)  # the one field set late
 
     def eval_term(self, t, assignment: dict):
         match t:
@@ -972,6 +977,8 @@ def _grounding(code, least: int, most: int, cap: int):
                 weights[j] -= 2
                 weights[j + 1] += 1
                 stack.append((op[2], j + 1))
+    if most == 1:  # one element: every power is 1
+        return 1, sum(weights)
     depth = len(weights) - 1
     n = most + 1 - least
     sums = [n, n * (least + most) // 2]  # the sums of k^j over the sizes
@@ -991,7 +998,7 @@ def _count(n: int) -> str:
     return "%d" % n if n < 10**15 else "about 10^%d" % math.log10(n)
 
 
-@dataclass
+@_record
 class FOResult:
     holds: bool
     structure: Structure | None = None
@@ -1030,10 +1037,7 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     """
     gamma, delta = list(gamma), list(delta)
     code, funcs, preds, has_eq, fv = _compile(gamma + delta, sig)
-    small = Signature(
-        functions=tuple(sorted(funcs)), predicates=tuple(sorted(preds)),
-        extras=sig.extras,
-    )
+    small = Signature(tuple(sorted(funcs)), tuple(sorted(preds)), sig.extras)
     least = 2 if mode == "partial" else 1
     if max_domain < least:
         raise SemanticsError(

@@ -13,10 +13,9 @@ what earlier ones built.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 from .semantics import consequence_prop
-from .syntax import And, Falsity, Imp, Not, Or, atomic_subformulas
+from .syntax import And, Falsity, Imp, Not, Or, _record, atomic_subformulas
 from .values import ALL_VALUES, MODE_VALUES
 
 EXTENSION_MODES = ("lp", "k3", "cl")
@@ -56,7 +55,7 @@ def translation_sets(gamma, delta, mode: str) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+@_record
 class SimulationCheck:
     mode: str
     restricted: bool

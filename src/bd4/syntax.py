@@ -8,9 +8,10 @@ Equality and hashing are therefore object identity, O(1) and never a
 walk of the tree.  The table holds weak references, so a node lives
 only as long as something else refers to it.  Copying or pickling a
 node builds it again through the table and so gives back the same
-object.  ``_node`` builds each node class from its annotations and class
-defaults with shared functions: ``dataclass`` would generate four methods
-per class at every import, about 0.7 ms a class (2 vCPUs, Python 3.11).
+object.  ``_node`` builds node classes, and ``_record`` the package's
+frozen value records, from their annotations and class defaults with
+shared functions: ``dataclass`` would generate methods at every import,
+about 0.7 ms a class (2 vCPUs, Python 3.11), after importing ``inspect``.
 
 The concrete syntax written by ``print_term``/``print_formula`` is the
 canonical one: it contains no sugar (t1 != t2 and T are accepted by the
@@ -31,13 +32,182 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 
 from .values import EXTRA_CONNECTIVES
 
 
 class SyntaxBuildError(Exception):
     """Raised for mis-built terms or formulas (arity or symbol problems)."""
+
+
+# ---------------------------------------------------------------------------
+# hash-consing
+
+# (class, *field values) -> weak reference to the one node with them
+_NODES: dict = {}
+
+
+class _Entry(weakref.ref):
+    """A table entry: a weak reference that knows its key (as
+    ``weakref.KeyedRef``, without its constructor written in Python)."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Entry) -> None:
+    """Drop a dead node's entry, unless a new node has taken its key."""
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+_ABSENT = object()
+
+
+def kept(node, name: str, compute):
+    """``compute(node)``, computed on the first call and kept on the node
+    as its attribute ``name`` (which no field may use).
+
+    The value may refer to the node's parts and to other nodes built
+    over them, but never to the node itself: such a value is a cycle,
+    which only ``gc.collect()`` frees, and during that collection the
+    table's key of a parent still holds the node, so nested garbage of
+    such nodes goes one nesting level per collection.  Nor may the
+    value refer to a node that has this one as a part: that node's
+    table key holds this one, so the two would keep each other alive
+    for good.  Attributes are read and set, never the node's
+    ``__dict__``: once that is asked for, CPython 3.11 reads every
+    attribute of the node more slowly."""
+    value = getattr(node, name, _ABSENT)
+    if value is _ABSENT:
+        value = compute(node)
+        object.__setattr__(node, name, value)
+    return value
+
+
+def _fields(cls) -> tuple:
+    """A node or record class's fields, its annotations in order, and
+    their defaults, its attributes of those names; the class gets the
+    dataclass ``__repr__`` and frozen fields, and ``__match_args__``."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    cls.__match_args__, cls.__setattr__, cls.__delattr__ = (
+        names, _frozen, _frozen)
+    cls.__repr__ = cls.__dict__.get("__repr__", _repr)
+    return names, {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+
+
+def _bind(cls, names, defaults: dict, args, kwargs) -> tuple:
+    """The field values of a call with keywords, defaults or a wrong
+    number of arguments: each field once, by position, keyword or
+    default, and nothing else.  It empties ``kwargs``, the call's own."""
+    values = list(args)
+    for n in names[len(args):]:
+        values.append(kwargs.pop(n, defaults.get(n, _ABSENT)))
+    if kwargs or len(values) > len(names) or _ABSENT in values:
+        raise TypeError("bad arguments to %s(%s)"
+                        % (cls.__name__, ", ".join(names)))
+    return tuple(values)
+
+
+def _repr(node) -> str:
+    cls = node.__class__
+    return "%s(%s)" % (cls.__qualname__, ", ".join(
+        "%s=%r" % (n, getattr(node, n)) for n in cls.__match_args__))
+
+
+def _frozen(node, name, *value):
+    from dataclasses import FrozenInstanceError  # loaded only to raise it
+    raise FrozenInstanceError("cannot %s field %r" % (
+        "assign to" if value else "delete", name))
+
+
+def _node(cls):
+    """Make ``cls`` a class of frozen hash-consed nodes: identity equality
+    and hashing, one node per distinct field values, the printed form
+    computed once; the fields are read as ``_record`` reads a record's.
+    ``__new__`` binds a call (one length test for the common
+    all-positional call), sets the fields, runs any ``__post_init__``
+    and only then enters the node in the table, so a bad call leaves no
+    entry."""
+    names, defaults = _fields(cls)
+    arity, store = len(names), object.__setattr__  # read once, not per call
+    post, text = getattr(cls, "__post_init__", None), cls.__str__
+
+    def __new__(c, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = _bind(c, names, defaults, args, kwargs)
+        key = (c,) + args
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(c)
+        for name, value in zip(names, args):
+            store(node, name, value)
+        if post is not None:
+            post(node)  # ExtApp checks itself here
+        ref = _NODES[key] = _Entry(node, _forget)
+        ref.key = key
+        return node
+
+    def __str__(self) -> str:
+        if self._text is None:
+            object.__setattr__(self, "_text", text(self))
+        return self._text
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, n) for n in names)
+
+    cls.__new__, cls.__str__, cls.__reduce__ = __new__, __str__, __reduce__
+    cls._text = None  # the printed form, once computed
+    return cls
+
+
+def _record(cls):
+    """Make ``cls`` a class of frozen records, as ``dataclass(frozen=True)``
+    would, but for methods the class defines: ``__init__`` binds a call
+    as ``_node`` does, stores every field, gives each record its own
+    copy of a dict default and runs any ``__post_init__``.  A call by
+    position binds fastest: ``_bind`` takes keywords at several times
+    the cost of a dataclass's ``__init__``.  Records compare and hash as
+    their field tuples (a record has two fields or more, so ``values``
+    gives a tuple)."""
+    names, defaults = _fields(cls)
+    arity, store = len(names), object.__setattr__  # read once, not per call
+    post, values = getattr(cls, "__post_init__", None), attrgetter(*names)
+    every, required = tuple(enumerate(names)), arity - len(defaults)
+    fresh = [n for n in names if defaults.get(n).__class__ is dict]
+    tails = [tuple(defaults.get(n) for n in names[k:]) for k in range(arity)]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != arity:  # defaults end a short call
+            args = (args + tails[len(args)]
+                    if not kwargs and required <= len(args) < arity else
+                    _bind(self.__class__, names, defaults, args, kwargs))
+        for i, name in every:
+            store(self, name, args[i])
+        for name in fresh:
+            if getattr(self, name) is defaults[name]:
+                store(self, name, defaults[name].copy())
+        if post is not None:
+            post(self)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    for method in (__init__, __eq__, __hash__):
+        setattr(cls, method.__name__, cls.__dict__.get(method.__name__, method))
+    return cls
+
+
+def replace(record, **changes):
+    """``record`` with ``changes`` to its fields, through ``__init__``."""
+    return record.__class__(*[changes.pop(n, getattr(record, n))
+                              for n in record.__match_args__], **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +218,7 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 _RESERVED = {"F", "T", "forall", "exists"} | set(EXTRA_CONNECTIVES)
 
 
-@dataclass(frozen=True)
+@_record
 class Signature:
     """Non-logical symbols: functions and predicates by arity.
 
@@ -98,120 +268,6 @@ class Signature:
 def prop_signature(*names: str) -> Signature:
     """Signature with only proposition symbols, the common test case."""
     return Signature(predicates=tuple((n, 0) for n in names))
-
-
-# ---------------------------------------------------------------------------
-# hash-consing
-
-# (class, *field values) -> weak reference to the one node with them
-_NODES: dict = {}
-
-
-class _Entry(weakref.ref):
-    """A table entry: a weak reference that knows its key (as
-    ``weakref.KeyedRef``, without its constructor written in Python)."""
-
-    __slots__ = ("key",)
-
-
-def _forget(ref: _Entry) -> None:
-    """Drop a dead node's entry, unless a new node has taken its key."""
-    if _NODES.get(ref.key) is ref:
-        del _NODES[ref.key]
-
-
-_ABSENT = object()
-
-
-def kept(node, name: str, compute):
-    """``compute(node)``, computed on the first call and kept on the node
-    as its attribute ``name`` (which no field may use).
-
-    The value may refer to the node's parts and to other nodes built
-    over them, but never to the node itself: such a value is a cycle,
-    which only ``gc.collect()`` frees, and during that collection the
-    table's key of a parent still holds the node, so nested garbage of
-    such nodes goes one nesting level per collection.  Nor may the
-    value refer to a node that has this one as a part: that node's
-    table key holds this one, so the two would keep each other alive
-    for good.  Attributes are read and set, never the node's
-    ``__dict__``: once that is asked for, CPython 3.11 reads every
-    attribute of the node more slowly."""
-    value = getattr(node, name, _ABSENT)
-    if value is _ABSENT:
-        value = compute(node)
-        object.__setattr__(node, name, value)
-    return value
-
-
-def _bind(cls, names, defaults: dict, args, kwargs) -> tuple:
-    """The field values of a call with keywords, defaults or a wrong
-    number of arguments: each field once, by position, keyword or
-    default, and nothing else."""
-    values = {**defaults, **dict(zip(names, args)), **kwargs}
-    if (len(args) > len(names) or values.keys() != set(names)
-            or kwargs.keys() & set(names[:len(args)])):
-        raise TypeError("bad arguments to %s(%s)"
-                        % (cls.__name__, ", ".join(names)))
-    return tuple(values[n] for n in names)
-
-
-def _repr(node) -> str:
-    cls = node.__class__
-    return "%s(%s)" % (cls.__qualname__, ", ".join(
-        "%s=%r" % (n, getattr(node, n)) for n in cls.__match_args__))
-
-
-def _frozen(node, name, *value):
-    raise FrozenInstanceError("cannot %s field %r" % (
-        "assign to" if value else "delete", name))
-
-
-def _node(cls):
-    """Make ``cls`` a class of frozen hash-consed nodes: identity equality
-    and hashing, one node per distinct field values, the printed form
-    computed once.  The fields are the annotations in order, a class
-    attribute giving a default.  ``__new__`` binds a call (one length
-    test for the common all-positional call), sets the fields, runs any
-    ``__post_init__`` and only then enters the node in the table, so a
-    bad call leaves no entry.  ``__repr__`` is the dataclass text and
-    ``__setattr__``/``__delattr__`` raise ``FrozenInstanceError``."""
-    names = tuple(cls.__dict__.get("__annotations__", ()))
-    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-    arity, store = len(names), object.__setattr__  # read once, not per call
-    post, text = getattr(cls, "__post_init__", None), cls.__str__
-
-    def __new__(c, *args, **kwargs):
-        if kwargs or len(args) != arity:
-            args = _bind(c, names, defaults, args, kwargs)
-        key = (c,) + args
-        ref = _NODES.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = object.__new__(c)
-        for name, value in zip(names, args):
-            store(node, name, value)
-        if post is not None:
-            post(node)  # ExtApp checks itself here
-        ref = _NODES[key] = _Entry(node, _forget)
-        ref.key = key
-        return node
-
-    def __str__(self) -> str:
-        if self._text is None:
-            object.__setattr__(self, "_text", text(self))
-        return self._text
-
-    def __reduce__(self):
-        return cls, tuple(getattr(self, n) for n in names)
-
-    cls.__new__, cls.__str__, cls.__reduce__ = __new__, __str__, __reduce__
-    cls.__repr__, cls.__setattr__, cls.__delattr__ = _repr, _frozen, _frozen
-    cls.__match_args__ = names
-    cls._text = None  # the printed form, once computed
-    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +579,26 @@ def is_propositional(a: Formula) -> bool:
 # sequents
 
 
-@dataclass(frozen=True)
+@_record
 class Sequent:
-    """A pair of finite formula sets; both sides are genuinely sets."""
+    """A pair of finite formula sets; both sides are genuinely sets.
+    ``__init__`` and ``__hash__`` are written out, the builder's being
+    slower: the prover and the kernel make and hash sequents by the
+    thousand."""
 
-    ant: frozenset = frozenset()
-    suc: frozenset = frozenset()
+    ant: frozenset
+    suc: frozenset
+
+    def __init__(self, ant, suc):
+        object.__setattr__(self, "ant", ant)
+        object.__setattr__(self, "suc", suc)
 
     @staticmethod
     def of(ant=(), suc=()) -> "Sequent":
         return Sequent(frozenset(ant), frozenset(suc))
+
+    def __hash__(self):
+        return hash((self.ant, self.suc))
 
     def __str__(self) -> str:
         left = "; ".join(sorted((str(a) for a in self.ant)))

@@ -4,7 +4,10 @@ uses every name it imports."""
 
 import ast
 import pathlib
+import subprocess
 import sys
+
+import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "bd4"
 
@@ -26,6 +29,25 @@ def test_every_module_imports_only_the_standard_library_and_bd4():
         for root in imported_roots(tree):
             assert root in sys.stdlib_module_names or root == "bd4", (
                 path.name, root)
+
+
+# the module sets that bench/setup_probe.py times, and the CLI's
+SET_UPS = ("bd4.kernel, bd4.parser, bd4.proofio, bd4.search",
+           "bd4.parser, bd4.proofio, bd4.semantics", "bd4.acceptance",
+           "bd4.cli")
+
+
+@pytest.mark.parametrize("modules", SET_UPS)
+def test_a_set_up_imports_neither_dataclasses_nor_inspect(modules):
+    """Both are slow to import (``dataclasses`` loads ``inspect``, which
+    loads ``ast``, ``dis`` and ``tokenize``), and every CLI call pays
+    for its imports; ``-S`` keeps site hooks out of the count."""
+    code = ("import sys; sys.path.insert(0, %r); import %s; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            % (str(PACKAGE.parent), modules))
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_a_third_party_import_is_seen():

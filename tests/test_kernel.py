@@ -1,7 +1,6 @@
 """Kernel checking: rule shapes, violation codes, side conditions."""
 
 import collections
-import dataclasses
 import itertools
 
 import pytest
@@ -17,7 +16,7 @@ from bd4.search import SearchBudget, prove_prop
 from bd4.semantics import PropSpace
 from bd4.syntax import (
     And, Eq, Exists, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, Var, free_vars, is_literal, print_formula,
+    Sequent, Signature, Var, free_vars, is_literal, print_formula, replace,
 )
 
 from support import derives, reference_additions, reference_bind
@@ -67,7 +66,7 @@ def test_falsity_axioms():
 def test_the_falsity_axioms_are_filled_once():
     for name in ("F-L", "notF-R"):
         rule = RULES[name]
-        step = DerivationStep(name, Sequent(), principal=p)
+        step = DerivationStep(name, Sequent.of(), principal=p)
         assert rule.constant == rule.filled(reference_bind(rule, step))
         assert rule.constant is rule.constant
         assert rule.additions(step) is rule.constant
@@ -489,7 +488,7 @@ def _bound_and_filled(rule, step):
 
 def _assert_kept_additions_agree(a):
     for rule in KEPT:
-        step = DerivationStep(rule.name, Sequent(), principal=a)
+        step = DerivationStep(rule.name, Sequent.of(), principal=a)
         want = _bound_and_filled(rule, step)
         got = rule.additions(step)
         assert got == want, (rule.name, a)
@@ -520,7 +519,7 @@ def test_kept_additions_match_the_table_over_the_sampler_pools():
     # every kept rule met its pattern and something else
     for rule in KEPT:
         hits = [a for a in principals if rule.additions(
-            DerivationStep(rule.name, Sequent(), principal=a)) is not None]
+            DerivationStep(rule.name, Sequent.of(), principal=a)) is not None]
         assert hits and (rule.name == "Id" or len(hits) < len(principals))
 
 
@@ -537,7 +536,7 @@ def test_every_rule_reads_a_step_as_before():
     rows = [(a, *tf) for a in sorted(quantified, key=str) for tf in fields]
     rows += [(a, *fields[i % len(fields)])
              for i, a in enumerate(_pool_principals()[::2])]
-    steps = [DerivationStep(None, Sequent(), principal=a, t=t, t2=t2, x="x",
+    steps = [DerivationStep(None, Sequent.of(), principal=a, t=t, t2=t2, x="x",
                             y=y) for a, t, t2, y in rows]
     misses = set()
     for rule in RULES.values():
@@ -699,13 +698,13 @@ def _one_step(premises, step, packs):
     premises = tuple(premises)
     return Derivation(
         tuple(DerivationStep("hypothesis", s) for s in premises)
-        + (dataclasses.replace(step, premises=tuple(range(len(premises)))),),
+        + (replace(step, premises=tuple(range(len(premises)))),),
         frozenset(packs), premises)
 
 
 def _with(s: Sequent, side: str, a, add: bool) -> Sequent:
     part = getattr(s, side)
-    return dataclasses.replace(s, **{side: part | {a} if add else part - {a}})
+    return replace(s, **{side: part | {a} if add else part - {a}})
 
 
 def _mutants(d: Derivation):
@@ -727,14 +726,14 @@ def _mutants(d: Derivation):
                 yield _one_step(changed, step, d.packs)
     for side in ("ant", "suc"):
         for a in getattr(step.sequent, side):
-            yield _one_step(premises, dataclasses.replace(
+            yield _one_step(premises, replace(
                 step, sequent=_with(step.sequent, side, a, False)), d.packs)
     if len(premises) == 2:
         yield _one_step(premises[::-1], step, d.packs)
     free = Pred("P", (Var("y"),))
     for side in ("ant", "suc"):
         yield _one_step([_with(s, side, free, True) for s in premises],
-                        dataclasses.replace(step, sequent=_with(
+                        replace(step, sequent=_with(
                             step.sequent, side, free, True)), d.packs)
 
 

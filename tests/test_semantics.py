@@ -1251,3 +1251,22 @@ def test_count_structures_and_fo_spaces_leave_the_sweep_cache_alone():
         count_structures(RICH_SIG, size, "total", K3_VALUES, False)
     FOSpace(_EQ_SIG, (1, 2)).mask(_EQ_POOL[0])
     assert semantics._fo_sweep.cache_info() == info
+
+
+def test_quantifiers_nested_2000_deep_are_grounded_without_recursion():
+    """At one element a quantifier's body is grounded once, so 2,000
+    nested quantifiers over P(c), foralls and exists alternating, answer
+    as P(c) itself, to the countermodel."""
+    sig = Signature(functions=(("c", 0),), predicates=(("P", 1), ("Q", 1)))
+    pc, qc = Pred("P", (Fun("c"),)), Pred("Q", (Fun("c"),))
+    deep = pc
+    for i in range(2000):
+        deep = (Forall if i % 2 else Exists)("x%d" % i, deep)
+    for gamma, delta in (([deep], [pc]), ([pc], [deep]), ([deep], [qc]),
+                         ([qc], [deep])):
+        flat = [pc if a is deep else a for a in gamma], [
+            pc if a is deep else a for a in delta]
+        semantics._fo_sweep.cache_clear()
+        want = consequence_fo(*flat, sig, max_domain=1)
+        semantics._fo_sweep.cache_clear()
+        assert consequence_fo(gamma, delta, sig, max_domain=1) == want
