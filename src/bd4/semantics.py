@@ -163,7 +163,7 @@ def _compile(formulas, sig: Signature) -> tuple:
     code, funcs, preds, free = [], set(), set(), set()
     has_eq = False
     for a in formulas:
-        stack, bound = [a], frozenset()
+        stack, bound = [a], {}  # variable -> quantifiers binding it here
         while stack:
             x = stack.pop()
             cls = x.__class__
@@ -175,8 +175,9 @@ def _compile(formulas, sig: Signature) -> tuple:
                 if len(x) == 1:
                     code.append(x[0])
                 else:  # a quantifier: its body's code ends its scope
-                    q, var, start, bound = x
+                    q, var, start = x
                     code[start:] = [[q, var, code[start:]]]
+                    bound[var] -= 1
             elif cls is And or cls is Or or cls is Imp:
                 stack += ((cls,), x.left, x.right)
             elif cls is Not:
@@ -200,7 +201,7 @@ def _compile(formulas, sig: Signature) -> tuple:
                 while terms:
                     t = terms.pop()
                     if t.__class__ is Var:
-                        if t.name not in bound:
+                        if not bound.get(t.name):
                             free.add(t.name)
                     elif t.__class__ is Fun:
                         funcs.add(_arity(t.name, sig.function_arity(t.name),
@@ -210,8 +211,8 @@ def _compile(formulas, sig: Signature) -> tuple:
                         raise SemanticsError("not a term: %r" % (t,))
                 code.append(x)
             elif (cls is Forall or cls is Exists) and sig:
-                stack += ((cls, x.var, len(code), bound), x.body)
-                bound = bound | {x.var}
+                stack += ((cls, x.var, len(code)), x.body)
+                bound[x.var] = bound.get(x.var, 0) + 1
             else:
                 raise SemanticsError("not a %sformula: %s"
                                      % ("" if sig else "propositional ", x))
@@ -291,7 +292,10 @@ def _run(code, env: dict, full: int) -> list:
 # Claessen and Sorensson 2003).  The valuations of k atoms are the
 # columns of domain size 1 over k propositions.  A scan takes blocks of
 # at most _BLOCK_COLUMNS columns, the outer digits fixed per block, in
-# column order, which bounds memory and keeps the early exit.
+# column order, which bounds memory and keeps the early exit.  When a
+# propositional sweep is a single block, ``consequence_prop`` scans no
+# blocks: it reads each formula's designation mask over the whole sweep
+# from the slot on its node, or fills the slot, and joins the masks.
 _BLOCK_COLUMNS = 1 << 16
 
 # ``consequence_fo`` takes its sweeps from ``_fo_sweep``, which caches
@@ -694,8 +698,9 @@ def scan_valuations(formulas, marked, allowed=ALL_VALUES):
     """The first valuation into ``allowed``, in ``valuations`` order,
     that ``marked`` picks, or None: ``_first`` over the sweep of the
     formulas' atoms, their names zipped onto its digits' pairs."""
+    _check_allowed(allowed)
     code, atoms = _compile_prop(formulas)
-    sweep = _prop_sweep(len(atoms), allowed, _BLOCK_COLUMNS)
+    sweep = _prop_sweep(len(atoms), frozenset(allowed), _BLOCK_COLUMNS)
     hit = _first([(sweep, code)], marked, lambda sweep, code, outer: dict(
         zip(atoms, sweep.pairs(outer))))
     return None if hit is None else dict(zip(atoms, hit[1]))
@@ -706,12 +711,33 @@ def consequence_prop(gamma, delta, allowed=ALL_VALUES):
 
     Returns (True, None) when every valuation into ``allowed`` that
     designates all of gamma designates some member of delta, else
-    (False, the first countervaluation in ``valuations`` order).
+    (False, the first countervaluation in ``valuations`` order).  Over a
+    single-block sweep each formula's designation mask is read from, or
+    left in, the ``_mask`` slot of its node (see ``syntax``), keyed by
+    the atoms and value set; a larger sweep is scanned by ``_first``.
     """
     _check_allowed(allowed)
-    gamma, delta = list(gamma), list(delta)
-    witness = scan_valuations(gamma + delta, _counter(len(gamma)), allowed)
-    return witness is None, witness
+    allowed, formulas = frozenset(allowed), list(gamma)
+    n = len(formulas)
+    formulas += delta
+    _, atoms = _compile_prop(formulas)
+    sweep = _prop_sweep(len(atoms), allowed, _BLOCK_COLUMNS)
+    if sweep.outer:
+        witness = scan_valuations(formulas, _counter(n), allowed)
+        return witness is None, witness
+    key, ts, env = (atoms, allowed), [], None
+    for a in formulas:
+        slot = a._mask
+        if slot[0] != key:
+            env = env or dict(zip(atoms, sweep.pairs(())))
+            slot = key, _run(a._prop_code[0], env, sweep.full)[0][0]
+            object.__setattr__(a, "_mask", slot)
+        ts.append(slot[1])
+    bits = counter_bits(ts[:n], ts[n:]) & sweep.full
+    if not bits:
+        return True, None
+    first = (bits & -bits).bit_length() - 1  # the lowest set bit, as _first
+    return False, dict(zip(atoms, sweep.digits((), first)))
 
 
 def equivalent_prop(a, b):

@@ -25,7 +25,12 @@ computed on first use and kept on the node, as the printed form is:
 ``kept`` keeps a formula's atomic subformulas here, its compiled code
 in ``semantics``, and in ``kernel`` what the premises of a rule add
 when the formula is the rule's principal.  A kept value lives and dies
-with its node, so no table keyed by formulas holds a node alive.
+with its node, so no table keyed by formulas holds a node alive.  The
+``_mask`` slot lives on the node too but is not kept, as it depends on
+more than the node: ``semantics.consequence_prop`` leaves there a
+designation mask with the atoms and value set it was taken over, and
+overwrites it when those change, so a node holds one mask, not one per
+atom layout it meets.
 """
 
 from __future__ import annotations
@@ -77,7 +82,8 @@ def kept(node, name: str, compute):
     table key holds this one, so the two would keep each other alive
     for good.  Attributes are read and set, never the node's
     ``__dict__``: once that is asked for, CPython 3.11 reads every
-    attribute of the node more slowly."""
+    attribute of the node more slowly.  A value that depends on more
+    than the node goes in a slot keyed by the rest, as ``_mask`` is."""
     value = getattr(node, name, _ABSENT)
     if value is _ABSENT:
         value = compute(node)
@@ -125,6 +131,8 @@ def _node(cls):
     """Make ``cls`` a class of frozen hash-consed nodes: identity equality
     and hashing, one node per distinct field values, the printed form
     computed once; the fields are read as ``_record`` reads a record's.
+    Each node starts with the class's empty ``_mask`` slot, so reading
+    it never misses (see the module docstring).
     ``__new__`` binds a call (one length test for the common
     all-positional call), sets the fields, runs any ``__post_init__``
     and only then enters the node in the table, so a bad call leaves no
@@ -161,6 +169,7 @@ def _node(cls):
 
     cls.__new__, cls.__str__, cls.__reduce__ = __new__, __str__, __reduce__
     cls._text = None  # the printed form, once computed
+    cls._mask = (None, 0)  # consequence_prop's ((atoms, values), t-mask)
     return cls
 
 

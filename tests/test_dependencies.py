@@ -3,6 +3,7 @@ every module imports only the standard library and ``bd4`` itself, and
 uses every name it imports."""
 
 import ast
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -307,3 +308,46 @@ def test_an_unread_name_is_seen(tmp_path):
         "print(mod.LOCAL, mod.Thing)\n")
     assert unread_names(package, readers) == [
         "mod.Lone", "mod.UNUSED", "mod.orphan"]
+
+
+def _bd4_bindings() -> dict:
+    """Every name bound in a loaded ``bd4`` module, and in the classes
+    those modules define, with the object it is bound to."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "bd4" and not name.startswith("bd4."):
+            continue
+        for var, val in vars(mod).items():
+            out[name, var] = val
+            if isinstance(val, type) and val.__module__ == name:
+                out.update(((name, var, attr), v)
+                           for attr, v in vars(val).items())
+    return out
+
+
+def test_the_benchmark_tracer_finds_every_hook_and_puts_each_back(
+        monkeypatch):
+    """A renamed hook target is seen here, not only by a traced benchmark
+    run, and the traced run leaves the package as it found it."""
+    path = ROOT / "bench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "layertrace", layertrace)
+    spec.loader.exec_module(layertrace)
+    for hook in layertrace.HOOKS:
+        importlib.import_module(hook.module)
+    before = _bd4_bindings()
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == set()
+        assert tracer.installed == {"%s.%s" % (h.module, h.name)
+                                    for h in layertrace.HOOKS}
+        traced = _bd4_bindings()
+        assert traced["bd4.semantics", "consequence_prop"] is not before[
+            "bd4.semantics", "consequence_prop"]
+    finally:
+        tracer.uninstall()
+    after = _bd4_bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []

@@ -27,8 +27,8 @@ from bd4.syntax import (
     subformulas,
 )
 from bd4.values import (
-    ALL_VALUES, B, CL_VALUES, F, K3_VALUES, LP_VALUES, N, T, VALUES,
-    designated,
+    ALL_VALUES, B, CL_VALUES, EXTRA_CONNECTIVES, F, K3_VALUES, LP_VALUES,
+    MODE_VALUES, N, T, VALUES, designated,
 )
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
@@ -341,6 +341,109 @@ def test_non_propositional_input_is_refused():
         PropSpace(("p",)).mask(q)
     with pytest.raises(SemanticsError):
         truth_table(And(p, q), ("p",))
+
+
+# ---------------------------------------------------------------------------
+# the designation masks that consequence_prop keeps on nodes
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_the_allowed_values_may_be_any_set(mode):
+    allowed = MODE_VALUES[mode]
+    cases = [([p], [p]), ([p, Not(p)], [q]), ([], [Or(p, Not(p))]),
+             ([Not(p)], [])]
+    # frozenset(allowed) would be allowed itself: build an equal one
+    for given_as in (set(allowed), frozenset(list(allowed)), allowed):
+        for gamma, delta in cases:
+            _, want = reference_consequence(gamma, delta, allowed)
+            assert consequence_prop(gamma, delta, given_as) == (
+                want is None, want)
+        _, want = reference_consequence([Not(p)], [], allowed)
+        assert semantics.scan_valuations(
+            [Not(p)], semantics._counter(1), given_as) == want
+
+
+@DIFFERENTIAL
+@given(st.lists(formulas(), min_size=1, max_size=4),
+       st.lists(st.tuples(st.lists(st.integers(0, 3), max_size=3),
+                          st.lists(st.integers(0, 3), max_size=3),
+                          st.sampled_from(sorted(MODES))),
+                min_size=2, max_size=6))
+def test_kept_masks_follow_every_atom_layout_and_value_set(pool, queries):
+    """The same nodes in sequents over other atoms and in other modes,
+    one after another in one process: no mask is read stale."""
+    for g, d, mode in queries:
+        gamma = [pool[i % len(pool)] for i in g]
+        delta = [pool[i % len(pool)] for i in d]
+        _, want = reference_consequence(gamma, delta, MODES[mode])
+        got = consequence_prop(gamma, delta, MODES[mode])
+        assert got == (want is None, want)
+        if want is not None:
+            assert list(got[1]) == list(want)
+
+
+def test_a_slot_is_overwritten_when_the_atoms_or_the_values_change():
+    sp, sq = Prop("slot_p"), Prop("slot_q")
+    a = Imp(Not(sp), Or(sp, Falsity()))
+    steps = [([a], [sp], ALL_VALUES, ("slot_p",)),
+             ([a], [sq], ALL_VALUES, ("slot_p", "slot_q")),
+             ([a], [sp], K3_VALUES, ("slot_p",)),
+             ([a], [Not(sp)], CL_VALUES, ("slot_p",)),
+             ([a], [sp], ALL_VALUES, ("slot_p",))]
+    for gamma, delta, allowed, atoms in steps:
+        _, want = reference_consequence(gamma, delta, allowed)
+        assert consequence_prop(gamma, delta, allowed) == (want is None, want)
+        assert a._mask[0] == (atoms, allowed)
+
+
+def test_sequents_without_atoms_and_with_constants():
+    top = Not(Falsity())  # the parser's T
+    both, neither = ExtApp("Both"), ExtApp("Neither")
+    cases = [([], []), ([Falsity()], []), ([], [Falsity()]), ([], [top]),
+             ([top], [Falsity()]), ([both], [neither]), ([neither], [both]),
+             ([], [ExtApp("Des", (both,))]), ([both], [Not(both)]),
+             ([ExtApp("Cons", (p,))], [ExtApp("Det", (Or(p, neither),))]),
+             ([ExtApp("Norm", (top,))], [ExtApp("Confl", (p,))])]
+    for allowed in MODES.values():
+        for gamma, delta in cases:
+            _, want = reference_consequence(gamma, delta, allowed)
+            assert consequence_prop(gamma, delta, allowed) == (
+                want is None, want)
+    assert consequence_prop([], []) == (False, {})
+
+
+def _unslotted(formulas) -> bool:
+    return all(a._mask == (None, 0) for a in formulas)
+
+
+def test_a_sweep_of_several_blocks_writes_no_slot(monkeypatch):
+    """Nine atoms take four blocks in bd: the answers come from the block
+    scan, and no node gains a mask; in lp they fit one block.  In blocks
+    of two columns, sequents over two or three atoms take several in
+    every mode."""
+    assert semantics._prop_sweep(9, ALL_VALUES, semantics._BLOCK_COLUMNS).outer
+    atoms = [Prop("nine%d" % i) for i in range(9)]
+    gamma, delta = [Not(atoms[0])] + atoms[2:], [atoms[1]]
+    holds, witness = consequence_prop(gamma, delta)
+    assert not holds and witness == dict(
+        zip([a.name for a in atoms], [B, N] + [T] * 7))
+    everything = _conjunction(atoms)
+    assert consequence_prop([everything], [atoms[8]]) == (True, None)
+    assert _unslotted(gamma + delta + [everything])
+    assert consequence_prop(gamma, delta, LP_VALUES) == (
+        False, dict(witness, nine1=F))
+    assert not _unslotted(gamma + delta)
+
+    monkeypatch.setattr(semantics, "_BLOCK_COLUMNS", 2)
+    bp, bq, br = Prop("blk_p"), Prop("blk_q"), Prop("blk_r")
+    cases = [([Or(bp, bq)], [bp, bq]), ([Or(bp, bq)], [And(bq, br)]),
+             ([Imp(bp, br)], [Not(bq)]), ([bp, Not(bp)], [br])]
+    for gamma, delta in cases:
+        for allowed in MODES.values():
+            _, want = reference_consequence(gamma, delta, allowed)
+            assert consequence_prop(gamma, delta, allowed) == (
+                want is None, want)
+        assert _unslotted(gamma + delta)
 
 
 def test_a_prop_space_holds_at_most_one_block_of_valuations():
@@ -1270,3 +1373,56 @@ def test_quantifiers_nested_2000_deep_are_grounded_without_recursion():
         want = consequence_fo(*flat, sig, max_domain=1)
         semantics._fo_sweep.cache_clear()
         assert consequence_fo(gamma, delta, sig, max_domain=1) == want
+
+
+def test_compiled_code_and_free_variables_match_a_recursive_walk():
+    rng = random.Random(21)
+    for _ in range(300):
+        gamma, delta, _ = random_fo_query(rng)
+        fs = gamma + delta
+        code, _, _, _, free = semantics._compile(fs, RICH_SIG)
+        assert code == [op for a in fs for op in _code_afresh(a)]
+        assert free == tuple(sorted(set().union(*map(free_vars, fs))))
+
+
+def _code_afresh(a) -> list:
+    """Postfix code by a recursive walk, as ``_compile`` describes it."""
+    match a:
+        case Prop(name):
+            return [name]
+        case Falsity():
+            return [Falsity]
+        case Pred(_, _) | Eq(_, _):
+            return [a]
+        case Not(b):
+            return _code_afresh(b) + [Not]
+        case And(l, r) | Or(l, r) | Imp(l, r):
+            return _code_afresh(r) + _code_afresh(l) + [a.__class__]
+        case ExtApp(conn, args):
+            table = EXTRA_CONNECTIVES[conn][1]
+            return (_code_afresh(args[0]) if args else []) + [table]
+        case Forall(x, b) | Exists(x, b):
+            return [[a.__class__, x, _code_afresh(b)]]
+    raise TypeError(a)
+
+
+def test_compiling_quantifiers_nested_2000_deep_takes_linear_memory():
+    """A copy of the bound variables per quantifier would hold about two
+    million names at once here."""
+    sig = Signature(functions=(("c", 0),), predicates=(("P", 1),))
+    inner = And(Pred("P", (Var("x0"),)), Pred("P", (Var("y"),)))
+    deep = inner
+    for i in range(2000):
+        deep = Forall("x%d" % i, deep)
+    tracemalloc.start()
+    try:
+        code, _, _, _, free = semantics._compile([deep], sig)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+    assert free == ("y",)
+    for i in reversed(range(2000)):
+        (q, var, code), = code
+        assert (q, var) == (Forall, "x%d" % i)
+    assert code == [inner.right, inner.left, And]

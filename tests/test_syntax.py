@@ -24,6 +24,8 @@ from bd4.syntax import (
     substitute, substitute_term,
 )
 
+from bd4.values import ALL_VALUES, F, T
+
 from support import reference_additions
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -423,6 +425,24 @@ def test_nodes_with_kept_rule_additions_leave_the_table():
              for a in (deep, Not(deep))]
     assert deep._premises_notnot_L == (((deep.body.body,), ()),)
     del lp, lq, lr, deep, s, result
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+def test_nodes_with_kept_masks_leave_the_table_in_one_collection():
+    gc.collect()
+    before = len(syntax._NODES)
+    mp, mq = Prop("mask_p"), Prop("mask_q")
+    deep = Imp(mp, mq)
+    for _ in range(5):
+        deep = Or(Not(deep), And(deep, Imp(mq, Falsity())))
+    s = Sequent.of([deep, Not(mq)], [deep, mp])
+    for mode in MODES:
+        assert prove_prop(s, SearchBudget(mode=mode)).proved
+    assert consequence_prop([deep], [mq]) == (False, {"mask_p": T,
+                                                     "mask_q": F})
+    assert deep._mask[0] == (("mask_p", "mask_q"), ALL_VALUES)
+    del mp, mq, deep, s
     gc.collect()
     assert len(syntax._NODES) == before
 
