@@ -44,7 +44,7 @@ from .semantics import (
 from .simulation import EXTENSION_MODES, translation_sets, verify_simulation
 from .syntax import (
     And, Eq, Exists, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop, Sequent,
-    Signature, Var, _record, replace,
+    Signature, Var, _record,
 )
 from .values import B, F, N, T, VALUES, designated
 
@@ -322,13 +322,34 @@ def _distinct_reps(pool, space: PropSpace):
     return reps
 
 
+def _pick(rng, pool) -> tuple:
+    """``tuple(rng.sample(pool, rng.randint(0, 2)))`` from the same draws,
+    one ``randrange`` each: CPython's ``sample`` runs Fisher-Yates steps
+    on a pool of at most 21 and redraws a repeated index on a larger one
+    (checked on both sides against it in ``tests/test_sampling.py``)."""
+    k = rng.randrange(3)
+    if k == 0:
+        return ()
+    n = len(pool)
+    i = rng.randrange(n)
+    if k == 1:
+        return (pool[i],)
+    if n <= 21:  # the shuffle's first step moved pool[n - 1] into slot i
+        j = rng.randrange(n - 1)
+        return pool[i], pool[n - 1 if j == i else j]
+    j = i
+    while j == i:
+        j = rng.randrange(n)
+    return pool[i], pool[j]
+
+
 def _prop_universe(space: PropSpace, config, tag: str, details: dict):
     """The bounded universe of criteria 6 and 11 over p, q.
 
-    First every pair of sides holding at most one truth-table
-    representative of depth 2, then every pair of sides holding at most
-    two of depth 1, then random pairs of sides of up to two depth-2
-    representatives.  Yields (gamma, delta, rng), rng None outside the
+    First every pair of sides holding at most one truth-table representative
+    of depth 2, then every pair of sides holding at most two of depth 1,
+    then random pairs of sides of up to two depth-2 representatives, each
+    drawn by ``_pick``.  Yields (gamma, delta, rng), rng None outside the
     random part, after recording the universe's sizes in ``details``.
     """
     reps2 = _distinct_reps(_formula_pool(("p", "q"), 2), space)
@@ -344,8 +365,7 @@ def _prop_universe(space: PropSpace, config, tag: str, details: dict):
                 yield gamma, delta, None
     rng = random.Random("%d:%s" % (config.seed, tag))
     for _ in range(config.random_instances):
-        yield (tuple(rng.sample(reps2, rng.randint(0, 2))),
-               tuple(rng.sample(reps2, rng.randint(0, 2))), rng)
+        yield _pick(rng, reps2), _pick(rng, reps2), rng
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +540,16 @@ _TERMS = (_c, _d)
 def _sample_instance(rule, rng, ctx_pool, made):
     """One random instance: (premises, conclusion, step).
 
-    The contexts are drawn from ``ctx_pool``, then the pattern's formula
-    letters left to right from the rule's pool, then t and t2 from the
-    terms.  The letters give the principal, and the step by the rule
-    with that principal and those terms (no sequent or premises yet)
-    gives its additions through ``Rule.additions``, which ``instance``
-    puts over the contexts.  ``made`` keeps the step and its additions
-    per draw of letters and terms.
+    The contexts are drawn from ``ctx_pool`` by ``_pick``, then the
+    pattern's formula letters left to right from the rule's pool, then t
+    and t2 from the terms.  The letters give the principal, and the step
+    by the rule with that principal and those terms (no sequent or
+    premises yet) gives its additions through ``Rule.additions``, which
+    ``instance`` puts over the contexts.  ``made`` keeps the step and
+    its additions per draw of letters and terms.
     """
-    gamma = frozenset(rng.sample(ctx_pool, rng.randint(0, 2)))
-    delta = frozenset(rng.sample(ctx_pool, rng.randint(0, 2)))
+    gamma = frozenset(_pick(rng, ctx_pool))
+    delta = frozenset(_pick(rng, ctx_pool))
     pool = (_EQ_X_LITERALS if rule.name == "eq-Repl"
             else _PROP_LITERALS if rule.literal
             else _FO_BODIES if rule.needs in (_TERM, _EIGEN) else _PROP_POOL)
@@ -550,10 +570,11 @@ def _sample_instance(rule, rng, ctx_pool, made):
 
 def _replay(step, premises, conclusion, pack):
     """The derivation of an instance's conclusion by the step's rule from
-    its premises, cited as hypotheses."""
+    its premises, cited as hypotheses; built by position, which costs a
+    fraction of a keyword call through ``syntax.replace``."""
     steps = tuple(DerivationStep("hypothesis", s) for s in premises)
-    step = replace(step, sequent=conclusion,
-                   premises=tuple(range(len(premises))))
+    step = DerivationStep(step.rule, conclusion, tuple(range(len(premises))),
+                          step.principal, step.t, step.t2, step.x, step.y)
     packs = frozenset() if pack is None else frozenset({pack})
     return Derivation(steps + (step,), packs, premises)
 
@@ -571,12 +592,13 @@ def _soundness_run(name, valid, rng, instances, ctx_pool, pack=None,
                    repair_valid=None):
     """Premises-valid-implies-conclusion-valid over random instances.
 
-    Sampling retries a few times toward instances whose premises are
-    all valid, since vacuous instances certify nothing.  Every kept
-    instance, the last draw of each, is replayed through the proof
-    kernel so the schema being judged is exactly the one the kernel
-    enforces.  The run's own dict keeps the step and its additions per
-    draw of letters and terms, so they end with the run.
+    Sampling retries a few times toward instances whose premises are all
+    valid, since vacuous instances certify nothing.  Every kept instance,
+    the last draw of each, is replayed through the proof kernel so the
+    schema being judged is exactly the one the kernel enforces.  The run's
+    own dict keeps the step and its additions per draw of letters and terms,
+    so they end with the run.  ``tests/test_sampling.py`` pins its rows at
+    seed 1.
     """
     rule = RULES[name]
     made: dict = {}

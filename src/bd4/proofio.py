@@ -34,6 +34,11 @@ def _fail(n: int, msg: str):
     raise ProofIOError("line %d: %s" % (n, msg))
 
 
+def _quote(text: str) -> str:
+    """``repr`` of the text's first 60 characters, with a marker if cut."""
+    return repr(text) if len(text) <= 60 else repr(text[:60]) + " [clipped]"
+
+
 # ---------------------------------------------------------------------------
 # signature files
 
@@ -56,24 +61,13 @@ def parse_signature(text: str) -> Signature:
                 case ["conn", name]:
                     extras.append(name)
                 case _:
-                    _fail(n, "unrecognized declaration %r" % line)
+                    _fail(n, "unrecognized declaration %s" % _quote(line))
         except ValueError:
-            _fail(n, "bad arity in %r" % line)
+            _fail(n, "bad arity in %s" % _quote(line))
     try:
         return Signature(tuple(functions), tuple(predicates), frozenset(extras))
     except SyntaxBuildError as e:
         raise ProofIOError(str(e)) from None
-
-
-def print_signature(sig: Signature) -> str:
-    out = []
-    for name, arity in sig.functions:
-        out.append("const %s" % name if arity == 0 else "func %s/%d" % (name, arity))
-    for name, arity in sig.predicates:
-        out.append("prop %s" % name if arity == 0 else "pred %s/%d" % (name, arity))
-    for name in sorted(sig.extras):
-        out.append("conn %s" % name)
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +78,7 @@ def _value(tok: str, n: int) -> TruthValue:
     try:
         return TruthValue[tok]
     except KeyError:
-        _fail(n, "bad truth value %r" % tok)
+        _fail(n, "bad truth value %s" % _quote(tok))
 
 
 # a Structure fills one equality cell per ordered pair of elements; a
@@ -101,7 +95,7 @@ def parse_structure(text: str, sig: Signature) -> Structure:
         if domain is None:
             _fail(n, "domain line must come first")
         if tok not in domain:
-            _fail(n, "unknown element %r" % tok)
+            _fail(n, "unknown element %s" % _quote(tok))
         return tok
 
     for n, line in _lines(text):
@@ -120,13 +114,13 @@ def parse_structure(text: str, sig: Signature) -> Structure:
                 bottom = element(e, n)
             case ["const", name, "=", e]:
                 if sig.function_arity(name) != 0:
-                    _fail(n, "%r is not a declared constant" % name)
+                    _fail(n, "%s is not a declared constant" % _quote(name))
                 consts[name] = element(e, n)
             case ["func", name, *rest] if "->" in rest:
                 cut = rest.index("->")
                 args, out = rest[:cut], rest[cut + 1:]
                 if sig.function_arity(name) != len(args) or len(args) == 0:
-                    _fail(n, "arity mismatch for function %r" % name)
+                    _fail(n, "arity mismatch for function %s" % _quote(name))
                 if len(out) != 1:
                     _fail(n, "function line needs one output element")
                 key = tuple(element(a, n) for a in args)
@@ -135,7 +129,7 @@ def parse_structure(text: str, sig: Signature) -> Structure:
                 cut = rest.index("=")
                 args, val = rest[:cut], rest[cut + 1:]
                 if sig.predicate_arity(name) != len(args):
-                    _fail(n, "arity mismatch for predicate %r" % name)
+                    _fail(n, "arity mismatch for predicate %s" % _quote(name))
                 if len(val) != 1:
                     _fail(n, "predicate line needs one value")
                 if args:
@@ -146,7 +140,7 @@ def parse_structure(text: str, sig: Signature) -> Structure:
             case ["eq", e1, e2, "=", v]:
                 eq[(element(e1, n), element(e2, n))] = _value(v, n)
             case _:
-                _fail(n, "unrecognized structure line %r" % line)
+                _fail(n, "unrecognized structure line %s" % _quote(line))
     if domain is None:
         raise ProofIOError("structure file has no domain line")
     # interpretations must be total over the domain, bottom rows included
@@ -222,7 +216,7 @@ def parse_derivation(text: str, sig: Signature) -> Derivation:
             names = line[len("packs:"):].split()
             bad = [p for p in names if p != "base" and p not in PACKS]
             if bad:
-                _fail(n, "unknown pack %r" % bad[0])
+                _fail(n, "unknown pack %s" % _quote(bad[0]))
             packs = frozenset(p for p in names if p != "base")
             continue
         if line.startswith("hypothesis:"):
@@ -233,13 +227,13 @@ def parse_derivation(text: str, sig: Signature) -> Derivation:
             continue
         m = _STEP_RE.match(line)
         if not m:
-            _fail(n, "unrecognized step line %r" % line)
+            _fail(n, "unrecognized step line %s" % _quote(line))
         idx, rule, prem, principal, t, t2, y, x, ant, suc = m.groups()
         if int(idx) != len(steps):
             _fail(n, "step index %s out of order (expected %d)"
                   % (idx, len(steps)))
         if rule != "hypothesis" and rule not in RULES:
-            _fail(n, "unknown rule %r" % rule)
+            _fail(n, "unknown rule %s" % _quote(rule))
         premises = ()
         if prem:
             premises = tuple(int(k) for k in prem.replace(",", " ").split())

@@ -578,12 +578,6 @@ def prop_atoms(a: Formula) -> frozenset:
     )
 
 
-def is_propositional(a: Formula) -> bool:
-    return all(
-        not isinstance(s, (Pred, Eq, Forall, Exists)) for s in subformulas(a)
-    )
-
-
 # ---------------------------------------------------------------------------
 # sequents
 

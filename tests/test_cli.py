@@ -588,26 +588,35 @@ def test_the_grounding_bound_admits_a_formula_that_meets_it(
                            "grounds to at least 17 items, more than 16\n")
 
 
-@pytest.mark.parametrize("sig, argv, head", [
+@pytest.mark.parametrize("sig, argv, head, size", [
     ("pred P/1\n",
      ["prove", "--sig", "S", "=> " + "forall x. " * 99 + "P(x)"],
-     "error: not a propositional formula: forall x. forall x. "),
+     "error: not a propositional formula: forall x. forall x. ", (196, 200)),
     ("prop p\n" + "zzz " * 20_000 + "\n",
      ["entails", "--sig", "S", "p", "p"],
-     "error: line 2: unrecognized declaration 'zzz zzz "),
+     "error: line 2: unrecognized declaration 'zzz zzz ", (113, 113)),
     ("prop p\n" + "z\u00e9z " * 20_000 + "\n",
      ["entails", "--sig", "S", "p", "p"],
-     "error: line 2: unrecognized declaration 'z\u00e9z z\u00e9z "),
-], ids=["quantifiers", "declaration", "two-byte-characters"])
-def test_a_long_error_is_clipped_to_one_short_line(sig, argv, head, tmp_path):
-    """Uncut, the first two lines would run to 1,031 and 80,042 bytes."""
+     "error: line 2: unrecognized declaration 'z\u00e9z z\u00e9z ", (128, 128)),
+    ("", ["eval", "--val", "p=" + "zzz" * 20_000, "p"],
+     "error: unknown truth value 'zzzzzz", (196, 200)),
+    ("", ["eval", "--val", "p=" + "z\u00e9z" * 20_000, "p"],
+     "error: unknown truth value 'z\u00e9zz\u00e9z", (196, 200)),
+], ids=["quantifiers", "declaration", "two-byte-characters", "truth-value",
+        "truth-value-two-byte-characters"])
+def test_a_long_error_is_clipped_to_one_short_line(sig, argv, head, size,
+                                                   tmp_path):
+    """Uncut, the first line would run to 1,031 bytes and the last two to
+    60,047 and 80,047.  ``proofio`` quotes the two bad declarations, of
+    80,042 and 100,042 bytes when quoted whole, by their first 60
+    characters itself, with the same marker."""
     (tmp_path / "S").write_text(sig, encoding="utf-8")
     code, out, err = _main([str(tmp_path / a) if a == "S" else a
                             for a in argv])
     assert (code, out) == (2, "")
     assert err.startswith(head) and err.endswith(" [clipped]\n")
     assert err.count("\n") == 1
-    assert 196 <= len(err.encode()) <= 200
+    assert size[0] <= len(err.encode()) <= size[1]
 
 
 def test_prove_refuses_a_valid_sequent_that_needs_an_extra_connective(

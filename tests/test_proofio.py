@@ -1,5 +1,6 @@
 """Text formats: signatures, structures, derivation files."""
 
+import ast
 from itertools import product
 
 import pytest
@@ -10,7 +11,7 @@ from bd4.kernel import (
 )
 from bd4.proofio import (
     ProofIOError, parse_derivation, parse_signature, parse_structure,
-    print_derivation, print_sequent, print_signature, print_structure,
+    print_derivation, print_sequent, print_structure,
 )
 from bd4.semantics import Structure, evaluate
 from bd4.syntax import (
@@ -29,6 +30,21 @@ prop p
 prop q
 conn Des
 """
+
+
+def print_signature(sig: Signature) -> str:
+    """The canonical signature file, which ``parse_signature`` reads back;
+    only the round-trip tests print signatures."""
+    out = []
+    for name, arity in sig.functions:
+        out.append("const %s" % name if arity == 0
+                   else "func %s/%d" % (name, arity))
+    for name, arity in sig.predicates:
+        out.append("prop %s" % name if arity == 0
+                   else "pred %s/%d" % (name, arity))
+    for name in sorted(sig.extras):
+        out.append("conn %s" % name)
+    return "\n".join(out) + "\n"
 
 
 def test_signature_round_trip():
@@ -173,6 +189,65 @@ def test_derivation_errors():
                          sig)
     with pytest.raises(ProofIOError):
         parse_derivation("packs: base\n0: Id principal=\"p\" p => p\n", sig)
+
+
+# each place that quotes input, with a bad input for it and its message
+QUOTED = [
+    ("signature", "blorp {}", "line 1: unrecognized declaration 'blorp x'"),
+    ("signature", "func f/{}", "line 1: bad arity in 'func f/x'"),
+    ("structure", "domain d1\npred P d1 = {}",
+     "line 2: bad truth value 'x'"),
+    ("structure", "domain d1\nconst c = {}", "line 2: unknown element 'x'"),
+    ("structure", "domain d1\nconst {} = d1",
+     "line 2: 'x' is not a declared constant"),
+    ("structure", "domain d1\nfunc {} d1 -> d1",
+     "line 2: arity mismatch for function 'x'"),
+    ("structure", "domain d1\npred {} d1 = T",
+     "line 2: arity mismatch for predicate 'x'"),
+    ("structure", "domain d1\nzap {}",
+     "line 2: unrecognized structure line 'zap x'"),
+    ("derivation", "packs: {}", "line 1: unknown pack 'x'"),
+    ("derivation", "0: Id {}", "line 1: unrecognized step line '0: Id x'"),
+    ("derivation", "0: {} |- p => p", "line 1: unknown rule 'x'"),
+]
+
+
+def _error(kind, text):
+    sig = parse_signature("const c\nfunc f/1\npred P/1\nprop p\n")
+    with pytest.raises(ProofIOError) as err:
+        if kind == "signature":
+            parse_signature(text)
+        elif kind == "structure":
+            parse_structure(text, sig)
+        else:
+            parse_derivation(text, sig)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("kind, text, message", QUOTED)
+def test_a_short_bad_input_is_quoted_whole(kind, text, message):
+    assert _error(kind, text.format("x")) == message
+
+
+def test_a_quote_is_clipped_past_60_characters():
+    assert _error("derivation", "packs: " + "x" * 60) == (
+        "line 1: unknown pack %r" % ("x" * 60))
+    assert _error("derivation", "packs: " + "x" * 61) == (
+        "line 1: unknown pack %r [clipped]" % ("x" * 60))
+
+
+@pytest.mark.parametrize("kind, text, message", QUOTED)
+def test_a_long_bad_input_is_quoted_clipped(kind, text, message):
+    """A 2,000,000-character token is quoted by its first 60 characters
+    and a marker, where the whole line was quoted before."""
+    got = _error(kind, text.format("x" * 2_000_000))
+    head = message[:message.index("'")]
+    tail = " [clipped]" + message[message.rindex("'") + 1:]
+    assert got.startswith(head) and got.endswith(tail)
+    quoted = ast.literal_eval(got[len(head):-len(tail)])
+    assert len(quoted) == 60
+    assert quoted in text.format("x" * 2_000_000)
+    assert len(got) < 130
 
 
 def test_print_sequent_shape():

@@ -19,9 +19,8 @@ from bd4.simulation import EXTENSION_MODES, translation_sets
 from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
     Sequent, Signature, SyntaxBuildError, TRUTH, Var, atomic_subformulas,
-    formula_key, free_vars, fresh_var, is_literal, is_propositional,
-    print_formula, print_term, prop_atoms, subformulas,
-    substitute, substitute_term,
+    formula_key, free_vars, fresh_var, is_literal, print_formula, print_term,
+    prop_atoms, subformulas, substitute, substitute_term,
 )
 
 from bd4.values import ALL_VALUES, F, T
@@ -112,6 +111,12 @@ def test_literals():
     assert is_literal(p) and is_literal(Not(p))
     assert is_literal(Eq(x, y)) and is_literal(Falsity())
     assert not is_literal(And(p, q)) and not is_literal(Not(Not(p)))
+
+
+def is_propositional(a) -> bool:
+    """Does the formula have no predicate, equality or quantifier?"""
+    return not any(isinstance(s, (Pred, Eq, Forall, Exists))
+                   for s in subformulas(a))
 
 
 def test_is_propositional():
