@@ -29,14 +29,15 @@ fields and fill them (``Rule.filled``) on every call.
 Sequent sides are sets.  A rule's conclusion is its context plus the
 formulas the rule introduces, and because sets absorb duplicates the
 introduced formula may coincide with a context member.  The checker
-therefore tries every way of retaining introduced formulas in the
-context and accepts if any candidate reading works: each side's
-candidates are the side less the introduced formulas, joined with each
-subset of them (at most four pairs of sides; Cut gets the analogous
-choice on the cut formula), and each premise's sides are compared with
-a candidate's joined with the premise's additions.  The verdict does
-not depend on the order of the candidates.  Under this reading the
-Table 2 rules absorb weakening and no separate weakening rule exists.
+accepts if any way of keeping introduced formulas in the context works,
+comparing each premise's sides with a candidate's joined with the
+premise's additions.  It tries first the context that keeps none, each
+side less the introduced formulas, which nearly every prover step fits;
+only when that one does not fit are the rest built, those sides joined
+with each other choice of subsets of the introduced formulas (at most
+four pairs of sides; Cut gets the analogous choice on the cut formula).
+The verdict does not depend on the order of the candidates.  Under this
+reading the Table 2 rules absorb weakening and no weakening rule exists.
 """
 
 from __future__ import annotations
@@ -374,9 +375,10 @@ def check_step(d: Derivation, i: int) -> Violation | None:
         return Violation(i, Code.BAD_PREMISE_INDEX,
                          "%s takes %d premises, got %d"
                          % (step.rule, len(rule.premises), len(step.premises)))
-    if any(not isinstance(j, int) or not 0 <= j < i for j in step.premises):
-        return Violation(i, Code.BAD_PREMISE_INDEX,
-                         "premise indices must point at earlier steps")
+    for j in step.premises:
+        if not isinstance(j, int) or not 0 <= j < i:
+            return Violation(i, Code.BAD_PREMISE_INDEX,
+                             "premise indices must point at earlier steps")
     for field in rule.needs:
         if getattr(step, field) is None:
             return Violation(i, Code.MISSING_FIELD,
@@ -414,24 +416,24 @@ def check_step(d: Derivation, i: int) -> Violation | None:
 
     base_ant = concl.ant.difference(ca)
     base_suc = concl.suc.difference(cs)
-    # the contexts that retain each subset of the introduced formulas
-    gammas, deltas = [base_ant], [base_suc]
-    for a in ca:
-        gammas += [g | {a} for g in gammas]
-    for a in cs:
-        deltas += [g | {a} for g in deltas]
     eigen_blocked = False
-    for gamma in gammas:
-        for delta in deltas:
-            for p, (pa, ps) in zip(prem, padds):
-                if p.ant != gamma.union(pa) or p.suc != delta.union(ps):
-                    break
-            else:
-                if rule.eigen and any(y in free_vars(f)
-                                      for f in gamma | delta):
-                    eigen_blocked = True
-                    continue
+    contexts = [(base_ant, base_suc)]
+    for gamma, delta in contexts:
+        for p, (pa, ps) in zip(prem, padds):
+            if p.ant != gamma.union(pa) or p.suc != delta.union(ps):
+                break
+        else:
+            if not (rule.eigen and any(y in free_vars(f)
+                                       for f in gamma | delta)):
                 return None
+            eigen_blocked = True
+        if len(contexts) == 1:  # the one keeping none failed: add the rest
+            gammas, deltas = [base_ant], [base_suc]
+            for a in ca:
+                gammas += [g | {a} for g in gammas]
+            for a in cs:
+                deltas += [g | {a} for g in deltas]
+            contexts += [(g, d) for g in gammas for d in deltas][1:]
     if eigen_blocked:
         return Violation(i, Code.EIGENVARIABLE,
                          "%s is free in the conclusion context" % y)

@@ -60,6 +60,11 @@ class _Fail(Exception):
     start of the part."""
 
 
+def _quote(text: str) -> str:
+    """``repr`` of the text's first 60 characters, with a marker if cut."""
+    return repr(text) if len(text) <= 60 else repr(text[:60]) + " [clipped]"
+
+
 def _height(e) -> int:
     """Height of a formula or term tree, found without recursion."""
     height, todo = 0, [(e, 0)]
@@ -88,15 +93,15 @@ class _Parser:
         return self.vals[self.i - 1]
 
     def found(self, j: int) -> str:
-        """Token j as an error names it; a part's separator is the end."""
+        """Token j as an error quotes it; a part's separator is the end."""
         val, before = self.vals[j], self.vals[:j]
         if val == self.sep and before.count("(") == before.count(")"):
-            return "end"
-        return val or "end"
+            val = ""
+        return _quote(val or "end")
 
     def expect(self, value: str):
         if self.vals[self.i] != value:
-            raise _Fail("expected %r, found %r" % (value, self.found(self.i)),
+            raise _Fail("expected %r, found %s" % (value, self.found(self.i)),
                         self.i)
         self.i += 1
 
@@ -115,7 +120,7 @@ class _Parser:
         out = parse(self)
         val = self.vals[self.i]
         if val and val != self.sep:
-            raise _Fail("trailing input %r" % val, self.i)
+            raise _Fail("trailing input %s" % _quote(val), self.i)
         # each level of a tree takes a token, so only long input can be high
         if self.i - start >= MAX_DEPTH and _height(out) > MAX_DEPTH:
             raise _Fail("nested deeper than %d levels" % MAX_DEPTH, None)
@@ -158,7 +163,7 @@ class _Parser:
         if val == "T":
             return TRUTH
         if val in _PUNCT:
-            raise _Fail("expected a formula, found %r" % self.found(j), j)
+            raise _Fail("expected a formula, found %s" % self.found(j), j)
         if val in _QUANTIFIERS:
             var = self.next()
             if var in _PUNCT or var in _QUANTIFIERS:
@@ -187,7 +192,7 @@ class _Parser:
         if val2 == "!=":
             return Not(Eq(left, self.term()))
         if self.sig.function_arity(val) is None and isinstance(left, Var):
-            raise _Fail("unknown symbol %r" % val, j)
+            raise _Fail("unknown symbol %s" % _quote(val), j)
         raise _Fail("expected '=' or '!=' after a term", self.i - 1)
 
     # -- terms -------------------------------------------------------------
@@ -197,13 +202,13 @@ class _Parser:
         val = self.vals[j]
         self.i = j + 1
         if val in _PUNCT or val in _QUANTIFIERS or val in EXTRA_CONNECTIVES:
-            raise _Fail("expected a term, found %r" % self.found(j), j)
+            raise _Fail("expected a term, found %s" % self.found(j), j)
         farities = self.sig.function_arity(val)
         if self.sig.predicate_arity(val) is not None:
-            raise _Fail("predicate symbol %r used as a term" % val, j)
+            raise _Fail("predicate symbol %s used as a term" % _quote(val), j)
         if farities is None:
             if self.vals[self.i] == "(":
-                raise _Fail("unknown symbol %r" % val, j)
+                raise _Fail("unknown symbol %s" % _quote(val), j)
             return Var(val)
         if farities == 0:
             return Fun(val, ())
@@ -257,7 +262,7 @@ def _refuse_character(text: str, sig: Signature, parse, sep):
             start = i + 1
     if start:
         _parse(text[:start - 1], sig, parse, sep)
-    raise ParseError("unexpected character %r" % text[bad],
+    raise ParseError("unexpected character %s" % _quote(text[bad]),
                      len(text[start:bad].rstrip()))
 
 

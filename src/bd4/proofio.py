@@ -11,7 +11,9 @@ import itertools
 import re
 
 from .kernel import Derivation, DerivationStep, PACKS, RULES
-from .parser import ParseError, parse_formula, parse_sequent, parse_term
+from .parser import (
+    ParseError, _quote, parse_formula, parse_sequent, parse_term,
+)
 from .semantics import Structure
 from .syntax import (
     Sequent, Signature, SyntaxBuildError, print_formula, print_term,
@@ -32,11 +34,6 @@ def _lines(text: str):
 
 def _fail(n: int, msg: str):
     raise ProofIOError("line %d: %s" % (n, msg))
-
-
-def _quote(text: str) -> str:
-    """``repr`` of the text's first 60 characters, with a marker if cut."""
-    return repr(text) if len(text) <= 60 else repr(text[:60]) + " [clipped]"
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 from .kernel import RULES, Derivation, DerivationStep, head
 from .semantics import EnumerationCapExceeded, SemanticsError, consequence_prop
-from .syntax import TRUTH, Falsity, Sequent, _record, formula_key, is_literal
+from .syntax import (
+    TRUTH, Falsity, Not, Sequent, _record, formula_key, is_literal,
+)
 from .values import MODE_VALUES
 
 MODES = ("base", "lp", "k3", "cl")
@@ -78,7 +80,7 @@ def _closure(s: Sequent) -> DerivationStep | None:
         return DerivationStep("F-L", s)
     if TRUTH in s.suc:
         return DerivationStep("notF-R", s)
-    shared = [a for a in s.ant if a in s.suc and is_literal(a)]
+    shared = [a for a in s.ant & s.suc if is_literal(a)]
     if shared:
         return DerivationStep("Id", s, principal=min(shared, key=formula_key))
     return None
@@ -96,7 +98,8 @@ def _first_move(s: Sequent):
     for rules, formulas in zip(_DECOMPOSE, (s.ant, s.suc)):
         best = None
         for a in formulas:
-            rule = rules.get(head(a))
+            cls = a.__class__  # as ``head`` keys the rules
+            rule = rules.get(cls if cls is not Not else (Not, a.body.__class__))
             if rule is not None:
                 key = formula_key(a)
                 if best is None or key < best_key:
@@ -131,7 +134,7 @@ class _Searcher:
         rule, principal, goals, kids]: a decomposition's premises and the
         steps of those proved so far, or at a choice point the remaining
         (rule, principal, premise) choices and None.  The memo maps a
-        sequent to the index of its step, or to None if it failed.
+        sequent's (ant, suc) pair to its step's index, or None if failed.
 
         A step is appended as its sequent is proved, with no undo log:
         below a choice point all sequents are literal-only, so a failed
@@ -142,7 +145,7 @@ class _Searcher:
         max_depth, max_nodes = self.budget.max_depth, self.budget.max_nodes
         steps, packs = [], set()
         while True:
-            done = memo.get(s, _OPEN)
+            done = memo.get((s.ant, s.suc), _OPEN)
             if done is _OPEN:
                 if depth > max_depth:
                     raise _Exhausted("depth")
@@ -169,7 +172,7 @@ class _Searcher:
                 else:
                     done = len(steps)
                     steps.append(step)
-                memo[s] = done
+                memo[s.ant, s.suc] = done
             # hand the step down to the frames that wait for it
             while stack:
                 frame = stack[-1]
@@ -194,7 +197,7 @@ class _Searcher:
                                                 principal))
                     done = len(steps) - 1
                 stack.pop()
-                memo[top] = done
+                memo[top.ant, top.suc] = done
             else:
                 if done is None:
                     return None

@@ -1158,8 +1158,9 @@ class FOSpace:
         return out
 
     def mask(self, a) -> int:
-        """Bit i set iff column i designates the formula."""
-        return self.vector(a)[0]
+        """Bit i set iff column i designates the formula: the kept pair
+        is read here, and ``vector`` runs only on a miss to fill it."""
+        return (self._vectors.get(a) or self.vector(a))[0]
 
     def holds(self, gamma_masks, delta_masks, mode="bd") -> int | None:
         """Consequence over the mode's columns; None when it holds, else

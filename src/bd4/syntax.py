@@ -425,6 +425,7 @@ Formula = (
 # requires.  Quantifiers always parenthesize when used as an operand.
 _LEVEL = {Forall: 0, Exists: 0, Imp: 1, Or: 2, And: 3, Not: 4, ExtApp: 4,
           Falsity: 5, Prop: 5, Pred: 5, Eq: 5}
+_ATOMIC = frozenset((Falsity, Prop, Pred, Eq))  # ``is_atomic``'s classes
 
 
 def _wrap(a: "Formula", need: int) -> str:
@@ -544,16 +545,12 @@ def subformulas(a: Formula):
 def is_atomic(a: Formula) -> bool:
     """Atomic formulas: proposition symbols, predicate applications,
     equalities, and nullary connectives (F, Both, Neither)."""
-    match a:
-        case Falsity() | Prop(_) | Pred(_, _) | Eq(_, _):
-            return True
-        case ExtApp(_, args):
-            return not args
-    return False
+    cls = a.__class__
+    return cls in _ATOMIC or cls is ExtApp and not a.args
 
 
 def is_literal(a: Formula) -> bool:
-    return is_atomic(a) or isinstance(a, Not) and is_atomic(a.body)
+    return is_atomic(a) or a.__class__ is Not and is_atomic(a.body)
 
 
 def _atoms(a: Formula) -> frozenset:
@@ -585,9 +582,7 @@ def prop_atoms(a: Formula) -> frozenset:
 @_record
 class Sequent:
     """A pair of finite formula sets; both sides are genuinely sets.
-    ``__init__`` and ``__hash__`` are written out, the builder's being
-    slower: the prover and the kernel make and hash sequents by the
-    thousand."""
+    ``__init__`` is written out, the builder's being slower."""
 
     ant: frozenset
     suc: frozenset
@@ -599,9 +594,6 @@ class Sequent:
     @staticmethod
     def of(ant=(), suc=()) -> "Sequent":
         return Sequent(frozenset(ant), frozenset(suc))
-
-    def __hash__(self):
-        return hash((self.ant, self.suc))
 
     def __str__(self) -> str:
         left = "; ".join(sorted((str(a) for a in self.ant)))

@@ -2,13 +2,13 @@
 list is split character by character at top-level separators, and each
 part is tokenized on its own, one match per token.  Kept as the
 reference that the package's parser must agree with, tree for tree and
-error for error."""
+error for error; an input token is quoted by the parser's ``_quote``."""
 
 from __future__ import annotations
 
 import re
 
-from bd4.parser import MAX_DEPTH, ParseError
+from bd4.parser import MAX_DEPTH, ParseError, _quote
 from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
     Sequent, Signature, Var,
@@ -31,7 +31,8 @@ def _tokenize(text: str):
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            raise ParseError("unexpected character %r" % stripped[0], pos)
+            raise ParseError("unexpected character %s"
+                             % _quote(stripped[0]), pos)
         kind = m.lastgroup
         out.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
@@ -70,7 +71,8 @@ class _Parser:
     def expect(self, value: str):
         kind, val, pos = self.next()
         if val != value:
-            raise ParseError("expected %r, found %r" % (value, val or "end"), pos)
+            raise ParseError("expected %r, found %s"
+                             % (value, _quote(val or "end")), pos)
 
     def at(self, value: str) -> bool:
         return self.peek()[1] == value
@@ -88,7 +90,7 @@ class _Parser:
         """``out`` once the input is used up and not nested too deep."""
         kind, val, pos = self.peek()
         if kind != "eof":
-            raise ParseError("trailing input %r" % val, pos)
+            raise ParseError("trailing input %s" % _quote(val), pos)
         # each level of a tree takes a token, so only long input can be high
         if len(self.tokens) > MAX_DEPTH and _height(out) > MAX_DEPTH:
             raise ParseError("nested deeper than %d levels" % MAX_DEPTH, 0)
@@ -150,7 +152,8 @@ class _Parser:
         if val == "T":
             return Not(Falsity())
         if kind != "ident":
-            raise ParseError("expected a formula, found %r" % (val or "end"), pos)
+            raise ParseError("expected a formula, found %s"
+                             % _quote(val or "end"), pos)
         # identifier: predicate/proposition, or the start of a term
         parity = self.sig.predicate_arity(val)
         if parity == 0:
@@ -167,7 +170,7 @@ class _Parser:
         if val2 == "!=":
             return Not(Eq(left, self.term()))
         if self.sig.function_arity(val) is None and isinstance(left, Var):
-            raise ParseError("unknown symbol %r" % val, pos)
+            raise ParseError("unknown symbol %s" % _quote(val), pos)
         raise ParseError("expected '=' or '!=' after a term", pos2)
 
     # -- terms -------------------------------------------------------------
@@ -175,13 +178,15 @@ class _Parser:
     def term(self):
         kind, val, pos = self.next()
         if kind != "ident" or val in ("forall", "exists") or val in EXTRA_CONNECTIVES:
-            raise ParseError("expected a term, found %r" % (val or "end"), pos)
+            raise ParseError("expected a term, found %s"
+                             % _quote(val or "end"), pos)
         farities = self.sig.function_arity(val)
         if self.sig.predicate_arity(val) is not None:
-            raise ParseError("predicate symbol %r used as a term" % val, pos)
+            raise ParseError("predicate symbol %s used as a term"
+                             % _quote(val), pos)
         if farities is None:
             if self.at("("):
-                raise ParseError("unknown symbol %r" % val, pos)
+                raise ParseError("unknown symbol %s" % _quote(val), pos)
             return Var(val)
         if farities == 0:
             return Fun(val, ())

@@ -770,22 +770,48 @@ def proof_steps():
     return out
 
 
+def _fits_only_a_kept_context(d: Derivation) -> bool:
+    """Whether the last step fits no context but one that keeps some
+    formula the step introduces: the context that keeps none, the
+    conclusion's sides less the introduced formulas, misses a premise
+    or holds the eigenvariable free."""
+    step = d.steps[-1]
+    if step.rule == "Cut":
+        return False
+    rule = RULES[step.rule]
+    (ca, cs), *padds = reference_additions(rule, step)
+    gamma = step.sequent.ant - frozenset(ca)
+    delta = step.sequent.suc - frozenset(cs)
+    if any(d.steps[j].sequent != Sequent(gamma.union(pa), delta.union(ps))
+           for j, (pa, ps) in zip(step.premises, padds)):
+        return True
+    return rule.eigen and any(step.y in free_vars(f) for f in gamma | delta)
+
+
 def _assert_same_verdicts(derivations):
-    rejected = collections.Counter()
+    """The verdicts of ``check_step`` and the reference agree: the
+    rejections by rule and code, and how many accepted last steps fit
+    only a context that keeps an introduced formula."""
+    rejected, kept_only = collections.Counter(), 0
     for d in derivations:
         want = reference_check_derivation(d)
         assert check_derivation(d) == want, d.steps[-1]
         if not want[0]:
             rejected[d.steps[-1].rule, want[1].code] += 1
-    return rejected
+        else:
+            kept_only += _fits_only_a_kept_context(d)
+    return rejected, kept_only
 
 
 def test_the_sampled_instances_check_as_before(sampled_instances):
     assert len(sampled_instances) == 36 * 40
     assert {d.steps[-1].rule for d in sampled_instances} == set(RULES)
-    assert not _assert_same_verdicts(sampled_instances)
-    rejected = _assert_same_verdicts(
+    rejected, kept_only = _assert_same_verdicts(sampled_instances)
+    assert not rejected
+    rejected, mutants_kept_only = _assert_same_verdicts(
         m for d in sampled_instances for m in _mutants(d))
+    # contexts drawn from the rule's pool may hold the principal already
+    assert kept_only > 0 and mutants_kept_only > 0
     # every rule rejects some mutant; the eigenvariable rules by their
     # side condition as well
     assert {rule for rule, _ in rejected} == set(RULES)
@@ -795,8 +821,13 @@ def test_the_sampled_instances_check_as_before(sampled_instances):
 
 def test_the_proof_steps_check_as_before(proof_steps):
     assert len(proof_steps) > 1000
-    assert not _assert_same_verdicts(proof_steps)
-    rejected = _assert_same_verdicts(
+    rejected, kept_only = _assert_same_verdicts(proof_steps)
+    assert not rejected
+    rejected, mutants_kept_only = _assert_same_verdicts(
         m for d in proof_steps for m in _mutants(d))
+    # a premise drops the principal the prover decomposes, so its steps
+    # fit the context that keeps none; a mutant that adds the principal
+    # back to a premise fits only one that keeps it
+    assert kept_only + mutants_kept_only > 0
     assert {rule for rule, _ in rejected} == {
         d.steps[-1].rule for d in proof_steps}

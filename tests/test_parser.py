@@ -114,6 +114,67 @@ def test_errors_name_position():
             parse_formula(bad, SIG)
 
 
+# one input per error site, with its message as it was before input
+# tokens were quoted through ``parser._quote``; a short token is quoted
+# whole, so these stay byte for byte
+ERRORS = [
+    ("formula", "(p & q", "expected ')', found 'end' (at position 6)"),
+    ("formula", "forall x p", "expected '.', found 'p' (at position 9)"),
+    ("formula", "P c", "expected '(', found 'c' (at position 2)"),
+    ("list", "p & (q, r)", "expected ')', found ',' (at position 6)"),
+    ("formula", "p q", "trailing input 'q' (at position 2)"),
+    ("formula", "p &", "expected a formula, found 'end' (at position 3)"),
+    ("list", "p &, q", "expected a formula, found 'end' (at position 3)"),
+    ("formula", "~ )", "expected a formula, found ')' (at position 2)"),
+    ("formula", "forall . p",
+     "expected a variable after forall (at position 7)"),
+    ("formula", "Neither",
+     "extra connective Neither not enabled (at position 0)"),
+    ("formula", "zz", "unknown symbol 'zz' (at position 0)"),
+    ("formula", "c", "expected '=' or '!=' after a term (at position 1)"),
+    ("formula", "P(&)", "expected a term, found '&' (at position 2)"),
+    ("term", "forall", "expected a term, found 'forall' (at position 0)"),
+    ("formula", "P(p)", "predicate symbol 'p' used as a term (at position 2)"),
+    ("formula", "P(h(c))", "unknown symbol 'h' (at position 2)"),
+    ("formula", "P(c, d)", "P expects 1 argument(s), got 2 (at position 0)"),
+    ("formula", "p $ q", "unexpected character '$' (at position 1)"),
+    ("formula", "~" * (MAX_DEPTH + 1) + "p",
+     "nested deeper than 100 levels (at position 100)"),
+    ("sequent", "p; q",
+     "a sequent needs '=>' between its sides (at position 0)"),
+]
+
+
+def _message(kind: str, text: str) -> str:
+    parse = {"formula": parse_formula, "term": parse_term,
+             "list": lambda text, sig: parse_formula_list(text, sig, ","),
+             "sequent": parse_sequent}[kind]
+    with pytest.raises(ParseError) as err:
+        parse(text, SIG)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("kind, text, message", ERRORS)
+def test_every_error_site_gives_its_message(kind, text, message):
+    assert _message(kind, text) == message
+
+
+# the sites that quote an input identifier, each given a 1,000,000-character
+# one: the message quotes its first 60 characters and a marker
+LONG = "q" * 1_000_000
+CLIPPED = "%r [clipped]" % LONG[:60]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p & " + LONG, "unknown symbol %s (at position 4)" % CLIPPED),
+    ("P(%s(c))" % LONG, "unknown symbol %s (at position 2)" % CLIPPED),
+    ("p " + LONG, "trailing input %s (at position 2)" % CLIPPED),
+    ("P " + LONG, "expected '(', found %s (at position 2)" % CLIPPED),
+], ids=["formula", "term", "trailing", "expected"])
+def test_a_long_identifier_is_quoted_clipped(text, message):
+    assert _message("formula", text) == message
+
+
 # formulas exactly at the depth bound, each with one a level deeper
 AT_BOUND = {
     "negations": ("~" * MAX_DEPTH + "p", "~" * (MAX_DEPTH + 1) + "p"),

@@ -250,6 +250,15 @@ def test_a_long_bad_input_is_quoted_clipped(kind, text, message):
     assert len(got) < 130
 
 
+def test_a_long_unknown_symbol_in_a_derivation_is_quoted_clipped():
+    """A principal that names a 1,000,000-character unknown symbol: the
+    file's error carries the parser's message, which quotes it clipped."""
+    long = "x" * 1_000_000
+    got = _error("derivation", '0: Id principal="%s" |- p => p' % long)
+    assert got == ("line 1: unknown symbol %r [clipped] (at position 0)"
+                   % long[:60])
+
+
 def test_print_sequent_shape():
     s = Sequent.of([Prop("p"), And(Prop("p"), Prop("q"))], [Falsity()])
     assert print_sequent(s) == "|- p; p & q => F"

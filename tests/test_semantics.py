@@ -1050,6 +1050,29 @@ def test_fo_space_refuses_unbound_variables_and_unknown_symbols():
             space.mask(a)
 
 
+@pytest.mark.parametrize("make, formulas", [
+    (lambda: PropSpace(("p", "q")),
+     [Falsity(), p, Not(p), And(p, Not(q)), Imp(p, Falsity())]),
+    (lambda: FOSpace(_EQ_SIG, (1, 2)),
+     [Falsity(), Pred("P", (Fun("c"),)), Not(Eq(Fun("c"), Fun("d"))),
+      Forall("x", Pred("P", (Var("x"),)))]),
+], ids=["prop", "fo"])
+def test_a_mask_is_the_t_half_of_the_vector_computed_once(monkeypatch, make,
+                                                          formulas):
+    """On a miss and on a hit, ``mask`` reads what ``vector`` gives; each
+    formula is compiled once, F's zero t-mask included."""
+    fresh, space, compiled = make(), make(), []
+    compile_ = semantics._compile
+    monkeypatch.setattr(semantics, "_compile",
+                        lambda *args: compiled.append(args) or compile_(*args))
+    for a in formulas:
+        miss = space.mask(a)
+        assert miss == fresh.vector(a)[0]
+        assert space.mask(a) == space.vector(a)[0] == miss
+    assert space.mask(Falsity()) == 0
+    assert len(compiled) == 2 * len(formulas)  # once in each space
+
+
 # ---------------------------------------------------------------------------
 # the propositional scan's bound
 

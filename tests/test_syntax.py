@@ -113,6 +113,35 @@ def test_literals():
     assert not is_literal(And(p, q)) and not is_literal(Not(Not(p)))
 
 
+def match_is_atomic(a) -> bool:
+    """``syntax.is_atomic`` as it was written with class patterns."""
+    match a:
+        case Falsity() | Prop(_) | Pred(_, _) | Eq(_, _):
+            return True
+        case ExtApp(_, args):
+            return not args
+    return False
+
+
+def match_is_literal(a) -> bool:
+    return match_is_atomic(a) or isinstance(a, Not) and match_is_atomic(a.body)
+
+
+def test_the_class_tests_agree_with_the_class_patterns():
+    """Every node class, nullary and unary extra connectives, each under
+    a negation, and the non-formulas a hand-built step may hold."""
+    nodes = [cls(*values) for cls, values in _CALLS]
+    nodes += [ExtApp("Both", ()), ExtApp("Neither", ()), ExtApp("Des", (q,))]
+    assert {type(a) for a in nodes} == set(_FIELDS)
+    cases = nodes + [Not(a) for a in nodes if type(a) not in (Var, Fun)]
+    cases += [Not(Not(p)), "p", 3, None]
+    for a in cases:
+        assert syntax.is_atomic(a) == match_is_atomic(a), a
+        assert is_literal(a) == match_is_literal(a), a
+    assert sum(map(syntax.is_atomic, cases)) == 6
+    assert sum(map(is_literal, cases)) == 13  # with Not(p) from _CALLS
+
+
 def is_propositional(a) -> bool:
     """Does the formula have no predicate, equality or quantifier?"""
     return not any(isinstance(s, (Pred, Eq, Forall, Exists))
