@@ -322,24 +322,37 @@ def _distinct_reps(pool, space: PropSpace):
     return reps
 
 
+def _below(rng, n: int) -> int:
+    """``rng.randrange(n)``, or the index ``rng.choice`` takes in n items:
+    CPython's ``_randbelow`` loop, the same draws and generator state,
+    without the two Python frames of ``randrange`` or ``choice``."""
+    if n < 1:
+        raise ValueError("empty range for _below(%d)" % n)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _pick(rng, pool) -> tuple:
     """``tuple(rng.sample(pool, rng.randint(0, 2)))`` from the same draws,
-    one ``randrange`` each: CPython's ``sample`` runs Fisher-Yates steps
+    one ``_below`` each: CPython's ``sample`` runs Fisher-Yates steps
     on a pool of at most 21 and redraws a repeated index on a larger one
-    (checked on both sides against it in ``tests/test_sampling.py``)."""
-    k = rng.randrange(3)
+    (both checked against it in ``tests/test_sampling.py``)."""
+    k = _below(rng, 3)
     if k == 0:
         return ()
     n = len(pool)
-    i = rng.randrange(n)
+    i = _below(rng, n)
     if k == 1:
         return (pool[i],)
     if n <= 21:  # the shuffle's first step moved pool[n - 1] into slot i
-        j = rng.randrange(n - 1)
+        j = _below(rng, n - 1)
         return pool[i], pool[n - 1 if j == i else j]
     j = i
     while j == i:
-        j = rng.randrange(n)
+        j = _below(rng, n)
     return pool[i], pool[j]
 
 
@@ -380,29 +393,31 @@ def _criterion_6(config: SuiteConfig):
     crosschecked = 0
     failures = []
 
-    def probe(gamma, delta, mode):
+    def probe(gamma, delta, modes):
         nonlocal checked, crosschecked
-        checked += 1
         gm = [space.mask(a) for a in gamma]
         dm = [space.mask(a) for a in delta]
-        restricted = space.holds(gm, dm, mode) is None
-        guards = translation_sets(gamma, delta, mode)
-        bd = space.holds([space.mask(a) for a in guards] + gm, dm, "bd") is None
-        if restricted != bd:
-            failures.append((mode, gamma, delta, "biconditional"))
-        if space.holds(gm, dm, "bd") is None and not restricted:
-            failures.append((mode, gamma, delta, "inclusion"))
-        if checked % 97 == 0:
-            crosschecked += 1
-            full = verify_simulation(gamma, delta, mode)
-            if full.ok != (restricted == bd):
-                failures.append((mode, gamma, delta, "crosscheck"))
+        holds_bd = space.holds(gm, dm, "bd") is None
+        for mode in modes:
+            checked += 1
+            restricted = space.holds(gm, dm, mode) is None
+            guards = [space.mask(a)
+                      for a in translation_sets(gamma, delta, mode)]
+            bd = space.holds(guards + gm, dm, "bd") is None
+            if restricted != bd:
+                failures.append((mode, gamma, delta, "biconditional"))
+            if holds_bd and not restricted:
+                failures.append((mode, gamma, delta, "inclusion"))
+            if checked % 97 == 0:
+                crosschecked += 1
+                full = verify_simulation(gamma, delta, mode)
+                if full.ok != (restricted == bd):
+                    failures.append((mode, gamma, delta, "crosscheck"))
 
     for gamma, delta, rng in _prop_universe(space, config, "simulation",
                                             details):
-        for mode in (EXTENSION_MODES if rng is None
-                     else (rng.choice(EXTENSION_MODES),)):
-            probe(gamma, delta, mode)
+        probe(gamma, delta, EXTENSION_MODES if rng is None else
+              (EXTENSION_MODES[_below(rng, len(EXTENSION_MODES))],))
     details["random_instances"] = config.random_instances
     details["checked"] = checked
     details["crosschecked"] = crosschecked
@@ -553,8 +568,8 @@ def _sample_instance(rule, rng, ctx_pool, made):
     pool = (_EQ_X_LITERALS if rule.name == "eq-Repl"
             else _PROP_LITERALS if rule.literal
             else _FO_BODIES if rule.needs in (_TERM, _EIGEN) else _PROP_POOL)
-    key = (tuple([rng.choice(pool) for _ in rule.slots])
-           + tuple([rng.choice(_TERMS) for f in ("t", "t2")
+    key = (tuple([pool[_below(rng, len(pool))] for _ in rule.slots])
+           + tuple([_TERMS[_below(rng, len(_TERMS))] for f in ("t", "t2")
                     if f in rule.needs]))
     cached = made.get(key)
     if cached is None:

@@ -22,9 +22,10 @@ the soundness sampler builds instances with ``instance``.
 needs the principal alone, Cut aside, keeps its premises' additions on
 the principal (``syntax.kept``, shared with ``Rule.backward`` and so
 ``prove_prop``) and rebuilds the conclusion's, the principal itself.
-F-L and notF-R, which need no step field, are filled once per rule
-(``Rule.constant``).  The rest bind their letters from the step's
-fields and fill them (``Rule.filled``) on every call.
+A quantifier rule keeps them there by its step's t or y.  F-L and
+notF-R, needing no step field, are filled once (``Rule.constant``).
+eq-Refl, eq-Repl, Den-L and Den-R, whose additions no node can keep,
+bind their letters and fill them (``Rule.filled``) on every call.
 
 Sequent sides are sets.  A rule's conclusion is its context plus the
 formulas the rule introduces, and because sets absorb duplicates the
@@ -46,7 +47,7 @@ import functools
 import operator
 
 from .syntax import (
-    And, Eq, Exists, Falsity, Forall, Formula, Imp, Not, Or, Sequent, Var,
+    And, Eq, Exists, Falsity, Forall, Formula, Fun, Imp, Not, Or, Sequent, Var,
     _node, _record, free_vars, is_literal, kept, substitute,
 )
 
@@ -234,23 +235,34 @@ class Rule:
     def additions(self, step):
         """The additions of a step by this rule: the conclusion's, then
         each premise's; None when the step's principal does not have the
-        pattern.  Kept on the principal for a rule with ``kept_as``, the
-        ``constant`` for F-L and notF-R, else the letters bound from the
-        step's principal, t, t2, x and y, filled."""
+        pattern.  Kept on the principal for a rule with ``kept_as`` and,
+        by t or y, for a quantifier rule, the ``constant`` for F-L and
+        notF-R, else the letters bound from the step's fields, filled."""
         a = step.principal
         if self.kept_as:
             premises = self._kept_premise_additions(a)
-            if premises is None:
-                return None
-            ant, suc = self.conclusion  # the principal, on one side or both
-            return [((a,) * len(ant), (a,) * len(suc)), *premises]
-        if self.constant:
+        elif self.constant:
             return self.constant
-        env = {"principal": a, "t": step.t, "t2": step.t2, "x": step.x,
-               "y": None if step.y is None else Var(step.y)}
-        if self.pattern is None or _match(self.pattern, a, env):
-            return self.filled(env)
-        return None
+        else:
+            env = {"principal": a, "t": step.t, "t2": step.t2, "x": step.x,
+                   "y": None if step.y is None else Var(step.y)}
+            t = env[self.needs[-1]]  # a quantifier rule's t or y
+            # kept by a variable or constant alone, which holds no formula
+            if not (self.needs in (_TERM, _EIGEN) and type(a) in _FORMULAS
+                    and type(t) in (Var, Fun) and type(t.name) is str
+                    and not getattr(t, "args", ())):
+                if self.pattern is None or _match(self.pattern, a, env):
+                    return self.filled(env)
+                return None
+            per, key = kept(a, "_premises_by", lambda a: {}), (self.name, t)
+            if key not in per:
+                per[key] = (self.filled(env)[1:]
+                            if _match(self.pattern, a, env) else None)
+            premises = per[key]
+        if premises is None:
+            return None
+        ant, suc = self.conclusion  # the principal, on one side or both
+        return [((a,) * len(ant), (a,) * len(suc)), *premises]
 
     def backward(self, s: Sequent, a):
         """The premises above s when this rule introduces a, which each

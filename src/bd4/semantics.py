@@ -60,23 +60,24 @@ _BINARY = {And: meet, Or: join, Imp: imp}
 
 
 def evaluate_prop(a, valuation: dict) -> TruthValue:
-    """Value of a propositional formula under a valuation."""
-    match a:
-        case Prop(name):
-            try:
-                return valuation[name]
-            except KeyError:
-                raise SemanticsError("no value for proposition %s" % name) from None
-        case Falsity():
-            return F
-        case Not(b):
-            return neg(evaluate_prop(b, valuation))
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return _BINARY[a.__class__](evaluate_prop(l, valuation),
-                                        evaluate_prop(r, valuation))
-        case ExtApp(conn, args):
-            table = EXTRA_CONNECTIVES[conn][1]
-            return table[evaluate_prop(args[0], valuation) if args else 0]
+    """Value of a propositional formula under a valuation: the reference
+    for the bit-pair engine, a walk over the ``values`` functions."""
+    cls = a.__class__
+    if cls is Prop:
+        try:
+            return valuation[a.name]
+        except KeyError:
+            raise SemanticsError("no value for proposition %s" % a.name) from None
+    if cls is Not:
+        return neg(evaluate_prop(a.body, valuation))
+    if cls in _BINARY:
+        return _BINARY[cls](evaluate_prop(a.left, valuation),
+                            evaluate_prop(a.right, valuation))
+    if cls is Falsity:
+        return F
+    if cls is ExtApp:
+        table = EXTRA_CONNECTIVES[a.conn][1]
+        return table[evaluate_prop(a.args[0], valuation) if a.args else 0]
     raise SemanticsError("not a propositional formula: %s" % (a,))
 
 
@@ -720,7 +721,8 @@ def consequence_prop(gamma, delta, allowed=ALL_VALUES):
     allowed, formulas = frozenset(allowed), list(gamma)
     n = len(formulas)
     formulas += delta
-    _, atoms = _compile_prop(formulas)
+    atoms = tuple(sorted(frozenset().union(
+        *[kept(a, "_prop_code", _prop_code)[1] for a in formulas])))
     sweep = _prop_sweep(len(atoms), allowed, _BLOCK_COLUMNS)
     if sweep.outer:
         witness = scan_valuations(formulas, _counter(n), allowed)

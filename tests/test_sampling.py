@@ -1,4 +1,5 @@
 """The report's random draws: ``acceptance._pick`` against ``random.sample``,
+``acceptance._below`` against ``randrange`` and ``choice``,
 and the random streams of criteria 6, 10, 11 and 12 pinned at seed 1.
 
 Seed 0 is pinned through ``bench/report_lines_seed0.txt``; the digests
@@ -74,6 +75,22 @@ def test_pick_draws_what_sample_draws(reps2):
                 assert (acceptance._pick(mine, pool)
                         == reference_pick(theirs, pool)), (len(pool), seed)
                 assert mine.getstate() == theirs.getstate()
+
+
+def test_below_draws_what_randrange_and_choice_draw():
+    """Equal draws and equal generator states after every draw, for n
+    from 1 to 300, powers of two and one past them included."""
+    for n in range(1, 301):
+        pool = tuple(range(n))
+        for seed in range(40):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                assert acceptance._below(mine, n) == theirs.randrange(n)
+                assert mine.getstate() == theirs.getstate()
+                assert pool[acceptance._below(mine, n)] == theirs.choice(pool)
+                assert mine.getstate() == theirs.getstate()
+    with pytest.raises(ValueError):
+        acceptance._below(random.Random(0), 0)
 
 
 @pytest.fixture(scope="module")

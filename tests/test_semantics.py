@@ -31,6 +31,8 @@ from bd4.values import (
     MODE_VALUES, N, T, VALUES, designated,
 )
 
+import reference_semantics
+
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
 
@@ -50,6 +52,38 @@ def test_evaluate_prop_basics():
 def test_evaluate_prop_rejects_first_order():
     with pytest.raises(SemanticsError):
         evaluate_prop(Pred("P", (Fun("c"),)), {})
+
+
+_PROP_FORMULA = st.recursive(
+    st.sampled_from([p, q, r, Falsity(), ExtApp("Both"), ExtApp("Neither")]),
+    lambda fs: st.one_of(
+        st.builds(Not, fs), st.builds(And, fs, fs), st.builds(Or, fs, fs),
+        st.builds(Imp, fs, fs),
+        st.builds(lambda conn, a: ExtApp(conn, (a,)),
+                  st.sampled_from(["Des", "Norm", "Cons", "Det", "Confl"]),
+                  fs)),
+    max_leaves=10)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_PROP_FORMULA)
+def test_evaluate_prop_matches_the_reference(a):
+    for v in valuations(("p", "q", "r")):
+        assert evaluate_prop(a, v) is reference_semantics.evaluate_prop(a, v)
+
+
+@pytest.mark.parametrize("a", [
+    And(p, Prop("missing")), Not(Prop("missing")),
+    ExtApp("Des", (Prop("missing"),)), Pred("P", (Fun("c"),)),
+    Eq(Fun("c"), Fun("c")), Or(p, Forall("x", Pred("P", (Var("x"),)))),
+    Forall("x", p), Exists("x", p), Var("x"), "p", None])
+def test_evaluate_prop_raises_as_the_reference(a):
+    with pytest.raises(SemanticsError) as theirs:
+        reference_semantics.evaluate_prop(a, {"p": T})
+    with pytest.raises(SemanticsError) as mine:
+        evaluate_prop(a, {"p": T})
+    assert type(mine.value) is type(theirs.value)
+    assert str(mine.value) == str(theirs.value)
 
 
 def test_valuations_order_and_restriction():

@@ -463,6 +463,61 @@ def test_nodes_with_kept_rule_additions_leave_the_table():
     assert len(syntax._NODES) == before
 
 
+QUANTIFIER_RULES = [rule for rule in RULES.values()
+                    if rule.needs in (kernel._TERM, kernel._EIGEN)]
+
+
+def _check_last(rule, principal, t=None, y=None, hyps=None, sequent=None):
+    """``check_step`` on a step by ``rule`` whose premises are cited as
+    hypotheses: by default the premises and conclusion of the instance
+    over an empty context."""
+    step = DerivationStep(rule.name, None, (), principal, t=t, y=y)
+    if hyps is None:
+        hyps, sequent = kernel.instance(reference_additions(rule, step))
+    step = DerivationStep(rule.name, sequent, tuple(range(len(hyps))),
+                          principal, t=t, y=y)
+    return kernel.check_step(kernel.Derivation(
+        tuple(DerivationStep("hypothesis", h) for h in hyps) + (step,),
+        frozenset(), hyps), len(hyps))
+
+
+def test_nodes_with_kept_quantifier_additions_leave_the_table():
+    gc.collect()
+    before = len(syntax._NODES)
+    body = Or(Pred("life_Q", (Var("x"),)),
+              Exists("life_v", Eq(Var("x"), Var("life_v"))))
+    terms = (Fun("life_c"), Var("life_z"))
+    assert len(QUANTIFIER_RULES) == 8
+    for rule in QUANTIFIER_RULES:
+        a = rule.principal_of({"x": "x", "A": body})
+        field = rule.needs[-1]
+        keys = terms if field == "t" else ("life_y1", "life_y2")
+        for key in keys + keys:  # the second round reads the kept values
+            assert _check_last(rule, a, **{field: key}) is None
+        mine = {k for k in a._premises_by if k[0] == rule.name}
+        assert mine == {(rule.name, key if field == "t" else Var(key))
+                        for key in keys}
+        # a term holding its principal, or with arguments, is not kept
+        for t in (Fun("life_g", (a,)), Fun("life_f", (Fun("life_c"),))):
+            assert _check_last(rule, a, **{field: t}) is None
+        assert {k for k in a._premises_by if k[0] == rule.name} == mine
+    del body, terms, a, key, keys, mine, t
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+@pytest.mark.parametrize("principal", ["life_p", Var("life_w"), Prop("life_p")])
+def test_quantifier_steps_with_a_principal_of_no_pattern(principal):
+    """The violations such a step got before its additions were kept."""
+    hyps = (Sequent.of([p], [q]),)
+    for rule in QUANTIFIER_RULES:
+        v = _check_last(rule, principal, t=c, y="y", hyps=hyps,
+                        sequent=Sequent.of([p], [q]))
+        assert v == kernel.Violation(1, kernel.Code.PRINCIPAL_SHAPE,
+                                     "%s cannot introduce %s"
+                                     % (rule.name, principal))
+
+
 def test_nodes_with_kept_masks_leave_the_table_in_one_collection():
     gc.collect()
     before = len(syntax._NODES)
