@@ -29,7 +29,6 @@ from .definability import (
 )
 from .kernel import (
     _EIGEN, _TERM, RULES, Derivation, DerivationStep, check_derivation,
-    instance,
 )
 from .matrixlab import (
     ALL_LAWS, BD_MATRIX, LAW_ARITY, SUBSETS, check_all_laws,
@@ -552,48 +551,6 @@ _EQ_X_LITERALS = (_P(_x), Not(_P(_x)), Eq(_x, _c), Eq(_d, _x),
 _TERMS = (_c, _d)
 
 
-def _sample_instance(rule, rng, ctx_pool, made):
-    """One random instance: (premises, conclusion, step).
-
-    The contexts are drawn from ``ctx_pool`` by ``_pick``, then the
-    pattern's formula letters left to right from the rule's pool, then t
-    and t2 from the terms.  The letters give the principal, and the step
-    by the rule with that principal and those terms (no sequent or
-    premises yet) gives its additions through ``Rule.additions``, which
-    ``instance`` puts over the contexts.  ``made`` keeps the step and
-    its additions per draw of letters and terms.
-    """
-    gamma = frozenset(_pick(rng, ctx_pool))
-    delta = frozenset(_pick(rng, ctx_pool))
-    pool = (_EQ_X_LITERALS if rule.name == "eq-Repl"
-            else _PROP_LITERALS if rule.literal
-            else _FO_BODIES if rule.needs in (_TERM, _EIGEN) else _PROP_POOL)
-    key = (tuple([pool[_below(rng, len(pool))] for _ in rule.slots])
-           + tuple([_TERMS[_below(rng, len(_TERMS))] for f in ("t", "t2")
-                    if f in rule.needs]))
-    cached = made.get(key)
-    if cached is None:
-        fields = dict(zip([f for f in ("t", "t2") if f in rule.needs],
-                          key[len(rule.slots):]))
-        fields.update((f, f) for f in ("x", "y") if f in rule.needs)
-        step = DerivationStep(rule.name, None, (), rule.principal_of(
-            dict(zip(rule.slots, key), x="x")), **fields)
-        cached = made[key] = step, rule.additions(step)
-    step, adds = cached
-    return (*instance(adds, gamma, delta), step)
-
-
-def _replay(step, premises, conclusion, pack):
-    """The derivation of an instance's conclusion by the step's rule from
-    its premises, cited as hypotheses; built by position, which costs a
-    fraction of a keyword call through ``syntax.replace``."""
-    steps = tuple(DerivationStep("hypothesis", s) for s in premises)
-    step = DerivationStep(step.rule, conclusion, tuple(range(len(premises))),
-                          step.principal, step.t, step.t2, step.x, step.y)
-    packs = frozenset() if pack is None else frozenset({pack})
-    return Derivation(steps + (step,), packs, premises)
-
-
 def _kernel_accepts(d) -> None:
     good, v = check_derivation(d)
     if not good:
@@ -608,27 +565,58 @@ def _soundness_run(name, valid, rng, instances, ctx_pool, pack=None,
     """Premises-valid-implies-conclusion-valid over random instances.
 
     Sampling retries a few times toward instances whose premises are all
-    valid, since vacuous instances certify nothing.  Every kept instance,
-    the last draw of each, is replayed through the proof kernel so the
-    schema being judged is exactly the one the kernel enforces.  The run's
-    own dict keeps the step and its additions per draw of letters and terms,
-    so they end with the run.  ``tests/test_sampling.py`` pins its rows at
-    seed 1.
+    valid, since vacuous instances certify nothing.  A draw takes the
+    contexts by ``_pick``, the pattern's letters left to right from the
+    rule's pool, then t and t2; the step they give (no sequent yet) gives
+    the additions (``Rule.additions``), put over the contexts.  Every
+    kept instance, the last draw of each, is replayed through the kernel,
+    premises cited as hypotheses, so the schema judged is exactly the one
+    the kernel enforces.  The pool, draws, fields and packs are found,
+    and ``_pick`` and ``_kernel_accepts`` read, once per run; the run's
+    dict keeps each draw's step fields and additions.
+    ``tests/test_sampling.py`` pins its rows and stream at seed 1.
     """
-    rule = RULES[name]
+    rule, pick, accepts = RULES[name], _pick, _kernel_accepts
+    pool = (_EQ_X_LITERALS if name == "eq-Repl"
+            else _PROP_LITERALS if rule.literal
+            else _FO_BODIES if rule.needs in (_TERM, _EIGEN) else _PROP_POOL)
+    slots = len(rule.slots)
+    terms = [f for f in ("t", "t2") if f in rule.needs]
+    draws = [(pool, len(pool))] * slots + [(_TERMS, len(_TERMS))] * len(terms)
+    cites = tuple(range(len(rule.premises)))
+    packs = frozenset() if pack is None else frozenset({pack})
     made: dict = {}
-    nonvacuous = 0
-    violations = 0
+    nonvacuous = violations = repair_violations = 0
     example = None
-    repair_violations = 0
     for _ in range(instances):
         for _attempt in range(4):
-            premises, conclusion, step = _sample_instance(
-                rule, rng, ctx_pool, made)
-            premises_valid = all(valid(s) for s in premises)
+            gamma = frozenset(pick(rng, ctx_pool))
+            delta = frozenset(pick(rng, ctx_pool))
+            key = tuple([p[_below(rng, n)] for p, n in draws])
+            cached = made.get(key)
+            if cached is None:
+                kw = dict(zip(terms, key[slots:]))
+                kw.update((f, f) for f in ("x", "y") if f in rule.needs)
+                step = DerivationStep(name, None, (), rule.principal_of(
+                    dict(zip(rule.slots, key), x="x")), **kw)
+                (ca, cs), *padds = rule.additions(step)
+                cached = made[key] = ((step.principal, step.t, step.t2,
+                                       step.x, step.y), ca, cs, padds)
+            fields, ca, cs, padds = cached
+            premises = tuple([Sequent(gamma.union(pa), delta.union(ps))
+                              for pa, ps in padds])
+            premises_valid = True
+            for s in premises:
+                if not valid(s):
+                    premises_valid = False
+                    break
             if premises_valid:
                 break
-        _kernel_accepts(_replay(step, premises, conclusion, pack))
+        conclusion = Sequent(gamma.union(ca), delta.union(cs))
+        accepts(Derivation(tuple([DerivationStep("hypothesis", s)
+                                  for s in premises])
+                           + (DerivationStep(name, conclusion, cites,
+                                             *fields),), packs, premises))
         if not premises_valid:
             continue
         nonvacuous += 1

@@ -15,7 +15,7 @@ letters, which are hash-consed nodes (``syntax._node``) like the
 formulas, so a pattern is one node tree; the principal binds A, B and
 the bound variable, the step gives t, t2 and y.  The checker reads a
 rule forwards, proof search reads it backwards (``Rule.backward``), and
-the soundness sampler builds instances with ``instance``.
+the soundness sampler puts its additions over random contexts.
 
 ``Rule.additions(step)`` is the one forward reading of a rule, which
 ``check_step`` and the sampler of ``acceptance`` both ask.  A rule that
@@ -274,8 +274,8 @@ class Rule:
             gamma, delta = s.ant - {a}, s.suc
         else:
             gamma, delta = s.ant, s.suc - {a}
-        return tuple(Sequent(gamma.union(pa), delta.union(ps))
-                     for pa, ps in premises)
+        return tuple([Sequent(gamma.union(pa), delta.union(ps))
+                      for pa, ps in premises])
 
 
 _FORMULAS = frozenset(Formula.__args__)
@@ -449,11 +449,11 @@ def check_step(d: Derivation, i: int) -> Violation | None:
     if eigen_blocked:
         return Violation(i, Code.EIGENVARIABLE,
                          "%s is free in the conclusion context" % y)
-    pa, ps = padds[0] if padds else ((), ())
-    want = Sequent(base_ant.union(pa), base_suc.union(ps))
+    # only a rule with premises gets here: with none, a context fits
+    want = instance(adds, base_ant, base_suc)[0][0]
     return Violation(i, Code.PREMISE_MISMATCH,
                      "expected first premise like %s, got %s"
-                     % (want, prem[0] if prem else "none"))
+                     % (want, prem[0]))
 
 
 def check_derivation(d: Derivation):

@@ -62,7 +62,12 @@ class _Fail(Exception):
 
 def _quote(text: str) -> str:
     """``repr`` of the text's first 60 characters, with a marker if cut."""
-    return repr(text) if len(text) <= 60 else repr(text[:60]) + " [clipped]"
+    return _clip(text, repr)
+
+
+def _clip(text: str, show) -> str:
+    """``show`` of the text's first 60 characters, with a marker if cut."""
+    return show(text) if len(text) <= 60 else show(text[:60]) + " [clipped]"
 
 
 def _height(e) -> int:

@@ -18,17 +18,19 @@ genuinely invalid.  The not-L / not-R pack rules are applied only at
 stuck literal-only sequents, as backtracking choice points; each
 application consumes one negated literal, so that phase terminates too.
 
-Each decomposition takes the least decomposable formula in the
-canonical order (``formula_key``), the antecedent before the succedent.
-The search appends a derivation step as each sequent is proved, so the
-derivation comes out of the search itself, premises before conclusions.
-The memo maps a sequent to its step, so a sequent that two branches
-share is one step that both cite.
+A sequent closes by F-L, notF-R or Id on its least shared literal, or
+else is decomposed at its least decomposable formula, the antecedent's
+first; least is in the canonical order (``formula_key``), read from the
+kept printed form.  A step is appended as each sequent is proved, so
+the derivation comes out of the search itself, premises before
+conclusions.  The memo maps a sequent to its step, so a sequent that
+two branches share is one step that both cite.
 """
 
 from __future__ import annotations
 
 from .kernel import RULES, Derivation, DerivationStep, head
+from .parser import _clip, _quote
 from .semantics import EnumerationCapExceeded, SemanticsError, consequence_prop
 from .syntax import (
     TRUTH, Falsity, Not, Sequent, _record, formula_key, is_literal,
@@ -52,7 +54,7 @@ class SearchBudget:
         if self.max_depth <= 0 or self.max_nodes <= 0:
             raise ValueError("budget bounds must be positive")
         if self.mode not in MODES:
-            raise ValueError("unknown mode %r" % (self.mode,))
+            raise ValueError("unknown mode %s" % _quote(str(self.mode)))
 
 
 @_record
@@ -75,38 +77,14 @@ _FALSITY = Falsity()
 _OPEN = object()  # not in the memo
 
 
-def _closure(s: Sequent) -> DerivationStep | None:
-    if _FALSITY in s.ant:
-        return DerivationStep("F-L", s)
-    if TRUTH in s.suc:
-        return DerivationStep("notF-R", s)
-    shared = [a for a in s.ant & s.suc if is_literal(a)]
-    if shared:
-        return DerivationStep("Id", s, principal=min(shared, key=formula_key))
-    return None
-
-
 # base rules that also need a term or an eigenvariable are first-order
 _DECOMPOSE = tuple({head(r.pattern): r for r in RULES.values()
                     if r.side == side and r.pack is None
                     and r.needs == ("principal",)} for side in ("ant", "suc"))
 
-
-def _first_move(s: Sequent):
-    """The first decomposition in canonical order: (rule, principal).
-    Of formulas with equal keys, the first in iteration order."""
-    for rules, formulas in zip(_DECOMPOSE, (s.ant, s.suc)):
-        best = None
-        for a in formulas:
-            cls = a.__class__  # as ``head`` keys the rules
-            rule = rules.get(cls if cls is not Not else (Not, a.body.__class__))
-            if rule is not None:
-                key = formula_key(a)
-                if best is None or key < best_key:
-                    best, move, best_key = a, rule, key
-        if best is not None:
-            return move, best
-    return None
+# each mode's pack rules, in the order its choice points try them
+_PACK_RULES = {mode: tuple([RULES[r] for r in rules])
+               for mode, rules in _MODE_PACK_RULES.items()}
 
 
 def _choices(s: Sequent, pack_rules):
@@ -126,7 +104,6 @@ class _Searcher:
 
     def __init__(self, budget: SearchBudget):
         self.budget = budget
-        self.pack_rules = [RULES[r] for r in _MODE_PACK_RULES[budget.mode]]
         self.nodes = 0
 
     def solve(self, s: Sequent) -> Derivation | None:
@@ -140,39 +117,65 @@ class _Searcher:
         below a choice point all sequents are literal-only, so a failed
         choice proved nothing, and a failed decomposition fails every
         frame down to the root.  So a proved root's steps are exactly
-        its proof, in post-order, each shared step once."""
-        memo, stack, depth = {}, [], 0
+        its proof, in post-order, each shared step once.  The node count
+        is a local, put back in ``nodes`` on every exit, ``_Exhausted``'s
+        included."""
+        memo, stack, depth, nodes = {}, [], 0, self.nodes
         max_depth, max_nodes = self.budget.max_depth, self.budget.max_nodes
-        steps, packs = [], set()
+        steps, packs, pack_rules = [], set(), _PACK_RULES[self.budget.mode]
         while True:
-            done = memo.get((s.ant, s.suc), _OPEN)
+            ant, suc = s.ant, s.suc
+            done = memo.get((ant, suc), _OPEN)
             if done is _OPEN:
                 if depth > max_depth:
+                    self.nodes = nodes
                     raise _Exhausted("depth")
-                self.nodes += 1
-                if self.nodes > max_nodes:
+                nodes += 1
+                if nodes > max_nodes:
+                    self.nodes = nodes
                     raise _Exhausted("nodes")
-                step = _closure(s)
-                if step is None:
-                    move = _first_move(s)
+                move = principal = None
+                if _FALSITY in ant:
+                    move = "F-L"
+                elif TRUTH in suc:
+                    move = "notF-R"
+                else:  # Id on the least shared literal
+                    for a in ant & suc:
+                        if is_literal(a):
+                            key = a._text or formula_key(a)
+                            if move is None or key < least:
+                                move, principal, least = "Id", a, key
+                if move is not None:
+                    done = len(steps)
+                    steps.append(DerivationStep(move, s, (), principal))
+                else:
+                    # the least decomposable formula, antecedent first
+                    for rules, side in zip(_DECOMPOSE, (ant, suc)):
+                        for a in side:
+                            cls = a.__class__  # as ``head`` keys the rules
+                            rule = rules.get(cls if cls is not Not
+                                             else (Not, a.body.__class__))
+                            if rule is not None:
+                                key = a._text or formula_key(a)
+                                if move is None or key < least:
+                                    move, principal, least = rule, a, key
+                        if move is not None:
+                            break
                     if move is not None:
                         # all decompositions are invertible: commit to it
-                        goals = move[0].backward(s, move[1])
-                        stack.append([s, depth, *move, goals, []])
+                        goals = move.backward(s, principal)
+                        stack.append([s, depth, move, principal, goals, []])
                         s, depth = goals[0], depth + 1
                         continue
                     # stuck on literals: pack rules are genuine choices
-                    goals = _choices(s, self.pack_rules)
+                    goals = _choices(s, pack_rules)
                     choice = next(goals, None)
                     if choice is not None:
                         stack.append([s, depth, *choice[:2], goals, None])
                         s, depth = choice[2], depth + 1
                         continue
                     done = None
-                else:
-                    done = len(steps)
-                    steps.append(step)
-                memo[s.ant, s.suc] = done
+                memo[ant, suc] = done
             # hand the step down to the frames that wait for it
             while stack:
                 frame = stack[-1]
@@ -199,9 +202,10 @@ class _Searcher:
                 stack.pop()
                 memo[top.ant, top.suc] = done
             else:
+                self.nodes = nodes
                 if done is None:
                     return None
-                return Derivation(tuple(steps), frozenset(packs))
+                return Derivation(tuple(steps), frozenset(packs), ())
 
 
 def prove_prop(s: Sequent, budget: SearchBudget = SearchBudget()) -> SearchResult:
@@ -224,9 +228,9 @@ def prove_prop(s: Sequent, budget: SearchBudget = SearchBudget()) -> SearchResul
             proof = None
         if proof is None:
             raise
-        return SearchResult("proved", proof)
+        return SearchResult("proved", proof, None, None)
     if not holds:
-        return SearchResult("refuted", None, witness)
+        return SearchResult("refuted", None, witness, None)
     try:
         proof = _Searcher(budget).solve(s)
     except _Exhausted as exc:
@@ -236,5 +240,5 @@ def prove_prop(s: Sequent, budget: SearchBudget = SearchBudget()) -> SearchResul
         # only an extra connective such as Des, which no rule takes apart,
         # can leave the search stuck
         raise SemanticsError("no sequent rule proves %s, though it holds"
-                             % (s,))
-    return SearchResult("proved", proof)
+                             % _clip(str(s), str))
+    return SearchResult("proved", proof, None, None)

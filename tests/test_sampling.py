@@ -1,6 +1,8 @@
 """The report's random draws: ``acceptance._pick`` against ``random.sample``,
 ``acceptance._below`` against ``randrange`` and ``choice``,
-and the random streams of criteria 6, 10, 11 and 12 pinned at seed 1.
+and the random streams of criteria 6, 10, 11 and 12 pinned at seed 1:
+for 10 and 12 both the rows and every sequent judged and derivation
+replayed.
 
 Seed 0 is pinned through ``bench/report_lines_seed0.txt``; the digests
 here pin what the draws give at a second seed, cheaply, so that a
@@ -14,6 +16,7 @@ import random
 import pytest
 
 from bd4 import acceptance
+from bd4.proofio import print_derivation
 from bd4.semantics import PropSpace
 
 
@@ -124,3 +127,43 @@ def test_soundness_runs_at_seed_1_are_pinned(rows_seed1):
 @pytest.mark.parametrize("tag", sorted(PAIRS_SEED1))
 def test_random_pairs_at_seed_1_are_pinned(tag):
     assert _digest(_random_pairs(1, tag)) == PAIRS_SEED1[tag]
+
+
+def _soundness_stream(seed, instances=100) -> str:
+    """SHA-256 over what every ``_soundness_run`` of criteria 10 and 12
+    at the seed, cut to ``instances``, hands on, in order: each sequent
+    passed to its ``valid`` (retries included) or its repair check, and
+    each derivation passed to ``_kernel_accepts``, printed."""
+    digest = hashlib.sha256()
+    real_run, real_accepts = acceptance._soundness_run, acceptance._kernel_accepts
+
+    def recorded(tag, check):
+        def judged(s):
+            digest.update(repr((tag, str(s))).encode())
+            return check(s)
+        return None if check is None else judged
+
+    def run(rule, valid, rng, _instances, pool, pack, repair):
+        return real_run(rule, recorded("valid", valid), rng, instances, pool,
+                        pack, recorded("repair", repair))
+
+    def accepts(d):
+        digest.update(repr(("kernel", print_derivation(d))).encode())
+        return real_accepts(d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acceptance, "_soundness_run", run)
+        mp.setattr(acceptance, "_kernel_accepts", accepts)
+        config = acceptance.SuiteConfig(seed=seed)
+        acceptance._criterion_10(config)
+        acceptance._criterion_12(config)
+    return digest.hexdigest()
+
+
+# taken before the sampler ran in one loop frame per draw
+SOUNDNESS_STREAM_SEED1 = (
+    "59d26ab36a7b6f85da1c364dc65949d6f682e532230a526084e38af007dccc35")
+
+
+def test_soundness_stream_at_seed_1_is_pinned():
+    assert _soundness_stream(1) == SOUNDNESS_STREAM_SEED1

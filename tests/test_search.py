@@ -1,6 +1,7 @@
 """Backward proof search: found proofs check, refutations countermodel."""
 
 import collections
+import hashlib
 import itertools
 import random
 
@@ -146,6 +147,31 @@ def test_a_valid_sequent_that_needs_an_extra_connective_is_refused():
         prove_prop(Sequent.of([q], [des]))
     assert prove_prop(Sequent.of([des], [p])).status == "refuted"
     assert prove_prop(Sequent.of([des, q], [q])).proved
+
+
+def test_the_refusal_names_a_long_sequent_clipped():
+    """A short sequent is named whole; a long one by its first 60
+    characters, so the message stays one short line."""
+    des, wide = ExtApp("Des", (q,)), q
+    for _ in range(12):
+        wide = And(wide, wide)
+    for s, named in ((Sequent.of([q], [des]), "|- q => Des q"),
+                     (Sequent.of([q, wide], [des]),
+                      "|- q; q & q & (q & q) & (q & q & (q & q)) & "
+                      "(q & q & (q & q) [clipped]")):
+        with pytest.raises(SemanticsError) as exc:
+            prove_prop(s)
+        assert str(exc.value) == (
+            "no sequent rule proves %s, though it holds" % named)
+    assert len(str(Sequent.of([q, wide], [des]))) > 20_000
+
+
+@pytest.mark.parametrize("mode,named", [
+    ("zap", "'zap'"), ("z" * 100, "'%s' [clipped]" % ("z" * 60))])
+def test_an_unknown_mode_is_named_clipped(mode, named):
+    with pytest.raises(ValueError) as exc:
+        SearchBudget(mode=mode)
+    assert str(exc.value) == "unknown mode %s" % named
 
 
 def random_formula(rng, depth, leaves=(p, q, Falsity())):
@@ -411,3 +437,35 @@ def test_the_search_loop_equals_the_generator_search(mode, c11_sequents,
     assert min(seen[k] for k in (None, "depth", "nodes", "proof", "proved",
                                  "refuted", "exhausted", "shared")) > 0, seen
     assert (seen["packs"] > 0) == (mode != "base"), seen
+
+
+# ---------------------------------------------------------------------------
+# the prover's output on criterion 11's universe, pinned
+
+
+def _prover_output_digest(step=10) -> str:
+    """SHA-256 over the sequent, status, bound, countermodel and printed
+    proof of every ``step``-th sequent of criterion 11's seed-0 universe,
+    in each mode."""
+    universe = acceptance._prop_universe(
+        PropSpace(("p", "q")), acceptance.SuiteConfig(), "completeness", {})
+    digest = hashlib.sha256()
+    for gamma, delta, _ in itertools.islice(universe, 0, None, step):
+        s = Sequent.of(gamma, delta)
+        for mode in MODES:
+            res = prove_prop(s, SearchBudget(mode=mode))
+            cm = (None if res.countermodel is None
+                  else sorted((k, str(v)) for k, v in res.countermodel.items()))
+            proof = None if res.proof is None else print_derivation(res.proof)
+            digest.update(repr((str(s), mode, res.status, res.bound, cm,
+                                proof)).encode())
+    return digest.hexdigest()
+
+
+# taken before the search ran in one loop frame per node
+PROVER_OUTPUT_C11_EVERY_10TH = (
+    "864eb25ae7e111766d36582fa05d3852e5230cc7ee4a4c0c6f71e2cc4263dc1b")
+
+
+def test_prover_output_on_criterion_11s_universe_is_pinned():
+    assert _prover_output_digest() == PROVER_OUTPUT_C11_EVERY_10TH
