@@ -1,6 +1,7 @@
 """Kernel checking: rule shapes, violation codes, side conditions."""
 
 import collections
+import hashlib
 import itertools
 
 import pytest
@@ -12,6 +13,7 @@ from bd4.kernel import (
     PACKS, RULES, Violation, _check_cut, _Letter, check_derivation,
     check_step, is_proof,
 )
+from bd4.proofio import print_derivation
 from bd4.search import SearchBudget, prove_prop
 from bd4.semantics import PropSpace
 from bd4.syntax import (
@@ -242,6 +244,59 @@ def test_eigenvariable_in_principal_body():
         DerivationStep("forall-R", Sequent.of([Falsity()], [bad_formula]),
                        premises=(0,), principal=bad_formula, y="y"),
     ], Code.EIGENVARIABLE)
+
+
+# each eigenvariable rule's principal over a body
+EIGEN_PRINCIPALS = {
+    "forall-R": lambda body: Forall("x", body),
+    "exists-L": lambda body: Exists("x", body),
+    "notforall-L": lambda body: Not(Forall("x", body)),
+    "notexists-R": lambda body: Not(Exists("x", body)),
+}
+
+
+def _eigen_step(name, body, context, inst):
+    """The step by the eigenvariable rule ``name`` with y="y" from a
+    premise that holds ``inst``, the body at y (negated under a
+    negation), and ``context``, one formula on the other side."""
+    a = EIGEN_PRINCIPALS[name](body)
+    if name.endswith("-L"):
+        return ((inst,), (context,)), ((a,), (context,)), a
+    return ((context,), (inst,)), ((context,), (a,)), a
+
+
+def test_the_eigenvariable_rules_are_the_four_quantifier_rules_above():
+    assert {name for name, rule in RULES.items() if rule.eigen} == set(
+        EIGEN_PRINCIPALS)
+
+
+@pytest.mark.parametrize("name", sorted(EIGEN_PRINCIPALS))
+def test_eigenvariable_free_in_the_conclusion_context(name):
+    """Id on A(y) => A(y), then the rule to its principal: y stays free
+    in the formula the context keeps on the other side."""
+    inst = Not(P(y)) if name.startswith("not") else P(y)
+    premise, conclusion, a = _eigen_step(name, P(x), inst, inst)
+    good, v = check_derivation(Derivation((
+        DerivationStep("Id", Sequent.of(*premise), principal=inst),
+        DerivationStep(name, Sequent.of(*conclusion), premises=(0,),
+                       principal=a, y="y"))))
+    assert (good, v) == (False, Violation(
+        1, Code.EIGENVARIABLE, "y is free in the conclusion context"))
+
+
+@pytest.mark.parametrize("name", sorted(EIGEN_PRINCIPALS))
+def test_eigenvariable_free_in_the_quantified_formula(name):
+    """F-L closes the premise; y is free in the body beside x."""
+    body, inst = And(P(x), P(y)), And(P(y), P(y))
+    if name.startswith("not"):
+        inst = Not(inst)
+    (pa, ps), (ca, cs), a = _eigen_step(name, body, Prop("s"), inst)
+    good, v = check_derivation(Derivation((
+        DerivationStep("F-L", Sequent.of(pa + (Falsity(),), ps)),
+        DerivationStep(name, Sequent.of(ca + (Falsity(),), cs),
+                       premises=(0,), principal=a, y="y"))))
+    assert (good, v) == (False, Violation(
+        1, Code.EIGENVARIABLE, "y is free in the quantified formula"))
 
 
 def test_not_quantifier_rules():
@@ -831,3 +886,30 @@ def test_the_proof_steps_check_as_before(proof_steps):
     assert kept_only + mutants_kept_only > 0
     assert {rule for rule, _ in rejected} == {
         d.steps[-1].rule for d in proof_steps}
+
+
+def _verdicts_digest(derivations) -> str:
+    """SHA-256 over each derivation, printed, with its verdict: good
+    flag, then the violation's step, code and detail.  The rows are
+    sorted, since ``_mutants`` edits sides in set order."""
+    rows = []
+    for d in derivations:
+        good, v = check_derivation(d)
+        rows.append(repr((print_derivation(d), good)
+                         + (() if v is None else (v.step, v.code, v.detail))))
+    return hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest()
+
+
+# taken before each rule row was compiled into its own step checker
+VERDICTS_DIGEST = (
+    "45c828b9b1f15edd7b9bd78db5aeb1ab5f61a9d42d5bfca5fa4c4a254785783d")
+
+
+def test_the_verdicts_on_the_mutants_are_pinned(sampled_instances,
+                                                proof_steps):
+    """Every fixture derivation and each of its mutants; this pin does
+    not read the rule table, as ``reference_check_step`` does."""
+    derivations = [m for d in sampled_instances + proof_steps
+                   for m in (d, *_mutants(d))]
+    assert len(derivations) > 30_000
+    assert _verdicts_digest(derivations) == VERDICTS_DIGEST
