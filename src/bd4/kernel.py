@@ -13,32 +13,29 @@ the formulas its conclusion and each premise add, and its side
 conditions.  Patterns and additions are formulas over schematic
 letters, which are hash-consed nodes (``syntax._node``) like the
 formulas, so a pattern is one node tree; the principal binds A, B and
-the bound variable, the step gives t, t2 and y.  The checker reads a
-rule forwards, proof search reads it backwards (``Rule.backward``), and
-the soundness sampler puts its additions over random contexts.
+the bound variable, the step gives t, t2 and y.
 
-``Rule.additions(step)`` is the one forward reading of a rule, which
-``check_step`` and the sampler of ``acceptance`` both ask.  A rule that
-needs the principal alone, Cut aside, keeps its premises' additions on
-the principal (``syntax.kept``, shared with ``Rule.backward`` and so
-``prove_prop``) and rebuilds the conclusion's, the principal itself.
-A quantifier rule keeps them there by its step's t or y.  F-L and
-notF-R, needing no step field, are filled once (``Rule.constant``).
-eq-Refl, eq-Repl, Den-L and Den-R, whose additions no node can keep,
-bind their letters and fill them (``Rule.filled``) on every call.
+Each row is compiled once, with closures (partial evaluation, Jones,
+Gomard and Sestoft 1993): its templates into one constructor call per
+node, the row into its step checker ``Rule.check`` (at import), its
+forward reading ``Rule.additions``, which the soundness sampler fills,
+and its backward reading ``Rule.backward``, which proof search runs.  A
+rule that needs the principal alone keeps its premises' additions on it
+(``syntax.kept``), read in the checker's and ``backward``'s own frame,
+and a quantifier rule by t or y; the rest fill them per call, F-L and
+notF-R once.  Cut joins its premises' contexts, so its checker defers
+to ``_check_cut``.
 
 Sequent sides are sets.  A rule's conclusion is its context plus the
-formulas the rule introduces, and because sets absorb duplicates the
-introduced formula may coincide with a context member.  The checker
-accepts if any way of keeping introduced formulas in the context works,
-comparing each premise's sides with a candidate's joined with the
-premise's additions.  It tries first the context that keeps none, each
-side less the introduced formulas, which nearly every prover step fits;
-only when that one does not fit are the rest built, those sides joined
-with each other choice of subsets of the introduced formulas (at most
-four pairs of sides; Cut gets the analogous choice on the cut formula).
-The verdict does not depend on the order of the candidates.  Under this
-reading the Table 2 rules absorb weakening and no weakening rule exists.
+formulas the rule introduces, which, as sets absorb duplicates, may
+coincide with context members.  The checker accepts if any way of
+keeping introduced formulas in the context works: each premise's sides
+are the candidate's joined with its additions.  It tries first the
+context that keeps none, each side less the introduced formulas, which
+fits nearly every prover step, and only then builds the other choices
+of subsets (at most four pairs of sides; Cut gets the like choice on
+the cut formula); the verdict does not depend on their order.  So the
+Table 2 rules absorb weakening and no weakening rule exists.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ import operator
 
 from .syntax import (
     And, Eq, Exists, Falsity, Forall, Formula, Fun, Imp, Not, Or, Sequent, Var,
-    _node, _record, free_vars, is_literal, kept, substitute,
+    _ABSENT, _node, _record, free_vars, is_literal, kept, substitute,
 )
 
 
@@ -65,7 +62,6 @@ class Code:
     MISSING_FIELD = "missing-field"
     PRINCIPAL_SHAPE = "principal-shape"
     HYPOTHESIS_NOT_DECLARED = "hypothesis-not-declared"
-    TARGET_MISMATCH = "target-mismatch"
     EMPTY_DERIVATION = "empty-derivation"
 
 
@@ -143,21 +139,20 @@ def _match(pattern, a, env) -> bool:
 
 
 def _compile(template):
-    """The function from letter bindings to what the template stands for."""
-    if not isinstance(template, _Letter):
-        cls = type(template)
-        parts = [_compile(getattr(template, f)) for f in cls.__match_args__]
-        return lambda env: cls(*[part(env) for part in parts])
-    name, term = template.name, template.term
-    if term is None:
-        return operator.itemgetter(name)
-    return lambda env: substitute(env[name], env["x"], env[term])
-
-
-def head(a):
-    """Dispatch key of a formula or pattern: its constructor, and under
-    a negation the negated formula's constructor as well."""
-    return (Not, type(a.body)) if isinstance(a, Not) else type(a)
+    """The function from letter bindings to what the template stands for:
+    a letter's binding, or one constructor call per node."""
+    if isinstance(template, _Letter):
+        name, term = template.name, template.term
+        if term is None:
+            return operator.itemgetter(name)
+        return lambda env: substitute(env[name], env["x"], env[term])
+    cls = type(template)
+    parts = [_compile(getattr(template, f)) for f in cls.__match_args__]
+    if len(parts) == 2:
+        left, right = parts
+        return lambda env: cls(left(env), right(env))
+    # a negation, or falsity, the one node without fields
+    return (lambda env: cls(parts[0](env))) if parts else lambda env: template
 
 
 @_record
@@ -193,101 +188,176 @@ class Rule:
         return _compile(self.pattern) if self.pattern else lambda values: None
 
     @functools.cached_property
-    def _fills(self):
-        return [(tuple(map(_compile, ant)), tuple(map(_compile, suc)))
-                for ant, suc in (self.conclusion,) + self.premises]
-
-    def filled(self, env):
-        """The additions of the conclusion, then of each premise."""
-        return [(tuple([f(env) for f in ant]), tuple([f(env) for f in suc]))
-                for ant, suc in self._fills]
+    def filled(self):
+        """The function from letter bindings to the additions of the
+        conclusion, then of each premise."""
+        fills = [(tuple(map(_compile, ant)), tuple(map(_compile, suc)))
+                 for ant, suc in (self.conclusion,) + self.premises]
+        return lambda env: [(tuple([f(env) for f in ant]),
+                             tuple([f(env) for f in suc]))
+                            for ant, suc in fills]
 
     @functools.cached_property
     def constant(self):
-        """The additions of a rule that needs no step field (F-L and
-        notF-R), filled once; None for every other rule."""
+        """F-L's and notF-R's additions, which need no step field."""
         return None if self.needs else self.filled({})
 
     @functools.cached_property
     def kept_as(self):
-        """The attribute under which a principal keeps this rule's premise
-        additions; None where the additions need a step field besides
-        the principal, and for Cut, whose premises add the principal
-        itself."""
+        """The attribute under which a principal keeps the premises'
+        additions of a rule that needs it alone, Cut aside."""
         if self.needs != ("principal",) or self.name == "Cut":
             return None
         return "_premises_" + self.name.replace("-", "_")
 
-    def _premise_additions(self, a):
-        """The premises' additions when this rule introduces a, or None
-        when a does not have the pattern."""
-        env = {"principal": a}
-        if not _match(self.pattern, a, env):
-            return None
-        return tuple(self.filled(env)[1:])
-
     def _kept_premise_additions(self, a):
-        if self.kept_as and type(a) in _FORMULAS:
-            return kept(a, self.kept_as, self._premise_additions)
+        """The premises' additions when this rule introduces a, kept on a
+        formula a; None when a does not have the pattern."""
+        def premises(a):
+            env = {"principal": a}
+            return (tuple(self.filled(env)[1:])
+                    if _match(self.pattern, a, env) else None)
         # a hand-built step may hold anything as its principal
-        return self._premise_additions(a)
+        return (kept(a, self.kept_as, premises) if type(a) in _FORMULAS
+                else premises(a))
 
-    def additions(self, step):
-        """The additions of a step by this rule: the conclusion's, then
-        each premise's; None when the step's principal does not have the
-        pattern.  Kept on the principal for a rule with ``kept_as`` and,
-        by t or y, for a quantifier rule, the ``constant`` for F-L and
-        notF-R, else the letters bound from the step's fields, filled."""
-        a = step.principal
-        if self.kept_as:
-            premises = self._kept_premise_additions(a)
-        elif self.constant:
-            return self.constant
-        else:
-            env = {"principal": a, "t": step.t, "t2": step.t2, "x": step.x,
-                   "y": None if step.y is None else Var(step.y)}
-            t = env[self.needs[-1]]  # a quantifier rule's t or y
-            # kept by a variable or constant alone, which holds no formula
-            if not (self.needs in (_TERM, _EIGEN) and type(a) in _FORMULAS
-                    and type(t) in (Var, Fun) and type(t.name) is str
-                    and not getattr(t, "args", ())):
-                if self.pattern is None or _match(self.pattern, a, env):
-                    return self.filled(env)
+    @functools.cached_property
+    def additions(self):
+        """The forward reading: the function from a step by this rule to
+        the additions of the conclusion, then of each premise; None when
+        the step's principal does not have the pattern."""
+        pattern, filled, constant, name, attr, keep = (
+            self.pattern, self.filled, self.constant, self.name,
+            self.kept_as, self._kept_premise_additions)
+        la, ls = map(len, self.conclusion)  # the principal, where it adds
+        by = self.needs[-1] if self.needs in (_TERM, _EIGEN) else None
+
+        def additions(step):
+            a = step.principal
+            if attr:
+                premises = keep(a)
+            else:
+                env = {"principal": a, "t": step.t, "t2": step.t2, "x": step.x,
+                       "y": None if step.y is None else Var(step.y)}
+                t = env.get(by)  # a quantifier rule's t or y
+                # kept by a variable or constant alone, holding no formula
+                if not (by and type(a) in _FORMULAS and type(t) in (Var, Fun)
+                        and type(t.name) is str and not getattr(t, "args", 0)):
+                    return (filled(env) if pattern is None
+                            or _match(pattern, a, env) else None)
+                per = kept(a, "_premises_by", lambda a: {})
+                premises = per.get((name, t), _ABSENT)
+                if premises is _ABSENT:
+                    premises = per[name, t] = (
+                        filled(env)[1:] if _match(pattern, a, env) else None)
+            return (None if premises is None
+                    else [((a,) * la, (a,) * ls), *premises])
+        return (lambda step: constant) if constant else additions
+
+    @functools.cached_property
+    def backward(self):
+        """For a rule with ``kept_as``: the function from a sequent s and
+        a formula a to the premises above s when this rule introduces a,
+        each less a; None when a does not have the pattern."""
+        attr, keep, left = (
+            self.kept_as, self._kept_premise_additions, self.side == "ant")
+
+        def backward(s, a):
+            premises = getattr(a, attr, None) or keep(a)  # falsy: ask keep
+            if premises is None:
                 return None
-            per, key = kept(a, "_premises_by", lambda a: {}), (self.name, t)
-            if key not in per:
-                per[key] = (self.filled(env)[1:]
-                            if _match(self.pattern, a, env) else None)
-            premises = per[key]
-        if premises is None:
-            return None
-        ant, suc = self.conclusion  # the principal, on one side or both
-        return [((a,) * len(ant), (a,) * len(suc)), *premises]
+            ant, suc = (s.ant - {a}, s.suc) if left else (s.ant, s.suc - {a})
+            return tuple([Sequent(ant.union(pa) if pa else ant,
+                                  suc.union(ps) if ps else suc)
+                          for pa, ps in premises])
+        return backward
 
-    def backward(self, s: Sequent, a):
-        """The premises above s when this rule introduces a, which each
-        premise drops; None when a does not have the pattern."""
-        premises = self._kept_premise_additions(a)
-        if premises is None:
-            return None
-        if self.side == "ant":
-            gamma, delta = s.ant - {a}, s.suc
-        else:
-            gamma, delta = s.ant, s.suc - {a}
-        return tuple([Sequent(gamma.union(pa), delta.union(ps))
-                      for pa, ps in premises])
+    @functools.cached_property
+    def check(self):
+        """The step checker: the function from a derivation d, an index i
+        and d's step i, by this rule, to the step's first violation."""
+        name, pack, needs, literal, eigen, attr, keep, additions = (
+            self.name, self.pack, self.needs, self.literal, self.eigen,
+            self.kept_as, self._kept_premise_additions, self.additions)
+        arity, la, ls = len(self.premises), *map(len, self.conclusion)
+        leaf = not arity and not eigen  # a context fits once the sides do
+        takes = "%s takes %d premises, got %%d" % (name, arity)
+
+        def check(d, i, step):
+            if pack is not None and pack not in d.packs:
+                return Violation(i, Code.PACK_DISABLED,
+                                 "%s needs pack %s" % (name, pack))
+            cites = step.premises
+            if len(cites) != arity:
+                return Violation(i, Code.BAD_PREMISE_INDEX, takes % len(cites))
+            for j in cites:
+                if not isinstance(j, int) or not 0 <= j < i:
+                    return Violation(
+                        i, Code.BAD_PREMISE_INDEX,
+                        "premise indices must point at earlier steps")
+            for field in needs:
+                if getattr(step, field) is None:
+                    return Violation(i, Code.MISSING_FIELD,
+                                     "%s requires %s" % (name, field))
+            a, steps = step.principal, d.steps
+            if literal and not is_literal(a):
+                return Violation(i, Code.LITERAL_REQUIRED, str(a))
+            if attr:
+                padds, ca, cs = getattr(a, attr, _ABSENT), (a,) * la, (a,) * ls
+                if padds is _ABSENT:
+                    padds = keep(a)
+            elif name == "Cut":
+                return _check_cut(i, step, [steps[j].sequent for j in cites])
+            elif (padds := additions(step)) is not None:
+                (ca, cs), *padds = padds
+            if padds is None:
+                return Violation(i, Code.PRINCIPAL_SHAPE,
+                                 "%s cannot introduce %s" % (name, a))
+            ant, suc = step.sequent.ant, step.sequent.suc
+            if not (ant.issuperset(ca) and suc.issuperset(cs)):
+                return Violation(i, Code.CONCLUSION_MISMATCH, next(
+                    "%s missing on the %s" % (f, where) for fs, have, where
+                    in ((ca, ant, "left"), (cs, suc, "right"))
+                    for f in fs if f not in have))
+            if leaf:
+                return None
+            if eigen:
+                q, y = a.body if type(a) is Not else a, step.y  # quantifier
+                if y != q.var and y in free_vars(q.body):
+                    return Violation(i, Code.EIGENVARIABLE, "%s is free in "
+                                     "the quantified formula" % y)
+            base = (ant.difference(ca) if ca else ant,
+                    suc.difference(cs) if cs else suc)
+            contexts, blocked = [base], False
+            for gamma, delta in contexts:
+                for j, (pa, ps) in zip(cites, padds):
+                    p = steps[j].sequent
+                    if (p.ant != (gamma.union(pa) if pa else gamma)
+                            or p.suc != (delta.union(ps) if ps else delta)):
+                        break
+                else:
+                    if not (eigen and any(y in free_vars(f)
+                                          for f in gamma | delta)):
+                        return None
+                    blocked = True
+                if len(contexts) == 1:  # the one keeping none failed
+                    gammas, deltas = [base[0]], [base[1]]
+                    for f in ca:
+                        gammas += [g | {f} for g in gammas]
+                    for f in cs:
+                        deltas += [g | {f} for g in deltas]
+                    contexts += [(g, h) for g in gammas for h in deltas][1:]
+            if blocked:
+                return Violation(i, Code.EIGENVARIABLE,
+                                 "%s is free in the conclusion context" % y)
+            (pa, ps), p = padds[0], steps[cites[0]].sequent
+            want = Sequent(base[0].union(pa), base[1].union(ps))
+            return Violation(i, Code.PREMISE_MISMATCH, "expected first "
+                             "premise like %s, got %s" % (want, p))
+        return check
 
 
 _FORMULAS = frozenset(Formula.__args__)
-
-
-def instance(adds, gamma=frozenset(), delta=frozenset()):
-    """(premises, conclusion) over the context gamma => delta, given a
-    rule's additions (``Rule.additions``)."""
-    (ca, cs), *padds = adds
-    return (tuple([Sequent(gamma.union(pa), delta.union(ps))
-                   for pa, ps in padds]),
-            Sequent(gamma.union(ca), delta.union(cs)))
 
 
 def _L(*formulas):
@@ -304,7 +374,7 @@ _TERM, _EIGEN = ("principal", "t"), ("principal", "y")
 RULES = {r.name: r for r in (
     # name, principal pattern, conclusion adds, premises add, conditions
     Rule("Id", A, ((P,), (P,)), literal=True),
-    Rule("Cut", A, ((), ()), (_R(A), _L(A))),
+    Rule("Cut", A, ((), ()), (_R(A), _L(A))),  # checked by _check_cut
     Rule("F-L", None, _L(Falsity()), needs=()),
     Rule("notF-R", None, _R(Not(Falsity())), needs=()),
     Rule("and-L", And(A, B), _L(P), (_L(A, B),)),
@@ -344,116 +414,41 @@ RULES = {r.name: r for r in (
 
 BASE_RULES = tuple(r for r, row in RULES.items() if row.pack is None)
 PACK_RULES = tuple(r for r, row in RULES.items() if row.pack is not None)
+_CHECKS = {name: row.check for name, row in RULES.items()}  # built at import
 
 
 def _check_cut(i: int, step: DerivationStep, prem) -> Violation | None:
     a = step.principal
     p1, p2 = prem
-    if a not in p1.suc:
-        return Violation(i, Code.PREMISE_MISMATCH,
-                         "cut formula %s not in first premise succedent" % a)
-    if a not in p2.ant:
-        return Violation(i, Code.PREMISE_MISMATCH,
-                         "cut formula %s not in second premise antecedent" % a)
+    for side, which in ((p1.suc, "first premise succedent"),
+                        (p2.ant, "second premise antecedent")):
+        if a not in side:
+            return Violation(i, Code.PREMISE_MISMATCH,
+                             "cut formula %s not in %s" % (a, which))
     cut = frozenset((a,))
-    for r1 in (True, False):
-        for r2 in (True, False):
-            want = Sequent(
-                p1.ant | (p2.ant - cut if r2 else p2.ant),
-                (p1.suc - cut if r1 else p1.suc) | p2.suc,
-            )
-            if step.sequent == want:
-                return None
+    if any(step.sequent == Sequent(p1.ant | (p2.ant - cut if r2 else p2.ant),
+                                   (p1.suc - cut if r1 else p1.suc) | p2.suc)
+           for r1 in (True, False) for r2 in (True, False)):
+        return None
     return Violation(i, Code.CONCLUSION_MISMATCH,
                      "conclusion is not the premises' cut combination")
 
 
+def _check_other(d: Derivation, i: int, step) -> Violation | None:
+    """The violation of a hypothesis step, or of a step by no rule."""
+    if step.rule != "hypothesis":
+        return Violation(i, Code.UNKNOWN_RULE, step.rule)
+    if step.premises:
+        return Violation(i, Code.BAD_PREMISE_INDEX,
+                         "hypothesis steps cite no premises")
+    if step.sequent not in d.hypotheses:
+        return Violation(i, Code.HYPOTHESIS_NOT_DECLARED, str(step.sequent))
+    return None
+
+
 def check_step(d: Derivation, i: int) -> Violation | None:
     step = d.steps[i]
-    if step.rule == "hypothesis":
-        if step.premises:
-            return Violation(i, Code.BAD_PREMISE_INDEX,
-                             "hypothesis steps cite no premises")
-        if step.sequent not in d.hypotheses:
-            return Violation(i, Code.HYPOTHESIS_NOT_DECLARED, str(step.sequent))
-        return None
-    rule = RULES.get(step.rule)
-    if rule is None:
-        return Violation(i, Code.UNKNOWN_RULE, step.rule)
-    if rule.pack is not None and rule.pack not in d.packs:
-        return Violation(i, Code.PACK_DISABLED,
-                         "%s needs pack %s" % (step.rule, rule.pack))
-    if len(step.premises) != len(rule.premises):
-        return Violation(i, Code.BAD_PREMISE_INDEX,
-                         "%s takes %d premises, got %d"
-                         % (step.rule, len(rule.premises), len(step.premises)))
-    for j in step.premises:
-        if not isinstance(j, int) or not 0 <= j < i:
-            return Violation(i, Code.BAD_PREMISE_INDEX,
-                             "premise indices must point at earlier steps")
-    for field in rule.needs:
-        if getattr(step, field) is None:
-            return Violation(i, Code.MISSING_FIELD,
-                             "%s requires %s" % (step.rule, field))
-    if rule.literal and not is_literal(step.principal):
-        return Violation(i, Code.LITERAL_REQUIRED, str(step.principal))
-
-    prem = [d.steps[j].sequent for j in step.premises]
-    if step.rule == "Cut":
-        return _check_cut(i, step, prem)
-
-    adds = rule.additions(step)
-    if adds is None:
-        return Violation(i, Code.PRINCIPAL_SHAPE,
-                         "%s cannot introduce %s" % (step.rule, step.principal))
-    (ca, cs), *padds = adds
-
-    concl = step.sequent
-    for a in ca:
-        if a not in concl.ant:
-            return Violation(i, Code.CONCLUSION_MISMATCH,
-                             "%s missing on the left" % a)
-    for a in cs:
-        if a not in concl.suc:
-            return Violation(i, Code.CONCLUSION_MISMATCH,
-                             "%s missing on the right" % a)
-
-    y = step.y
-    if rule.eigen:
-        q = step.principal  # the quantifier, or its negation
-        q = q.body if type(q) is Not else q
-        if y != q.var and y in free_vars(q.body):
-            return Violation(i, Code.EIGENVARIABLE,
-                             "%s is free in the quantified formula" % y)
-
-    base_ant = concl.ant.difference(ca)
-    base_suc = concl.suc.difference(cs)
-    eigen_blocked = False
-    contexts = [(base_ant, base_suc)]
-    for gamma, delta in contexts:
-        for p, (pa, ps) in zip(prem, padds):
-            if p.ant != gamma.union(pa) or p.suc != delta.union(ps):
-                break
-        else:
-            if not (rule.eigen and any(y in free_vars(f)
-                                       for f in gamma | delta)):
-                return None
-            eigen_blocked = True
-        if len(contexts) == 1:  # the one keeping none failed: add the rest
-            gammas, deltas = [base_ant], [base_suc]
-            for a in ca:
-                gammas += [g | {a} for g in gammas]
-            for a in cs:
-                deltas += [g | {a} for g in deltas]
-            contexts += [(g, d) for g in gammas for d in deltas][1:]
-    if eigen_blocked:
-        return Violation(i, Code.EIGENVARIABLE,
-                         "%s is free in the conclusion context" % y)
-    # only a rule with premises gets here: with none, a context fits
-    want = instance(adds, base_ant, base_suc)[0][0]
-    return Violation(i, Code.PREMISE_MISMATCH,
-                     "expected first premise like %s, got %s"
-                     % (want, prem[0]))
+    return _CHECKS.get(step.rule, _check_other)(d, i, step)
 
 
 def check_derivation(d: Derivation):
@@ -463,8 +458,8 @@ def check_derivation(d: Derivation):
     for pk in d.packs:
         if pk not in PACKS:
             return False, Violation(0, Code.PACK_DISABLED, "unknown pack %s" % pk)
-    for i in range(len(d.steps)):
-        v = check_step(d, i)
+    for i, step in enumerate(d.steps):
+        v = _CHECKS.get(step.rule, _check_other)(d, i, step)
         if v is not None:
             return False, v
     return True, None

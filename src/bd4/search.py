@@ -7,15 +7,15 @@ backward search, so countermodels always come from that oracle and
 never from a failed bounded search.  Past the oracle's scan cap the
 search runs alone, and only a proof it finds is an answer.
 
-The search reads the kernel's rule table backwards.  The base rules
-that need only a principal are the decompositions; each formula finds
-its one rule by the side and head constructor of the formula.  All of
-them are invertible on the matrix (the premise set holds exactly when
-the conclusion does, pointwise per valuation), which makes the base
-search complete without Cut: decompose until only literals remain,
-close by Id / F-L / notF-R, and a stuck literal-only sequent is
-genuinely invalid.  The not-L / not-R pack rules are applied only at
-stuck literal-only sequents, as backtracking choice points; each
+The search reads the kernel's rule table backwards: the base rules that
+need only a principal are the decompositions, each run by its compiled
+``Rule.backward``, and a formula finds its one rule by its side and head
+constructor.  All of them are invertible on the matrix (the premise set
+holds exactly when the conclusion does, pointwise per valuation), which
+makes the base search complete without Cut: decompose until only
+literals remain, close by Id / F-L / notF-R, and a stuck literal-only
+sequent is genuinely invalid.  The not-L / not-R pack rules are applied
+only at stuck literal-only sequents, as backtracking choice points; each
 application consumes one negated literal, so that phase terminates too.
 
 A sequent closes by F-L, notF-R or Id on its least shared literal, or
@@ -29,7 +29,7 @@ two branches share is one step that both cite.
 
 from __future__ import annotations
 
-from .kernel import RULES, Derivation, DerivationStep, head
+from .kernel import RULES, Derivation, DerivationStep
 from .parser import _clip, _quote
 from .semantics import EnumerationCapExceeded, SemanticsError, consequence_prop
 from .syntax import (
@@ -77,8 +77,10 @@ _FALSITY = Falsity()
 _OPEN = object()  # not in the memo
 
 
-# base rules that also need a term or an eigenvariable are first-order
-_DECOMPOSE = tuple({head(r.pattern): r for r in RULES.values()
+# base rules that also need a term or an eigenvariable are first-order;
+# keyed by constructor as a formula is, under a negation by both
+_DECOMPOSE = tuple({(Not, type(r.pattern.body)) if type(r.pattern) is Not
+                    else type(r.pattern): r for r in RULES.values()
                     if r.side == side and r.pack is None
                     and r.needs == ("principal",)} for side in ("ant", "suc"))
 
@@ -152,7 +154,7 @@ class _Searcher:
                     # the least decomposable formula, antecedent first
                     for rules, side in zip(_DECOMPOSE, (ant, suc)):
                         for a in side:
-                            cls = a.__class__  # as ``head`` keys the rules
+                            cls = a.__class__  # as the rules are keyed
                             rule = rules.get(cls if cls is not Not
                                              else (Not, a.body.__class__))
                             if rule is not None:

@@ -9,15 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from bd4.kernel import RULES, Derivation, DerivationStep, head
+from bd4.kernel import RULES, Derivation, DerivationStep
 from bd4.search import (
     _MODE_PACK_RULES, SearchBudget, SearchResult, _Exhausted,
 )
 from bd4.semantics import consequence_prop
-from bd4.syntax import TRUTH, Falsity, Sequent, formula_key, is_literal
+from bd4.syntax import TRUTH, Falsity, Not, Sequent, formula_key, is_literal
 from bd4.values import MODE_VALUES
 
 _FALSITY = Falsity()
+
+
+def head(a):
+    """Dispatch key of a formula or pattern: its constructor, and under
+    a negation the negated formula's constructor as well."""
+    return (Not, type(a.body)) if isinstance(a, Not) else type(a)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Helpers shared by the test modules."""
 
-from bd4.kernel import Derivation, _match, is_proof
-from bd4.syntax import Var
+from bd4.kernel import Derivation, _Letter, _match, is_proof
+from bd4.syntax import Sequent, Var, substitute
 
 
 def derives(gamma, delta, d: Derivation) -> bool:
@@ -42,3 +42,45 @@ def reference_additions(rule, step):
         return rule.constant
     env = reference_bind(rule, step)
     return None if env is None else rule.filled(env)
+
+
+def instance(adds, gamma=frozenset(), delta=frozenset()):
+    """(premises, conclusion) over the context gamma => delta, given a
+    rule's additions (``Rule.additions``)."""
+    (ca, cs), *padds = adds
+    return (tuple([Sequent(gamma.union(pa), delta.union(ps))
+                   for pa, ps in padds]),
+            Sequent(gamma.union(ca), delta.union(cs)))
+
+
+def reference_fill(template, env):
+    """What a template stands for under the letter bindings env, by a
+    walk of the template: a letter's binding, A[x := term] for a letter
+    with a term, else the node built again from its fields filled."""
+    if isinstance(template, _Letter):
+        value = env[template.name]
+        if template.term is None:
+            return value
+        return substitute(value, env["x"], env[template.term])
+    cls = type(template)
+    return cls(*[reference_fill(getattr(template, f), env)
+                 for f in cls.__match_args__])
+
+
+def reference_backward(rule, s, a):
+    """The premises above s when a rule that needs the principal alone
+    introduces a, read off the row: its letters bound by ``_match``,
+    each premise's additions filled from the row's templates and joined
+    to s less a on the principal's side (the succedent for Id); None
+    when a does not have the pattern."""
+    env = {"principal": a}
+    if not _match(rule.pattern, a, env):
+        return None
+    gamma, delta = s.ant, s.suc
+    if rule.side == "ant":
+        gamma = gamma - {a}
+    else:
+        delta = delta - {a}
+    return tuple(Sequent(gamma | {reference_fill(f, env) for f in pa},
+                         delta | {reference_fill(f, env) for f in ps})
+                 for pa, ps in rule.premises)

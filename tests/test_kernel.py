@@ -21,7 +21,10 @@ from bd4.syntax import (
     Sequent, Signature, Var, free_vars, is_literal, print_formula, replace,
 )
 
-from support import derives, reference_additions, reference_bind
+from support import (
+    derives, reference_additions, reference_backward, reference_bind,
+    reference_fill,
+)
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 x, y = Var("x"), Var("y")
@@ -553,6 +556,10 @@ def _assert_kept_additions_agree(a):
             assert all(a not in side for adds in got[1:] for side in adds)
             premises = rule.backward(Sequent.of([a], [a]), a)
             assert len(premises) == len(got) - 1
+        # the premises themselves, against the row read by a walk
+        s = Sequent.of([a, p, Not(r)], [a, q])
+        assert rule.backward(s, a) == reference_backward(rule, s, a), (
+            rule.name, a)
 
 
 def _pool_principals():
@@ -578,11 +585,11 @@ def test_kept_additions_match_the_table_over_the_sampler_pools():
         assert hits and (rule.name == "Id" or len(hits) < len(principals))
 
 
-def test_every_rule_reads_a_step_as_before():
-    """All 32 rules over the sampler's pools: every other principal
-    above, the quantifier principals the sampler builds, its terms and
-    two eigenvariables, with the principals that miss each pattern.  The
-    steps carry no rule name, which neither reader looks at."""
+def _pool_steps():
+    """Steps over the sampler's pools: every other principal above, the
+    quantifier principals the sampler builds, its terms and two
+    eigenvariables.  The steps carry no rule name, which no reader of a
+    row looks at."""
     quantified = {rule.principal_of({"x": "x", "A": body})
                   for rule in RULES.values() if rule.needs in (_TERM, _EIGEN)
                   for body in acceptance._FO_BODIES}
@@ -591,8 +598,14 @@ def test_every_rule_reads_a_step_as_before():
     rows = [(a, *tf) for a in sorted(quantified, key=str) for tf in fields]
     rows += [(a, *fields[i % len(fields)])
              for i, a in enumerate(_pool_principals()[::2])]
-    steps = [DerivationStep(None, Sequent.of(), principal=a, t=t, t2=t2, x="x",
-                            y=y) for a, t, t2, y in rows]
+    return [DerivationStep(None, Sequent.of(), principal=a, t=t, t2=t2, x="x",
+                           y=y) for a, t, t2, y in rows]
+
+
+def test_every_rule_reads_a_step_as_before():
+    """All 32 rules over ``_pool_steps``, with the principals that miss
+    each pattern."""
+    steps = _pool_steps()
     misses = set()
     for rule in RULES.values():
         got = [rule.additions(step) for step in steps]
@@ -602,6 +615,27 @@ def test_every_rule_reads_a_step_as_before():
     assert misses == {name for name, rule in RULES.items()
                       if rule.pattern is not None
                       and not isinstance(rule.pattern, _Letter)}
+
+
+def test_compiled_fills_match_a_walk_of_the_templates():
+    """Every rule's compiled fills, and each principal it builds, against
+    the templates filled by a walk, under the bindings of each step."""
+    steps = _pool_steps()
+    filled = 0
+    for rule in RULES.values():
+        for step in steps:
+            env = reference_bind(rule, step)
+            if env is None:
+                continue
+            want = [tuple(tuple(reference_fill(f, env) for f in side)
+                          for side in adds)
+                    for adds in (rule.conclusion,) + rule.premises]
+            assert rule.filled(env) == want, (rule.name, step)
+            if rule.pattern is not None:
+                assert rule.principal_of(env) == reference_fill(
+                    rule.pattern, env) == step.principal
+            filled += 1
+    assert filled > 1000
 
 
 _KTERM = st.sampled_from([x, y, c, d, Fun("f", (c,))])

@@ -25,7 +25,7 @@ from bd4.syntax import (
 
 from bd4.values import ALL_VALUES, F, T
 
-from support import reference_additions
+from support import instance, reference_additions
 
 x, y, z = Var("x"), Var("y"), Var("z")
 c = Fun("c")
@@ -473,7 +473,7 @@ def _check_last(rule, principal, t=None, y=None, hyps=None, sequent=None):
     over an empty context."""
     step = DerivationStep(rule.name, None, (), principal, t=t, y=y)
     if hyps is None:
-        hyps, sequent = kernel.instance(reference_additions(rule, step))
+        hyps, sequent = instance(reference_additions(rule, step))
     step = DerivationStep(rule.name, sequent, tuple(range(len(hyps))),
                           principal, t=t, y=y)
     return kernel.check_step(kernel.Derivation(
