@@ -19,12 +19,13 @@ Each row is compiled once, with closures (partial evaluation, Jones,
 Gomard and Sestoft 1993): its templates into one constructor call per
 node, the row into its step checker ``Rule.check`` (at import), its
 forward reading ``Rule.additions``, which the soundness sampler fills,
-and its backward reading ``Rule.backward``, which proof search runs.  A
-rule that needs the principal alone keeps its premises' additions on it
-(``syntax.kept``), read in the checker's and ``backward``'s own frame,
-and a quantifier rule by t or y; the rest fill them per call, F-L and
-notF-R once.  Cut joins its premises' contexts, so its checker defers
-to ``_check_cut``.
+and its backward reading ``Rule.backward``, which proof search runs.
+A row's premises' additions are had in exactly two ways.  A row that
+needs the principal alone, or with a t or y, keeps them in one dict on
+the principal, which ``Rule.keep`` reads and fills; the checker and
+``backward`` read a principal-only row's entry in their own frame.  The
+seven rows that need more, or nothing, fill them per call; Cut joins
+its premises' contexts, so its checker defers to ``_check_cut``.
 
 Sequent sides are sets.  A rule's conclusion is its context plus the
 formulas the rule introduces, which, as sets absorb duplicates, may
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import types
 
 from .syntax import (
     And, Eq, Exists, Falsity, Forall, Formula, Fun, Imp, Not, Or, Sequent, Var,
@@ -104,9 +106,6 @@ class Violation:
 
     def __str__(self):
         return "step %d: %s (%s)" % (self.step, self.code, self.detail)
-
-
-PACKS = ("notLR", "den")
 
 
 # ---------------------------------------------------------------------------
@@ -193,77 +192,72 @@ class Rule:
         conclusion, then of each premise."""
         fills = [(tuple(map(_compile, ant)), tuple(map(_compile, suc)))
                  for ant, suc in (self.conclusion,) + self.premises]
-        return lambda env: [(tuple([f(env) for f in ant]),
-                             tuple([f(env) for f in suc]))
+        return lambda env: [(tuple([f(env) for f in ant]) if ant else (),
+                             tuple([f(env) for f in suc]) if suc else ())
                             for ant, suc in fills]
 
     @functools.cached_property
-    def constant(self):
-        """F-L's and notF-R's additions, which need no step field."""
-        return None if self.needs else self.filled({})
-
-    @functools.cached_property
-    def kept_as(self):
-        """The attribute under which a principal keeps the premises'
-        additions of a rule that needs it alone, Cut aside."""
-        if self.needs != ("principal",) or self.name == "Cut":
+    def keep(self):
+        """For a row that needs the principal alone (Cut aside) or with a t
+        or y: the function from the principal a and the t or y (None for
+        the rest) to the premises' additions, None when a lacks the pattern,
+        read from and kept in a's ``_premises`` dict under (name, t or y)
+        when a is a formula and t a variable or constant (y a name): no kept
+        value holds a formula.  None for the seven rows filled per call."""
+        if self.name == "Cut" or self.needs not in _KEEPS:
             return None
-        return "_premises_" + self.name.replace("-", "_")
+        pattern, filled, name, by = (
+            self.pattern, self.filled, self.name, "".join(self.needs[1:]))
 
-    def _kept_premise_additions(self, a):
-        """The premises' additions when this rule introduces a, kept on a
-        formula a; None when a does not have the pattern."""
-        def premises(a):
-            env = {"principal": a}
-            return (tuple(self.filled(env)[1:])
-                    if _match(self.pattern, a, env) else None)
-        # a hand-built step may hold anything as its principal
-        return (kept(a, self.kept_as, premises) if type(a) in _FORMULAS
-                else premises(a))
+        def keep(a, t):
+            u = Var(t) if by == "y" and t is not None else t
+            key = (name, t) if type(a) in _FORMULAS and (
+                not by or type(u) in (Var, Fun) and type(u.name) is str
+                and not getattr(u, "args", 0)) else None  # None: not kept
+            premises = getattr(a, "_premises", _NOT_KEPT).get(key, _ABSENT)
+            if premises is _ABSENT:
+                env = {"principal": a, "t": u, "y": u}  # the row reads one
+                premises = (tuple(filled(env)[1:])
+                            if _match(pattern, a, env) else None)
+                if key:
+                    kept(a, "_premises", lambda a: {})[key] = premises
+            return premises
+        return keep
 
     @functools.cached_property
     def additions(self):
         """The forward reading: the function from a step by this rule to
         the additions of the conclusion, then of each premise; None when
         the step's principal does not have the pattern."""
-        pattern, filled, constant, name, attr, keep = (
-            self.pattern, self.filled, self.constant, self.name,
-            self.kept_as, self._kept_premise_additions)
+        pattern, filled, keep, by = (
+            self.pattern, self.filled, self.keep, "".join(self.needs[1:]))
         la, ls = map(len, self.conclusion)  # the principal, where it adds
-        by = self.needs[-1] if self.needs in (_TERM, _EIGEN) else None
 
         def additions(step):
             a = step.principal
-            if attr:
-                premises = keep(a)
-            else:
+            if keep is None:
                 env = {"principal": a, "t": step.t, "t2": step.t2, "x": step.x,
                        "y": None if step.y is None else Var(step.y)}
-                t = env.get(by)  # a quantifier rule's t or y
-                # kept by a variable or constant alone, holding no formula
-                if not (by and type(a) in _FORMULAS and type(t) in (Var, Fun)
-                        and type(t.name) is str and not getattr(t, "args", 0)):
-                    return (filled(env) if pattern is None
-                            or _match(pattern, a, env) else None)
-                per = kept(a, "_premises_by", lambda a: {})
-                premises = per.get((name, t), _ABSENT)
-                if premises is _ABSENT:
-                    premises = per[name, t] = (
-                        filled(env)[1:] if _match(pattern, a, env) else None)
+                return (filled(env) if pattern is None
+                        or _match(pattern, a, env) else None)
+            premises = keep(a, getattr(step, by) if by else None)
             return (None if premises is None
                     else [((a,) * la, (a,) * ls), *premises])
-        return (lambda step: constant) if constant else additions
+        return additions
 
     @functools.cached_property
     def backward(self):
-        """For a rule with ``kept_as``: the function from a sequent s and
-        a formula a to the premises above s when this rule introduces a,
-        each less a; None when a does not have the pattern."""
-        attr, keep, left = (
-            self.kept_as, self._kept_premise_additions, self.side == "ant")
+        """For the 17 rows that keep by the principal alone: the function
+        from a sequent s and a formula a to the premises above s when this
+        rule introduces a, each less a; None when a lacks the pattern."""
+        if self.keep is None or self.needs != ("principal",):
+            return None
+        key, keep, left = (self.name, None), self.keep, self.side == "ant"
 
         def backward(s, a):
-            premises = getattr(a, attr, None) or keep(a)  # falsy: ask keep
+            premises = getattr(a, "_premises", _NOT_KEPT).get(key, _ABSENT)
+            if premises is _ABSENT:
+                premises = keep(a, None)
             if premises is None:
                 return None
             ant, suc = (s.ant - {a}, s.suc) if left else (s.ant, s.suc - {a})
@@ -276,10 +270,11 @@ class Rule:
     def check(self):
         """The step checker: the function from a derivation d, an index i
         and d's step i, by this rule, to the step's first violation."""
-        name, pack, needs, literal, eigen, attr, keep, additions = (
+        name, pack, needs, literal, eigen, keep, additions = (
             self.name, self.pack, self.needs, self.literal, self.eigen,
-            self.kept_as, self._kept_premise_additions, self.additions)
+            self.keep, self.additions)
         arity, la, ls = len(self.premises), *map(len, self.conclusion)
+        key, by = (name, None), "".join(self.needs[1:])
         leaf = not arity and not eigen  # a context fits once the sides do
         takes = "%s takes %d premises, got %%d" % (name, arity)
 
@@ -302,10 +297,12 @@ class Rule:
             a, steps = step.principal, d.steps
             if literal and not is_literal(a):
                 return Violation(i, Code.LITERAL_REQUIRED, str(a))
-            if attr:
-                padds, ca, cs = getattr(a, attr, _ABSENT), (a,) * la, (a,) * ls
+            if keep:  # a quantifier row's keep reads by its t or y
+                padds = (keep(a, getattr(step, by)) if by else getattr(
+                    a, "_premises", _NOT_KEPT).get(key, _ABSENT))
                 if padds is _ABSENT:
-                    padds = keep(a)
+                    padds = keep(a, None)
+                ca, cs = (a,) * la, (a,) * ls
             elif name == "Cut":
                 return _check_cut(i, step, [steps[j].sequent for j in cites])
             elif (padds := additions(step)) is not None:
@@ -358,6 +355,7 @@ class Rule:
 
 
 _FORMULAS = frozenset(Formula.__args__)
+_NOT_KEPT = types.MappingProxyType({})  # the dict of a node that keeps none
 
 
 def _L(*formulas):
@@ -370,6 +368,7 @@ def _R(*formulas):
 
 _DEN = Or(Eq(T, T2), Not(Eq(T, T2)))
 _TERM, _EIGEN = ("principal", "t"), ("principal", "y")
+_KEEPS = (("principal",), _TERM, _EIGEN)  # the needs of the rows that keep
 
 RULES = {r.name: r for r in (
     # name, principal pattern, conclusion adds, premises add, conditions
@@ -412,14 +411,14 @@ RULES = {r.name: r for r in (
          ("t", "t2"), pack="den"),
 )}
 
+PACKS = tuple(dict.fromkeys(row.pack for row in RULES.values() if row.pack))
 BASE_RULES = tuple(r for r, row in RULES.items() if row.pack is None)
 PACK_RULES = tuple(r for r, row in RULES.items() if row.pack is not None)
 _CHECKS = {name: row.check for name, row in RULES.items()}  # built at import
 
 
 def _check_cut(i: int, step: DerivationStep, prem) -> Violation | None:
-    a = step.principal
-    p1, p2 = prem
+    a, (p1, p2) = step.principal, prem
     for side, which in ((p1.suc, "first premise succedent"),
                         (p2.ant, "second premise antecedent")):
         if a not in side:

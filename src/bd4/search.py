@@ -37,11 +37,10 @@ from .syntax import (
 )
 from .values import MODE_VALUES
 
-MODES = ("base", "lp", "k3", "cl")
-
 _MODE_PACK_RULES = {
     "base": (), "lp": ("not-R",), "k3": ("not-L",), "cl": ("not-L", "not-R"),
 }
+MODES = tuple(_MODE_PACK_RULES)
 
 
 @_record

@@ -23,9 +23,9 @@ pairs over whole sweeps and checks sequents on them, per mode;
 ``PropSpace`` is the ``FOSpace`` of domain size 1 over a tuple of
 atoms.  ``truth_table`` reads one sweep whole.
 
-``evaluate_prop`` (one valuation) and ``evaluate`` over
-``enumerate_structures`` (one structure) are kept as the references the
-engine is tested against.
+``evaluate_prop`` (one valuation) and ``evaluate`` (one structure) are
+the references the engine is tested against.  ``enumerate_structures``
+decodes a sweep's columns; its nested-loop form is the tests' reference.
 """
 
 from __future__ import annotations
@@ -879,88 +879,19 @@ def count_structures(sig: Signature, size: int, mode: str = "total",
 def enumerate_structures(sig: Signature, size: int, mode: str = "total",
                          allowed=ALL_VALUES, need_eq: bool = True,
                          eq_distinct=None):
-    """All structures with the given domain size, in a fixed order.
-
-    In partial mode the first domain element is the bottom and ``size``
-    counts it, so size 2 means bottom plus one ordinary element.  The
-    ``allowed`` restriction draws every predicate and equality value
-    from that set (used for the LP/K3/CL submatrix spot checks).
-
-    By default the equality table on distinct element pairs ranges over
-    every allowed value, which is all the structure definition asks
-    for.  ``eq_distinct`` narrows that range; it exists so soundness
-    diagnostics can re-run a sweep over the subclass where designated
-    equality implies element identity.  A size below 1, or below 2 in
-    partial mode, gives none.
-    """
+    """All structures with the given domain size: the columns of their
+    sweep, decoded in order.  In partial mode the first domain element is
+    the bottom and ``size`` counts it.  ``allowed`` draws every predicate
+    and equality value from that set, and ``eq_distinct``, when given,
+    the equality values of distinct elements.  A size below 1, or below
+    2 in partial mode, gives none, before anything is laid out."""
     if size < (2 if mode == "partial" else 1):
         return
-    if mode == "partial":
-        if allowed is not ALL_VALUES:
-            raise SemanticsError("partial mode does not combine with restrictions")
-        domain = ("u",) + tuple("d%d" % i for i in range(1, size))
-        bottom = "u"
-        real = domain[1:]
-    else:
-        domain = tuple("d%d" % i for i in range(1, size + 1))
-        bottom = None
-        real = domain
-    vals = tuple(v for v in VALUES if v in allowed)
-    des_vals = tuple(v for v in (T, B) if v in allowed)
-
-    const_names = [n for n, a in sig.functions if a == 0]
-    func_syms = [(n, a) for n, a in sig.functions if a > 0]
-    prop_names = [n for n, a in sig.predicates if a == 0]
-    pred_syms = [(n, a) for n, a in sig.predicates if a > 0]
-
-    const_choices = list(itertools.product(domain, repeat=len(const_names)))
-    func_tables = []
-    for name, a in func_syms:
-        keys = list(itertools.product(domain, repeat=a))
-        func_tables.append(
-            (name, keys, list(itertools.product(domain, repeat=len(keys))))
-        )
-    prop_choices = list(itertools.product(vals, repeat=len(prop_names)))
-    pred_tables = []
-    for name, a in pred_syms:
-        keys = list(itertools.product(domain, repeat=a))
-        pred_tables.append(
-            (name, keys, list(itertools.product(vals, repeat=len(keys))))
-        )
-    dist_vals = vals if eq_distinct is None else tuple(eq_distinct)
-    if need_eq:
-        eq_eq_keys = [(d, d) for d in real]
-        eq_ne_keys = [
-            (d1, d2) for d1 in real for d2 in real if d1 != d2
-        ]
-        eq_choices = [
-            (dict(zip(eq_eq_keys, eqs)) | dict(zip(eq_ne_keys, nes)))
-            for eqs in itertools.product(des_vals, repeat=len(eq_eq_keys))
-            for nes in itertools.product(dist_vals, repeat=len(eq_ne_keys))
-        ]
-    else:
-        eq_choices = [{}]
-
-    for consts in const_choices:
-        cmap = dict(zip(const_names, consts))
-        for fchoice in itertools.product(*(t[2] for t in func_tables)):
-            fmap = {
-                name: dict(zip(keys, out))
-                for (name, keys, _), out in zip(func_tables, fchoice)
-            }
-            for props in prop_choices:
-                pmap = dict(zip(prop_names, props))
-                for pchoice in itertools.product(*(t[2] for t in pred_tables)):
-                    prmap = {
-                        name: dict(zip(keys, out))
-                        for (name, keys, _), out in zip(pred_tables, pchoice)
-                    }
-                    for eqt in eq_choices:
-                        yield Structure(
-                            domain=domain, consts=dict(cmap), funcs=fmap,
-                            props=dict(pmap), preds=prmap, eq=dict(eqt),
-                            bottom=bottom,
-                        )
+    sweep = _Sweep(sig, size, mode, allowed, need_eq, eq_distinct, (),
+                   _BLOCK_COLUMNS)
+    for outer in sweep.blocks():
+        for i in range(sweep.full.bit_length()):
+            yield sweep.decode(sweep.digits(outer, i))[0]
 
 
 @functools.lru_cache(maxsize=256)

@@ -18,7 +18,7 @@ from .semantics import consequence_prop
 from .syntax import And, Falsity, Imp, Not, Or, _record, atomic_subformulas
 from .values import ALL_VALUES, MODE_VALUES
 
-EXTENSION_MODES = ("lp", "k3", "cl")
+EXTENSION_MODES = tuple(mode for mode in MODE_VALUES if mode != "bd")
 
 
 def _lp_guard(a):

@@ -22,15 +22,15 @@ sorted by.
 
 Since a node never changes, a value derived from it alone can be
 computed on first use and kept on the node, as the printed form is:
-``kept`` keeps a formula's atomic subformulas here, its compiled code in
-``semantics``, and in ``kernel`` what a rule's premises add when the
-formula is its principal, a quantifier rule's by its t or y.  A kept
-value lives and dies with its node, so no table keyed by formulas holds
-a node alive.  The ``_mask`` slot lives on the node too but is not kept,
-as it depends on more than the node: ``semantics.consequence_prop``
-leaves there a designation mask with the atoms and value set it was
-taken over, and overwrites it when those change, so a node holds one
-mask, not one per atom layout it meets.
+``kept`` keeps a node's free variables and a formula's atomic
+subformulas here, its compiled code in ``semantics``, and in ``kernel``
+one dict of what rules' premises add when it is their principal, by
+rule and t or y.  A kept value lives and dies with its node, so no
+table keyed by formulas holds a node alive.  The ``_mask`` slot is on
+the node too but is not kept, as it depends on more than the node:
+``semantics.consequence_prop`` leaves there a designation mask with the
+atoms and value set it was taken over, and overwrites it when those
+change, so a node holds one mask, not one per atom layout it meets.
 """
 
 from __future__ import annotations
@@ -446,6 +446,10 @@ print_formula = print_term = formula_key = str
 
 
 def free_vars(e) -> frozenset:
+    return kept(e, "_free", _free_vars)
+
+
+def _free_vars(e) -> frozenset:
     match e:
         case Var(name):
             return frozenset({name})

@@ -28,18 +28,9 @@ def reference_bind(rule, step):
 
 
 def reference_additions(rule, step):
-    """A step's additions as the kernel and the soundness sampler each
-    chose them before ``Rule.additions`` took the step: kept on the
-    principal, the constant of F-L and notF-R, or bound and filled."""
-    if rule.kept_as:
-        a = step.principal
-        premises = rule._kept_premise_additions(a)
-        if premises is None:
-            return None
-        ant, suc = rule.conclusion
-        return [((a,) * len(ant), (a,) * len(suc)), *premises]
-    if rule.constant:
-        return rule.constant
+    """A step's additions read off the row alone: the step's letters
+    bound (``reference_bind``) and every template filled, the conclusion's
+    then each premise's; None when the principal lacks the pattern."""
     env = reference_bind(rule, step)
     return None if env is None else rule.filled(env)
 

@@ -197,6 +197,8 @@ def unset_defaults(package, *callers):
     return sorted(out)
 
 
+_HOOKED_READER = ("the public reader of the sweep that bench/layertrace.py "
+                  "hooks, which tests compare with the nested-loop reference")
 # defaulted parameters that no call in src or bench sets, and why each
 # stays
 KEPT_DEFAULTS = {
@@ -209,14 +211,10 @@ KEPT_DEFAULTS = {
         "bench/layertrace.py reads it from the bound arguments",
     "semantics.valuations.allowed":
         "the reference the engine's modes are tested against",
-    "semantics.enumerate_structures.mode":
-        "the reference the sweep is tested against",
-    "semantics.enumerate_structures.allowed":
-        "the reference the sweep is tested against",
-    "semantics.enumerate_structures.need_eq":
-        "the reference the sweep is tested against",
-    "semantics.enumerate_structures.eq_distinct":
-        "the reference the sweep is tested against",
+    "semantics.enumerate_structures.mode": _HOOKED_READER,
+    "semantics.enumerate_structures.allowed": _HOOKED_READER,
+    "semantics.enumerate_structures.need_eq": _HOOKED_READER,
+    "semantics.enumerate_structures.eq_distinct": _HOOKED_READER,
 }
 
 

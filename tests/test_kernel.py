@@ -72,11 +72,10 @@ def test_the_falsity_axioms_are_filled_once():
     for name in ("F-L", "notF-R"):
         rule = RULES[name]
         step = DerivationStep(name, Sequent.of(), principal=p)
-        assert rule.constant == rule.filled(reference_bind(rule, step))
-        assert rule.constant is rule.constant
-        assert rule.additions(step) is rule.constant
+        assert rule.additions(step) == rule.filled(reference_bind(rule, step))
+        assert rule.additions(step) == rule.filled({})
     assert {name for name, rule in RULES.items()
-            if rule.constant is not None} == {"F-L", "notF-R"}
+            if not rule.needs} == {"F-L", "notF-R"}
     # any principal is ignored, and the violations are as before
     for step, want in (
             (DerivationStep("notF-R", Sequent.of([p], [q]), principal=p),
@@ -525,29 +524,51 @@ def test_equality_axioms_shapes():
 # ---------------------------------------------------------------------------
 # additions kept on the principal
 
-KEPT = [rule for rule in RULES.values() if rule.kept_as]
+KEPT = [rule for rule in RULES.values() if rule.backward]
+FILLED_PER_CALL = {
+    "Cut", "F-L", "notF-R", "eq-Refl", "eq-Repl", "Den-L", "Den-R"}
 
 
 def test_the_rules_whose_additions_are_kept():
     assert len(KEPT) == 17
     assert {rule.needs for rule in KEPT} == {("principal",)}
-    unkept = {name for name, rule in RULES.items() if not rule.kept_as}
-    assert unkept == {
-        "Cut", "F-L", "notF-R", "eq-Refl", "eq-Repl", "Den-L", "Den-R",
+    unkept = {name for name, rule in RULES.items() if not rule.backward}
+    assert unkept == FILLED_PER_CALL | {
         "forall-L", "forall-R", "exists-L", "exists-R", "notforall-L",
         "notforall-R", "notexists-L", "notexists-R"}
+    assert {name for name, rule in RULES.items()
+            if rule.keep is None} == FILLED_PER_CALL
 
 
-def _bound_and_filled(rule, step):
-    """The additions as the rule table gives them from a step."""
-    env = reference_bind(rule, step)
-    return None if env is None else rule.filled(env)
+def test_one_reading_keeps_exactly_the_rows_that_keep():
+    """After one ``additions`` call on a fresh principal, each of the 25
+    rows that keep has left its one key, (name, t or y), in the
+    principal's ``_premises`` dict, with the premises' additions, and
+    each of the seven rows filled per call has left none."""
+    keeping = set()
+    for k, rule in enumerate(RULES.values()):
+        body = Pred("keep_probe_%d" % k, (Var("x"),))
+        a = (rule.principal_of({"x": "x", "A": body, "B": body})
+             if rule.pattern is not None else body)
+        assert not hasattr(a, "_premises")
+        step = DerivationStep(rule.name, Sequent.of(), principal=a, t=c,
+                              t2=d, x="x", y="y")
+        got = rule.additions(step)
+        assert got == reference_additions(rule, step)
+        kept = getattr(a, "_premises", {})
+        if rule.name in FILLED_PER_CALL:
+            assert kept == {}, rule.name
+            continue
+        by = getattr(step, rule.needs[1]) if rule.needs[1:] else None
+        assert kept == {(rule.name, by): tuple(got[1:])}, rule.name
+        keeping.add(rule.name)
+    assert len(keeping) == 25 and len(FILLED_PER_CALL) == 7
 
 
 def _assert_kept_additions_agree(a):
     for rule in KEPT:
         step = DerivationStep(rule.name, Sequent.of(), principal=a)
-        want = _bound_and_filled(rule, step)
+        want = reference_additions(rule, step)
         got = rule.additions(step)
         assert got == want, (rule.name, a)
         assert rule.additions(step) == got

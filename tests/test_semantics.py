@@ -574,6 +574,35 @@ def test_structure_counts_agree_with_the_sweep_and_the_enumeration(sig):
     assert enumerated >= 20
 
 
+@pytest.mark.parametrize("arity", [0, 1, 2])
+def test_the_enumeration_reads_the_sweep_in_the_reference_order(arity):
+    """``enumerate_structures`` gives the nested-loop reference's
+    structures in its order over a grid: sizes 0-3, both modes, the four
+    mode value sets, equality needed or not, three ranges for distinct
+    elements' equality.  Each pair is compared on its first 301
+    structures, so whole when it has at most 300, as 40 or more non-empty
+    ones have.  A partial mode with a restriction raises on both sides,
+    and gives nothing below its least size (the reference tests
+    ``allowed`` by identity, so the value sets are ``MODE_VALUES``')."""
+    sig = Signature(functions=(("f", arity),), predicates=(("P", 1),))
+    whole = 0
+    for size, mode, allowed, need_eq, eq_distinct in itertools.product(
+            range(4), ("total", "partial"), MODE_VALUES.values(),
+            (True, False), (None, (N, F), (F,))):
+        args = (sig, size, mode, allowed, need_eq, eq_distinct)
+        got = enumerate_structures(*args)
+        want = reference_semantics.enumerate_structures(*args)
+        if mode == "partial" and size > 1 and allowed is not ALL_VALUES:
+            for gen in (got, want):
+                with pytest.raises(SemanticsError, match="restrictions"):
+                    next(gen)
+            continue
+        got, want = (list(itertools.islice(g, 301)) for g in (got, want))
+        assert got == want, args
+        whole += 0 < len(got) <= 300
+    assert whole >= 40
+
+
 def test_a_partial_size_below_two_has_no_structure():
     """The bottom needs an element beside it: partial size 1 has no
     structures and no columns, and FOSpace refuses it as consequence_fo
@@ -794,7 +823,7 @@ RICH_SIG = Signature(
 
 def reference_fo(gamma, delta, sig, max_domain=3, mode="total", cap=10**7,
                  allowed=ALL_VALUES, eq_distinct=None):
-    """consequence_fo the slow way: every structure that
+    """consequence_fo the slow way: every structure that the reference
     ``enumerate_structures`` gives over the symbols that occur, under
     every assignment of the free variables, through ``evaluate``."""
     funcs, preds, has_eq, fv = set(), set(), False, set()
@@ -835,8 +864,8 @@ def reference_fo(gamma, delta, sig, max_domain=3, mode="total", cap=10**7,
                 "would enumerate at least %d structures (cap %d)"
                 % (total, cap))
     for k in sizes:
-        for m in enumerate_structures(small, k, mode, allowed, has_eq,
-                                      eq_distinct):
+        for m in reference_semantics.enumerate_structures(
+                small, k, mode, allowed, has_eq, eq_distinct):
             for combo in itertools.product(m.domain, repeat=len(fv)):
                 alpha = dict(zip(fv, combo))
                 if (all(designated(evaluate(a, m, alpha)) for a in gamma)
@@ -1019,7 +1048,8 @@ def test_the_first_countermodel_is_found_in_bounded_memory():
                                   "den-repair"])
 def test_fo_space_masks_match_per_column_evaluation(kind):
     """Every column of the small classes, every 7th of the large ones,
-    decoded and evaluated against ``enumerate_structures``."""
+    decoded and evaluated against the reference
+    ``enumerate_structures``."""
     args = {"fo": (_FO_SIG, (1, 2), "total", False, None, ("y",)),
             "eq": (_EQ_SIG, (1, 2), "total", True, None, ()),
             "eq-repair": (_EQ_SIG, (1, 2), "total", True, (N, F), ()),
@@ -1041,8 +1071,8 @@ def test_fo_space_masks_match_per_column_evaluation(kind):
     stride = 1 if len(space.columns) < 5000 else 7
     i = 0
     for k in sizes:
-        for m in enumerate_structures(sig, k, mode, need_eq=need_eq,
-                                      eq_distinct=eq_distinct):
+        for m in reference_semantics.enumerate_structures(
+                sig, k, mode, need_eq=need_eq, eq_distinct=eq_distinct):
             for combo in itertools.product(m.domain, repeat=len(variables)):
                 if i % stride == 0:
                     alpha = dict(zip(variables, combo))

@@ -453,11 +453,10 @@ def test_nodes_with_kept_rule_additions_leave_the_table():
         result = prove_prop(s, SearchBudget(mode=mode))
         assert result.proved and check_derivation(result.proof)[0]
     for rule in RULES.values():
-        if rule.kept_as:
-            [reference_additions(rule, DerivationStep(rule.name, s,
-                                                      principal=a))
+        if rule.backward:
+            [rule.additions(DerivationStep(rule.name, s, principal=a))
              for a in (deep, Not(deep))]
-    assert deep._premises_notnot_L == (((deep.body.body,), ()),)
+    assert deep._premises["notnot-L", None] == (((deep.body.body,), ()),)
     del lp, lq, lr, deep, s, result
     gc.collect()
     assert len(syntax._NODES) == before
@@ -494,13 +493,12 @@ def test_nodes_with_kept_quantifier_additions_leave_the_table():
         keys = terms if field == "t" else ("life_y1", "life_y2")
         for key in keys + keys:  # the second round reads the kept values
             assert _check_last(rule, a, **{field: key}) is None
-        mine = {k for k in a._premises_by if k[0] == rule.name}
-        assert mine == {(rule.name, key if field == "t" else Var(key))
-                        for key in keys}
+        mine = {k for k in a._premises if k[0] == rule.name}
+        assert mine == {(rule.name, key) for key in keys}
         # a term holding its principal, or with arguments, is not kept
         for t in (Fun("life_g", (a,)), Fun("life_f", (Fun("life_c"),))):
             assert _check_last(rule, a, **{field: t}) is None
-        assert {k for k in a._premises_by if k[0] == rule.name} == mine
+        assert {k for k in a._premises if k[0] == rule.name} == mine
     del body, terms, a, key, keys, mine, t
     gc.collect()
     assert len(syntax._NODES) == before
