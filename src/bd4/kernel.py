@@ -16,10 +16,13 @@ formulas, so a pattern is one node tree; the principal binds A, B and
 the bound variable, the step gives t, t2 and y.
 
 Each row is compiled once, with closures (partial evaluation, Jones,
-Gomard and Sestoft 1993): its templates into one constructor call per
-node, the row into its step checker ``Rule.check`` (at import), its
-forward reading ``Rule.additions``, which the soundness sampler fills,
-and its backward reading ``Rule.backward``, which proof search runs.
+Gomard and Sestoft 1993): its pattern into class checks, ``Rule.match``
+(``tests/support.py`` keeps the walk it replaced as its reference);
+its templates into one constructor call per node, or themselves when
+they hold no letter; the row into its step checker ``Rule.check`` (at
+import), its forward reading ``Rule.additions``, which the soundness
+sampler fills, and its backward reading ``Rule.backward``, which proof
+search runs.
 A row's premises' additions are had in exactly two ways.  A row that
 needs the principal alone, or with a t or y, keeps them in one dict on
 the principal, which ``Rule.keep`` reads and fills; the checker and
@@ -127,19 +130,22 @@ P, T, T2 = _Letter("principal"), _Letter("t"), _Letter("t2")
 A_t, A_t2, A_y = _Letter("A", "t"), _Letter("A", "t2"), _Letter("A", "y")
 
 
-def _match(pattern, a, env) -> bool:
-    """Bind the letters of a pattern (each occurs once) to parts of a."""
-    if isinstance(pattern, _Letter):
-        env[pattern.name] = a
-        return True
-    return type(a) is type(pattern) and all(
-        _match(getattr(pattern, f), getattr(a, f), env)
-        for f in pattern.__match_args__)
+def _lettered(template) -> bool:
+    """Whether a letter occurs in a template or a side's tuple of them."""
+    parts = template if type(template) is tuple else [
+        getattr(template, f) for f in template.__match_args__]
+    return isinstance(template, _Letter) or any(map(_lettered, parts))
 
 
 def _compile(template):
-    """The function from letter bindings to what the template stands for:
-    a letter's binding, or one constructor call per node."""
+    """The function from letter bindings to what a template, or a side's
+    tuple of them, stands for: itself when it holds no letter, else a
+    letter's binding or one constructor call per node."""
+    if not _lettered(template):
+        return lambda env: template
+    if type(template) is tuple:
+        fills = tuple(map(_compile, template))
+        return lambda env: tuple([f(env) for f in fills])
     if isinstance(template, _Letter):
         name, term = template.name, template.term
         if term is None:
@@ -150,8 +156,7 @@ def _compile(template):
     if len(parts) == 2:
         left, right = parts
         return lambda env: cls(left(env), right(env))
-    # a negation, or falsity, the one node without fields
-    return (lambda env: cls(parts[0](env))) if parts else lambda env: template
+    return lambda env: cls(parts[0](env))
 
 
 @_record
@@ -174,11 +179,36 @@ class Rule:
         return {_L(P): "ant", _R(P): "suc"}.get(self.conclusion)
 
     @functools.cached_property
+    def match(self):
+        """The pattern compiled: the function that binds in env its letters
+        to the parts of a principal a, left to right, and says whether a
+        has it (any a, when the row has none), checking each node's class,
+        read by its attribute path, parent first."""
+        tests, reads, todo = [], [], [(self.pattern, "")]
+        while todo:  # depth first, left to right
+            node, path = todo.pop()
+            part = operator.attrgetter(path[1:]) if path else lambda a: a
+            if isinstance(node, _Letter):
+                reads.append((node.name, part))
+            elif node is not None:
+                tests.append((part, type(node)))
+                todo += [(getattr(node, f), path + "." + f)
+                         for f in reversed(node.__match_args__)]
+
+        def match(a, env):
+            for part, cls in tests:
+                if type(part(a)) is not cls:
+                    return False
+            for name, part in reads:
+                env[name] = part(a)
+            return True
+        return match
+
+    @functools.cached_property
     def slots(self):
         """The formula letters of the pattern, left to right."""
         env = {}  # matched against itself, the pattern binds in order
-        if self.pattern is not None:
-            _match(self.pattern, self.pattern, env)
+        self.match(self.pattern, env)
         return tuple(n for n in env if n in ("A", "B"))
 
     @functools.cached_property
@@ -190,11 +220,9 @@ class Rule:
     def filled(self):
         """The function from letter bindings to the additions of the
         conclusion, then of each premise."""
-        fills = [(tuple(map(_compile, ant)), tuple(map(_compile, suc)))
-                 for ant, suc in (self.conclusion,) + self.premises]
-        return lambda env: [(tuple([f(env) for f in ant]) if ant else (),
-                             tuple([f(env) for f in suc]) if suc else ())
-                            for ant, suc in fills]
+        fills = [tuple(map(_compile, adds))
+                 for adds in (self.conclusion,) + self.premises]
+        return lambda env: [(ant(env), suc(env)) for ant, suc in fills]
 
     @functools.cached_property
     def keep(self):
@@ -206,8 +234,8 @@ class Rule:
         value holds a formula.  None for the seven rows filled per call."""
         if self.name == "Cut" or self.needs not in _KEEPS:
             return None
-        pattern, filled, name, by = (
-            self.pattern, self.filled, self.name, "".join(self.needs[1:]))
+        match, filled, name, by = (
+            self.match, self.filled, self.name, "".join(self.needs[1:]))
 
         def keep(a, t):
             u = Var(t) if by == "y" and t is not None else t
@@ -217,8 +245,7 @@ class Rule:
             premises = getattr(a, "_premises", _NOT_KEPT).get(key, _ABSENT)
             if premises is _ABSENT:
                 env = {"principal": a, "t": u, "y": u}  # the row reads one
-                premises = (tuple(filled(env)[1:])
-                            if _match(pattern, a, env) else None)
+                premises = tuple(filled(env)[1:]) if match(a, env) else None
                 if key:
                     kept(a, "_premises", lambda a: {})[key] = premises
             return premises
@@ -229,8 +256,8 @@ class Rule:
         """The forward reading: the function from a step by this rule to
         the additions of the conclusion, then of each premise; None when
         the step's principal does not have the pattern."""
-        pattern, filled, keep, by = (
-            self.pattern, self.filled, self.keep, "".join(self.needs[1:]))
+        match, filled, keep, by = (
+            self.match, self.filled, self.keep, "".join(self.needs[1:]))
         la, ls = map(len, self.conclusion)  # the principal, where it adds
 
         def additions(step):
@@ -238,8 +265,7 @@ class Rule:
             if keep is None:
                 env = {"principal": a, "t": step.t, "t2": step.t2, "x": step.x,
                        "y": None if step.y is None else Var(step.y)}
-                return (filled(env) if pattern is None
-                        or _match(pattern, a, env) else None)
+                return filled(env) if match(a, env) else None
             premises = keep(a, getattr(step, by) if by else None)
             return (None if premises is None
                     else [((a,) * la, (a,) * ls), *premises])

@@ -2,7 +2,9 @@
 
 All three formats are line-oriented and canonical: parse followed by
 print reproduces the file byte-for-byte (modulo comments and blank
-lines, which are accepted on input and never emitted).
+lines, which are accepted on input and never emitted).  A derivation
+prints each of its distinct sequent sides once (``Sequent.__str__``'s
+side printer), however many steps share it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from .parser import (
 )
 from .semantics import Structure
 from .syntax import (
-    Sequent, Signature, SyntaxBuildError, print_formula, print_term,
+    _SEQUENT, Sequent, Signature, SyntaxBuildError, print_formula, print_side,
+    print_term,
 )
 from .values import TruthValue
 
@@ -254,25 +257,31 @@ def print_sequent(s: Sequent) -> str:
 
 
 def print_derivation(d: Derivation) -> str:
+    sides = {}  # each distinct side's printed text, for this call only
+    line = "%d: %s%s%s%s " + _SEQUENT
     out = ["packs: %s" % (" ".join(sorted(d.packs)) if d.packs else "base")]
     for h in d.hypotheses:
-        out.append("hypothesis: %s" % print_sequent(h))
+        out.append("hypothesis: %s" % h)
     for i, st in enumerate(d.steps):
-        parts = ["%d: %s" % (i, st.rule)]
-        if st.premises:
-            parts.append("premises=[%s]" % ", ".join(str(k) for k in st.premises))
-        if st.principal is not None:
-            parts.append('principal="%s"' % print_formula(st.principal))
+        s, cites, a, rest = st.sequent, st.premises, st.principal, ""
         if st.t is not None:
-            parts.append('t="%s"' % print_term(st.t))
+            rest += ' t="%s"' % print_term(st.t)
         if st.t2 is not None:
-            parts.append('t2="%s"' % print_term(st.t2))
+            rest += ' t2="%s"' % print_term(st.t2)
         if st.y is not None:
-            parts.append('y="%s"' % st.y)
+            rest += ' y="%s"' % st.y
         if st.x is not None:
-            parts.append('x="%s"' % st.x)
-        parts.append(print_sequent(st.sequent))
-        out.append(" ".join(parts))
+            rest += ' x="%s"' % st.x
+        ant, suc = sides.get(s.ant), sides.get(s.suc)
+        if ant is None:
+            ant = sides[s.ant] = print_side(s.ant)
+        if suc is None:
+            suc = sides[s.suc] = print_side(s.suc)
+        out.append(line % (
+            i, st.rule,
+            " premises=[%s]" % ", ".join(map(str, cites)) if cites else "",
+            "" if a is None else ' principal="%s"' % print_formula(a),
+            rest, ant, suc))
     return "\n".join(out) + "\n"
 
 

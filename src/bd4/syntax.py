@@ -22,8 +22,8 @@ sorted by.
 
 Since a node never changes, a value derived from it alone can be
 computed on first use and kept on the node, as the printed form is:
-``kept`` keeps a node's free variables and a formula's atomic
-subformulas here, its compiled code in ``semantics``, and in ``kernel``
+``free_vars`` keeps a node's free variables, ``kept`` a formula's
+atomic subformulas, its compiled code in ``semantics``, and in ``kernel``
 one dict of what rules' premises add when it is their principal, by
 rule and t or y.  A kept value lives and dies with its node, so no
 table keyed by formulas holds a node alive.  The ``_mask`` slot is on
@@ -446,27 +446,31 @@ print_formula = print_term = formula_key = str
 
 
 def free_vars(e) -> frozenset:
-    return kept(e, "_free", _free_vars)
-
-
-def _free_vars(e) -> frozenset:
-    match e:
-        case Var(name):
-            return frozenset({name})
-        case Fun(_, args) | Pred(_, args) | ExtApp(_, args):
-            out = frozenset()
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case Falsity() | Prop(_):
-            return frozenset()
-        case Not(b):
-            return free_vars(b)
-        case Eq(l, r) | And(l, r) | Or(l, r) | Imp(l, r):
-            return free_vars(l) | free_vars(r)
-        case Forall(x, b) | Exists(x, b):
-            return free_vars(b) - {x}
-    raise TypeError("not a term or formula: %r" % (e,))
+    """The free variables of a term or formula, kept on each node as
+    ``_free``; a walk on its own stack fills each node's parts first."""
+    stack = [e]
+    while stack:
+        u = stack.pop()
+        if getattr(u, "_free", _ABSENT) is not _ABSENT:
+            continue
+        cls = u.__class__
+        if cls is Not or cls is Forall or cls is Exists:
+            parts = (u.body,)
+        elif cls is Eq or cls is And or cls is Or or cls is Imp:
+            parts = (u.left, u.right)
+        elif cls in _LEVEL or cls is Var or cls is Fun:
+            parts = getattr(u, "args", ())  # none for Var, Falsity, Prop
+        else:
+            raise TypeError("not a term or formula: %r" % (u,))
+        todo = [b for b in parts if getattr(b, "_free", _ABSENT) is _ABSENT]
+        if todo:
+            stack += (u, *todo)
+        else:
+            free = (frozenset((u.name,)) if cls is Var
+                    else frozenset().union(*[b._free for b in parts]))
+            object.__setattr__(u, "_free", free - {u.var} if cls is Forall
+                               or cls is Exists else free)
+    return e._free
 
 
 _STEM = re.compile(r"([A-Za-z_][A-Za-z_0-9]*?)(\d*)\Z")
@@ -600,9 +604,15 @@ class Sequent:
         return Sequent(frozenset(ant), frozenset(suc))
 
     def __str__(self) -> str:
-        left = "; ".join(sorted((str(a) for a in self.ant)))
-        right = "; ".join(sorted((str(a) for a in self.suc)))
-        return "|- %s => %s" % (left, right)
+        return _SEQUENT % (print_side(self.ant), print_side(self.suc))
+
+
+_SEQUENT = "|- %s => %s"  # a sequent's printed form, given its sides'
+
+
+def print_side(formulas) -> str:
+    """A sequent side's printed form: its formulas', sorted, "; "-joined."""
+    return "; ".join(sorted([a._text or str(a) for a in formulas]))
 
 
 TRUTH = Not(Falsity())

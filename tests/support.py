@@ -1,7 +1,19 @@
 """Helpers shared by the test modules."""
 
-from bd4.kernel import Derivation, _Letter, _match, is_proof
+from bd4.kernel import Derivation, _Letter, is_proof
 from bd4.syntax import Sequent, Var, substitute
+
+
+def _match(pattern, a, env) -> bool:
+    """Bind the letters of a pattern (each occurs once) to parts of a, by
+    a walk of the pattern: the kernel's matcher before each row compiled
+    its own (``Rule.match``)."""
+    if isinstance(pattern, _Letter):
+        env[pattern.name] = a
+        return True
+    return type(a) is type(pattern) and all(
+        _match(getattr(pattern, f), getattr(a, f), env)
+        for f in pattern.__match_args__)
 
 
 def derives(gamma, delta, d: Derivation) -> bool:
@@ -75,3 +87,37 @@ def reference_backward(rule, s, a):
     return tuple(Sequent(gamma | {reference_fill(f, env) for f in pa},
                          delta | {reference_fill(f, env) for f in ps})
                  for pa, ps in rule.premises)
+
+
+def reference_sequent(s) -> str:
+    """A sequent's printed form as ``Sequent.__str__`` gave it before
+    the side printer was shared: each side's formulas printed, sorted
+    and joined, per call."""
+    left = "; ".join(sorted((str(a) for a in s.ant)))
+    right = "; ".join(sorted((str(a) for a in s.suc)))
+    return "|- %s => %s" % (left, right)
+
+
+def reference_print_derivation(d: Derivation) -> str:
+    """``proofio.print_derivation`` before it printed each side once per
+    derivation: every step's sequent printed whole."""
+    out = ["packs: %s" % (" ".join(sorted(d.packs)) if d.packs else "base")]
+    for h in d.hypotheses:
+        out.append("hypothesis: %s" % reference_sequent(h))
+    for i, st in enumerate(d.steps):
+        parts = ["%d: %s" % (i, st.rule)]
+        if st.premises:
+            parts.append("premises=[%s]" % ", ".join(str(k) for k in st.premises))
+        if st.principal is not None:
+            parts.append('principal="%s"' % str(st.principal))
+        if st.t is not None:
+            parts.append('t="%s"' % str(st.t))
+        if st.t2 is not None:
+            parts.append('t2="%s"' % str(st.t2))
+        if st.y is not None:
+            parts.append('y="%s"' % st.y)
+        if st.x is not None:
+            parts.append('x="%s"' % st.x)
+        parts.append(reference_sequent(st.sequent))
+        out.append(" ".join(parts))
+    return "\n".join(out) + "\n"

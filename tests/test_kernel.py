@@ -22,9 +22,10 @@ from bd4.syntax import (
 )
 
 from support import (
-    derives, reference_additions, reference_backward, reference_bind,
+    _match, derives, reference_additions, reference_backward, reference_bind,
     reference_fill,
 )
+from test_syntax import _FORMULA
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 x, y = Var("x"), Var("y")
@@ -74,6 +75,10 @@ def test_the_falsity_axioms_are_filled_once():
         step = DerivationStep(name, Sequent.of(), principal=p)
         assert rule.additions(step) == rule.filled(reference_bind(rule, step))
         assert rule.additions(step) == rule.filled({})
+        # each side is one tuple, compiled once: a call builds no side
+        again = rule.additions(replace(step, principal=q))
+        assert all(side is same for side, same
+                   in zip(rule.additions(step)[0], again[0]))
     assert {name for name, rule in RULES.items()
             if not rule.needs} == {"F-L", "notF-R"}
     # any principal is ignored, and the violations are as before
@@ -674,6 +679,56 @@ _KFORMULA = st.recursive(
 @given(_KFORMULA)
 def test_kept_additions_match_the_table(a):
     _assert_kept_additions_agree(a)
+
+
+def _assert_matches_as_the_walk(rule, a):
+    """The row's compiled match and a walk of its pattern give the same
+    verdict and bind the same letters to the same parts, in one order."""
+    got, want = {}, {}
+    assert rule.match(a, got) == _match(rule.pattern, a, want), (rule.name, a)
+    assert list(got.items()) == list(want.items()), (rule.name, a)
+
+
+MATCHED = [rule for rule in RULES.values() if rule.pattern is not None]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_FORMULA, _FORMULA)
+def test_each_row_matches_as_a_walk_of_its_pattern(a, b):
+    """On formulas with terms, quantifiers and extras, and on each row's
+    pattern filled from them, so that every row meets its pattern."""
+    filled = [rule.principal_of({"x": "x", "A": a, "B": b})
+              for rule in MATCHED]
+    for rule in MATCHED:
+        for principal in [a, b, *filled]:
+            _assert_matches_as_the_walk(rule, principal)
+
+
+@pytest.mark.parametrize("principal", [None, "p", 0, x, Fun("c", ())])
+@pytest.mark.parametrize("name", list(RULES))
+def test_a_principal_that_is_no_node_matches_as_the_walk(name, principal):
+    """A pattern's head class is checked before any part is read; a row
+    without a pattern takes any principal and binds nothing."""
+    rule, env = RULES[name], {}
+    if rule.pattern is not None:
+        _assert_matches_as_the_walk(rule, principal)
+    assert rule.match(principal, env) == (
+        rule.pattern is None or isinstance(rule.pattern, _Letter))
+    assert env == ({} if rule.pattern is None else {"A": principal}
+                   if isinstance(rule.pattern, _Letter) else {})
+
+
+def test_the_slots_of_every_row():
+    ab, a = ("A", "B"), ("A",)
+    assert {name: rule.slots for name, rule in RULES.items()} == {
+        "Id": a, "Cut": a, "F-L": (), "notF-R": (), "and-L": ab,
+        "and-R": ab, "or-L": ab, "or-R": ab, "imp-L": ab, "imp-R": ab,
+        "forall-L": a, "forall-R": a, "exists-L": a, "exists-R": a,
+        "notnot-L": a, "notnot-R": a, "notand-L": ab, "notand-R": ab,
+        "notor-L": ab, "notor-R": ab, "notimp-L": ab, "notimp-R": ab,
+        "notforall-L": a, "notforall-R": a, "notexists-L": a,
+        "notexists-R": a, "eq-Refl": (), "eq-Repl": a, "not-L": a,
+        "not-R": a, "Den-L": (), "Den-R": ()}
 
 
 @pytest.mark.parametrize("principal", ["p", 3, x, Fun("c")])

@@ -15,10 +15,11 @@ from bd4.proofio import (
 )
 from bd4.semantics import Structure, evaluate
 from bd4.syntax import (
-    _RESERVED, EXTRA_CONNECTIVES, And, Eq, Falsity, Forall, Fun, Not, Pred,
-    Prop, Sequent, Signature, Var,
+    _RESERVED, EXTRA_CONNECTIVES, And, Eq, Falsity, Forall, Fun, Not, Or,
+    Pred, Prop, Sequent, Signature, Var,
 )
 from bd4.values import B, F, N, T, VALUES
+from support import reference_print_derivation, reference_sequent
 from test_syntax import SIG, _FORMULA, _TERM
 
 SIG_TEXT = """\
@@ -265,6 +266,49 @@ def test_print_sequent_shape():
     assert print_sequent(Sequent.of([], [])) == "|-  => "
 
 
+def _unprinted(tag):
+    """A formula over fresh atoms, so neither it nor its parts have been
+    printed yet."""
+    a = And(Prop("fresh_%s_p" % tag),
+            Not(Or(Prop("fresh_%s_q" % tag), Falsity())))
+    assert a._text is a.left._text is a.right._text is None
+    return a
+
+
+def _hand_built(tag):
+    """A derivation with every field of the file format: a side object
+    shared by two steps and the hypotheses, empty sides, t, t2, x, y."""
+    a, c = _unprinted(tag), Fun("c")
+    shared, none = frozenset([a, Prop("p")]), frozenset()
+    return Derivation((
+        DerivationStep("hypothesis", Sequent(shared, none)),
+        DerivationStep("and-L", Sequent(shared, frozenset([Prop("q")])),
+                       premises=(0,), principal=a),
+        DerivationStep("eq-Repl", Sequent(none, none), premises=(0, 1),
+                       principal=Pred("P", (Var("x"),)), t=c,
+                       t2=Fun("f", (c,)), x="x", y="y"),
+    ), frozenset(PACKS), (Sequent(shared, none), Sequent(none, shared)))
+
+
+def test_a_derivation_prints_as_with_each_sequent_printed_whole():
+    """Each side printed once per derivation gives the bytes of each
+    step's sequent printed whole, whichever printer meets the fresh
+    formulas first."""
+    d = _hand_built("printer")
+    assert d.steps[0].sequent.ant is d.steps[1].sequent.ant
+    got = print_derivation(d)
+    assert got == reference_print_derivation(d)
+    assert got.splitlines()[-1] == (
+        '2: eq-Repl premises=[0, 1] principal="P(x)" t="c" t2="f(c)" y="y" '
+        'x="x" |-  => ')
+    e = _hand_built("reference")
+    assert print_derivation(e) == reference_print_derivation(e) != got
+    for tag, first in (("str", str), ("ref", reference_sequent)):
+        s = Sequent.of([_unprinted(tag), Prop("p")], [])
+        assert first(s) == (str(s) if first is reference_sequent
+                            else reference_sequent(s))
+
+
 # ---------------------------------------------------------------------------
 # every file printed from a random object parses back to that object
 
@@ -359,5 +403,6 @@ def _derivations(draw):
 @given(_derivations())
 def test_a_printed_derivation_parses_back(d):
     text = print_derivation(d)
+    assert text == reference_print_derivation(d)
     assert parse_derivation(text, SIG) == d
     assert print_derivation(parse_derivation(text, SIG)) == text

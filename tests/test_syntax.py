@@ -4,6 +4,7 @@ the hash-consed node table."""
 import copy
 import gc
 import pickle
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -66,6 +67,19 @@ def test_free_vars():
     assert free_vars(a) == {"y"}
     assert free_vars(Exists("y", a)) == set()
     assert free_vars(Eq(Fun("f", (x, c)), y)) == {"x", "y"}
+
+
+def test_free_vars_of_a_chain_past_the_recursion_limit():
+    """``free_vars`` keeps its own stack: 2,000 API-built quantifiers, one
+    binding x halfway, each level's set kept on its node."""
+    chain = [Pred("Q", (x, Fun("f", (y,))))]
+    for i in range(2000):
+        chain.append((Exists if i % 2 else Forall)(
+            "x" if i == 1000 else "z", chain[-1]))
+    assert len(chain) > sys.getrecursionlimit()
+    assert free_vars(chain[-1]) == {"y"}
+    assert [level._free for level in chain[1000:1002]] == [{"x", "y"}, {"y"}]
+    assert free_vars(chain[5]) == {"x", "y"}
 
 
 def test_fresh_var_avoids_taken_names():
