@@ -311,14 +311,10 @@ def _formula_pool(atoms, max_depth: int):
 
 def _distinct_reps(pool, space: PropSpace):
     """First representative of each truth-table class, in pool order."""
-    reps = []
-    seen = set()
+    first = {}
     for a in pool:
-        vec = space.vector(a)
-        if vec not in seen:
-            seen.add(vec)
-            reps.append(a)
-    return reps
+        first.setdefault(space.vector(a), a)
+    return list(first.values())
 
 
 def _below(rng, n: int) -> int:
@@ -388,21 +384,20 @@ def _criterion_6(config: SuiteConfig):
         return "skipped", {}, "bound"
     space = PropSpace(("p", "q"))
     details = {}
-    checked = 0
-    crosschecked = 0
+    checked = crosschecked = 0
     failures = []
+    mask, holds = space.mask, space.holds  # bound once for the run
 
     def probe(gamma, delta, modes):
         nonlocal checked, crosschecked
-        gm = [space.mask(a) for a in gamma]
-        dm = [space.mask(a) for a in delta]
-        holds_bd = space.holds(gm, dm, "bd") is None
+        gm = [mask(a) for a in gamma]
+        dm = [mask(a) for a in delta]
+        holds_bd = holds(gm, dm, "bd") is None
         for mode in modes:
             checked += 1
-            restricted = space.holds(gm, dm, mode) is None
-            guards = [space.mask(a)
-                      for a in translation_sets(gamma, delta, mode)]
-            bd = space.holds(guards + gm, dm, "bd") is None
+            restricted = holds(gm, dm, mode) is None
+            guards = [mask(a) for a in translation_sets(gamma, delta, mode)]
+            bd = holds(guards + gm, dm, "bd") is None
             if restricted != bd:
                 failures.append((mode, gamma, delta, "biconditional"))
             if holds_bd and not restricted:
@@ -417,10 +412,8 @@ def _criterion_6(config: SuiteConfig):
                                             details):
         probe(gamma, delta, EXTENSION_MODES if rng is None else
               (EXTENSION_MODES[_below(rng, len(EXTENSION_MODES))],))
-    details["random_instances"] = config.random_instances
-    details["checked"] = checked
-    details["crosschecked"] = crosschecked
-    details["failures"] = len(failures)
+    details.update(random_instances=config.random_instances, checked=checked,
+                   crosschecked=crosschecked, failures=len(failures))
     if failures:
         mode, gamma, delta, kind = failures[0]
         details["first_failure"] = "%s %s %s" % (
@@ -571,8 +564,9 @@ def _soundness_run(name, valid, rng, instances, ctx_pool, pack=None,
     the additions (``Rule.additions``), put over the contexts.  Every
     kept instance, the last draw of each, is replayed through the kernel,
     premises cited as hypotheses, so the schema judged is exactly the one
-    the kernel enforces.  The pool, draws, fields and packs are found,
-    and ``_pick`` and ``_kernel_accepts`` read, once per run; the run's
+    the kernel enforces.  The pool, draws, their bit widths, fields and
+    packs are found, and ``_pick`` and ``_kernel_accepts`` read, once
+    per run; a key's draws run ``_below``'s loop inline, and the run's
     dict keeps each draw's step fields and additions.
     ``tests/test_sampling.py`` pins its rows and stream at seed 1.
     """
@@ -582,7 +576,8 @@ def _soundness_run(name, valid, rng, instances, ctx_pool, pack=None,
             else _FO_BODIES if rule.needs in (_TERM, _EIGEN) else _PROP_POOL)
     slots = len(rule.slots)
     terms = [f for f in ("t", "t2") if f in rule.needs]
-    draws = [(pool, len(pool))] * slots + [(_TERMS, len(_TERMS))] * len(terms)
+    draws = [(p, len(p), len(p).bit_length())
+             for p in [pool] * slots + [_TERMS] * len(terms)]
     cites = tuple(range(len(rule.premises)))
     packs = frozenset() if pack is None else frozenset({pack})
     made: dict = {}
@@ -592,7 +587,12 @@ def _soundness_run(name, valid, rng, instances, ctx_pool, pack=None,
         for _attempt in range(4):
             gamma = frozenset(pick(rng, ctx_pool))
             delta = frozenset(pick(rng, ctx_pool))
-            key = tuple([p[_below(rng, n)] for p, n in draws])
+            key = ()
+            for p, n, k in draws:
+                r = rng.getrandbits(k)
+                while r >= n:
+                    r = rng.getrandbits(k)
+                key += (p[r],)
             cached = made.get(key)
             if cached is None:
                 kw = dict(zip(terms, key[slots:]))
@@ -658,11 +658,8 @@ def _criterion_10(config: SuiteConfig):
         return "skipped", {}, "bound"
     n = config.rule_instances
     space3 = PropSpace(("p", "q", "r"))
-    fo = _fo_space("fo")
-    eq = _fo_space("eq")
-    eq_repair = _fo_space("eq-repair")
-    den = _fo_space("den")
-    den_repair = _fo_space("den-repair")
+    fo, eq, eq_repair, den, den_repair = map(
+        _fo_space, ("fo", "eq", "eq-repair", "den", "den-repair"))
 
     runs = []
     for rule, row in RULES.items():

@@ -34,6 +34,7 @@ import functools
 import itertools
 import math
 
+from .parser import _quote
 from .syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
     Sequent, Signature, Var, _record, kept,
@@ -57,6 +58,7 @@ class EnumerationCapExceeded(SemanticsError):
 
 
 _BINARY = {And: meet, Or: join, Imp: imp}
+_CANONICAL = {v: v for v in MODE_VALUES.values()}  # see _check_allowed
 
 
 def evaluate_prop(a, valuation: dict) -> TruthValue:
@@ -81,11 +83,11 @@ def evaluate_prop(a, valuation: dict) -> TruthValue:
     raise SemanticsError("not a propositional formula: %s" % (a,))
 
 
-def _check_allowed(allowed: frozenset):
+def _check_allowed(allowed) -> frozenset:
     if allowed not in MODE_VALUES.values():
-        raise SemanticsError(
-            "allowed value set must be one of the four closed restrictions"
-        )
+        raise SemanticsError("allowed value set must be one of the four "
+                             "closed restrictions")
+    return frozenset(allowed)
 
 
 def valuations(atoms, allowed=ALL_VALUES):
@@ -155,10 +157,9 @@ def _compile(formulas, sig: Signature) -> tuple:
     atom as written, or for a quantifier the list [Forall or Exists,
     variable, code of the body].  Returns the code, the functions and
     predicates that occur as (name, arity) pairs (a proposition has
-    arity 0),
-    whether equality occurs, and the free variables, sorted.  Every
-    symbol must be declared in the signature with its arity; with no
-    signature the formulas must be propositional, and the predicates
+    arity 0), whether equality occurs, and the free variables, sorted.
+    Every symbol must be declared in the signature with its arity; with
+    no signature the formulas must be propositional, and the predicates
     returned are the names of their atoms.
     """
     code, funcs, preds, free = [], set(), set(), set()
@@ -699,9 +700,9 @@ def scan_valuations(formulas, marked, allowed=ALL_VALUES):
     """The first valuation into ``allowed``, in ``valuations`` order,
     that ``marked`` picks, or None: ``_first`` over the sweep of the
     formulas' atoms, their names zipped onto its digits' pairs."""
-    _check_allowed(allowed)
+    allowed = _check_allowed(allowed)
     code, atoms = _compile_prop(formulas)
-    sweep = _prop_sweep(len(atoms), frozenset(allowed), _BLOCK_COLUMNS)
+    sweep = _prop_sweep(len(atoms), allowed, _BLOCK_COLUMNS)
     hit = _first([(sweep, code)], marked, lambda sweep, code, outer: dict(
         zip(atoms, sweep.pairs(outer))))
     return None if hit is None else dict(zip(atoms, hit[1]))
@@ -717,12 +718,18 @@ def consequence_prop(gamma, delta, allowed=ALL_VALUES):
     left in, the ``_mask`` slot of its node (see ``syntax``), keyed by
     the atoms and value set; a larger sweep is scanned by ``_first``.
     """
-    _check_allowed(allowed)
-    allowed, formulas = frozenset(allowed), list(gamma)
+    try:
+        allowed = _CANONICAL[allowed]
+    except (KeyError, TypeError):  # a set equal to one, or no value set
+        allowed = _check_allowed(allowed)
+    formulas = list(gamma)
     n = len(formulas)
     formulas += delta
-    atoms = tuple(sorted(frozenset().union(
-        *[kept(a, "_prop_code", _prop_code)[1] for a in formulas])))
+    names = set()
+    for a in formulas:
+        names |= (getattr(a, "_prop_code", None)
+                  or kept(a, "_prop_code", _prop_code))[1]
+    atoms = tuple(sorted(names))
     sweep = _prop_sweep(len(atoms), allowed, _BLOCK_COLUMNS)
     if sweep.outer:
         witness = scan_valuations(formulas, _counter(n), allowed)
@@ -1096,14 +1103,30 @@ class FOSpace:
         return (self._vectors.get(a) or self.vector(a))[0]
 
     def holds(self, gamma_masks, delta_masks, mode="bd") -> int | None:
-        """Consequence over the mode's columns; None when it holds, else
-        the index of the first counter column."""
-        bits = counter_bits(gamma_masks, delta_masks) & self._modes[mode]
+        """Consequence over the mode's columns, narrowed by each mask in
+        turn; None when it holds, else the first counter column's index."""
+        try:
+            bits = self._modes[mode]
+        except (KeyError, TypeError):  # TypeError: an unhashable mode
+            raise ValueError("unknown mode %s" % _quote(str(mode))) from None
+        for m in gamma_masks:
+            bits &= m
+        for m in delta_masks:
+            bits &= ~m
         return (bits & -bits).bit_length() - 1 if bits else None
 
     def counter_mask(self, s: Sequent, mode="bd") -> int:
-        return (counter_bits(map(self.mask, s.ant), map(self.mask, s.suc))
-                & self._modes[mode])
+        """``holds``'s loop, each formula's mask read through ``mask``."""
+        try:
+            bits = self._modes[mode]
+        except (KeyError, TypeError):  # TypeError: an unhashable mode
+            raise ValueError("unknown mode %s" % _quote(str(mode))) from None
+        mask = self.mask
+        for a in s.ant:
+            bits &= mask(a)
+        for a in s.suc:
+            bits &= ~mask(a)
+        return bits
 
     def valid(self, s: Sequent, mode="bd") -> bool:
         return self.counter_mask(s, mode) == 0

@@ -562,18 +562,21 @@ def is_literal(a: Formula) -> bool:
 
 
 def _atoms(a: Formula) -> frozenset:
-    """The atomic subformulas of a; none when a is atomic, since a kept
+    """The atomic subformulas of a other than a itself, since a kept
     value never holds its own node."""
-    if is_atomic(a):
-        return frozenset()
-    return frozenset(s for s in subformulas(a) if is_atomic(s))
+    return frozenset(s for s in subformulas(a) if s is not a and is_atomic(s))
 
 
 def atomic_subformulas(gamma) -> frozenset:
     """AF of a formula collection: every atomic formula occurring as a
-    subformula, the falsity constant included."""
-    return frozenset().union(*(kept(g, "_atoms", _atoms) or (g,)
-                               for g in gamma))
+    subformula, the falsity constant included, with kept atoms read."""
+    out = set()
+    for g in gamma:
+        atoms = getattr(g, "_atoms", None)
+        if atoms is None:
+            atoms = kept(g, "_atoms", _atoms)
+        out.update(atoms or (g,))  # an atomic g keeps none
+    return frozenset(out)
 
 
 def prop_atoms(a: Formula) -> frozenset:

@@ -1,5 +1,6 @@
 """Evaluation and consequence, propositional and first-order."""
 
+import functools
 import gc
 import itertools
 import math
@@ -13,7 +14,7 @@ from bd4 import acceptance, semantics, syntax
 from bd4.acceptance import _EQ_POOL, _EQ_SIG, _FO_POOL, _FO_SIG
 from bd4.definability import truth_function_of
 from bd4.matrixlab import BD_MATRIX, consequence_in
-from bd4.parser import parse_formula_list
+from bd4.parser import _quote, parse_formula_list
 from bd4.proofio import print_structure
 from bd4.semantics import (
     EnumerationCapExceeded, FOResult, FOSpace, PropSpace, SemanticsError,
@@ -1112,6 +1113,92 @@ def test_fo_space_refuses_unbound_variables_and_unknown_symbols():
     for a in (Pred("P", (Var("x"),)), Prop("q"), Pred("R", (Fun("c"),))):
         with pytest.raises(SemanticsError):
             space.mask(a)
+
+
+_FO_FORMULA = st.recursive(
+    st.sampled_from(list(_FO_POOL) + [Pred("P", (Var("y"),)), Falsity()]),
+    lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(And, sub, sub),
+        st.builds(Or, sub, sub), st.builds(Imp, sub, sub)), max_leaves=6)
+# the two spaces of criterion 10, each built once, and sides over each
+_SPACES = {
+    "prop": (functools.cache(lambda: PropSpace(("p", "q", "r"))), SIDES),
+    "fo": (functools.cache(lambda: acceptance._fo_space("fo")),
+           st.lists(_FO_FORMULA, max_size=3))}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPACES))
+@DIFFERENTIAL
+@given(st.data())
+def test_the_space_checks_are_counter_bits_over_the_mode(kind, data):
+    """``holds``, ``counter_mask`` and ``valid`` in every mode of the
+    space, empty sides included, against ``counter_bits``."""
+    make, sides = _SPACES[kind]
+    space = make()
+    s = Sequent.of(data.draw(sides), data.draw(sides))
+    gm, dm = [space.mask(a) for a in s.ant], [space.mask(a) for a in s.suc]
+    assert sorted(space._modes) == (
+        sorted(MODES) if kind == "prop" else ["bd"])
+    for mode, columns in space._modes.items():
+        want = semantics.counter_bits(gm, dm) & columns
+        assert space.counter_mask(s, mode) == want
+        assert space.valid(s, mode) == (want == 0)
+        assert space.holds(gm, dm, mode) == (
+            (want & -want).bit_length() - 1 if want else None)
+
+
+@pytest.mark.parametrize("cls, make", [
+    (PropSpace, lambda: PropSpace(("p", "q"))),
+    (FOSpace, lambda: acceptance._fo_space("fo")),
+], ids=["prop", "fo"])
+def test_a_sequent_check_reads_each_formula_through_mask_once(
+        monkeypatch, cls, make):
+    """Once per occurrence: a formula on both sides is read twice."""
+    space, reads = make(), []
+    mask = cls.mask
+    monkeypatch.setattr(cls, "mask",
+                        lambda self, a: reads.append(a) or mask(self, a))
+    both = Falsity()
+    if cls is PropSpace:
+        ant, suc = [p, Not(q), both], [And(p, q), both]
+    else:
+        ant, suc = [_FO_POOL[2], _FO_POOL[5], both], [_FO_POOL[0], both]
+    for s in (Sequent.of(ant, suc), Sequent.of(), Sequent.of(ant, ())):
+        for check in (space.counter_mask, space.valid):
+            reads.clear()
+            check(s)
+            assert sorted(reads, key=str) == sorted(
+                [*s.ant, *s.suc], key=str)
+
+
+@pytest.mark.parametrize("make, unknown", [
+    (lambda: PropSpace(("p",)), ["xx", "x" * 200, "BD", None, ["bd"]]),
+    (lambda: FOSpace(_EQ_SIG, (1,)), ["xx", "x" * 200, "lp", 3]),
+], ids=["prop", "fo"])
+def test_an_unknown_space_mode_is_a_value_error(make, unknown):
+    space, s = make(), Sequent.of([Falsity()], [])
+    for mode in unknown:
+        for check in (lambda: space.holds([], [], mode),
+                      lambda: space.counter_mask(s, mode),
+                      lambda: space.valid(s, mode),
+                      lambda: space.countermodel(s, mode)):
+            with pytest.raises(ValueError) as err:
+                check()
+            assert str(err.value) == "unknown mode " + _quote(str(mode))
+
+
+def test_consequence_prop_takes_the_four_value_sets_and_no_other():
+    cases = [([p], [p]), ([p, Not(p)], [q]), ([], [Or(p, Not(p))]),
+             ([And(p, q)], [Imp(q, r)])]
+    for allowed in MODES.values():
+        for gamma, delta in cases:
+            want = consequence_prop(gamma, delta, allowed)
+            assert consequence_prop(gamma, delta, set(allowed)) == want
+    for allowed in (list(ALL_VALUES), tuple(ALL_VALUES), None,
+                    frozenset({T})):
+        with pytest.raises(SemanticsError, match="allowed value set must "
+                           "be one of the four closed restrictions"):
+            consequence_prop([p], [q], allowed)
 
 
 @pytest.mark.parametrize("make, formulas", [

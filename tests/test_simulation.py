@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bd4.parser import _quote
 from bd4.semantics import consequence_fo, consequence_prop
 from bd4.simulation import (
     EXTENSION_MODES, translation_sets, verify_simulation,
@@ -34,8 +35,13 @@ def test_guards_cover_falsity_atom():
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        translation_sets([p], [p], "bd")
+    """One short ValueError from both functions, the mode clipped."""
+    for mode in ("zz", "bd", "m" * 200):
+        for check in (translation_sets, verify_simulation):
+            with pytest.raises(ValueError) as err:
+                check([p], [q], mode)
+            assert str(err.value) == "unknown extension mode " + _quote(mode)
+            assert len(str(err.value)) < 100
 
 
 def test_display_cases():

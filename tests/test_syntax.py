@@ -16,7 +16,7 @@ from bd4.kernel import RULES, DerivationStep, _Letter, check_derivation
 from bd4.parser import MAX_DEPTH, parse_formula
 from bd4.search import MODES, SearchBudget, prove_prop
 from bd4.semantics import PropSpace, consequence_prop
-from bd4.simulation import EXTENSION_MODES, translation_sets
+from bd4.simulation import EXTENSION_MODES, _lp_guard, translation_sets
 from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
     Sequent, Signature, SyntaxBuildError, TRUTH, Var, atomic_subformulas,
@@ -451,6 +451,28 @@ def test_nodes_with_kept_values_leave_the_table():
     guard = kp._lp_guard()
     assert guard in guards and kp in syntax.subformulas(guard)
     del a, b, kp, kq, guards, guard
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+def test_nodes_in_their_own_guards_leave_the_table():
+    """~p, p | ~p and p & ~p are parts of p's guards, and so is the lp
+    guard itself: translating them keeps nothing alive."""
+    for mode in EXTENSION_MODES:
+        translation_sets([Falsity()], [], mode)
+    gc.collect()
+    before = len(syntax._NODES)
+    kp = Prop("own_guard_p")
+    own = [Not(kp), Or(kp, Not(kp)), And(kp, Not(kp)), _lp_guard(kp)]
+    for mode in EXTENSION_MODES:
+        for a in own:
+            guards = translation_sets([a], [], mode)
+            assert guards == translation_sets([], [a, kp], mode)
+            if mode == "cl":
+                assert any(a in syntax.subformulas(g) for g in guards)
+        translation_sets(own, own, mode)
+    assert kp._lp_guard() is own[3]
+    del kp, own, a, guards
     gc.collect()
     assert len(syntax._NODES) == before
 
