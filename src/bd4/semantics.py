@@ -8,17 +8,12 @@ extra connective compiles to its table, and ``matrixlab.consequence_in``
 runs a candidate matrix's tables in place of the base ones.  The lowest
 set bit of a mask marks the first column in enumeration order.
 
-The columns of one domain size are its (structure, assignment) pairs,
-in ``enumerate_structures`` order with the assignments innermost:
-ground atoms, equality cells and constants are digits of the column
-index, a term becomes one selector mask per element, and a quantifier
-is grounded into the And (forall) or Or (exists) of its instances,
-since the quantifiers are the infimum and supremum of the truth order.
-A propositional formula is a first-order one over nullary predicates,
-so its valuations are the columns of domain size 1, one digit per
-atom, in ``valuations`` order.  One block-by-block scan serves
-``consequence_prop``, ``equivalent_prop``, ``matrixlab.consequence_in``
-and ``consequence_fo``.  One space class, ``FOSpace``, keeps formulas'
+The columns of a sweep are (structure, assignment) pairs, laid out as
+"the sweep" below says; a propositional formula is a first-order one
+over nullary predicates, so its valuations are the columns of domain
+size 1.  One block-by-block scan serves ``consequence_prop``,
+``equivalent_prop``, ``matrixlab.consequence_in`` and
+``consequence_fo``.  One space class, ``FOSpace``, keeps formulas'
 pairs over whole sweeps and checks sequents on them, per mode;
 ``PropSpace`` is the ``FOSpace`` of domain size 1 over a tuple of
 atoms.  ``truth_table`` reads one sweep whole.
@@ -106,20 +101,12 @@ def valuations(atoms, allowed=ALL_VALUES):
 # bit i of t (of f) is set when the i-th column makes the formula
 # told-true (told-false), after Belnap 1977 and Dunn 1976.  So t, b, n,
 # f are (1, 0), (1, 1), (0, 0), (0, 1), and t is the designation mask.
-# Bits follow column order, so the lowest set bit of a mask is the first
-# column it marks.
 _BY_BITS = (N, F, T, B)  # the value with bits (t, f), at index 2t + f
-
-
-def _pair(v: TruthValue, full: int) -> tuple:
-    return (full if v in DESIGNATED else 0, full if v in (B, F) else 0)
 
 
 # A connective is also given by its table: the value for each tuple of
 # argument values, at index a1 * 4 + a2 for a binary one, in t, b, n, f
-# order, and for a constant a 1-tuple of its value.  ``_run`` applies
-# the extra connectives' tables, and ``matrixlab.consequence_in`` a
-# candidate matrix's tables in place of the base connectives.
+# order, and for a constant a 1-tuple of its value.
 _ARITY = {1: 0, 4: 1, 16: 2}  # a table's arity by its length
 
 
@@ -294,22 +281,23 @@ def _run(code, env: dict, full: int) -> list:
 # Claessen and Sorensson 2003).  The valuations of k atoms are the
 # columns of domain size 1 over k propositions.  A scan takes blocks of
 # at most _BLOCK_COLUMNS columns, the outer digits fixed per block, in
-# column order, which bounds memory and keeps the early exit.  When a
-# propositional sweep is a single block, ``consequence_prop`` scans no
-# blocks: it reads each formula's designation mask over the whole sweep
-# from the slot on its node, or fills the slot, and joins the masks.
+# column order, which bounds memory and keeps the early exit.
 _BLOCK_COLUMNS = 1 << 16
 
-# ``consequence_fo`` takes its sweeps from ``_fo_sweep``, which caches
-# 256 of them on ``_layout``'s key and the block size, so each builds its
-# digit masks once.  A cached sweep that is a single block also keeps
-# the (t, f) pair of each ground atom it fills, keyed by the atom's
-# structure (``_shape``), never by its node, so no kept pair holds a
-# formula alive.  The cached sweeps hold at most this many bits between
-# them, their digit masks and pairs counted as each sweep is made and
-# each kept pair with its key as it is kept (``_count_kept``); past it
-# the cache starts afresh.  ``FOSpace`` and ``count_structures`` build
-# sweeps of their own, which keep nothing and share nothing with it.
+# ``consequence_fo`` reads two caches.  ``_plan`` keeps 256 query
+# shapes, what the symbols that occur and the bounds decide: their
+# signature, the sweeps' shape and the refusal; a plan holds names,
+# values and numbers only, never a node, a sweep or a mask.  The sweeps
+# come from ``_fo_sweep`` alone, 256 of them on ``_layout``'s key and
+# the block size, so each builds its digit masks once.  A cached sweep
+# that is a single block also keeps the (t, f) pair of each ground atom
+# it fills, keyed by the atom's structure (``_shape``), never by its
+# node, so no kept pair holds a formula alive.  The cached sweeps hold
+# at most this many bits between them, their digit masks and pairs
+# counted as each sweep is made and each kept pair with its key as it
+# is kept (``_count_kept``); past it the cache starts afresh.
+# ``FOSpace`` and ``count_structures`` build sweeps of their own, which
+# keep nothing and share nothing with it.
 _KEPT_BITS = 1 << 25
 _kept_bits = 0  # bits counted since the cache last started afresh
 
@@ -409,8 +397,7 @@ def _layout(sig: Signature, size: int, mode, allowed, need_eq, eq_distinct,
         if allowed != ALL_VALUES:
             raise SemanticsError(
                 "partial mode does not combine with restrictions")
-        domain = ("u",) + tuple("d%d" % i for i in range(1, size))
-        bottom = "u"
+        domain, bottom = ("u",) + tuple("d%d" % i for i in range(1, size)), "u"
     else:
         domain, bottom = tuple("d%d" % i for i in range(1, size + 1)), None
     real = [d for d in domain if d != bottom]
@@ -443,10 +430,6 @@ class _Sweep:
     The arguments are ``enumerate_structures``' and the variables to
     assign; a size with no structure has no columns.  A block is at
     most ``block`` consecutive columns, the whole size with None.
-    ``fill`` gives the pairs of ground atoms over a block in an env for
-    ``_run``, reading and adding to ``kept`` when ``_fo_sweep`` gave it
-    one; ``digits`` reads the digit values of one column and ``decode``
-    builds its structure and assignment.
     """
 
     def __init__(self, sig: Signature, size: int, mode, allowed, need_eq,
@@ -471,9 +454,8 @@ class _Sweep:
 
     def blocks(self):
         """The outer digits' values of each block, in column order."""
-        if not self.columns:
-            return ()
-        return itertools.product(*map(range, self.outer))
+        return (itertools.product(*map(range, self.outer)) if self.columns
+                else ())
 
     def _masks(self, j: int, outer) -> list:
         """Per value of digit j, the block positions holding it."""
@@ -495,7 +477,8 @@ class _Sweep:
         """The (t, f) pair over the block of digit j, whose values are
         truth values."""
         if j < len(outer):
-            return _pair(self.values[j][outer[j]], self.full)
+            v, full = self.values[j][outer[j]], self.full
+            return (full if v in DESIGNATED else 0, full if v in (B, F) else 0)
         out = self._pairs.get(j)
         if out is None:
             hot = tuple(zip(self._masks(j, outer), self.values[j]))
@@ -512,8 +495,21 @@ class _Sweep:
     def fill(self, code, outer, env=None) -> dict:
         """``env``, or a new env, given the (t, f) pair over the block
         given by the outer digits' values of each atom of ``code`` it
-        lacks."""
+        lacks: the kept pair when the sweep keeps one, else one built by
+        functions made only then, so a hit makes no closure and no cycle."""
         env = {} if env is None else env
+        kept, todo = self.kept, {}  # atom -> its shape to keep it by, or False
+        for op in code:
+            cls = op.__class__
+            if (cls is str or cls is Pred or cls is Eq) and op not in env:
+                shape = kept is not None and _shape(op)
+                out = shape and kept.get(shape)
+                if out:
+                    env[op] = out
+                else:
+                    todo[op] = shape
+        if not todo:
+            return env
         full, domain, where = self.full, self.domain, self.where
         selectors = {}
 
@@ -552,27 +548,18 @@ class _Sweep:
             return apply(t.args, lambda key: self._masks(
                 where[("fun", t.name, key)], outer), len(domain))
 
-        kept = self.kept
-        for op in code:
-            cls = op.__class__
-            if (cls is str or cls is Pred or cls is Eq) and op not in env:
-                if kept is not None:
-                    shape = _shape(op)
-                    out = kept.get(shape)
-                    if out is not None:
-                        env[op] = out
-                        continue
-                if cls is str:
-                    out = cell(("pred", op, ()))
-                elif cls is Pred:
-                    out = tuple(apply(op.args, lambda key: cell(
-                        ("pred", op.name, key)), 2))
-                else:
-                    out = tuple(apply((op.left, op.right), eq_cell, 2))
-                env[op] = out
-                if kept is not None:
-                    kept[shape] = out
-                    _count_kept(self, 2, len(shape))
+        for op, shape in todo.items():
+            if op.__class__ is str:
+                out = cell(("pred", op, ()))
+            elif op.__class__ is Pred:
+                out = tuple(apply(op.args, lambda key: cell(
+                    ("pred", op.name, key)), 2))
+            else:
+                out = tuple(apply((op.left, op.right), eq_cell, 2))
+            env[op] = out
+            if shape:
+                kept[shape] = out
+                _count_kept(self, 2, len(shape))
         return env
 
     def digits(self, outer, i: int) -> list:
@@ -607,9 +594,7 @@ class _Sweep:
 @functools.lru_cache(maxsize=256)
 def _fo_sweep(sig: Signature, size: int, mode, allowed, need_eq, eq_distinct,
               variables, block) -> _Sweep:
-    """``consequence_fo``'s sweep, cached on ``_layout``'s key and the
-    block size; a single block keeps the pairs of the ground atoms it
-    fills."""
+    """``consequence_fo``'s sweep, cached as told above ``_KEPT_BITS``."""
     sweep = _Sweep(sig, size, mode, allowed, need_eq, eq_distinct, variables,
                    block)
     if not sweep.outer:
@@ -637,15 +622,13 @@ def _count_kept(sweep: _Sweep, masks: int, items: int):
 
 def _first(scans, marked, env):
     """The first column that ``marked`` picks, as its sweep and digit
-    values, or None.
-
-    ``scans`` gives (sweep, code) pairs, taken in turn.  Each sweep is
-    scanned block by block in column order: ``env(sweep, code, outer)``
-    gives the pairs of the atoms of ``code`` over the block named by its
-    outer digits' values, and ``marked(code, env, full)`` the mask of
-    picks.  Raises EnumerationCapExceeded once the blocks scanned
-    without a pick hold more than ``_SCAN_CAP`` columns.
-    """
+    values, or None.  ``scans`` gives (sweep, code) pairs, taken in turn.
+    Each sweep is scanned block by block in column order:
+    ``env(sweep, code, outer)`` gives the pairs of the atoms of ``code``
+    over the block named by its outer digits' values, and
+    ``marked(code, env, full)`` the mask of picks.  Raises
+    EnumerationCapExceeded once the blocks scanned without a pick hold
+    more than ``_SCAN_CAP`` columns."""
     scanned = 0
     for sweep, code in scans:
         for outer in sweep.blocks():
@@ -801,21 +784,20 @@ class Structure:
             if len(self.domain) < 2:
                 raise SemanticsError("partial mode needs a non-bottom element")
         full = {}
-        for d1 in self.domain:
-            for d2 in self.domain:
-                v = self.eq.get((d1, d2))
-                if self.bottom is not None and (d1 == self.bottom or d2 == self.bottom):
-                    if v is not None and v is not N:
-                        raise SemanticsError("equality at bottom must be N")
-                    v = N
-                elif d1 == d2:
-                    if v is None:
-                        v = T
-                    elif not designated(v):
-                        raise SemanticsError("equality on equal elements must be designated")
-                elif v is None:
-                    v = F
-                full[(d1, d2)] = v
+        for d1, d2 in itertools.product(self.domain, repeat=2):
+            v = self.eq.get((d1, d2))
+            if self.bottom is not None and (d1 == self.bottom or d2 == self.bottom):
+                if v is not None and v is not N:
+                    raise SemanticsError("equality at bottom must be N")
+                v = N
+            elif d1 == d2:
+                if v is None:
+                    v = T
+                elif not designated(v):
+                    raise SemanticsError("equality on equal elements must be designated")
+            elif v is None:
+                v = F
+            full[(d1, d2)] = v
         object.__setattr__(self, "eq", full)  # the one field set late
 
     def eval_term(self, t, assignment: dict):
@@ -901,7 +883,6 @@ def enumerate_structures(sig: Signature, size: int, mode: str = "total",
             yield sweep.decode(sweep.digits(outer, i))[0]
 
 
-@functools.lru_cache(maxsize=256)
 def _structure_bits(sig: Signature, size: int, mode, allowed, need_eq,
                     eq_distinct) -> float:
     """log2 of the count of structures ``_layout`` lays out at one size,
@@ -959,6 +940,35 @@ def _grounding(code, least: int, most: int, cap: int):
     return sums[1], sum([w * s for w, s in zip(weights, sums)])
 
 
+@functools.lru_cache(maxsize=256)
+def _plan(funcs, preds, extras, mode, allowed, has_eq, eq_distinct, variables,
+          max_domain: int, cap: int) -> tuple:
+    """What a ``consequence_fo`` query's symbols and bounds decide: their
+    signature, the sweeps' shape (``_layout``'s key but the signature,
+    size and variables), and the refusal once the structures of the sizes
+    counted, smallest first, pass the cap, or None.  A size over 2^64
+    times the cap is refused from the arities alone; the count grows with
+    the size, so a bound under that clears every size."""
+    small = Signature(tuple(sorted(funcs)), tuple(sorted(preds)), extras)
+    shape, limit = (mode, allowed, has_eq, eq_distinct), cap.bit_length() + 64
+    far, total = _structure_bits(small, max_domain, *shape) > limit, 0
+    for size in range(2 if mode == "partial" else 1, max_domain + 1):
+        bits = _structure_bits(small, size, *shape) if far else 0
+        if bits > limit:
+            k = bits * math.log10(2)
+            total = "about 10^%d" % k if k < 1e15 else "10^(10^15)"
+            break
+        # a size's columns are its structures times the assignments
+        total += _layout(small, size, *shape, variables)[-1] // (
+            size ** len(variables))
+        if total > cap:
+            break
+    else:
+        return small, shape, None
+    return small, shape, ("would enumerate at least %s structures (cap %d)"
+                          % (total, cap))
+
+
 def _count(n: int) -> str:
     """A count in full, or about 10^k when it is too long to read."""
     return "%d" % n if n < 10**15 else "about 10^%d" % math.log10(n)
@@ -982,28 +992,21 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     A True result means no countermodel up to the bound, not a decision.
     Only symbols that occur in the formulas are interpreted, which keeps
     the sweep small without changing the answer.  Each domain size is
-    one grounded sweep over its (structure, assignment) columns, scanned
-    block by block as ``consequence_prop``'s are; the countermodel is
-    the first column, in ``enumerate_structures`` order with the
-    assignments innermost, that designates all of gamma and nothing in
-    delta, and it is the only Structure built.  Every call takes its
-    sweeps from one cache (``_fo_sweep``: 256 sweeps, on ``_layout``'s
-    key and the block size), and a single-block sweep keeps the pairs of
-    the ground atoms it has filled, by their structure; the masks,
-    pairs and keys of the whole cache stay within ``_KEPT_BITS`` bits,
-    and ``FOSpace`` and ``count_structures`` share none of it.  Raises
-    SemanticsError when the bound admits no structure, and
-    EnumerationCapExceeded before any sweep is built once the domain
-    elements or the grounded code items of all the sizes number more
-    than ``cap``, or once the structures of the sizes counted so far,
-    smallest first, number more than ``cap`` (a size far past it is
-    refused before any of its digits is laid out), and during the scan
-    once the blocks scanned without a countermodel hold more than
-    ``_SCAN_CAP`` columns.
+    one grounded sweep, scanned block by block; the countermodel is the
+    first column, in ``enumerate_structures`` order with the assignments
+    innermost, that designates all of gamma and nothing in delta, and it
+    is the only Structure built.  What its symbols and bounds decide comes
+    from ``_plan``'s cache, which holds names, values and numbers, never
+    a node, sweep or mask; the sweeps come from ``_fo_sweep``'s (see
+    ``_KEPT_BITS``).  Raises SemanticsError when the bound admits no
+    structure, and EnumerationCapExceeded before any sweep is built once
+    the domain elements or grounded code items of all the sizes, or the
+    structures of the sizes counted so far, number more than ``cap``,
+    and during the scan once the blocks scanned without a countermodel
+    hold more than ``_SCAN_CAP`` columns.
     """
     gamma, delta = list(gamma), list(delta)
     code, funcs, preds, has_eq, fv = _compile(gamma + delta, sig)
-    small = Signature(tuple(sorted(funcs)), tuple(sorted(preds)), sig.extras)
     least = 2 if mode == "partial" else 1
     if max_domain < least:
         raise SemanticsError(
@@ -1015,38 +1018,21 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
         raise EnumerationCapExceeded(
             "would lay out %s domain elements and ground at least %s "
             "formula items (cap %d)" % (_count(elements), _count(items), cap))
-
-    # a size over 2^64 times the cap is refused from the arities, before
-    # any of its digits is built, and nearer counts are exact; the count
-    # grows with the size, so a bound under the limit clears every size
-    limit = cap.bit_length() + 64
-    shape = (mode, frozenset(allowed), has_eq,
-             None if eq_distinct is None else tuple(eq_distinct))
-    far = _structure_bits(small, max_domain, *shape) > limit
-    total = 0
-    for size in range(least, max_domain + 1):
-        bits = _structure_bits(small, size, *shape) if far else 0
-        if bits > limit:
-            k = bits * math.log10(2)
-            raise EnumerationCapExceeded(
-                "would enumerate at least %s structures (cap %d)"
-                % ("about 10^%d" % k if k < 1e15 else "10^(10^15)", cap))
-        # a size's columns are its structures times the assignments
-        total += _layout(small, size, *shape, fv)[-1] // size ** len(fv)
-        if total > cap:
-            raise EnumerationCapExceeded(
-                "would enumerate at least %d structures (cap %d)"
-                % (total, cap))
+    small, shape, refusal = _plan(
+        frozenset(funcs), frozenset(preds), sig.extras, mode,
+        frozenset(allowed), has_eq,
+        None if eq_distinct is None else tuple(eq_distinct), fv, max_domain,
+        cap)
+    if refusal:
+        raise EnumerationCapExceeded(refusal)
 
     # a size is taken from the cache only when the scan reaches it
     sweeps = (_fo_sweep(small, size, *shape, fv, _BLOCK_COLUMNS)
               for size in range(least, max_domain + 1))
     hit = _first(((s, _ground(code, s.domain, {})) for s in sweeps),
                  _counter(len(gamma)), _Sweep.fill)
-    if hit is None:
-        return FOResult(True)
-    sweep, digits = hit
-    return FOResult(False, *sweep.decode(digits))
+    return FOResult(True) if hit is None else FOResult(
+        False, *hit[0].decode(hit[1]))
 
 
 class FOSpace:
@@ -1065,8 +1051,7 @@ class FOSpace:
 
     def __init__(self, sig, sizes, mode="total", need_eq=True,
                  eq_distinct=None, variables=()):
-        self.sig = sig
-        self.variables = tuple(variables)
+        self.sig, self.variables = sig, tuple(variables)
         self._sweeps = tuple(
             _Sweep(sig, size, mode, ALL_VALUES, need_eq, eq_distinct,
                    self.variables) for size in sizes)

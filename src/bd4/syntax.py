@@ -27,14 +27,14 @@ atomic subformulas, its compiled code in ``semantics``, and in ``kernel``
 one dict of what rules' premises add when it is their principal, by
 rule and t or y.  A kept value lives and dies with its node, so no
 table keyed by formulas holds a node alive.  The ``_mask`` slot is on
-the node too but is not kept, as it depends on more than the node:
-``semantics.consequence_prop`` leaves there a designation mask with the
-atoms and value set it was taken over, and overwrites it when those
-change, so a node holds one mask, not one per atom layout it meets.
+the node too but is not kept: ``semantics.consequence_prop`` leaves one
+designation mask there, keyed by the atoms and value set it was taken
+over, and overwrites it when those change.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import weakref
 from operator import attrgetter
@@ -116,9 +116,29 @@ def _bind(cls, names, defaults: dict, args, kwargs) -> tuple:
 
 
 def _repr(node) -> str:
-    cls = node.__class__
-    return "%s(%s)" % (cls.__qualname__, ", ".join(
-        "%s=%r" % (n, getattr(node, n)) for n in cls.__match_args__))
+    """The dataclass text of a node or record, from one stack of text and
+    boxed values, so nodes, records and tuples nest to any depth."""
+    out, stack = [], [(node,)]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is str:
+            out.append(x)
+            continue
+        x, = x
+        cls = x.__class__
+        if cls.__repr__ is _repr:
+            head, items = cls.__qualname__ + "(", [
+                (n + "=", getattr(x, n)) for n in cls.__match_args__]
+        elif cls is tuple and x:
+            head, items = "(", [("", v) for v in x]
+        else:
+            out.append(repr(x))
+            continue
+        stack.append(",)" if cls is tuple and len(x) == 1 else ")")
+        for i in reversed(range(len(items))):
+            stack += ((items[i][1],), ", " * (i > 0) + items[i][0])
+        stack.append(head)
+    return "".join(out)
 
 
 def _frozen(node, name, *value):
@@ -253,17 +273,20 @@ class Signature:
         if name_clash := (set(self.extras) - set(EXTRA_CONNECTIVES)):
             raise SyntaxBuildError("unknown extra connective: %s" % sorted(name_clash))
 
+    @functools.cached_property
+    def _arities(self) -> dict:
+        """Each name's (function arity, predicate arity), one of them None."""
+        return {**{n: (a, None) for n, a in self.functions},
+                **{n: (None, a) for n, a in self.predicates}}
+
     def function_arity(self, name: str):
-        for n, a in self.functions:
-            if n == name:
-                return a
-        return None
+        return self._arities.get(name, (None, None))[0]
 
     def predicate_arity(self, name: str):
-        for n, a in self.predicates:
-            if n == name:
-                return a
-        return None
+        return self._arities.get(name, (None, None))[1]
+
+    def __getstate__(self) -> dict:  # the fields, not the kept arities
+        return {n: getattr(self, n) for n in self.__match_args__}
 
     @property
     def constants(self) -> tuple[str, ...]:
@@ -429,11 +452,8 @@ _ATOMIC = frozenset((Falsity, Prop, Pred, Eq))  # ``is_atomic``'s classes
 
 
 def _wrap(a: "Formula", need: int) -> str:
-    lvl = _LEVEL[type(a)]
-    if isinstance(a, ExtApp) and not a.args:
-        lvl = 5
-    s = str(a)
-    return "(" + s + ")" if lvl < need else s
+    lvl = 5 if a.__class__ is ExtApp and not a.args else _LEVEL[type(a)]
+    return "(%s)" % a if lvl < need else str(a)
 
 
 # a node prints as its ``str``, which is also the sort key of the
@@ -479,13 +499,10 @@ _STEM = re.compile(r"([A-Za-z_][A-Za-z_0-9]*?)(\d*)\Z")
 def fresh_var(stem: str, avoid) -> str:
     """Least fresh variable: strip any digit suffix from the stem, then
     try stem1, stem2, ... and return the first name not in ``avoid``."""
-    base = _STEM.match(stem).group(1)
-    k = 1
-    while True:
-        cand = "%s%d" % (base, k)
-        if cand not in avoid:
-            return cand
+    base, k = _STEM.match(stem).group(1), 1
+    while "%s%d" % (base, k) in avoid:
         k += 1
+    return "%s%d" % (base, k)
 
 
 def substitute_term(t: Term, x: str, s: Term) -> Term:
@@ -581,9 +598,7 @@ def atomic_subformulas(gamma) -> frozenset:
 
 def prop_atoms(a: Formula) -> frozenset:
     """Proposition symbols occurring in a propositional formula."""
-    return frozenset(
-        s.name for s in subformulas(a) if isinstance(s, Prop)
-    )
+    return frozenset(s.name for s in subformulas(a) if isinstance(s, Prop))
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,24 @@ before it read the sweep: nested loops over the constants, function
 tables, propositions, predicate tables and equality tables.  The
 package's ``enumerate_structures``, the sweep's columns and
 ``FOSpace``'s decoded columns are compared with it.
+
+``consequence_fo`` is the first-order consequence check as it was
+written before its pre-scan was cached per query shape: every call
+builds the signature of the symbols that occur, tests the arities for a
+size far past the cap, and sums the laid-out structures of each size
+before it takes the sweeps.  The package's ``consequence_fo`` must
+agree with it, result for result and refusal for refusal.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
-from bd4.semantics import SemanticsError, Structure
+from bd4 import semantics
+from bd4.semantics import (
+    EnumerationCapExceeded, FOResult, SemanticsError, Structure,
+)
 from bd4.syntax import And, ExtApp, Falsity, Imp, Not, Or, Prop, Signature
 from bd4.values import (
     ALL_VALUES, B, EXTRA_CONNECTIVES, F, T, VALUES, imp, join, meet, neg,
@@ -132,3 +143,52 @@ def enumerate_structures(sig: Signature, size: int, mode: str = "total",
                             props=dict(pmap), preds=prmap, eq=dict(eqt),
                             bottom=bottom,
                         )
+
+
+def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
+                   mode: str = "total", cap: int = 10**7,
+                   allowed=ALL_VALUES, eq_distinct=None) -> FOResult:
+    """Bounded countermodel search with its pre-scan inline."""
+    S = semantics
+    gamma, delta = list(gamma), list(delta)
+    code, funcs, preds, has_eq, fv = S._compile(gamma + delta, sig)
+    small = Signature(tuple(sorted(funcs)), tuple(sorted(preds)), sig.extras)
+    least = 2 if mode == "partial" else 1
+    if max_domain < least:
+        raise SemanticsError(
+            "domain bound %d admits no structure; the least %sdomain size "
+            "is %d" % (max_domain, "partial " if least == 2 else "", least))
+
+    elements, items = S._grounding(code, least, max_domain, cap)
+    if elements > cap or items > cap:
+        raise EnumerationCapExceeded(
+            "would lay out %s domain elements and ground at least %s "
+            "formula items (cap %d)" % (S._count(elements), S._count(items),
+                                        cap))
+
+    limit = cap.bit_length() + 64
+    shape = (mode, frozenset(allowed), has_eq,
+             None if eq_distinct is None else tuple(eq_distinct))
+    far = S._structure_bits(small, max_domain, *shape) > limit
+    total = 0
+    for size in range(least, max_domain + 1):
+        bits = S._structure_bits(small, size, *shape) if far else 0
+        if bits > limit:
+            k = bits * math.log10(2)
+            raise EnumerationCapExceeded(
+                "would enumerate at least %s structures (cap %d)"
+                % ("about 10^%d" % k if k < 1e15 else "10^(10^15)", cap))
+        total += S._layout(small, size, *shape, fv)[-1] // size ** len(fv)
+        if total > cap:
+            raise EnumerationCapExceeded(
+                "would enumerate at least %d structures (cap %d)"
+                % (total, cap))
+
+    sweeps = (S._fo_sweep(small, size, *shape, fv, S._BLOCK_COLUMNS)
+              for size in range(least, max_domain + 1))
+    hit = S._first(((s, S._ground(code, s.domain, {})) for s in sweeps),
+                   S._counter(len(gamma)), S._Sweep.fill)
+    if hit is None:
+        return FOResult(True)
+    sweep, digits = hit
+    return FOResult(False, *sweep.decode(digits))

@@ -1,7 +1,22 @@
 """Helpers shared by the test modules."""
 
+import sys
+from pathlib import Path
+
 from bd4.kernel import Derivation, _Letter, is_proof
 from bd4.syntax import Sequent, Var, substitute
+
+
+def bench_workloads():
+    """The benchmark's query streams, operations and checks, read from
+    ``bench/workloads.py``."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads
 
 
 def _match(pattern, a, env) -> bool:

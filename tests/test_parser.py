@@ -1,13 +1,12 @@
 """Concrete syntax: parsing, precedence, and print round-trips."""
 
 import itertools
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_parser as ref
+from support import bench_workloads
 
 from bd4.kernel import check_derivation
 from bd4.parser import MAX_DEPTH, ParseError, parse_formula, \
@@ -263,14 +262,7 @@ def assert_parses_as_reference(text: str, sig=SIG):
 
 @pytest.fixture(scope="module")
 def workloads():
-    """The benchmark's query streams, read from ``bench/workloads.py``."""
-    bench = str(Path(__file__).resolve().parents[1] / "bench")
-    sys.path.insert(0, bench)
-    try:
-        import workloads
-    finally:
-        sys.path.remove(bench)
-    return workloads
+    return bench_workloads()
 
 
 def test_the_benchmark_streams_parse_as_the_reference(workloads):

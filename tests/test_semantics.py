@@ -3,9 +3,11 @@
 import functools
 import gc
 import itertools
+import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,7 @@ from bd4.values import (
 )
 
 import reference_semantics
+from support import bench_workloads
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -1600,3 +1603,141 @@ def test_compiling_quantifiers_nested_2000_deep_takes_linear_memory():
         (q, var, code), = code
         assert (q, var) == (Forall, "x%d" % i)
     assert code == [inner.right, inner.left, And]
+
+
+# ---------------------------------------------------------------------------
+# the plan of a query shape: the signature of the symbols that occur, the
+# sweeps' shape and the refusal, decided before any sweep is taken
+
+
+def test_the_first_fo_entails_ops_equal_their_pinned_digests():
+    W = bench_workloads()
+    pins = json.loads(Path(W.__file__).with_name("pinned.json").read_text())
+    pins = pins["fo-entails"]
+    got = []
+    for q in itertools.islice(W.fo_queries(W.DEFAULT_SEED), W.PINNED_OPS):
+        line, error = W.fo_check(q, W.fo_op(q))
+        assert error is None
+        got.append(W.digest(line))
+    assert got == pins and len(got) == 100
+
+
+# W and V, too wide for the hypothesis formulas, are laid out far past
+# any cap from two elements on
+PLAN_SIG = Signature(functions=(("c", 0), ("f", 1), ("g", 2)),
+                     predicates=(("P", 1), ("Q", 2), ("R", 3), ("q", 0),
+                                 ("W", 40), ("V", 1001)))
+_PLAN_TERM = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), Var("z"), Fun("c")]),
+    lambda ts: st.one_of(st.builds(lambda t: Fun("f", (t,)), ts),
+                         st.builds(lambda t, u: Fun("g", (t, u)), ts, ts)),
+    max_leaves=3)
+_PLAN_FORMULA = st.recursive(
+    st.one_of(st.just(Prop("q")), st.just(Falsity()),
+              st.builds(lambda t: Pred("P", (t,)), _PLAN_TERM),
+              st.builds(lambda t, u: Pred("Q", (t, u)), _PLAN_TERM,
+                        _PLAN_TERM),
+              st.builds(lambda *ts: Pred("R", ts), _PLAN_TERM, _PLAN_TERM,
+                        _PLAN_TERM),
+              st.builds(Eq, _PLAN_TERM, _PLAN_TERM)),
+    lambda fs: st.one_of(
+        st.builds(Not, fs), st.builds(And, fs, fs), st.builds(Or, fs, fs),
+        st.builds(Imp, fs, fs), st.builds(Forall, st.sampled_from("xyz"), fs),
+        st.builds(Exists, st.sampled_from("xyz"), fs)),
+    max_leaves=5)
+_PLAN_SIDE = st.lists(_PLAN_FORMULA, max_size=2)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_PLAN_SIDE, _PLAN_SIDE, st.sampled_from((2, 3, 0, 1, 4)),
+       st.sampled_from(("total", "partial")),
+       st.sampled_from(list(MODE_VALUES.values())),
+       st.sampled_from((None, (N, F), frozenset({F}))),
+       st.sampled_from((3000, 600, 1, 40, 4)))
+def test_consequence_fo_answers_and_refuses_as_the_inline_pre_scan(
+        gamma, delta, bound, mode, allowed, eq_distinct, cap):
+    """Result for result and refusal text for refusal text, with caps
+    small enough to refuse, bounds 0-4, both modes, every value set and
+    three ranges of distinct elements' equality; each query is asked
+    twice, so the second answer reads what the first one cached."""
+    kw = {"max_domain": bound, "mode": mode, "cap": cap, "allowed": allowed,
+          "eq_distinct": eq_distinct}
+    want = outcome(reference_semantics.consequence_fo, gamma, delta,
+                   PLAN_SIG, **kw)
+    for _ in range(2):
+        assert outcome(consequence_fo, gamma, delta, PLAN_SIG, **kw) == want
+
+
+_X, _C = Var("x"), Fun("c")
+
+
+@pytest.mark.parametrize("gamma, bound, kw, refusal", [
+    ([Pred("P", (_C,))], 0, {}, "admits no structure"),
+    ([Pred("P", (_C,))], 1, {"mode": "partial"}, "admits no structure"),
+    ([Forall("x", Forall("y", Pred("Q", (_X, Var("y")))))], 4, {"cap": 20},
+     "formula items"),
+    ([Pred("W", (_X,) * 40)], 3, {"cap": 40}, "about 10^"),
+    ([Pred("V", (_C,) * 1001)], 2, {"cap": 4}, "at least 10^(10^15)"),
+    ([Pred("Q", (_X, _C))], 3, {"cap": 600}, "at least 786948 structures"),
+    ([Pred("P", (_X,))], 2, {"mode": "partial", "allowed": K3_VALUES},
+     "restrictions"),
+    ([Pred("P", (_X,)), Eq(_X, _C)], 3, {"eq_distinct": (N, F)}, None),
+])
+def test_each_refusal_of_the_pre_scan_reads_as_the_reference(gamma, bound, kw,
+                                                           refusal):
+    """One query for each check before the sweeps, in their order, and
+    one that passes them all, cold and warm."""
+    want = outcome(reference_semantics.consequence_fo, gamma, [], PLAN_SIG,
+                   max_domain=bound, **kw)
+    if refusal is None:
+        assert want[0] is False
+    else:
+        assert issubclass(want[0], SemanticsError) and refusal in want[1]
+    for _ in range(2):
+        assert outcome(consequence_fo, gamma, [], PLAN_SIG, max_domain=bound,
+                       **kw) == want
+
+
+def test_formulas_given_to_consequence_fo_leave_the_node_table():
+    """Neither the plans nor the sweeps hold a node: API-built formulas
+    over fresh symbols, answered and refused in both modes, leave the
+    table as it was once they are dropped."""
+    sig = Signature(functions=(("plan_c", 0), ("plan_f", 1)),
+                    predicates=(("Plan", 2), ("plan_q", 0)))
+    gc.collect()
+    before = len(syntax._NODES)
+    fx, y = Fun("plan_f", (Var("plan_x"),)), Var("plan_y")
+    a = Forall("plan_y", Pred("Plan", (fx, y)))
+    b = Exists("plan_y", Or(Eq(fx, y), Prop("plan_q")))
+    seen = set()
+    for mode, bound, cap in (("total", 2, 10**7), ("partial", 3, 10**7),
+                             ("total", 3, 5), ("total", 4, 10**7)):
+        for gamma, delta in (([a], [b]), ([b], [a]), ([Prop("plan_q")], [])):
+            seen.add(outcome(consequence_fo, gamma, delta, sig,
+                             max_domain=bound, mode=mode, cap=cap)[0])
+    assert seen == {True, False, EnumerationCapExceeded}
+    del a, b, fx, y, gamma, delta
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+def test_a_query_whose_atoms_are_kept_leaves_no_garbage():
+    """Asked again, a query whose every ground atom a cached sweep keeps
+    builds no closure and no cycle: with the collector off, it leaves
+    nothing for ``gc.collect()`` to free, refuted or valid."""
+    sig = Signature(functions=(("c", 0), ("f", 1)),
+                    predicates=(("P", 1), ("q", 0)))
+    fx, fc = Fun("f", (_X,)), Fun("f", (_C,))
+    queries = [([Forall("x", Pred("P", (fx,)))], [Pred("P", (fc,))]),
+               ([Pred("P", (fx,)), Prop("q")], [Exists("x", Eq(fx, _C))])]
+    assert [consequence_fo(gamma, delta, sig, max_domain=2).holds
+            for gamma, delta in queries * 2] == [True, False] * 2
+    gc.collect()
+    gc.disable()
+    try:
+        for gamma, delta in queries:
+            consequence_fo(gamma, delta, sig, max_domain=2)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0

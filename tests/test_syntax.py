@@ -15,7 +15,7 @@ from bd4 import kernel
 from bd4.kernel import RULES, DerivationStep, _Letter, check_derivation
 from bd4.parser import MAX_DEPTH, parse_formula
 from bd4.search import MODES, SearchBudget, prove_prop
-from bd4.semantics import PropSpace, consequence_prop
+from bd4.semantics import FOResult, PropSpace, Structure, consequence_prop
 from bd4.simulation import EXTENSION_MODES, _lp_guard, translation_sets
 from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
@@ -24,8 +24,9 @@ from bd4.syntax import (
     prop_atoms, subformulas, substitute, substitute_term,
 )
 
-from bd4.values import ALL_VALUES, F, T
+from bd4.values import ALL_VALUES, B, F, N, T
 
+from reference_syntax import node_repr
 from support import instance, reference_additions
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -46,6 +47,56 @@ def test_signature_guards():
         Signature((("f", -1),), ())
     with pytest.raises(SyntaxBuildError):
         Signature(predicates=(("p", 0),), extras=frozenset({"NoSuchConn"}))
+
+
+_SYMBOLS = ("c", "d", "f", "g", "P", "Q", "p", "q", "h_1")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_SYMBOLS), st.integers(0, 3),
+                          st.booleans()), unique_by=lambda d: d[0]))
+def test_arity_lookups_equal_a_scan_of_the_declarations(declared):
+    """Every name, declared or not, has the arity a scan of the
+    declarations finds, as a function and as a predicate, asked twice."""
+    sig = Signature(tuple((n, a) for n, a, fun in declared if fun),
+                    tuple((n, a) for n, a, fun in declared if not fun))
+
+    def scan(symbols, name):
+        return next((a for n, a in symbols if n == name), None)
+
+    for _ in range(2):
+        for name in _SYMBOLS + ("F", "Des", ""):
+            assert sig.function_arity(name) == scan(sig.functions, name)
+            assert sig.predicate_arity(name) == scan(sig.predicates, name)
+
+
+def test_a_signature_is_the_same_record_after_an_arity_lookup():
+    """Equality, hashing, the repr, ``replace``, copies and pickles read
+    the fields alone, before and after the arities are looked up."""
+    def build():
+        return Signature((("f", 2), ("c", 0)), (("P", 1), ("p", 0)),
+                         frozenset({"Des"}))
+
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    sig, twin = build(), build()
+
+    def seen():
+        return (repr(sig), hash(sig), sig == twin, twin == sig,
+                [pickle.dumps(sig, k) for k in protocols])
+
+    before = seen()
+    assert sig.function_arity("f") == 2 and sig.predicate_arity("p") == 0
+    assert sig.function_arity("P") is None and sig.predicate_arity("c") is None
+    assert seen() == before and before[2:4] == (True, True)
+    assert [pickle.dumps(twin, k) for k in protocols] == before[4]
+    for k in protocols:
+        again = pickle.loads(pickle.dumps(sig, k))
+        assert again == sig and again.function_arity("f") == 2
+    assert copy.copy(sig) == copy.deepcopy(sig) == sig
+    assert syntax.replace(sig) == twin
+    assert syntax.replace(sig, extras=frozenset()) == Signature(
+        sig.functions, sig.predicates)
+    assert syntax.replace(sig, functions=()).function_arity("f") is None
 
 
 def test_truth_abbreviation():
@@ -417,6 +468,43 @@ def test_the_repr_of_a_nested_formula_is_the_dataclass_text():
         "And(left=_Letter(name='A', term=None), "
         "right=_Letter(name='B', term=None))")
     assert repr(kernel.A_y) == "_Letter(name='A', term='y')"
+
+
+def _records(a, b) -> list:
+    """Records over two formulas: a sequent, a derivation step, a
+    signature, and a result with a structure of dicts keyed by tuples."""
+    m = Structure(("d1", "d2"), {"c": "d1"}, {"f": {("d1",): "d2",
+                                                   ("d2",): "d1"}},
+                  {"p": B}, {"P": {("d1",): N, ("d2",): T}}, {})
+    return [Sequent.of([a, b], [b]), Sequent.of(), DerivationStep(
+        "and-L", Sequent.of([a], []), (0,), a, c, None, "x"),
+        SIG, Signature(), FOResult(False, m, {"x": "d2"}), FOResult(True)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_FORMULA, _FORMULA)
+def test_the_repr_equals_the_recursive_reference(a, b):
+    for value in [a, b, Not(a), And(a, b)] + _records(a, b):
+        assert repr(value) == node_repr(value)
+
+
+def test_the_repr_of_nesting_past_the_recursion_limit():
+    """300 nested Not, 2,000 nested quantifiers and a term 2,000 deep."""
+    deep, text = P(c), repr(P(c))
+    for _ in range(300):
+        deep = Not(deep)
+    assert repr(deep) == "Not(body=" * 300 + text + ")" * 300
+    for i in range(2000):
+        deep = (Forall if i % 2 else Exists)("x", deep)
+    assert repr(deep) == "".join(
+        "%s(var='x', body=" % ("Forall" if i % 2 else "Exists")
+        for i in reversed(range(2000))) + "Not(body=" * 300 + text + (
+        ")" * 2300)
+    term = c
+    for _ in range(2000):
+        term = Fun("f", (term,))
+    assert repr(P(term)) == "Pred(name='P', args=(" + (
+        "Fun(name='f', args=(" * 2000) + repr(c) + ",))" * 2001
 
 
 # ---------------------------------------------------------------------------
