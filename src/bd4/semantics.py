@@ -548,18 +548,23 @@ class _Sweep:
             return apply(t.args, lambda key: self._masks(
                 where[("fun", t.name, key)], outer), len(domain))
 
-        for op, shape in todo.items():
-            if op.__class__ is str:
-                out = cell(("pred", op, ()))
-            elif op.__class__ is Pred:
-                out = tuple(apply(op.args, lambda key: cell(
-                    ("pred", op.name, key)), 2))
-            else:
-                out = tuple(apply((op.left, op.right), eq_cell, 2))
-            env[op] = out
-            if shape:
-                kept[shape] = out
-                _count_kept(self, 2, len(shape))
+        try:
+            for op, shape in todo.items():
+                if op.__class__ is str:
+                    out = cell(("pred", op, ()))
+                elif op.__class__ is Pred:
+                    out = tuple(apply(op.args, lambda key: cell(
+                        ("pred", op.name, key)), 2))
+                else:
+                    out = tuple(apply((op.left, op.right), eq_cell, 2))
+                env[op] = out
+                if shape:
+                    kept[shape] = out
+                    _count_kept(self, 2, len(shape))
+        finally:
+            # apply and selector call each other; unlinked, they hold
+            # the sweep no longer than this call, gc or no gc
+            apply = selector = None
         return env
 
     def digits(self, outer, i: int) -> list:

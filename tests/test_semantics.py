@@ -1741,3 +1741,24 @@ def test_a_query_whose_atoms_are_kept_leaves_no_garbage():
     finally:
         gc.enable()
     assert left == 0
+
+
+def test_a_query_whose_atoms_are_filled_afresh_leaves_no_garbage():
+    """A sweep's fill that builds pairs unlinks its helpers before it
+    returns, so a sweep the cache drops is freed at once: with the
+    collector off, fresh queries leave nothing for ``gc.collect()``."""
+    sig = Signature(functions=(("c", 0), ("f", 1)),
+                    predicates=(("P", 1), ("q", 0)))
+    fx, fc = Fun("f", (_X,)), Fun("f", (_C,))
+    queries = [([Forall("x", Pred("P", (fx,)))], [Pred("P", (fc,))]),
+               ([Pred("P", (fx,)), Prop("q")], [Exists("x", Eq(fx, _C))])]
+    gc.collect()
+    gc.disable()
+    try:
+        for gamma, delta in queries * 2:
+            semantics._fo_sweep.cache_clear()
+            consequence_fo(gamma, delta, sig, max_domain=2)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
