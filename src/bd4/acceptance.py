@@ -35,7 +35,7 @@ from .matrixlab import (
     check_classical_laws, is_classically_closed, is_regular,
     uniqueness_search,
 )
-from .proofio import print_sequent
+from .proofio import print_sequent, print_valuation
 from .search import _MODE_PACK_RULES, SearchBudget, prove_prop
 from .semantics import (
     FOSpace, PropSpace, consequence_fo, consequence_prop, evaluate_prop,
@@ -270,7 +270,7 @@ def _criterion_5():
     if holds or witness.get("p") is not B:
         ok = False
     else:
-        details["paraconsistency_witness"] = _valuation_str(witness)
+        details["paraconsistency_witness"] = print_valuation(witness)
 
     for label, gamma in (("from_A", [p]), ("from_notA", [Not(p)])):
         h, _ = consequence_prop(gamma, [Or(p, Not(p))])
@@ -281,12 +281,8 @@ def _criterion_5():
     if holds or witness.get("p") is not N:
         ok = False
     else:
-        details["paracompleteness_witness"] = _valuation_str(witness)
+        details["paracompleteness_witness"] = print_valuation(witness)
     return ("pass" if ok else "fail"), details, ""
-
-
-def _valuation_str(v: dict) -> str:
-    return ",".join("%s=%s" % (a, v[a].name.lower()) for a in sorted(v))
 
 
 # ---------------------------------------------------------------------------

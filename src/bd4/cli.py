@@ -27,7 +27,7 @@ from .matrixlab import (
 from .parser import ParseError, parse_formula, parse_formula_list, parse_sequent
 from .proofio import (
     ProofIOError, parse_derivation, parse_signature, parse_structure,
-    print_derivation, print_formula, print_structure,
+    print_derivation, print_formula, print_structure, print_valuation,
 )
 from .search import MODES, SearchBudget, prove_prop
 from .semantics import (
@@ -79,10 +79,6 @@ def _parse_value(text: str) -> TruthValue:
         return TruthValue[text.strip().upper()]
     except KeyError:
         raise UsageError("unknown truth value %r (use t, b, n, f)" % text)
-
-
-def _render_valuation(val: dict) -> str:
-    return ",".join("%s=%s" % (a, _vname(val[a])) for a in sorted(val))
 
 
 def _render_assignment(alpha: dict) -> str:
@@ -205,7 +201,7 @@ def _cmd_consequence(args) -> int:
     else:
         holds, witness = consequence_prop(gamma, delta)
         if not holds:
-            w = _render_valuation(witness)
+            w = print_valuation(witness)
             found = "%s: %s" % ("witness" if entails else "countermodel", w)
             lines = " witness=" + w
     if holds:
@@ -227,7 +223,7 @@ def _cmd_equiv(args) -> int:
     if same:
         _emit(args, "equivalent: yes", "equivalent=true")
         return 0
-    w = _render_valuation(witness)
+    w = print_valuation(witness)
     _emit(args, "equivalent: no\nwitness: %s" % w,
           "equivalent=false witness=%s" % w)
     return 1
@@ -240,7 +236,7 @@ def _cmd_laws(args) -> int:
         for law in ALL_LAWS:
             ok, witness = report[law]
             bad += not ok
-            w = "" if witness is None else _render_valuation(witness)
+            w = "" if witness is None else print_valuation(witness)
             _emit(args, "law %2d %s %s%s" % (
                 law, "holds " if ok else "FAILS ", LAW_TEXT[law],
                 "" if ok else "  witness " + w),
@@ -355,7 +351,7 @@ def _cmd_prove(args) -> int:
                                                text.rstrip()),
               "proved=true steps=%d" % len(result.proof.steps))
         return 0
-    w = _render_valuation(result.countermodel)
+    w = print_valuation(result.countermodel)
     _emit(args, "refuted\ncountermodel: %s" % w,
           "proved=false countermodel=%s" % w)
     return 1
@@ -380,8 +376,8 @@ def _cmd_simulate(args) -> int:
         _emit(args, "simulation: agrees", "ok=true")
         return 0
     _emit(args, "simulation: DISAGREES witness %s"
-          % _render_valuation(check.witness),
-          "ok=false witness=%s" % _render_valuation(check.witness))
+          % print_valuation(check.witness),
+          "ok=false witness=%s" % print_valuation(check.witness))
     return 1
 
 

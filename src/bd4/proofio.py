@@ -182,6 +182,11 @@ def print_structure(s: Structure) -> str:
     return "\n".join(out) + "\n"
 
 
+def print_valuation(v: dict) -> str:
+    """A valuation of atoms as ``a=t,b=n``, the atoms sorted."""
+    return ",".join("%s=%s" % (a, v[a].name.lower()) for a in sorted(v))
+
+
 # ---------------------------------------------------------------------------
 # derivation files
 

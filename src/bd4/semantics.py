@@ -32,7 +32,7 @@ import math
 from .parser import _quote
 from .syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, Var, _record, kept,
+    Sequent, Signature, Var, _bottom_up, _rebind, _record, kept,
 )
 from .values import (
     ALL_VALUES, B, DESIGNATED, EXTRA_CONNECTIVES, F, MODE_VALUES, N, T,
@@ -296,8 +296,8 @@ _BLOCK_COLUMNS = 1 << 16
 # at most this many bits between them, their digit masks and pairs
 # counted as each sweep is made and each kept pair with its key as it
 # is kept (``_count_kept``); past it the cache starts afresh.
-# ``FOSpace`` and ``count_structures`` build sweeps of their own, which
-# keep nothing and share nothing with it.
+# ``FOSpace`` and ``enumerate_structures`` build sweeps of their own,
+# which keep nothing and share nothing with it.
 _KEPT_BITS = 1 << 25
 _kept_bits = 0  # bits counted since the cache last started afresh
 
@@ -327,41 +327,14 @@ def _ground(code, domain, binding: dict) -> list:
                     stack.append((iter(body), {**binding, var: domain[i]}))
                 break
             if binding and cls is Pred:
-                out.append(Pred(op.name, tuple(_ground_term(t, binding)
-                                               for t in op.args)))
+                out.append(Pred(op.name, tuple([_rebind(t, binding)
+                                                for t in op.args])))
             elif binding and cls is Eq:
-                out.append(Eq(_ground_term(op.left, binding),
-                              _ground_term(op.right, binding)))
+                out.append(Eq(_rebind(op.left, binding),
+                              _rebind(op.right, binding)))
             else:
                 out.append(op)
     return out
-
-
-def _ground_term(t, binding: dict):
-    """t with each variable that ``binding`` binds replaced by its element."""
-    if t.__class__ is Var:
-        return binding.get(t.name, t)
-    if not t.args:
-        return t
-    done = {}
-    return _bottom_up(t, done, lambda u: (
-        binding.get(u.name, u) if u.__class__ is Var
-        else Fun(u.name, tuple([done[a] for a in u.args])) if u.args else u))
-
-
-def _bottom_up(t, done: dict, make):
-    """``done[t]``, after ``done[u] = make(u)`` for each subterm u of t not
-    in ``done``, arguments first; a loop, so no term nests too deep."""
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u not in done:
-            todo = u.__class__ is Fun and [a for a in u.args if a not in done]
-            if todo:
-                stack += (u, *todo)
-            else:
-                done[u] = make(u)
-    return done[t]
 
 
 def _shape(x) -> tuple:
@@ -495,77 +468,65 @@ class _Sweep:
     def fill(self, code, outer, env=None) -> dict:
         """``env``, or a new env, given the (t, f) pair over the block
         given by the outer digits' values of each atom of ``code`` it
-        lacks: the kept pair when the sweep keeps one, else one built by
-        functions made only then, so a hit makes no closure and no cycle."""
+        lacks: the kept pair when the sweep keeps one, else one built,
+        and kept when the sweep keeps pairs."""
         env = {} if env is None else env
-        kept, todo = self.kept, {}  # atom -> its shape to keep it by, or False
+        kept, memo = self.kept, {}  # memo: this call's term selectors
         for op in code:
             cls = op.__class__
             if (cls is str or cls is Pred or cls is Eq) and op not in env:
                 shape = kept is not None and _shape(op)
                 out = shape and kept.get(shape)
-                if out:
-                    env[op] = out
-                else:
-                    todo[op] = shape
-        if not todo:
-            return env
-        full, domain, where = self.full, self.domain, self.where
-        selectors = {}
-
-        def cell(role) -> tuple:
-            return self.pair(where[role], outer)
-
-        def eq_cell(key) -> tuple:
-            if self.bottom in key:
-                return (0, 0)
-            if self.need_eq:
-                return cell(("eq",) + key)
-            return (full, 0) if key[0] == key[1] else (0, full)
-
-        def apply(terms, table, width: int) -> list:
-            """The OR over element tuples of the AND of the terms'
-            selectors with the tuple's ``width`` masks in ``table``."""
-            out = [0] * width
-            hot = [[(domain[i], m) for i, m in enumerate(
-                _bottom_up(t, selectors, selector)) if m] for t in terms]
-            for combo in itertools.product(*hot):
-                both = full
-                for _, m in combo:
-                    both &= m
-                if both:
-                    key = tuple(e for e, _ in combo)
-                    for k, m in enumerate(table(key)):
-                        out[k] |= both & m
-            return out
-
-        def selector(t) -> list:
-            """Per element, the positions where the term denotes it."""
-            if t.__class__ is str:
-                return [full if d == t else 0 for d in domain]
-            if t.__class__ is Var:
-                return self._masks(where[("var", t.name)], outer)
-            return apply(t.args, lambda key: self._masks(
-                where[("fun", t.name, key)], outer), len(domain))
-
-        try:
-            for op, shape in todo.items():
-                if op.__class__ is str:
-                    out = cell(("pred", op, ()))
-                elif op.__class__ is Pred:
-                    out = tuple(apply(op.args, lambda key: cell(
-                        ("pred", op.name, key)), 2))
-                else:
-                    out = tuple(apply((op.left, op.right), eq_cell, 2))
+                if not out:
+                    out = (self._denote(op, outer, memo) if cls is not str
+                           else self.pair(self.where[("pred", op, ())], outer))
+                    if shape:
+                        kept[shape] = out
+                        _count_kept(self, 2, len(shape))
                 env[op] = out
-                if shape:
-                    kept[shape] = out
-                    _count_kept(self, 2, len(shape))
-        finally:
-            # apply and selector call each other; unlinked, they hold
-            # the sweep no longer than this call, gc or no gc
-            apply = selector = None
         return env
+
+    def _denote(self, op, outer, memo: dict) -> tuple:
+        """For a Pred or Eq atom its (t, f) pair, for a Fun term its
+        selector: the OR over element tuples of the AND of the argument
+        terms' selectors with the masks ``_cells`` gives for the tuple."""
+        full, domain = self.full, self.domain
+        terms = (op.left, op.right) if op.__class__ is Eq else op.args
+        out = [0] * (len(domain) if op.__class__ is Fun else 2)
+        hot = [[(domain[i], m) for i, m in enumerate(_bottom_up(
+            t, memo, self._selector, outer, memo)) if m] for t in terms]
+        for combo in itertools.product(*hot):
+            both = full
+            for _, m in combo:
+                both &= m
+            if both:
+                key = tuple(e for e, _ in combo)
+                for k, m in enumerate(self._cells(op, key, outer)):
+                    out[k] |= both & m
+        return tuple(out)
+
+    def _cells(self, op, key: tuple, outer):
+        """The value masks of function ``op`` at the element tuple
+        ``key``, or the (t, f) pair of the predicate or equality."""
+        cls = op.__class__
+        if cls is Fun:
+            return self._masks(self.where[("fun", op.name, key)], outer)
+        if cls is Pred:
+            return self.pair(self.where[("pred", op.name, key)], outer)
+        if self.bottom in key:
+            return (0, 0)
+        if self.need_eq:
+            return self.pair(self.where[("eq",) + key], outer)
+        return (self.full, 0) if key[0] == key[1] else (0, self.full)
+
+    def _selector(self, t, outer, memo: dict):
+        """Per element, the block positions where the ground term t
+        denotes it, its arguments' selectors in ``memo``."""
+        if t.__class__ is str:
+            return [self.full if d == t else 0 for d in self.domain]
+        if t.__class__ is Var:
+            return self._masks(self.where[("var", t.name)], outer)
+        return self._denote(t, outer, memo)
 
     def digits(self, outer, i: int) -> list:
         """The digit values of column i of the block given by the outer
@@ -865,9 +826,10 @@ def count_structures(sig: Signature, size: int, mode: str = "total",
                      allowed=ALL_VALUES, need_eq: bool = True,
                      eq_distinct=None) -> int:
     """How many structures ``enumerate_structures`` gives: the column
-    count of their sweep, built blocked so that no mask spans them."""
-    return _Sweep(sig, size, mode, allowed, need_eq, eq_distinct, (),
-                  _BLOCK_COLUMNS).columns
+    count of their sweep's layout, read without building the sweep."""
+    return _layout(sig, size, mode, frozenset(allowed), need_eq,
+                   None if eq_distinct is None else tuple(eq_distinct),
+                   ())[-1]
 
 
 def enumerate_structures(sig: Signature, size: int, mode: str = "total",
@@ -946,26 +908,23 @@ def _grounding(code, least: int, most: int, cap: int):
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(funcs, preds, extras, mode, allowed, has_eq, eq_distinct, variables,
+def _plan(funcs, preds, extras, mode, allowed, has_eq, eq_distinct,
           max_domain: int, cap: int) -> tuple:
     """What a ``consequence_fo`` query's symbols and bounds decide: their
     signature, the sweeps' shape (``_layout``'s key but the signature,
-    size and variables), and the refusal once the structures of the sizes
-    counted, smallest first, pass the cap, or None.  A size over 2^64
-    times the cap is refused from the arities alone; the count grows with
-    the size, so a bound under that clears every size."""
+    size and variables), and the refusal once the structures
+    (``count_structures``) of the sizes so far, smallest first, pass the
+    cap, or None.  A size with over 2^64 times the cap structures is
+    refused from the arities alone, before its layout is built."""
     small = Signature(tuple(sorted(funcs)), tuple(sorted(preds)), extras)
     shape, limit = (mode, allowed, has_eq, eq_distinct), cap.bit_length() + 64
-    far, total = _structure_bits(small, max_domain, *shape) > limit, 0
+    total = 0
     for size in range(2 if mode == "partial" else 1, max_domain + 1):
-        bits = _structure_bits(small, size, *shape) if far else 0
-        if bits > limit:
+        if (bits := _structure_bits(small, size, *shape)) > limit:
             k = bits * math.log10(2)
             total = "about 10^%d" % k if k < 1e15 else "10^(10^15)"
             break
-        # a size's columns are its structures times the assignments
-        total += _layout(small, size, *shape, variables)[-1] // (
-            size ** len(variables))
+        total += count_structures(small, size, *shape)
         if total > cap:
             break
     else:
@@ -1026,8 +985,7 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     small, shape, refusal = _plan(
         frozenset(funcs), frozenset(preds), sig.extras, mode,
         frozenset(allowed), has_eq,
-        None if eq_distinct is None else tuple(eq_distinct), fv, max_domain,
-        cap)
+        None if eq_distinct is None else tuple(eq_distinct), max_domain, cap)
     if refusal:
         raise EnumerationCapExceeded(refusal)
 

@@ -505,13 +505,42 @@ def fresh_var(stem: str, avoid) -> str:
     return "%s%d" % (base, k)
 
 
+def _bottom_up(t, done: dict, make, *args):
+    """``done[t]``, after ``done[u] = make(u, *args)`` for each subterm u
+    of t not in ``done``, arguments first, left to right, without recursion."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u not in done:
+            todo = u.__class__ is Fun and [a for a in u.args if a not in done]
+            if todo:
+                stack += (u, *reversed(todo))
+            else:
+                done[u] = make(u, *args)
+    return done[t]
+
+
+def _rebuilt(u, binding: dict, done: dict):
+    """u with its variables rebound, its arguments' rebuilds in ``done``."""
+    cls = u.__class__
+    if cls is Var:
+        return binding.get(u.name, u)
+    if cls is Fun:
+        return Fun(u.name, tuple([done[a] for a in u.args])) if u.args else u
+    raise TypeError("not a term: %r" % (u,))
+
+
+def _rebind(t, binding: dict):
+    """t with each variable that ``binding`` binds replaced by its value:
+    a term, or in ``semantics`` a domain element's name."""
+    if t.__class__ is not Fun or not t.args:
+        return _rebuilt(t, binding, None)
+    done = {}
+    return _bottom_up(t, done, _rebuilt, binding, done)
+
+
 def substitute_term(t: Term, x: str, s: Term) -> Term:
-    match t:
-        case Var(name):
-            return s if name == x else t
-        case Fun(name, args):
-            return Fun(name, tuple(substitute_term(a, x, s) for a in args))
-    raise TypeError("not a term: %r" % (t,))
+    return _rebind(t, {x: s})
 
 
 def substitute(a: Formula, x: str, t: Term) -> Formula:

@@ -11,7 +11,7 @@ from bd4.kernel import (
 )
 from bd4.proofio import (
     ProofIOError, parse_derivation, parse_signature, parse_structure,
-    print_derivation, print_sequent, print_structure,
+    print_derivation, print_sequent, print_structure, print_valuation,
 )
 from bd4.semantics import Structure, evaluate
 from bd4.syntax import (
@@ -93,6 +93,12 @@ def test_structure_round_trip():
     assert s.eq[("d1", "d2")] == F
     printed = print_structure(s)
     assert print_structure(parse_structure(printed, sig)) == printed
+
+
+def test_a_valuation_prints_its_atoms_sorted():
+    assert print_valuation({"q": N, "p_2": B, "p": T, "r": F}) == (
+        "p=t,p_2=b,q=n,r=f")
+    assert print_valuation({}) == ""
 
 
 def test_structure_drives_evaluation():

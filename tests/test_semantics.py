@@ -545,10 +545,11 @@ COUNT_SIGS = [
 
 @pytest.mark.parametrize("sig", COUNT_SIGS)
 def test_structure_counts_agree_with_the_sweep_and_the_enumeration(sig):
-    """``count_structures`` is the column count of a blocked sweep whose
-    blocks cover it exactly, a free variable multiplies it by the size,
-    the arities alone give its logarithm, and where it is small the
-    enumeration and FOSpace's unblocked sweep give as many structures."""
+    """``count_structures``, read off the layout, agrees with a blocked
+    sweep: one free variable multiplies it by the size and the blocks
+    cover it exactly.  The arities alone give its logarithm, and where it
+    is small the enumeration and FOSpace's unblocked sweep give as many
+    structures."""
     enumerated = 0
     for size, mode, allowed, need_eq, eq_distinct in itertools.product(
             (1, 2, 3), ("total", "partial"), MODES.values(), (True, False),

@@ -26,6 +26,7 @@ from bd4.syntax import (
 
 from bd4.values import ALL_VALUES, B, F, N, T
 
+import reference_syntax
 from reference_syntax import node_repr
 from support import instance, reference_additions
 
@@ -141,6 +142,8 @@ def test_fresh_var_avoids_taken_names():
 def test_substitute_term():
     t = Fun("f", (x, Fun("g", (y,))))
     assert substitute_term(t, "y", c) == Fun("f", (x, Fun("g", (c,))))
+    with pytest.raises(TypeError, match=r"not a term: \[Var\(name='y'\)\]"):
+        substitute_term([y], "y", c)
 
 
 def test_substitution_basic():
@@ -162,6 +165,49 @@ def test_substitution_is_capture_avoiding():
 def test_substitution_skips_shadowed_occurrences():
     a = Forall("x", P(x))
     assert substitute(a, "x", c) == a
+
+
+def test_substitution_into_a_term_past_the_recursion_limit():
+    """A term 2,000 deep, built through the API, substituted alone and
+    inside an atom, equals the recursive forms' answer, which needs a
+    raised recursion limit."""
+    term, want = x, c
+    for _ in range(2000):
+        term, want = Fun("f", (term,)), Fun("f", (want,))
+    got_term, got_atom = substitute_term(term, "x", c), substitute(P(term),
+                                                                   "x", c)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        assert got_term == reference_syntax.substitute_term(term, "x", c)
+        assert got_atom == reference_syntax.substitute(P(term), "x", c)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got_term == want and got_atom == P(want)
+
+
+@pytest.mark.parametrize("bad", [Prop("p"), "x", Not(P(x))])
+def test_a_non_term_at_any_depth_is_named_by_substitution(bad):
+    """A formula or a bare string where a term belongs, at the top, as an
+    argument or 2,000 deep, raises the reference's TypeError naming it,
+    and of two such arguments names the first."""
+    deep = bad
+    for _ in range(2000):
+        deep = Fun("f", (deep,))
+    message = "not a term: %r" % (bad,)
+    for t in (bad, Fun("f", (bad,)), Fun("g", (x, Fun("f", (bad,)))),
+              Fun("g", (Fun("f", (bad,)), Prop("q"))), deep):
+        for a in (P(t), Eq(c, t), Eq(t, x)):
+            with pytest.raises(TypeError) as got:
+                substitute(a, "x", c)
+            assert str(got.value) == message
+        with pytest.raises(TypeError) as got:
+            substitute_term(t, "x", c)
+        assert str(got.value) == message
+        if t is not deep:
+            with pytest.raises(TypeError, match="not a term") as want:
+                reference_syntax.substitute_term(t, "x", c)
+            assert str(want.value) == message
 
 
 def test_subformulas_and_atoms():
@@ -297,6 +343,18 @@ _FORMULA = st.recursive(_ATOM, lambda fs: st.one_of(
     st.builds(And, fs, fs), st.builds(Or, fs, fs), st.builds(Imp, fs, fs),
     st.builds(Forall, st.sampled_from("xy"), fs),
     st.builds(Exists, st.sampled_from("xy"), fs)), max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_TERM, _TERM, st.sampled_from("xyz"))
+def test_substitution_equals_the_recursive_reference(t, s, v):
+    """``substitute_term`` and ``substitute`` on atoms of the term, alone
+    and under a quantifier that may capture, give the recursive forms'
+    answer."""
+    assert substitute_term(t, v, s) == reference_syntax.substitute_term(
+        t, v, s)
+    for a in (P(t), Eq(t, s), Forall("y", Pred("Q", (t, y)))):
+        assert substitute(a, v, s) == reference_syntax.substitute(a, v, s)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
