@@ -50,7 +50,7 @@ import types
 
 from .syntax import (
     And, Eq, Exists, Falsity, Forall, Formula, Fun, Imp, Not, Or, Sequent, Var,
-    _ABSENT, _node, _record, free_vars, is_literal, kept, substitute,
+    _ABSENT, _node, _parts, _record, free_vars, is_literal, kept, substitute,
 )
 
 
@@ -132,9 +132,8 @@ A_t, A_t2, A_y = _Letter("A", "t"), _Letter("A", "t2"), _Letter("A", "y")
 
 def _lettered(template) -> bool:
     """Whether a letter occurs in a template or a side's tuple of them."""
-    parts = template if type(template) is tuple else [
-        getattr(template, f) for f in template.__match_args__]
-    return isinstance(template, _Letter) or any(map(_lettered, parts))
+    return isinstance(template, _Letter) or any(map(_lettered, (
+        template if type(template) is tuple else _parts(template))))
 
 
 def _compile(template):

@@ -18,9 +18,9 @@ an error elsewhere.
 
 Trees higher than ``MAX_DEPTH`` (left-associative chains count) and
 deeper nesting of brackets and prefix operators are a ParseError, which
-keeps every recursive consumer of formulas (printing, evaluation,
-substitution, search, the kernel) inside Python's default recursion
-limit.
+keeps what still recurses once per level inside Python's default
+recursion limit: this descent itself, ``evaluate``, ``evaluate_prop``,
+``Structure.eval_term`` and the kernel's import-time template compile.
 
 A formula list is scanned once: one ``findall`` gives the token values
 of the whole list, and one parser reads them, ending a part at each
@@ -34,7 +34,7 @@ import re
 
 from .syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, TRUTH, Var,
+    Sequent, Signature, TRUTH, Var, _parts,
 )
 from .values import EXTRA_CONNECTIVES
 
@@ -76,10 +76,7 @@ def _height(e) -> int:
     while todo:
         e, d = todo.pop()
         height = max(height, d)
-        for kid in (getattr(e, f) for f in e.__match_args__):
-            for k in kid if isinstance(kid, tuple) else (kid,):
-                if not isinstance(k, str):
-                    todo.append((k, d + 1))
+        todo += [(k, d + 1) for k in _parts(e)]
     return height
 
 

@@ -13,23 +13,26 @@ frozen value records, from their annotations and class defaults with
 shared functions: ``dataclass`` would generate methods at every import,
 about 0.7 ms a class (2 vCPUs, Python 3.11), after importing ``inspect``.
 
-The concrete syntax written by ``print_term``/``print_formula`` is the
-canonical one: it contains no sugar (t1 != t2 and T are accepted by the
-parser but printed as ~(t1 = t2) and ~F), and parsing the printed form
-gives back the same tree.  The canonical total order on formulas is the
-lexicographic order of the printed form, which is what sequent sides are
-sorted by.
+The concrete syntax written by ``print_term``/``print_formula`` (``str``,
+from ``_PRINTED``, one table of each class's printed form over its parts'
+printed forms) is the canonical one: it contains no sugar (t1 != t2 and
+T are accepted by the parser but printed as ~(t1 = t2) and ~F), and
+parsing the printed form gives back the same tree.  The canonical total
+order on formulas is the lexicographic order of the printed form, which
+is what sequent sides are sorted by.
 
 Since a node never changes, a value derived from it alone can be
-computed on first use and kept on the node, as the printed form is:
-``free_vars`` keeps a node's free variables, ``kept`` a formula's
-atomic subformulas, its compiled code in ``semantics``, and in ``kernel``
-one dict of what rules' premises add when it is their principal, by
-rule and t or y.  A kept value lives and dies with its node, so no
-table keyed by formulas holds a node alive.  The ``_mask`` slot is on
-the node too but is not kept: ``semantics.consequence_prop`` leaves one
-designation mask there, keyed by the atoms and value set it was taken
-over, and overwrites it when those change.
+computed on first use and kept on the node: ``_fill``, one loop on its
+own stack, keeps the printed form and the free variables, parts first;
+``kept`` a formula's atomic subformulas, its compiled code in
+``semantics``, and in ``kernel`` one dict of what rules' premises add
+when it is their principal, by rule and t or y.  Every walk here reads
+a node's parts through ``_parts`` and none recurses, so an API-built
+node of any depth prints and substitutes.  A kept value lives and dies
+with its node, so no table keyed by formulas holds a node alive.  The
+``_mask`` slot is on the node too but is not kept: ``consequence_prop``
+in ``semantics`` leaves one designation mask there, keyed by the atoms
+and value set it was taken over, and overwrites it when those change.
 """
 
 from __future__ import annotations
@@ -149,17 +152,17 @@ def _frozen(node, name, *value):
 
 def _node(cls):
     """Make ``cls`` a class of frozen hash-consed nodes: identity equality
-    and hashing, one node per distinct field values, the printed form
-    computed once; the fields are read as ``_record`` reads a record's.
-    Each node starts with the class's empty ``_mask`` slot, so reading
-    it never misses (see the module docstring).
+    and hashing, one node per distinct field values; the fields are read
+    as ``_record`` reads a record's.  Each node starts with the class's
+    empty ``_text`` and ``_mask`` slots, so reading them never misses
+    (see the module docstring).
     ``__new__`` binds a call (one length test for the common
     all-positional call), sets the fields, runs any ``__post_init__``
     and only then enters the node in the table, so a bad call leaves no
     entry."""
     names, defaults = _fields(cls)
     arity, store = len(names), object.__setattr__  # read once, not per call
-    post, text = getattr(cls, "__post_init__", None), cls.__str__
+    post = getattr(cls, "__post_init__", None)
 
     def __new__(c, *args, **kwargs):
         if kwargs or len(args) != arity:
@@ -179,15 +182,10 @@ def _node(cls):
         ref.key = key
         return node
 
-    def __str__(self) -> str:
-        if self._text is None:
-            object.__setattr__(self, "_text", text(self))
-        return self._text
-
     def __reduce__(self):
         return cls, tuple(getattr(self, n) for n in names)
 
-    cls.__new__, cls.__str__, cls.__reduce__ = __new__, __str__, __reduce__
+    cls.__new__, cls.__reduce__ = __new__, __reduce__
     cls._text = None  # the printed form, once computed
     cls._mask = (None, 0)  # consequence_prop's ((atoms, values), t-mask)
     return cls
@@ -310,9 +308,6 @@ def prop_signature(*names: str) -> Signature:
 class Var:
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @_node
 class Fun:
@@ -320,11 +315,6 @@ class Fun:
 
     name: str
     args: tuple = ()
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.name
-        return "%s(%s)" % (self.name, ", ".join(str(a) for a in self.args))
 
 
 Term = Var | Fun
@@ -336,16 +326,12 @@ Term = Var | Fun
 
 @_node
 class Falsity:
-    def __str__(self) -> str:
-        return "F"
+    """The falsity constant, printed F."""
 
 
 @_node
 class Prop:
     name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @_node
@@ -353,25 +339,16 @@ class Pred:
     name: str
     args: tuple
 
-    def __str__(self) -> str:
-        return "%s(%s)" % (self.name, ", ".join(str(a) for a in self.args))
-
 
 @_node
 class Eq:
     left: Term
     right: Term
 
-    def __str__(self) -> str:
-        return "%s = %s" % (self.left, self.right)
-
 
 @_node
 class Not:
     body: "Formula"
-
-    def __str__(self) -> str:
-        return "~" + _wrap(self.body, 4)
 
 
 @_node
@@ -379,17 +356,11 @@ class And:
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return "%s & %s" % (_wrap(self.left, 3), _wrap(self.right, 4))
-
 
 @_node
 class Or:
     left: "Formula"
     right: "Formula"
-
-    def __str__(self) -> str:
-        return "%s | %s" % (_wrap(self.left, 2), _wrap(self.right, 3))
 
 
 @_node
@@ -397,27 +368,17 @@ class Imp:
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        # right-associative: the right child keeps the same level
-        return "%s -> %s" % (_wrap(self.left, 2), _wrap(self.right, 1))
-
 
 @_node
 class Forall:
     var: str
     body: "Formula"
 
-    def __str__(self) -> str:
-        return "forall %s. %s" % (self.var, self.body)
-
 
 @_node
 class Exists:
     var: str
     body: "Formula"
-
-    def __str__(self) -> str:
-        return "exists %s. %s" % (self.var, self.body)
 
 
 @_node
@@ -433,11 +394,6 @@ class ExtApp:
         if len(self.args) != EXTRA_CONNECTIVES[self.conn][0]:
             raise SyntaxBuildError("wrong arity for %s" % self.conn)
 
-    def __str__(self) -> str:
-        if not self.args:
-            return self.conn
-        return "%s %s" % (self.conn, _wrap(self.args[0], 4))
-
 
 Formula = (
     Falsity | Prop | Pred | Eq | Not | And | Or | Imp | Forall | Exists | ExtApp
@@ -445,16 +401,76 @@ Formula = (
 
 # Precedence levels for printing: 1 ->, 2 |, 3 &, 4 unary, 5 atoms.
 # A child is parenthesized when its level is below the level its slot
-# requires.  Quantifiers always parenthesize when used as an operand.
+# requires (the right child of -> keeps its level: right-associative).
+# Quantifiers always parenthesize when used as an operand.
 _LEVEL = {Forall: 0, Exists: 0, Imp: 1, Or: 2, And: 3, Not: 4, ExtApp: 4,
           Falsity: 5, Prop: 5, Pred: 5, Eq: 5}
 _ATOMIC = frozenset((Falsity, Prop, Pred, Eq))  # ``is_atomic``'s classes
 
 
 def _wrap(a: "Formula", need: int) -> str:
-    lvl = 5 if a.__class__ is ExtApp and not a.args else _LEVEL[type(a)]
-    return "(%s)" % a if lvl < need else str(a)
+    lvl = 5 if a.__class__ is ExtApp and not a.args else _LEVEL[a.__class__]
+    return "(%s)" % a._text if lvl < need else a._text
 
+
+# each class's printed form from a node and its parts' (names formatted)
+_PRINTED = {
+    Var: lambda u, parts: "%s" % u.name,
+    Fun: lambda u, parts: "%s(%s)" % (u.name, ", ".join(
+        [b._text for b in parts])) if parts else "%s" % u.name,
+    Falsity: lambda u, parts: "F",
+    Prop: lambda u, parts: "%s" % u.name,
+    Pred: lambda u, parts: "%s(%s)" % (u.name, ", ".join(
+        [b._text for b in parts])),
+    Eq: lambda u, parts: "%s = %s" % (u.left._text, u.right._text),
+    Not: lambda u, parts: "~" + _wrap(u.body, 4),
+    And: lambda u, parts: "%s & %s" % (_wrap(u.left, 3), _wrap(u.right, 4)),
+    Or: lambda u, parts: "%s | %s" % (_wrap(u.left, 2), _wrap(u.right, 3)),
+    Imp: lambda u, parts: "%s -> %s" % (_wrap(u.left, 2), _wrap(u.right, 1)),
+    Forall: lambda u, parts: "forall %s. %s" % (u.var, u.body._text),
+    Exists: lambda u, parts: "exists %s. %s" % (u.var, u.body._text),
+    ExtApp: lambda u, parts: (
+        "%s %s" % (u.conn, _wrap(parts[0], 4)) if parts else u.conn),
+}
+
+
+def _parts(u) -> tuple:
+    """The terms and formulas that u is built from, in field order."""
+    cls = u.__class__
+    if cls is Not or cls is Forall or cls is Exists:
+        return (u.body,)
+    if cls is Eq or cls is And or cls is Or or cls is Imp:
+        return (u.left, u.right)
+    if cls in _PRINTED:
+        return getattr(u, "args", ())  # none for Var, Falsity, Prop
+    raise TypeError("not a term or formula: %r" % (u,))
+
+
+def _fill(e, name: str, table: dict):
+    """e's kept attribute ``name``, set to ``table[class](u, parts)``, never
+    None, on e and each part lacking it by one loop on its own stack:
+    parts first, left to right, each node put back under those it awaits."""
+    stack = [e]
+    while stack:
+        u = stack.pop()
+        if getattr(u, name, None) is None:
+            parts, n = _parts(u), len(stack)
+            for b in reversed(parts):
+                if getattr(b, name, None) is None:
+                    stack.append(b)
+            if len(stack) > n:
+                stack.insert(n, u)
+            else:
+                object.__setattr__(u, name, table[u.__class__](u, parts))
+    return getattr(e, name)
+
+
+def _str(u) -> str:
+    return u._text or _fill(u, "_text", _PRINTED)
+
+
+for _cls in _PRINTED:  # a kernel's _Letter keeps printing as its repr
+    _cls.__str__ = _str
 
 # a node prints as its ``str``, which is also the sort key of the
 # canonical total order on formulas
@@ -465,32 +481,16 @@ print_formula = print_term = formula_key = str
 # free variables and substitution
 
 
+# each class's free variables, from a node and its parts' kept ones
+_FREE = dict.fromkeys(_PRINTED, lambda u, parts: frozenset().union(
+    *[b._free for b in parts]))
+_FREE[Var] = lambda u, parts: frozenset((u.name,))
+_FREE[Forall] = _FREE[Exists] = lambda u, parts: parts[0]._free - {u.var}
+
+
 def free_vars(e) -> frozenset:
-    """The free variables of a term or formula, kept on each node as
-    ``_free``; a walk on its own stack fills each node's parts first."""
-    stack = [e]
-    while stack:
-        u = stack.pop()
-        if getattr(u, "_free", _ABSENT) is not _ABSENT:
-            continue
-        cls = u.__class__
-        if cls is Not or cls is Forall or cls is Exists:
-            parts = (u.body,)
-        elif cls is Eq or cls is And or cls is Or or cls is Imp:
-            parts = (u.left, u.right)
-        elif cls in _LEVEL or cls is Var or cls is Fun:
-            parts = getattr(u, "args", ())  # none for Var, Falsity, Prop
-        else:
-            raise TypeError("not a term or formula: %r" % (u,))
-        todo = [b for b in parts if getattr(b, "_free", _ABSENT) is _ABSENT]
-        if todo:
-            stack += (u, *todo)
-        else:
-            free = (frozenset((u.name,)) if cls is Var
-                    else frozenset().union(*[b._free for b in parts]))
-            object.__setattr__(u, "_free", free - {u.var} if cls is Forall
-                               or cls is Exists else free)
-    return e._free
+    """The free variables of a term or formula, kept on each as ``_free``."""
+    return _fill(e, "_free", _FREE)
 
 
 _STEM = re.compile(r"([A-Za-z_][A-Za-z_0-9]*?)(\d*)\Z")
@@ -545,32 +545,42 @@ def substitute_term(t: Term, x: str, s: Term) -> Term:
 
 def substitute(a: Formula, x: str, t: Term) -> Formula:
     """Replace free occurrences of x in a by t, renaming bound variables
-    when a free variable of t would be captured."""
-    match a:
-        case Falsity() | Prop(_):
-            return a
-        case Pred(name, args):
-            return Pred(name, tuple(substitute_term(u, x, t) for u in args))
-        case Eq(l, r):
-            return Eq(substitute_term(l, x, t), substitute_term(r, x, t))
-        case ExtApp(conn, args):
-            return ExtApp(conn, tuple(substitute(u, x, t) for u in args))
-        case Not(b):
-            return Not(substitute(b, x, t))
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return type(a)(substitute(l, x, t), substitute(r, x, t))
-        case Forall(y, b) | Exists(y, b):
-            cls = type(a)
-            if y == x:
-                return a
-            if x not in free_vars(b):
-                return a
-            if y in free_vars(t):
+    when a free variable of t would be captured.  The recursive form's
+    steps run in its order as jobs on one stack: "sub" x by t in the
+    formula a, "into" the last result, or "build" an a from its head x
+    and the last t results."""
+    out, jobs = [], [("sub", a, x, t)]
+    while jobs:
+        job, a, x, t = jobs.pop()
+        cls = a.__class__
+        if job == "into":
+            jobs.append(("sub", out.pop(), x, t))
+        elif job == "build":  # x is the head, t the count of parts
+            parts = out[-t:]
+            out[-t:] = (a(*parts) if x is None else a(x, tuple(parts))
+                        if a is ExtApp else a(x, *parts),)
+        elif cls is Forall or cls is Exists:
+            y, b = a.var, a.body
+            if y == x or x not in free_vars(b):
+                out.append(a)
+            elif y in free_vars(t):
                 z = fresh_var(y, free_vars(b) | free_vars(t) | {x})
-                b = substitute(b, y, Var(z))
-                return cls(z, substitute(b, x, t))
-            return cls(y, substitute(b, x, t))
-    raise TypeError("not a formula: %r" % (a,))
+                jobs += (("build", cls, z, 1), ("into", None, x, t),
+                         ("sub", b, y, Var(z)))
+            else:
+                jobs += (("build", cls, y, 1), ("sub", b, x, t))
+        elif cls is Pred or cls is Eq:
+            terms = [_rebind(u, {x: t}) for u in _parts(a)]
+            out.append(Pred(a.name, tuple(terms)) if cls is Pred
+                       else Eq(*terms))
+        elif cls in _LEVEL and (parts := _parts(a)):  # the connectives
+            jobs.append(("build", cls, getattr(a, "conn", None), len(parts)))
+            jobs += [("sub", b, x, t) for b in reversed(parts)]
+        elif cls in _LEVEL:  # Falsity, Prop and a nullary ExtApp
+            out.append(a)
+        else:
+            raise TypeError("not a formula: %r" % (a,))
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +596,8 @@ def subformulas(a: Formula):
     while stack:
         a = stack.pop()
         yield a
-        cls = a.__class__
-        if cls is Not or cls is Forall or cls is Exists:
-            stack.append(a.body)
-        elif cls is And or cls is Or or cls is Imp:
-            stack.append(a.right)
-            stack.append(a.left)
-        elif cls is ExtApp:
-            stack.extend(reversed(a.args))
+        if a.__class__ is not Pred and a.__class__ is not Eq:  # skip terms
+            stack += reversed(_parts(a))
 
 
 def is_atomic(a: Formula) -> bool:

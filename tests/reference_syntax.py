@@ -8,16 +8,22 @@ written out here as Python writes them, so the reference never calls the
 package's repr on a nested node.
 
 ``substitute_term`` and ``substitute`` are the recursive forms as they
-were written before terms were rebuilt on their own stack; this
-``substitute`` calls this ``substitute_term``.
+were written before terms and then formulas were rebuilt on their own
+stacks; this ``substitute`` calls this ``substitute_term``.
+
+``print_formula`` is the printer as it was written before the printed
+form was filled from one table on its own stack: the 13 node classes'
+``__str__`` bodies, each part printed by a recursive call (``str(a)``
+and ``"%s" % a`` there are ``print_formula(a)`` here), so two frames or
+more per nesting level.  It keeps nothing on the nodes.
 """
 
 from __future__ import annotations
 
 from bd4 import syntax
 from bd4.syntax import (
-    And, Eq, Exists, ExtApp, Falsity, Forall, Formula, Fun, Imp, Not, Or,
-    Pred, Prop, Term, Var, free_vars, fresh_var,
+    _LEVEL, And, Eq, Exists, ExtApp, Falsity, Forall, Formula, Fun, Imp, Not,
+    Or, Pred, Prop, Term, Var, free_vars, fresh_var,
 )
 
 
@@ -77,3 +83,77 @@ def substitute(a: Formula, x: str, t: Term) -> Formula:
                 return cls(z, substitute(b, x, t))
             return cls(y, substitute(b, x, t))
     raise TypeError("not a formula: %r" % (a,))
+
+
+def print_formula(a) -> str:
+    """The printed form of a term or formula, by its class's body."""
+    return _STR[a.__class__](a)
+
+
+def _wrap(a: "Formula", need: int) -> str:
+    lvl = 5 if a.__class__ is ExtApp and not a.args else _LEVEL[type(a)]
+    return "(%s)" % print_formula(a) if lvl < need else print_formula(a)
+
+
+def _var(self) -> str:
+    return self.name
+
+
+def _fun(self) -> str:
+    if not self.args:
+        return self.name
+    return "%s(%s)" % (self.name, ", ".join(print_formula(a)
+                                            for a in self.args))
+
+
+def _falsity(self) -> str:
+    return "F"
+
+
+def _prop(self) -> str:
+    return self.name
+
+
+def _pred(self) -> str:
+    return "%s(%s)" % (self.name, ", ".join(print_formula(a)
+                                            for a in self.args))
+
+
+def _eq(self) -> str:
+    return "%s = %s" % (print_formula(self.left), print_formula(self.right))
+
+
+def _not(self) -> str:
+    return "~" + _wrap(self.body, 4)
+
+
+def _and(self) -> str:
+    return "%s & %s" % (_wrap(self.left, 3), _wrap(self.right, 4))
+
+
+def _or(self) -> str:
+    return "%s | %s" % (_wrap(self.left, 2), _wrap(self.right, 3))
+
+
+def _imp(self) -> str:
+    # right-associative: the right child keeps the same level
+    return "%s -> %s" % (_wrap(self.left, 2), _wrap(self.right, 1))
+
+
+def _forall(self) -> str:
+    return "forall %s. %s" % (self.var, print_formula(self.body))
+
+
+def _exists(self) -> str:
+    return "exists %s. %s" % (self.var, print_formula(self.body))
+
+
+def _extapp(self) -> str:
+    if not self.args:
+        return self.conn
+    return "%s %s" % (self.conn, _wrap(self.args[0], 4))
+
+
+_STR = {Var: _var, Fun: _fun, Falsity: _falsity, Prop: _prop, Pred: _pred,
+        Eq: _eq, Not: _not, And: _and, Or: _or, Imp: _imp, Forall: _forall,
+        Exists: _exists, ExtApp: _extapp}

@@ -118,6 +118,63 @@ def test_an_unused_import_is_seen():
     assert unused_imports(tree) == ["falsum", "regex"]
 
 
+def recursive_functions(tree) -> list:
+    """The module-level functions, and tables assigned at module level,
+    that reach themselves through calls: a call reaches each module-level
+    name in its callee's expression and each one passed bare as an
+    argument, and a function or table reaches what the calls in it do."""
+    bodies = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bodies[node.name] = node
+        elif isinstance(node, ast.Assign):
+            bodies.update((t.id, node.value) for t in node.targets
+                          if isinstance(t, ast.Name))
+    calls = {}
+    for name, body in bodies.items():
+        called = calls[name] = set()
+        for call in ast.walk(body):
+            if isinstance(call, ast.Call):
+                called.update(n.id for n in ast.walk(call.func)
+                              if isinstance(n, ast.Name) and n.id in bodies)
+                called.update(a.id for a in call.args
+                              if isinstance(a, ast.Name) and a.id in bodies)
+    out = []
+    for name in bodies:
+        reached, todo = set(), list(calls[name])
+        while todo:
+            n = todo.pop()
+            if n not in reached:
+                reached.add(n)
+                todo += calls[n]
+        if name in reached:
+            out.append(name)
+    return sorted(out)
+
+
+def test_no_function_in_syntax_calls_itself():
+    """Printing, free variables and substitution keep their own stacks,
+    so a formula of any depth built through the API passes through."""
+    path = PACKAGE / "syntax.py"
+    assert recursive_functions(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_a_recursive_function_is_seen():
+    tree = ast.parse(
+        "def direct(n): return direct(n - 1)\n"
+        "def there(n): return back(n)\n"
+        "def back(n): return TABLE[0](n)\n"
+        "TABLE = [lambda n: there(n)]\n"
+        "def passed(n): return apply(passed, n)\n"
+        "def apply(f, n): return f(n)\n"
+        "def named(n): return named is not None and apply(len, n)\n"
+        "def nested(n):\n"
+        "    def inner(k): return nested(k)\n"
+        "    return inner\n")
+    assert recursive_functions(tree) == [
+        "TABLE", "back", "direct", "nested", "passed", "there"]
+
+
 ROOT = PACKAGE.parent.parent
 
 

@@ -114,6 +114,31 @@ def test_printing():
     assert print_formula(ExtApp("Des", (p,))) == "Des p"
 
 
+@pytest.mark.parametrize("node, bad", [
+    (And(Prop("p"), "q"), "q"), (Pred("P", ("x",)), "x"),
+    (Not(Forall("x", Or(Pred("P", (Fun("f", (None,)),)), p))), None),
+    (Imp(Eq(x, "y"), And(p, "q")), "y"),
+])
+def test_printing_a_mis_built_node_names_the_bad_part(node, bad):
+    """As ``free_vars`` does, and before any part is printed or kept."""
+    for walk in (str, free_vars):
+        with pytest.raises(TypeError) as got:
+            walk(node)
+        assert str(got.value) == "not a term or formula: %r" % (bad,)
+    assert node._text is None
+
+
+def test_a_name_that_is_not_a_string_is_formatted_so_printing_ends():
+    """A form of None would read as not yet printed, and its parent would
+    wait on it for good."""
+    assert str(Not(Pred("P", (Var(None), Fun(7))))) == "~P(None, 7)"
+    assert str(And(Prop(None), p)) == "None & p"
+
+
+def test_a_schematic_letter_prints_as_its_repr():
+    assert str(kernel.A_t) == repr(kernel.A_t) == "_Letter(name='A', term='t')"
+
+
 def test_free_vars():
     a = Forall("x", Imp(P(x), P(y)))
     assert free_vars(a) == {"y"}
@@ -160,6 +185,97 @@ def test_substitution_is_capture_avoiding():
     assert got.var != "y"
     inner = got.body
     assert inner == And(P(y), P(Var(got.var)))
+
+
+y1, y2, y3 = Var("y1"), Var("y2"), Var("y3")
+
+
+@pytest.mark.parametrize("a, v, s, want", [
+    (Forall("y", And(P(x), P(y))), "x", y, Forall("y1", And(P(y), P(y1)))),
+    (Forall("y", Pred("Q", (x, y, y1))), "x", y,
+     Forall("y2", Pred("Q", (y, y2, y1)))),
+    (Exists("y1", Pred("Q", (x, y1))), "x", Fun("f", (y1, y)),
+     Exists("y2", Pred("Q", (Fun("f", (y1, y)), y2)))),
+    (Forall("y", Exists("y1", Pred("Q", (x, y, y1)))), "x",
+     Fun("g", (y, y1)), Forall("y2", Exists("y3", Pred(
+         "Q", (Fun("g", (y, y1)), y2, y3))))),
+    (Forall("y", And(Forall("y", P(x)), Exists("x", P(y)))), "x", y,
+     Forall("y1", And(Forall("y1", P(y)), Exists("x", P(y1))))),
+])
+def test_capture_renaming_picks_the_recursive_form_s_fresh_names(a, v, s,
+                                                                 want):
+    assert substitute(a, v, s) == reference_syntax.substitute(a, v, s) == want
+
+
+@pytest.mark.parametrize("bad", ["q", x, None, Fun("f", (c,))])
+def test_a_non_formula_at_any_depth_is_named_by_substitution(bad):
+    """A string, a term or None where a formula belongs raises the
+    recursive form's TypeError, at the top, under connectives, in a
+    quantifier's body or 2,000 deep; of two, the first left to right
+    (in a quantifier's body ``free_vars`` names the first non-term)."""
+    deep = bad
+    for i in range(2000):
+        deep = Not(deep) if i % 2 else And(deep, P(x))
+    cases = [bad, Not(bad), And(bad, "r"), Imp(p, Or(bad, Prop("r"))),
+             ExtApp("Des", (bad,)), And(Not(P(x)), ExtApp("Des", (bad,))),
+             Forall("z", And(bad, P(x))), deep]
+    limit = sys.getrecursionlimit()
+    for a in cases:
+        with pytest.raises(TypeError) as got:
+            substitute(a, "x", c)
+        sys.setrecursionlimit(10_000)
+        try:
+            with pytest.raises(TypeError) as want:
+                reference_syntax.substitute(a, "x", c)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(": %r" % (bad,))
+    assert substitute(Exists("x", bad), "x", c) == Exists("x", bad)
+
+
+def _chains() -> list:
+    """API-built chains 2,000 deep: quantifiers, some binding y, over a
+    body; a Not chain; a left And spine; a right Imp spine."""
+    q = n = left = right = Pred("Q", (x, Fun("f", (y,))))
+    for i in range(2000):
+        q = (Forall if i % 2 else Exists)("y" if i % 3 else "z", q)
+        n, left = Not(n), And(left, P(Fun("g", (x,))))
+        right = Imp(Exists("y", P(x)) if i % 5 else P(y), right)
+    return [q, n, left, right]
+
+
+def _forget_printing(a) -> None:
+    """Drop the kept printed form of a and of each node it is built from,
+    so printing it next starts from scratch."""
+    stack, seen = [a], set()
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack += syntax._parts(u)
+            if u._text is not None:
+                object.__delattr__(u, "_text")
+
+
+@pytest.mark.parametrize("i", range(4), ids=["quantifiers", "not", "and",
+                                              "imp"])
+def test_printing_and_substitution_past_the_recursion_limit(i):
+    """Each 2,000-deep chain prints, from scratch, and substitutes, with
+    and without capture, as the recursive forms do with a raised limit."""
+    a = _chains()[i]
+    _forget_printing(a)
+    text = str(a)
+    got = [substitute(a, "x", s) for s in (c, y, Fun("h", (y, z)))]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        assert text == reference_syntax.print_formula(a)
+        assert got == [reference_syntax.substitute(a, "x", s)
+                       for s in (c, y, Fun("h", (y, z)))]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert str(a) is text and got[0] != a
 
 
 def test_substitution_skips_shadowed_occurrences():
@@ -357,6 +473,19 @@ def test_substitution_equals_the_recursive_reference(t, s, v):
         assert substitute(a, v, s) == reference_syntax.substitute(a, v, s)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_FORMULA, _FORMULA)
+def test_printing_equals_the_recursive_reference(a, b):
+    """From scratch, over terms, nullary and unary extra connectives,
+    quantifiers and parts shared (a part met again after its parent)."""
+    for value in (a, And(Not(a), a), Imp(Or(a, b), And(b, Not(a))),
+                  ExtApp("Des", (Forall("x", And(a, b)),)), Not(Eq(
+                      Fun("g", (x, c)), y)), Or(Exists("y", b), ExtApp(
+                          "Both"))):
+        _forget_printing(value)
+        assert str(value) == reference_syntax.print_formula(value)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_FORMULA)
 def test_parsing_the_printed_form_gives_back_the_same_object(a):
@@ -445,7 +574,8 @@ _IDS = [cls.__name__ for cls, _ in _CALLS]
 
 def test_every_node_class_is_called():
     assert {cls for cls, _ in _CALLS} == set(_FIELDS)
-    assert set(_FIELDS) - {_Letter} == set(syntax._LEVEL) | {Var, Fun}
+    assert set(_FIELDS) - {_Letter} == set(syntax._LEVEL) | {Var, Fun} == set(
+        syntax._PRINTED)
 
 
 @pytest.mark.parametrize("cls, values", _CALLS, ids=_IDS)
