@@ -549,8 +549,7 @@ def _kernel_accepts(d) -> None:
                            % (d.steps[-1].rule, v))
 
 
-def _soundness_run(name, valid, rng, instances, ctx_pool, pack=None,
-                   repair_valid=None):
+def _soundness_run(name, valid, rng, instances, ctx_pool, pack, repair_valid):
     """Premises-valid-implies-conclusion-valid over random instances.
 
     Sampling retries a few times toward instances whose premises are all

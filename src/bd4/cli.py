@@ -178,10 +178,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _fo_mode(args) -> str:
-    return "partial" if getattr(args, "partial", False) else "total"
-
-
 def _cmd_consequence(args) -> int:
     """entails and countermodel (``args.verb``): one decision, printed as
     the verb asks; each exits 0 when it finds what it asks for."""
@@ -192,7 +188,7 @@ def _cmd_consequence(args) -> int:
     found = lines = bound = ""
     if args.sig:
         res = consequence_fo(gamma, delta, sig, max_domain=args.max_domain,
-                             mode=_fo_mode(args))
+                             mode="partial" if args.partial else "total")
         holds, bound = res.holds, " up to domain %d" % args.max_domain
         if not holds:
             found = "%s\nassignment: %s" % (
@@ -334,14 +330,11 @@ def _cmd_check(args) -> int:
 def _cmd_prove(args) -> int:
     sig = _get_sig(args, args.sequent)
     s = parse_sequent(args.sequent, sig)
-    if args.depth <= 0 or args.max_nodes <= 0:
-        raise UsageError("--depth and --max-nodes must be positive")
-    budget = SearchBudget(max_depth=args.depth, max_nodes=args.max_nodes,
-                          mode=args.packs)
-    result = prove_prop(s, budget)
+    if args.max_nodes <= 0:
+        raise UsageError("--max-nodes must be positive")
+    result = prove_prop(s, SearchBudget(args.max_nodes, args.packs))
     if result.status == "exhausted":
-        flag = "--depth" if result.bound == "depth" else "--max-nodes"
-        raise UsageError("search budget exhausted; raise %s" % flag)
+        raise UsageError("search budget exhausted; raise --max-nodes")
     if result.proved:
         text = print_derivation(result.proof)
         if args.emit:
@@ -465,7 +458,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="prove or refute a propositional sequent")
     p.add_argument("sequent", help="like 'p & q => q; r'")
     p.add_argument("--packs", choices=MODES, default="base")
-    p.add_argument("--depth", type=int, default=200)
     p.add_argument("--max-nodes", type=int, default=100_000)
     p.add_argument("--emit", help="write the found derivation to a file")
     add_sig(p)

@@ -38,10 +38,6 @@ def edit_step(d: Derivation, i: int, **changes) -> Derivation:
     return replace(d, steps=tuple(steps))
 
 
-def _seq(ant, suc) -> Sequent:
-    return Sequent.of(ant, suc)
-
-
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 c, d_ = Fun("c"), Fun("d")
 x = Var("x")
@@ -86,35 +82,38 @@ def mutations() -> list:
 
         # set mismatch between conclusion and premises
         ("stray formula added to a premise", "modus_ponens",
-         lambda d: edit_step(d, 1, sequent=_seq([p, q, r], [q])),
+         lambda d: edit_step(d, 1, sequent=Sequent.of([p, q, r], [q])),
          Code.PREMISE_MISMATCH),
         ("context formula dropped from conclusion", "equality_replacement",
-         lambda d: edit_step(d, 3, sequent=_seq([Eq(c, d_)], [Pred("P", (d_,))])),
+         lambda d: edit_step(d, 3, sequent=Sequent.of([Eq(c, d_)],
+                                                       [Pred("P", (d_,))])),
          Code.PREMISE_MISMATCH),
         ("conclusion lacks the introduced conjunction", "conj_commute",
-         lambda d: edit_step(d, 4, sequent=_seq([And(p, q)], [Or(q, p)])),
+         lambda d: edit_step(d, 4,
+                             sequent=Sequent.of([And(p, q)], [Or(q, p)])),
          Code.CONCLUSION_MISMATCH),
         ("identity atom missing on the left", "conj_commute",
-         lambda d: edit_step(d, 0, sequent=_seq([p], [q]), principal=q),
+         lambda d: edit_step(d, 0, sequent=Sequent.of([p], [q]), principal=q),
          Code.CONCLUSION_MISMATCH),
         ("falsity axiom without falsity", "falsity_left",
-         lambda d: edit_step(d, 0, sequent=_seq([p], [p])),
+         lambda d: edit_step(d, 0, sequent=Sequent.of([p], [p])),
          Code.CONCLUSION_MISMATCH),
         ("truth axiom without its literal", "truth_right",
-         lambda d: edit_step(d, 0, sequent=_seq([], [p])),
+         lambda d: edit_step(d, 0, sequent=Sequent.of([], [p])),
          Code.CONCLUSION_MISMATCH),
         ("negation literal removed from conclusion", "k3_explosion",
-         lambda d: edit_step(d, 1, sequent=_seq([p], [q])),
+         lambda d: edit_step(d, 1, sequent=Sequent.of([p], [q])),
          Code.CONCLUSION_MISMATCH),
         ("witnessed formula missing on the right", "existential_witness",
-         lambda d: edit_step(d, 1, sequent=_seq([Pred("P", (c,))], [Pred("P", (c,))])),
+         lambda d: edit_step(d, 1, sequent=Sequent.of([Pred("P", (c,))],
+                                                       [Pred("P", (c,))])),
          Code.CONCLUSION_MISMATCH),
         ("equation renamed out of the conclusion", "equality_replacement",
          lambda d: edit_step(d, 1, t2=d_), Code.CONCLUSION_MISMATCH),
         ("denotation disjunction over wrong terms", "den_left",
          lambda d: edit_step(d, 1, t2=c), Code.CONCLUSION_MISMATCH),
         ("cut conclusion not the premise combination", "cut_hypothesis",
-         lambda d: edit_step(d, 2, sequent=_seq([p], [q])),
+         lambda d: edit_step(d, 2, sequent=Sequent.of([p], [q])),
          Code.CONCLUSION_MISMATCH),
 
         # broken restrictions

@@ -45,13 +45,12 @@ MODES = tuple(_MODE_PACK_RULES)
 
 @_record
 class SearchBudget:
-    max_depth: int = 200
     max_nodes: int = 100_000
     mode: str = "base"
 
     def __post_init__(self):
-        if self.max_depth <= 0 or self.max_nodes <= 0:
-            raise ValueError("budget bounds must be positive")
+        if self.max_nodes <= 0:
+            raise ValueError("max_nodes must be positive")
         if self.mode not in MODES:
             raise ValueError("unknown mode %s" % _quote(str(self.mode)))
 
@@ -61,7 +60,7 @@ class SearchResult:
     status: str  # proved | refuted | exhausted
     proof: Derivation | None = None
     countermodel: dict | None = None
-    bound: str | None = None  # depth | nodes: the bound that ran out
+    bound: str | None = None  # "nodes" when the node budget ran out
 
     @property
     def proved(self) -> bool:
@@ -69,7 +68,7 @@ class SearchResult:
 
 
 class _Exhausted(Exception):
-    """A search bound ran out; the argument names it."""
+    """The node budget ran out; the argument names it."""
 
 
 _FALSITY = Falsity()
@@ -108,10 +107,11 @@ class _Searcher:
         self.nodes = 0
 
     def solve(self, s: Sequent) -> Derivation | None:
-        """The derivation of s, or None.  A frame is [sequent, depth,
-        rule, principal, goals, kids]: a decomposition's premises and the
-        steps of those proved so far, or at a choice point the remaining
-        (rule, principal, premise) choices and None.  The memo maps a
+        """The derivation of s, or None.  A frame is [sequent, rule,
+        principal, goals, kids]: a decomposition's premises and the steps
+        of those proved so far, or at a choice point the remaining
+        (rule, principal, premise) choices and None; each is a counted
+        node, so the node budget bounds the depth.  The memo maps a
         sequent's (ant, suc) pair to its step's index, or None if failed.
 
         A step is appended as its sequent is proved, with no undo log:
@@ -121,16 +121,13 @@ class _Searcher:
         its proof, in post-order, each shared step once.  The node count
         is a local, put back in ``nodes`` on every exit, ``_Exhausted``'s
         included."""
-        memo, stack, depth, nodes = {}, [], 0, self.nodes
-        max_depth, max_nodes = self.budget.max_depth, self.budget.max_nodes
+        memo, stack, nodes = {}, [], self.nodes
+        max_nodes = self.budget.max_nodes
         steps, packs, pack_rules = [], set(), _PACK_RULES[self.budget.mode]
         while True:
             ant, suc = s.ant, s.suc
             done = memo.get((ant, suc), _OPEN)
             if done is _OPEN:
-                if depth > max_depth:
-                    self.nodes = nodes
-                    raise _Exhausted("depth")
                 nodes += 1
                 if nodes > max_nodes:
                     self.nodes = nodes
@@ -165,27 +162,27 @@ class _Searcher:
                     if move is not None:
                         # all decompositions are invertible: commit to it
                         goals = move.backward(s, principal)
-                        stack.append([s, depth, move, principal, goals, []])
-                        s, depth = goals[0], depth + 1
+                        stack.append([s, move, principal, goals, []])
+                        s = goals[0]
                         continue
                     # stuck on literals: pack rules are genuine choices
                     goals = _choices(s, pack_rules)
                     choice = next(goals, None)
                     if choice is not None:
-                        stack.append([s, depth, *choice[:2], goals, None])
-                        s, depth = choice[2], depth + 1
+                        stack.append([s, *choice[:2], goals, None])
+                        s = choice[2]
                         continue
                     done = None
                 memo[ant, suc] = done
             # hand the step down to the frames that wait for it
             while stack:
                 frame = stack[-1]
-                top, at, rule, principal, goals, kids = frame
+                top, rule, principal, goals, kids = frame
                 if kids is None and done is None:
                     choice = next(goals, None)
                     if choice is not None:
-                        frame[2:4] = choice[:2]
-                        s, depth = choice[2], at + 1
+                        frame[1:3] = choice[:2]
+                        s = choice[2]
                         break
                 elif kids is None:
                     packs.add(rule.pack)
@@ -195,7 +192,7 @@ class _Searcher:
                 elif done is not None:
                     kids.append(done)
                     if len(kids) < len(goals):
-                        s, depth = goals[len(kids)], at + 1
+                        s = goals[len(kids)]
                         break
                     steps.append(DerivationStep(rule.name, top, tuple(kids),
                                                 principal))

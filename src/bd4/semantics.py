@@ -912,10 +912,11 @@ def _plan(funcs, preds, extras, mode, allowed, has_eq, eq_distinct,
           max_domain: int, cap: int) -> tuple:
     """What a ``consequence_fo`` query's symbols and bounds decide: their
     signature, the sweeps' shape (``_layout``'s key but the signature,
-    size and variables), and the refusal once the structures
-    (``count_structures``) of the sizes so far, smallest first, pass the
-    cap, or None.  A size with over 2^64 times the cap structures is
-    refused from the arities alone, before its layout is built."""
+    size and variables), and the refusal's class and text, or None: once
+    the structures (``count_structures``) of the sizes so far, smallest
+    first, pass the cap, or when all the sizes hold none.  A size with
+    over 2^64 times the cap structures is refused from the arities
+    alone, before its layout is built."""
     small = Signature(tuple(sorted(funcs)), tuple(sorted(preds)), extras)
     shape, limit = (mode, allowed, has_eq, eq_distinct), cap.bit_length() + 64
     total = 0
@@ -928,9 +929,12 @@ def _plan(funcs, preds, extras, mode, allowed, has_eq, eq_distinct,
         if total > cap:
             break
     else:
-        return small, shape, None
-    return small, shape, ("would enumerate at least %s structures (cap %d)"
-                          % (total, cap))
+        return small, shape, None if total else (
+            SemanticsError, "value set {%s} admits no structure of these "
+            "symbols up to domain %d" % (", ".join(
+                [str(v) for v in VALUES if v in allowed]), max_domain))
+    return small, shape, (EnumerationCapExceeded, "would enumerate at least "
+                          "%s structures (cap %d)" % (total, cap))
 
 
 def _count(n: int) -> str:
@@ -962,12 +966,12 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     is the only Structure built.  What its symbols and bounds decide comes
     from ``_plan``'s cache, which holds names, values and numbers, never
     a node, sweep or mask; the sweeps come from ``_fo_sweep``'s (see
-    ``_KEPT_BITS``).  Raises SemanticsError when the bound admits no
-    structure, and EnumerationCapExceeded before any sweep is built once
-    the domain elements or grounded code items of all the sizes, or the
-    structures of the sizes counted so far, number more than ``cap``,
-    and during the scan once the blocks scanned without a countermodel
-    hold more than ``_SCAN_CAP`` columns.
+    ``_KEPT_BITS``).  Raises SemanticsError when the bound or the value
+    set admits no structure, and EnumerationCapExceeded before any sweep
+    is built once the domain elements or grounded code items of all the
+    sizes, or the structures of the sizes counted so far, number more
+    than ``cap``, and during the scan once the blocks scanned without a
+    countermodel hold more than ``_SCAN_CAP`` columns.
     """
     gamma, delta = list(gamma), list(delta)
     code, funcs, preds, has_eq, fv = _compile(gamma + delta, sig)
@@ -987,7 +991,7 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
         frozenset(allowed), has_eq,
         None if eq_distinct is None else tuple(eq_distinct), max_domain, cap)
     if refusal:
-        raise EnumerationCapExceeded(refusal)
+        raise refusal[0](refusal[1])
 
     # a size is taken from the cache only when the scan reaches it
     sweeps = (_fo_sweep(small, size, *shape, fv, _BLOCK_COLUMNS)

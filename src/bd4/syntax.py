@@ -409,26 +409,34 @@ _ATOMIC = frozenset((Falsity, Prop, Pred, Eq))  # ``is_atomic``'s classes
 
 
 def _wrap(a: "Formula", need: int) -> str:
-    lvl = 5 if a.__class__ is ExtApp and not a.args else _LEVEL[a.__class__]
+    lvl = _LEVEL.get(a.__class__) if a.__class__ is not ExtApp or a.args else 5
+    if lvl is None:
+        raise TypeError("not a formula: %r" % (a,))
     return "(%s)" % a._text if lvl < need else a._text
+
+
+def _terms(parts, sep: str) -> str:
+    for b in parts:  # each part must be a term
+        if b.__class__ is not Var and b.__class__ is not Fun:
+            raise TypeError("not a term: %r" % (b,))
+    return sep.join([b._text for b in parts])
 
 
 # each class's printed form from a node and its parts' (names formatted)
 _PRINTED = {
     Var: lambda u, parts: "%s" % u.name,
-    Fun: lambda u, parts: "%s(%s)" % (u.name, ", ".join(
-        [b._text for b in parts])) if parts else "%s" % u.name,
+    Fun: lambda u, parts: ("%s(%s)" % (u.name, _terms(parts, ", "))
+                           if parts else "%s" % u.name),
     Falsity: lambda u, parts: "F",
     Prop: lambda u, parts: "%s" % u.name,
-    Pred: lambda u, parts: "%s(%s)" % (u.name, ", ".join(
-        [b._text for b in parts])),
-    Eq: lambda u, parts: "%s = %s" % (u.left._text, u.right._text),
+    Pred: lambda u, parts: "%s(%s)" % (u.name, _terms(parts, ", ")),
+    Eq: lambda u, parts: _terms(parts, " = "),
     Not: lambda u, parts: "~" + _wrap(u.body, 4),
     And: lambda u, parts: "%s & %s" % (_wrap(u.left, 3), _wrap(u.right, 4)),
     Or: lambda u, parts: "%s | %s" % (_wrap(u.left, 2), _wrap(u.right, 3)),
     Imp: lambda u, parts: "%s -> %s" % (_wrap(u.left, 2), _wrap(u.right, 1)),
-    Forall: lambda u, parts: "forall %s. %s" % (u.var, u.body._text),
-    Exists: lambda u, parts: "exists %s. %s" % (u.var, u.body._text),
+    Forall: lambda u, parts: "forall %s. %s" % (u.var, _wrap(u.body, 0)),
+    Exists: lambda u, parts: "exists %s. %s" % (u.var, _wrap(u.body, 0)),
     ExtApp: lambda u, parts: (
         "%s %s" % (u.conn, _wrap(parts[0], 4)) if parts else u.conn),
 }

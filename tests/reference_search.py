@@ -104,21 +104,19 @@ class _Searcher:
         self.memo: dict = {}
 
     def solve(self, s: Sequent) -> _Node | None:
-        stack, result = [self._solve(s, 0)], None
+        stack, result = [self._solve(s)], None
         while stack:
             try:
-                stack.append(self._solve(*stack[-1].send(result)))
+                stack.append(self._solve(stack[-1].send(result)))
                 result = None
             except StopIteration as done:
                 stack.pop()
                 result = done.value
         return result
 
-    def _solve(self, s: Sequent, depth: int):
+    def _solve(self, s: Sequent):
         if s in self.memo:
             return self.memo[s]
-        if depth > self.budget.max_depth:
-            raise _Exhausted("depth")
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
             raise _Exhausted("nodes")
@@ -129,7 +127,7 @@ class _Searcher:
             rule, principal = move
             kids = []
             for p in rule.backward(s, principal):
-                kid = yield p, depth + 1
+                kid = yield p
                 if kid is None:
                     break
                 kids.append(kid)
@@ -137,7 +135,7 @@ class _Searcher:
                 node = _Node(rule.name, s, tuple(kids), principal)
         elif node is None:
             for rule, principal, premise in _choices(s, self.pack_rules):
-                kid = yield premise, depth + 1
+                kid = yield premise
                 if kid is not None:
                     node = _Node(rule.name, s, (kid,), principal)
                     break

@@ -183,6 +183,11 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
             raise EnumerationCapExceeded(
                 "would enumerate at least %d structures (cap %d)"
                 % (total, cap))
+    if total == 0:
+        raise SemanticsError(
+            "value set {%s} admits no structure of these symbols up to "
+            "domain %d" % (", ".join(str(v) for v in VALUES if v in allowed),
+                           max_domain))
 
     sweeps = (S._fo_sweep(small, size, *shape, fv, S._BLOCK_COLUMNS)
               for size in range(least, max_domain + 1))

@@ -78,7 +78,7 @@ def test_formula_at_the_depth_bound_is_proved():
     assert out.stdout.startswith("proved (%d steps)\n" % (MAX_DEPTH + 1))
 
 
-@pytest.mark.parametrize("flag", ["--depth", "--max-nodes"])
+@pytest.mark.parametrize("flag", ["--max-nodes"])
 def test_exhausted_search_names_the_bound_that_ran_out(flag):
     out = bd4("prove", "p & q & r => p", flag, "1")
     assert out.returncode == 2
@@ -101,19 +101,14 @@ def _deep_proof_sequent():
 
 
 def test_a_proof_deeper_than_the_recursion_limit_is_printed():
-    out = bd4("prove", "--depth", "100000", _deep_proof_sequent())
+    """At the default budget: the node budget alone bounds the search."""
+    out = bd4("prove", _deep_proof_sequent())
     assert out.returncode == 0, out.stderr[-500:]
     assert out.stderr == ""
     assert out.stdout.startswith("proved (")
     steps = int(out.stdout.split("(")[1].split()[0])
     assert steps > 800
     assert out.stdout.count("\n") == steps + 2
-
-
-def test_the_deep_proof_at_the_default_depth_exhausts_the_budget():
-    out = bd4("prove", _deep_proof_sequent())
-    assert out.returncode == 2
-    assert out.stderr == "error: search budget exhausted; raise --depth\n"
 
 
 FO_SIG_TEXT = """\
@@ -262,9 +257,9 @@ def test_a_first_order_sweep_past_the_column_bound_is_an_error(fo_sig):
 
 @pytest.mark.parametrize("args", [
     ("define", "clone", "--arity", "-1"),
-    ("prove", "--depth", "0", "p => p"),
+    ("prove", "--packs", "lp", "--max-nodes", "0", "p => p"),
     ("prove", "--max-nodes", "0", "p => p"),
-    ("prove", "--depth", "-3", "--max-nodes", "-3", "p => p"),
+    ("prove", "--max-nodes", "-3", "p => p"),
     ("define", "synth", "Des", "--depth", "-1"),
     ("report", "--rule-instances", "-5", "--random-instances", "-3",
      "--max-nodes", "0"),
@@ -654,6 +649,30 @@ def test_prove_past_the_oracle_cap_without_a_proof_is_still_refused(argv):
     budget, so the cap's error stands."""
     assert _main(["prove", *argv]) == (
         2, "", "error: no answer after 67174400 columns (cap 67108864)\n")
+
+
+DEEP_PAST_CAP_VALID = "; ".join(
+    " & ".join("a%d_%d" % (i, j) for j in range(90)) for i in range(3)
+) + " => a2_0"
+
+
+def test_a_proof_past_the_oracle_cap_deeper_than_200_is_found(tmp_path):
+    """Three 90-atom conjunction chains: the oracle gives up at its cap,
+    and the search, bounded by its node budget alone, proves the sequent
+    in a chain of decompositions more than 200 deep."""
+    drv = tmp_path / "proof.drv"
+    code, out, err = _main(["prove", "--emit", str(drv),
+                            DEEP_PAST_CAP_VALID])
+    assert (code, err) == (0, "")
+    assert out.startswith("proved (268 steps)\npacks: base\n")
+    assert _main(["--format", "lines", "check", str(drv)]) == (
+        0, "ok=true steps=268\n", "")
+
+
+def test_a_node_budget_out_of_range_names_the_option(capsys):
+    assert cli.main(["prove", "--max-nodes", "0", "p => p"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --max-nodes must be positive\n")
 
 
 def test_prove_emit_writes_the_printed_derivation(tmp_path):

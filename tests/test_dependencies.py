@@ -280,6 +280,15 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     assert unset_defaults(PACKAGE, ROOT / "bench") == sorted(KEPT_DEFAULTS)
 
 
+# the package's defaulted parameters; a change that adds an option
+# raises this number in its own diff
+MOST_DEFAULTED = 53
+
+
+def test_the_defaulted_parameters_do_not_grow_unseen():
+    assert len(list(defaulted_parameters(PACKAGE))) <= MOST_DEFAULTED
+
+
 def test_a_parameter_no_call_sets_is_seen(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()

@@ -49,7 +49,7 @@ def test_the_repr_is_the_dataclass_text():
         "Sequent(ant=frozenset({Prop(name='p')}), "
         "suc=frozenset({Prop(name='q')}))")
     assert repr(SearchBudget()) == (
-        "SearchBudget(max_depth=200, max_nodes=100000, mode='base')")
+        "SearchBudget(max_nodes=100000, mode='base')")
     assert repr(SearchResult("exhausted", bound="nodes")) == (
         "SearchResult(status='exhausted', proof=None, countermodel=None, "
         "bound='nodes')")

@@ -124,17 +124,9 @@ def test_exhausted_budget_reports_exhausted():
     assert res.proof is None and res.countermodel is None
 
 
-def test_exhausted_depth_names_the_depth_bound():
-    res = prove_prop(Sequent.of([And(p, And(q, r))], [r]),
-                     SearchBudget(max_depth=1))
-    assert res.status == "exhausted" and res.bound == "depth"
-    assert prove_prop(Sequent.of([And(p, And(q, r))], [r]),
-                      SearchBudget(max_depth=2)).proved
-
-
 def test_budget_validation():
     with pytest.raises(ValueError):
-        SearchBudget(max_depth=0)
+        SearchBudget(max_nodes=0)
     with pytest.raises(ValueError):
         SearchBudget(mode="zap")
 
@@ -405,8 +397,8 @@ def random_sequents():
     return sequents
 
 
-# bounds small enough that some searches run out of depth or of nodes
-BOUNDS = {"default": {}, "depth": {"max_depth": 2}, "nodes": {"max_nodes": 3}}
+# bounds small enough that some searches run out of nodes
+BOUNDS = {"default": {}, "nodes": {"max_nodes": 3}}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -423,8 +415,7 @@ def test_the_search_loop_equals_the_generator_search(mode, c11_sequents,
         for s in c11_sequents + random_sequents:
             want = _searched(ReferenceSearcher, s, budget)
             assert _searched(_Searcher, s, budget) == want, (bound, s)
-            seen[want[0] if want[0] in (None, "depth", "nodes")
-                 else "proof"] += 1
+            seen[want[0] if want[0] in (None, "nodes") else "proof"] += 1
             got, ref = prove_prop(s, budget), reference_prove_prop(s, budget)
             assert ((got.status, got.bound, got.proof, got.countermodel)
                     == (ref.status, ref.bound, ref.proof, ref.countermodel))
@@ -434,7 +425,7 @@ def test_the_search_loop_equals_the_generator_search(mode, c11_sequents,
                     i for step in got.proof.steps for i in step.premises)
                 seen["shared"] += max(cited.values(), default=0) > 1
                 seen["packs"] += bool(got.proof.packs)
-    assert min(seen[k] for k in (None, "depth", "nodes", "proof", "proved",
+    assert min(seen[k] for k in (None, "nodes", "proof", "proved",
                                  "refuted", "exhausted", "shared")) > 0, seen
     assert (seen["packs"] > 0) == (mode != "base"), seen
 

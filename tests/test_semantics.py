@@ -1699,6 +1699,34 @@ def test_each_refusal_of_the_pre_scan_reads_as_the_reference(gamma, bound, kw,
                        **kw) == want
 
 
+@pytest.mark.parametrize("gamma, delta, allowed", [
+    ([], [Eq(_C, _C)], {F, N}),
+    ([], [Not(Eq(_C, _C))], {F, N}),
+    ([Eq(_C, _C)], [], {F, N}),
+    ([Pred("P", (_C,))], [], set()),
+    ([], [Pred("P", (_C,))], set()),
+], ids=["eq", "not-eq", "eq-left", "pred-left", "pred"])
+def test_a_value_set_that_admits_no_structure_is_refused(gamma, delta,
+                                                         allowed):
+    """No designated value is left for the equality diagonal, or no value
+    at all for a predicate, so no structure of any size is left and no
+    query over them is answered: each call, warm ones included, raises
+    an exception of its own."""
+    kw = {"max_domain": 3, "allowed": frozenset(allowed)}
+    want = outcome(reference_semantics.consequence_fo, gamma, delta,
+                   PLAN_SIG, **kw)
+    assert want == (SemanticsError, "value set {%s} admits no structure of "
+                    "these symbols up to domain 3"
+                    % ", ".join(str(v) for v in sorted(allowed)))
+    raised = []
+    for _ in range(2):
+        with pytest.raises(SemanticsError) as got:
+            consequence_fo(gamma, delta, PLAN_SIG, **kw)
+        assert (type(got.value), str(got.value)) == want
+        raised.append(got.value)
+    assert raised[0] is not raised[1]
+
+
 def test_formulas_given_to_consequence_fo_leave_the_node_table():
     """Neither the plans nor the sweeps hold a node: API-built formulas
     over fresh symbols, answered and refused in both modes, leave the

@@ -128,6 +128,24 @@ def test_printing_a_mis_built_node_names_the_bad_part(node, bad):
     assert node._text is None
 
 
+@pytest.mark.parametrize("node, bad, sort", [
+    (Not(Var("x")), Var("x"), "formula"),
+    (Imp(Prop("p"), Var("y")), Var("y"), "formula"),
+    (ExtApp("Des", (Var("x"),)), Var("x"), "formula"),
+    (Forall("x", Var("x")), Var("x"), "formula"),
+    (Exists("x", Fun("c")), Fun("c"), "formula"),
+    (Eq(Prop("p"), Fun("c")), Prop("p"), "term"),
+    (Pred("P", (Prop("p"),)), Prop("p"), "term"),
+    (Fun("f", (c, And(p, q))), And(p, q), "term"),
+], ids=["not", "imp", "extapp", "forall", "exists", "eq", "pred", "fun"])
+def test_printing_a_part_of_the_wrong_sort_names_it(node, bad, sort):
+    """A term where a formula belongs, or a formula where a term does."""
+    with pytest.raises(TypeError) as got:
+        str(node)
+    assert str(got.value) == "not a %s: %r" % (sort, bad)
+    assert node._text is None
+
+
 def test_a_name_that_is_not_a_string_is_formatted_so_printing_ends():
     """A form of None would read as not yet printed, and its parent would
     wait on it for good."""
