@@ -152,7 +152,7 @@ def _cmd_eval(args) -> int:
         a = parse_formula(args.formula, sig)
         m = parse_structure(_read(args.structure), sig)
         size = len(m.domain)
-        _, items = _grounding(_compile([a], sig)[0], size, size,
+        _, items = _grounding(_compile([a], sig)[-1], size, size,
                               MAX_EVAL_ITEMS)
         if items > MAX_EVAL_ITEMS:
             raise UsageError(

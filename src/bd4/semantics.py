@@ -5,8 +5,9 @@ code to a (told-true, told-false) pair of ints over many columns at
 once.  The base connectives are bitwise operations on the pairs, and
 any other connective is a table applied through one-hot masks: an
 extra connective compiles to its table, and ``matrixlab.consequence_in``
-runs a candidate matrix's tables in place of the base ones.  The lowest
-set bit of a mask marks the first column in enumeration order.
+runs a candidate matrix's tables in place of the base ones, and a
+quantifier's body runs once per domain element.  The lowest set bit of
+a mask marks the first column in enumeration order.
 
 The columns of a sweep are (structure, assignment) pairs, laid out as
 "the sweep" below says; a propositional formula is a first-order one
@@ -135,82 +136,109 @@ def _arity(name: str, arity, args) -> tuple:
     return name, arity
 
 
+class _Atom:
+    """An atom in first-order code: its node, and its ground shape (see
+    "the sweep") with a slot, None, per variable bound around it."""
+
+    __slots__ = ("node", "shape", "slots")
+
+    def __init__(self, node, shape: tuple, slots):
+        self.node, self.shape, self.slots = node, shape, slots
+
+
 def _compile(formulas, sig: Signature) -> tuple:
-    """Postfix code for the formulas, and the symbols they use, in one walk.
+    """Postfix code for the formulas, and what they use, in one walk.
 
     A connective follows its operands, the left one on top of the
-    stack.  An item is a proposition's name, one of the classes Not,
-    And, Or, Imp and Falsity, an extra connective's table, a Pred or Eq
-    atom as written, or for a quantifier the list [Forall or Exists,
-    variable, code of the body].  Returns the code, the functions and
-    predicates that occur as (name, arity) pairs (a proposition has
-    arity 0), whether equality occurs, and the free variables, sorted.
-    Every symbol must be declared in the signature with its arity; with
-    no signature the formulas must be propositional, and the predicates
-    returned are the names of their atoms.
+    stack.  An item is an atom (a proposition's name in propositional
+    code, else an ``_Atom``), one of the classes Not, And, Or, Imp and
+    Falsity, an extra connective's table, or for a quantifier the list
+    [Forall or Exists, variable, code of the body], just the body's code
+    when the body does not use the variable.  Returns the code, the
+    functions and predicates that occur as (name, arity) pairs (a
+    proposition has arity 0), whether equality occurs, the free
+    variables, sorted, and ``_grounding``'s weights, every quantifier
+    counted.  Every symbol must be declared in the signature with its
+    arity; with no signature the formulas must be propositional, and
+    the predicates returned are the names of their atoms.
     """
     code, funcs, preds, free = [], set(), set(), set()
-    has_eq = False
+    has_eq, depth, weights = False, 0, {0: 0}  # quantifier depth -> weight
     for a in formulas:
-        stack, bound = [a], {}  # variable -> quantifiers binding it here
+        stack, bound = [a], {}  # variable -> whether each binder uses it
         while stack:
             x = stack.pop()
             cls = x.__class__
             if cls is Prop:
                 preds.add(_arity(x.name, sig.predicate_arity(x.name), ())
                           if sig else x.name)
-                code.append(x.name)
+                code.append(_Atom(x, (x.name,), None) if sig else x.name)
+                weights[depth] += 1
+            elif (cls is Pred or cls is Eq) and sig:
+                if cls is Pred:
+                    preds.add(_arity(x.name, sig.predicate_arity(x.name),
+                                     x.args))
+                    shape, terms = [Pred, x.name], list(x.args[::-1])
+                else:
+                    has_eq = True
+                    shape, terms = [Eq], [x.right, x.left]
+                slots, fault = [], None
+                while terms:  # the terms in prefix order
+                    t = terms.pop()
+                    if t.__class__ is Var:
+                        if bound.get(t.name):
+                            bound[t.name][-1] = True
+                            slots.append((len(shape), t.name))
+                            shape.append(None)
+                        else:
+                            free.add(t.name)
+                            shape += (Var, t.name)
+                    elif t.__class__ is Fun:
+                        try:
+                            funcs.add(_arity(t.name, sig.function_arity(
+                                t.name), t.args))
+                            shape += (Fun, t.name)
+                            terms += t.args[::-1]
+                        except SemanticsError as e:
+                            fault = e
+                    else:
+                        fault = SemanticsError("not a term: %r" % (t,))
+                if fault:  # the right-most, as a right-to-left walk finds
+                    raise fault
+                code.append(_Atom(x, tuple(shape), slots))
+                weights[depth] += 1
             elif cls is tuple:  # an operator whose operands are done
                 if len(x) == 1:
                     code.append(x[0])
+                    weights[depth] += 1
                 else:  # a quantifier: its body's code ends its scope
                     q, var, start = x
-                    code[start:] = [[q, var, code[start:]]]
-                    bound[var] -= 1
+                    depth -= 1
+                    if bound[var].pop():  # else the one copy's code serves
+                        code[start:] = [[q, var, code[start:]]]
             elif cls is And or cls is Or or cls is Imp:
                 stack += ((cls,), x.left, x.right)
             elif cls is Not:
                 stack += ((Not,), x.body)
             elif cls is Falsity:
-                code.append(Falsity)
+                stack.append((Falsity,))
             elif cls is ExtApp:
-                table = EXTRA_CONNECTIVES[x.conn][1]
-                if x.args:
-                    stack += ((table,), x.args[0])
-                else:
-                    code.append(table)
-            elif (cls is Pred or cls is Eq) and sig:
-                if cls is Pred:
-                    preds.add(_arity(x.name, sig.predicate_arity(x.name),
-                                     x.args))
-                    terms = list(x.args)
-                else:
-                    has_eq = True
-                    terms = [x.left, x.right]
-                while terms:
-                    t = terms.pop()
-                    if t.__class__ is Var:
-                        if not bound.get(t.name):
-                            free.add(t.name)
-                    elif t.__class__ is Fun:
-                        funcs.add(_arity(t.name, sig.function_arity(t.name),
-                                         t.args))
-                        terms.extend(t.args)
-                    else:
-                        raise SemanticsError("not a term: %r" % (t,))
-                code.append(x)
+                stack += ((EXTRA_CONNECTIVES[x.conn][1],), *x.args)
             elif (cls is Forall or cls is Exists) and sig:
                 stack += ((cls, x.var, len(code)), x.body)
-                bound[x.var] = bound.get(x.var, 0) + 1
+                bound.setdefault(x.var, []).append(False)
+                weights[depth] -= 1  # k^d (k - 1) joins: -1 here, +1 below
+                depth += 1
+                weights[depth] = weights.get(depth, 0) + 1
             else:
                 raise SemanticsError("not a %sformula: %s"
                                      % ("" if sig else "propositional ", x))
-    return code, funcs, preds, has_eq, tuple(sorted(free))
+    return code, funcs, preds, has_eq, tuple(sorted(free)), weights
 
 
 def _prop_code(a) -> tuple:
     """A propositional formula's code and the names of its atoms."""
-    code, _, names, _, _ = _compile([a], None)
+    code, _, names, _, _, _ = _compile([a], None)
     return tuple(code), frozenset(names)
 
 
@@ -232,34 +260,56 @@ def _compile_prop(formulas, atoms=None) -> tuple:
 
 
 def _run(code, env: dict, full: int) -> list:
-    """The (t, f) pair of each compiled formula, given the pairs of its
-    atoms: proposition names, and the ground Pred and Eq atoms of the
-    first-order sweep.  The base connectives are bitwise operations on
-    the pairs; a table goes through ``_apply``."""
-    stack = []
+    """The (t, f) pair of each compiled formula, given its atoms' pairs
+    in ``env``: by name, or for first-order code a ``_Block``'s by ground
+    shape.  The base connectives are bitwise operations on the pairs; a
+    table goes through ``_apply``.  A quantifier's body runs once per
+    element, the pairs joined by And for forall and by Or for exists;
+    the code still to run waits on a stack, so they nest to any depth."""
+    stack, waiting, ops, binding = [], [], iter(code), {}
     push, pop = stack.append, stack.pop
-    for op in code:
-        if op.__class__ is str:
-            push(env[op])
-        elif op is Not:
-            t, f = pop()
-            push((f, t))
-        elif op is Falsity:
-            push((0, full))
-        elif op.__class__ is tuple:
-            push(_apply(op, [pop() for _ in range(_ARITY[len(op)])], full))
-        elif op is And or op is Or or op is Imp:
-            t1, f1 = pop()
-            t2, f2 = pop()
-            if op is And:
-                push((t1 & t2, f1 | f2))
-            elif op is Or:
-                push((t1 | t2, f1 & f2))
-            else:
-                push(((full ^ t1) | t2, t1 & f2))
+    while True:
+        for op in ops:
+            cls = op.__class__
+            if cls is str:
+                push(env[op])
+            elif op is Not:
+                t, f = pop()
+                push((f, t))
+            elif op is Falsity:
+                push((0, full))
+            elif cls is tuple:
+                push(_apply(op, [pop() for _ in range(_ARITY[len(op)])], full))
+            elif op is And or op is Or or op is Imp:
+                t1, f1 = pop()
+                t2, f2 = pop()
+                if op is And:
+                    push((t1 & t2, f1 | f2))
+                elif op is Or:
+                    push((t1 | t2, f1 & f2))
+                else:
+                    push(((full ^ t1) | t2, t1 & f2))
+            elif cls is _Atom:
+                key = op.shape
+                if op.slots:
+                    key = list(key)
+                    for i, var in op.slots:
+                        key[i] = binding[var]
+                    key = tuple(key)
+                push(env.get(key) or env.miss(op, key, binding))
+            else:  # a quantifier: the rest of ops waits under the body
+                q, var, body = op
+                join = (And if q is Forall else Or,)
+                waiting.append((ops, binding))
+                for d in env.domain[:0:-1]:  # each copy but the first, joined
+                    waiting += ((iter(join), binding),
+                                (iter(body), {**binding, var: d}))
+                ops, binding = iter(body), {**binding, var: env.domain[0]}
+                break
         else:
-            push(env[op])
-    return stack
+            if not waiting:
+                return stack
+            ops, binding = waiting.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +325,15 @@ def _run(code, env: dict, full: int) -> list:
 # is one selector mask per element, an atom is the OR over element
 # tuples of the selectors' AND with the cell's (t, f) pair (in partial
 # mode an equality cell at the bottom is n, the pair (0, 0)), and a
-# quantifier is grounded: its body is copied once per element, the
-# copies joined by And for forall (the infimum) and by Or for exists
-# (the supremum).  This is MACE-style grounding (McCune's Mace4;
-# Claessen and Sorensson 2003).  The valuations of k atoms are the
-# columns of domain size 1 over k propositions.  A scan takes blocks of
-# at most _BLOCK_COLUMNS columns, the outer digits fixed per block, in
-# column order, which bounds memory and keeps the early exit.
+# quantifier is the infimum (forall) or supremum (exists) of its body's
+# pairs with its variable bound to each element in turn: MACE-style
+# grounding (McCune's Mace4; Claessen and Sorensson 2003), run in place.
+# A ground atom's shape is a flat prefix tuple: an element is its name,
+# anything else its class, its name (none for an equation, only it for
+# a proposition) and its arguments' shapes.  The valuations of k atoms
+# are the columns of domain size 1 over k propositions.  A scan takes
+# blocks of at most _BLOCK_COLUMNS columns, the outer digits fixed per
+# block, in column order, which bounds memory and keeps the early exit.
 _BLOCK_COLUMNS = 1 << 16
 
 # ``consequence_fo`` reads two caches.  ``_plan`` keeps 256 query
@@ -291,13 +343,13 @@ _BLOCK_COLUMNS = 1 << 16
 # come from ``_fo_sweep`` alone, 256 of them on ``_layout``'s key and
 # the block size, so each builds its digit masks once.  A cached sweep
 # that is a single block also keeps the (t, f) pair of each ground atom
-# it fills, keyed by the atom's structure (``_shape``), never by its
-# node, so no kept pair holds a formula alive.  The cached sweeps hold
-# at most this many bits between them, their digit masks and pairs
-# counted as each sweep is made and each kept pair with its key as it
-# is kept (``_count_kept``); past it the cache starts afresh.
-# ``FOSpace`` and ``enumerate_structures`` build sweeps of their own,
-# which keep nothing and share nothing with it.
+# it meets, keyed by the atom's ground shape, never by its node, so no
+# kept pair holds a formula alive.  The cached sweeps hold at most this
+# many bits between them, their digit masks and pairs counted as each
+# sweep is made and each kept pair with its key as it is kept
+# (``_count_kept``); past it the cache starts afresh.  ``FOSpace`` and
+# ``enumerate_structures`` build sweeps of their own, which keep
+# nothing and share nothing with it.
 _KEPT_BITS = 1 << 25
 _kept_bits = 0  # bits counted since the cache last started afresh
 
@@ -305,59 +357,6 @@ _kept_bits = 0  # bits counted since the cache last started afresh
 # past it each further atom multiplies the time by up to four, and each
 # further free variable by the domain size.
 _SCAN_CAP = 4 ** 13
-
-
-def _ground(code, domain, binding: dict) -> list:
-    """The code with every quantifier expanded over the domain: the body
-    once per element, its variable bound to the element's name, the
-    copies joined by And for forall and by Or for exists.  The ops still
-    to ground wait on a stack, so quantifiers may nest to any depth."""
-    out, stack = [], [(iter(code), binding)]
-    while stack:
-        ops, binding = stack.pop()
-        for op in ops:
-            cls = op.__class__
-            if cls is list:  # the rest of ops waits under the copies
-                q, var, body = op
-                join = (And if q is Forall else Or,)
-                stack.append((ops, binding))
-                for i in range(len(domain) - 1, -1, -1):
-                    if i:
-                        stack.append((iter(join), binding))
-                    stack.append((iter(body), {**binding, var: domain[i]}))
-                break
-            if binding and cls is Pred:
-                out.append(Pred(op.name, tuple([_rebind(t, binding)
-                                                for t in op.args])))
-            elif binding and cls is Eq:
-                out.append(Eq(_rebind(op.left, binding),
-                              _rebind(op.right, binding)))
-            else:
-                out.append(op)
-    return out
-
-
-def _shape(x) -> tuple:
-    """A ground atom or term as a flat tuple in prefix order: a domain
-    element is its name, anything else its class, its name (an equation
-    has none) and its arguments' shapes.  So a constant or variable named
-    like an element stays apart from it, and since a sweep fixes each
-    symbol's arity the tuple reads back one way."""
-    out, stack = [], [x]
-    while stack:
-        y = stack.pop()
-        cls = y.__class__
-        if cls is str:
-            out.append(y)
-        elif cls is Var:
-            out += (Var, y.name)
-        elif cls is Eq:
-            out.append(Eq)
-            stack += (y.right, y.left)
-        else:
-            out += (cls, y.name)
-            stack += reversed(y.args)
-    return tuple(out)
 
 
 @functools.lru_cache(maxsize=256)
@@ -423,7 +422,7 @@ class _Sweep:
         self.outer = radices[:split]
         self.full = (1 << inner) - 1
         self._hot, self._pairs = {}, {}  # per inner digit, once built
-        self.kept = None  # atom pairs by ``_shape``, on a cached single block
+        self.kept = None  # atom pairs by ground shape, if cached as one block
 
     def blocks(self):
         """The outer digits' values of each block, in column order."""
@@ -464,27 +463,6 @@ class _Sweep:
         """Every digit's pair over the block, when every digit is a
         proposition's."""
         return [self.pair(j, outer) for j in range(len(self.values))]
-
-    def fill(self, code, outer, env=None) -> dict:
-        """``env``, or a new env, given the (t, f) pair over the block
-        given by the outer digits' values of each atom of ``code`` it
-        lacks: the kept pair when the sweep keeps one, else one built,
-        and kept when the sweep keeps pairs."""
-        env = {} if env is None else env
-        kept, memo = self.kept, {}  # memo: this call's term selectors
-        for op in code:
-            cls = op.__class__
-            if (cls is str or cls is Pred or cls is Eq) and op not in env:
-                shape = kept is not None and _shape(op)
-                out = shape and kept.get(shape)
-                if not out:
-                    out = (self._denote(op, outer, memo) if cls is not str
-                           else self.pair(self.where[("pred", op, ())], outer))
-                    if shape:
-                        kept[shape] = out
-                        _count_kept(self, 2, len(shape))
-                env[op] = out
-        return env
 
     def _denote(self, op, outer, memo: dict) -> tuple:
         """For a Pred or Eq atom its (t, f) pair, for a Fun term its
@@ -555,6 +533,32 @@ class _Sweep:
                 (consts if kind == "fun" else props)[role[1]] = x
         return (Structure(self.domain, consts, funcs, props, preds, eq,
                           self.bottom), alpha)
+
+
+class _Block:
+    """The atoms' pairs over a block of a sweep by ground shape, its kept
+    ones if it keeps pairs: ``get`` reads one, ``miss`` adds one."""
+
+    __slots__ = ("sweep", "outer", "domain", "memo", "pairs", "get")
+
+    def __init__(self, sweep: _Sweep, outer):
+        self.sweep, self.outer, self.domain = sweep, outer, sweep.domain
+        self.pairs = {} if sweep.kept is None else sweep.kept
+        self.get, self.memo = self.pairs.get, {}  # memo: term selectors
+
+    def miss(self, atom: _Atom, key: tuple, binding: dict) -> tuple:
+        """The atom's pair under the binding, built and kept by ``key``."""
+        sweep, outer, a = self.sweep, self.outer, atom.node
+        if atom.slots and a.__class__ is Pred:
+            a = Pred(a.name, tuple([_rebind(t, binding) for t in a.args]))
+        elif atom.slots:
+            a = Eq(_rebind(a.left, binding), _rebind(a.right, binding))
+        out = (sweep.pair(sweep.where[("pred", a.name, ())], outer)
+               if a.__class__ is Prop else sweep._denote(a, outer, self.memo))
+        self.pairs[key] = out
+        if sweep.kept is not None:
+            _count_kept(sweep, 2, len(key))
+        return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -869,28 +873,16 @@ def _structure_bits(sig: Signature, size: int, mode, allowed, need_eq,
     return sum(n * math.log2(radix) for radix, n in digits if radix > 1)
 
 
-def _grounding(code, least: int, most: int, cap: int):
+def _grounding(weights, least: int, most: int, cap: int):
     """(domain elements, grounded code items) of the sizes least..most.
 
-    At size k an item at quantifier depth j is copied k^j times and a
-    quantifier at depth j joins its k copies with k - 1 connectives, so
-    both are sums of powers of the sizes, in closed form: the count and
-    the sum of the sizes, and for j > 1 the telescoping sum of
-    (k + 1)^(j + 1) - k^(j + 1).  The sums grow with j and the items are
-    at least the deepest one's, so the items stop at a lower bound once
-    a sum passes the cap."""
-    weights = [0]  # the items at size k are the sum of weights[j] * k^j
-    stack = [(code, 0)]
-    while stack:
-        ops, j = stack.pop()
-        weights[j] += len(ops)
-        for op in ops:
-            if op.__class__ is list:  # no item itself: (k - 1) k^j joins
-                if len(weights) == j + 1:
-                    weights.append(0)
-                weights[j] -= 2
-                weights[j + 1] += 1
-                stack.append((op[2], j + 1))
+    The items at size k are the sum of ``weights[j] * k^j`` over the
+    quantifier depths j (``_compile``), so both counts are sums of powers
+    of the sizes, in closed form: the count and the sum of the sizes,
+    and for j > 1 the telescoping sum of (k + 1)^(j + 1) - k^(j + 1).
+    The sums grow with j and the items are at least the deepest one's,
+    so the items stop at a lower bound once a sum passes the cap."""
+    weights = list(weights.values())  # in depth order, as they were made
     if most == 1:  # one element: every power is 1
         return 1, sum(weights)
     depth = len(weights) - 1
@@ -960,11 +952,12 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     A True result means no countermodel up to the bound, not a decision.
     Only symbols that occur in the formulas are interpreted, which keeps
     the sweep small without changing the answer.  Each domain size is
-    one grounded sweep, scanned block by block; the countermodel is the
-    first column, in ``enumerate_structures`` order with the assignments
-    innermost, that designates all of gamma and nothing in delta, and it
-    is the only Structure built.  What its symbols and bounds decide comes
-    from ``_plan``'s cache, which holds names, values and numbers, never
+    one sweep, scanned block by block, each quantifier's body run in
+    place per element; the countermodel is the first column, in
+    ``enumerate_structures`` order with the assignments innermost, that
+    designates all of gamma and nothing in delta, and it is the only
+    Structure built.  What its symbols and bounds decide comes from
+    ``_plan``'s cache, which holds names, values and numbers, never
     a node, sweep or mask; the sweeps come from ``_fo_sweep``'s (see
     ``_KEPT_BITS``).  Raises SemanticsError when the bound or the value
     set admits no structure, and EnumerationCapExceeded before any sweep
@@ -974,14 +967,14 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     countermodel hold more than ``_SCAN_CAP`` columns.
     """
     gamma, delta = list(gamma), list(delta)
-    code, funcs, preds, has_eq, fv = _compile(gamma + delta, sig)
+    code, funcs, preds, has_eq, fv, weights = _compile(gamma + delta, sig)
     least = 2 if mode == "partial" else 1
     if max_domain < least:
         raise SemanticsError(
             "domain bound %d admits no structure; the least %sdomain size "
             "is %d" % (max_domain, "partial " if least == 2 else "", least))
 
-    elements, items = _grounding(code, least, max_domain, cap)
+    elements, items = _grounding(weights, least, max_domain, cap)
     if elements > cap or items > cap:
         raise EnumerationCapExceeded(
             "would lay out %s domain elements and ground at least %s "
@@ -994,10 +987,9 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
         raise refusal[0](refusal[1])
 
     # a size is taken from the cache only when the scan reaches it
-    sweeps = (_fo_sweep(small, size, *shape, fv, _BLOCK_COLUMNS)
-              for size in range(least, max_domain + 1))
-    hit = _first(((s, _ground(code, s.domain, {})) for s in sweeps),
-                 _counter(len(gamma)), _Sweep.fill)
+    hit = _first(((_fo_sweep(small, size, *shape, fv, _BLOCK_COLUMNS), code)
+                  for size in range(least, max_domain + 1)),
+                 _counter(len(gamma)), lambda s, code, outer: _Block(s, outer))
     return FOResult(True) if hit is None else FOResult(
         False, *hit[0].decode(hit[1]))
 
@@ -1007,11 +999,11 @@ class FOSpace:
     structure ``enumerate_structures`` gives for a size in ``sizes``,
     with each assignment of ``variables``.
 
-    A formula's (t, f) pair over the columns is the pair of its grounded
-    sweep, size after size, and a sequent is valid on the class exactly
-    when no column designates the whole antecedent while designating
-    nothing in the succedent.  ``columns`` is the sequence of
-    (structure, assignment) pairs, decoded on access.  A size that
+    A formula's (t, f) pair over the columns is its code's over each
+    size's sweep, run as one block; a sequent is valid on the class
+    exactly when no column designates the whole antecedent while
+    designating nothing in the succedent.  ``columns`` is the sequence
+    of (structure, assignment) pairs, decoded on access.  A size that
     admits no structure is refused.  The checks take a ``mode`` that
     names the columns they range over; here "bd" is every column.
     """
@@ -1025,7 +1017,7 @@ class FOSpace:
         if not all(s.columns for s in self._sweeps):
             raise SemanticsError("a domain size in %s admits no structure"
                                  % (tuple(sizes),))
-        self._envs = tuple({} for _ in self._sweeps)  # atom pairs per size
+        self._envs = tuple(_Block(s, ()) for s in self._sweeps)
         self.columns = _Columns(self._sweeps)
         self._modes = {"bd": (1 << len(self.columns)) - 1}
         self._vectors = {}
@@ -1035,14 +1027,12 @@ class FOSpace:
         every column."""
         out = self._vectors.get(a)
         if out is None:
-            code, _, _, _, fv = _compile([a], self.sig)
+            code, _, _, _, fv, _ = _compile([a], self.sig)
             if unbound := set(fv) - set(self.variables):
                 raise SemanticsError("unbound variable %s" % min(unbound))
             t = f = shift = 0
             for sweep, env in zip(self._sweeps, self._envs):
-                ground = _ground(code, sweep.domain, {})
-                sweep.fill(ground, (), env)
-                (st, sf), = _run(ground, env, sweep.full)
+                (st, sf), = _run(code, env, sweep.full)
                 t |= st << shift
                 f |= sf << shift
                 shift += sweep.columns

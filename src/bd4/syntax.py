@@ -415,11 +415,15 @@ def _wrap(a: "Formula", need: int) -> str:
     return "(%s)" % a._text if lvl < need else a._text
 
 
+def _sorted(parts, sorts, sort: str) -> tuple:
+    for b in parts:  # each part's class must be in sorts
+        if b.__class__ not in sorts:
+            raise TypeError("not a %s: %r" % (sort, b))
+    return parts
+
+
 def _terms(parts, sep: str) -> str:
-    for b in parts:  # each part must be a term
-        if b.__class__ is not Var and b.__class__ is not Fun:
-            raise TypeError("not a term: %r" % (b,))
-    return sep.join([b._text for b in parts])
+    return sep.join([b._text for b in _sorted(parts, (Var, Fun), "term")])
 
 
 # each class's printed form from a node and its parts' (names formatted)
@@ -489,11 +493,16 @@ print_formula = print_term = formula_key = str
 # free variables and substitution
 
 
-# each class's free variables, from a node and its parts' kept ones
+# each class's free variables, from a node and its parts' kept ones, the
+# parts checked for the sorts printing checks but a function's arguments
 _FREE = dict.fromkeys(_PRINTED, lambda u, parts: frozenset().union(
-    *[b._free for b in parts]))
+    *[b._free for b in _sorted(parts, _LEVEL, "formula")]))
+_FREE[Pred] = _FREE[Eq] = lambda u, parts: frozenset().union(
+    *[b._free for b in _sorted(parts, (Var, Fun), "term")])
+_FREE[Fun] = lambda u, parts: frozenset().union(*[b._free for b in parts])
 _FREE[Var] = lambda u, parts: frozenset((u.name,))
-_FREE[Forall] = _FREE[Exists] = lambda u, parts: parts[0]._free - {u.var}
+_FREE[Forall] = _FREE[Exists] = lambda u, parts: _sorted(
+    parts, _LEVEL, "formula")[0]._free - {u.var}
 
 
 def free_vars(e) -> frozenset:

@@ -13,11 +13,15 @@ package's ``enumerate_structures``, the sweep's columns and
 ``FOSpace``'s decoded columns are compared with it.
 
 ``consequence_fo`` is the first-order consequence check as it was
-written before its pre-scan was cached per query shape: every call
-builds the signature of the symbols that occur, tests the arities for a
-size far past the cap, and sums the laid-out structures of each size
-before it takes the sweeps.  The package's ``consequence_fo`` must
-agree with it, result for result and refusal for refusal.
+written before its pre-scan was cached per query shape and before its
+quantifiers were evaluated in place: every call builds the signature of
+the symbols that occur, tests the arities for a size far past the cap,
+and sums the laid-out structures of each size before it takes the
+sweeps; each size's code (``compiled``, every quantifier whole) is
+grounded (``_ground``), the pairs of its ground atoms filled per block
+(``fill``), kept by ``_shape`` as the package keeps them, and the flat
+code run by ``_run``.  The package's ``consequence_fo`` must agree with
+it, result for result and refusal for refusal.
 """
 
 from __future__ import annotations
@@ -29,7 +33,10 @@ from bd4 import semantics
 from bd4.semantics import (
     EnumerationCapExceeded, FOResult, SemanticsError, Structure,
 )
-from bd4.syntax import And, ExtApp, Falsity, Imp, Not, Or, Prop, Signature
+from bd4.syntax import (
+    And, Eq, Exists, ExtApp, Falsity, Forall, Imp, Not, Or, Pred, Prop,
+    Signature, Var, _rebind, free_vars,
+)
 from bd4.values import (
     ALL_VALUES, B, EXTRA_CONNECTIVES, F, T, VALUES, imp, join, meet, neg,
 )
@@ -151,7 +158,8 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     """Bounded countermodel search with its pre-scan inline."""
     S = semantics
     gamma, delta = list(gamma), list(delta)
-    code, funcs, preds, has_eq, fv = S._compile(gamma + delta, sig)
+    code, funcs, preds, has_eq, fv, weights = S._compile(gamma + delta, sig)
+    code = [op for a in gamma + delta for op in compiled(a)]
     small = Signature(tuple(sorted(funcs)), tuple(sorted(preds)), sig.extras)
     least = 2 if mode == "partial" else 1
     if max_domain < least:
@@ -159,7 +167,7 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
             "domain bound %d admits no structure; the least %sdomain size "
             "is %d" % (max_domain, "partial " if least == 2 else "", least))
 
-    elements, items = S._grounding(code, least, max_domain, cap)
+    elements, items = S._grounding(weights, least, max_domain, cap)
     if elements > cap or items > cap:
         raise EnumerationCapExceeded(
             "would lay out %s domain elements and ground at least %s "
@@ -191,9 +199,165 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
 
     sweeps = (S._fo_sweep(small, size, *shape, fv, S._BLOCK_COLUMNS)
               for size in range(least, max_domain + 1))
-    hit = S._first(((s, S._ground(code, s.domain, {})) for s in sweeps),
-                   S._counter(len(gamma)), S._Sweep.fill)
+    hit = S._first(((s, _ground(code, s.domain, {})) for s in sweeps),
+                   _counter(len(gamma)), fill)
     if hit is None:
         return FOResult(True)
     sweep, digits = hit
     return FOResult(False, *sweep.decode(digits))
+
+
+def compiled(a, whole=True) -> list:
+    """Postfix code by a recursive walk, as ``_compile`` describes it, each
+    atom its node and a proposition its name: a quantifier is the list
+    [class, variable, code of the body], or with ``whole`` false, when its
+    variable is not free in its body, its body's code alone, as
+    ``_compile`` writes it."""
+    match a:
+        case Prop(name):
+            return [name]
+        case Falsity():
+            return [Falsity]
+        case Pred(_, _) | Eq(_, _):
+            return [a]
+        case Not(b):
+            return compiled(b, whole) + [Not]
+        case And(l, r) | Or(l, r) | Imp(l, r):
+            return compiled(r, whole) + compiled(l, whole) + [a.__class__]
+        case ExtApp(conn, args):
+            table = EXTRA_CONNECTIVES[conn][1]
+            return (compiled(args[0], whole) if args else []) + [table]
+        case Forall(x, b) | Exists(x, b):
+            body = compiled(b, whole)
+            return ([[a.__class__, x, body]] if whole or x in free_vars(b)
+                    else body)
+    raise TypeError(a)
+
+
+def node_code(code) -> list:
+    """First-order code as ``_compile`` wrote it before atoms were
+    templates: each atom its node, a proposition its name."""
+    out = []
+    for op in code:
+        if op.__class__ is list:
+            op = [op[0], op[1], node_code(op[2])]
+        elif op.__class__ is semantics._Atom:
+            op = op.node.name if op.node.__class__ is Prop else op.node
+        out.append(op)
+    return out
+
+
+def _ground(code, domain, binding: dict) -> list:
+    """The code with every quantifier expanded over the domain: the body
+    once per element, its variable bound to the element's name, the
+    copies joined by And for forall and by Or for exists.  The ops still
+    to ground wait on a stack, so quantifiers may nest to any depth."""
+    out, stack = [], [(iter(code), binding)]
+    while stack:
+        ops, binding = stack.pop()
+        for op in ops:
+            cls = op.__class__
+            if cls is list:  # the rest of ops waits under the copies
+                q, var, body = op
+                join = (And if q is Forall else Or,)
+                stack.append((ops, binding))
+                for i in range(len(domain) - 1, -1, -1):
+                    if i:
+                        stack.append((iter(join), binding))
+                    stack.append((iter(body), {**binding, var: domain[i]}))
+                break
+            if binding and cls is Pred:
+                out.append(Pred(op.name, tuple([_rebind(t, binding)
+                                                for t in op.args])))
+            elif binding and cls is Eq:
+                out.append(Eq(_rebind(op.left, binding),
+                              _rebind(op.right, binding)))
+            else:
+                out.append(op)
+    return out
+
+
+def _shape(x) -> tuple:
+    """A ground atom or term as a flat tuple in prefix order: a domain
+    element is its name, anything else its class, its name (an equation
+    has none) and its arguments' shapes.  So a constant or variable named
+    like an element stays apart from it, and since a sweep fixes each
+    symbol's arity the tuple reads back one way."""
+    out, stack = [], [x]
+    while stack:
+        y = stack.pop()
+        cls = y.__class__
+        if cls is str:
+            out.append(y)
+        elif cls is Var:
+            out += (Var, y.name)
+        elif cls is Eq:
+            out.append(Eq)
+            stack += (y.right, y.left)
+        else:
+            out += (cls, y.name)
+            stack += reversed(y.args)
+    return tuple(out)
+
+
+def fill(self, code, outer, env=None) -> dict:
+    """``env``, or a new env, given the (t, f) pair over the block
+    given by the outer digits' values of each atom of ``code`` it
+    lacks: the kept pair when the sweep keeps one, else one built,
+    and kept when the sweep keeps pairs."""
+    env = {} if env is None else env
+    kept, memo = self.kept, {}  # memo: this call's term selectors
+    for op in code:
+        cls = op.__class__
+        if (cls is str or cls is Pred or cls is Eq) and op not in env:
+            shape = kept is not None and _shape(op)
+            out = shape and kept.get(shape)
+            if not out:
+                out = (self._denote(op, outer, memo) if cls is not str
+                       else self.pair(self.where[("pred", op, ())], outer))
+                if shape:
+                    kept[shape] = out
+                    semantics._count_kept(self, 2, len(shape))
+            env[op] = out
+    return env
+
+
+def _run(code, env: dict, full: int) -> list:
+    """The (t, f) pair of each formula of grounded code, given the pairs
+    of its atoms, by name or ground node: the evaluator as it was before
+    it ran quantifiers in place."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op in code:
+        if op.__class__ is str:
+            push(env[op])
+        elif op is Not:
+            t, f = pop()
+            push((f, t))
+        elif op is Falsity:
+            push((0, full))
+        elif op.__class__ is tuple:
+            push(semantics._apply(
+                op, [pop() for _ in range(semantics._ARITY[len(op)])], full))
+        elif op is And or op is Or or op is Imp:
+            t1, f1 = pop()
+            t2, f2 = pop()
+            if op is And:
+                push((t1 & t2, f1 | f2))
+            elif op is Or:
+                push((t1 | t2, f1 & f2))
+            else:
+                push(((full ^ t1) | t2, t1 & f2))
+        else:
+            push(env[op])
+    return stack
+
+
+def _counter(n: int):
+    """``semantics._counter`` over grounded code."""
+
+    def marked(code, env, full):
+        ts = [t for t, _ in _run(code, env, full)]
+        return semantics.counter_bits(ts[:n], ts[n:])
+
+    return marked

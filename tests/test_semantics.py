@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bd4 import acceptance, semantics, syntax
 from bd4.acceptance import _EQ_POOL, _EQ_SIG, _FO_POOL, _FO_SIG
@@ -638,17 +638,21 @@ def test_an_empty_domain_has_no_structure():
     "forall x. (P(x) & exists y. P(y)) | forall z. P(z), P(x) -> ~P(x)",
     "exists x. forall y. (P(y) | exists z. P(z)), forall w. P(w)"])
 def test_grounding_counts_in_closed_form_equal_the_grounded_sweeps(text):
-    """The elements and items of ``_grounding`` are the domains' lengths
-    and the grounded code's, summed over the sizes; past the cap the
-    items are a lower bound."""
+    """The elements and items of ``_grounding``, from the weights that
+    ``_compile`` gives, are the domains' lengths and the reference's
+    grounded code's, summed over the sizes; past the cap the items are a
+    lower bound."""
     sig = Signature(predicates=(("P", 1),))
-    code = semantics._compile(parse_formula_list(text, sig), sig)[0]
+    formulas = parse_formula_list(text, sig)
+    weights = semantics._compile(formulas, sig)[-1]
+    code = [op for a in formulas for op in reference_semantics.compiled(a)]
     for least, most in itertools.product((1, 2), (2, 3, 6)):
         domains = [tuple(range(k)) for k in range(least, most + 1)]
-        items = sum(len(semantics._ground(code, dom, {})) for dom in domains)
-        assert semantics._grounding(code, least, most, 10**9) == (
+        items = sum(len(reference_semantics._ground(code, dom, {}))
+                    for dom in domains)
+        assert semantics._grounding(weights, least, most, 10**9) == (
             sum(map(len, domains)), items)
-        elements, bound = semantics._grounding(code, least, most, 20)
+        elements, bound = semantics._grounding(weights, least, most, 20)
         assert elements == sum(map(len, domains))
         assert min(items, 21) <= bound <= items
 
@@ -817,7 +821,7 @@ def test_normality_probe_clean():
 
 
 # ---------------------------------------------------------------------------
-# the grounded first-order sweep against per-structure evaluation
+# the first-order sweep against per-structure evaluation
 
 RICH_SIG = Signature(
     functions=(("c", 0), ("d", 0), ("f", 1), ("g", 2)),
@@ -1535,7 +1539,7 @@ def test_count_structures_and_fo_spaces_leave_the_sweep_cache_alone():
 
 
 def test_quantifiers_nested_2000_deep_are_grounded_without_recursion():
-    """At one element a quantifier's body is grounded once, so 2,000
+    """At one element a quantifier's body runs once, so 2,000
     nested quantifiers over P(c), foralls and exists alternating, answer
     as P(c) itself, to the countermodel."""
     sig = Signature(functions=(("c", 0),), predicates=(("P", 1), ("Q", 1)))
@@ -1558,30 +1562,10 @@ def test_compiled_code_and_free_variables_match_a_recursive_walk():
     for _ in range(300):
         gamma, delta, _ = random_fo_query(rng)
         fs = gamma + delta
-        code, _, _, _, free = semantics._compile(fs, RICH_SIG)
-        assert code == [op for a in fs for op in _code_afresh(a)]
+        code, _, _, _, free, _ = semantics._compile(fs, RICH_SIG)
+        assert reference_semantics.node_code(code) == [
+            op for a in fs for op in reference_semantics.compiled(a, False)]
         assert free == tuple(sorted(set().union(*map(free_vars, fs))))
-
-
-def _code_afresh(a) -> list:
-    """Postfix code by a recursive walk, as ``_compile`` describes it."""
-    match a:
-        case Prop(name):
-            return [name]
-        case Falsity():
-            return [Falsity]
-        case Pred(_, _) | Eq(_, _):
-            return [a]
-        case Not(b):
-            return _code_afresh(b) + [Not]
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return _code_afresh(r) + _code_afresh(l) + [a.__class__]
-        case ExtApp(conn, args):
-            table = EXTRA_CONNECTIVES[conn][1]
-            return (_code_afresh(args[0]) if args else []) + [table]
-        case Forall(x, b) | Exists(x, b):
-            return [[a.__class__, x, _code_afresh(b)]]
-    raise TypeError(a)
 
 
 def test_compiling_quantifiers_nested_2000_deep_takes_linear_memory():
@@ -1594,16 +1578,18 @@ def test_compiling_quantifiers_nested_2000_deep_takes_linear_memory():
         deep = Forall("x%d" % i, deep)
     tracemalloc.start()
     try:
-        code, _, _, _, free = semantics._compile([deep], sig)
+        code, _, _, _, free, _ = semantics._compile([deep], sig)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 5 << 20
     assert free == ("y",)
-    for i in reversed(range(2000)):
-        (q, var, code), = code
-        assert (q, var) == (Forall, "x%d" % i)
-    assert code == [inner.right, inner.left, And]
+    # x0 alone is used, so the 1,999 quantifiers inside it compile to
+    # their bodies, each the same at every element
+    (q, var, code), = code
+    assert (q, var) == (Forall, "x0")
+    assert reference_semantics.node_code(code) == [
+        inner.right, inner.left, And]
 
 
 # ---------------------------------------------------------------------------
@@ -1773,9 +1759,9 @@ def test_a_query_whose_atoms_are_kept_leaves_no_garbage():
 
 
 def test_a_query_whose_atoms_are_filled_afresh_leaves_no_garbage():
-    """A sweep's fill that builds pairs unlinks its helpers before it
-    returns, so a sweep the cache drops is freed at once: with the
-    collector off, fresh queries leave nothing for ``gc.collect()``."""
+    """A query that builds pairs leaves no cycle behind, so a sweep the
+    cache drops is freed at once: with the collector off, fresh queries
+    leave nothing for ``gc.collect()``."""
     sig = Signature(functions=(("c", 0), ("f", 1)),
                     predicates=(("P", 1), ("q", 0)))
     fx, fc = Fun("f", (_X,)), Fun("f", (_C,))
@@ -1791,3 +1777,214 @@ def test_a_query_whose_atoms_are_filled_afresh_leaves_no_garbage():
     finally:
         gc.enable()
     assert left == 0
+
+
+# ---------------------------------------------------------------------------
+# quantifiers evaluated in place, against the grounded reference
+
+_TERMS = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), Var("z"), Fun("c"), Fun("d")]),
+    lambda ts: st.one_of(st.builds(lambda t: Fun("f", (t,)), ts),
+                         st.builds(lambda a, b: Fun("g", (a, b)), ts, ts)),
+    max_leaves=3)
+_FO_FORMULAS = st.recursive(
+    st.one_of(st.builds(lambda t: Pred("P", (t,)), _TERMS),
+              st.builds(lambda a, b: Pred("Q", (a, b)), _TERMS, _TERMS),
+              st.builds(Eq, _TERMS, _TERMS),
+              st.sampled_from([Prop("q"), Falsity(), ExtApp("Both")])),
+    lambda fs: st.one_of(
+        st.builds(Not, fs), st.builds(And, fs, fs), st.builds(Or, fs, fs),
+        st.builds(Imp, fs, fs),
+        st.builds(lambda c, a: ExtApp(c, (a,)), st.sampled_from(UNARY), fs),
+        st.builds(Forall, st.sampled_from("xyz"), fs),
+        st.builds(Exists, st.sampled_from("xyz"), fs)),
+    max_leaves=6)
+
+
+def _shadows(a) -> bool:
+    """Whether a quantifier in a binds a variable that one around it binds."""
+    stack = [(a, frozenset())]
+    while stack:
+        a, bound = stack.pop()
+        if a.__class__ in (Forall, Exists):
+            if a.var in bound:
+                return True
+            stack.append((a.body, bound | {a.var}))
+        elif a.__class__ not in (Pred, Eq):
+            stack += [(b, bound) for b in syntax._parts(a)]
+    return False
+
+
+def _kept_log(run):
+    """What ``run()`` returns or raises, from a cleared sweep cache, with
+    every ``_count_kept`` call it makes and the keys, in order, of the
+    pairs each sweep it counts for keeps."""
+    calls, sweeps = [], []
+    count = semantics._count_kept
+
+    def counted(sweep, masks, items):
+        calls.append((sweep.full.bit_length(), masks, items))
+        if sweep not in sweeps:
+            sweeps.append(sweep)
+        count(sweep, masks, items)
+
+    semantics._fo_sweep.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "_count_kept", counted)
+        got = run()
+    return got, calls, [None if s.kept is None else list(s.kept)
+                        for s in sweeps]
+
+
+def test_in_place_consequence_fo_equals_the_grounded_reference():
+    """Over drawn queries, quantifiers run in place give the grounded
+    reference's result or refusal, count the same kept bits in the same
+    order and keep the same ground shapes.  The draws cover nested and
+    shadowing quantifiers, free variables, equality, partial mode,
+    restricted value sets, ``eq_distinct``, an extra connective and
+    sweeps of more than one block."""
+    seen = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_FO_FORMULAS, max_size=2),
+           st.lists(_FO_FORMULAS, min_size=1, max_size=2),
+           st.sampled_from(("total", "total", "partial")),
+           st.integers(1, 3), st.sampled_from(list(MODES.values())),
+           st.sampled_from((None, None, (N, F), (F,))),
+           st.sampled_from((None, None, 1, 6, 64)))
+    @example([Not(Eq(_C, Fun("d")))],
+             [Forall("x", Or(Eq(_X, _C), Eq(_X, Fun("d"))))], "total", 3,
+             CL_VALUES, (F,), 64)
+    @example([Forall("x", Exists("y", Pred("Q", (_X, Var("y")))))],
+             [Exists("y", Forall("x", Pred("Q", (_X, Var("y")))))],
+             "partial", 3, ALL_VALUES, None, None)
+    def check(gamma, delta, mode, bound, allowed, eq_distinct, block):
+        kw = {"mode": mode, "max_domain": bound, "cap": 3000,
+              "eq_distinct": eq_distinct}
+        if mode == "total":
+            kw["allowed"] = allowed
+        with pytest.MonkeyPatch.context() as mp:
+            if block:
+                mp.setattr(semantics, "_BLOCK_COLUMNS", block)
+            want = _kept_log(lambda: outcome(
+                reference_semantics.consequence_fo, gamma, delta, RICH_SIG,
+                **kw))
+            got = _kept_log(lambda: outcome(consequence_fo, gamma, delta,
+                                            RICH_SIG, **kw))
+        assert got == want, (gamma, delta, kw)
+        if not isinstance(want[0][0], bool):
+            return
+        subs = [s for a in gamma + delta for s in subformulas(a)]
+        quantified = [s for s in subs if s.__class__ in (Forall, Exists)]
+        seen.update(
+            name for name, hit in (
+                ("nested", any(b.__class__ in (Forall, Exists) for s in
+                               quantified for b in subformulas(s.body))),
+                ("shadowed", any(map(_shadows, gamma + delta))),
+                ("free", any(free_vars(a) for a in gamma + delta)),
+                ("eq", any(s.__class__ is Eq for s in subs)),
+                ("partial", mode == "partial"),
+                ("restricted", mode == "total" and allowed != ALL_VALUES),
+                ("eq_distinct", eq_distinct is not None),
+                ("extra", any(s.__class__ is ExtApp and s.args for s in subs)),
+                ("blocks", block is not None and want[1] and
+                 any(sweeps is None for sweeps in want[2])),
+                ("refuted", want[0][0] is False),
+                ("three", bound == 3 and (want[0][0] is True or len(
+                    want[0][3].domain) == 3))) if hit)
+
+    check()
+    assert seen == {"nested", "shadowed", "free", "eq", "partial",
+                    "restricted", "eq_distinct", "extra", "blocks",
+                    "refuted", "three"}
+
+
+def _closed_but_y(a, qx, qz):
+    """a with free x and z bound, so only y may stay free."""
+    for var, q in (("x", qx), ("z", qz)):
+        if var in free_vars(a):
+            a = q(var, a)
+    return a
+
+
+_SPACE_FORMULAS = st.builds(
+    _closed_but_y,
+    st.recursive(
+        st.one_of(st.builds(lambda t: Pred("P", (t,)), st.sampled_from(
+                      [Var("x"), Var("y"), Var("z"), Fun("c"), Fun("d")])),
+                  st.builds(Eq, *[st.sampled_from([Var("x"), Var("y"),
+                                                   Fun("c"), Fun("d")])] * 2),
+                  st.sampled_from([Prop("q"), Falsity()])),
+        lambda fs: st.one_of(
+            st.builds(Not, fs), st.builds(And, fs, fs), st.builds(Or, fs, fs),
+            st.builds(Imp, fs, fs),
+            st.builds(Forall, st.sampled_from("xyz"), fs),
+            st.builds(Exists, st.sampled_from("xyz"), fs)),
+        max_leaves=5),
+    st.sampled_from([Forall, Exists]), st.sampled_from([Forall, Exists]))
+
+
+@pytest.mark.parametrize("mode, sizes, need_eq", [
+    ("total", (1, 2), False), ("total", (1,), True), ("partial", (2,), True),
+])
+def test_fo_space_vectors_equal_per_column_evaluation(mode, sizes, need_eq):
+    """Each bit of a drawn formula's (t, f) pair is the told-true or
+    told-false half of its value at that column under ``evaluate``."""
+    sig = Signature(functions=(("c", 0), ("d", 0)),
+                    predicates=(("P", 1), ("q", 0)))
+    space = FOSpace(sig, sizes, mode, need_eq, None, ("y",))
+    columns = [space.columns[i] for i in range(len(space.columns))]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_SPACE_FORMULAS)
+    def check(a):
+        t, f = space.vector(a)
+        for i, (m, alpha) in enumerate(columns):
+            v = evaluate(a, m, alpha)
+            assert (t >> i & 1, f >> i & 1) == (v in (T, B), v in (B, F)), (
+                a, i)
+        assert t >> len(columns) == f >> len(columns) == 0
+
+    check()
+
+
+def test_quantifier_chains_2000_deep_run_in_place_without_recursion():
+    """At one element each quantifier's body runs once, so 2,000 nested
+    quantifiers, foralls and exists alternating, around a body that uses
+    the outermost variable and a constant, give the body's pair with
+    that variable read as the element, through ``consequence_fo`` and
+    through ``FOSpace.vector``."""
+    sig = Signature(functions=(("c", 0),), predicates=(("P", 1), ("Q", 1)))
+    body = Imp(Pred("P", (Var("x0"),)), Pred("Q", (Fun("c"),)))
+    deep = body
+    for i in reversed(range(2000)):
+        deep = (Forall if i % 2 else Exists)("x%d" % i, deep)
+    flat = Forall("x0", body)
+    space = FOSpace(sig, (1,))
+    assert space.vector(deep) == space.vector(flat)
+    for gamma, delta in (([deep], []), ([], [deep]), ([Pred("P", (Fun("c"),))],
+                                                       [deep])):
+        want = consequence_fo([flat if a is deep else a for a in gamma],
+                              [flat if a is deep else a for a in delta], sig,
+                              max_domain=1)
+        assert consequence_fo(gamma, delta, sig, max_domain=1) == want
+
+
+def test_of_two_faults_in_an_atom_the_right_most_is_refused():
+    """The terms are walked left to right for the atom's template, and
+    the fault refused is the one a right-to-left walk meets first: the
+    right-most, at any depth."""
+    sig = Signature(functions=(("c", 0), ("f", 1)), predicates=(("P", 2),))
+    g, f0 = Fun("g"), Fun("f")
+    for atom, message in (
+            (Pred("P", (g, f0)), "f takes 1 arguments"),
+            (Pred("P", (f0, g)), "symbol not in signature"),
+            (Pred("P", (Fun("f", (g,)), Prop("p"))),
+             "not a term: %r" % (Prop("p"),)),
+            (Eq(Fun("f", (Prop("p"),)), Fun("f", (g,))),
+             "symbol not in signature")):
+        for run in (lambda: consequence_fo([atom], [], sig),
+                    lambda: FOSpace(sig, (1,)).vector(atom)):
+            with pytest.raises(SemanticsError) as got:
+                run()
+            assert str(got.value) == message

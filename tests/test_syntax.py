@@ -146,6 +146,21 @@ def test_printing_a_part_of_the_wrong_sort_names_it(node, bad, sort):
     assert node._text is None
 
 
+@pytest.mark.parametrize("node, bad, sort", [
+    (Not(Var("x")), Var("x"), "formula"),
+    (Forall("x", Var("x")), Var("x"), "formula"),
+    (Pred("P", (Prop("p"),)), Prop("p"), "term"),
+], ids=["not", "forall", "pred"])
+def test_free_variables_of_a_part_of_the_wrong_sort_name_it(node, bad, sort):
+    """``free_vars`` checks each part's sort where printing does, and
+    refuses with the same words; the node keeps no free variables."""
+    for walk in (free_vars, str):
+        with pytest.raises(TypeError) as got:
+            walk(node)
+        assert str(got.value) == "not a %s: %r" % (sort, bad)
+    assert getattr(node, "_free", None) is None
+
+
 def test_a_name_that_is_not_a_string_is_formatted_so_printing_ends():
     """A form of None would read as not yet printed, and its parent would
     wait on it for good."""
