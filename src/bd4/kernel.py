@@ -437,8 +437,6 @@ RULES = {r.name: r for r in (
 )}
 
 PACKS = tuple(dict.fromkeys(row.pack for row in RULES.values() if row.pack))
-BASE_RULES = tuple(r for r, row in RULES.items() if row.pack is None)
-PACK_RULES = tuple(r for r, row in RULES.items() if row.pack is not None)
 _CHECKS = {name: row.check for name, row in RULES.items()}  # built at import
 
 
@@ -468,11 +466,6 @@ def _check_other(d: Derivation, i: int, step) -> Violation | None:
     if step.sequent not in d.hypotheses:
         return Violation(i, Code.HYPOTHESIS_NOT_DECLARED, str(step.sequent))
     return None
-
-
-def check_step(d: Derivation, i: int) -> Violation | None:
-    step = d.steps[i]
-    return _CHECKS.get(step.rule, _check_other)(d, i, step)
 
 
 def check_derivation(d: Derivation):

@@ -21,8 +21,7 @@ import itertools
 import math
 import operator
 
-from .semantics import _counter, scan_valuations
-from .syntax import And, Falsity, Imp, Not, Or, _record
+from .syntax import _record
 from .values import (
     B, CL_VALUES, DESIGNATED, F, T, TruthValue, VALUES, designated, imp, inf,
     join, meet, neg, sup,
@@ -402,33 +401,6 @@ def uniqueness_search(dropped=()) -> UniquenessReport:
     return UniquenessReport(
         dropped=frozenset(dropped), candidate_counts=candidate_counts(),
         stages=stages, survivor_count=total, survivors=survivors)
-
-
-# ---------------------------------------------------------------------------
-# consequence inside an arbitrary candidate matrix
-
-def consequence_in(m: Matrix4, gamma, delta):
-    """Propositional consequence computed with the matrix's tables.
-
-    Used to exhibit behavioral differences between law-satisfying
-    matrices.  The compiled formulas run with the matrix's tables in
-    place of falsity and the four connectives.  Returns (True, None) or
-    (False, the first countervaluation in ``valuations`` order); raises
-    ValueError on an extra connective, which has no table here.
-    """
-    gamma, delta = list(gamma), list(delta)
-    tables = {Falsity: (m.falsum,), Not: m.neg, And: m.conj, Or: m.disj,
-              Imp: m.impl}
-    counter = _counter(len(gamma))
-
-    def marked(code, env, full):
-        if any(op.__class__ is tuple for op in code):
-            raise ValueError("an extra connective has no table in the "
-                             "matrix")
-        return counter([tables.get(op, op) for op in code], env, full)
-
-    witness = scan_valuations(gamma + delta, marked)
-    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,18 @@ One evaluator serves everything: ``_run`` takes a formula's compiled
 code to a (told-true, told-false) pair of ints over many columns at
 once.  The base connectives are bitwise operations on the pairs, and
 any other connective is a table applied through one-hot masks: an
-extra connective compiles to its table, and ``matrixlab.consequence_in``
-runs a candidate matrix's tables in place of the base ones, and a
-quantifier's body runs once per domain element.  The lowest set bit of
-a mask marks the first column in enumeration order.
+extra connective compiles to its table, and a quantifier's body runs
+once per domain element.  The lowest set bit of a mask marks the first
+column in enumeration order.
 
 The columns of a sweep are (structure, assignment) pairs, laid out as
 "the sweep" below says; a propositional formula is a first-order one
 over nullary predicates, so its valuations are the columns of domain
 size 1.  One block-by-block scan serves ``consequence_prop``,
-``equivalent_prop``, ``matrixlab.consequence_in`` and
-``consequence_fo``.  One space class, ``FOSpace``, keeps formulas'
-pairs over whole sweeps and checks sequents on them, per mode;
-``PropSpace`` is the ``FOSpace`` of domain size 1 over a tuple of
-atoms.  ``truth_table`` reads one sweep whole.
+``equivalent_prop`` and ``consequence_fo``.  One space class,
+``FOSpace``, keeps formulas' pairs over whole sweeps and checks sequents
+on them, per mode; ``PropSpace`` is the ``FOSpace`` of domain size 1
+over a tuple of atoms.  ``truth_table`` reads one sweep whole.
 
 ``evaluate_prop`` (one valuation) and ``evaluate`` (one structure) are
 the references the engine is tested against.  ``enumerate_structures``

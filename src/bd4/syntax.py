@@ -494,12 +494,11 @@ print_formula = print_term = formula_key = str
 
 
 # each class's free variables, from a node and its parts' kept ones, the
-# parts checked for the sorts printing checks but a function's arguments
+# parts checked for the sorts printing checks
 _FREE = dict.fromkeys(_PRINTED, lambda u, parts: frozenset().union(
     *[b._free for b in _sorted(parts, _LEVEL, "formula")]))
-_FREE[Pred] = _FREE[Eq] = lambda u, parts: frozenset().union(
+_FREE[Pred] = _FREE[Eq] = _FREE[Fun] = lambda u, parts: frozenset().union(
     *[b._free for b in _sorted(parts, (Var, Fun), "term")])
-_FREE[Fun] = lambda u, parts: frozenset().union(*[b._free for b in parts])
 _FREE[Var] = lambda u, parts: frozenset((u.name,))
 _FREE[Forall] = _FREE[Exists] = lambda u, parts: _sorted(
     parts, _LEVEL, "formula")[0]._free - {u.var}
@@ -554,10 +553,6 @@ def _rebind(t, binding: dict):
         return _rebuilt(t, binding, None)
     done = {}
     return _bottom_up(t, done, _rebuilt, binding, done)
-
-
-def substitute_term(t: Term, x: str, s: Term) -> Term:
-    return _rebind(t, {x: s})
 
 
 def substitute(a: Formula, x: str, t: Term) -> Formula:

@@ -1,10 +1,54 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules, and the names of the package that
+only tests read: the kernel's rule partition and one-step check, a term's
+substitution and consequence in a candidate matrix."""
 
 import sys
 from pathlib import Path
 
-from bd4.kernel import Derivation, _Letter, is_proof
-from bd4.syntax import Sequent, Var, substitute
+from bd4.kernel import (
+    RULES, Derivation, Violation, _CHECKS, _check_other, _Letter, is_proof,
+)
+from bd4.matrixlab import Matrix4
+from bd4.semantics import _counter, scan_valuations
+from bd4.syntax import (
+    And, Falsity, Imp, Not, Or, Sequent, Term, Var, _rebind, substitute,
+)
+
+BASE_RULES = tuple(r for r, row in RULES.items() if row.pack is None)
+PACK_RULES = tuple(r for r, row in RULES.items() if row.pack is not None)
+
+
+def check_step(d: Derivation, i: int) -> Violation | None:
+    step = d.steps[i]
+    return _CHECKS.get(step.rule, _check_other)(d, i, step)
+
+
+def substitute_term(t: Term, x: str, s: Term) -> Term:
+    return _rebind(t, {x: s})
+
+
+def consequence_in(m: Matrix4, gamma, delta):
+    """Propositional consequence computed with the matrix's tables.
+
+    Used to exhibit behavioral differences between law-satisfying
+    matrices.  The compiled formulas run with the matrix's tables in
+    place of falsity and the four connectives.  Returns (True, None) or
+    (False, the first countervaluation in ``valuations`` order); raises
+    ValueError on an extra connective, which has no table here.
+    """
+    gamma, delta = list(gamma), list(delta)
+    tables = {Falsity: (m.falsum,), Not: m.neg, And: m.conj, Or: m.disj,
+              Imp: m.impl}
+    counter = _counter(len(gamma))
+
+    def marked(code, env, full):
+        if any(op.__class__ is tuple for op in code):
+            raise ValueError("an extra connective has no table in the "
+                             "matrix")
+        return counter([tables.get(op, op) for op in code], env, full)
+
+    witness = scan_valuations(gamma + delta, marked)
+    return witness is None, witness
 
 
 def bench_workloads():

@@ -3,12 +3,10 @@
 import pytest
 
 from bd4.corpus_suite import CORPUS_DIR, corpus_signature, load_corpus, mutations
-from bd4.kernel import (
-    BASE_RULES, PACK_RULES, check_derivation, is_proof,
-)
+from bd4.kernel import check_derivation, is_proof
 from bd4.proofio import parse_derivation, print_derivation
 
-from support import derives
+from support import BASE_RULES, PACK_RULES, derives
 
 CORPUS = load_corpus()
 SIG = corpus_signature()

@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from bd4 import acceptance
 from bd4.kernel import (
-    _EIGEN, _TERM, BASE_RULES, Code, Derivation, DerivationStep, PACK_RULES,
-    PACKS, RULES, Violation, _check_cut, _Letter, check_derivation,
-    check_step, is_proof,
+    _EIGEN, _TERM, Code, Derivation, DerivationStep, PACKS, RULES, Violation,
+    _check_cut, _Letter, check_derivation, is_proof,
 )
 from bd4.proofio import print_derivation
 from bd4.search import SearchBudget, prove_prop
@@ -22,8 +21,8 @@ from bd4.syntax import (
 )
 
 from support import (
-    _match, derives, reference_additions, reference_backward, reference_bind,
-    reference_fill,
+    BASE_RULES, PACK_RULES, _match, check_step, derives, reference_additions,
+    reference_backward, reference_bind, reference_fill,
 )
 from test_syntax import _FORMULA
 

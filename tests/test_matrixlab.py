@@ -16,14 +16,16 @@ from bd4.matrixlab import (
     _CONTEXT, _FAMILIES as FAMILIES, ALL_LAWS, BD_MATRIX, CLASSICAL_LAWS,
     LAW_TEXT, Matrix4, SUBSETS, _cell_sets, _law_witness, _tables,
     candidate_counts, check_all_laws, check_classical_laws, check_law,
-    consequence_in, enumerate_candidates, is_classically_closed,
-    is_regular, uniqueness_search,
+    enumerate_candidates, is_classically_closed, is_regular,
+    uniqueness_search,
 )
 from bd4.semantics import consequence_prop, valuations
 from bd4.syntax import (
     And, ExtApp, Falsity, Imp, Not, Or, Prop, prop_atoms,
 )
 from bd4.values import B, F, N, T, VALUES, designated, imp, inf, sup
+
+from support import consequence_in
 
 p, q = Prop("p"), Prop("q")
 

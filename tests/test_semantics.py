@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from bd4 import acceptance, semantics, syntax
 from bd4.acceptance import _EQ_POOL, _EQ_SIG, _FO_POOL, _FO_SIG
 from bd4.definability import truth_function_of
-from bd4.matrixlab import BD_MATRIX, consequence_in
+from bd4.matrixlab import BD_MATRIX
 from bd4.parser import _quote, parse_formula_list
 from bd4.proofio import print_structure
 from bd4.semantics import (
@@ -35,7 +35,7 @@ from bd4.values import (
 )
 
 import reference_semantics
-from support import bench_workloads
+from support import bench_workloads, consequence_in
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 

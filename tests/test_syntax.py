@@ -21,14 +21,14 @@ from bd4.syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
     Sequent, Signature, SyntaxBuildError, TRUTH, Var, atomic_subformulas,
     formula_key, free_vars, fresh_var, is_literal, print_formula, print_term,
-    prop_atoms, subformulas, substitute, substitute_term,
+    prop_atoms, subformulas, substitute,
 )
 
 from bd4.values import ALL_VALUES, B, F, N, T
 
 import reference_syntax
 from reference_syntax import node_repr
-from support import instance, reference_additions
+from support import check_step, instance, reference_additions, substitute_term
 
 x, y, z = Var("x"), Var("y"), Var("z")
 c = Fun("c")
@@ -150,7 +150,9 @@ def test_printing_a_part_of_the_wrong_sort_names_it(node, bad, sort):
     (Not(Var("x")), Var("x"), "formula"),
     (Forall("x", Var("x")), Var("x"), "formula"),
     (Pred("P", (Prop("p"),)), Prop("p"), "term"),
-], ids=["not", "forall", "pred"])
+    (Fun("f", (Prop("p"),)), Prop("p"), "term"),
+    (Pred("P", (Fun("g", (x, Fun("f", (Not(p),)))),)), Not(p), "term"),
+], ids=["not", "forall", "pred", "fun", "nested-fun"])
 def test_free_variables_of_a_part_of_the_wrong_sort_name_it(node, bad, sort):
     """``free_vars`` checks each part's sort where printing does, and
     refuses with the same words; the node keeps no free variables."""
@@ -820,7 +822,7 @@ def _check_last(rule, principal, t=None, y=None, hyps=None, sequent=None):
         hyps, sequent = instance(reference_additions(rule, step))
     step = DerivationStep(rule.name, sequent, tuple(range(len(hyps))),
                           principal, t=t, y=y)
-    return kernel.check_step(kernel.Derivation(
+    return check_step(kernel.Derivation(
         tuple(DerivationStep("hypothesis", h) for h in hyps) + (step,),
         frozenset(), hyps), len(hyps))
 
@@ -832,6 +834,7 @@ def test_nodes_with_kept_quantifier_additions_leave_the_table():
               Exists("life_v", Eq(Var("x"), Var("life_v"))))
     terms = (Fun("life_c"), Var("life_z"))
     assert len(QUANTIFIER_RULES) == 8
+    refused = []
     for rule in QUANTIFIER_RULES:
         a = rule.principal_of({"x": "x", "A": body})
         field = rule.needs[-1]
@@ -840,10 +843,22 @@ def test_nodes_with_kept_quantifier_additions_leave_the_table():
             assert _check_last(rule, a, **{field: key}) is None
         mine = {k for k in a._premises if k[0] == rule.name}
         assert mine == {(rule.name, key) for key in keys}
-        # a term holding its principal, or with arguments, is not kept
-        for t in (Fun("life_g", (a,)), Fun("life_f", (Fun("life_c"),))):
-            assert _check_last(rule, a, **{field: t}) is None
+        # a term holding its principal is ill-sorted where a rule takes a
+        # term, and a term with arguments is not kept
+        t = Fun("life_g", (a,))
+        if field == "t":
+            with pytest.raises(TypeError) as err:
+                _check_last(rule, a, t=t)
+            assert str(err.value) == "not a term: %r" % (a,)
+            refused.append(rule.name)
+            del err
+        else:
+            assert _check_last(rule, a, y=t) is None
+        t = Fun("life_f", (Fun("life_c"),))
+        assert _check_last(rule, a, **{field: t}) is None
         assert {k for k in a._premises if k[0] == rule.name} == mine
+    assert sorted(refused) == ["exists-R", "forall-L", "notexists-L",
+                               "notforall-R"]
     del body, terms, a, key, keys, mine, t
     gc.collect()
     assert len(syntax._NODES) == before
