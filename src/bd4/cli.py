@@ -39,8 +39,8 @@ from .syntax import _RESERVED, SyntaxBuildError, prop_signature
 from .values import TruthValue, designated
 
 _NAME_RX = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# the grounded formula items eval may visit over a structure; a million
-# take about 2 s
+# the code items eval may visit over a structure, as _grounding counts
+# those _run runs; a million take 1-2 s
 MAX_EVAL_ITEMS = 10**6
 # an error line stays under this many bytes of UTF-8, however much
 # input it quotes
@@ -152,7 +152,7 @@ def _cmd_eval(args) -> int:
         a = parse_formula(args.formula, sig)
         m = parse_structure(_read(args.structure), sig)
         size = len(m.domain)
-        _, items = _grounding(_compile([a], sig)[-1], size, size,
+        _, items = _grounding(_compile([a], sig)[0], size, size,
                               MAX_EVAL_ITEMS)
         if items > MAX_EVAL_ITEMS:
             raise UsageError(

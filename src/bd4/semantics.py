@@ -18,8 +18,10 @@ on them, per mode; ``PropSpace`` is the ``FOSpace`` of domain size 1
 over a tuple of atoms.  ``truth_table`` reads one sweep whole.
 
 ``evaluate_prop`` (one valuation) and ``evaluate`` (one structure) are
-the references the engine is tested against.  ``enumerate_structures``
-decodes a sweep's columns; its nested-loop form is the tests' reference.
+the references the engine is tested against; like ``_run``, ``evaluate``
+reads a quantifier whose body does not use its variable once, so one
+count, ``_grounding``, bounds both.  ``enumerate_structures`` decodes a
+sweep's columns; its nested-loop form is the tests' reference.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from .parser import _quote
 from .syntax import (
     And, Eq, Exists, ExtApp, Falsity, Forall, Fun, Imp, Not, Or, Pred, Prop,
-    Sequent, Signature, Var, _bottom_up, _rebind, _record, kept,
+    Sequent, Signature, Var, _bottom_up, _rebind, _record, free_vars, kept,
 )
 from .values import (
     ALL_VALUES, B, DESIGNATED, EXTRA_CONNECTIVES, F, MODE_VALUES, N, T,
@@ -154,14 +156,13 @@ def _compile(formulas, sig: Signature) -> tuple:
     [Forall or Exists, variable, code of the body], just the body's code
     when the body does not use the variable.  Returns the code, the
     functions and predicates that occur as (name, arity) pairs (a
-    proposition has arity 0), whether equality occurs, the free
-    variables, sorted, and ``_grounding``'s weights, every quantifier
-    counted.  Every symbol must be declared in the signature with its
-    arity; with no signature the formulas must be propositional, and
-    the predicates returned are the names of their atoms.
+    proposition has arity 0), whether equality occurs, and the free
+    variables, sorted.  Every symbol must be declared in the signature
+    with its arity; with no signature the formulas must be
+    propositional, and the predicates returned are the names of their
+    atoms.
     """
-    code, funcs, preds, free = [], set(), set(), set()
-    has_eq, depth, weights = False, 0, {0: 0}  # quantifier depth -> weight
+    code, funcs, preds, free, has_eq = [], set(), set(), set(), False
     for a in formulas:
         stack, bound = [a], {}  # variable -> whether each binder uses it
         while stack:
@@ -171,7 +172,6 @@ def _compile(formulas, sig: Signature) -> tuple:
                 preds.add(_arity(x.name, sig.predicate_arity(x.name), ())
                           if sig else x.name)
                 code.append(_Atom(x, (x.name,), None) if sig else x.name)
-                weights[depth] += 1
             elif (cls is Pred or cls is Eq) and sig:
                 if cls is Pred:
                     preds.add(_arity(x.name, sig.predicate_arity(x.name),
@@ -204,14 +204,11 @@ def _compile(formulas, sig: Signature) -> tuple:
                 if fault:  # the right-most, as a right-to-left walk finds
                     raise fault
                 code.append(_Atom(x, tuple(shape), slots))
-                weights[depth] += 1
             elif cls is tuple:  # an operator whose operands are done
                 if len(x) == 1:
                     code.append(x[0])
-                    weights[depth] += 1
                 else:  # a quantifier: its body's code ends its scope
                     q, var, start = x
-                    depth -= 1
                     if bound[var].pop():  # else the one copy's code serves
                         code[start:] = [[q, var, code[start:]]]
             elif cls is And or cls is Or or cls is Imp:
@@ -225,18 +222,15 @@ def _compile(formulas, sig: Signature) -> tuple:
             elif (cls is Forall or cls is Exists) and sig:
                 stack += ((cls, x.var, len(code)), x.body)
                 bound.setdefault(x.var, []).append(False)
-                weights[depth] -= 1  # k^d (k - 1) joins: -1 here, +1 below
-                depth += 1
-                weights[depth] = weights.get(depth, 0) + 1
             else:
                 raise SemanticsError("not a %sformula: %s"
                                      % ("" if sig else "propositional ", x))
-    return code, funcs, preds, has_eq, tuple(sorted(free)), weights
+    return code, funcs, preds, has_eq, tuple(sorted(free))
 
 
 def _prop_code(a) -> tuple:
     """A propositional formula's code and the names of its atoms."""
-    code, _, names, _, _, _ = _compile([a], None)
+    code, _, names, _, _ = _compile([a], None)
     return tuple(code), frozenset(names)
 
 
@@ -362,14 +356,18 @@ def _layout(sig: Signature, size: int, mode, allowed, need_eq, eq_distinct,
             variables) -> tuple:
     """The domain and bottom of a sweep, its digits' roles, value tuples
     and positions, and its column count, which is 0 for a size with no
-    structure."""
+    structure.  Every sweep passes here on a cache miss, so here a mode
+    other than total or partial is refused."""
     if mode == "partial":
         if allowed != ALL_VALUES:
             raise SemanticsError(
                 "partial mode does not combine with restrictions")
         domain, bottom = ("u",) + tuple("d%d" % i for i in range(1, size)), "u"
-    else:
+    elif mode == "total":
         domain, bottom = tuple("d%d" % i for i in range(1, size + 1)), None
+    else:
+        raise SemanticsError("unknown mode %s; a sweep is total or partial"
+                             % _quote(str(mode)))
     real = [d for d in domain if d != bottom]
     vals = tuple(v for v in VALUES if v in allowed)
     digits = []  # (role, values) pairs
@@ -789,7 +787,9 @@ class Structure:
 
 
 def evaluate(a, structure: Structure, assignment: dict | None = None) -> TruthValue:
-    """Value of a formula in a structure under an assignment."""
+    """Value of a formula in a structure under an assignment.  A
+    quantifier whose variable is not free in its body has its body's
+    value, read once, as ``_run`` reads it: the inf or sup of one value."""
     m, alpha = structure, assignment or {}
     match a:
         case Falsity():
@@ -812,6 +812,8 @@ def evaluate(a, structure: Structure, assignment: dict | None = None) -> TruthVa
             return _BINARY[a.__class__](evaluate(l, m, alpha),
                                         evaluate(r, m, alpha))
         case Forall(x, b) | Exists(x, b):
+            if x not in free_vars(b):
+                return evaluate(b, m, alpha)
             vals = {evaluate(b, m, {**alpha, x: d}) for d in m.domain}
             return (inf if a.__class__ is Forall else sup)(vals)
         case ExtApp(conn, args):
@@ -871,16 +873,29 @@ def _structure_bits(sig: Signature, size: int, mode, allowed, need_eq,
     return sum(n * math.log2(radix) for radix, n in digits if radix > 1)
 
 
-def _grounding(weights, least: int, most: int, cap: int):
-    """(domain elements, grounded code items) of the sizes least..most.
+def _grounding(code, least: int, most: int, cap: int):
+    """(domain elements, code items ``_run`` runs) of ``_compile``'s code
+    over the sizes least..most.
 
-    The items at size k are the sum of ``weights[j] * k^j`` over the
-    quantifier depths j (``_compile``), so both counts are sums of powers
-    of the sizes, in closed form: the count and the sum of the sizes,
-    and for j > 1 the telescoping sum of (k + 1)^(j + 1) - k^(j + 1).
-    The sums grow with j and the items are at least the deepest one's,
-    so the items stop at a lower bound once a sum passes the cap."""
-    weights = list(weights.values())  # in depth order, as they were made
+    At size k an item at quantifier depth j runs k^j times, and an item
+    [q, var, body] adds k^j (k - 1) joins and its body one level down:
+    it weighs -1 at j and +1 at j + 1, and a quantifier compiled to its
+    body weighs nothing.  So both counts are sums of powers of the sizes,
+    in closed form: the count and the sum of the sizes, and for j > 1
+    the telescoping sum of (k + 1)^(j + 1) - k^(j + 1).  The sums grow
+    with j and the items are at least the deepest one's, so the items
+    stop at a lower bound once a sum passes the cap."""
+    weights, todo = [0], [(code, 0)]  # the weight at each depth
+    while todo:
+        ops, depth = todo.pop()
+        for op in ops:
+            if op.__class__ is list:
+                weights += [0] * (depth + 2 - len(weights))
+                weights[depth] -= 1
+                weights[depth + 1] += 1
+                todo.append((op[2], depth + 1))
+            else:
+                weights[depth] += 1
     if most == 1:  # one element: every power is 1
         return 1, sum(weights)
     depth = len(weights) - 1
@@ -959,20 +974,21 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     a node, sweep or mask; the sweeps come from ``_fo_sweep``'s (see
     ``_KEPT_BITS``).  Raises SemanticsError when the bound or the value
     set admits no structure, and EnumerationCapExceeded before any sweep
-    is built once the domain elements or grounded code items of all the
-    sizes, or the structures of the sizes counted so far, number more
-    than ``cap``, and during the scan once the blocks scanned without a
-    countermodel hold more than ``_SCAN_CAP`` columns.
+    is built once the domain elements or the code items ``_run`` runs
+    (``_grounding``) of all the sizes, or the structures of the sizes
+    counted so far, number more than ``cap``, and during the scan once
+    the blocks scanned without a countermodel hold more than
+    ``_SCAN_CAP`` columns.  A mode but total or partial is refused.
     """
     gamma, delta = list(gamma), list(delta)
-    code, funcs, preds, has_eq, fv, weights = _compile(gamma + delta, sig)
+    code, funcs, preds, has_eq, fv = _compile(gamma + delta, sig)
     least = 2 if mode == "partial" else 1
     if max_domain < least:
         raise SemanticsError(
             "domain bound %d admits no structure; the least %sdomain size "
             "is %d" % (max_domain, "partial " if least == 2 else "", least))
 
-    elements, items = _grounding(weights, least, max_domain, cap)
+    elements, items = _grounding(code, least, max_domain, cap)
     if elements > cap or items > cap:
         raise EnumerationCapExceeded(
             "would lay out %s domain elements and ground at least %s "
@@ -1001,20 +1017,21 @@ class FOSpace:
     size's sweep, run as one block; a sequent is valid on the class
     exactly when no column designates the whole antecedent while
     designating nothing in the succedent.  ``columns`` is the sequence
-    of (structure, assignment) pairs, decoded on access.  A size that
-    admits no structure is refused.  The checks take a ``mode`` that
-    names the columns they range over; here "bd" is every column.
+    of (structure, assignment) pairs, decoded on access.  No size, or a
+    size that admits no structure, is refused: every sequent is valid
+    on an empty class.  The checks take a ``mode`` that names the
+    columns they range over; here "bd" is every column.
     """
 
     def __init__(self, sig, sizes, mode="total", need_eq=True,
                  eq_distinct=None, variables=()):
-        self.sig, self.variables = sig, tuple(variables)
+        self.sig, self.variables, sizes = sig, tuple(variables), tuple(sizes)
         self._sweeps = tuple(
             _Sweep(sig, size, mode, ALL_VALUES, need_eq, eq_distinct,
                    self.variables) for size in sizes)
-        if not all(s.columns for s in self._sweeps):
+        if not sizes or not all(s.columns for s in self._sweeps):
             raise SemanticsError("a domain size in %s admits no structure"
-                                 % (tuple(sizes),))
+                                 % (sizes,))
         self._envs = tuple(_Block(s, ()) for s in self._sweeps)
         self.columns = _Columns(self._sweeps)
         self._modes = {"bd": (1 << len(self.columns)) - 1}
@@ -1025,7 +1042,7 @@ class FOSpace:
         every column."""
         out = self._vectors.get(a)
         if out is None:
-            code, _, _, _, fv, _ = _compile([a], self.sig)
+            code, _, _, _, fv = _compile([a], self.sig)
             if unbound := set(fv) - set(self.variables):
                 raise SemanticsError("unbound variable %s" % min(unbound))
             t = f = shift = 0

@@ -17,10 +17,12 @@ written before its pre-scan was cached per query shape and before its
 quantifiers were evaluated in place: every call builds the signature of
 the symbols that occur, tests the arities for a size far past the cap,
 and sums the laid-out structures of each size before it takes the
-sweeps; each size's code (``compiled``, every quantifier whole) is
-grounded (``_ground``), the pairs of its ground atoms filled per block
-(``fill``), kept by ``_shape`` as the package keeps them, and the flat
-code run by ``_run``.  The package's ``consequence_fo`` must agree with
+sweeps; the grounding bound counts the code the package runs
+(``compiled`` with a quantifier whose body does not use its variable
+compiled to its body), but each size's code (``compiled``, every
+quantifier whole) is grounded (``_ground``), the pairs of its ground
+atoms filled per block (``fill``), kept by ``_shape`` as the package
+keeps them, and the flat code run by ``_run``.  The package's ``consequence_fo`` must agree with
 it, result for result and refusal for refusal.
 """
 
@@ -158,7 +160,8 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     """Bounded countermodel search with its pre-scan inline."""
     S = semantics
     gamma, delta = list(gamma), list(delta)
-    code, funcs, preds, has_eq, fv, weights = S._compile(gamma + delta, sig)
+    code, funcs, preds, has_eq, fv = S._compile(gamma + delta, sig)
+    run = [op for a in gamma + delta for op in compiled(a, False)]
     code = [op for a in gamma + delta for op in compiled(a)]
     small = Signature(tuple(sorted(funcs)), tuple(sorted(preds)), sig.extras)
     least = 2 if mode == "partial" else 1
@@ -167,7 +170,7 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
             "domain bound %d admits no structure; the least %sdomain size "
             "is %d" % (max_domain, "partial " if least == 2 else "", least))
 
-    elements, items = S._grounding(weights, least, max_domain, cap)
+    elements, items = S._grounding(run, least, max_domain, cap)
     if elements > cap or items > cap:
         raise EnumerationCapExceeded(
             "would lay out %s domain elements and ground at least %s "

@@ -476,11 +476,12 @@ def test_a_structure_count_past_reading_is_refused_unbuilt(decl, atom,
 
 
 # queries whose structures are few but whose domains or grounded
-# quantifiers are not, with the elements and items they would need
+# quantifiers are not, with the elements and items they would need; the
+# body uses every bound variable, so no quantifier compiles away
 UNGROUNDED = [
     (("--max-domain", "1000000", "F", "F"), "500000500000", "2000000"),
-    (("--max-domain", "400", "forall x. forall y. forall z. F", "F"),
-     "80200", "21413400"),
+    (("--max-domain", "400", "forall x. forall y. forall z. "
+      "P(x) & P(y) & P(z)", "F"), "80200", "21413400"),
     (("--max-domain", "1" + "0" * 3000, "F", "F"),
      "about 10^5999", "about 10^3000"),
 ]
@@ -554,12 +555,16 @@ def test_the_equality_cell_bound_admits_a_domain_that_meets_it(
 @pytest.mark.parametrize("quantifiers", [3, 4])
 def test_a_formula_past_the_grounding_bound_is_refused(quantifiers,
                                                        tmp_path):
+    """The body uses every bound variable, so each quantifier runs its
+    body once per element."""
     (tmp_path / "p1.sig").write_text("pred P/1\n")
     (tmp_path / "big.struct").write_text(BIG)
-    formula = "".join("forall %s. " % v for v in "xyzw"[:quantifiers])
+    names = "xyzw"[:quantifiers]
+    formula = "".join("forall %s. " % v for v in names) + " & ".join(
+        "P(%s)" % v for v in names)
     code, out, err, peak = _traced_main([
         "eval", "--sig", str(tmp_path / "p1.sig"),
-        "--structure", str(tmp_path / "big.struct"), formula + "P(x)"])
+        "--structure", str(tmp_path / "big.struct"), formula])
     assert (code, out) == (2, "")
     assert err == ("error: over 300 elements the formula grounds to at "
                    "least 27000000 items, more than 1000000\n")
@@ -568,19 +573,45 @@ def test_a_formula_past_the_grounding_bound_is_refused(quantifiers,
 
 def test_the_grounding_bound_admits_a_formula_that_meets_it(
         tmp_path, monkeypatch):
-    """forall x. forall y. P(x) grounds to 3 P atoms for each of the 3
-    values of x, 2 joins for each x and 2 joins of the x copies, plus
-    the 3 copies of each inner quantifier: 9 + 6 + 2 = 17 items."""
+    """forall x. forall y. P(x) runs as forall x. P(x), since its body
+    does not use y: 3 P atoms, one for each value of x, and 2 joins of
+    the x copies, 5 items."""
     (tmp_path / "p1.sig").write_text("pred P/1\n")
     (tmp_path / "three.struct").write_text(
         "domain a b c\npred P a = T\npred P b = B\npred P c = T\n")
     argv = ["eval", "--sig", str(tmp_path / "p1.sig"), "--structure",
             str(tmp_path / "three.struct"), "forall x. forall y. P(x)"]
-    monkeypatch.setattr(cli, "MAX_EVAL_ITEMS", 17)
+    monkeypatch.setattr(cli, "MAX_EVAL_ITEMS", 5)
     assert _main(argv) == (0, "value: b\n", "")
-    monkeypatch.setattr(cli, "MAX_EVAL_ITEMS", 16)
+    monkeypatch.setattr(cli, "MAX_EVAL_ITEMS", 4)
     assert _main(argv) == (2, "", "error: over 3 elements the formula "
-                           "grounds to at least 17 items, more than 16\n")
+                           "grounds to at least 5 items, more than 4\n")
+
+
+# 24 quantifiers none of whose variables the body uses
+CHAIN = "".join("forall x%d. " % i for i in range(24)) + "P(c)"
+
+
+def test_a_chain_of_quantifiers_its_body_does_not_use_answers(tmp_path):
+    """Each quantifier of the chain compiles to its body, which runs
+    once, so the bounds count one atom.  Counted copy by copy it would
+    ground 2^24 items up to domain 2 and 3^24 over three elements, past
+    both bounds."""
+    sig = tmp_path / "c.sig"
+    sig.write_text("const c\npred P/1\n")
+    (tmp_path / "three.struct").write_text(
+        "domain a b d\nconst c = b\npred P a = T\npred P b = N\n"
+        "pred P d = T\n")
+    code, out, err, peak = _traced_main([
+        "entails", "--sig", str(sig), "--max-domain", "2", CHAIN, "P(c)"])
+    assert (code, out, err) == (
+        0, "entails: yes (no countermodel up to domain 2)\n", "")
+    assert peak < 1 << 20
+    code, out, err, peak = _traced_main([
+        "eval", "--sig", str(sig), "--structure",
+        str(tmp_path / "three.struct"), CHAIN])
+    assert (code, out, err) == (1, "value: n\n", "")
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("sig, argv, head, size", [

@@ -175,7 +175,9 @@ def test_no_function_in_syntax_calls_itself():
 # why each may; the mask evaluator and every other path keep their own
 # stacks, so a formula of any depth built through the API passes through
 RECURSIVE_IN_SEMANTICS = {
-    "evaluate": "the slow reference for one structure, a walk of the formula",
+    "evaluate": "the slow reference for one structure, a walk of the formula "
+                "that reads a quantifier whose variable is not free in its "
+                "body once, as _run runs it",
     "evaluate_prop": "the slow reference for one valuation, a walk of the "
                      "formula",
     "_count_kept": "it calls _fo_sweep.cache_info() and cache_clear(), "

@@ -380,6 +380,28 @@ def test_cut_requires_hypothesis_or_closes():
     bad([DerivationStep("hypothesis", hyp)], Code.HYPOTHESIS_NOT_DECLARED)
 
 
+def test_the_cut_row_places_the_cut_formula_as_the_kernel_checks_it():
+    """The kernel checks Cut through ``_check_cut`` and never reads its
+    row, so the row is checked here: premises filled from it over a
+    context are accepted, and with their placements swapped refused."""
+    a, gamma, delta = And(p, q), [r], [Not(r)]
+    (ca, cs), *premises = RULES["Cut"].filled({"A": a})
+    conclusion = Sequent.of(gamma + list(ca), delta + list(cs))
+
+    def check(placed):
+        hyps = tuple(Sequent.of(gamma + list(ant), delta + list(suc))
+                     for ant, suc in placed)
+        return check_derivation(Derivation(
+            tuple(DerivationStep("hypothesis", s) for s in hyps)
+            + (DerivationStep("Cut", conclusion, premises=(0, 1),
+                              principal=a),), frozenset(), hyps))
+
+    assert check(premises) == (True, None)
+    assert check([(suc, ant) for ant, suc in premises]) == (False, Violation(
+        2, Code.PREMISE_MISMATCH,
+        "cut formula %s not in first premise succedent" % a))
+
+
 def test_pack_gating():
     steps = [
         DerivationStep("Id", Sequent.of([p], [p]), principal=p),

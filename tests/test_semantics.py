@@ -611,17 +611,44 @@ def test_the_enumeration_reads_the_sweep_in_the_reference_order(arity):
 def test_a_partial_size_below_two_has_no_structure():
     """The bottom needs an element beside it: partial size 1 has no
     structures and no columns, and FOSpace refuses it as consequence_fo
-    refuses such a bound."""
+    refuses such a bound, and no size at all, an empty class on which
+    every sequent would be valid."""
     sig = Signature(functions=(("c", 0),), predicates=(("P", 1), ("q", 0)))
     assert count_structures(sig, 1, "partial") == 0
     assert list(enumerate_structures(sig, 1, "partial")) == []
-    for sizes, mode in (((1, 2), "partial"), ((0,), "total")):
+    for sizes, mode in (((1, 2), "partial"), ((0,), "total"), ((), "total"),
+                        (iter(()), "total")):
         with pytest.raises(SemanticsError, match="admits no structure"):
             FOSpace(sig, sizes, mode=mode)
     space = FOSpace(sig, (2,), mode="partial")
     assert len(space.columns) == count_structures(sig, 2, "partial") > 0
     with pytest.raises(SemanticsError, match="admits no structure"):
         consequence_fo([Prop("q")], [], sig, max_domain=1, mode="partial")
+
+
+_C_EQ_C = Eq(Fun("c"), Fun("c"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda sig, mode: consequence_fo([], [_C_EQ_C], sig, 2, mode),
+    lambda sig, mode: count_structures(sig, 2, mode),
+    lambda sig, mode: count_structures(sig, 0, mode),
+    lambda sig, mode: list(enumerate_structures(sig, 2, mode)),
+    lambda sig, mode: FOSpace(sig, (2,), mode),
+], ids=["consequence_fo", "count_structures", "count_structures-size-0",
+        "enumerate_structures", "FOSpace"])
+def test_an_unknown_sweep_mode_is_refused(call):
+    """Every sweep is laid out by ``_layout``, which refuses a mode other
+    than total or partial; read as total, "Partial" would answer c = c,
+    where partial mode finds a countermodel."""
+    sig = Signature(functions=(("c", 0),))
+    assert consequence_fo([], [_C_EQ_C], sig, 2, "total").holds
+    assert not consequence_fo([], [_C_EQ_C], sig, 2, "partial").holds
+    for mode in ("Partial", "lp", ""):
+        with pytest.raises(SemanticsError) as e:
+            call(sig, mode)
+        assert str(e.value) == ("unknown mode %r; a sweep is total or "
+                                "partial" % mode)
 
 
 def test_an_empty_domain_has_no_structure():
@@ -633,28 +660,72 @@ def test_an_empty_domain_has_no_structure():
             assert list(enumerate_structures(sig, 0, mode)) == []
 
 
+# a chain of 24 quantifiers none of whose variables its body uses
+CHAIN = "".join("forall x%d. " % i for i in range(24)) + "P(c)"
+
+
 @pytest.mark.parametrize("text", [
     "F", "P(x) & F", "forall x. forall y. forall z. F",
+    "forall x. forall y. forall z. P(x) & P(y) & P(z)",
     "forall x. (P(x) & exists y. P(y)) | forall z. P(z), P(x) -> ~P(x)",
-    "exists x. forall y. (P(y) | exists z. P(z)), forall w. P(w)"])
+    "exists x. forall y. (P(y) | exists z. P(z)), forall w. P(w)",
+    "forall x. forall x. P(x)", "exists x. forall y. P(x) & forall x. P(y)",
+    CHAIN])
 def test_grounding_counts_in_closed_form_equal_the_grounded_sweeps(text):
-    """The elements and items of ``_grounding``, from the weights that
+    """The elements and items of ``_grounding``, read off the code that
     ``_compile`` gives, are the domains' lengths and the reference's
-    grounded code's, summed over the sizes; past the cap the items are a
-    lower bound."""
-    sig = Signature(predicates=(("P", 1),))
+    grounded code's, summed over the sizes, each quantifier whose body
+    does not use its variable compiled to its body as ``_run`` runs it;
+    past the cap the items are a lower bound."""
+    sig = Signature(functions=(("c", 0),), predicates=(("P", 1),))
     formulas = parse_formula_list(text, sig)
-    weights = semantics._compile(formulas, sig)[-1]
-    code = [op for a in formulas for op in reference_semantics.compiled(a)]
+    run = semantics._compile(formulas, sig)[0]
+    code = [op for a in formulas
+            for op in reference_semantics.compiled(a, False)]
     for least, most in itertools.product((1, 2), (2, 3, 6)):
         domains = [tuple(range(k)) for k in range(least, most + 1)]
         items = sum(len(reference_semantics._ground(code, dom, {}))
                     for dom in domains)
-        assert semantics._grounding(weights, least, most, 10**9) == (
+        assert semantics._grounding(run, least, most, 10**9) == (
             sum(map(len, domains)), items)
-        elements, bound = semantics._grounding(weights, least, most, 20)
+        elements, bound = semantics._grounding(run, least, most, 20)
         assert elements == sum(map(len, domains))
         assert min(items, 21) <= bound <= items
+
+
+def test_a_chain_of_quantifiers_its_body_does_not_use_answers():
+    """Each quantifier of the chain compiles to its body, which runs
+    once, and ``_grounding`` counts that one atom per size; counting
+    every copy would refuse the query (2^24 items up to domain 2)."""
+    sig = Signature(functions=(("c", 0),), predicates=(("P", 1),))
+    chain, atom = parse_formula_list(CHAIN + ", P(c)", sig)
+    assert semantics._grounding(semantics._compile([chain], sig)[0], 1, 2,
+                                10**7) == (3, 2)
+    tracemalloc.start()
+    try:
+        res = consequence_fo([chain], [atom], sig, max_domain=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res == FOResult(True)
+    assert peak < 1 << 20
+
+
+def test_evaluate_reads_a_quantifier_its_body_does_not_use_once(
+        monkeypatch):
+    """The inf or sup of one value is that value, so such a quantifier
+    has its body's value, read once, as ``_run`` runs it; a shadowed
+    variable is not free in the inner quantifier."""
+    calls, evaluate_ = [], semantics.evaluate
+    monkeypatch.setattr(semantics, "evaluate", lambda a, *rest: (
+        calls.append(a) or evaluate_(a, *rest)))
+    sig = Signature(functions=(("c", 0),), predicates=(("P", 1),))
+    for text, value, inner in (("forall x. forall x. P(x)", B, 3),
+                               ("exists y. forall x. P(y)", T, 4),
+                               (CHAIN, B, 24)):
+        calls.clear()
+        assert evaluate_(parse_formula_list(text, sig)[0], TWO) is value
+        assert len(calls) == inner, text
 
 
 def test_enumeration_counts():
@@ -1562,7 +1633,7 @@ def test_compiled_code_and_free_variables_match_a_recursive_walk():
     for _ in range(300):
         gamma, delta, _ = random_fo_query(rng)
         fs = gamma + delta
-        code, _, _, _, free, _ = semantics._compile(fs, RICH_SIG)
+        code, _, _, _, free = semantics._compile(fs, RICH_SIG)
         assert reference_semantics.node_code(code) == [
             op for a in fs for op in reference_semantics.compiled(a, False)]
         assert free == tuple(sorted(set().union(*map(free_vars, fs))))
@@ -1578,7 +1649,7 @@ def test_compiling_quantifiers_nested_2000_deep_takes_linear_memory():
         deep = Forall("x%d" % i, deep)
     tracemalloc.start()
     try:
-        code, _, _, _, free, _ = semantics._compile([deep], sig)
+        code, _, _, _, free = semantics._compile([deep], sig)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
