@@ -388,12 +388,12 @@ def _criterion_6(config: SuiteConfig):
         nonlocal checked, crosschecked
         gm = [mask(a) for a in gamma]
         dm = [mask(a) for a in delta]
-        holds_bd = holds(gm, dm, "bd") is None
+        holds_bd = holds(gm, dm) is None
         for mode in modes:
             checked += 1
-            restricted = holds(gm, dm, mode) is None
+            restricted = holds([space.modes[mode]] + gm, dm) is None
             guards = [mask(a) for a in translation_sets(gamma, delta, mode)]
-            bd = holds(guards + gm, dm, "bd") is None
+            bd = holds(guards + gm, dm) is None
             if restricted != bd:
                 failures.append((mode, gamma, delta, "biconditional"))
             if holds_bd and not restricted:
@@ -633,6 +633,11 @@ def _soundness_run(name, valid, rng, instances, ctx_pool, pack, repair_valid):
     }
 
 
+def _valid_on(space: PropSpace, columns: int, s: Sequent) -> bool:
+    """Whether no column in ``columns`` is a counter column of s."""
+    return not space.counter_mask(s) & columns
+
+
 @functools.lru_cache(maxsize=None)
 def _fo_space(kind: str) -> FOSpace:
     if kind == "fo":
@@ -674,9 +679,9 @@ def _criterion_10(config: SuiteConfig):
                          den_repair.valid))
         elif pack_modes:
             for mode in pack_modes:
-                runs.append((rule, mode,
-                             functools.partial(space3.valid, mode=mode),
-                             _PROP_POOL, "notLR", None))
+                runs.append((rule, mode, functools.partial(
+                    _valid_on, space3, space3.modes[mode]), _PROP_POOL,
+                    "notLR", None))
         else:
             runs.append((rule, "bd", space3.valid, _PROP_POOL, None, None))
 

@@ -14,8 +14,9 @@ over nullary predicates, so its valuations are the columns of domain
 size 1.  One block-by-block scan serves ``consequence_prop``,
 ``equivalent_prop`` and ``consequence_fo``.  One space class,
 ``FOSpace``, keeps formulas' pairs over whole sweeps and checks sequents
-on them, per mode; ``PropSpace`` is the ``FOSpace`` of domain size 1
-over a tuple of atoms.  ``truth_table`` reads one sweep whole.
+on them; ``PropSpace`` is the ``FOSpace`` of domain size 1 over a tuple
+of atoms, with a column mask per value set.  A mode is a sweep's, total
+or partial (``_least_size``).  ``truth_table`` reads one sweep whole.
 
 ``evaluate_prop`` (one valuation) and ``evaluate`` (one structure) are
 the references the engine is tested against; like ``_run``, ``evaluate``
@@ -351,23 +352,29 @@ _kept_bits = 0  # bits counted since the cache last started afresh
 _SCAN_CAP = 4 ** 13
 
 
+def _least_size(mode) -> int:
+    """A sweep mode's least domain size: 1 total, 2 partial (the bottom
+    and one more).  Each public entry asks here, before any cache, so
+    here any other mode is refused."""
+    if mode != "total" and mode != "partial":
+        raise SemanticsError("unknown mode %s; a sweep is total or partial"
+                             % _quote(str(mode)))
+    return 2 if mode == "partial" else 1
+
+
 @functools.lru_cache(maxsize=256)
 def _layout(sig: Signature, size: int, mode, allowed, need_eq, eq_distinct,
             variables) -> tuple:
     """The domain and bottom of a sweep, its digits' roles, value tuples
     and positions, and its column count, which is 0 for a size with no
-    structure.  Every sweep passes here on a cache miss, so here a mode
-    other than total or partial is refused."""
+    structure, for a mode that ``_least_size`` let through."""
     if mode == "partial":
         if allowed != ALL_VALUES:
             raise SemanticsError(
                 "partial mode does not combine with restrictions")
         domain, bottom = ("u",) + tuple("d%d" % i for i in range(1, size)), "u"
-    elif mode == "total":
-        domain, bottom = tuple("d%d" % i for i in range(1, size + 1)), None
     else:
-        raise SemanticsError("unknown mode %s; a sweep is total or partial"
-                             % _quote(str(mode)))
+        domain, bottom = tuple("d%d" % i for i in range(1, size + 1)), None
     real = [d for d in domain if d != bottom]
     vals = tuple(v for v in VALUES if v in allowed)
     digits = []  # (role, values) pairs
@@ -831,6 +838,7 @@ def count_structures(sig: Signature, size: int, mode: str = "total",
                      eq_distinct=None) -> int:
     """How many structures ``enumerate_structures`` gives: the column
     count of their sweep's layout, read without building the sweep."""
+    _least_size(mode)
     return _layout(sig, size, mode, frozenset(allowed), need_eq,
                    None if eq_distinct is None else tuple(eq_distinct),
                    ())[-1]
@@ -845,7 +853,7 @@ def enumerate_structures(sig: Signature, size: int, mode: str = "total",
     and equality value from that set, and ``eq_distinct``, when given,
     the equality values of distinct elements.  A size below 1, or below
     2 in partial mode, gives none, before anything is laid out."""
-    if size < (2 if mode == "partial" else 1):
+    if size < _least_size(mode):
         return
     sweep = _Sweep(sig, size, mode, allowed, need_eq, eq_distinct, (),
                    _BLOCK_COLUMNS)
@@ -866,7 +874,7 @@ def _structure_bits(sig: Signature, size: int, mode, allowed, need_eq,
     vals = [v for v in VALUES if v in allowed]
     digits = [(size, cells(sig.functions)), (len(vals), cells(sig.predicates))]
     if need_eq:
-        real = size - (mode == "partial")
+        real = size + 1 - _least_size(mode)
         dist = vals if eq_distinct is None else list(eq_distinct)
         digits += [(len([v for v in (T, B) if v in allowed]), real),
                    (len(dist), real * (real - 1))]
@@ -925,7 +933,7 @@ def _plan(funcs, preds, extras, mode, allowed, has_eq, eq_distinct,
     small = Signature(tuple(sorted(funcs)), tuple(sorted(preds)), extras)
     shape, limit = (mode, allowed, has_eq, eq_distinct), cap.bit_length() + 64
     total = 0
-    for size in range(2 if mode == "partial" else 1, max_domain + 1):
+    for size in range(_least_size(mode), max_domain + 1):
         if (bits := _structure_bits(small, size, *shape)) > limit:
             k = bits * math.log10(2)
             total = "about 10^%d" % k if k < 1e15 else "10^(10^15)"
@@ -978,11 +986,11 @@ def consequence_fo(gamma, delta, sig: Signature, max_domain: int = 3,
     (``_grounding``) of all the sizes, or the structures of the sizes
     counted so far, number more than ``cap``, and during the scan once
     the blocks scanned without a countermodel hold more than
-    ``_SCAN_CAP`` columns.  A mode but total or partial is refused.
+    ``_SCAN_CAP`` columns.  A mode but total or partial is refused first.
     """
+    least = _least_size(mode)
     gamma, delta = list(gamma), list(delta)
     code, funcs, preds, has_eq, fv = _compile(gamma + delta, sig)
-    least = 2 if mode == "partial" else 1
     if max_domain < least:
         raise SemanticsError(
             "domain bound %d admits no structure; the least %sdomain size "
@@ -1017,14 +1025,15 @@ class FOSpace:
     size's sweep, run as one block; a sequent is valid on the class
     exactly when no column designates the whole antecedent while
     designating nothing in the succedent.  ``columns`` is the sequence
-    of (structure, assignment) pairs, decoded on access.  No size, or a
-    size that admits no structure, is refused: every sequent is valid
-    on an empty class.  The checks take a ``mode`` that names the
-    columns they range over; here "bd" is every column.
+    of (structure, assignment) pairs, decoded on access, and ``full``
+    their mask.  No size, or a size that admits no structure, is
+    refused: every sequent is valid on an empty class.  The checks range
+    over every column; a mask of fewer is one more antecedent mask.
     """
 
     def __init__(self, sig, sizes, mode="total", need_eq=True,
                  eq_distinct=None, variables=()):
+        _least_size(mode)
         self.sig, self.variables, sizes = sig, tuple(variables), tuple(sizes)
         self._sweeps = tuple(
             _Sweep(sig, size, mode, ALL_VALUES, need_eq, eq_distinct,
@@ -1034,7 +1043,7 @@ class FOSpace:
                                  % (sizes,))
         self._envs = tuple(_Block(s, ()) for s in self._sweeps)
         self.columns = _Columns(self._sweeps)
-        self._modes = {"bd": (1 << len(self.columns)) - 1}
+        self.full = (1 << len(self.columns)) - 1
         self._vectors = {}
 
     def vector(self, a) -> tuple:
@@ -1059,38 +1068,27 @@ class FOSpace:
         is read here, and ``vector`` runs only on a miss to fill it."""
         return (self._vectors.get(a) or self.vector(a))[0]
 
-    def holds(self, gamma_masks, delta_masks, mode="bd") -> int | None:
-        """Consequence over the mode's columns, narrowed by each mask in
-        turn; None when it holds, else the first counter column's index."""
-        try:
-            bits = self._modes[mode]
-        except (KeyError, TypeError):  # TypeError: an unhashable mode
-            raise ValueError("unknown mode %s" % _quote(str(mode))) from None
-        for m in gamma_masks:
-            bits &= m
-        for m in delta_masks:
-            bits &= ~m
+    def holds(self, gamma_masks, delta_masks) -> int | None:
+        """Consequence over the columns given the formulas' masks: None
+        when it holds, else the first counter column's index."""
+        bits = counter_bits(gamma_masks, delta_masks) & self.full
         return (bits & -bits).bit_length() - 1 if bits else None
 
-    def counter_mask(self, s: Sequent, mode="bd") -> int:
-        """``holds``'s loop, each formula's mask read through ``mask``."""
-        try:
-            bits = self._modes[mode]
-        except (KeyError, TypeError):  # TypeError: an unhashable mode
-            raise ValueError("unknown mode %s" % _quote(str(mode))) from None
-        mask = self.mask
+    def counter_mask(self, s: Sequent) -> int:
+        """``holds``'s bits, each formula's mask read through ``mask``."""
+        bits, mask = self.full, self.mask
         for a in s.ant:
             bits &= mask(a)
         for a in s.suc:
             bits &= ~mask(a)
         return bits
 
-    def valid(self, s: Sequent, mode="bd") -> bool:
-        return self.counter_mask(s, mode) == 0
+    def valid(self, s: Sequent) -> bool:
+        return self.counter_mask(s) == 0
 
-    def countermodel(self, s: Sequent, mode="bd"):
+    def countermodel(self, s: Sequent):
         """The first counter column's (structure, assignment), or None."""
-        cm = self.counter_mask(s, mode)
+        cm = self.counter_mask(s)
         return self.columns[(cm & -cm).bit_length() - 1] if cm else None
 
 
@@ -1098,8 +1096,8 @@ class PropSpace(FOSpace):
     """Bulk propositional work over a fixed tuple of at most eight atoms:
     the ``FOSpace`` of domain size 1 over the atoms as propositions,
     whose columns are ``valuations(atoms)``, one block of them.  Its
-    modes are bd, lp, k3 and cl, each the columns whose every atom takes
-    a value the mode allows, and a countermodel is a valuation."""
+    ``modes`` map bd, lp, k3 and cl to the mask of the columns whose every
+    atom takes a value the mode allows; a countermodel is a valuation."""
 
     # entries of its own, so that a tracer that rebinds a class's
     # methods (bench/layertrace.py) tells the two spaces apart
@@ -1113,16 +1111,16 @@ class PropSpace(FOSpace):
                                  % _BLOCK_COLUMNS)
         super().__init__(Signature(predicates=tuple(
             (a, 0) for a in self.atoms)), (1,), need_eq=False)
-        sweep, = self._sweeps
+        sweep, self.modes = self._sweeps[0], {}
         for mode, allowed in MODE_VALUES.items():
             out = sweep.full
             for j, values in enumerate(sweep.values):
                 out &= sum(m for m, v in zip(sweep._masks(j, ()), values)
                            if v in allowed)
-            self._modes[mode] = out
+            self.modes[mode] = out
 
-    def countermodel(self, s: Sequent, mode="bd") -> dict | None:
-        column = super().countermodel(s, mode)
+    def countermodel(self, s: Sequent) -> dict | None:
+        column = super().countermodel(s)
         return None if column is None else column[0].props
 
 

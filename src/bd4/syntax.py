@@ -287,10 +287,6 @@ class Signature:
         return {n: getattr(self, n) for n in self.__match_args__}
 
     @property
-    def constants(self) -> tuple[str, ...]:
-        return tuple(n for n, a in self.functions if a == 0)
-
-    @property
     def propositions(self) -> tuple[str, ...]:
         return tuple(n for n, a in self.predicates if a == 0)
 

@@ -315,7 +315,7 @@ def test_every_defaulted_parameter_is_set_by_some_call():
 
 # the package's defaulted parameters; a change that adds an option
 # raises this number in its own diff
-MOST_DEFAULTED = 52
+MOST_DEFAULTED = 47
 
 
 def test_the_defaulted_parameters_do_not_grow_unseen():
@@ -351,12 +351,11 @@ def test_a_parameter_no_call_sets_is_seen(tmp_path):
         "mod.K.m.z", "mod.two.c", "mod.unused.flag"]
 
 
-def unread_names(package, *readers):
-    """module.name for each module-level name under package, dunders
-    aside, that no module under package or readers reads: as a name,
-    as an attribute or by importing it."""
+def _read(*dirs) -> set:
+    """The names modules under dirs read: as a name, as an attribute or
+    by importing it."""
     read = set()
-    for _, tree in _trees(package, *readers):
+    for _, tree in _trees(*dirs):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -364,7 +363,17 @@ def unread_names(package, *readers):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(a.name for a in node.names)
-    out = []
+    return read
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unread_names(package, *readers):
+    """module.name for each module-level name under package, dunders
+    aside, that no module under package or readers reads."""
+    read, out = _read(package, *readers), []
     for path, tree in _trees(package):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -378,8 +387,23 @@ def unread_names(package, *readers):
             else:
                 continue
             out += [path.stem + "." + n for n in names
-                    if not (n.startswith("__") and n.endswith("__"))
-                    and n not in read]
+                    if not _dunder(n) and n not in read]
+    return sorted(out)
+
+
+def unread_members(package, *readers):
+    """module.Class.name for each method or property of a class under
+    package, dunders aside, that no module under package or readers
+    reads, as an attribute or as a name."""
+    read, out = _read(package, *readers), []
+    for path, tree in _trees(package):
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                out += ["%s.%s.%s" % (path.stem, cls.name, fn.name)
+                        for fn in cls.body
+                        if isinstance(fn, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                        and not _dunder(fn.name) and fn.name not in read]
     return sorted(out)
 
 
@@ -414,6 +438,44 @@ def test_an_unread_name_is_seen(tmp_path):
         "print(mod.LOCAL, mod.Thing)\n")
     assert unread_names(package, readers) == [
         "mod.Lone", "mod.UNUSED", "mod.orphan"]
+
+
+# methods and properties that nothing in src or bench reads, and why
+# each stays
+UNREAD_MEMBERS = {}
+
+
+def test_every_method_and_property_is_read():
+    assert unread_members(PACKAGE, ROOT / "bench") == sorted(UNREAD_MEMBERS)
+
+
+def test_an_unread_member_is_seen(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "class Thing:\n"
+        "    def __init__(self): self.used()\n"
+        "    def used(self): pass\n"
+        "    def orphan(self): pass\n"
+        "    @property\n"
+        "    def size(self): return 0\n"
+        "    @property\n"
+        "    def unread(self): return 0\n"
+        "    def named(self): pass\n"
+        "    alias = named\n"
+        "def outer():\n"
+        "    class Inner:\n"
+        "        def lone(self): pass\n"
+        "    return Inner\n")
+    readers = tmp_path / "bench"
+    readers.mkdir()
+    (readers / "run.py").write_text(
+        "from mod import Thing\nprint(Thing().size)\n")
+    assert unread_members(package, readers) == [
+        "mod.Inner.lone", "mod.Thing.orphan", "mod.Thing.unread"]
+    assert unread_members(package) == [
+        "mod.Inner.lone", "mod.Thing.orphan", "mod.Thing.size",
+        "mod.Thing.unread"]
 
 
 def _bd4_bindings() -> dict:

@@ -502,8 +502,7 @@ def equality_axioms(sig: Signature):
     constant, p implies p per proposition, and one congruence formula
     per function and predicate symbol."""
     out = [Forall("x", Eq(Var("x"), Var("x")))]
-    for name in sig.constants:
-        out.append(Eq(Fun(name), Fun(name)))
+    out += [Eq(Fun(name), Fun(name)) for name, a in sig.functions if a == 0]
     for name, arity in sig.functions:
         if arity == 0:
             continue

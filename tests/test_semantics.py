@@ -112,13 +112,33 @@ def test_paracompleteness_witness():
     assert consequence_prop([Not(p)], [Or(p, Not(p))])[0]
 
 
+def space_consequence(space: PropSpace, gamma, delta, mode: str) -> tuple:
+    """``consequence_prop``'s answer in a mode, read off a space whose
+    atoms are sorted: the first column in the mode's mask and in the
+    counter bits, its valuation cut to the atoms that occur."""
+    i = space.holds([space.modes[mode]] + [space.mask(a) for a in gamma],
+                    [space.mask(a) for a in delta])
+    if i is None:
+        return True, None
+    v = space.columns[i][0].props
+    return False, {x: v[x] for x in sorted(
+        set().union(*map(prop_atoms, [*gamma, *delta])))}
+
+
 def test_classical_modes_recover_classical_laws():
-    assert consequence_prop([], [Or(p, Not(p))], LP_VALUES)[0]
-    assert not consequence_prop([], [Or(p, Not(p))], K3_VALUES)[0]
-    assert consequence_prop([p, Not(p)], [q], K3_VALUES)[0]
-    assert not consequence_prop([p, Not(p)], [q], LP_VALUES)[0]
-    assert consequence_prop([], [Or(p, Not(p))], CL_VALUES)[0]
-    assert consequence_prop([p, Not(p)], [q], CL_VALUES)[0]
+    """Excluded middle holds in lp and cl, explosion in k3 and cl; the
+    space, each mode's mask ANDed in, gives ``consequence_prop``'s
+    verdict and countervaluation."""
+    space = PropSpace(("p", "q"))
+    lem, efq = ([], [Or(p, Not(p))]), ([p, Not(p)], [q])
+    for mode, lem_holds, efq_holds in (("bd", False, False),
+                                       ("lp", True, False),
+                                       ("k3", False, True),
+                                       ("cl", True, True)):
+        for (gamma, delta), want in ((lem, lem_holds), (efq, efq_holds)):
+            got = consequence_prop(gamma, delta, MODE_VALUES[mode])
+            assert got[0] is want, (mode, gamma, delta)
+            assert space_consequence(space, gamma, delta, mode) == got
 
 
 def synonymous_prop(a, b) -> bool:
@@ -160,17 +180,12 @@ def test_prop_space_agrees_with_consequence():
     rng = random.Random(7)
     pool = [p, q, Not(p), And(p, q), Or(p, Not(q)), Imp(p, q), Falsity(),
             Not(And(p, Not(p))), Imp(Or(p, q), q)]
-    modes = {"bd": ALL_VALUES, "lp": LP_VALUES, "k3": K3_VALUES,
-             "cl": CL_VALUES}
     for _ in range(300):
         gamma = [rng.choice(pool) for _ in range(rng.randrange(3))]
         delta = [rng.choice(pool) for _ in range(rng.randrange(3))]
-        gm = [space.mask(f) for f in gamma]
-        dm = [space.mask(f) for f in delta]
-        for mode, allowed in modes.items():
-            direct, _ = consequence_prop(gamma, delta, allowed)
-            via_space = space.holds(gm, dm, mode) is None
-            assert direct == via_space, (gamma, delta, mode)
+        for mode, allowed in MODE_VALUES.items():
+            assert space_consequence(space, gamma, delta, mode) == (
+                consequence_prop(gamma, delta, allowed)), (gamma, delta, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +208,7 @@ def formulas(atoms=("p", "q", "r")):
 
 
 SIDES = st.lists(formulas(), max_size=3)
+_pqr = functools.cache(lambda: PropSpace(("p", "q", "r")))
 DIFFERENTIAL = settings(derandomize=True, max_examples=150, deadline=None)
 
 
@@ -232,16 +248,24 @@ def test_equivalence_witness_matches_per_valuation_evaluation(a, b):
 @DIFFERENTIAL
 @given(SIDES, SIDES, st.permutations(("p", "q", "r")))
 def test_prop_space_matches_per_valuation_evaluation(gamma, delta, atoms):
-    space = PropSpace(tuple(atoms))
-    for mode, allowed in MODES.items():
+    """In any atom order, each mode's mask ANDed with the counter bits
+    picks the reference's first countervaluation; over sorted atoms
+    the space answers as ``consequence_prop``."""
+    space, s = PropSpace(tuple(atoms)), Sequent.of(gamma, delta)
+    gm, dm = [space.mask(a) for a in gamma], [space.mask(a) for a in delta]
+    for mode, allowed in MODE_VALUES.items():
         want_index, want = reference_consequence(gamma, delta, allowed,
                                                  tuple(atoms))
-        got = space.holds([space.mask(a) for a in gamma],
-                          [space.mask(a) for a in delta], mode)
-        assert got == want_index
-        s = Sequent.of(gamma, delta)
-        assert space.countermodel(s, mode) == want
-        assert space.valid(s, mode) == (want is None)
+        columns = space.modes[mode]
+        assert space.holds([columns] + gm, dm) == want_index
+        cm = space.counter_mask(s) & columns
+        assert (space.columns[(cm & -cm).bit_length() - 1][0].props if cm
+                else None) == want
+        assert space_consequence(_pqr(), gamma, delta, mode) == (
+            consequence_prop(gamma, delta, allowed))
+    assert space.countermodel(s) == reference_consequence(
+        gamma, delta, ALL_VALUES, tuple(atoms))[1]
+    assert space.valid(s) == (space.countermodel(s) is None)
 
 
 @DIFFERENTIAL
@@ -272,11 +296,14 @@ def test_kept_code_is_reused_across_atom_sets_orders_and_modes(
         assert equivalent_prop(b, a) == (want is None, want)
     assert truth_table(a, order) == tuple(
         evaluate_prop(a, v) for v in valuations(order))
-    space = PropSpace(tuple(order))
-    for mode, allowed in MODES.items():
-        s = Sequent.of([a] + gamma, delta)
-        assert space.countermodel(s, mode) == reference_consequence(
+    space, s = PropSpace(tuple(order)), Sequent.of([a] + gamma, delta)
+    for mode, allowed in MODE_VALUES.items():
+        cm = space.counter_mask(s) & space.modes[mode]
+        assert (space.columns[(cm & -cm).bit_length() - 1][0].props if cm
+                else None) == reference_consequence(
             [a] + gamma, delta, allowed, tuple(order))[1]
+        assert space_consequence(_pqr(), [a] + gamma, delta, mode) == (
+            consequence_prop([a] + gamma, delta, allowed))
 
 
 def test_truth_tables_of_the_extra_connectives():
@@ -631,24 +658,30 @@ _C_EQ_C = Eq(Fun("c"), Fun("c"))
 
 @pytest.mark.parametrize("call", [
     lambda sig, mode: consequence_fo([], [_C_EQ_C], sig, 2, mode),
+    lambda sig, mode: consequence_fo([], [_C_EQ_C], sig, 0, mode),
     lambda sig, mode: count_structures(sig, 2, mode),
     lambda sig, mode: count_structures(sig, 0, mode),
     lambda sig, mode: list(enumerate_structures(sig, 2, mode)),
+    lambda sig, mode: list(enumerate_structures(sig, 0, mode)),
     lambda sig, mode: FOSpace(sig, (2,), mode),
-], ids=["consequence_fo", "count_structures", "count_structures-size-0",
-        "enumerate_structures", "FOSpace"])
+    lambda sig, mode: FOSpace(sig, (), mode),
+], ids=["consequence_fo", "consequence_fo-bound-0", "count_structures",
+        "count_structures-size-0", "enumerate_structures",
+        "enumerate_structures-size-0", "FOSpace", "FOSpace-no-size"])
 def test_an_unknown_sweep_mode_is_refused(call):
-    """Every sweep is laid out by ``_layout``, which refuses a mode other
-    than total or partial; read as total, "Partial" would answer c = c,
-    where partial mode finds a countermodel."""
+    """Each public entry asks ``_least_size`` for its mode before any
+    cache or bound, so a mode other than total or partial is refused by
+    name, an unhashable one too, even where a bound or size admits no
+    structure; read as total, "Partial" would answer c = c, where
+    partial mode finds a countermodel."""
     sig = Signature(functions=(("c", 0),))
     assert consequence_fo([], [_C_EQ_C], sig, 2, "total").holds
     assert not consequence_fo([], [_C_EQ_C], sig, 2, "partial").holds
-    for mode in ("Partial", "lp", ""):
+    for mode in ("Partial", "lp", "", ["partial"]):
         with pytest.raises(SemanticsError) as e:
             call(sig, mode)
-        assert str(e.value) == ("unknown mode %r; a sweep is total or "
-                                "partial" % mode)
+        assert str(e.value) == ("unknown mode %s; a sweep is total or "
+                                "partial" % _quote(str(mode)))
 
 
 def test_an_empty_domain_has_no_structure():
@@ -1201,7 +1234,7 @@ _FO_FORMULA = st.recursive(
         st.builds(Or, sub, sub), st.builds(Imp, sub, sub)), max_leaves=6)
 # the two spaces of criterion 10, each built once, and sides over each
 _SPACES = {
-    "prop": (functools.cache(lambda: PropSpace(("p", "q", "r"))), SIDES),
+    "prop": (_pqr, SIDES),
     "fo": (functools.cache(lambda: acceptance._fo_space("fo")),
            st.lists(_FO_FORMULA, max_size=3))}
 
@@ -1210,20 +1243,31 @@ _SPACES = {
 @DIFFERENTIAL
 @given(st.data())
 def test_the_space_checks_are_counter_bits_over_the_mode(kind, data):
-    """``holds``, ``counter_mask`` and ``valid`` in every mode of the
-    space, empty sides included, against ``counter_bits``."""
+    """``holds``, ``counter_mask`` and ``valid`` over every column, empty
+    sides included, against ``counter_bits``; in a ``PropSpace`` each
+    mode's mask, passed to ``holds`` as one more antecedent mask or
+    ANDed with ``counter_mask``, gives ``consequence_prop``'s answer."""
     make, sides = _SPACES[kind]
     space = make()
     s = Sequent.of(data.draw(sides), data.draw(sides))
     gm, dm = [space.mask(a) for a in s.ant], [space.mask(a) for a in s.suc]
-    assert sorted(space._modes) == (
-        sorted(MODES) if kind == "prop" else ["bd"])
-    for mode, columns in space._modes.items():
-        want = semantics.counter_bits(gm, dm) & columns
-        assert space.counter_mask(s, mode) == want
-        assert space.valid(s, mode) == (want == 0)
-        assert space.holds(gm, dm, mode) == (
-            (want & -want).bit_length() - 1 if want else None)
+    assert space.full == (1 << len(space.columns)) - 1
+    want = semantics.counter_bits(gm, dm) & space.full
+    assert space.counter_mask(s) == want
+    assert space.valid(s) == (want == 0)
+    assert space.holds(gm, dm) == (
+        (want & -want).bit_length() - 1 if want else None)
+    if kind == "fo":
+        return
+    assert sorted(space.modes) == sorted(MODE_VALUES)
+    assert space.modes["bd"] == space.full
+    for mode, columns in space.modes.items():
+        both = want & columns
+        assert space.counter_mask(s) & columns == both
+        assert space.holds([columns] + gm, dm) == (
+            (both & -both).bit_length() - 1 if both else None)
+        assert space_consequence(space, s.ant, s.suc, mode) == (
+            consequence_prop(s.ant, s.suc, MODE_VALUES[mode]))
 
 
 @pytest.mark.parametrize("cls, make", [
@@ -1248,22 +1292,6 @@ def test_a_sequent_check_reads_each_formula_through_mask_once(
             check(s)
             assert sorted(reads, key=str) == sorted(
                 [*s.ant, *s.suc], key=str)
-
-
-@pytest.mark.parametrize("make, unknown", [
-    (lambda: PropSpace(("p",)), ["xx", "x" * 200, "BD", None, ["bd"]]),
-    (lambda: FOSpace(_EQ_SIG, (1,)), ["xx", "x" * 200, "lp", 3]),
-], ids=["prop", "fo"])
-def test_an_unknown_space_mode_is_a_value_error(make, unknown):
-    space, s = make(), Sequent.of([Falsity()], [])
-    for mode in unknown:
-        for check in (lambda: space.holds([], [], mode),
-                      lambda: space.counter_mask(s, mode),
-                      lambda: space.valid(s, mode),
-                      lambda: space.countermodel(s, mode)):
-            with pytest.raises(ValueError) as err:
-                check()
-            assert str(err.value) == "unknown mode " + _quote(str(mode))
 
 
 def test_consequence_prop_takes_the_four_value_sets_and_no_other():

@@ -40,7 +40,6 @@ def test_signature_guards():
     sig = Signature((("f", 2), ("c", 0)), (("P", 1), ("p", 0)))
     assert sig.function_arity("f") == 2
     assert sig.predicate_arity("P") == 1
-    assert sig.constants == ("c",)
     assert sig.propositions == ("p",)
     with pytest.raises(SyntaxBuildError):
         Signature((("f", 1), ("f", 2)), ())
